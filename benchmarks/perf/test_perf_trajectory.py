@@ -1,53 +1,36 @@
-"""Perf-trajectory benchmarks: the endpoint fast path earns its keep.
+"""The archived fast-vs-legacy record stays intact.
 
-Two layers of assertion:
-
-* every committed ``BENCH_PR<N>.json`` (the repo's perf trajectory, one
-  file per PR, appended never overwritten) must be well-formed, and the
-  newest must record a >= 1.5x fast/legacy speedup on the endpoint-heavy
-  dumbbell at full scale -- the PR-2 acceptance number;
-* a live measurement (skipped on shared CI runners, like the engine
-  fast-path bench) must reproduce a healthy speedup on this machine.
+``BENCH_PR2.json`` ... ``BENCH_PR6.json`` are the measurements on which the
+per-event implementations were deleted: no scenario on which they won.
+Nothing regenerates them (current numbers come from ``bench/``); these
+tests keep them present, well-formed and saying what the README quotes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-
-import pytest
-
-from repro.perf.bench import (
-    check_against_baseline,
-    find_baselines,
-    latest_baseline,
-    next_baseline_path,
-    run_cell,
-)
+import re
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
-BENCH_FILE = latest_baseline(REPO_ROOT)
 
-skip_timing_on_ci = pytest.mark.skipif(
-    os.environ.get("CI", "").lower() in ("1", "true"),
-    reason="wall-clock performance ratios are unreliable on shared CI runners",
-)
+
+def _load(name):
+    with open(os.path.join(REPO_ROOT, name)) as fh:
+        return json.load(fh)
 
 
 class TestCommittedTrajectory:
     def test_bench_files_committed_and_well_formed(self):
-        names = find_baselines(REPO_ROOT)
-        assert names, (
-            "no BENCH_PR<N>.json committed: regenerate with "
-            "`tfrc-bench --suite all --isolate --output next`"
-        )
-        # The trajectory is append-only: PR 2 onwards must all be present.
-        assert names[0] == "BENCH_PR2.json"
+        names = [f"BENCH_PR{n}.json" for n in range(2, 7)]
+        assert sorted(
+            name for name in os.listdir(REPO_ROOT)
+            if re.fullmatch(r"BENCH_PR\d+\.json", name)
+        ) == names
         for name in names:
-            with open(os.path.join(REPO_ROOT, name)) as fh:
-                report = json.load(fh)
+            report = _load(name)
             assert report["schema"] == "tfrc-bench/v1", name
             for scale in ("smoke", "full"):
                 scenarios = report["suites"][scale]
@@ -60,49 +43,24 @@ class TestCommittedTrajectory:
                         assert cell[mode]["events"] > 0, (name, scenario)
                         assert cell[mode]["wall_seconds"] > 0, (name, scenario)
                         assert cell[mode]["events_per_sec"] > 0, (name, scenario)
-                    assert cell["speedup"] > 0, (name, scenario)
+                    assert cell["speedup"] > 1.0, (name, scenario)
 
     def test_acceptance_speedup_on_endpoint_heavy_dumbbell(self):
-        """PR-2 acceptance: >= 1.5x events/sec vs the PR-1 legacy path on
-        the endpoint-heavy dumbbell, as recorded in the committed
-        trajectory (speedup is the wall ratio over a byte-identical
-        workload, i.e. the normalized events/sec ratio)."""
-        with open(BENCH_FILE) as fh:
-            report = json.load(fh)
+        """PR-2 acceptance: >= 1.5x events/sec vs the per-event path on
+        the endpoint-heavy dumbbell, as recorded in the newest file (speedup
+        is the wall ratio over a byte-identical workload, i.e. the
+        normalized events/sec ratio)."""
+        report = _load("BENCH_PR6.json")
         speedup = report["suites"]["full"]["dumbbell_steady"]["speedup"]
         assert speedup >= 1.5, (
             f"committed dumbbell_steady speedup {speedup:.2f}x < 1.5x"
         )
 
-    def test_baselines_sort_by_pr_number_not_lexicographically(
-        self, tmp_path
-    ):
-        """Regression: from PR 10 on, a lexicographic sort would place
-        BENCH_PR10.json *before* BENCH_PR2.json, making `--check latest`
-        gate against an ancient file and `--output next` overwrite it."""
-        for n in (2, 3, 10, 11):
-            (tmp_path / f"BENCH_PR{n}.json").write_text("{}")
-        (tmp_path / "BENCH_PRx.json").write_text("{}")  # not a baseline
-        root = str(tmp_path)
-        assert find_baselines(root) == [
-            "BENCH_PR2.json", "BENCH_PR3.json",
-            "BENCH_PR10.json", "BENCH_PR11.json",
-        ]
-        assert latest_baseline(root).endswith("BENCH_PR11.json")
-        assert next_baseline_path(root).endswith("BENCH_PR12.json")
-        assert find_baselines(str(tmp_path / "missing")) == []
-
     def test_pr6_acceptance_vector_sweep(self):
         """PR-6 acceptance, pinned on the committed trajectory: the vector
         executor must clear 3x serial cells/sec on a single process over a
         supported grid of at least 64 cells."""
-        pr6 = os.path.join(REPO_ROOT, "BENCH_PR6.json")
-        assert os.path.exists(pr6), (
-            "BENCH_PR6.json not committed: regenerate with "
-            "`tfrc-bench --suite all --isolate --output next`"
-        )
-        with open(pr6) as fh:
-            report = json.load(fh)
+        report = _load("BENCH_PR6.json")
         for scale in ("smoke", "full"):
             sweep = report["suites"][scale]["vector_sweep"]
             assert sweep["cells"] >= 64, scale
@@ -121,16 +79,8 @@ class TestCommittedTrajectory:
         by >= 1.15x over the PR-3 trajectory, and the new SACK-heavy
         recovery cell must be present with a healthy fast/legacy speedup.
         """
-        pr3 = os.path.join(REPO_ROOT, "BENCH_PR3.json")
-        pr4 = os.path.join(REPO_ROOT, "BENCH_PR4.json")
-        assert os.path.exists(pr4), (
-            "BENCH_PR4.json not committed: regenerate with "
-            "`tfrc-bench --suite all --isolate --output next`"
-        )
-        with open(pr3) as fh:
-            base = json.load(fh)
-        with open(pr4) as fh:
-            report = json.load(fh)
+        base = _load("BENCH_PR3.json")
+        report = _load("BENCH_PR4.json")
         for scale in ("smoke", "full"):
             before = base["suites"][scale]["red_ecn"]["fast"]["events_per_sec"]
             after = report["suites"][scale]["red_ecn"]["fast"]["events_per_sec"]
@@ -142,72 +92,3 @@ class TestCommittedTrajectory:
             assert sack["speedup"] >= 1.15, (
                 f"{scale}/red_sack_recovery speedup {sack['speedup']:.2f}x"
             )
-
-
-class TestLiveSpeedup:
-    @skip_timing_on_ci
-    def test_endpoint_fastpath_speedup_live(self, capsys):
-        """Re-measure the acceptance scenario on this machine."""
-        fast = run_cell("dumbbell_steady", "full", True, repeats=2)
-        legacy = run_cell("dumbbell_steady", "full", False, repeats=2)
-        speedup = legacy["wall_seconds"] / fast["wall_seconds"]
-        with capsys.disabled():
-            print(
-                f"\n[endpoint-fastpath] fast {fast['events_per_sec']:,.0f} "
-                f"ev/s, legacy {legacy['events_per_sec']:,.0f} ev/s, "
-                f"speedup {speedup:.2f}x"
-            )
-        assert speedup >= 1.5, (
-            f"endpoint fast path only {speedup:.2f}x the legacy path"
-        )
-
-
-class TestRegressionGate:
-    def test_check_against_baseline_flags_regressions(self):
-        baseline = {
-            "suites": {"smoke": {"dumbbell_steady": {"speedup": 1.6}}}
-        }
-        ok = {
-            "suites": {"smoke": {"dumbbell_steady": {"speedup": 1.3}}}
-        }
-        bad = {
-            "suites": {"smoke": {"dumbbell_steady": {"speedup": 1.1}}}
-        }
-        assert check_against_baseline(ok, baseline, tolerance=0.25) == []
-        failures = check_against_baseline(bad, baseline, tolerance=0.25)
-        assert len(failures) == 1
-        assert "dumbbell_steady" in failures[0]
-
-    def test_check_skips_unknown_scenarios_but_not_vacuously(self):
-        baseline = {
-            "suites": {
-                "full": {
-                    "other": {"speedup": 9.0},
-                    "dumbbell_steady": {"speedup": 1.0},
-                }
-            }
-        }
-        report = {
-            "suites": {
-                "smoke": {"dumbbell_steady": {"speedup": 0.1}},
-                "full": {"dumbbell_steady": {"speedup": 1.0}},
-            }
-        }
-        # Baseline-only 'other' and baseline-less 'smoke' are skipped, but
-        # the overlapping full/dumbbell_steady cell still gets compared.
-        assert check_against_baseline(report, baseline) == []
-
-    def test_check_fails_when_nothing_overlaps(self):
-        """A gate that compared zero cells must not report a pass."""
-        baseline = {"suites": {"full": {"other": {"speedup": 9.0}}}}
-        report = {"suites": {"smoke": {"dumbbell_steady": {"speedup": 2.0}}}}
-        failures = check_against_baseline(report, baseline)
-        assert len(failures) == 1
-        assert "zero cells" in failures[0]
-
-    def test_smoke_suite_regression_vs_committed_baseline(self):
-        """The CI gate, exercised in-process on the committed file."""
-        with open(BENCH_FILE) as fh:
-            baseline = json.load(fh)
-        # The committed file compared against itself never regresses.
-        assert check_against_baseline(baseline, baseline, tolerance=0.0) == []

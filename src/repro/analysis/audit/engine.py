@@ -95,7 +95,7 @@ def _rule_matches(token: str, rule_id: str) -> bool:
 #: simulation core must be a pure function of the spec, but the fabric
 #: *around* it schedules real processes against real clocks.  Layers the
 #: checker never visits at all (anything outside
-#: ``AuditConfig.determinism_prefixes`` -- rt/, apps/, perf/, wire/)
+#: ``AuditConfig.determinism_prefixes`` -- rt/, apps/, wire/)
 #: need no entry here: an entry that suppresses nothing is itself
 #: flagged as stale under ``--check-baseline``.
 DEFAULT_ALLOWLIST: Tuple[AllowEntry, ...] = (

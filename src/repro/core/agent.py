@@ -51,9 +51,6 @@ class TfrcFlow:
         ):
             if key in sender_kwargs:
                 receiver_kwargs[key] = sender_kwargs.pop(key)
-        # Both halves share the timer implementation choice.
-        if "fast_timers" in sender_kwargs:
-            receiver_kwargs["fast_timers"] = sender_kwargs["fast_timers"]
         # The ports' bool return (accepted?) is ignored by sender/receiver;
         # handing the bound method over directly skips a per-packet lambda.
         self.sender = TfrcSender(

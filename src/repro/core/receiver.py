@@ -26,7 +26,7 @@ from repro.core.loss_events import LossEvent, LossEventDetector
 from repro.core.loss_intervals import AverageLossIntervals
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
-from repro.sim.process import make_timer
+from repro.sim.process import FastTimer
 
 FeedbackSender = Callable[[Packet], None]
 
@@ -70,7 +70,6 @@ class TfrcReceiver:
         reorder_tolerance: int = 3,
         on_data: Optional[Callable[[float, Packet], None]] = None,
         feedback_interval_rtts: float = 1.0,
-        fast_timers: bool = True,
     ) -> None:
         if feedback_interval_rtts <= 0:
             raise ValueError("feedback_interval_rtts must be positive")
@@ -94,14 +93,10 @@ class TfrcReceiver:
         self._rtt_from_sender = 0.0
         self._last_packet: Optional[Packet] = None
         self._last_packet_recv_time = 0.0
-        self.fast_timers = fast_timers
-        self._feedback_timer = make_timer(sim, self._feedback_due, fast_timers)
-        # Receive-rate window.  Fast path: arrivals are pruned incrementally
-        # from the left and the byte total is a running (exact, integer)
-        # sum, so the per-feedback cost is amortized O(1).  Legacy path
-        # (PR-1 baseline): the window list is rebuilt and re-summed on every
-        # query.  Totals are integer either way, so both paths report
-        # bit-identical receive rates.
+        self._feedback_timer = FastTimer(sim, self._feedback_due)
+        # Receive-rate window: arrivals are pruned incrementally from the
+        # left and the byte total is a running (exact, integer) sum, so the
+        # per-feedback cost is amortized O(1).
         self._arrivals: Deque[Tuple[float, int]] = deque()
         self._arrival_bytes = 0
         self._history_seeded = False
@@ -122,13 +117,8 @@ class TfrcReceiver:
         window = self._measurement_window()
         cutoff = self.sim.now - window
         arrivals = self._arrivals
-        if self.fast_timers:
-            while arrivals and arrivals[0][0] < cutoff:
-                self._arrival_bytes -= arrivals.popleft()[1]
-            return self._arrival_bytes / window
-        kept = deque((t, b) for t, b in arrivals if t >= cutoff)
-        self._arrivals = kept
-        self._arrival_bytes = sum(b for _, b in kept)
+        while arrivals and arrivals[0][0] < cutoff:
+            self._arrival_bytes -= arrivals.popleft()[1]
         return self._arrival_bytes / window
 
     def loss_event_rate(self) -> float:

@@ -29,7 +29,7 @@ from repro.core.equations import tcp_response_rate
 from repro.core.receiver import TfrcFeedback
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
-from repro.sim.process import make_timer
+from repro.sim.process import FastTimer
 from repro.sim.trace import Tracer
 
 PacketSender = Callable[[Packet], None]
@@ -65,7 +65,6 @@ class TfrcSender:
         quiescence_aware: bool = False,
         ecn: bool = False,
         burst_size: int = 1,
-        fast_timers: bool = True,
         max_rate_history: Optional[int] = None,
     ) -> None:
         if not 0 < rtt_ewma_weight <= 1:
@@ -100,13 +99,10 @@ class TfrcSender:
         self.last_feedback: Optional[TfrcFeedback] = None
 
         self._seq = 0
-        #: use the generation-counter fast timers (PR-2 endpoint fast path);
-        #: ``False`` pins the legacy Event-allocating timers for baselines.
-        self.fast_timers = fast_timers
-        self._send_timer = make_timer(sim, self._send_next, fast_timers)
-        self._no_feedback_timer = make_timer(
-            sim, self._no_feedback_expired, fast_timers
-        )
+        # Both timers re-arm per packet / per feedback: generation-counter
+        # timers, no Event handle per arming.
+        self._send_timer = FastTimer(sim, self._send_next)
+        self._no_feedback_timer = FastTimer(sim, self._no_feedback_expired)
         self._started = False
         self._stopped = False
         self._app_active = True

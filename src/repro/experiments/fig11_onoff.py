@@ -64,21 +64,16 @@ def run_one(
     timescales: Sequence[float] = PAPER_TIMESCALES,
     link_bps: float = 15e6,
     seed: int = 0,
-    endpoint_fastpath: bool = True,
     tracer=None,
 ) -> OnOffRunResult:
     """One configuration: n ON/OFF sources + 1 TCP + 1 TFRC monitored."""
     registry = RngRegistry(seed)
     sim = Simulator()
     config = DumbbellConfig(bandwidth_bps=link_bps, queue_type="red")
-    dumbbell = Dumbbell(
-        sim, config, queue_rng=registry.stream("red"),
-        fast_scheduling=endpoint_fastpath,
-    )
-    flow_monitor = FlowMonitor(tracer=tracer, columnar=endpoint_fastpath)
+    dumbbell = Dumbbell(sim, config, queue_rng=registry.stream("red"))
+    flow_monitor = FlowMonitor(tracer=tracer)
     link_monitor = LinkMonitor(
-        sim, dumbbell.forward_link, tracer=tracer,
-        sample_queue=False, columnar=endpoint_fastpath,
+        sim, dumbbell.forward_link, tracer=tracer, sample_queue=False
     )
     topo_rng = registry.stream("topology")
 
@@ -86,13 +81,12 @@ def run_one(
     tcp = TcpFlow(
         sim, "tcp-mon", fwd, rev, variant="sack",
         on_data=flow_monitor.on_packet, tracer=tracer,
-        fast_timers=endpoint_fastpath,
     )
     tcp.start(at=0.1)
     fwd, rev = dumbbell.attach_flow("tfrc-mon", topo_rng.uniform(0.08, 0.12))
     tfrc = TfrcFlow(
         sim, "tfrc-mon", fwd, rev, on_data=flow_monitor.on_packet,
-        tracer=tracer, fast_timers=endpoint_fastpath,
+        tracer=tracer,
     )
     tfrc.start(at=0.2)
 
@@ -132,7 +126,6 @@ def onoff_scenario(spec: ScenarioSpec) -> JsonDict:
         timescales=[float(t) for t in spec.extra["timescales"]],
         link_bps=float(spec.topology.get("bandwidth_bps", 15e6)),
         seed=spec.seed,
-        endpoint_fastpath=bool(spec.extra.get("endpoint_fastpath", True)),
     )
     return {
         "sources": run_result.sources,

@@ -64,13 +64,11 @@ def run_one(
     web_fraction: float = 0.2,
     seed: int = 0,
     queue_type: str = "droptail",
-    net_fastpath: bool = True,
 ) -> QueueDynamicsResult:
     """Run the Figure 14 scenario with all long-lived flows of one protocol.
 
     The paper's setup uses a DropTail bottleneck; ``queue_type="red"`` swaps
-    in a RED queue (used by the net-fastpath equivalence tests), and
-    ``net_fastpath=False`` pins the legacy network layer.
+    in a RED queue (one of the runs ``tests/golden_digests.json`` pins).
     """
     if protocol not in ("tcp", "tfrc"):
         raise ValueError("protocol must be 'tcp' or 'tfrc'")
@@ -83,10 +81,7 @@ def run_one(
         queue_type=queue_type,
         buffer_packets=buffer_packets,
     )
-    dumbbell = Dumbbell(
-        sim, config, queue_rng=registry.stream("red"),
-        net_fastpath=net_fastpath,
-    )
+    dumbbell = Dumbbell(sim, config, queue_rng=registry.stream("red"))
     flow_monitor = FlowMonitor()
     link_monitor = LinkMonitor(sim, dumbbell.forward_link, sample_queue=True)
 
@@ -96,8 +91,7 @@ def run_one(
         fwd, rev = dumbbell.attach_flow(flow_id, rtt)
         if protocol == "tcp":
             flow = TcpFlow(sim, flow_id, fwd, rev, variant="sack",
-                           on_data=flow_monitor.on_packet,
-                           incremental_sack=net_fastpath)
+                           on_data=flow_monitor.on_packet)
         else:
             flow = TfrcFlow(sim, flow_id, fwd, rev, on_data=flow_monitor.on_packet)
         flow.start(at=rng.uniform(0.0, start_spread))
@@ -144,7 +138,7 @@ def queue_dynamics_scenario(spec: ScenarioSpec) -> JsonDict:
         topology: {bandwidth_bps?, base_rtt?, start_spread?}
         flows:    {protocol, n_flows?}
         queue:    {buffer_packets?, type?}
-        extra:    {web_fraction?, net_fastpath?}
+        extra:    {web_fraction?}
     """
     result = run_one(
         protocol=str(spec.flows["protocol"]),
@@ -157,7 +151,6 @@ def queue_dynamics_scenario(spec: ScenarioSpec) -> JsonDict:
         web_fraction=float(spec.extra.get("web_fraction", 0.2)),
         seed=spec.seed,
         queue_type=str(spec.queue.get("type", "droptail")),
-        net_fastpath=bool(spec.extra.get("net_fastpath", True)),
     )
     return {
         "protocol": result.protocol,

@@ -6,22 +6,16 @@ delay = size*8/bandwidth), then delivered ``propagation_delay`` seconds later
 to the downstream receiver.  Congestion arises naturally when offered load
 exceeds the service rate and the queue overflows or RED starts dropping.
 
-Two scheduling strategies are implemented:
-
-* the **batched fast path** (default): a single self-rescheduling wakeup
-  loop per link tracks both the packet in service and the in-flight
-  propagation train, using :meth:`Simulator.schedule_fast` entries that
-  allocate no :class:`~repro.sim.engine.Event` handles.  The wake chain is
-  fused: one frame dequeues the next packet, notifies the queue-sample
-  hooks, drains due deliveries and re-arms, against locals and a per-size
-  transmission-delay cache (packet sizes are few; each cached value is
-  produced by the same ``size*8/bandwidth`` expression, so timings stay
-  bit-identical).  Packet timings are identical to the legacy path; only
-  the bookkeeping is cheaper.
-* the **legacy per-packet path** (``fastpath=False``): one heap event per
-  transmission completion plus one per delivery, kept as the baseline for
-  ``benchmarks/test_engine_fastpath.py`` and the ``tfrc-bench`` legacy
-  cells.
+A single self-rescheduling wakeup loop per link tracks both the packet in
+service and the in-flight propagation train, using bare heap entries that
+allocate no :class:`~repro.sim.engine.Event` handles.  The wake chain is
+fused: one frame dequeues the next packet, notifies the queue-sample hooks,
+drains due deliveries and re-arms, against locals and a per-size
+transmission-delay cache (packet sizes are few; each cached value is
+produced by the same ``size*8/bandwidth`` expression).  Every packet departs
+at ``max(arrival, previous finish) + size*8/bandwidth`` and is delivered
+``propagation_delay`` later, which ``benchmarks/test_engine_fastpath.py``
+checks against that closed form.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ class Link:
         propagation_delay: float,
         queue: Queue,
         name: str = "link",
-        fastpath: bool = True,
     ) -> None:
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
@@ -59,7 +52,6 @@ class Link:
         self.propagation_delay = float(propagation_delay)
         self.queue = queue
         self.name = name
-        self.fastpath = fastpath
         self._receiver: Optional[Receiver] = None
         self._busy = False
         self.bytes_forwarded = 0
@@ -69,7 +61,7 @@ class Link:
         # Per-size transmission delays: simulations use a handful of packet
         # sizes, so the division is paid once per distinct size.
         self._tx_times: Dict[int, float] = {}
-        # Fast-path state: the packet in service, its finish time, the
+        # Service state: the packet in service, its finish time, the
         # propagation train (delivery times are monotone since the finish
         # times are and the propagation delay is constant), and the time of
         # the earliest pending wakeup (inf when none is known-pending).
@@ -85,9 +77,6 @@ class Link:
         # dequeue override honored.
         self._red_queue = queue if type(queue) is REDQueue else None
         self._inline_dequeue = type(queue) in (DropTailQueue, REDQueue)
-        if fastpath:
-            # Rebind the per-packet entry point to the fused variant.
-            self.send = self._send_fast  # type: ignore[method-assign]
 
     def connect(self, receiver: Receiver) -> None:
         """Attach the downstream consumer of delivered packets."""
@@ -96,14 +85,6 @@ class Link:
     def add_queue_sample_hook(self, hook: Callable[[float, int], None]) -> None:
         """Register ``hook(now, queue_len)`` called on every enqueue/dequeue."""
         self._sample_hooks.append(hook)
-
-    def transmission_delay(self, packet: Packet) -> float:
-        """Seconds to clock ``packet`` onto the wire at this link's rate."""
-        size = packet.size
-        tx = self._tx_times.get(size)
-        if tx is None:
-            self._tx_times[size] = tx = size * 8 / self.bandwidth_bps
-        return tx
 
     @property
     def utilization_seconds(self) -> float:
@@ -122,24 +103,7 @@ class Link:
         return accum
 
     def send(self, packet: Packet) -> bool:
-        """Offer ``packet`` to the link; returns False if the queue dropped it.
-
-        This body only serves ``fastpath=False`` links: the constructor
-        rebinds ``self.send`` to :meth:`_send_fast` on fast-path links.
-        """
-        if self._receiver is None:
-            raise RuntimeError(f"link {self.name} has no receiver connected")
-        accepted = self.queue.enqueue(packet, self.sim.now)
-        if self._sample_hooks:
-            self._notify_queue_sample()
-        if accepted and not self._busy:
-            self._start_transmission()
-        return accepted
-
-    def _send_fast(self, packet: Packet) -> bool:
-        """Fused fast-path :meth:`send`: inlined sample notify, no
-        per-packet fastpath branch (the constructor rebinding is the
-        branch)."""
+        """Offer ``packet`` to the link; returns False if the queue dropped it."""
         if self._receiver is None:
             raise RuntimeError(f"link {self.name} has no receiver connected")
         queue = self.queue
@@ -154,16 +118,6 @@ class Link:
         if accepted and not self._busy:
             self._begin_service()
         return accepted
-
-    def _notify_queue_sample(self) -> None:
-        # Call sites pre-check ``self._sample_hooks`` so unmonitored links
-        # skip the call entirely.
-        now = self.sim._now
-        depth = len(self.queue._queue)
-        for hook in self._sample_hooks:
-            hook(now, depth)
-
-    # ------------------------------------------------------- batched fast path
 
     def _begin_service(self) -> None:
         """Dequeue the next packet and put it in service."""
@@ -187,7 +141,7 @@ class Link:
         self._tx_packet = packet
         need = self._tx_finish = now + tx
         # Arm (inlined): a wakeup must be pending no later than the next
-        # due time.  Stale (redundant) wakeups are possible -- fast-path
+        # due time.  Stale (redundant) wakeups are possible -- bare heap
         # entries cannot be cancelled -- but :meth:`_wake` is idempotent,
         # so they only cost a no-op pop.  They arise solely when service
         # starts from idle while a propagation train is still in flight.
@@ -215,8 +169,8 @@ class Link:
             self.packets_forwarded += 1
             in_flight.append((self._tx_finish + self.propagation_delay, packet))
             # Put the next queued packet in service (inlined _begin_service).
-            # The emptiness pre-check mirrors the legacy path, which never
-            # dequeues (nor samples the queue) when nothing is waiting.
+            # Nothing is dequeued (and the queue is not sampled) when
+            # nothing is waiting.
             queue = self.queue
             q = queue._queue
             if q:
@@ -255,32 +209,3 @@ class Link:
             self._armed_time = need
             heappush(sim._heap, (need, 0, sim._seq, self._wake, (), None))
             sim._seq += 1
-
-    # ------------------------------------------------ legacy per-packet path
-
-    def _start_transmission(self) -> None:
-        packet = self.queue.dequeue(self.sim.now)
-        if self._sample_hooks:
-            self._notify_queue_sample()
-        if packet is None:
-            self._busy = False
-            return
-        self._busy = True
-        tx = self.transmission_delay(packet)
-        self._busy_accum += tx
-        self._tx_finish = self.sim.now + tx
-        self.sim.schedule_in(tx, self._finish_transmission, packet)
-
-    def _finish_transmission(self, packet: Packet) -> None:
-        self.bytes_forwarded += packet.size
-        self.packets_forwarded += 1
-        self.sim.schedule_in(self.propagation_delay, self._deliver, packet)
-        # Start on the next queued packet, if any.
-        self._busy = False
-        self._tx_finish = inf
-        if not self.queue.is_empty:
-            self._start_transmission()
-
-    def _deliver(self, packet: Packet) -> None:
-        assert self._receiver is not None
-        self._receiver(packet)

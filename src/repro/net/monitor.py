@@ -5,13 +5,10 @@ raw material the analysis layer needs: per-flow byte arrival events (for the
 send-rate time series of paper Eq. 2), link drop/forward counts (loss rate,
 utilization), and queue-occupancy samples (Figure 14).
 
-Accumulators are **columnar** by default: per-flow parallel arrays (arrival
-times + cumulative bytes) instead of dict-of-tuple-lists, so the per-packet
-callback is two list appends and window queries (`throughput_bps`,
-`queue_series`) are ``bisect`` slices on sorted time arrays instead of full
-scans.  The PR-1 accumulators are kept behind ``columnar=False`` for the
-perf-trajectory baseline; both modes return identical values (byte totals
-are exact integer sums either way).
+Accumulators are per-flow parallel arrays (arrival times + cumulative
+bytes), so the per-packet callback is two list appends and window queries
+(`throughput_bps`, `queue_series`) are ``bisect`` slices on sorted time
+arrays instead of full scans; byte totals are exact integer sums.
 """
 
 from __future__ import annotations
@@ -34,20 +31,15 @@ class LinkMonitor:
         link: Link,
         tracer: Optional[Tracer] = None,
         sample_queue: bool = True,
-        columnar: bool = True,
     ) -> None:
         self.sim = sim
         self.link = link
         self.tracer = tracer
-        self.columnar = columnar
-        # Columnar storage: parallel (time, value) arrays.
+        # Parallel (time, value) arrays.
         self._queue_times: List[float] = []
         self._queue_depths: List[int] = []
         self._drop_times: List[float] = []
         self._drop_flows: List[str] = []
-        # Legacy storage: lists of tuples.
-        self._queue_samples_legacy: List[Tuple[float, int]] = []
-        self._drops_legacy: List[Tuple[float, str]] = []
         self._wrap_queue()
         if sample_queue:
             link.add_queue_sample_hook(self._make_queue_hook())
@@ -55,15 +47,11 @@ class LinkMonitor:
     @property
     def queue_samples(self) -> List[Tuple[float, int]]:
         """Queue-depth samples as ``(time, depth)`` pairs, in time order."""
-        if not self.columnar:
-            return self._queue_samples_legacy
         return list(zip(self._queue_times, self._queue_depths))
 
     @property
     def drops(self) -> List[Tuple[float, str]]:
         """Drops as ``(time, flow_id)`` pairs, in time order."""
-        if not self.columnar:
-            return self._drops_legacy
         return list(zip(self._drop_times, self._drop_flows))
 
     def _wrap_queue(self) -> None:
@@ -71,11 +59,8 @@ class LinkMonitor:
 
         def on_drop(packet: Packet) -> None:
             now = self.sim.now
-            if self.columnar:
-                self._drop_times.append(now)
-                self._drop_flows.append(packet.flow_id)
-            else:
-                self._drops_legacy.append((now, packet.flow_id))
+            self._drop_times.append(now)
+            self._drop_flows.append(packet.flow_id)
             if self.tracer is not None:
                 self.tracer.record(
                     now, "drop", self.link.name, packet.size,
@@ -86,26 +71,14 @@ class LinkMonitor:
 
         self.link.queue.drop_hook = on_drop
 
-    def _on_queue_sample(self, now: float, depth: int) -> None:
-        if self.columnar:
-            self._queue_times.append(now)
-            self._queue_depths.append(depth)
-        else:
-            self._queue_samples_legacy.append((now, depth))
-        if self.tracer is not None:
-            self.tracer.record(now, "queue", self.link.name, depth)
-
     def _make_queue_hook(self):
-        """A per-sample hook specialized once for this monitor's mode.
+        """A per-sample hook specialized once for this monitor.
 
         Queue samples fire on every enqueue *and* dequeue of a monitored
-        link, so the columnar/tracer branches of
-        :meth:`_on_queue_sample` are resolved here instead of per packet.
+        link, so whether a tracer is attached is resolved here instead of
+        per packet.
         """
         tracer = self.tracer
-        if not self.columnar:
-            # Legacy mode is the perf baseline: keep the generic method.
-            return self._on_queue_sample
         times_append = self._queue_times.append
         depths_append = self._queue_depths.append
         if tracer is None:
@@ -124,8 +97,6 @@ class LinkMonitor:
 
     @property
     def drop_count(self) -> int:
-        if not self.columnar:
-            return len(self._drops_legacy)
         return len(self._drop_times)
 
     def loss_rate(self) -> float:
@@ -145,12 +116,6 @@ class LinkMonitor:
         self, t_min: float = 0.0, t_max: Optional[float] = None
     ) -> List[Tuple[float, int]]:
         """Queue-depth samples within a window (bisect-sliced, no scan)."""
-        if not self.columnar:
-            return [
-                (t, d)
-                for t, d in self._queue_samples_legacy
-                if t >= t_min and (t_max is None or t <= t_max)
-            ]
         times = self._queue_times
         lo = bisect_left(times, t_min)
         hi = len(times) if t_max is None else bisect_right(times, t_max)
@@ -158,7 +123,7 @@ class LinkMonitor:
 
 
 class _ArrivalsView(Mapping):
-    """Read-only per-flow view over a columnar :class:`FlowMonitor`."""
+    """Read-only per-flow view over a :class:`FlowMonitor`'s arrays."""
 
     __slots__ = ("_monitor",)
 
@@ -178,7 +143,7 @@ class _ArrivalsView(Mapping):
 
 
 class _FlowSeries:
-    """Columnar per-flow arrival series: times plus cumulative bytes."""
+    """Per-flow arrival series: times plus cumulative bytes."""
 
     __slots__ = ("times", "cum", "total")
 
@@ -198,37 +163,21 @@ class FlowMonitor:
     answers window queries from the cumulative-byte arrays in O(log n).
     """
 
-    def __init__(
-        self, tracer: Optional[Tracer] = None, columnar: bool = True
-    ) -> None:
+    def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.tracer = tracer
-        self.columnar = columnar
         self._series: Dict[str, _FlowSeries] = {}
-        # Legacy accumulators (PR-1 behaviour).
-        self._arrivals_legacy: Dict[str, List[Tuple[float, int]]] = {}
-        self._bytes_legacy: Dict[str, int] = {}
-        self._packets_legacy: Dict[str, int] = {}
 
     def on_packet(self, now: float, packet: Packet) -> None:
         """Record the delivery of ``packet`` at time ``now``."""
         flow_id = packet.flow_id
         size = packet.size
-        if self.columnar:
-            series = self._series.get(flow_id)
-            if series is None:
-                series = _FlowSeries()
-                self._series[flow_id] = series
-            series.times.append(now)
-            series.total += size
-            series.cum.append(series.total)
-        else:
-            self._arrivals_legacy.setdefault(flow_id, []).append((now, size))
-            self._bytes_legacy[flow_id] = (
-                self._bytes_legacy.get(flow_id, 0) + size
-            )
-            self._packets_legacy[flow_id] = (
-                self._packets_legacy.get(flow_id, 0) + 1
-            )
+        series = self._series.get(flow_id)
+        if series is None:
+            series = _FlowSeries()
+            self._series[flow_id] = series
+        series.times.append(now)
+        series.total += size
+        series.cum.append(series.total)
         if self.tracer is not None:
             self.tracer.record(now, "recv", flow_id, size)
 
@@ -238,17 +187,13 @@ class FlowMonitor:
     def arrivals(self) -> Mapping[str, List[Tuple[float, int]]]:
         """Per-flow time-ordered ``(time, bytes)`` pairs.
 
-        In columnar mode this is a lazy read-only mapping: each lookup
-        reconstructs only the requested flow's pair list from the arrays.
+        A lazy read-only mapping: each lookup reconstructs only the
+        requested flow's pair list from the arrays.
         """
-        if not self.columnar:
-            return self._arrivals_legacy
         return _ArrivalsView(self)
 
     def arrival_series(self, flow_id: str) -> List[Tuple[float, int]]:
         """One flow's ``(time, bytes)`` pairs ([] for unknown flows)."""
-        if not self.columnar:
-            return self._arrivals_legacy.get(flow_id, [])
         series = self._series.get(flow_id)
         if series is None:
             return []
@@ -259,27 +204,16 @@ class FlowMonitor:
 
     @property
     def bytes_by_flow(self) -> Dict[str, int]:
-        if not self.columnar:
-            return self._bytes_legacy
         return {fid: s.total for fid, s in self._series.items()}
 
     @property
     def packets_by_flow(self) -> Dict[str, int]:
-        if not self.columnar:
-            return self._packets_legacy
         return {fid: len(s.times) for fid, s in self._series.items()}
 
     def throughput_bps(self, flow_id: str, t_min: float, t_max: float) -> float:
         """Average delivered rate for ``flow_id`` over [t_min, t_max]."""
         if t_max <= t_min:
             raise ValueError("need t_max > t_min")
-        if not self.columnar:
-            total = sum(
-                size
-                for time, size in self._arrivals_legacy.get(flow_id, [])
-                if t_min <= time <= t_max
-            )
-            return total * 8 / (t_max - t_min)
         series = self._series.get(flow_id)
         if series is None:
             return 0.0
@@ -293,6 +227,4 @@ class FlowMonitor:
         return total * 8 / (t_max - t_min)
 
     def flows(self) -> List[str]:
-        if not self.columnar:
-            return sorted(self._arrivals_legacy)
         return sorted(self._series)

@@ -18,7 +18,7 @@ from typing import Callable, Deque, List, Optional
 import numpy as np
 
 from repro.net.packet import Packet
-from repro.net.redmath import RedParams, red_drop_probability
+from repro.net.redmath import RedParams
 from repro.sim.rng import BlockDraws
 
 
@@ -63,12 +63,6 @@ class Queue:
         self.dequeued += 1
         return packet
 
-    def _accept(self, packet: Packet) -> bool:
-        self._queue.append(packet)
-        self.bytes_queued += packet.size
-        self.enqueued += 1
-        return True
-
     def _drop(self, packet: Packet) -> bool:
         self.dropped += 1
         if self.drop_hook is not None:
@@ -77,29 +71,11 @@ class Queue:
 
 
 class DropTailQueue(Queue):
-    """FIFO queue that drops arrivals when full (tail drop).
-
-    ``fastpath`` (default) rebinds ``enqueue`` to a fused variant with the
-    accept/drop bookkeeping inlined; decisions are identical either way.
-    """
-
-    def __init__(
-        self,
-        capacity_packets: int,
-        name: str = "queue",
-        fastpath: bool = True,
-    ) -> None:
-        super().__init__(capacity_packets, name=name)
-        self.fastpath = fastpath
-        if fastpath:
-            self.enqueue = self._enqueue_fast  # type: ignore[method-assign]
+    """FIFO queue that drops arrivals when full (tail drop)."""
 
     def enqueue(self, packet: Packet, now: float) -> bool:
-        if len(self._queue) >= self.capacity_packets:
-            return self._drop(packet)
-        return self._accept(packet)
-
-    def _enqueue_fast(self, packet: Packet, now: float) -> bool:
+        # The accept/drop bookkeeping is inlined: this runs once per packet
+        # on every link.
         queue = self._queue
         if len(queue) >= self.capacity_packets:
             self.dropped += 1
@@ -129,20 +105,16 @@ class REDQueue(Queue):
     freezes (``avg`` stuck across arbitrarily long idle periods was a
     long-standing bug when no service rate was wired up).
 
-    Two per-packet code paths exist:
-
-    * the **fast path** (default): one fused ``enqueue`` with the EWMA
-      update, drop-probability and uniformization inlined, hoisted
-      constants (threshold range, per-packet service time, ``1 - w`` and
-      its log for the idle decay via ``exp``), and block-buffered uniform
-      draws -- numpy fills array draws from the same bit stream as repeated
-      scalar calls, so the decision stream is unchanged.  Because draws are
-      buffered ahead, the queue's ``rng`` must not be shared with any other
-      consumer (every in-repo builder hands RED a dedicated stream).
-    * the **legacy path** (``fastpath=False``): the original per-packet
-      recomputation, kept as the perf baseline.  Both paths make
-      bit-identical decisions (fuzz-tested in
-      ``tests/test_net_fastpath.py``).
+    ``enqueue`` is one fused frame: the EWMA update, drop probability and
+    uniformization are inlined against hoisted constants (threshold range,
+    per-packet service time, ``ln(1 - w)`` for the idle decay via ``exp``),
+    and uniform draws are block-buffered -- numpy fills array draws from the
+    same bit stream as repeated scalar calls, so the decision stream is that
+    of per-packet ``rng.random()`` calls.  Because draws are buffered ahead,
+    the queue's ``rng`` must not be shared with any other consumer (every
+    in-repo builder hands RED a dedicated stream).  The decisions are
+    fuzz-tested in ``tests/test_net_fastpath.py`` against a model composed
+    from the scalar functions of :mod:`repro.net.redmath`.
 
     Forced drops (buffer overflow or ``p_b >= 1``) reset the uniformization
     counter to 0, matching ns-2 RED and the 1993 RED paper's pseudocode
@@ -167,7 +139,6 @@ class REDQueue(Queue):
         mean_packet_size: int = 1000,
         ecn: bool = False,
         name: str = "red",
-        fastpath: bool = True,
     ) -> None:
         super().__init__(capacity_packets, name=name)
         # Parameter validation and the hoisted decision constants live in
@@ -196,32 +167,27 @@ class REDQueue(Queue):
         self.early_drops = 0
         self.forced_drops = 0
         self.ecn_marks = 0
-        self.fastpath = fastpath
         # Hoisted per-packet constants.  Each is produced (in RedParams) by
-        # the *same* float expression the legacy path evaluates per packet,
-        # so using the cached value is bit-identical; only the idle-decay
-        # ``exp(log(1-w) * m)`` replaces ``(1-w) ** m`` (equal to within
-        # the last ulp of libm -- decision-identical in practice, asserted
-        # against the legacy path in the equivalence tests).
+        # the *same* float expression the scalar redmath functions evaluate
+        # per call, so using the cached value is bit-identical; only the
+        # idle-decay ``exp(log(1-w) * m)`` stands in for ``(1-w) ** m``
+        # (equal to within the last ulp of libm).
         self._thresh_range = self.params.thresh_range
         self._two_max_thresh = self.params.two_max_thresh
         self._one_minus_max_p = self.params.one_minus_max_p
-        # ``weight == 1`` (legal, degenerate EWMA) has no finite log; the
-        # fast path then falls back to the legacy power expression.
+        # ``weight == 1`` (legal, degenerate EWMA) has no finite log;
+        # ``enqueue`` then uses the power expression.
         self._ln_one_minus_w = (
             log(1.0 - self.weight) if self.weight < 1.0 else None
         )
         self._packet_time = (
             self.mean_packet_size * 8
         ) / self.fallback_service_rate_bps
-        # Block-buffered uniform draws (fast path only); the shared helper
-        # consumes the same bit stream as per-call scalar draws, so the
-        # decision stream is unchanged.  ``next`` is hoisted to a bound
-        # method so the fused path pays one call, no extra lookups.
+        # Block-buffered uniform draws; the shared helper consumes the same
+        # bit stream as per-call scalar draws.  ``next`` is hoisted to a
+        # bound method so ``enqueue`` pays one call, no extra lookups.
         self._draws = BlockDraws(self._rng, block=64)
         self._next_draw = self._draws.next
-        if fastpath:
-            self.enqueue = self._enqueue_fast  # type: ignore[method-assign]
 
     def set_service_rate(self, bits_per_second: float) -> None:
         """Tell RED the link speed so the idle-decay estimate is sensible."""
@@ -235,82 +201,17 @@ class REDQueue(Queue):
         """True once the owning link wired up :meth:`set_service_rate`."""
         return self._service_rate_bps is not None
 
-    def _update_average(self, now: float) -> None:
-        if self._queue:
-            self.avg += self.weight * (len(self._queue) - self.avg)
-            return
-        # Queue is idle: decay avg as if m packets had departed while idle,
-        # estimating the per-packet service time from the link speed (or
-        # the nominal fallback when no link ever reported one).
-        if self._idle_since is None:
-            self._idle_since = now
-        rate = self._service_rate_bps or self.fallback_service_rate_bps
-        idle = max(0.0, now - self._idle_since)
-        packet_time = (self.mean_packet_size * 8) / rate
-        if packet_time > 0:
-            self.avg *= (1.0 - self.weight) ** (idle / packet_time)
-        # Re-anchor so the next arrival decays only the incremental idle
-        # time; if this arrival is accepted the queue becomes busy and a
-        # later dequeue-to-empty re-establishes the idle start.
-        self._idle_since = now
-
-    def _drop_probability(self) -> float:
-        """Instantaneous mark probability p_b from the average queue size."""
-        return red_drop_probability(self.params, self.avg)
-
     def enqueue(self, packet: Packet, now: float) -> bool:
-        # Legacy per-packet path (the fast-path ctor rebinds ``enqueue`` to
-        # :meth:`_enqueue_fast`); kept as the perf baseline.
-        self._update_average(now)
-        if len(self._queue) >= self.capacity_packets:
-            self.forced_drops += 1
-            self._count_since_drop = 0  # ns-2 RED: count <- 0 on every drop
-            return self._drop(packet)
-        p_b = self._drop_probability()
-        if p_b >= 1.0:
-            self.forced_drops += 1
-            self._count_since_drop = 0
-            return self._drop(packet)
-        if p_b > 0.0:
-            self._count_since_drop += 1
-            # Uniformize inter-drop gaps: p_a = p_b / (1 - count * p_b).
-            denom = 1.0 - self._count_since_drop * p_b
-            p_a = 1.0 if denom <= 0 else min(1.0, p_b / denom)
-            if self._next_uniform() < p_a:
-                self._count_since_drop = 0
-                if self.ecn and packet.ecn_capable:
-                    packet.ecn_marked = True
-                    self.ecn_marks += 1
-                    return self._accept(packet)
-                self.early_drops += 1
-                return self._drop(packet)
-        else:
-            self._count_since_drop = -1
-        return self._accept(packet)
-
-    def _next_uniform(self) -> float:
-        # Legacy-path draw: scalar, straight off the bit stream -- unless a
-        # fast-path buffer is outstanding (a queue toggled mid-run), in
-        # which case the buffer must drain first to keep the stream aligned.
-        buffered = self._draws.take_buffered()
-        if buffered is not None:
-            return buffered
-        return float(self._rng.random())
-
-    def _enqueue_fast(self, packet: Packet, now: float) -> bool:
-        """Fused fast-path enqueue: identical decisions, hoisted math.
-
-        Inlines :meth:`_update_average`, :meth:`_drop_probability`, the
-        uniformization step and :meth:`_accept` into one frame, against
-        the constants precomputed in the constructor.
-        """
         queue = self._queue
         qlen = len(queue)
-        # --- EWMA update (inlined _update_average)
+        # --- EWMA update (redmath.red_ewma)
         if qlen:
             avg = self.avg + self.weight * (qlen - self.avg)
             self.avg = avg
         else:
+            # Queue is idle: decay avg as if m packets had departed while
+            # idle, at the per-packet service time of the link speed (or
+            # the nominal fallback when no link ever reported one).
             idle_since = self._idle_since
             if idle_since is None:
                 idle_since = now
@@ -325,13 +226,16 @@ class REDQueue(Queue):
             else:
                 avg = self.avg * (1.0 - self.weight) ** m
             self.avg = avg
+            # Re-anchor so the next arrival decays only the incremental
+            # idle time; if this arrival is accepted the queue becomes busy
+            # and a later dequeue-to-empty re-establishes the idle start.
             self._idle_since = now
         # --- forced drop: buffer overflow
         if qlen >= self.capacity_packets:
             self.forced_drops += 1
-            self._count_since_drop = 0
+            self._count_since_drop = 0  # ns-2 RED: count <- 0 on every drop
             return self._drop(packet)
-        # --- drop probability (inlined _drop_probability)
+        # --- drop probability (redmath.red_drop_probability)
         if avg < self.min_thresh:
             self._count_since_drop = -1
         else:
@@ -354,9 +258,10 @@ class REDQueue(Queue):
             if p_b > 0.0:
                 count = self._count_since_drop + 1
                 self._count_since_drop = count
+                # Uniformize inter-drop gaps: p_a = p_b / (1 - count * p_b)
+                # (redmath.red_uniformized).
                 denom = 1.0 - count * p_b
                 p_a = 1.0 if denom <= 0 else min(1.0, p_b / denom)
-                # --- block-buffered uniform draw (shared BlockDraws helper)
                 if self._next_draw() < p_a:
                     self._count_since_drop = 0
                     if self.ecn and packet.ecn_capable:
@@ -370,7 +275,7 @@ class REDQueue(Queue):
                     return self._drop(packet)
             else:
                 self._count_since_drop = -1
-        # --- accept (inlined _accept)
+        # --- accept
         queue.append(packet)
         self.bytes_queued += packet.size
         self.enqueued += 1

@@ -26,8 +26,9 @@ import numpy as np
 class RedParams:
     """RED parameters plus the hoisted per-packet constants.
 
-    The derived fields are produced by the same float expressions the
-    legacy per-packet path evaluates, so substituting them is bit-exact.
+    The derived fields are produced by the same float expressions a
+    per-packet recomputation would evaluate, so substituting them is
+    bit-exact.
     """
 
     min_thresh: float

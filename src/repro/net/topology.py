@@ -56,16 +56,10 @@ class DumbbellConfig:
     #: ~2 bottleneck packet times by default for the paper's 15 Mb/s link.
     access_jitter: float = 0.001
 
-    def build_queue(
-        self,
-        rng: Optional[np.random.Generator] = None,
-        fastpath: bool = True,
-    ) -> Queue:
+    def build_queue(self, rng: Optional[np.random.Generator] = None) -> Queue:
         """Instantiate the configured forward queue discipline."""
         if self.queue_type == "droptail":
-            return DropTailQueue(
-                self.buffer_packets, name="bottleneck-q", fastpath=fastpath
-            )
+            return DropTailQueue(self.buffer_packets, name="bottleneck-q")
         if self.queue_type == "red":
             return REDQueue(
                 self.buffer_packets,
@@ -77,17 +71,8 @@ class DumbbellConfig:
                 rng=rng if rng is not None else np.random.default_rng(self.queue_seed),
                 mean_packet_size=self.mean_packet_size,
                 name="bottleneck-red",
-                fastpath=fastpath,
             )
         raise ValueError(f"unknown queue type {self.queue_type!r}")
-
-
-# Block-buffered uniform jitter draws.  One shared instance must be used by
-# every port drawing from the same RNG (draw order across ports is the event
-# order, which is deterministic); ``high`` is the jitter bound, so handed-out
-# values match the legacy per-packet ``rng.uniform(0, high)`` bit for bit.
-# The buffering logic itself lives in ``repro.sim.rng.BlockDraws``.
-_BatchedJitter = BlockDraws
 
 
 class FlowPort:
@@ -104,50 +89,33 @@ class FlowPort:
         shared_link: Link,
         ingress_delay: float,
         egress_delay: float,
-        jitter_rng: Optional[np.random.Generator] = None,
-        jitter_max: float = 0.0,
-        fast_scheduling: bool = True,
         jitter_stream: Optional[BlockDraws] = None,
     ) -> None:
         self._sim = sim
         self._link = shared_link
         self.ingress_delay = ingress_delay
         self.egress_delay = egress_delay
-        self.jitter_rng = jitter_rng
-        self.jitter_max = jitter_max
-        # A shared batched stream only substitutes for per-call draws when
-        # its bound matches this port's; otherwise fall back silently to
-        # the scalar path rather than draw with the wrong bound.
-        if jitter_stream is not None and jitter_stream.high != jitter_max:
-            jitter_stream = None
+        #: per-packet ingress jitter draws, bounded by the stream's ``high``.
+        #: One instance is shared by every port of a topology: draw order
+        #: across ports is the event order, which is deterministic.
         self._jitter_stream = jitter_stream
-        #: access-segment handoffs are never cancelled, so by default they
-        #: ride ``schedule_fast`` (no Event handle per packet); ``False``
-        #: pins the legacy Event-allocating path for perf baselines.
-        self.fast_scheduling = fast_scheduling
         self._last_ingress_arrival = 0.0
         self._receiver: Optional[Receiver] = None
-        # Per-packet hoists: whether any jitter applies, and the link's
-        # (possibly fused fast-path) send entry point.
-        self._jittered = jitter_rng is not None and jitter_max > 0
-        self._link_send = shared_link.send
+        self._link_send = shared_link.send  # per-packet hoist
 
     def connect(self, receiver: Receiver) -> None:
         self._receiver = receiver
 
     def send(self, packet: Packet) -> bool:
         delay = self.ingress_delay
-        if self._jittered:
+        stream = self._jitter_stream
+        if stream is not None:
             # Small random processing jitter.  Deterministic simulators
             # otherwise exhibit phase effects: window-based (ACK-clocked)
             # arrivals synchronize with bottleneck departures while paced
             # arrivals do not, skewing DropTail drop probabilities.  The
             # jitter is clamped so packets of one flow never reorder.
-            stream = self._jitter_stream
-            if stream is not None:
-                delay += stream.next()
-            else:
-                delay += float(self.jitter_rng.uniform(0.0, self.jitter_max))
+            delay += stream.next()
         elif delay <= 0:
             return self._link_send(packet)
         # Always go through the scheduler when delayed/jittered: clamping to
@@ -160,38 +128,33 @@ class FlowPort:
         self._last_ingress_arrival = arrival
         # Schedule at the *absolute* arrival time: recomputing now + (arrival
         # - now) loses bits and can invert the order of two equal arrivals.
-        if self.fast_scheduling:
-            # Straight heap push (schedule_fast minus the range check):
-            # the clamp above keeps arrival >= now by construction.
-            heappush(
-                sim._heap,
-                (arrival, 0, sim._seq, self._link_send, (packet,), None),
-            )
-            sim._seq += 1
-        else:
-            sim.schedule(arrival, self._link_send, packet)
+        # Access-segment handoffs are never cancelled, so they need no Event
+        # handle: a straight heap push (schedule_fast minus the range
+        # check; the clamp above keeps arrival >= now by construction).
+        heappush(
+            sim._heap,
+            (arrival, 0, sim._seq, self._link_send, (packet,), None),
+        )
+        sim._seq += 1
         return True  # access links never drop; loss is at the bottleneck
 
     def deliver(self, packet: Packet) -> None:
         if self._receiver is None:
             return  # flow detached; drop silently
         if self.egress_delay > 0:
-            if self.fast_scheduling:
-                sim = self._sim
-                heappush(
-                    sim._heap,
-                    (
-                        sim._now + self.egress_delay,
-                        0,
-                        sim._seq,
-                        self._receiver,
-                        (packet,),
-                        None,
-                    ),
-                )
-                sim._seq += 1
-            else:
-                self._sim.schedule_in(self.egress_delay, self._receiver, packet)
+            sim = self._sim
+            heappush(
+                sim._heap,
+                (
+                    sim._now + self.egress_delay,
+                    0,
+                    sim._seq,
+                    self._receiver,
+                    (packet,),
+                    None,
+                ),
+            )
+            sim._seq += 1
         else:
             self._receiver(packet)
 
@@ -205,23 +168,17 @@ class Dumbbell:
         config: Optional[DumbbellConfig] = None,
         queue_rng: Optional[np.random.Generator] = None,
         jitter_rng: Optional[np.random.Generator] = None,
-        fast_scheduling: bool = True,
-        net_fastpath: bool = True,
     ) -> None:
         self.sim = sim
         self.config = config if config is not None else DumbbellConfig()
-        self.fast_scheduling = fast_scheduling
-        #: the PR-4 network-layer flag: batched link wake chains plus the
-        #: fused RED enqueue (``False`` pins the per-event legacy paths).
-        self.net_fastpath = net_fastpath
-        self._jitter_rng = (
-            jitter_rng if jitter_rng is not None else np.random.default_rng(11)
-        )
-        # All ports draw jitter from one shared stream so batched (fast) and
-        # per-call (legacy) draws hand out identical values in event order.
+        if jitter_rng is None:
+            jitter_rng = np.random.default_rng(11)
+        # All ports draw jitter from one shared block-buffered stream, which
+        # hands out the values per-packet ``rng.uniform(0, access_jitter)``
+        # calls would, in event order.
         self._jitter_stream = (
-            BlockDraws(self._jitter_rng, high=self.config.access_jitter, block=256)
-            if fast_scheduling and self.config.access_jitter > 0
+            BlockDraws(jitter_rng, high=self.config.access_jitter, block=256)
+            if self.config.access_jitter > 0
             else None
         )
         cfg = self.config
@@ -229,9 +186,8 @@ class Dumbbell:
             sim,
             cfg.bandwidth_bps,
             cfg.delay,
-            cfg.build_queue(queue_rng, fastpath=net_fastpath),
+            cfg.build_queue(queue_rng),
             name="bottleneck-fwd",
-            fastpath=net_fastpath,
         )
         if isinstance(self.forward_link.queue, REDQueue):
             # RED's idle decay needs the link speed; Link wires it up at
@@ -251,12 +207,8 @@ class Dumbbell:
             sim,
             reverse_bw,
             cfg.delay,
-            DropTailQueue(
-                cfg.reverse_buffer_packets, name="bottleneck-rev-q",
-                fastpath=net_fastpath,
-            ),
+            DropTailQueue(cfg.reverse_buffer_packets, name="bottleneck-rev-q"),
             name="bottleneck-rev",
-            fastpath=net_fastpath,
         )
         self._forward_ports: Dict[str, FlowPort] = {}
         self._reverse_ports: Dict[str, FlowPort] = {}
@@ -285,17 +237,12 @@ class Dumbbell:
             raise ValueError(f"flow {flow_id!r} already attached")
         residual = max(0.0, base_rtt - 2 * self.config.delay)
         segment = residual / 4.0
-        jitter = self.config.access_jitter
         fwd = FlowPort(
             self.sim, self.forward_link, segment, segment,
-            jitter_rng=self._jitter_rng, jitter_max=jitter,
-            fast_scheduling=self.fast_scheduling,
             jitter_stream=self._jitter_stream,
         )
         rev = FlowPort(
             self.sim, self.reverse_link, segment, segment,
-            jitter_rng=self._jitter_rng, jitter_max=jitter,
-            fast_scheduling=self.fast_scheduling,
             jitter_stream=self._jitter_stream,
         )
         self._forward_ports[flow_id] = fwd

@@ -88,8 +88,6 @@ def build_mixed_dumbbell(
     interpacket_adjustment: bool = True,
     queue_scaling_bandwidth: Optional[float] = None,
     sample_queue: bool = False,
-    endpoint_fastpath: bool = True,
-    net_fastpath: bool = True,
     tracer: Optional["Tracer"] = None,
     ecn: bool = False,
 ) -> MixedDumbbellResult:
@@ -100,14 +98,6 @@ def build_mixed_dumbbell(
     scaled by ``bandwidth / 15 Mb/s`` (at least 5 packets), unless
     ``buffer_packets`` is given.  RED thresholds scale with the buffer.
 
-    ``endpoint_fastpath`` selects the PR-2 endpoint hot path (generation
-    -counter timers, fast access-segment scheduling, columnar monitors and
-    tracer storage); ``False`` pins the PR-1 legacy path.  ``net_fastpath``
-    selects the PR-4 network-layer hot path (batched link wake chains,
-    fused RED math, incremental TCP-sink SACK state); ``False`` pins the
-    per-event legacy network layer.  All flag combinations produce
-    byte-identical traces (see ``tests/test_endpoint_fastpath.py`` and
-    ``tests/test_net_fastpath.py``).
     ``ecn`` enables marking at a RED bottleneck with ECN-capable TFRC flows.
     """
     if n_tfrc < 0 or n_tcp < 0 or n_tfrc + n_tcp == 0:
@@ -125,18 +115,14 @@ def build_mixed_dumbbell(
         red_max_thresh=max(4, buffer_packets // 2),
     )
     sim = Simulator()
-    dumbbell = Dumbbell(
-        sim, config, queue_rng=rng_registry.stream("red"),
-        fast_scheduling=endpoint_fastpath, net_fastpath=net_fastpath,
-    )
+    dumbbell = Dumbbell(sim, config, queue_rng=rng_registry.stream("red"))
     if ecn:
         if queue_type != "red":
             raise ValueError("ecn requires a RED bottleneck queue")
         dumbbell.forward_link.queue.ecn = True
-    flow_monitor = FlowMonitor(tracer=tracer, columnar=endpoint_fastpath)
+    flow_monitor = FlowMonitor(tracer=tracer)
     link_monitor = LinkMonitor(
-        sim, dumbbell.forward_link, tracer=tracer,
-        sample_queue=sample_queue, columnar=endpoint_fastpath,
+        sim, dumbbell.forward_link, tracer=tracer, sample_queue=sample_queue
     )
     result = MixedDumbbellResult(
         sim=sim,
@@ -155,7 +141,6 @@ def build_mixed_dumbbell(
             rev,
             on_data=flow_monitor.on_packet,
             interpacket_adjustment=interpacket_adjustment,
-            fast_timers=endpoint_fastpath,
             tracer=tracer,
             ecn=ecn,
         )
@@ -171,8 +156,6 @@ def build_mixed_dumbbell(
             rev,
             variant=tcp_variant,
             on_data=flow_monitor.on_packet,
-            fast_timers=endpoint_fastpath,
-            incremental_sack=net_fastpath,
             tracer=tracer,
         )
         staggered_starts.append((rng.uniform(*START_RANGE), flow.start, ()))
@@ -505,8 +488,6 @@ def mixed_dumbbell_scenario(spec: ScenarioSpec) -> JsonDict:
             spec.flows.get("interpacket_adjustment", True)
         ),
         queue_scaling_bandwidth=spec.topology.get("queue_scaling_bandwidth"),
-        endpoint_fastpath=bool(spec.extra.get("endpoint_fastpath", True)),
-        net_fastpath=bool(spec.extra.get("net_fastpath", True)),
     )
     t0, t1 = steady_state_window(
         spec.duration, float(spec.extra.get("measure_fraction", 0.5))

@@ -8,8 +8,9 @@ paper.  It provides:
 * :class:`~repro.sim.process.Timer`, :class:`~repro.sim.process.FastTimer`
   and :class:`~repro.sim.process.PeriodicProcess` -- restartable timers built
   on the event loop, used for retransmission timers, feedback timers and
-  traffic generators.  ``FastTimer`` is the zero-``Event``-allocation hot
-  path; ``Timer`` is the legacy handle-based implementation.
+  traffic generators.  ``FastTimer`` (generation counters, no ``Event``
+  allocation) drives the TFRC and TCP endpoints; the handle-based ``Timer``
+  drives the baselines and the multicast session.
 * :mod:`~repro.sim.rng` -- named, independently seeded random streams so that
   experiments are reproducible and sub-systems do not perturb each other's
   random sequences.
@@ -18,7 +19,7 @@ paper.  It provides:
 """
 
 from repro.sim.engine import Event, Simulator
-from repro.sim.process import FastTimer, PeriodicProcess, Timer, make_timer
+from repro.sim.process import FastTimer, PeriodicProcess, Timer
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -27,7 +28,6 @@ __all__ = [
     "Simulator",
     "Timer",
     "FastTimer",
-    "make_timer",
     "PeriodicProcess",
     "RngRegistry",
     "Tracer",

@@ -2,27 +2,29 @@
 
 These are the building blocks for protocol machinery: TCP retransmission
 timers, the TFRC no-feedback timer, receiver feedback timers, and traffic
-generators all use :class:`Timer` or :class:`PeriodicProcess`.
+generators all use a timer or :class:`PeriodicProcess`.
 
-Two timer implementations share one interface:
+Two timer classes share one interface:
 
-* :class:`Timer` -- the legacy path: each ``start`` cancels the previous
-  :class:`~repro.sim.engine.Event` handle and allocates a new one.
-* :class:`FastTimer` -- the endpoint hot path: armings ride
-  :meth:`Simulator.schedule_fast` entries tagged with a generation counter.
-  Re-arming bumps the generation instead of cancelling; a superseded entry
-  stays in the heap and self-discards when popped because its generation no
-  longer matches.  No ``Event`` handle is ever allocated.
+* :class:`FastTimer` -- what the TFRC and TCP endpoints run on: armings
+  ride :meth:`Simulator.schedule_fast` entries tagged with a generation
+  counter.  Re-arming bumps the generation instead of cancelling; a
+  superseded entry stays in the heap and self-discards when popped because
+  its generation no longer matches.  No ``Event`` handle is ever allocated.
+* :class:`Timer` -- each ``start`` cancels the previous
+  :class:`~repro.sim.engine.Event` handle and allocates a new one, so a
+  cancelled arming never reaches the handler and an unbounded ``run()``
+  stops at the last live event.  The baselines (RAP, TEAR, TFRCP) and the
+  multicast session run on it.
 
-Both consume exactly one scheduler sequence number per ``start``, so event
-ordering -- and therefore every trace -- is byte-identical whichever
-implementation a protocol endpoint uses (see ``tests/test_fast_timer.py``
-for the randomized equivalence fuzz).
+Both consume exactly one scheduler sequence number per ``start``, so they
+order events identically (``tests/test_fast_timer.py`` fuzzes one against
+the other).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
@@ -89,7 +91,7 @@ class FastTimer:
     :meth:`Simulator.pending_count`/:meth:`Simulator.peek_time`.
     Consequently a ``run()`` with no ``until`` drains stale entries too --
     the clock (and ``run``'s return value) advances to the last stale
-    deadline, where a cancelled legacy ``Timer`` event would be skipped --
+    deadline, where a cancelled ``Timer`` event would be skipped --
     and ``max_events`` budgets count the no-op pops.  Bound runs with
     ``until`` (as every scenario here does) are unaffected.  Firing order
     is identical either way -- both implementations consume one sequence
@@ -145,21 +147,6 @@ class FastTimer:
             return  # stale entry from a superseded arming or a cancel
         self._deadline = None
         self._callback()
-
-
-#: Either timer implementation; endpoints accept both interchangeably.
-TimerLike = Union[Timer, FastTimer]
-
-
-def make_timer(
-    sim: Simulator, callback: Callable[[], None], fast: bool = True
-) -> TimerLike:
-    """Construct the fast (default) or legacy timer implementation.
-
-    The ``fast`` flag is what endpoint classes expose as ``fast_timers`` so
-    benchmarks can pin the PR-1 legacy behaviour for comparison.
-    """
-    return FastTimer(sim, callback) if fast else Timer(sim, callback)
 
 
 class PeriodicProcess:

@@ -10,10 +10,10 @@ This module also owns the repo's block-buffered draw helpers.  numpy fills
 array draws from the same underlying bit stream as repeated scalar calls,
 so handing out ``rng.random(block)`` (or ``rng.uniform(0, high, block)``)
 one element at a time yields the *exact same values in the same order* as
-per-call scalar draws -- at a fraction of the per-draw cost.  The pattern
-used to live as private copies in the RED fast path and the access-jitter
-path; :class:`BlockDraws` is the shared scalar form and :class:`DrawLanes`
-the vectorized N-lane form used by the batched cell kernel.
+per-call scalar draws -- at a fraction of the per-draw cost.
+:class:`BlockDraws` is the scalar form (RED's uniformization draws, the
+dumbbell's access jitter) and :class:`DrawLanes` the vectorized N-lane form
+used by the batched cell kernel.
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ class BlockDraws:
         if block <= 0:
             raise ValueError("block size must be positive")
         self._rng = rng
-        #: upper draw bound, or None for unit uniform draws.  Consumers that
-        #: need a specific bound check this before substituting a shared
-        #: stream for per-call draws (see ``net.topology.FlowPort``).
+        #: upper draw bound, or None for unit uniform draws.
         self.high = high
         self._block = block
         self._buf = rng.random(0)
@@ -92,19 +90,6 @@ class BlockDraws:
             i = 0
         self._i = i + 1
         return buf.item(i)
-
-    def take_buffered(self) -> Optional[float]:
-        """The next *already-buffered* draw, or None when the buffer is dry.
-
-        Lets a legacy scalar path drain an outstanding fast-path buffer
-        (keeping the stream aligned after a mid-run toggle) without adopting
-        block-ahead buffering itself.
-        """
-        if self._i < len(self._buf):
-            value = self._buf.item(self._i)
-            self._i += 1
-            return value
-        return None
 
 
 class DrawLanes:

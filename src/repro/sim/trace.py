@@ -4,13 +4,11 @@ Protocol agents and queue monitors feed a shared :class:`Tracer`; the
 analysis layer (time series, CoV, equivalence ratio) consumes the records
 after the run.  Tracing is designed to be cheap enough to leave enabled.
 
-Storage is **columnar** by default: one parallel list per field (time,
-category, source, value) plus a sparse ``{index: meta}`` dict, so the hot
-path appends four scalars instead of constructing a frozen dataclass per
-occurrence.  :class:`TraceRecord`, iteration, and :meth:`Tracer.select`
-survive as lazy views that materialize records only when the analysis layer
-actually asks for them.  The legacy record-object storage is kept behind
-``columnar=False`` for perf-trajectory baselines.
+Storage is one parallel list per field (time, category, source, value) plus
+a sparse ``{index: meta}`` dict, so the hot path appends four scalars
+instead of constructing a frozen dataclass per occurrence.
+:class:`TraceRecord`, iteration, and :meth:`Tracer.select` are lazy views
+that materialize records only when the analysis layer asks for them.
 """
 
 from __future__ import annotations
@@ -41,23 +39,15 @@ class TraceRecord:
 
 
 class Tracer:
-    """Append-only trace sink with simple filtered views.
+    """Append-only trace sink with simple filtered views."""
 
-    ``columnar=True`` (the default) stores parallel arrays and builds
-    :class:`TraceRecord` objects lazily; ``columnar=False`` restores the
-    PR-1 behaviour of storing one record object per occurrence.  Both modes
-    produce identical records from ``__iter__``/``select``/``sources``.
-    """
-
-    def __init__(self, enabled: bool = True, columnar: bool = True) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.columnar = columnar
         self._times: List[float] = []
         self._categories: List[str] = []
         self._sources: List[str] = []
         self._values: List[float] = []
         self._meta: Dict[int, Dict[str, Any]] = {}
-        self._records: List[TraceRecord] = []  # legacy storage
         self._hooks: List[Callable[[TraceRecord], None]] = []
 
     def record(
@@ -71,36 +61,28 @@ class Tracer:
         """Append one record (no-op, and allocation-free, when disabled)."""
         if not self.enabled:
             return
-        if self.columnar:
-            times = self._times
-            if meta is not None:
-                self._meta[len(times)] = meta
-            times.append(time)
-            self._categories.append(category)
-            self._sources.append(source)
-            self._values.append(value)
-            if self._hooks:
-                rec = TraceRecord(time, category, source, value, meta)
-                for hook in self._hooks:
-                    hook(rec)
-            return
-        # Legacy path: a record object is stored either way, but hooks are
-        # still consulted only after it exists (they receive the stored one).
-        rec = TraceRecord(time, category, source, value, meta)
-        self._records.append(rec)
-        for hook in self._hooks:
-            hook(rec)
+        times = self._times
+        if meta is not None:
+            self._meta[len(times)] = meta
+        times.append(time)
+        self._categories.append(category)
+        self._sources.append(source)
+        self._values.append(value)
+        if self._hooks:
+            rec = TraceRecord(time, category, source, value, meta)
+            for hook in self._hooks:
+                hook(rec)
 
     def add_hook(self, hook: Callable[[TraceRecord], None]) -> None:
         """Register a live observer invoked for every record.
 
-        With columnar storage, record objects are constructed *only* while
-        at least one hook is registered; hook-free runs never allocate them.
+        Record objects are constructed *only* while at least one hook is
+        registered; hook-free runs never allocate them.
         """
         self._hooks.append(hook)
 
     def __len__(self) -> int:
-        return len(self._times) if self.columnar else len(self._records)
+        return len(self._times)
 
     def _build(self, index: int) -> TraceRecord:
         return TraceRecord(
@@ -112,8 +94,6 @@ class Tracer:
         )
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        if not self.columnar:
-            return iter(self._records)
         return (self._build(i) for i in range(len(self._times)))
 
     def select(
@@ -124,19 +104,6 @@ class Tracer:
         t_max: Optional[float] = None,
     ) -> List[TraceRecord]:
         """Records matching all provided filters, in time order."""
-        if not self.columnar:
-            out = []
-            for rec in self._records:
-                if category is not None and rec.category != category:
-                    continue
-                if source is not None and rec.source != source:
-                    continue
-                if t_min is not None and rec.time < t_min:
-                    continue
-                if t_max is not None and rec.time > t_max:
-                    continue
-                out.append(rec)
-            return out
         build = self._build
         return [
             build(i)
@@ -174,12 +141,8 @@ class Tracer:
     ) -> "tuple[List[float], List[float]]":
         """Matching ``(times, values)`` columns without building records.
 
-        The columnar analogue of :meth:`select` for numeric analysis; in
-        legacy mode it is derived from the stored records.
+        The analogue of :meth:`select` for numeric analysis.
         """
-        if not self.columnar:
-            picked = self.select(category, source, t_min, t_max)
-            return [r.time for r in picked], [r.value for r in picked]
         times: List[float] = []
         values: List[float] = []
         all_times = self._times
@@ -191,13 +154,6 @@ class Tracer:
 
     def sources(self, category: Optional[str] = None) -> List[str]:
         """Sorted unique source names (optionally within one category)."""
-        if not self.columnar:
-            names = {
-                rec.source
-                for rec in self._records
-                if category is None or rec.category == category
-            }
-            return sorted(names)
         if category is None:
             return sorted(set(self._sources))
         categories = self._categories
@@ -212,4 +168,3 @@ class Tracer:
         self._sources.clear()
         self._values.clear()
         self._meta.clear()
-        self._records.clear()

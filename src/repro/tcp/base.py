@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
-from repro.sim.process import make_timer
+from repro.sim.process import FastTimer
 from repro.sim.trace import Tracer
 from repro.tcp.rto import RTOEstimator
 from repro.tcp.sink import TCPAckInfo
@@ -48,7 +48,6 @@ class TCPSender:
         on_complete: Optional[Callable[[], None]] = None,
         tracer: Optional[Tracer] = None,
         dupack_threshold: int = 3,
-        fast_timers: bool = True,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
@@ -75,8 +74,7 @@ class TCPSender:
         self.rto_estimator = RTOEstimator(
             granularity=rto_granularity, min_rto=min_rto, k=rto_k
         )
-        self.fast_timers = fast_timers
-        self._retx_timer = make_timer(sim, self._on_timeout, fast_timers)
+        self._retx_timer = FastTimer(sim, self._on_timeout)
         self._retransmitted: Set[int] = set()
         self._send_times: Dict[int, float] = {}
         self._started = False

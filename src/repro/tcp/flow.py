@@ -25,7 +25,6 @@ class TcpFlow:
         tracer: Optional[Tracer] = None,
         on_data: Optional[Callable[[float, Packet], None]] = None,
         delayed_ack: bool = False,
-        incremental_sack: bool = True,
         **sender_kwargs,
     ) -> None:
         self.sim = sim
@@ -48,7 +47,6 @@ class TcpFlow:
             send_ack=reverse_port.send,
             delayed_ack=delayed_ack,
             on_data=on_data,
-            incremental_sack=incremental_sack,
         )
         forward_port.connect(self.sink.receive)
         reverse_port.connect(self.sender.on_ack)

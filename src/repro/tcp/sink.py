@@ -1,24 +1,18 @@
 """TCP receiver (sink): cumulative ACKs, SACK blocks, optional delayed ACKs.
 
-Two SACK bookkeeping strategies are implemented:
-
-* the **incremental fast path** (default): out-of-order data is held as a
-  sorted list of disjoint ``[start, end)`` intervals with a per-interval
-  arrival-recency tag.  Each arrival touches at most two neighbouring
-  intervals (``bisect`` lookup + merge/extend), and building an ACK's SACK
-  blocks is a selection over the handful of intervals -- not a re-sort of
-  every held sequence number.
-* the **legacy path** (``incremental_sack=False``): a plain ``set`` of held
-  sequence numbers plus a per-seq recency dict, re-sorted and re-grouped
-  into blocks on every ACK.  Kept as the perf baseline; both paths emit
-  byte-identical ACK streams (property-tested in
-  ``tests/test_net_fastpath.py``).
+Out-of-order data is held as a sorted list of disjoint ``[start, end)``
+intervals with a per-interval arrival-recency tag.  Each arrival touches at
+most two neighbouring intervals (``bisect`` lookup + merge/extend), and
+building an ACK's SACK blocks is a selection over the handful of intervals
+-- not a re-sort of every held sequence number.  The ACK stream is
+property-tested in ``tests/test_net_fastpath.py`` against a model that
+regroups a plain set of held sequence numbers on every ACK.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
@@ -69,7 +63,6 @@ class TCPSink:
         delack_interval: float = 0.2,
         on_data: Optional[Callable[[float, Packet], None]] = None,
         max_sack_blocks: int = 3,
-        incremental_sack: bool = True,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
@@ -78,17 +71,13 @@ class TCPSink:
         self.delack_interval = delack_interval
         self.on_data = on_data
         self.max_sack_blocks = max_sack_blocks
-        self.incremental_sack = incremental_sack
         self.next_expected = 0
-        # Incremental state: disjoint [start, end) intervals of held
-        # out-of-order data, sorted by start, with per-interval recency
-        # (the arrival counter of the newest member segment).
+        # Disjoint [start, end) intervals of held out-of-order data, sorted
+        # by start, with per-interval recency (the arrival counter of the
+        # newest member segment).
         self._blk_starts: List[int] = []
         self._blk_ends: List[int] = []
         self._blk_recency: List[int] = []
-        # Legacy state: per-seq set + recency dict, re-grouped per ACK.
-        self._out_of_order: Set[int] = set()
-        self._arrival_order: Dict[int, int] = {}
         self._arrivals_seen = 0
         self._pending_ack_echo: Optional[Tuple[float, int]] = None
         self._delack_event = None
@@ -103,14 +92,6 @@ class TCPSink:
         self.packets_received += 1
         if self.on_data is not None:
             self.on_data(self.sim._now, packet)
-        if self.incremental_sack:
-            self._receive_incremental(packet)
-        else:
-            self._receive_legacy(packet)
-
-    # ------------------------------------------------- incremental fast path
-
-    def _receive_incremental(self, packet: Packet) -> None:
         seq = packet.seq
         self._arrivals_seen += 1
         starts = self._blk_starts
@@ -166,67 +147,6 @@ class TCPSink:
             # the sender's fast-retransmit machinery sees dupACKs promptly.
             self._emit_ack(packet)
 
-    def _sack_blocks_incremental(self) -> List[Tuple[int, int]]:
-        starts = self._blk_starts
-        if not starts:
-            return []
-        ends = self._blk_ends
-        recency = self._blk_recency
-        n = len(starts)
-        if n == 1:
-            return [(starts[0], ends[0])]
-        # Newest block first; recency tags are unique arrival counters, so
-        # this matches the legacy sort exactly.
-        order = sorted(range(n), key=recency.__getitem__, reverse=True)
-        return [
-            (starts[i], ends[i]) for i in order[: self.max_sack_blocks]
-        ]
-
-    # ------------------------------------------------------ legacy path
-
-    def _receive_legacy(self, packet: Packet) -> None:
-        seq = packet.seq
-        self._arrivals_seen += 1
-        if seq < self.next_expected or seq in self._out_of_order:
-            self.duplicate_data += 1
-            if seq in self._out_of_order:
-                # A duplicate of held out-of-order data is still the most
-                # recent arrival; its block must lead the next SACK.
-                self._arrival_order[seq] = self._arrivals_seen
-            self._emit_ack(packet)  # duplicate data still triggers an ACK
-            return
-        self._out_of_order.add(seq)
-        self._arrival_order[seq] = self._arrivals_seen
-        while self.next_expected in self._out_of_order:
-            self._out_of_order.discard(self.next_expected)
-            self._arrival_order.pop(self.next_expected, None)
-            self.next_expected += 1
-        in_order = seq < self.next_expected
-        if in_order and self.delayed_ack and not self._out_of_order:
-            self._maybe_delay_ack(packet)
-        else:
-            self._emit_ack(packet)
-
-    def _sack_blocks_legacy(self) -> List[Tuple[int, int]]:
-        if not self._out_of_order:
-            return []
-        order = self._arrival_order
-        blocks: List[Tuple[int, Tuple[int, int]]] = []
-        seqs = sorted(self._out_of_order)
-        start = prev = seqs[0]
-        recency = order.get(start, 0)
-        for seq in seqs[1:]:
-            if seq == prev + 1:
-                prev = seq
-                recency = max(recency, order.get(seq, 0))
-                continue
-            blocks.append((recency, (start, prev + 1)))
-            start = prev = seq
-            recency = order.get(seq, 0)
-        blocks.append((recency, (start, prev + 1)))
-        blocks.sort(key=lambda b: -b[0])  # most recently received first
-        return [block for _, block in blocks[: self.max_sack_blocks]]
-
     # ------------------------------------------------------- ACK emission
 
     def _maybe_delay_ack(self, packet: Packet) -> None:
@@ -276,9 +196,19 @@ class TCPSink:
         (so a sender sampling only the first block still learns what just
         arrived), not the highest-sequence block.
         """
-        if self.incremental_sack:
-            return self._sack_blocks_incremental()
-        return self._sack_blocks_legacy()
+        starts = self._blk_starts
+        if not starts:
+            return []
+        ends = self._blk_ends
+        recency = self._blk_recency
+        n = len(starts)
+        if n == 1:
+            return [(starts[0], ends[0])]
+        # Recency tags are unique arrival counters, so the order is total.
+        order = sorted(range(n), key=recency.__getitem__, reverse=True)
+        return [
+            (starts[i], ends[i]) for i in order[: self.max_sack_blocks]
+        ]
 
     def _send(self, echo_ts: float, echo_seq: int) -> None:
         info = TCPAckInfo(

@@ -1,0 +1,55 @@
+"""Per-packet recomputations of what ``REDQueue.enqueue`` and ``TCPSink``
+maintain incrementally; the fuzzers compare the two."""
+
+from repro.net.redmath import red_drop_probability, red_ewma, red_uniformized
+
+
+def red_reference(ops, capacity, params, rng, packet_time, ecn=False):
+    """``(verdict, average)`` per enqueue for a RED queue driven by ``ops``:
+    ``(now, ecn_capable)`` enqueues and ``(now, None)`` dequeues."""
+    qlen, avg, count, idle_since, out = 0, 0.0, -1, None, []
+    for now, ect in ops:
+        if ect is None:
+            if qlen == 1:
+                idle_since = now
+            qlen -= qlen > 0
+            continue
+        if qlen:
+            avg = red_ewma(params.weight, avg, qlen)
+        else:
+            idle = 0.0 if idle_since is None else max(0.0, now - idle_since)
+            avg *= (1.0 - params.weight) ** (idle / packet_time)
+            idle_since = now
+        p_b = red_drop_probability(params, avg)
+        forced = qlen >= capacity or p_b >= 1.0
+        trial = not forced and p_b > 0.0  # in the marking region: draw
+        count = 0 if forced else count + 1 if trial else -1
+        hit = trial and rng.random() < red_uniformized(p_b, count)
+        count = 0 if hit else count
+        verdict = ("mark" if ecn and ect else "early") if hit else "accept"
+        out.append(("forced" if forced else verdict, avg))
+        qlen += out[-1][0] in ("accept", "mark")
+    return out
+
+
+def sack_reference(arrivals, max_blocks=3):
+    """``(cumack, echo_seq, sack_blocks)`` per arrival plus the duplicate
+    count, from a plain set of held seqs regrouped on every ACK."""
+    held, recency, expected, duplicates, acks = set(), {}, 0, 0, []
+    for tick, seq in enumerate(arrivals, 1):
+        duplicates += seq < expected or seq in held
+        if seq >= expected:
+            held.add(seq)
+            recency[seq] = tick  # a duplicate of held data is news again
+        while expected in held:
+            held.discard(expected)
+            expected += 1
+        blocks = []  # (newest member's tick, start, end), in seq order
+        for s in sorted(held):
+            if blocks and blocks[-1][2] == s:
+                blocks[-1] = (max(blocks[-1][0], recency[s]), blocks[-1][1], s + 1)
+            else:
+                blocks.append((recency[s], s, s + 1))
+        blocks.sort(reverse=True)  # RFC 2018: most recently received first
+        acks.append((expected, seq, tuple(b[1:] for b in blocks[:max_blocks])))
+    return acks, duplicates

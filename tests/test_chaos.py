@@ -7,7 +7,10 @@ state afterwards."""
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -359,16 +362,17 @@ class TestChaosSoak:
         into normal runs (the bench guard measures the actual overhead)."""
         assert faults.active() is None
 
-    def test_bench_refuses_to_run_under_a_fault_plan(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """Chaos timings must never land in a perf-trajectory baseline."""
-        from repro.perf import bench
-
+    def test_bench_refuses_to_run_under_a_fault_plan(self, tmp_path):
+        """Chaos timings must never land in a benchmark result."""
         plan = faults.FaultPlan(seed=1, rates={"delayed_rename": 1.0})
         plan_path = plan.dump(tmp_path / "plan.json")
-        monkeypatch.setenv(faults.ENV_VAR, str(plan_path))
-        with pytest.raises(SystemExit) as exc:
-            bench.main(["--suite", "smoke"])
-        assert exc.value.code == 2
-        assert "refusing to benchmark" in capsys.readouterr().err
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, str(root / "bench" / "run.py"),
+             "--workload", "packet_dumbbell", "--scale", "tiny"],
+            cwd=root, env={**os.environ, faults.ENV_VAR: str(plan_path)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert faults.ENV_VAR in done.stderr
+        assert done.stdout == ""

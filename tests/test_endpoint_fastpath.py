@@ -1,90 +1,21 @@
-"""The endpoint fast path must be a pure bookkeeping optimization.
+"""Same seed, same bytes: the traced dumbbell and ON/OFF runs repeat exactly.
 
-Runs the dumbbell and ON/OFF scenarios once on the fast path (FastTimer,
-columnar tracer/monitors, batched-jitter fast port scheduling) and once on
-the PR-1 legacy path, and requires *byte-identical* traces and monitor
-outputs -- timing-independent, exact float equality via ``float.hex``.
+``tests/test_golden_digests.py`` pins these runs to committed digests, but
+skips off its python/numpy/machine triple; a run repeated in one interpreter
+must match itself everywhere (exact floats via ``float.hex``).
 """
 
-from repro.experiments.fig11_onoff import run_one
-from repro.net.monitor import LinkMonitor
-from repro.scenarios.builders import build_mixed_dumbbell
-from repro.sim.trace import Tracer
-
-
-def _trace_signature(tracer):
-    """Exact, allocation-order-independent byte signature of a trace."""
-    return [
-        (
-            rec.time.hex(),
-            rec.category,
-            rec.source,
-            repr(rec.value),
-            repr(sorted(rec.meta.items())) if rec.meta else "",
-        )
-        for rec in tracer
-    ]
-
-
-def _run_dumbbell(fast):
-    tracer = Tracer(columnar=fast)
-    result = build_mixed_dumbbell(
-        n_tfrc=4, n_tcp=4, bandwidth_bps=15e6, queue_type="red", seed=3,
-        endpoint_fastpath=fast, tracer=tracer, sample_queue=True,
-    )
-    rev_monitor = LinkMonitor(
-        result.sim, result.dumbbell.reverse_link, sample_queue=True,
-        columnar=fast,
-    )
-    result.sim.run(until=8.0)
-    link = result.dumbbell.forward_link
-    return {
-        "trace": _trace_signature(tracer),
-        "queue_samples": result.link_monitor.queue_samples,
-        "rev_queue_samples": rev_monitor.queue_samples,
-        "drops": result.link_monitor.drops,
-        "arrivals": {
-            fid: result.flow_monitor.arrivals[fid]
-            for fid in result.flow_monitor.flows()
-        },
-        "bytes": dict(result.flow_monitor.bytes_by_flow),
-        "packets": dict(result.flow_monitor.packets_by_flow),
-        "rate_histories": [
-            flow.sender.rate_history for flow in result.tfrc_flows
-        ],
-        "link": (
-            link.packets_forwarded,
-            link.bytes_forwarded,
-            link.queue.dropped,
-            link.utilization_seconds.hex(),
-        ),
-        "tcp": [
-            (f.sender.packets_sent, f.sender.retransmissions,
-             f.sender.timeouts, f.sender.acks_received)
-            for f in result.tcp_flows
-        ],
-    }
+from test_golden_digests import RUNS
 
 
 class TestEndpointFastpathIdentity:
     def test_dumbbell_traces_byte_identical(self):
-        fast = _run_dumbbell(True)
-        legacy = _run_dumbbell(False)
-        assert fast["trace"], "scenario produced no trace records"
-        for key in fast:
-            assert fast[key] == legacy[key], f"{key} diverged"
+        trace, outcome = RUNS["traced_mixed_dumbbell"]()
+        assert trace, "scenario produced no trace records"
+        assert outcome["rev_queue_samples"], "reverse link never sampled"
+        assert (trace, outcome) == RUNS["traced_mixed_dumbbell"]()
 
     def test_onoff_run_byte_identical(self):
-        results = {}
-        for fast in (True, False):
-            tracer = Tracer(columnar=fast)
-            run = run_one(
-                n_sources=10, duration=8.0, warmup=2.0,
-                timescales=(0.5, 1.0), seed=1,
-                endpoint_fastpath=fast, tracer=tracer,
-            )
-            results[fast] = (run, _trace_signature(tracer))
-        assert results[True][1], "scenario produced no trace records"
-        assert results[True][1] == results[False][1]
-        # OnOffRunResult is a dataclass: field-wise (exact float) equality.
-        assert results[True][0] == results[False][0]
+        trace, outcome = RUNS["fig11_onoff"]()
+        assert trace, "scenario produced no trace records"
+        assert (trace, outcome) == RUNS["fig11_onoff"]()

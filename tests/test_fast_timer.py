@@ -1,12 +1,12 @@
 """FastTimer semantics: re-arm, cancel races, stale-generation discard,
-and randomized equivalence with the legacy Timer."""
+and randomized equivalence with the handle-based Timer."""
 
 import random
 
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.process import FastTimer, Timer, make_timer
+from repro.sim.process import FastTimer, Timer
 
 
 class TestFastTimerSemantics:
@@ -119,22 +119,17 @@ class TestFastTimerSemantics:
     def test_nonfinite_interval_leaves_timer_disarmed(self, bad):
         """Error-path parity with Timer: a failed start() disarms both
         implementations (Timer cancels first, then raises)."""
-        for fast in (True, False):
+        for timer_cls in (FastTimer, Timer):
             sim = Simulator()
             fired = []
-            timer = make_timer(sim, lambda: fired.append(sim.now), fast)
+            timer = timer_cls(sim, lambda: fired.append(sim.now))
             timer.start(1.0)  # a live arming the failed start supersedes
             with pytest.raises(SimulationError):
                 timer.start(bad)
-            assert not timer.pending, f"fast={fast}"
-            assert timer.expiry is None, f"fast={fast}"
+            assert not timer.pending, timer_cls.__name__
+            assert timer.expiry is None, timer_cls.__name__
             sim.run()
-            assert fired == [], f"fast={fast}"
-
-    def test_make_timer_selects_implementation(self):
-        sim = Simulator()
-        assert isinstance(make_timer(sim, lambda: None, fast=True), FastTimer)
-        assert isinstance(make_timer(sim, lambda: None, fast=False), Timer)
+            assert fired == [], timer_cls.__name__
 
 
 def _fuzz_ops(seed, n_ops=300):
@@ -151,7 +146,7 @@ def _fuzz_ops(seed, n_ops=300):
     return ops
 
 
-def _drive(fast, seed):
+def _drive(timer_cls, seed):
     """Apply one op schedule to a timer; return exact fire times."""
     sim = Simulator()
     fired = []
@@ -163,7 +158,7 @@ def _drive(fast, seed):
         if len(fired) % 3 == 0:
             timer.start(0.21)
 
-    timer = make_timer(sim, on_fire, fast)
+    timer = timer_cls(sim, on_fire)
     for when, op, interval in _fuzz_ops(seed):
         if op == "start":
             sim.schedule(when, timer.start, interval)
@@ -177,19 +172,19 @@ class TestFastTimerEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_schedule_matches_legacy_timer(self, seed):
         """Under a random start/cancel/restart schedule (with callback
-        re-arms), FastTimer fires at exactly the legacy Timer's times."""
-        assert _drive(True, seed) == _drive(False, seed)
+        re-arms), FastTimer fires at exactly Timer's times."""
+        assert _drive(FastTimer, seed) == _drive(Timer, seed)
 
     def test_endpoint_sequence_parity(self):
         """Both implementations consume one scheduler sequence number per
         start, so interleaved same-time events keep their relative order."""
-        for fast in (False, True):
+        for timer_cls in (Timer, FastTimer):
             sim = Simulator()
             order = []
-            timer = make_timer(sim, lambda: order.append("timer"), fast)
+            timer = timer_cls(sim, lambda: order.append("timer"))
             timer.start(1.0)
             sim.schedule(1.0, lambda: order.append("event"))
             sim.run()
             # The timer armed first, so its (earlier) sequence number wins
             # the same-time tie on either implementation.
-            assert order == ["timer", "event"], f"fast={fast}"
+            assert order == ["timer", "event"], timer_cls.__name__

@@ -1,0 +1,158 @@
+"""Golden digests: the byte-identity contract of the packet simulator.
+
+Five seeded runs are reduced to sha256 digests of their exact trace
+signature and result JSON and compared with ``tests/golden_digests.json``.
+The committed digests were produced by the per-event implementations the
+simulator used to carry beside its hot path, and verified equal to that hot
+path, before those were deleted; any change to event order, RNG draw order
+or float arithmetic in ``sim/``, ``net/``, ``core/`` or ``tcp/`` moves one.
+
+Float formatting and numpy's generators are only stable for one
+``{python, numpy, machine}`` triple (the one ``bench/golden.json`` is keyed
+on): under it a mismatch is a hard failure, elsewhere the tests skip and
+name the triple.  Running this module as a script rewrites the file.
+"""
+
+import hashlib
+import json
+import platform
+from dataclasses import asdict
+from pathlib import Path
+
+import numpy
+import pytest
+
+from repro.experiments.fig11_onoff import run_one as fig11_run_one
+from repro.experiments.fig14_queue_dynamics import run_one as fig14_run_one
+from repro.net.monitor import LinkMonitor
+from repro.scenarios.builders import build_mixed_dumbbell
+from repro.sim.trace import Tracer
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+
+def environment():
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "machine": platform.machine(),
+    }
+
+
+def trace_signature(tracer):
+    """Exact, allocation-order-independent signature of a trace."""
+    return [
+        (
+            rec.time.hex(),
+            rec.category,
+            rec.source,
+            repr(rec.value),
+            repr(sorted(rec.meta.items())) if rec.meta else "",
+        )
+        for rec in tracer
+    ]
+
+
+def mixed_dumbbell(ecn=False, reverse_monitor=False):
+    """4 TFRC + 4 TCP on a 15 Mb/s RED dumbbell, traced, 8 simulated s."""
+    tracer = Tracer()
+    result = build_mixed_dumbbell(
+        n_tfrc=4, n_tcp=4, bandwidth_bps=15e6, queue_type="red", seed=3,
+        tracer=tracer, sample_queue=True, ecn=ecn,
+    )
+    if reverse_monitor:
+        rev_monitor = LinkMonitor(
+            result.sim, result.dumbbell.reverse_link, sample_queue=True
+        )
+    result.sim.run(until=8.0)
+    link = result.dumbbell.forward_link
+    queue = link.queue
+    flows = result.flow_monitor
+    outcome = {
+        "queue_samples": result.link_monitor.queue_samples,
+        "drops": result.link_monitor.drops,
+        "arrivals": {fid: flows.arrivals[fid] for fid in flows.flows()},
+        "bytes": dict(flows.bytes_by_flow),
+        "packets": dict(flows.packets_by_flow),
+        "rate_histories": [f.sender.rate_history for f in result.tfrc_flows],
+        "red": (
+            queue.avg.hex(), queue.early_drops, queue.forced_drops,
+            queue.ecn_marks, queue.enqueued, queue.dequeued, queue.dropped,
+        ),
+        "link": (
+            link.packets_forwarded, link.bytes_forwarded,
+            link.utilization_seconds.hex(),
+        ),
+        "tcp": [
+            (f.sender.packets_sent, f.sender.retransmissions,
+             f.sender.timeouts, f.sender.acks_received)
+            for f in result.tcp_flows
+        ],
+    }
+    if reverse_monitor:
+        outcome["rev_queue_samples"] = rev_monitor.queue_samples
+    return trace_signature(tracer), outcome
+
+
+def fig11_onoff():
+    tracer = Tracer()
+    run = fig11_run_one(
+        n_sources=10, duration=8.0, warmup=2.0, timescales=(0.5, 1.0),
+        seed=1, tracer=tracer,
+    )
+    return trace_signature(tracer), asdict(run)
+
+
+def fig14_red():
+    run = fig14_run_one(
+        "tcp", n_flows=12, duration=12.0, queue_type="red",
+        buffer_packets=60, seed=2,
+    )
+    return [], asdict(run)
+
+
+#: name -> zero-argument run returning ``(trace signature, result)``.
+RUNS = {
+    "traced_mixed_dumbbell": lambda: mixed_dumbbell(reverse_monitor=True),
+    "fig11_onoff": fig11_onoff,
+    "dumbbell_red": mixed_dumbbell,
+    "dumbbell_red_ecn": lambda: mixed_dumbbell(ecn=True),
+    "fig14_red": fig14_red,
+}
+
+
+def _sha256(obj):
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(name):
+    trace, result = RUNS[name]()
+    return {"records": len(trace), "trace": _sha256(trace),
+            "result": _sha256(result)}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [pytest.param(n, marks=pytest.mark.slow) if n == "fig14_red" else n
+     for n in RUNS],
+)
+def test_golden_digest(name):
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    here = environment()
+    if golden["env"] != here:
+        pytest.skip(
+            f"golden digests were taken on {golden['env']}, this is {here}: "
+            "byte identity is pinned for that python/numpy/machine only"
+        )
+    assert digests(name) == golden["digests"][name]
+
+
+if __name__ == "__main__":
+    document = {
+        "env": environment(),
+        "digests": {name: digests(name) for name in RUNS},
+    }
+    GOLDEN.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

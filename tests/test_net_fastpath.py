@@ -1,103 +1,43 @@
-"""The network-layer fast path must be a pure bookkeeping optimization.
+"""The network layer's hot paths against what they are shortcuts for.
 
-PR-4 counterpart of ``tests/test_endpoint_fastpath.py``: the batched link
-wake chain, the fused RED enqueue and the incremental TCP-sink SACK state
-(``net_fastpath=True``) must produce *byte-identical* results to the
-per-event legacy network layer, asserted on the dumbbell (RED, with and
-without ECN) and Figure-14 RED scenarios, plus direct property/fuzz tests
-of each component pair.
+The fused RED enqueue and the TCP sink's interval SACK state are fuzzed
+against the per-packet models in ``tests/reference_models.py``; the RED
+runs ``tests/golden_digests.json`` pins must also repeat byte for byte
+within one process, on any platform (the digests skip off theirs).
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments.fig14_queue_dynamics import run_one as fig14_run_one
+from reference_models import red_reference, sack_reference
 from repro.net.link import Link
-from repro.net.packet import Packet, PacketType
+from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue, REDQueue
-from repro.scenarios.builders import build_mixed_dumbbell
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 from repro.tcp.sink import TCPSink
-
-
-def _trace_signature(tracer):
-    """Exact, allocation-order-independent byte signature of a trace."""
-    return [
-        (
-            rec.time.hex(),
-            rec.category,
-            rec.source,
-            repr(rec.value),
-            repr(sorted(rec.meta.items())) if rec.meta else "",
-        )
-        for rec in tracer
-    ]
-
-
-def _run_dumbbell(net_fast, ecn=False):
-    tracer = Tracer()
-    result = build_mixed_dumbbell(
-        n_tfrc=4, n_tcp=4, bandwidth_bps=15e6, queue_type="red", seed=3,
-        net_fastpath=net_fast, tracer=tracer, sample_queue=True, ecn=ecn,
-    )
-    result.sim.run(until=8.0)
-    link = result.dumbbell.forward_link
-    queue = link.queue
-    return {
-        "trace": _trace_signature(tracer),
-        "queue_samples": result.link_monitor.queue_samples,
-        "drops": result.link_monitor.drops,
-        "bytes": dict(result.flow_monitor.bytes_by_flow),
-        "packets": dict(result.flow_monitor.packets_by_flow),
-        "rate_histories": [
-            flow.sender.rate_history for flow in result.tfrc_flows
-        ],
-        "red": (
-            queue.avg.hex(), queue.early_drops, queue.forced_drops,
-            queue.ecn_marks, queue.enqueued, queue.dequeued, queue.dropped,
-        ),
-        "link": (
-            link.packets_forwarded,
-            link.bytes_forwarded,
-            link.utilization_seconds.hex(),
-        ),
-        "tcp": [
-            (f.sender.packets_sent, f.sender.retransmissions,
-             f.sender.timeouts, f.sender.acks_received)
-            for f in result.tcp_flows
-        ],
-    }
+from test_golden_digests import RUNS
 
 
 class TestNetFastpathIdentity:
+    """Nothing outside the seeded streams (module state, id()-ordered
+    containers, leftovers of a previous run) reaches trace or results."""
+
     def test_dumbbell_red_traces_byte_identical(self):
-        fast = _run_dumbbell(True)
-        legacy = _run_dumbbell(False)
-        assert fast["trace"], "scenario produced no trace records"
-        assert fast["red"][1] + fast["red"][2] > 0, "RED never dropped"
-        for key in fast:
-            assert fast[key] == legacy[key], f"{key} diverged"
+        trace, outcome = RUNS["dumbbell_red"]()
+        assert trace, "scenario produced no trace records"
+        assert outcome["red"][1] + outcome["red"][2] > 0, "RED never dropped"
+        assert (trace, outcome) == RUNS["dumbbell_red"]()
 
     def test_dumbbell_red_ecn_traces_byte_identical(self):
-        fast = _run_dumbbell(True, ecn=True)
-        legacy = _run_dumbbell(False, ecn=True)
-        assert fast["red"][3] > 0, "scenario produced no ECN marks"
-        for key in fast:
-            assert fast[key] == legacy[key], f"{key} diverged"
+        trace, outcome = RUNS["dumbbell_red_ecn"]()
+        assert outcome["red"][3] > 0, "scenario produced no ECN marks"
+        assert (trace, outcome) == RUNS["dumbbell_red_ecn"]()
 
     @pytest.mark.slow
     def test_fig14_red_byte_identical(self):
-        results = {}
-        for net_fast in (True, False):
-            results[net_fast] = fig14_run_one(
-                "tcp", n_flows=12, duration=12.0, queue_type="red",
-                buffer_packets=60, seed=2, net_fastpath=net_fast,
-            )
-        fast, legacy = results[True], results[False]
-        assert fast.queue_series, "scenario produced no queue samples"
-        # QueueDynamicsResult is a dataclass: field-wise exact equality.
-        assert fast == legacy
+        _, outcome = RUNS["fig14_red"]()
+        assert outcome["queue_series"], "scenario produced no queue samples"
+        assert outcome == RUNS["fig14_red"]()[1]
 
 
 def _feed(sink, arrivals):
@@ -114,15 +54,11 @@ def _feed(sink, arrivals):
 
 
 class TestIncrementalSackEquivalence:
-    """Old vs incremental SACK paths property-tested against each other."""
+    """The sink's interval state against the set-of-seqs reference model."""
 
-    def _pair(self, max_blocks=3):
-        sims = Simulator(), Simulator()
-        fast = TCPSink(sims[0], "f", send_ack=lambda p: None,
-                       max_sack_blocks=max_blocks, incremental_sack=True)
-        legacy = TCPSink(sims[1], "f", send_ack=lambda p: None,
-                         max_sack_blocks=max_blocks, incremental_sack=False)
-        return fast, legacy
+    def _sink(self, max_blocks=3):
+        return TCPSink(Simulator(), "f", send_ack=lambda p: None,
+                       max_sack_blocks=max_blocks)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_arrival_fuzz(self, seed):
@@ -136,109 +72,123 @@ class TestIncrementalSackEquivalence:
             arrivals.append(base + int(rng.integers(0, 12)))
             if rng.random() < 0.4:
                 base += 1
-        fast, legacy = self._pair()
-        assert _feed(fast, arrivals) == _feed(legacy, arrivals)
-        assert fast.next_expected == legacy.next_expected
-        assert fast.duplicate_data == legacy.duplicate_data
+        sink = self._sink()
+        acks, duplicates = sack_reference(arrivals)
+        assert _feed(sink, arrivals) == acks
+        assert sink.next_expected == acks[-1][0]
+        assert sink.duplicate_data == duplicates
 
     @pytest.mark.parametrize("max_blocks", [1, 2, 3, 5])
     def test_truncation_equivalence(self, max_blocks):
         # Descending arrivals create one block per seq, newest-last in
         # sequence space: exercises the recency sort + truncation.
         arrivals = [0, 14, 10, 6, 2, 12, 4, 8, 3]
-        fast, legacy = self._pair(max_blocks=max_blocks)
-        fast_acks = _feed(fast, arrivals)
-        legacy_acks = _feed(legacy, arrivals)
-        assert fast_acks == legacy_acks
-        assert all(len(blocks) <= max_blocks for _, _, blocks in fast_acks)
+        acks = _feed(self._sink(max_blocks), arrivals)
+        assert acks == sack_reference(arrivals, max_blocks)[0]
+        assert all(len(blocks) <= max_blocks for _, _, blocks in acks)
+        assert max(len(blocks) for _, _, blocks in acks) == max_blocks
 
     def test_gap_fill_consumes_first_interval(self):
-        fast, legacy = self._pair()
+        sink = self._sink()
         arrivals = [0, 2, 3, 5, 1, 4, 6]
-        assert _feed(fast, arrivals) == _feed(legacy, arrivals)
-        assert fast.next_expected == 7
-        assert fast._blk_starts == [] and fast._blk_ends == []
+        assert _feed(sink, arrivals) == sack_reference(arrivals)[0]
+        assert sink.next_expected == 7
+        assert sink._blk_starts == [] and sink._blk_ends == []
 
     def test_duplicate_of_held_data_refreshes_block_recency(self):
-        fast, legacy = self._pair()
         arrivals = [0, 2, 6, 2]  # duplicate of held (2,3): must lead again
-        fast_acks = _feed(fast, arrivals)
-        assert fast_acks == _feed(legacy, arrivals)
-        assert fast_acks[-1][2] == ((2, 3), (6, 7))
+        acks = _feed(self._sink(), arrivals)
+        assert acks == sack_reference(arrivals)[0]
+        assert acks[-1][2] == ((2, 3), (6, 7))
 
 
-def _red_pair(**kwargs):
-    queues = []
-    for fast in (True, False):
-        queues.append(
-            REDQueue(
-                kwargs.get("capacity", 30),
-                min_thresh=kwargs.get("min_thresh", 3),
-                max_thresh=kwargs.get("max_thresh", 9),
-                max_p=kwargs.get("max_p", 0.1),
-                weight=kwargs.get("weight", 0.2),
-                gentle=kwargs.get("gentle", True),
-                ecn=kwargs.get("ecn", False),
-                rng=np.random.default_rng(kwargs.get("seed", 0)),
-                fastpath=fast,
-            )
-        )
-    return queues
+#: mean-packet service time of a standalone REDQueue (1000 B at the
+#: 15 Mb/s fallback rate), which the reference model's idle decay needs.
+STANDALONE_PACKET_TIME = 1000 * 8 / 15e6
+
+
+def _red(seed=0, ecn=False):
+    return REDQueue(
+        30, min_thresh=3, max_thresh=9, max_p=0.1, weight=0.2, gentle=True,
+        ecn=ecn, rng=np.random.default_rng(seed),
+    )
 
 
 def _packet(i, ecn_capable=False):
     return Packet(flow_id="f", seq=i, size=1000, ecn_capable=ecn_capable)
 
 
+def _enqueue(queue, packet, now):
+    """Enqueue; report ``(verdict, average)`` the way ``red_reference`` does."""
+    forced = queue.forced_drops
+    if queue.enqueue(packet, now):
+        return "mark" if packet.ecn_marked else "accept", queue.avg
+    return "forced" if queue.forced_drops > forced else "early", queue.avg
+
+
+def _assert_matches(observed, expected):
+    assert [v for v, _ in observed] == [v for v, _ in expected]
+    # The fused enqueue decays an idle average through exp/log where the
+    # model uses a power: equal to the last ulp or so per step, and exactly
+    # once the EWMA has contracted that away.
+    assert [a for _, a in observed] == pytest.approx(
+        [a for _, a in expected], rel=1e-12, abs=0.0
+    )
+    assert observed[-1][1].hex() == expected[-1][1].hex()
+
+
 class TestRedFastpathEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("ecn", [False, True])
     def test_decision_stream_identical(self, seed, ecn):
-        fast, legacy = _red_pair(seed=seed, ecn=ecn)
+        queue = _red(seed=seed, ecn=ecn)
         drive = np.random.default_rng(1000 + seed)
-        now = 0.0
-        decisions = {id(fast): [], id(legacy): []}
+        now, ops, observed = 0.0, [], []
         for i in range(600):
             now += float(drive.uniform(0.0, 0.01))
-            action = drive.random()
-            for q in (fast, legacy):
-                if action < 0.7:
-                    pkt = _packet(i, ecn_capable=ecn)
-                    decisions[id(q)].append(
-                        (q.enqueue(pkt, now), pkt.ecn_marked)
-                    )
-                else:
-                    q.dequeue(now)
-        assert decisions[id(fast)] == decisions[id(legacy)]
-        assert fast.avg.hex() == legacy.avg.hex()
-        for name in ("early_drops", "forced_drops", "ecn_marks",
-                     "enqueued", "dequeued", "dropped"):
-            assert getattr(fast, name) == getattr(legacy, name), name
+            if drive.random() < 0.7:
+                ops.append((now, ecn))
+                packet = _packet(i, ecn_capable=ecn)
+                observed.append(_enqueue(queue, packet, now))
+            else:
+                ops.append((now, None))
+                queue.dequeue(now)
+        _assert_matches(observed, red_reference(
+            ops, 30, queue.params, np.random.default_rng(seed),
+            STANDALONE_PACKET_TIME, ecn=ecn,
+        ))
+        verdicts = [v for v, _ in observed]
+        assert len(set(verdicts)) >= 2, "fuzz never left the accept region"
+        assert queue.early_drops == verdicts.count("early")
+        assert queue.forced_drops == verdicts.count("forced")
+        assert queue.ecn_marks == verdicts.count("mark")
+        assert queue.enqueued == len(verdicts) - queue.dropped
 
     def test_idle_decay_identical_across_long_gaps(self):
-        # Long idle gaps stress the exp/log decay against the legacy power.
-        fast, legacy = _red_pair(seed=9)
-        for q in (fast, legacy):
-            q.set_service_rate(1e6)
-        now = 0.0
+        # Long idle gaps stress the fused exp/log decay against the
+        # reference model's plain power.
+        queue = _red(seed=9)
+        queue.set_service_rate(1e6)
+        now, ops, observed = 0.0, [], []
         for i in range(40):
             # Bursts fill the queue; the gap empties it so the next arrival
             # decays from a genuinely idle period.
             for j in range(6):
-                for q in (fast, legacy):
-                    q.enqueue(_packet(i * 10 + j), now)
-            for q in (fast, legacy):
-                while q.dequeue(now) is not None:
-                    pass
+                ops.append((now, False))
+                observed.append(_enqueue(queue, _packet(i * 10 + j), now))
+            while queue.dequeue(now) is not None:
+                ops.append((now, None))
             now += 1.0 + i * 0.37
-        assert fast.avg.hex() == legacy.avg.hex()
+        _assert_matches(observed, red_reference(
+            ops, 30, queue.params, np.random.default_rng(9), 1000 * 8 / 1e6
+        ))
 
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_conservation_counters(self, fastpath):
+    @pytest.mark.parametrize("ecn", [True, False])
+    def test_conservation_counters(self, ecn):
         rng = np.random.default_rng(5)
         queue = REDQueue(
-            12, min_thresh=2, max_thresh=6, weight=0.5, ecn=True,
-            rng=np.random.default_rng(2), fastpath=fastpath,
+            12, min_thresh=2, max_thresh=6, weight=0.5, ecn=ecn,
+            rng=np.random.default_rng(2),
         )
         accepted = dropped = marked = 0
         now = 0.0
@@ -259,30 +209,36 @@ class TestRedFastpathEquivalence:
         assert queue.ecn_marks == marked
         assert queue.enqueued == queue.dequeued + len(queue)
 
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_forced_drop_resets_count_to_zero(self, fastpath):
+    @pytest.mark.parametrize("gentle", [True, False])
+    def test_forced_drop_resets_count_to_zero(self, gentle):
         # ns-2 RED: count <- 0 on *every* drop, forced included; only
-        # avg < min_thresh parks the counter at -1.
+        # avg < min_thresh parks the counter at -1.  Without gentle the
+        # forced region starts at max_thresh; with it the 3-packet buffer
+        # overflows first.
         queue = REDQueue(
-            4, min_thresh=1, max_thresh=2, weight=1.0, gentle=False,
-            rng=np.random.default_rng(0), fastpath=fastpath,
+            3, min_thresh=1, max_thresh=2, weight=1.0, gentle=gentle,
+            rng=np.random.default_rng(0),
         )
-        for i in range(4):
+        forced = 0
+        for i in range(12):
             queue.enqueue(_packet(i), 0.0)
-        assert queue.forced_drops > 0
-        assert queue._count_since_drop == 0
+            if queue.forced_drops > forced:
+                forced = queue.forced_drops
+                assert queue._count_since_drop == 0
+        assert forced > 0
 
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_inter_drop_gaps_uniformized(self, fastpath):
+    @pytest.mark.parametrize("ecn", [True, False])
+    def test_inter_drop_gaps_uniformized(self, ecn):
         """Pin the count-based uniformization: with avg held in the marking
         region, the gap between successive early drops is bounded by about
         1/p_b packets (count drives p_a to 1), and the mean gap sits near
         1/(2 p_b) -- the uniformized distribution of the RED paper -- rather
         than the geometric distribution plain Bernoulli marking would give.
+        The traffic is not ECN-capable, so an ECN queue drops it all the same.
         """
         queue = REDQueue(
             10_000, min_thresh=1, max_thresh=1001, max_p=1.0, weight=1.0,
-            rng=np.random.default_rng(7), fastpath=fastpath,
+            rng=np.random.default_rng(7), ecn=ecn,
         )
         # weight=1 pins avg == instantaneous occupancy; hold the queue at
         # depth 101 (dequeue after every accept) so p_b == 0.1 for every
@@ -307,18 +263,20 @@ class TestRedFastpathEquivalence:
 
 
 class TestLinkUtilizationClipping:
-    def _link(self, sim, fastpath):
-        link = Link(
-            sim, bandwidth_bps=8e6, propagation_delay=0.01,
-            queue=DropTailQueue(10), fastpath=fastpath,
+    def _link(self, sim, red):
+        # The link inlines the dequeue of both stock disciplines.
+        queue = (
+            REDQueue(10, min_thresh=3, max_thresh=9) if red
+            else DropTailQueue(10)
         )
+        link = Link(sim, bandwidth_bps=8e6, propagation_delay=0.01, queue=queue)
         link.connect(lambda p: None)
         return link
 
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_mid_transmission_query_is_clipped(self, fastpath):
+    @pytest.mark.parametrize("red", [True, False])
+    def test_mid_transmission_query_is_clipped(self, red):
         sim = Simulator()
-        link = self._link(sim, fastpath)
+        link = self._link(sim, red)
         link.send(Packet(flow_id="f", seq=0, size=1000, sent_at=0.0))
         # 1000 bytes at 8 Mb/s = 1 ms on the wire; stop halfway through.
         sim.run(until=0.0005)
@@ -326,10 +284,10 @@ class TestLinkUtilizationClipping:
         sim.run(until=0.002)
         assert link.utilization_seconds == pytest.approx(0.001)
 
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_idle_link_reports_zero(self, fastpath):
+    @pytest.mark.parametrize("red", [True, False])
+    def test_idle_link_reports_zero(self, red):
         sim = Simulator()
-        link = self._link(sim, fastpath)
+        link = self._link(sim, red)
         sim.run(until=1.0)
         assert link.utilization_seconds == 0.0
 

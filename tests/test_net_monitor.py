@@ -121,7 +121,7 @@ class TestFlowMonitor:
 
 
 class TestMonitorModeEquivalence:
-    """Columnar and legacy accumulators must report identical values."""
+    """The array-backed accumulators, pinned to literal values on tiny inputs."""
 
     def _fill_flow(self, monitor):
         monitor.on_packet(1.0, make_packet("a", 0, 500))
@@ -130,50 +130,56 @@ class TestMonitorModeEquivalence:
         monitor.on_packet(4.0, make_packet("a", 2, 900))
 
     def test_flow_monitor_modes_agree(self):
-        fast = FlowMonitor(columnar=True)
-        legacy = FlowMonitor(columnar=False)
-        self._fill_flow(fast)
-        self._fill_flow(legacy)
-        assert dict(fast.bytes_by_flow) == dict(legacy.bytes_by_flow)
-        assert dict(fast.packets_by_flow) == dict(legacy.packets_by_flow)
-        assert fast.flows() == legacy.flows()
-        for fid in fast.flows():
-            assert fast.arrivals[fid] == legacy.arrivals[fid]
-            assert fast.arrival_series(fid) == legacy.arrival_series(fid)
-        for window in ((0.0, 2.0), (1.0, 2.5), (0.5, 10.0), (5.0, 6.0)):
-            for fid in ("a", "b", "missing"):
-                assert fast.throughput_bps(fid, *window) == legacy.throughput_bps(
-                    fid, *window
-                )
+        monitor = FlowMonitor()
+        self._fill_flow(monitor)
+        assert monitor.bytes_by_flow == {"a": 2100, "b": 300}
+        assert monitor.packets_by_flow == {"a": 3, "b": 1}
+        assert monitor.flows() == ["a", "b"]
+        series = {"a": [(1.0, 500), (2.0, 700), (4.0, 900)], "b": [(2.5, 300)]}
+        for fid, pairs in series.items():
+            assert monitor.arrivals[fid] == pairs
+            assert monitor.arrival_series(fid) == pairs
+        assert monitor.arrival_series("missing") == []
+        # bits over the window length, per flow ("a", "b", "missing")
+        expected = {
+            (0.0, 2.0): (1200 * 8 / 2.0, 0.0, 0.0),
+            (1.0, 2.5): (1200 * 8 / 1.5, 300 * 8 / 1.5, 0.0),
+            (0.5, 10.0): (2100 * 8 / 9.5, 300 * 8 / 9.5, 0.0),
+            (5.0, 6.0): (0.0, 0.0, 0.0),
+        }
+        for window, rates in expected.items():
+            for fid, rate in zip(("a", "b", "missing"), rates):
+                assert monitor.throughput_bps(fid, *window) == rate
 
     def test_flow_monitor_window_boundaries_inclusive(self):
         monitor = FlowMonitor()
         monitor.on_packet(1.0, make_packet("a", 0, 1000))
         monitor.on_packet(3.0, make_packet("a", 1, 1000))
-        # Both endpoints inclusive, matching the legacy scan semantics.
+        # Both endpoints inclusive.
         assert monitor.throughput_bps("a", 1.0, 3.0) == pytest.approx(8000.0)
         assert monitor.throughput_bps("a", 1.0 + 1e-12, 3.0 - 1e-12) == (
             pytest.approx(0.0)
         )
 
     def test_link_monitor_modes_agree(self):
-        data = {}
-        for columnar in (True, False):
-            sim = Simulator()
-            link = Link(sim, 8e6, 0.01, DropTailQueue(2))
-            link.connect(lambda p: None)
-            monitor = LinkMonitor(sim, link, sample_queue=True, columnar=columnar)
-            for i in range(6):
-                link.send(make_packet("f", i))
-            sim.run()
-            data[columnar] = (
-                monitor.queue_samples,
-                monitor.drops,
-                monitor.drop_count,
-                monitor.queue_series(t_min=0.0005),
-                monitor.queue_series(t_min=0.0, t_max=0.001),
-            )
-        assert data[True] == data[False]
+        sim = Simulator()
+        link = Link(sim, 8e6, 0.01, DropTailQueue(2))
+        link.connect(lambda p: None)
+        monitor = LinkMonitor(sim, link, sample_queue=True)
+        for i in range(6):
+            link.send(make_packet("f", i))
+        sim.run()
+        # Six back-to-back 1 ms packets into a 2-packet buffer: one goes
+        # straight into service (enqueue 1, dequeue 0), two queue up, three
+        # are dropped (each still sampled at depth 2), then the buffer
+        # drains one per millisecond.
+        samples = [(0.0, 1), (0.0, 0), (0.0, 1), (0.0, 2), (0.0, 2),
+                   (0.0, 2), (0.0, 2), (0.001, 1), (0.002, 0)]
+        assert monitor.queue_samples == samples
+        assert monitor.drops == [(0.0, "f")] * 3
+        assert monitor.drop_count == 3
+        assert monitor.queue_series(t_min=0.0005) == samples[-2:]
+        assert monitor.queue_series(t_min=0.0, t_max=0.001) == samples[:-1]
 
     def test_arrivals_view_is_mapping_like(self):
         monitor = FlowMonitor()

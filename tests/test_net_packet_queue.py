@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.packet import Packet, PacketType
 from repro.net.queues import DropTailQueue, REDQueue
+from repro.net.redmath import red_drop_probability
 
 
 def make_packet(seq=0, size=1000, flow="f"):
@@ -244,6 +245,6 @@ class TestRED:
         probs = []
         for avg in (5, 15, 30, 49, 60, 90):
             q.avg = avg
-            probs.append(q._drop_probability())
+            probs.append(red_drop_probability(q.params, q.avg))
         assert probs == sorted(probs)
         assert probs[0] == 0.0

@@ -188,16 +188,6 @@ class TestBlockDraws:
         tail = [resumed.next() for _ in range(20)]
         assert head + tail == [b.random() for _ in range(25)]
 
-    def test_take_buffered_drains_without_refill(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        draws = BlockDraws(rng, block=4)
-        draws.next()  # fill one block, consume one
-        drained = []
-        while (value := draws.take_buffered()) is not None:
-            drained.append(value)
-        assert len(drained) == 3
-        assert draws.take_buffered() is None
-
     def test_block_size_validated(self):
         rng = np.random.Generator(np.random.PCG64(0))
         with pytest.raises(ValueError):
