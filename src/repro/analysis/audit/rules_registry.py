@@ -1,21 +1,21 @@
 """Registry-coherence rules (``registry.*``).
 
 The scenario registry (``@register_scenario`` in
-:mod:`repro.scenarios.spec`), the executor registry
-(``EXECUTOR_NAMES`` in :mod:`repro.scenarios.executors`, the
-``SweepExecutor`` subclasses' ``name`` attributes, the CLI's
-``--executor`` choices), and every string that *references* those names
-are maintained by hand in different files.  They drift silently: a
-renamed executor still passes its own tests, but ``--executor vector``
-stops resolving; a typo'd ``ScenarioSpec(scenario=...)`` literal only
-fails at run time.  This checker cross-references all of them in one
-pass over the corpus.
+:mod:`repro.scenarios.spec`), the executor table
+(``EXECUTOR_FACTORIES`` in :mod:`repro.scenarios.executors`, which binds
+each name to its constructor and from which ``EXECUTOR_NAMES`` is
+derived), the CLI's ``--executor`` choices, and every string that
+*references* those names live in different files.  They drift silently: a
+renamed executor still passes its own tests, but a ``== "vector"``
+comparison elsewhere stops matching; a typo'd
+``ScenarioSpec(scenario=...)`` literal only fails at run time.  This
+checker cross-references all of them in one pass over the corpus.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.audit.engine import (
     AuditConfig,
@@ -34,8 +34,8 @@ RULE_DUPLICATE = Rule(
 RULE_EXECUTOR_DRIFT = Rule(
     id="registry.executor-name-drift",
     summary="executor name tables disagree",
-    hint="EXECUTOR_NAMES, the SweepExecutor subclasses' name attributes, "
-    "CLI --executor choices, and string comparisons must all agree",
+    hint="the EXECUTOR_FACTORIES table, CLI --executor choices, and "
+    "string comparisons must all agree",
 )
 RULE_UNREGISTERED = Rule(
     id="registry.unregistered-scenario-ref",
@@ -82,6 +82,31 @@ def _is_call_to(source: SourceFile, call: ast.Call, bare: str) -> bool:
     return qual is not None and qual.endswith("." + bare)
 
 
+def _executor_table(src: Sequence[SourceFile]) -> Set[str]:
+    """String keys of the module-level ``EXECUTOR_FACTORIES = {...}``."""
+    for source in src:
+        for node in source.tree.body:
+            if not (
+                isinstance(node, (ast.Assign, ast.AnnAssign))
+                and isinstance(node.value, ast.Dict)
+            ):
+                continue
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            if any(
+                isinstance(t, ast.Name) and t.id == "EXECUTOR_FACTORIES"
+                for t in targets
+            ):
+                return {
+                    key.value
+                    for key in node.value.keys
+                    if isinstance(key, ast.Constant)
+                    and isinstance(key.value, str)
+                }
+    return set()
+
+
 @project_checker(RULE_DUPLICATE, RULE_EXECUTOR_DRIFT, RULE_UNREGISTERED)
 def check_registry_coherence(
     corpus: Sequence[SourceFile], config: AuditConfig
@@ -121,73 +146,7 @@ def check_registry_coherence(
                 else:
                     registered[name] = (source.rel_path, decorator.lineno)
 
-    # --------------------------------------------------- executor name tables
-    executor_names: List[str] = []
-    executor_names_at: Tuple[str, int] = ("", 0)
-    class_names: Dict[str, Tuple[str, int]] = {}
-    for source in src:
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "EXECUTOR_NAMES"
-                        and isinstance(node.value, (ast.Tuple, ast.List))
-                    ):
-                        executor_names = [
-                            e.value
-                            for e in node.value.elts
-                            if isinstance(e, ast.Constant)
-                            and isinstance(e.value, str)
-                        ]
-                        executor_names_at = (source.rel_path, node.lineno)
-            elif isinstance(node, ast.ClassDef):
-                bases = {
-                    base.id if isinstance(base, ast.Name) else base.attr
-                    for base in node.bases
-                    if isinstance(base, (ast.Name, ast.Attribute))
-                }
-                if "SweepExecutor" not in bases:
-                    continue
-                for stmt in node.body:
-                    if (
-                        isinstance(stmt, ast.Assign)
-                        and any(
-                            isinstance(t, ast.Name) and t.id == "name"
-                            for t in stmt.targets
-                        )
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, str)
-                    ):
-                        class_names[stmt.value.value] = (
-                            source.rel_path,
-                            stmt.lineno,
-                        )
-
-    table = set(executor_names)
-    for name, (path, line) in sorted(class_names.items()):
-        if name not in table:
-            yield AuditRecord(
-                rule=RULE_EXECUTOR_DRIFT.id,
-                path=path,
-                line=line,
-                severity=RULE_EXECUTOR_DRIFT.severity,
-                detail=f"SweepExecutor subclass claims name {name!r}, "
-                f"absent from EXECUTOR_NAMES "
-                f"({executor_names_at[0]}:{executor_names_at[1]})",
-                hint=RULE_EXECUTOR_DRIFT.hint,
-            )
-    for name in executor_names:
-        if name not in class_names:
-            yield AuditRecord(
-                rule=RULE_EXECUTOR_DRIFT.id,
-                path=executor_names_at[0],
-                line=executor_names_at[1],
-                severity=RULE_EXECUTOR_DRIFT.severity,
-                detail=f"EXECUTOR_NAMES lists {name!r} but no "
-                "SweepExecutor subclass claims it",
-                hint=RULE_EXECUTOR_DRIFT.hint,
-            )
+    table = _executor_table(src)
 
     # -------------------------------- references to executor/scenario names
     for source in src:
@@ -229,7 +188,7 @@ def _mentions_executor(node: ast.expr) -> bool:
 
 
 def _check_executor_compare(
-    source: SourceFile, node: ast.Compare, table: set
+    source: SourceFile, node: ast.Compare, table: Set[str]
 ) -> Iterator[AuditRecord]:
     """``something_executor == "literal"`` with an unknown literal."""
     operands = [node.left, *node.comparators]
@@ -247,7 +206,7 @@ def _check_executor_compare(
                 line=node.lineno,
                 severity=RULE_EXECUTOR_DRIFT.severity,
                 detail=f"executor compared against {op.value!r}, which is "
-                "not in EXECUTOR_NAMES",
+                "not in EXECUTOR_FACTORIES",
                 hint=RULE_EXECUTOR_DRIFT.hint,
             )
 

@@ -13,17 +13,18 @@ scenarios:
 * :mod:`~repro.scenarios.sweep` -- :class:`~repro.scenarios.sweep.SweepRunner`:
   parameter-grid expansion, deterministic per-cell seeding, progress
   reporting.
-* :mod:`~repro.scenarios.executors` -- the pluggable execution backends
-  behind ``SweepRunner.run``: serial, local process pool, and the
-  multi-host file-queue coordinator (atomic-rename leases, heartbeats,
-  dead-worker reclaim) drained by ``tfrc-sweep-worker`` processes
-  (:mod:`~repro.scenarios.worker`).
+* :mod:`~repro.scenarios.executors` -- ``execute_cells``, the one place a
+  sweep cell runs, and the two transports behind ``SweepRunner.run``: the
+  local executor (in-process or process pool; scalar or lockstep batches)
+  and the multi-host file-queue coordinator (atomic-rename leases,
+  heartbeats, dead-worker reclaim) drained by ``tfrc-sweep-worker``
+  processes (:mod:`~repro.scenarios.worker`).
 * :mod:`~repro.scenarios.cache` -- the on-disk JSON result cache keyed by
   spec hash, with checksummed durable entries and corrupt-entry
   quarantine (also the result transport for the file-queue executor).
 * :mod:`~repro.scenarios.vector` -- the ``tfrc_equation_grid`` scenario and
-  the ``vector`` executor, which advances compatible cells in lockstep
-  numpy batches (:mod:`repro.sim.vector_kernel`) with scalar fallback.
+  the lockstep batching strategy: which cells may advance together in one
+  numpy batch (:mod:`repro.sim.vector_kernel`), the rest running scalar.
 * :mod:`~repro.scenarios.faults` -- deterministic fault injection
   (:class:`~repro.scenarios.faults.FaultPlan`) for chaos-testing the
   sweep fabric.
@@ -55,8 +56,7 @@ from repro.scenarios.executors import (
     ExecutorArg,
     FileQueue,
     FileQueueExecutor,
-    PoolExecutor,
-    SerialExecutor,
+    LocalExecutor,
     SweepCellError,
     SweepExecutor,
     SweepPlan,
@@ -78,7 +78,6 @@ from repro.scenarios.sweep import (
 )
 from repro.scenarios.vector import (
     EQUATION_GRID_SCENARIO,
-    VectorExecutor,
     VectorFallbackWarning,
     batch_key,
     run_vector_batch,
@@ -98,12 +97,11 @@ __all__ = [
     "WorkerKilled",
     "fsck_audit",
     "InternetPathRun",
+    "LocalExecutor",
     "MixedDumbbellResult",
     "PathProfile",
-    "PoolExecutor",
     "ResultCache",
     "ScenarioSpec",
-    "SerialExecutor",
     "SingleTfrcResult",
     "SweepCell",
     "SweepCellError",
@@ -111,7 +109,6 @@ __all__ = [
     "SweepPlan",
     "SweepResult",
     "SweepRunner",
-    "VectorExecutor",
     "VectorFallbackWarning",
     "batch_key",
     "build_mixed_dumbbell",

@@ -1,16 +1,17 @@
-"""Pluggable sweep execution backends (serial / process pool / file queue).
+"""Sweep execution: one place a cell runs, two transports around it.
 
 :class:`~repro.scenarios.sweep.SweepRunner` expands a grid into cells and
 hands the cache-missing ones to a :class:`SweepExecutor`, which yields
 :class:`CellCompletion` records as cells finish (in completion order; the
-runner reassembles expansion order).  Three backends here cover one host to
-many (a fourth, :class:`~repro.scenarios.vector.VectorExecutor`, advances
-compatible cells in lockstep numpy batches and lives in
-:mod:`repro.scenarios.vector`):
+runner reassembles expansion order).  Every backend executes cells through
+the same function, :func:`execute_cells` -- scalar for one cell, one
+lockstep batch (split to scalar retries on failure) for several -- and
+differs only in how cells reach it:
 
-* :class:`SerialExecutor` -- in-process, one cell at a time.
-* :class:`PoolExecutor` -- a ``concurrent.futures.ProcessPoolExecutor``
-  fan-out on the local host.
+* :class:`LocalExecutor` -- this host: in-process or a
+  ``concurrent.futures.ProcessPoolExecutor`` fan-out, scalar or lockstep
+  batches.  The names ``"serial"``, ``"pool"`` and ``"vector"`` are three
+  of its configurations (:data:`EXECUTOR_FACTORIES`).
 * :class:`FileQueueExecutor` -- coordinates any number of worker processes
   (``tfrc-sweep-worker``), locally spawned and/or started by hand on other
   hosts, through a shared **queue directory**.  Coordination is plain
@@ -44,17 +45,25 @@ already-finished cells) to the exception before re-raising.
 
 from __future__ import annotations
 
+import importlib
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
+import traceback
 import uuid
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+import warnings
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -68,6 +77,12 @@ from repro.scenarios import faults
 from repro.scenarios._fsio import atomic_write_json, read_json
 from repro.scenarios.cache import ResultCache
 from repro.scenarios.spec import JsonDict, ScenarioSpec, run_scenario
+from repro.scenarios.vector import (
+    VectorFallbackWarning,
+    lockstep_group,
+    run_vector_batch,
+    vector_capability,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.scenarios.sweep import SweepCell, SweepResult
@@ -138,108 +153,213 @@ class CellCompletion:
 class SweepExecutor:
     """Base class: executes a :class:`SweepPlan`, yielding completions."""
 
-    name = "abstract"
-
     def run_cells(self, plan: SweepPlan) -> Iterator[CellCompletion]:
         raise NotImplementedError
 
 
-def _execute_remote(
-    module_name: str, spec_dict: Dict[str, Any]
-) -> Tuple[JsonDict, float]:
-    """Worker-side cell execution (module-level, hence picklable).
+class CellTimeout(Exception):
+    """A cell exceeded the worker's ``--cell-timeout`` wall-clock bound."""
 
-    Importing the scenario's defining module re-populates the registry in
-    spawn-started workers; under fork it is a no-op lookup.
+
+@contextmanager
+def _cell_alarm(seconds: Optional[float]) -> Iterator[None]:
+    """Raise :class:`CellTimeout` in the body after ``seconds`` of wall time.
+
+    Implemented with ``SIGALRM``/``setitimer``, which only works in the
+    main thread of the main interpreter; elsewhere (or on platforms
+    without ``SIGALRM``, or with no bound set) this is a no-op -- the
+    timeout is an operational guard for real worker processes, not a hard
+    real-time contract.
     """
-    import importlib
+    if (
+        seconds is None
+        or seconds <= 0
+        or not hasattr(signal, "SIGALRM")
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
 
+    def _on_alarm(signum: int, frame: object) -> None:
+        raise CellTimeout(
+            f"cell execution exceeded the {seconds:.1f}s wall-clock bound "
+            f"(--cell-timeout)"
+        )
+
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+#: one executed cell: ``(result, elapsed_seconds, failure)``; ``failure`` is
+#: None or ``(kind, detail)`` -- the failure-record kind (``"timeout"`` or
+#: ``"error"``) and the timeout message / formatted traceback.
+CellOutcome = Tuple[Optional[JsonDict], float, Optional[Tuple[str, str]]]
+
+
+def execute_cells(
+    module_name: str,
+    specs: Sequence[ScenarioSpec],
+    *,
+    cell_timeout: Optional[float] = None,
+) -> List[CellOutcome]:
+    """Run ``specs`` in this process: the one place a sweep cell executes.
+
+    Module-level, hence picklable: :class:`LocalExecutor` calls it directly
+    or through a process pool, ``tfrc-sweep-worker`` on the cells it leased.
+    One spec runs scalar.  Several specs (which the caller vouches share a
+    :func:`~repro.scenarios.vector.lockstep_group`) get one lockstep
+    attempt; a batch that fails -- any exception, a timeout included --
+    **splits** and every member retries scalar, so one poison lane fails
+    one cell instead of all N.  ``cell_timeout`` bounds each attempt.
+
+    ``elapsed_seconds`` is the wall inside ``run_scenario`` for a scalar
+    cell and the batch wall split evenly for a lockstep batch (the lanes
+    genuinely ran concurrently) -- never import, cache or commit time.
+
+    The import re-populates the registry in spawn-started workers (under
+    fork it is a no-op lookup).  Its failure propagates, as does
+    :class:`~repro.scenarios.faults.WorkerKilled` (chaos testing; a
+    ``BaseException``, so no handler here sees it: a killed worker runs
+    nothing).
+    """
     importlib.import_module(module_name)
-    spec = ScenarioSpec.from_dict(spec_dict)
-    started = time.perf_counter()
-    result = run_scenario(spec)
-    return result, time.perf_counter() - started
-
-
-class SerialExecutor(SweepExecutor):
-    """Run every cell in-process, one at a time."""
-
-    name = "serial"
-
-    def run_cells(self, plan: SweepPlan) -> Iterator[CellCompletion]:
-        for cell in plan.cells:
-            started = time.perf_counter()
-            try:
-                result = run_scenario(cell.spec)
-            except Exception as exc:
-                raise SweepCellError(
-                    f"sweep cell {cell.describe()} failed: {exc}",
-                    cell=cell,
-                    overrides=cell.overrides,
-                ) from exc
-            yield CellCompletion(
-                cell=cell,
-                result=result,
-                elapsed_seconds=time.perf_counter() - started,
+    if len(specs) > 1:
+        started = time.perf_counter()
+        try:
+            with _cell_alarm(cell_timeout):
+                results = run_vector_batch(specs)
+        except Exception as exc:
+            warnings.warn(
+                f"vector batch of {len(specs)} cell(s) failed in lockstep "
+                f"({exc}); retrying each cell on the scalar path",
+                VectorFallbackWarning,
+                stacklevel=2,
             )
+        else:
+            per_cell = (time.perf_counter() - started) / len(specs)
+            return [(result, per_cell, None) for result in results]
+    outcomes: List[CellOutcome] = []
+    for spec in specs:
+        result = failure = None
+        started = time.perf_counter()
+        try:
+            with _cell_alarm(cell_timeout):
+                result = run_scenario(spec)
+        except CellTimeout as exc:
+            failure = ("timeout", str(exc))
+        except Exception:
+            failure = ("error", traceback.format_exc())
+        outcomes.append((result, time.perf_counter() - started, failure))
+    return outcomes
 
 
-class PoolExecutor(SweepExecutor):
-    """Fan cells out over a local ``ProcessPoolExecutor``.
+class LocalExecutor(SweepExecutor):
+    """Run cells on this host; ``"serial"``, ``"pool"`` and ``"vector"`` are
+    three of its configurations (:data:`EXECUTOR_FACTORIES`).
 
-    On a worker exception the remaining futures are cancelled and the
-    failure is re-raised as :class:`SweepCellError` naming the cell, with
-    the worker's exception chained as ``__cause__``.
+    ``workers`` is the transport: 0 runs in this process, N fans out over a
+    ``ProcessPoolExecutor`` of at most N.  ``batch_limit`` is the batching:
+    1 runs every cell alone; a larger limit (None = unbounded) lets cells
+    sharing a :func:`~repro.scenarios.vector.lockstep_group` advance as one
+    batch, while the rest still run scalar, announced by a single
+    :class:`VectorFallbackWarning` naming the first reason.
+
+    A failing cell cancels the groups not yet started and raises
+    :class:`SweepCellError`, chained to a ``RuntimeError`` carrying the
+    cell's formatted traceback.
     """
 
-    name = "pool"
+    def __init__(
+        self, *, workers: int = 0, batch_limit: Optional[int] = 1
+    ) -> None:
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
+        if batch_limit is not None and batch_limit < 1:
+            raise ValueError("batch_limit must be >= 1 (or None)")
+        self.workers = workers
+        self.batch_limit = batch_limit
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.max_workers = max_workers
+    def _groups(self, cells: Sequence["SweepCell"]) -> List[List["SweepCell"]]:
+        """Partition ``cells`` into the groups ``execute_cells`` runs."""
+        if self.batch_limit == 1:
+            return [[cell] for cell in cells]
+        batches: Dict[str, List["SweepCell"]] = {}
+        scalar: List["SweepCell"] = []
+        for cell in cells:
+            group = lockstep_group(cell.spec)
+            if group is None:
+                scalar.append(cell)
+            else:
+                batches.setdefault(group, []).append(cell)
+        if scalar:
+            warnings.warn(
+                f"{len(scalar)} of {len(cells)} sweep cell(s) cannot run on "
+                f"the vector kernel and fall back to scalar execution; "
+                f"first reason: {vector_capability(scalar[0].spec)}",
+                VectorFallbackWarning,
+                stacklevel=3,
+            )
+        groups: List[List["SweepCell"]] = []
+        for batch in batches.values():
+            step = self.batch_limit or len(batch)
+            groups += [batch[i : i + step] for i in range(0, len(batch), step)]
+        return groups + [[cell] for cell in scalar]
 
     def run_cells(self, plan: SweepPlan) -> Iterator[CellCompletion]:
-        limit = self.max_workers or len(plan.cells)
-        workers = max(1, min(limit, len(plan.cells)))
+        groups = self._groups(plan.cells)
+        specs = [[cell.spec for cell in group] for group in groups]
+        if not self.workers:
+            for group, group_specs in zip(groups, specs):
+                outcomes = execute_cells(plan.module_name, group_specs)
+                for cell, outcome in zip(group, outcomes):
+                    yield _local_completion(cell, outcome, "")
+            return
+        workers = max(1, min(self.workers, len(groups)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(
-                    _execute_remote, plan.module_name, cell.spec.to_dict()
-                ): cell
-                for cell in plan.cells
+                pool.submit(execute_cells, plan.module_name, group_specs): group
+                for group, group_specs in zip(groups, specs)
             }
-            outstanding = set(futures)
-            while outstanding:
-                finished, outstanding = wait(
-                    outstanding, return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    cell = futures[future]
+            try:
+                for future in as_completed(futures):
+                    group = futures[future]
                     try:
-                        result, elapsed = future.result()
-                    except Exception as exc:
-                        for pending in outstanding:
-                            pending.cancel()
-                        raise SweepCellError(
-                            f"sweep cell {cell.describe()} failed in a "
-                            f"pool worker: {exc}",
-                            cell=cell,
-                            overrides=cell.overrides,
-                        ) from exc
-                    yield CellCompletion(
-                        cell=cell, result=result, elapsed_seconds=elapsed
-                    )
+                        outcomes = future.result()
+                    except Exception:
+                        # The worker died or could not import the scenario
+                        # module: every cell of the group failed.
+                        failure = ("error", traceback.format_exc())
+                        outcomes = [(None, 0.0, failure)] * len(group)
+                    for cell, outcome in zip(group, outcomes):
+                        yield _local_completion(
+                            cell, outcome, " in a pool worker"
+                        )
+            finally:
+                for future in futures:
+                    future.cancel()
+
+
+def _local_completion(
+    cell: "SweepCell", outcome: CellOutcome, where: str
+) -> CellCompletion:
+    """The one place a local cell failure becomes :class:`SweepCellError`."""
+    result, elapsed, failure = outcome
+    if failure is not None:
+        raise SweepCellError(
+            f"sweep cell {cell.describe()} failed{where}: "
+            f"{failure[1].strip().splitlines()[-1]}",
+            cell=cell,
+            overrides=cell.overrides,
+        ) from RuntimeError(failure[1])
+    return CellCompletion(cell=cell, result=result, elapsed_seconds=elapsed)
 
 
 # --------------------------------------------------------- file-queue layer
-
-
-#: tmp-file + rename strict-JSON write and its best-effort read twin, both
-#: living in :mod:`repro.scenarios._fsio` (shared with the result cache,
-#: the worker, fault-plan state, and fsck); aliased for existing callers.
-_atomic_write_json = atomic_write_json
-_read_json = read_json
 
 
 class FileQueue:
@@ -335,7 +455,7 @@ class FileQueue:
         ):  # fault injection: a torn task publication
             faults.write_torn(path, payload)
             return path
-        _atomic_write_json(path, payload)
+        atomic_write_json(path, payload)
         return path
 
     def resolve_cache_dir(self, cache_dir: str) -> Path:
@@ -371,7 +491,7 @@ class FileQueue:
             task.rename(claim)
         except OSError:
             return None  # another worker won the rename (or task vanished)
-        payload = _read_json(claim)
+        payload = read_json(claim)
         if payload is None or "key" not in payload:
             key = task.name[: -len(".json")] if task.name.endswith(".json") else task.name
             self.quarantine_file(
@@ -389,7 +509,7 @@ class FileQueue:
         # unlink the *replacement* worker's lease on this same path.
         payload = dict(payload)
         payload["worker"] = worker_id
-        _atomic_write_json(claim, payload)
+        atomic_write_json(claim, payload)
         skewed = faults.skewed_claim_time(
             payload["key"], int(payload.get("attempts", 0))
         )
@@ -410,7 +530,7 @@ class FileQueue:
 
     def release_claim(self, claim: Path, worker_id: str) -> None:
         """Unlink a claim only if it is still this worker's lease."""
-        payload = _read_json(claim)
+        payload = read_json(claim)
         if payload is None or payload.get("worker") in (None, worker_id):
             claim.unlink(missing_ok=True)
 
@@ -433,7 +553,7 @@ class FileQueue:
         attempts: int,
         cached: bool = False,
     ) -> None:
-        _atomic_write_json(
+        atomic_write_json(
             self.done_path(key),
             {
                 "key": key,
@@ -445,7 +565,7 @@ class FileQueue:
         )
 
     def read_done(self, key: str) -> Optional[JsonDict]:
-        return _read_json(self.done_path(key))
+        return read_json(self.done_path(key))
 
     def done_keys(self) -> "set[str]":
         """Keys with completion markers, in one directory scan."""
@@ -463,7 +583,7 @@ class FileQueue:
         self, key: str, *, worker: str, kind: str, error: str, attempts: int
     ) -> None:
         nonce = f"{time.time_ns():x}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-        _atomic_write_json(
+        atomic_write_json(
             self.failures / f"{key}.{nonce}.json",
             {
                 "key": key,
@@ -503,7 +623,7 @@ class FileQueue:
     def read_failures(self, key: str) -> List[JsonDict]:
         records = []
         for path in sorted(self.failures.glob(f"{key}.*.json")):
-            payload = _read_json(path)
+            payload = read_json(path)
             if payload is not None:
                 records.append(payload)
         return records
@@ -547,7 +667,7 @@ class FileQueue:
         nonce = f"{time.time_ns():x}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         target = self.quarantine / f"{key}.{nonce}.json"
         self.quarantine.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(
+        atomic_write_json(
             target,
             {
                 "key": key,
@@ -582,6 +702,11 @@ class FileQueue:
             path.unlink(missing_ok=True)
 
 
+#: seconds without progress, with no lease live and no local workers, after
+#: which the coordinator prints a "start tfrc-sweep-worker" hint (once).
+STALL_WARNING_SECONDS = 30.0
+
+
 class FileQueueExecutor(SweepExecutor):
     """Coordinate sweep cells across worker processes via a queue directory.
 
@@ -602,8 +727,6 @@ class FileQueueExecutor(SweepExecutor):
     workers as ``--vector-batch`` / ``--cell-timeout``.
     """
 
-    name = "queue"
-
     def __init__(
         self,
         queue_dir: "str | os.PathLike[str]",
@@ -612,11 +735,12 @@ class FileQueueExecutor(SweepExecutor):
         lease_timeout: float = 60.0,
         poll_interval: float = 0.1,
         max_attempts: int = 3,
-        stall_warning: float = 30.0,
         on_poison: str = "raise",
         vector_batch: int = 1,
         cell_timeout: Optional[float] = None,
     ) -> None:
+        if queue_dir is None:
+            raise ValueError("the queue executor requires a queue_dir")
         if local_workers < 0:
             raise ValueError("local_workers must be >= 0")
         if lease_timeout <= 0:
@@ -634,7 +758,6 @@ class FileQueueExecutor(SweepExecutor):
         self.lease_timeout = lease_timeout
         self.poll_interval = poll_interval
         self.max_attempts = max_attempts
-        self.stall_warning = stall_warning
         self.on_poison = on_poison
         self.vector_batch = vector_batch
         self.cell_timeout = cell_timeout
@@ -697,10 +820,12 @@ class FileQueueExecutor(SweepExecutor):
 
     # ----------------------------------------------------------- helpers
 
-    def _payload(self, cell: "SweepCell", cache_dir: str, attempts: int) -> JsonDict:
+    def _payload(
+        self, module_name: str, cache_dir: str, cell: "SweepCell", attempts: int
+    ) -> JsonDict:
         return {
             "key": _cell_key(cell),
-            "module": self._module_name,
+            "module": module_name,
             "spec": cell.spec.to_dict(),
             "cache_dir": cache_dir,
             "attempts": attempts,
@@ -711,7 +836,7 @@ class FileQueueExecutor(SweepExecutor):
         self,
         fq: FileQueue,
         remaining: Dict[str, List["SweepCell"]],
-        cache_dir: str,
+        payload_for: Callable[["SweepCell", int], JsonDict],
     ) -> None:
         """Requeue cells whose lease went stale (worker died mid-cell).
 
@@ -736,7 +861,7 @@ class FileQueueExecutor(SweepExecutor):
             # previous run may carry spent `attempts` that would otherwise
             # stop the requeue here while the record count stays below the
             # budget, stranding the cell.
-            payload = _read_json(claim)
+            payload = read_json(claim)
             attempts = fq.failure_count(key) + 1
             fq.record_failure(
                 key,
@@ -751,7 +876,7 @@ class FileQueueExecutor(SweepExecutor):
             # (renamed onto this same path) deleted from under it.
             claim.unlink(missing_ok=True)
             if attempts < self.max_attempts:
-                fq.enqueue(self._payload(cells[0], cache_dir, attempts))
+                fq.enqueue(payload_for(cells[0], attempts))
 
     # --------------------------------------------------------- execution
 
@@ -762,9 +887,10 @@ class FileQueueExecutor(SweepExecutor):
                 "workers deliver results through it)"
             )
         cache = plan.cache
-        self._module_name = plan.module_name
         fq = FileQueue(self.queue_dir).ensure()
         cache_dir = fq.encode_cache_dir(cache.root)
+        # (cell, attempts) -> task payload, for this run's module and cache
+        payload_for = partial(self._payload, plan.module_name, cache_dir)
 
         remaining: Dict[str, List["SweepCell"]] = {}
         for cell in plan.cells:
@@ -791,7 +917,7 @@ class FileQueueExecutor(SweepExecutor):
                 # A worker (possibly from a previous run) may still be on
                 # it; completion or lease expiry will resolve the claim.
                 continue
-            leftover = _read_json(fq.task_path(key))
+            leftover = read_json(fq.task_path(key))
             if (
                 leftover is not None
                 and leftover.get("attempts", 0) == 0
@@ -802,7 +928,7 @@ class FileQueueExecutor(SweepExecutor):
             # (Re-)publish with attempts=0 -- last-wins overwrite.  The
             # tiny window against a concurrent claim of a leftover task
             # can at worst duplicate one idempotent execution.
-            fq.enqueue(self._payload(cells[0], cache_dir, 0))
+            fq.enqueue(payload_for(cells[0], 0))
 
         procs = self._spawn_local_workers()
         quarantined_keys: List[str] = []
@@ -862,11 +988,7 @@ class FileQueueExecutor(SweepExecutor):
                             attempts=attempts,
                         )
                         if attempts < self.max_attempts:
-                            fq.enqueue(
-                                self._payload(
-                                    remaining[key][0], cache_dir, attempts
-                                )
-                            )
+                            fq.enqueue(payload_for(remaining[key][0], attempts))
                         continue
                     # A task republished by lease reclaim (or the liveness
                     # backstop) may linger after a duplicate execution
@@ -899,7 +1021,7 @@ class FileQueueExecutor(SweepExecutor):
                 if time.monotonic() >= next_housekeeping:
                     next_housekeeping = time.monotonic() + housekeep_every
 
-                    self._reclaim_expired(fq, remaining, cache_dir)
+                    self._reclaim_expired(fq, remaining, payload_for)
 
                     failure_counts = fq.failure_counts()
                     for key in list(remaining):
@@ -922,9 +1044,7 @@ class FileQueueExecutor(SweepExecutor):
                             qpath = fq.quarantine_cell(
                                 key,
                                 kind="retry_budget_exhausted",
-                                payload=self._payload(
-                                    cell, cache_dir, failures
-                                ),
+                                payload=payload_for(cell, failures),
                                 failures=records,
                             )
                             fq.task_path(key).unlink(missing_ok=True)
@@ -968,9 +1088,8 @@ class FileQueueExecutor(SweepExecutor):
                             and not fq.done_path(key).exists()
                         ):
                             fq.enqueue(
-                                self._payload(
+                                payload_for(
                                     remaining[key][0],
-                                    cache_dir,
                                     failure_counts.get(key, 0),
                                 )
                             )
@@ -1002,9 +1121,8 @@ class FileQueueExecutor(SweepExecutor):
 
                     if (
                         not stall_warned
-                        and self.stall_warning
                         and time.monotonic() - last_progress
-                        > self.stall_warning
+                        > STALL_WARNING_SECONDS
                         and not claims_live
                         and not procs
                     ):
@@ -1046,9 +1164,24 @@ def _cell_key(cell: "SweepCell") -> str:
 #: what SweepRunner accepts for ``executor=``: a name or an instance.
 ExecutorArg = Union[str, SweepExecutor]
 
-#: the valid ``executor=`` / ``--executor`` names, in one place (also used
-#: by SweepRunner validation and the experiment CLI's argparse choices).
-EXECUTOR_NAMES = ("serial", "pool", "queue", "vector")
+#: the one executor table: name -> ``factory(parallel, queue_dir)``.  Three
+#: names are :class:`LocalExecutor` configurations (transport x batching);
+#: ``"queue"`` is the file-queue transport with ``parallel`` locally spawned
+#: workers (0 = rely on externally started ``tfrc-sweep-worker`` processes).
+EXECUTOR_FACTORIES: Dict[
+    str, Callable[[int, Optional["str | os.PathLike[str]"]], SweepExecutor]
+] = {
+    "serial": lambda parallel, queue_dir: LocalExecutor(),
+    "pool": lambda parallel, queue_dir: LocalExecutor(workers=max(1, parallel)),
+    "queue": lambda parallel, queue_dir: FileQueueExecutor(
+        queue_dir, local_workers=max(0, parallel)
+    ),
+    "vector": lambda parallel, queue_dir: LocalExecutor(batch_limit=None),
+}
+
+#: the valid ``executor=`` / ``--executor`` names (also used by SweepRunner
+#: validation and the experiment CLI's argparse choices).
+EXECUTOR_NAMES = tuple(EXECUTOR_FACTORIES)
 
 
 def resolve_executor(
@@ -1060,33 +1193,20 @@ def resolve_executor(
 ) -> SweepExecutor:
     """Turn ``executor=`` (name, instance, or None) into a backend.
 
-    ``None`` preserves the historical behavior: serial for ``parallel=1``
-    (or a single pending cell), otherwise a process pool of ``parallel``
-    workers.  The name ``"queue"`` builds a :class:`FileQueueExecutor` on
-    ``queue_dir`` with ``parallel`` locally spawned workers (0 = rely on
-    externally started ``tfrc-sweep-worker`` processes).
+    ``None`` preserves the historical behavior: ``"serial"`` for
+    ``parallel=1`` (or a single pending cell), otherwise ``"pool"`` with
+    ``parallel`` workers.  A name is looked up in
+    :data:`EXECUTOR_FACTORIES`.
     """
     if isinstance(executor, SweepExecutor):
         return executor
     if executor is None:
-        if parallel <= 1 or (pending is not None and pending <= 1):
-            return SerialExecutor()
-        return PoolExecutor(max_workers=parallel)
-    if executor == "serial":
-        return SerialExecutor()
-    if executor == "pool":
-        return PoolExecutor(max_workers=max(1, parallel))
-    if executor == "queue":
-        if queue_dir is None:
-            raise ValueError("executor 'queue' requires a queue_dir")
-        return FileQueueExecutor(queue_dir, local_workers=max(0, parallel))
-    if executor == "vector":
-        # Imported here: repro.scenarios.vector imports this module for the
-        # SweepExecutor protocol, so a top-level import would be circular.
-        from repro.scenarios.vector import VectorExecutor
-
-        return VectorExecutor()
-    raise ValueError(
-        f"unknown executor {executor!r}; choose one of {EXECUTOR_NAMES} "
-        f"or pass a SweepExecutor instance"
-    )
+        single = parallel <= 1 or (pending is not None and pending <= 1)
+        executor = "serial" if single else "pool"
+    factory = EXECUTOR_FACTORIES.get(executor)
+    if factory is None:
+        raise ValueError(
+            f"unknown executor {executor!r}; choose one of {EXECUTOR_NAMES} "
+            f"or pass a SweepExecutor instance"
+        )
+    return factory(parallel, queue_dir)

@@ -287,7 +287,7 @@ def fires(site: str, key: str, attempt: int = 0) -> bool:
 def on_atomic_write(path: Path) -> None:
     """Hook inside the tmp-write/rename sequence (``delayed_rename``).
 
-    Called by :func:`repro.scenarios.cache.atomic_write_json` between the
+    Called by :func:`repro.scenarios._fsio.atomic_write_json` between the
     tmp-file write and the rename; keyed by the target file name so the
     delay schedule is stable no matter which process performs the write.
     """

@@ -39,7 +39,6 @@ from repro.scenarios.executors import (
     FileQueueExecutor,
     SweepCellError,
     SweepPlan,
-    _execute_remote,  # noqa: F401  (re-exported for backward compatibility)
     resolve_executor,
 )
 from repro.scenarios.spec import (
@@ -210,7 +209,11 @@ class SweepRunner:
         done = 0
         pending: List[SweepCell] = []
         for cell in cells:
-            cached = self.cache.get(cell.spec) if self.cache else None
+            # `is not None`, not truthiness: ResultCache.__len__ globs the
+            # whole cache directory.
+            cached = (
+                self.cache.get(cell.spec) if self.cache is not None else None
+            )
             if cached is not None:
                 cell.result = cached
                 cell.from_cache = True

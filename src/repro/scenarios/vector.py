@@ -1,4 +1,4 @@
-"""The ``vector`` sweep executor and the ``tfrc_equation_grid`` scenario.
+"""Lockstep batching for sweeps, and the ``tfrc_equation_grid`` scenario.
 
 The batched cell kernel (:mod:`repro.sim.vector_kernel`) advances N
 independent equation-grid cells in lockstep, but the sweep layer deals in
@@ -11,16 +11,18 @@ bridge:
   other scenario.
 * :func:`vector_capability` -- can this spec join a lockstep batch?
   (``None`` = yes, otherwise a human-readable reason.)
-* :class:`VectorExecutor` -- a :class:`~repro.scenarios.executors.\
-SweepExecutor` that groups compatible cells into lockstep batches
-  (:func:`run_vector_batch`) and falls back to scalar execution -- with a
-  single :class:`VectorFallbackWarning` -- for everything else.
+* :func:`lockstep_group` -- the one "may these cells share a lockstep
+  batch" predicate, used by the ``vector`` executor configuration and by
+  ``tfrc-sweep-worker --vector-batch`` alike.
+* :func:`run_vector_batch` -- one group as one kernel call.  Its only
+  caller is :func:`repro.scenarios.executors.execute_cells`, which also
+  owns the split-to-scalar policy for a batch that fails.
 
 Because the batch kernel is bit-identical to the scalar kernel, results
 reaching the :class:`~repro.scenarios.cache.ResultCache` are byte-identical
-no matter which executor ran the sweep; ``tests/test_vector_executor.py``
+whether or not a sweep batches; ``tests/test_vector_executor.py``
 pins this file-for-file.  The bit-identity contract is also enforced
-*statically*: every scalar/vector kernel pair underneath this executor is
+*statically*: every scalar/vector kernel pair underneath a batch is
 registered with the ``twin.*`` rules of ``tfrc-audit`` (see
 ``repro.analysis.audit.rules_twins``), which prove the two bodies lower
 to the same arithmetic trace -- or, for the loop-shaped kernels, pin them
@@ -30,35 +32,18 @@ to seeded bit-equality fuzz in ``tests/test_twin_congruence.py``.
 from __future__ import annotations
 
 import json
-import time
-import warnings
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.net.redmath import RedParams
-from repro.scenarios.executors import (
-    CellCompletion,
-    SweepCellError,
-    SweepExecutor,
-    SweepPlan,
-)
-from repro.scenarios.spec import (
-    JsonDict,
-    ScenarioSpec,
-    register_scenario,
-    run_scenario,
-)
+from repro.scenarios.spec import JsonDict, ScenarioSpec, register_scenario
 from repro.sim.vector_kernel import (
     GridCellParams,
     run_cell_scalar,
     run_cells_vector,
 )
 
-#: the scenario name the vector executor can batch.
+#: the scenario name that has a lockstep kernel.
 EQUATION_GRID_SCENARIO = "tfrc_equation_grid"
-
-#: spec paths a lockstep batch may vary (the spec-level mirror of
-#: :data:`repro.sim.vector_kernel.BATCH_AXES`).
-SPEC_BATCH_AXES = ("topology.rtt", "loss.rate", "seed")
 
 
 class VectorFallbackWarning(UserWarning):
@@ -159,6 +144,15 @@ def batch_key(spec: ScenarioSpec) -> str:
     )
 
 
+def lockstep_group(spec: ScenarioSpec) -> Optional[str]:
+    """The lockstep batch ``spec`` may join; None when it must run scalar.
+
+    Two cells may share a :func:`run_vector_batch` call exactly when both
+    return the same non-None group.
+    """
+    return batch_key(spec) if vector_capability(spec) is None else None
+
+
 # ------------------------------------------------------------ batch execution
 
 
@@ -171,87 +165,3 @@ def run_vector_batch(specs: Sequence[ScenarioSpec]) -> List[JsonDict]:
     if len(specs) == 1:
         return [run_cell_scalar(spec_to_cell_params(specs[0]))]
     return run_cells_vector([spec_to_cell_params(spec) for spec in specs])
-
-
-class VectorExecutor(SweepExecutor):
-    """Advance compatible sweep cells in lockstep batches.
-
-    Cells whose spec passes :func:`vector_capability` are grouped by
-    :func:`batch_key` and each group runs as one
-    :func:`~repro.sim.vector_kernel.run_cells_vector` call; the rest run
-    scalar, announced by one :class:`VectorFallbackWarning` naming the
-    first reason.  Per-cell ``elapsed_seconds`` within a batch is the
-    batch wall time split evenly (the lanes genuinely ran concurrently).
-    """
-
-    name = "vector"
-
-    def run_cells(self, plan: SweepPlan) -> Iterator[CellCompletion]:
-        batches: Dict[str, List[Any]] = {}
-        fallback: List[Tuple[Any, str]] = []
-        for cell in plan.cells:
-            reason = vector_capability(cell.spec)
-            if reason is None:
-                batches.setdefault(batch_key(cell.spec), []).append(cell)
-            else:
-                fallback.append((cell, reason))
-
-        if fallback:
-            warnings.warn(
-                f"{len(fallback)} of {len(plan.cells)} sweep cell(s) cannot "
-                f"run on the vector kernel and fall back to scalar "
-                f"execution; first reason: {fallback[0][1]}",
-                VectorFallbackWarning,
-                stacklevel=2,
-            )
-
-        for group in batches.values():
-            started = time.perf_counter()
-            try:
-                results = run_vector_batch([cell.spec for cell in group])
-            except Exception as exc:
-                # Graceful degradation: one poison lane must not fail all
-                # N.  Split the batch and retry every member on the scalar
-                # path; only a cell that *also* fails scalar raises (from
-                # the loop below), now correctly attributed to itself.
-                if len(group) > 1:
-                    warnings.warn(
-                        f"vector batch of {len(group)} cell(s) failed in "
-                        f"lockstep ({exc}); retrying each cell on the "
-                        f"scalar path",
-                        VectorFallbackWarning,
-                        stacklevel=2,
-                    )
-                    fallback.extend(
-                        (cell, f"lockstep batch failed: {exc}")
-                        for cell in group
-                    )
-                    continue
-                cell = group[0]
-                raise SweepCellError(
-                    f"vector batch of {len(group)} cell(s) starting at "
-                    f"{cell.describe()} failed: {exc}",
-                    cell=cell,
-                    overrides=cell.overrides,
-                ) from exc
-            per_cell = (time.perf_counter() - started) / len(group)
-            for cell, result in zip(group, results):
-                yield CellCompletion(
-                    cell=cell, result=result, elapsed_seconds=per_cell
-                )
-
-        for cell, _reason in fallback:
-            started = time.perf_counter()
-            try:
-                result = run_scenario(cell.spec)
-            except Exception as exc:
-                raise SweepCellError(
-                    f"sweep cell {cell.describe()} failed: {exc}",
-                    cell=cell,
-                    overrides=cell.overrides,
-                ) from exc
-            yield CellCompletion(
-                cell=cell,
-                result=result,
-                elapsed_seconds=time.perf_counter() - started,
-            )

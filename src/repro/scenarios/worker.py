@@ -8,10 +8,11 @@ mounting the same directory -- and each repeatedly:
 1. leases the next claimable cell with an atomic ``tasks/ -> claims/``
    rename (the claim file's mtime is the heartbeat, refreshed by a
    background thread while the cell simulates);
-2. imports the scenario's defining module, rebuilds the
-   :class:`~repro.scenarios.spec.ScenarioSpec`, and -- unless the result is
-   already in the cell's :class:`~repro.scenarios.cache.ResultCache`
-   (crash-resume) -- runs it and stores the result;
+2. rebuilds the :class:`~repro.scenarios.spec.ScenarioSpec` and -- unless
+   the result is already in the cell's
+   :class:`~repro.scenarios.cache.ResultCache` (crash-resume) -- runs it
+   through :func:`~repro.scenarios.executors.execute_cells`, the same
+   function every executor runs cells with, and stores the result;
 3. publishes a ``done/`` marker so the coordinator can assemble the sweep
    purely from the cache.
 
@@ -25,9 +26,9 @@ idle workers poll the queue with exponential backoff plus jitter up to
 mount in sync.
 
 With ``--vector-batch N`` a worker that claims a cell the lockstep kernel
-supports (see :func:`repro.scenarios.vector.vector_capability`) also claims
-up to ``N - 1`` further queued cells from the same batch group and advances
-them as one :func:`~repro.scenarios.vector.run_vector_batch` call --
+supports (see :func:`repro.scenarios.vector.lockstep_group`) also claims
+up to ``N - 1`` further queued cells from the same group and hands them to
+``execute_cells`` together, which advances them as one lockstep batch --
 heartbeating every lease, and publishing per-cell completions/failures
 exactly as if the cells had run one at a time.  Results are bit-identical
 either way.  A batch that fails in lockstep **splits**: each member cell
@@ -51,24 +52,22 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import random
-import signal
 import socket
 import sys
 import threading
 import time
 import traceback
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.scenarios import faults
 from repro.scenarios.cache import ResultCache
 from repro.scenarios._fsio import read_json
-from repro.scenarios.executors import FileQueue
-from repro.scenarios.spec import JsonDict, ScenarioSpec, run_scenario
+from repro.scenarios.executors import FileQueue, execute_cells
+from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.vector import lockstep_group
 
 
 def default_worker_id() -> str:
@@ -79,55 +78,18 @@ def _log(worker_id: str, message: str) -> None:
     print(f"[sweep-worker {worker_id}] {message}", file=sys.stderr, flush=True)
 
 
-class CellTimeout(Exception):
-    """A cell exceeded the worker's ``--cell-timeout`` wall-clock bound."""
-
-
-@contextmanager
-def _cell_alarm(seconds: Optional[float]) -> Iterator[None]:
-    """Raise :class:`CellTimeout` in the body after ``seconds`` of wall time.
-
-    Implemented with ``SIGALRM``/``setitimer``, which only works in the
-    main thread of the main interpreter; elsewhere (or on platforms
-    without ``SIGALRM``, or with no bound set) this is a no-op -- the
-    timeout is an operational guard for real worker processes, not a hard
-    real-time contract.
-    """
-    if (
-        seconds is None
-        or seconds <= 0
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _on_alarm(signum: int, frame: object) -> None:
-        raise CellTimeout(
-            f"cell execution exceeded the {seconds:.1f}s wall-clock bound "
-            f"(--cell-timeout)"
-        )
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _claim_batch_mates(
     fq: FileQueue, worker_id: str, primary: dict, limit: int
 ) -> list:
     """Lease up to ``limit`` queued tasks batchable with ``primary``.
 
-    A mate must name the same scenario module and cache directory, resolve
-    to a vector-capable spec, and share the primary's batch group (same
-    spec modulo the batch axes).  Task payloads are screened *before* the
-    claim rename, so incompatible tasks are never leased and released
-    (which would churn other workers' scans); the post-rename payload is
-    re-checked because an enqueue may have overwritten the task in between.
+    A mate must name the same scenario module and cache directory and
+    share the primary's :func:`~repro.scenarios.vector.lockstep_group`
+    (the predicate the local executor batches by).  Task payloads are
+    screened *before* the claim rename, so incompatible tasks are never
+    leased and released (which would churn other workers' scans); the
+    post-rename payload is re-checked because an enqueue may have
+    overwritten the task in between.
 
     **Suspected-poison isolation**: a retried cell (``attempts > 0``) is
     never batched -- not as a mate, and not as a primary (enforced by the
@@ -135,14 +97,11 @@ def _claim_batch_mates(
     otherwise keep spending its innocent mates' retry budgets on every
     round; solo retries bound the blast radius to the cell itself.
     """
-    from repro.scenarios.vector import batch_key, vector_capability
-
     try:
-        primary_spec = ScenarioSpec.from_dict(primary["spec"])
-        if vector_capability(primary_spec) is not None:
-            return []
-        group = batch_key(primary_spec)
+        group = lockstep_group(ScenarioSpec.from_dict(primary["spec"]))
     except Exception:
+        return []
+    if group is None:
         return []
 
     def compatible(payload: Optional[dict]) -> bool:
@@ -156,9 +115,7 @@ def _claim_batch_mates(
             return False
         try:
             spec = ScenarioSpec.from_dict(payload["spec"])
-            return (
-                vector_capability(spec) is None and batch_key(spec) == group
-            )
+            return lockstep_group(spec) == group
         except Exception:
             return False
 
@@ -220,69 +177,6 @@ def _fail_cell(
         )
 
 
-def _execute_pending(
-    pending: list,
-    *,
-    worker_id: str,
-    cell_timeout: Optional[float],
-    verbose: bool,
-) -> List[Tuple[Optional[JsonDict], Optional[Tuple[str, str]]]]:
-    """Run the not-yet-cached cells; per cell ``(result, error-or-None)``.
-
-    ``error`` is ``(kind, detail)`` -- ``kind`` is the failure-record kind
-    (``"timeout"`` for a :class:`CellTimeout`, else ``"error"``).  Multiple
-    cells first try one lockstep vector batch; a batch that fails (any
-    exception, including a timeout) **splits** and every member retries on
-    the scalar path in-place, so a single poison lane fails one cell
-    instead of all N.  :class:`~repro.scenarios.faults.WorkerKilled`
-    (chaos testing) always propagates -- a killed worker runs nothing.
-    """
-    specs = [spec for _claim, _payload, spec, _cache in pending]
-    if len(specs) > 1:
-        # batch_kill is evaluated per member cell: a batch containing any
-        # marked cell dies whole (one process ran all N lanes).
-        for _claim, payload, _spec, _cache in pending:
-            if faults.fires(
-                "batch_kill", payload["key"], int(payload.get("attempts", 0))
-            ):
-                raise faults.WorkerKilled(
-                    f"batch_kill on {payload['key']} mid lockstep batch "
-                    f"of {len(specs)}"
-                )
-        try:
-            with _cell_alarm(cell_timeout):
-                results = run_vector_batch_import()(specs)
-            return [(result, None) for result in results]
-        except faults.WorkerKilled:
-            raise
-        except Exception:
-            if verbose:
-                _log(
-                    worker_id,
-                    f"lockstep batch of {len(specs)} failed; splitting to "
-                    f"scalar retry:\n{traceback.format_exc()}",
-                )
-    outcomes: List[Tuple[Optional[JsonDict], Optional[Tuple[str, str]]]] = []
-    for _claim, _payload, spec, _cache in pending:
-        try:
-            with _cell_alarm(cell_timeout):
-                outcomes.append((run_scenario(spec), None))
-        except faults.WorkerKilled:
-            raise
-        except CellTimeout as exc:
-            outcomes.append((None, ("timeout", str(exc))))
-        except Exception:
-            outcomes.append((None, ("error", traceback.format_exc())))
-    return outcomes
-
-
-def run_vector_batch_import():
-    """Late import hook (vector imports executors; avoid import cycles)."""
-    from repro.scenarios.vector import run_vector_batch
-
-    return run_vector_batch
-
-
 def process_one(
     fq: FileQueue,
     *,
@@ -336,7 +230,6 @@ def process_one(
 
     heartbeater = threading.Thread(target=beat, daemon=True)
     heartbeater.start()
-    started = time.perf_counter()
     released: set = set()
     completed: set = set()
     abandoned = False
@@ -346,7 +239,6 @@ def process_one(
                 "worker_kill", payload["key"], int(payload.get("attempts", 0))
             ):
                 raise faults.WorkerKilled(f"worker_kill on {payload['key']}")
-        importlib.import_module(claims[0][1]["module"])
         pending = []  # (claim, payload, spec, cache) not yet in cache
         for claim, payload in claims:
             spec = ScenarioSpec.from_dict(payload["spec"])
@@ -366,16 +258,26 @@ def process_one(
                 pending.append((claim, payload, spec, cache))
         ok = True
         if pending:
-            outcomes = _execute_pending(
-                pending,
-                worker_id=worker_id,
+            if len(pending) > 1:
+                # batch_kill is evaluated per member cell: a batch
+                # containing any marked cell dies whole (one process ran
+                # all N lanes).
+                for _claim, payload, _spec, _cache in pending:
+                    if faults.fires(
+                        "batch_kill",
+                        payload["key"],
+                        int(payload.get("attempts", 0)),
+                    ):
+                        raise faults.WorkerKilled(
+                            f"batch_kill on {payload['key']} mid lockstep "
+                            f"batch of {len(pending)}"
+                        )
+            outcomes = execute_cells(
+                claims[0][1]["module"],
+                [spec for _claim, _payload, spec, _cache in pending],
                 cell_timeout=cell_timeout,
-                verbose=verbose,
             )
-            # Lanes of a batch genuinely ran concurrently: split the wall
-            # time evenly, as the vector executor does.
-            elapsed = (time.perf_counter() - started) / len(pending)
-            for (claim, payload, spec, cache), (result, error) in zip(
+            for (claim, payload, spec, cache), (result, elapsed, error) in zip(
                 pending, outcomes
             ):
                 key = payload["key"]

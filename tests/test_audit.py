@@ -224,47 +224,30 @@ class TestRegistryRules:
     def test_executor_name_drift_all_directions(self, tmp_path):
         root = _tree(tmp_path)
         _write(root, "src/repro/scenarios/executors.py", """\
-            EXECUTOR_NAMES = ("serial", "ghost")
+            EXECUTOR_FACTORIES = {"serial": object}
+            EXECUTOR_NAMES = tuple(EXECUTOR_FACTORIES)
 
-            class SweepExecutor:
-                name = "abstract"
-
-            class SerialExecutor(SweepExecutor):
-                name = "serial"
-
-            class RogueExecutor(SweepExecutor):
-                name = "rogue"
-
-            def resolve(executor):
-                if executor == "bogus":
-                    return None
+            def wants_queue(executor):
+                return executor == "bogus"
             """)
         _write(root, "src/repro/experiments/runner.py", """\
             def build(parser):
                 parser.add_argument("--executor", choices=("serial",))
             """)
         rules = _rules(run_audit(root))
-        assert rules.count("registry.executor-name-drift") == 4
+        assert rules.count("registry.executor-name-drift") == 2
         details = [f.detail for f in run_audit(root)]
-        assert any("'ghost'" in d for d in details)  # listed, unclaimed
-        assert any("'rogue'" in d for d in details)  # claimed, unlisted
         assert any("'bogus'" in d for d in details)  # compared, unknown
         assert any("choices" in d for d in details)  # CLI not on the table
 
     def test_executor_tables_in_agreement(self, tmp_path):
         root = _tree(tmp_path)
         _write(root, "src/repro/scenarios/executors.py", """\
-            EXECUTOR_NAMES = ("serial",)
+            EXECUTOR_FACTORIES = {"serial": object}
+            EXECUTOR_NAMES = tuple(EXECUTOR_FACTORIES)
 
-            class SweepExecutor:
-                name = "abstract"
-
-            class SerialExecutor(SweepExecutor):
-                name = "serial"
-
-            def resolve(executor):
-                if executor == "serial":
-                    return SerialExecutor()
+            def wants_serial(executor):
+                return executor == "serial"
             """)
         _write(root, "src/repro/experiments/runner.py", """\
             from repro.scenarios.executors import EXECUTOR_NAMES
@@ -612,13 +595,10 @@ class TestPathsMode:
     def test_project_checkers_still_scan_whole_tree(self, tmp_path):
         root = self._two_file_tree(tmp_path)
         _write(root, "src/repro/scenarios/executors.py", """\
-            EXECUTOR_NAMES = ("serial", "ghost")
+            EXECUTOR_FACTORIES = {"serial": object}
 
-            class SweepExecutor:
-                name = "abstract"
-
-            class SerialExecutor(SweepExecutor):
-                name = "serial"
+            def wants_queue(executor):
+                return executor == "ghost"
             """)
         report = run_audit_report(root, paths=["src/repro/sim/a.py"])
         rules = [f.rule for f in report.findings]

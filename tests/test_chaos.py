@@ -5,6 +5,7 @@ under a seeded FaultPlan whose ResultCache comes out byte-identical to a
 clean serial run, with ``tfrc-sweep-fsck`` reporting a repairable-to-clean
 state afterwards."""
 
+import functools
 import json
 import os
 import subprocess
@@ -167,9 +168,11 @@ class TestClockSkewReclaim:
         fq = FileQueue(queue_dir).ensure()
         cell = SweepRunner(BASE_PROBE, {"extra.x": [1]}).cells()[0]
         executor = FileQueueExecutor(queue_dir, lease_timeout=30.0)
-        executor._module_name = "_executor_probe"
+        payload_for = functools.partial(
+            executor._payload, "_executor_probe", "results"
+        )
         key = f"executor_probe-{cell.spec.spec_hash()}"
-        fq.enqueue(executor._payload(cell, "results", 0))
+        fq.enqueue(payload_for(cell, 0))
         claimed = fq.claim_next("healthy-worker")
         assert claimed is not None
 
@@ -178,7 +181,7 @@ class TestClockSkewReclaim:
         monkeypatch.setattr(
             executors_mod.time, "time", lambda: time.time() + 1000.0
         )
-        executor._reclaim_expired(fq, {key: [cell]}, "results")
+        executor._reclaim_expired(fq, {key: [cell]}, payload_for)
         assert fq.claim_path(key).exists()  # lease untouched
         assert fq.failure_count(key) == 0
 

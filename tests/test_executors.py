@@ -4,6 +4,7 @@ SweepCellError failure surface."""
 
 import json
 import os
+import signal
 import time
 
 import pytest
@@ -12,15 +13,15 @@ import _executor_probe  # noqa: F401  (registers the "executor_probe" scenario)
 from repro.scenarios import (
     FileQueue,
     FileQueueExecutor,
-    PoolExecutor,
     ResultCache,
     ScenarioSpec,
-    SerialExecutor,
     SweepCellError,
     SweepRunner,
     resolve_executor,
 )
+from repro.scenarios import executors as executors_mod
 from repro.scenarios import worker as sweep_worker
+from repro.scenarios.executors import execute_cells
 
 BASE = ScenarioSpec("executor_probe", seed=3, extra={"x": 0})
 GRID = {"extra.x": [1, 2, 3, 4], "seed": [10, 20]}
@@ -341,13 +342,89 @@ class TestWorkerCli:
         assert all("probe exploded on x=5" in r["error"] for r in records)
 
 
+@pytest.mark.skipif(
+    not hasattr(signal, "SIGALRM"), reason="--cell-timeout needs SIGALRM"
+)
+class TestCellTimeout:
+    HUNG = BASE.override({"extra.x": 1, "extra.sleep": 30.0})
+
+    def test_scalar_timeout_restores_handler_and_next_cell_runs(self):
+        def sentinel(signum, frame):  # pragma: no cover - never delivered
+            raise AssertionError("stale SIGALRM reached the old handler")
+
+        previous = signal.signal(signal.SIGALRM, sentinel)
+        try:
+            [(result, elapsed, failure)] = execute_cells(
+                "_executor_probe", [self.HUNG], cell_timeout=0.2
+            )
+            assert result is None and 0.2 <= elapsed < 5.0
+            assert failure[0] == "timeout" and "0.2s" in failure[1]
+            assert signal.getsignal(signal.SIGALRM) is sentinel
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+            [(result, _elapsed, failure)] = execute_cells(
+                "_executor_probe",
+                [BASE.override({"extra.x": 2})],
+                cell_timeout=0.2,
+            )
+            assert failure is None and result["x"] == 2
+            assert signal.getsignal(signal.SIGALRM) is sentinel
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_timed_out_batch_splits_to_scalar_lanes(self, monkeypatch):
+        from repro.scenarios import VectorFallbackWarning, run_scenario
+
+        batches = []
+
+        def hung_batch(specs):
+            batches.append(len(specs))
+            time.sleep(30.0)
+
+        monkeypatch.setattr(executors_mod, "run_vector_batch", hung_batch)
+        specs = [
+            ScenarioSpec("tfrc_equation_grid", duration=0.5, seed=seed)
+            for seed in (1, 2, 3)
+        ]
+        with pytest.warns(VectorFallbackWarning, match="wall-clock bound"):
+            outcomes = execute_cells(
+                "repro.scenarios.vector", specs, cell_timeout=0.3
+            )
+        assert batches == [3]  # one lockstep attempt, then per-lane scalar
+        assert [failure for _r, _e, failure in outcomes] == [None] * 3
+        assert [result for result, _e, _f in outcomes] == [
+            run_scenario(spec) for spec in specs
+        ]
+
+    def test_hung_cell_is_recorded_and_requeued_by_the_worker(self, tmp_path):
+        fq = FileQueue(tmp_path / "q").ensure()
+        fq.enqueue(_probe_payload(fq, self.HUNG, tmp_path / "cache"))
+        assert (
+            sweep_worker.process_one(
+                fq, worker_id="t4", verbose=False, cell_timeout=0.2
+            )
+            is False
+        )
+        key = f"executor_probe-{self.HUNG.spec_hash()}"
+        assert [r["kind"] for r in fq.read_failures(key)] == ["timeout"]
+        assert json.loads(fq.task_path(key).read_text())["attempts"] == 1
+        assert not fq.claim_path(key).exists()
+        assert fq.read_done(key) is None
+
+
 class TestExecutorArguments:
+    @staticmethod
+    def _local_config(executor):
+        """(worker processes, batch limit) of a resolved local executor."""
+        return executor.workers, executor.batch_limit
+
     def test_resolve_defaults_preserve_legacy_behavior(self):
-        assert isinstance(resolve_executor(None, parallel=1), SerialExecutor)
-        assert isinstance(resolve_executor(None, parallel=4), PoolExecutor)
+        serial, pool = (0, 1), (4, 1)
+        assert self._local_config(resolve_executor(None, parallel=1)) == serial
+        assert self._local_config(resolve_executor(None, parallel=4)) == pool
         # a single pending cell short-circuits to serial, as before
-        assert isinstance(
-            resolve_executor(None, parallel=4, pending=1), SerialExecutor
+        assert (
+            self._local_config(resolve_executor(None, parallel=4, pending=1))
+            == serial
         )
 
     def test_invalid_arguments_rejected(self, tmp_path):

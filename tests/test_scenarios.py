@@ -261,6 +261,19 @@ class TestSweepRunner:
             c.result for c in second.cells
         ]
 
+    def test_cache_lookup_never_counts_the_cache(self, tmp_path, monkeypatch):
+        """``ResultCache.__len__`` globs the whole directory; the per-cell
+        lookup must test ``cache is not None``, not cache truthiness."""
+        cache_dir = str(tmp_path / "sweep")
+        SweepRunner(self.BASE, self.GRID, cache_dir=cache_dir).run()
+        calls = []
+        monkeypatch.setattr(
+            ResultCache, "__len__", lambda cache: calls.append(cache) or 1
+        )
+        replay = SweepRunner(self.BASE, self.GRID, cache_dir=cache_dir).run()
+        assert replay.cache_hits == len(replay.cells)
+        assert calls == []
+
     def test_progress_callback_sees_every_cell(self):
         seen = []
         SweepRunner(

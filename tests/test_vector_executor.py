@@ -23,10 +23,10 @@ import pytest
 
 from repro.scenarios import (
     EQUATION_GRID_SCENARIO,
+    LocalExecutor,
     ResultCache,
     ScenarioSpec,
     SweepRunner,
-    VectorExecutor,
     VectorFallbackWarning,
     batch_key,
     resolve_executor,
@@ -58,13 +58,15 @@ GRID = {
 }
 
 
-def run_grid(tmp_path, executor, base=None, grid=None):
-    cache_dir = tmp_path / executor
+def run_grid(tmp_path, executor, base=None, grid=None, label=None):
+    cache_dir = tmp_path / (label or executor)
     runner = SweepRunner(
         base if base is not None else grid_spec(),
         grid if grid is not None else GRID,
         executor=executor,
         cache_dir=str(cache_dir),
+        parallel=2,
+        queue_dir=str(tmp_path / "queue-dir"),
     )
     return runner.run(), cache_dir
 
@@ -72,22 +74,31 @@ def run_grid(tmp_path, executor, base=None, grid=None):
 class TestVectorExecutor:
     def test_registered_name(self):
         assert "vector" in EXECUTOR_NAMES
-        assert isinstance(resolve_executor("vector"), VectorExecutor)
+        # in-process transport, unbounded lockstep batches
+        vector = resolve_executor("vector")
+        assert (vector.workers, vector.batch_limit) == (0, None)
 
     def test_cache_files_byte_identical_to_serial(self, tmp_path):
-        """The acceptance pin: same grid, same cache bytes, either executor."""
+        """The acceptance pin: same grid, same cache bytes, every executor
+        name -- plus the corner of the transport x batching plane no name
+        reaches (process pool, bounded lockstep batches)."""
         serial, serial_dir = run_grid(tmp_path, "serial")
-        vector, vector_dir = run_grid(tmp_path, "vector")
-        assert [c.result for c in vector.cells] == [
-            c.result for c in serial.cells
-        ]
         names = sorted(p.name for p in serial_dir.iterdir())
-        assert names == sorted(p.name for p in vector_dir.iterdir())
         assert len(names) == 12
-        for name in names:
-            assert (serial_dir / name).read_bytes() == (
-                vector_dir / name
-            ).read_bytes(), f"cache file {name} differs between executors"
+        others = {name: name for name in EXECUTOR_NAMES if name != "serial"}
+        others["pool-lockstep"] = LocalExecutor(workers=2, batch_limit=5)
+        for label, executor in others.items():
+            sweep, cache_dir = run_grid(tmp_path, executor, label=label)
+            assert [c.result for c in sweep.cells] == [
+                c.result for c in serial.cells
+            ]
+            assert names == sorted(
+                p.name for p in cache_dir.iterdir() if p.is_file()
+            )
+            for name in names:
+                assert (serial_dir / name).read_bytes() == (
+                    cache_dir / name
+                ).read_bytes(), f"cache file {name} differs under {label}"
 
     def test_unsupported_cells_fall_back_with_single_warning(self, tmp_path):
         """A grid mixing batchable and trace cells completes, warns once,
