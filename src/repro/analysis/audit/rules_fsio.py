@@ -2,7 +2,8 @@
 
 The sweep fabric's durability story (PR 7's chaos soak) holds only if
 every durable queue/cache file commits through the blessed atomic
-helpers in :mod:`repro.scenarios._fsio` -- tmp file, ``allow_nan=False``
+helpers in :mod:`repro.scenarios._fsio` (``atomic_write_json_many`` and its
+one-file form ``atomic_write_json``) -- tmp file, ``allow_nan=False``
 JSON, fsync, atomic rename.  A raw ``open(..., "w")`` anywhere in the
 scenarios tree reintroduces the torn-write bug class the soak chases
 dynamically, so these rules make the protocol a static invariant:
@@ -28,13 +29,15 @@ RULE_RAW_WRITE = Rule(
     id="fsio.raw-write",
     summary="raw content write in the scenarios tree outside _fsio",
     hint="route the write through repro.scenarios._fsio.atomic_write_json "
-    "(tmp + fsync + rename) so a crash can never leave a torn file",
+    "(or atomic_write_json_many for files that finish together: tmp + "
+    "fsync, then rename) so a crash can never leave a torn file",
 )
 RULE_STREAM_DUMP = Rule(
     id="fsio.stream-dump",
     summary="streaming json.dump in the scenarios tree outside _fsio",
     hint="json.dump straight onto a file handle tears on crash; use "
-    "repro.scenarios._fsio.atomic_write_json",
+    "repro.scenarios._fsio.atomic_write_json (atomic_write_json_many for a "
+    "group)",
 )
 
 #: open() modes that create/truncate content at the target path.

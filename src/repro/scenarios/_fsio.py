@@ -2,11 +2,27 @@
 
 Every durable JSON file the fabric trusts -- result-cache entries, queue
 tasks/claims/done markers, failure records, dead letters, fault-plan state
--- commits through :func:`atomic_write_json`: tmp file, optional fsync,
-atomic rename, directory-entry fsync.  The matching read side is
-:func:`read_json`, which treats missing/corrupt/partial files as ``None``
-so readers racing a writer (or finding the debris of a crashed one) see a
-clean miss instead of an exception.
+-- commits through one writer, :func:`atomic_write_json_many`, whose unit
+of durability is the **group** of files that finish together (a lockstep
+batch's cache entries; :func:`atomic_write_json` is the group of one):
+
+1. **write** -- each entry goes to its own ``<name>.tmp.<nonce>`` beside
+   its target, is fsynced and closed (no descriptor outlives its entry);
+2. **rename** -- once *every* tmp of the group is durable: per entry, the
+   ``faults.on_atomic_write`` hook fires and the tmp moves onto its name;
+3. **barrier** -- one fsync per distinct parent directory makes the
+   renames themselves durable: N entries cost N + 1 fsyncs, not 2N.
+
+The invariant: **no entry is visible at its final name before its bytes
+are durable** -- else a crash between rename and writeback can leave a
+zero-length or torn file at the *final* name, which readers would have to
+treat as corruption instead of a clean miss.  A crash mid-group leaves the
+entries already renamed whole, the rest absent (their cells re-execute)
+and ``*.tmp.*`` litter that ``tfrc-sweep-fsck --repair`` clears; an error
+the process survives removes its own tmp files before propagating.  The
+read side, :func:`read_json`, treats missing/corrupt/partial files as
+``None``, so readers racing a writer (or finding the debris of a crashed
+one) see a clean miss instead of an exception.
 
 This module is the **single blessed owner of raw content writes** in
 ``repro.scenarios``: ``tfrc-audit``'s fs-protocol rules statically flag any
@@ -25,9 +41,71 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 JsonDict = Dict[str, Any]
+
+
+def atomic_write_json_many(
+    entries: Iterable[Tuple[Path, Dict[str, Any]]],
+    *,
+    durable: bool = True,
+    _fault_hook: bool = True,
+) -> None:
+    """Commit ``(path, payload)`` entries as one group (module docstring).
+
+    Payloads are strict JSON (``allow_nan=False``); one that cannot be
+    (NaN, a non-JSON type) fails the write phase, before anything of the
+    group is renamed.  A failure at any point -- bad value, full disk, an
+    exception out of the fault hook -- leaves no tmp file behind.  Pass
+    ``durable=False`` (no fsyncs) only for state whose loss is harmless
+    (e.g. fault-injection log records).
+
+    ``_fault_hook=False`` is reserved for :mod:`repro.scenarios.faults`
+    itself: the fault layer's own state files (plan dumps, fired-fault log
+    records) must not feed back into the fault schedule they implement.
+    """
+    staged: List[Tuple[Path, Path]] = []  # (tmp, final)
+    renamed = 0
+    try:
+        for path, payload in entries:
+            tmp = path.with_name(
+                f"{path.name}.tmp.{os.getpid()}-{uuid.uuid4().hex[:8]}"
+            )
+            staged.append((tmp, path))
+            with tmp.open("w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+                if durable:
+                    fh.flush()
+                    os.fsync(fh.fileno())
+        if _fault_hook:
+            # Imported lazily: faults routes its own state files through
+            # this helper, so a top-level import would cycle.
+            from repro.scenarios import faults
+        for tmp, path in staged:
+            if _fault_hook:
+                faults.on_atomic_write(path)
+            tmp.replace(path)
+            renamed += 1
+    except BaseException:
+        for tmp, _path in staged[renamed:]:
+            tmp.unlink(missing_ok=True)
+        raise
+    if durable:
+        # Best-effort -- not every filesystem/platform supports opening a
+        # directory for fsync, and losing only the rename (not the data)
+        # degrades to a clean cache miss.
+        for parent in dict.fromkeys(path.parent for _tmp, path in staged):
+            try:
+                dir_fd = os.open(str(parent), os.O_RDONLY)
+            except OSError:  # pragma: no cover - platform-dependent
+                continue
+            try:
+                os.fsync(dir_fd)
+            except OSError:  # pragma: no cover - platform-dependent
+                pass
+            finally:
+                os.close(dir_fd)
 
 
 def atomic_write_json(
@@ -37,52 +115,10 @@ def atomic_write_json(
     durable: bool = True,
     _fault_hook: bool = True,
 ) -> None:
-    """Write strict JSON (``allow_nan=False``) via tmp file + rename.
-
-    The write is never observable half-done, and a failure (bad value,
-    full disk) never leaves the tmp file behind.  With ``durable`` (the
-    default) the tmp file is fsynced **before** the rename -- without it a
-    crash between rename and writeback can leave a zero-length or torn
-    file at the *final* name, which readers would have to treat as
-    corruption instead of a clean miss.  Pass ``durable=False`` only for
-    state whose loss is harmless (e.g. fault-injection log records).
-
-    ``_fault_hook=False`` is reserved for :mod:`repro.scenarios.faults`
-    itself: the fault layer's own state files (plan dumps, fired-fault log
-    records) must not feed back into the fault schedule they implement.
-    """
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}-{uuid.uuid4().hex[:8]}")
-    try:
-        with tmp.open("w", encoding="utf-8") as fh:  # tfrc-audit: ignore[fsio] -- the blessed writer itself
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            if durable:
-                fh.flush()
-                os.fsync(fh.fileno())
-        if _fault_hook:
-            # Imported lazily: faults routes its own state files through
-            # this helper, so a top-level import would cycle.
-            from repro.scenarios import faults
-
-            faults.on_atomic_write(path)
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    if durable:
-        # Make the rename itself durable: fsync the directory entry.
-        # Best-effort -- not every filesystem/platform supports opening a
-        # directory for fsync, and losing only the rename (not the data)
-        # degrades to a clean cache miss.
-        try:
-            dir_fd = os.open(str(path.parent), os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
-        finally:
-            os.close(dir_fd)
+    """:func:`atomic_write_json_many` for a group of one file."""
+    atomic_write_json_many(
+        [(path, payload)], durable=durable, _fault_hook=_fault_hook
+    )
 
 
 def read_json(path: Path) -> Optional[JsonDict]:

@@ -2,10 +2,17 @@
 
 One file per cell: ``<cache_dir>/<scenario>-<hash>.json`` holding the spec
 (for human inspection / debugging), its result, and a ``checksum`` over
-both.  Writes are durable and atomic (tmp file + fsync + rename) so a
-sweep interrupted mid-write -- or a host losing power mid-commit -- never
-leaves a silently-trusted corrupt entry.  A corrupt entry found on read
-(truncated JSON, checksum mismatch, wrong shape) is **quarantined** into
+both.  The unit of commit is the **executed group** --
+:meth:`ResultCache.put_many` takes the cells that finished together (a
+lockstep batch, a worker's claimed batch; :meth:`ResultCache.put` is the
+group of one) and hands their entries to
+:func:`~repro.scenarios._fsio.atomic_write_json_many`: every tmp file
+written and fsynced, *then* the renames, then one directory fsync.  So a
+sweep interrupted mid-commit -- or a host losing power -- never leaves a
+silently-trusted corrupt entry: an entry is either absent (a clean miss,
+the cell re-executes) or whole, and no entry is visible at its final name
+before its bytes are durable.  A corrupt entry found on read (truncated
+JSON, checksum mismatch, wrong shape) is **quarantined** into
 ``<cache_dir>/quarantine/`` and reported as a miss, so the damaged cell is
 automatically re-executed instead of poisoning the sweep; missing files
 are plain misses.
@@ -19,11 +26,9 @@ import os
 import sys
 import uuid
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-# Re-exported: the atomic writer predates _fsio and callers import it from
-# here (executors, tests); _fsio.py is its canonical home now.
-from repro.scenarios._fsio import atomic_write_json  # noqa: F401
+from repro.scenarios._fsio import atomic_write_json_many
 from repro.scenarios.spec import JsonDict, ScenarioSpec
 
 #: subdirectory (of the cache root) holding quarantined corrupt entries.
@@ -136,26 +141,36 @@ class ResultCache:
     # --------------------------------------------------------------- writes
 
     def put(self, spec: ScenarioSpec, result: JsonDict) -> Path:
-        """Store ``result`` for ``spec``; returns the entry's path.
+        """:meth:`put_many` for a group of one; returns the entry's path."""
+        return self.put_many([(spec, result)])[0]
+
+    def put_many(
+        self, items: Sequence[Tuple[ScenarioSpec, JsonDict]]
+    ) -> List[Path]:
+        """Store the results of cells that finished together as one group
+        commit; returns the entries' paths, in order.
 
         Entries are strict JSON (``allow_nan=False``, matching
         :meth:`~repro.scenarios.spec.ScenarioSpec.canonical_json`) with a
-        content checksum, committed via fsync-then-atomic-rename: a NaN or
-        Infinity metric raises :class:`ValueError` instead of writing an
-        entry other strict parsers would reject, a failed write (bad
-        value, full disk) never leaves the tmp file behind, and a crash at
-        any point never leaves a zero-length or torn file at the committed
-        name.
+        content checksum: a NaN or Infinity metric raises
+        :class:`ValueError` naming the cell -- before anything of the group
+        is written -- instead of writing an entry other strict parsers
+        would reject.  A failed write never leaves a tmp file behind, and a
+        crash at any point never leaves a zero-length or torn file at a
+        committed name.
         """
-        path = self._path(spec)
-        try:
-            atomic_write_json(path, self.serialize(spec, result))
-        except ValueError as exc:
-            raise ValueError(
-                f"result for {spec.scenario} ({spec.spec_hash()}) is not "
-                f"strict JSON -- NaN/Infinity values cannot be cached: {exc}"
-            ) from exc
-        return path
+        entries = []
+        for spec, result in items:
+            try:
+                entries.append((self._path(spec), self.serialize(spec, result)))
+            except ValueError as exc:
+                raise ValueError(
+                    f"result for {spec.scenario} ({spec.spec_hash()}) is not "
+                    f"strict JSON -- NaN/Infinity values cannot be cached: "
+                    f"{exc}"
+                ) from exc
+        atomic_write_json_many(entries)
+        return [path for path, _payload in entries]
 
     # ----------------------------------------------------------- quarantine
 

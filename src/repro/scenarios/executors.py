@@ -6,7 +6,10 @@ hands the cache-missing ones to a :class:`SweepExecutor`, which yields
 runner reassembles expansion order).  Every backend executes cells through
 the same function, :func:`execute_cells` -- scalar for one cell, one
 lockstep batch (split to scalar retries on failure) for several -- and
-differs only in how cells reach it:
+commits what executed together as one
+:meth:`~repro.scenarios.cache.ResultCache.put_many` group before delivering
+it, so a completion always names a result already durable in the cache.
+Backends differ only in how cells reach that function:
 
 * :class:`LocalExecutor` -- this host: in-process or a
   ``concurrent.futures.ProcessPoolExecutor`` fan-out, scalar or lockstep
@@ -131,6 +134,9 @@ class SweepPlan:
 class CellCompletion:
     """One finished cell, yielded by executors in completion order.
 
+    A completion is delivered **committed**: when the plan has a cache, the
+    result is already durable in it (the local executor commits each
+    executed group in the parent process, file-queue workers commit theirs).
     ``result`` is None only for a **quarantined** poison cell (the queue
     executor running with ``on_poison="quarantine"``): the cell exhausted
     its retry budget, its dead-letter record landed in ``quarantine/``,
@@ -141,9 +147,6 @@ class CellCompletion:
     result: Optional[JsonDict]
     elapsed_seconds: float = 0.0
     worker: str = ""
-    #: True when the result is already persisted in the sweep's cache
-    #: (file-queue workers write the cache themselves).
-    already_cached: bool = False
     #: True when the cell was dead-lettered instead of finished.
     quarantined: bool = False
     #: last recorded failure message for a quarantined cell.
@@ -316,8 +319,7 @@ class LocalExecutor(SweepExecutor):
         if not self.workers:
             for group, group_specs in zip(groups, specs):
                 outcomes = execute_cells(plan.module_name, group_specs)
-                for cell, outcome in zip(group, outcomes):
-                    yield _local_completion(cell, outcome, "")
+                yield from _commit_group(plan.cache, group, outcomes, "")
             return
         workers = max(1, min(self.workers, len(groups)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -335,28 +337,43 @@ class LocalExecutor(SweepExecutor):
                         # module: every cell of the group failed.
                         failure = ("error", traceback.format_exc())
                         outcomes = [(None, 0.0, failure)] * len(group)
-                    for cell, outcome in zip(group, outcomes):
-                        yield _local_completion(
-                            cell, outcome, " in a pool worker"
-                        )
+                    yield from _commit_group(
+                        plan.cache, group, outcomes, " in a pool worker"
+                    )
             finally:
                 for future in futures:
                     future.cancel()
 
 
-def _local_completion(
-    cell: "SweepCell", outcome: CellOutcome, where: str
-) -> CellCompletion:
-    """The one place a local cell failure becomes :class:`SweepCellError`."""
-    result, elapsed, failure = outcome
-    if failure is not None:
-        raise SweepCellError(
-            f"sweep cell {cell.describe()} failed{where}: "
-            f"{failure[1].strip().splitlines()[-1]}",
-            cell=cell,
-            overrides=cell.overrides,
-        ) from RuntimeError(failure[1])
-    return CellCompletion(cell=cell, result=result, elapsed_seconds=elapsed)
+def _commit_group(
+    cache: Optional[ResultCache],
+    group: Sequence["SweepCell"],
+    outcomes: Sequence[CellOutcome],
+    where: str,
+) -> Iterator[CellCompletion]:
+    """Commit an executed group's successes as one cache group commit (in
+    this, the parent, process -- it owns every local cache write), then
+    deliver its cells in order.  A failed member raises only after its
+    successful mates are in the cache: the one place a local cell failure
+    becomes :class:`SweepCellError`.
+    """
+    if cache is not None:
+        cache.put_many(
+            [
+                (cell.spec, result)
+                for cell, (result, _elapsed, failure) in zip(group, outcomes)
+                if failure is None
+            ]
+        )
+    for cell, (result, elapsed, failure) in zip(group, outcomes):
+        if failure is not None:
+            raise SweepCellError(
+                f"sweep cell {cell.describe()} failed{where}: "
+                f"{failure[1].strip().splitlines()[-1]}",
+                cell=cell,
+                overrides=cell.overrides,
+            ) from RuntimeError(failure[1])
+        yield CellCompletion(cell=cell, result=result, elapsed_seconds=elapsed)
 
 
 # --------------------------------------------------------- file-queue layer
@@ -1003,7 +1020,6 @@ class FileQueueExecutor(SweepExecutor):
                                 marker.get("elapsed_seconds", 0.0)
                             ),
                             worker=str(marker.get("worker", "")),
-                            already_cached=True,
                         )
                     progressed = True
                 if not remaining:

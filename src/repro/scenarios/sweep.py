@@ -17,8 +17,10 @@ processes coordinated through a shared queue directory -- with
 * **progress reporting** -- an optional callback fired after every cell.
 * **result caching** -- an optional on-disk JSON cache keyed by spec hash,
   so re-running a sweep only simulates cells whose spec changed.  The
-  file-queue executor requires the cache: workers deliver results through
-  it, and the coordinator assembles the sweep purely from cache.
+  runner only *reads* it: executors commit what they execute (one group
+  commit per executed group) and deliver completions already in the cache.
+  The file-queue executor requires the cache: workers deliver results
+  through it, and the coordinator assembles the sweep purely from cache.
 * **failure context** -- a failing cell raises
   :class:`~repro.scenarios.executors.SweepCellError` naming the cell and
   its overrides, with the partial :class:`SweepResult` (every cell that did
@@ -245,8 +247,6 @@ class SweepRunner:
                 if completion.quarantined:
                     cell.quarantined = True
                     cell.failure = completion.failure
-                elif not completion.already_cached:
-                    self._finish(cell)
                 done += 1
                 if self.progress:
                     self.progress(done, total, cell)
@@ -255,10 +255,6 @@ class SweepRunner:
             exc.partial = SweepResult(cells=cells)
             raise
         return SweepResult(cells=cells)
-
-    def _finish(self, cell: SweepCell) -> None:
-        if self.cache is not None and cell.result is not None:
-            self.cache.put(cell.spec, cell.result)
 
 
 def run_single_cell(

@@ -12,9 +12,11 @@ mounting the same directory -- and each repeatedly:
    the result is already in the cell's
    :class:`~repro.scenarios.cache.ResultCache` (crash-resume) -- runs it
    through :func:`~repro.scenarios.executors.execute_cells`, the same
-   function every executor runs cells with, and stores the result;
-3. publishes a ``done/`` marker so the coordinator can assemble the sweep
-   purely from the cache.
+   function every executor runs cells with, and commits what it claimed
+   together as one :meth:`~repro.scenarios.cache.ResultCache.put_many`
+   group;
+3. only then publishes the ``done/`` markers, so the coordinator can
+   assemble the sweep purely from the cache.
 
 A failing cell is recorded under ``failures/`` and requeued until its
 ``max_attempts`` budget is spent; a worker killed mid-cell simply stops
@@ -231,7 +233,7 @@ def process_one(
     heartbeater = threading.Thread(target=beat, daemon=True)
     heartbeater.start()
     released: set = set()
-    completed: set = set()
+    settled: set = set()  # keys with a done marker or failure record
     abandoned = False
     try:
         for _claim, payload in claims:
@@ -239,10 +241,12 @@ def process_one(
                 "worker_kill", payload["key"], int(payload.get("attempts", 0))
             ):
                 raise faults.WorkerKilled(f"worker_kill on {payload['key']}")
-        pending = []  # (claim, payload, spec, cache) not yet in cache
+        # Batch mates share the primary's module and cache directory
+        # (_claim_batch_mates), so one cache serves the whole claimed batch.
+        cache = ResultCache(fq.resolve_cache_dir(claims[0][1]["cache_dir"]))
+        pending = []  # (claim, payload, spec) not yet in cache
         for claim, payload in claims:
             spec = ScenarioSpec.from_dict(payload["spec"])
-            cache = ResultCache(fq.resolve_cache_dir(payload["cache_dir"]))
             if cache.get(spec) is not None:
                 fq.complete(
                     payload["key"],
@@ -251,18 +255,18 @@ def process_one(
                     attempts=int(payload.get("attempts", 0)),
                     cached=True,
                 )
-                completed.add(payload["key"])
+                settled.add(payload["key"])
                 if verbose:
                     _log(worker_id, f"finished {payload['key']} (cache)")
             else:
-                pending.append((claim, payload, spec, cache))
+                pending.append((claim, payload, spec))
         ok = True
         if pending:
             if len(pending) > 1:
                 # batch_kill is evaluated per member cell: a batch
                 # containing any marked cell dies whole (one process ran
                 # all N lanes).
-                for _claim, payload, _spec, _cache in pending:
+                for _claim, payload, _spec in pending:
                     if faults.fires(
                         "batch_kill",
                         payload["key"],
@@ -274,14 +278,15 @@ def process_one(
                         )
             outcomes = execute_cells(
                 claims[0][1]["module"],
-                [spec for _claim, _payload, spec, _cache in pending],
+                [spec for _claim, _payload, spec in pending],
                 cell_timeout=cell_timeout,
             )
-            for (claim, payload, spec, cache), (result, elapsed, error) in zip(
+            commit = []  # (spec, result): the batch's group commit
+            finished = []  # (payload, elapsed): done markers owed
+            for (claim, payload, spec), (result, elapsed, error) in zip(
                 pending, outcomes
             ):
                 key = payload["key"]
-                attempts = int(payload.get("attempts", 0))
                 if error is not None:
                     kind, detail = error
                     _fail_cell(
@@ -294,9 +299,12 @@ def process_one(
                         released=released,
                         verbose=verbose,
                     )
+                    settled.add(key)
                     ok = False
                     continue
-                if faults.fires("torn_cache_write", key, attempts):
+                if faults.fires(
+                    "torn_cache_write", key, int(payload.get("attempts", 0))
+                ):
                     # Simulated crash mid cache commit: a truncated entry
                     # lands at the final path, then the done marker still
                     # publishes -- the coordinator must detect the
@@ -306,15 +314,21 @@ def process_one(
                         cache.entry_path(spec), cache.serialize(spec, result)
                     )
                 else:
-                    cache.put(spec, result)
+                    commit.append((spec, result))
+                finished.append((payload, elapsed))
+            # The batch's successes commit as one group, and only then does
+            # any done/ marker publish: a marker never outruns its result.
+            cache.put_many(commit)
+            for payload, elapsed in finished:
+                key = payload["key"]
                 fq.complete(
                     key,
                     worker=worker_id,
                     elapsed_seconds=elapsed,
-                    attempts=attempts,
+                    attempts=int(payload.get("attempts", 0)),
                     cached=False,
                 )
-                completed.add(key)
+                settled.add(key)
                 if verbose:
                     batched = (
                         f", batch of {len(pending)}" if len(pending) > 1 else ""
@@ -348,7 +362,7 @@ def process_one(
         heartbeater.join()
         error = traceback.format_exc()
         for claim, payload in claims:
-            if payload["key"] in completed:
+            if payload["key"] in settled:
                 continue
             _fail_cell(
                 fq,
