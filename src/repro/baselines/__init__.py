@@ -14,18 +14,22 @@ related-work section (section 5), used for comparative experiments:
 * :mod:`~repro.baselines.tear` -- TCP Emulation At the Receivers (Ozdemir &
   Rhee): the receiver emulates TCP's window and reports
   ``EWMA(cwnd)/RTT`` as the sending rate.
+
+All three senders are rate policies over
+:class:`~repro.core.paced.PacedSender`; TFRCP and RAP share the per-packet
+:class:`~repro.baselines.ack.AckReceiver`.
 """
 
-from repro.baselines.tfrcp import TfrcpFlow, TfrcpReceiver, TfrcpSender
-from repro.baselines.rap import RapFlow, RapReceiver, RapSender
+from repro.baselines.ack import AckReceiver
+from repro.baselines.tfrcp import TfrcpFlow, TfrcpSender
+from repro.baselines.rap import RapFlow, RapSender
 from repro.baselines.tear import TearFlow, TearReceiver, TearSender
 
 __all__ = [
+    "AckReceiver",
     "TfrcpSender",
-    "TfrcpReceiver",
     "TfrcpFlow",
     "RapSender",
-    "RapReceiver",
     "RapFlow",
     "TearSender",
     "TearReceiver",

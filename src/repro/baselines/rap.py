@@ -17,55 +17,22 @@ timeout-dominated regimes.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Set
+from typing import Optional, Set
 
-from repro.net.packet import Packet, PacketType
+from repro.baselines.ack import AckReceiver, PacketAck
+from repro.core.paced import PacedSender, PacketSender
+from repro.net.flow import Flow, Port
+from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess, Timer
+from repro.sim.process import PeriodicProcess
 from repro.sim.trace import Tracer
 
-PacketSender = Callable[[Packet], None]
 
-
-class RapAck:
-    __slots__ = ("echo_ts", "echo_seq")
-
-    def __init__(self, echo_ts: float, echo_seq: int) -> None:
-        self.echo_ts = echo_ts
-        self.echo_seq = echo_seq
-
-
-class RapReceiver:
-    """Acknowledges every data packet."""
-
-    ACK_SIZE = 40
-
-    def __init__(self, sim: Simulator, flow_id: str, send_ack: PacketSender) -> None:
-        self.sim = sim
-        self.flow_id = flow_id
-        self._send_ack = send_ack
-        self.packets_received = 0
-
-    def receive(self, packet: Packet) -> None:
-        if not packet.is_data:
-            return
-        self.packets_received += 1
-        self._send_ack(
-            Packet(
-                flow_id=self.flow_id,
-                seq=packet.seq,
-                size=self.ACK_SIZE,
-                ptype=PacketType.ACK,
-                sent_at=self.sim.now,
-                payload=RapAck(echo_ts=packet.sent_at, echo_seq=packet.seq),
-            )
-        )
-
-
-class RapSender:
+class RapSender(PacedSender):
     """AIMD rate-based sender with ACK-gap loss detection."""
 
     LOSS_GAP = 3  # ACKs with higher seq before a hole is declared lost
+    SCAN_WINDOW = 50  # sequence numbers below the loss horizon still examined
 
     def __init__(
         self,
@@ -80,60 +47,43 @@ class RapSender:
     ) -> None:
         if not 0 < decrease_factor < 1:
             raise ValueError("decrease_factor must be in (0, 1)")
-        self.sim = sim
-        self.flow_id = flow_id
-        self._send_packet = send_packet
-        self.packet_size = packet_size
-        self.rate = initial_rate_bps / 8.0  # bytes/second
-        self.rtt_ewma_weight = rtt_ewma_weight
+        super().__init__(
+            sim, flow_id, send_packet, packet_size,
+            rate=initial_rate_bps / 8.0, initial_rtt=0.2,
+            rtt_ewma_weight=rtt_ewma_weight, tracer=tracer,
+        )
         self.decrease_factor = decrease_factor
-        self.srtt: Optional[float] = None
-        self.tracer = tracer
-        self._seq = 0
         self._highest_acked = -1
+        # Both sets only ever hold sequence numbers at or above
+        # ``_scan_floor``, the lowest one ``_detect_losses`` can still read.
         self._acked: Set[int] = set()
         self._declared_lost: Set[int] = set()
+        self._scan_floor = 0
         self._loss_in_this_rtt = False
-        self._send_timer = Timer(sim, self._send_next)
-        self._ipg_process = PeriodicProcess(sim, self._per_rtt_update, self._rtt_interval)
-        self._started = False
-        self._stopped = False
-        self.packets_sent = 0
+        self._ipg_process = PeriodicProcess(
+            sim, self._per_rtt_update, self._rtt_or_default
+        )
         self.acks_received = 0
         self.loss_events = 0
-        self.rate_history = []
 
-    def _rtt_interval(self) -> float:
-        return self.srtt if self.srtt is not None else 0.2
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.rate_history.append((self.sim.now, self.rate))
-        self._send_next()
-        self._ipg_process.start(initial_delay=self._rtt_interval())
+    def _after_start(self) -> None:
+        self._ipg_process.start(initial_delay=self._rtt_or_default())
 
     def stop(self) -> None:
-        self._stopped = True
-        self._send_timer.cancel()
+        super().stop()
         self._ipg_process.stop()
 
     def on_ack(self, packet: Packet) -> None:
         if self._stopped or not packet.is_ack:
             return
         info = packet.payload
-        if not isinstance(info, RapAck):
+        if not isinstance(info, PacketAck):
             return
         self.acks_received += 1
-        rtt = self.sim.now - info.echo_ts
-        if rtt > 0:
-            if self.srtt is None:
-                self.srtt = rtt
-            else:
-                self.srtt += self.rtt_ewma_weight * (rtt - self.srtt)
+        self._sample_rtt(self.sim.now - info.echo_ts)
         seq = info.echo_seq
-        self._acked.add(seq)
+        if seq >= self._scan_floor:
+            self._acked.add(seq)
         if seq > self._highest_acked:
             self._highest_acked = seq
         self._detect_losses()
@@ -141,8 +91,15 @@ class RapSender:
     def _detect_losses(self) -> None:
         """Declare holes LOSS_GAP below the highest ACK as lost."""
         horizon = self._highest_acked - self.LOSS_GAP
+        floor = max(0, horizon - self.SCAN_WINDOW)
+        # ``_highest_acked`` is monotone, so nothing below ``floor`` is ever
+        # read again: forget it rather than grow for the life of the flow.
+        for seq in range(self._scan_floor, floor):
+            self._acked.discard(seq)
+            self._declared_lost.discard(seq)
+        self._scan_floor = floor
         new_loss = False
-        for seq in range(max(0, horizon - 50), max(0, horizon)):
+        for seq in range(floor, max(0, horizon)):
             if (
                 seq not in self._acked
                 and seq not in self._declared_lost
@@ -153,77 +110,32 @@ class RapSender:
         if new_loss and not self._loss_in_this_rtt:
             self._loss_in_this_rtt = True
             self.loss_events += 1
-            self.rate = max(
-                self.packet_size / 64.0, self.rate * self.decrease_factor
-            )
-            self._record_rate()
+            self._set_rate(self.rate * self.decrease_factor)
 
     def _per_rtt_update(self) -> None:
         """Once per RTT: additive increase if the RTT was loss-free."""
         if self._stopped:
             return
         if not self._loss_in_this_rtt and self.srtt:
-            self.rate += self.packet_size / self.srtt
-            self._record_rate()
+            self._set_rate(self.rate + self.packet_size / self.srtt)
         self._loss_in_this_rtt = False
 
-    def _record_rate(self) -> None:
-        self.rate_history.append((self.sim.now, self.rate))
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, "rate", self.flow_id, self.rate)
 
-    def _send_next(self) -> None:
-        if self._stopped:
-            return
-        packet = Packet(
-            flow_id=self.flow_id,
-            seq=self._seq,
-            size=self.packet_size,
-            ptype=PacketType.DATA,
-            sent_at=self.sim.now,
-        )
-        self._seq += 1
-        self.packets_sent += 1
-        self._send_packet(packet)
-        self._send_timer.start(self.packet_size / self.rate)
-
-
-class RapFlow:
+class RapFlow(Flow):
     """Convenience wiring of a RAP sender/receiver over two ports."""
 
     def __init__(
         self,
         sim: Simulator,
         flow_id: str,
-        forward_port,
-        reverse_port,
+        forward_port: Port,
+        reverse_port: Port,
         on_data=None,
         **sender_kwargs,
     ) -> None:
-        self.sender = RapSender(
-            sim, flow_id, send_packet=lambda p: forward_port.send(p) and None,
-            **sender_kwargs,
+        sender = RapSender(sim, flow_id, forward_port.send, **sender_kwargs)
+        receiver = AckReceiver(sim, flow_id, reverse_port.send, on_data=on_data)
+        super().__init__(
+            sim, flow_id, forward_port, reverse_port,
+            sender, receiver, sender.on_ack,
         )
-        self.receiver = RapReceiver(
-            sim, flow_id, send_ack=lambda p: reverse_port.send(p) and None
-        )
-        if on_data is not None:
-            original = self.receiver.receive
-
-            def receive_and_monitor(packet, _orig=original):
-                if packet.is_data:
-                    on_data(sim.now, packet)
-                _orig(packet)
-
-            self.receiver.receive = receive_and_monitor
-        forward_port.connect(self.receiver.receive)
-        reverse_port.connect(self.sender.on_ack)
-
-    def start(self, at=None) -> None:
-        if at is None:
-            self.sender.start()
-        else:
-            self.sender.sim.schedule(at, self.sender.start)
-
-    def stop(self) -> None:
-        self.sender.stop()

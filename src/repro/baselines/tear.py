@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.core.paced import PacedSender, PacketSender
+from repro.core.sender import TfrcDataInfo
+from repro.net.flow import Flow, Port
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess, Timer
-
-PacketSender = Callable[[Packet], None]
+from repro.sim.process import Timer
 
 
 class TearReport:
@@ -56,10 +57,12 @@ class TearReceiver:
         cwnd_ewma_weight: float = 0.1,
         initial_rtt: float = 0.3,
         report_interval: Optional[float] = None,
+        on_data: Optional[Callable[[float, Packet], None]] = None,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
         self._send_report = send_report
+        self.on_data = on_data
         self.packet_size = packet_size
         self.cwnd_ewma_weight = cwnd_ewma_weight
         self._rtt = initial_rtt
@@ -83,6 +86,8 @@ class TearReceiver:
         if not packet.is_data:
             return
         self.packets_received += 1
+        if self.on_data is not None:
+            self.on_data(self.sim.now, packet)
         info = packet.payload
         if info is not None and getattr(info, "rtt_estimate", None):
             self._rtt = info.rtt_estimate
@@ -162,7 +167,7 @@ class TearReceiver:
         self._report_timer.cancel()
 
 
-class TearSender:
+class TearSender(PacedSender):
     """Paces packets at the receiver-computed rate."""
 
     def __init__(
@@ -174,31 +179,12 @@ class TearSender:
         initial_rate_bps: float = 32_000.0,
         rtt_ewma_weight: float = 0.1,
     ) -> None:
-        self.sim = sim
-        self.flow_id = flow_id
-        self._send_packet = send_packet
-        self.packet_size = packet_size
-        self.rate = initial_rate_bps / 8.0  # bytes/second
-        self.rtt_ewma_weight = rtt_ewma_weight
-        self.srtt: Optional[float] = None
-        self._seq = 0
-        self._send_timer = Timer(sim, self._send_next)
-        self._started = False
-        self._stopped = False
-        self.packets_sent = 0
+        super().__init__(
+            sim, flow_id, send_packet, packet_size,
+            rate=initial_rate_bps / 8.0, initial_rtt=0.3,
+            rtt_ewma_weight=rtt_ewma_weight,
+        )
         self.reports_received = 0
-        self.rate_history = []
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.rate_history.append((self.sim.now, self.rate))
-        self._send_next()
-
-    def stop(self) -> None:
-        self._stopped = True
-        self._send_timer.cancel()
 
     def on_report(self, packet: Packet) -> None:
         if self._stopped or packet.ptype is not PacketType.FEEDBACK:
@@ -207,74 +193,33 @@ class TearSender:
         if not isinstance(report, TearReport):
             return
         self.reports_received += 1
-        rtt = self.sim.now - report.echo_ts
-        if rtt > 0:
-            if self.srtt is None:
-                self.srtt = rtt
-            else:
-                self.srtt += self.rtt_ewma_weight * (rtt - self.srtt)
-        self.rate = max(self.packet_size / 64.0, report.rate)
-        self.rate_history.append((self.sim.now, self.rate))
+        self._sample_rtt(self.sim.now - report.echo_ts)
+        self._set_rate(report.rate)
 
-    def _send_next(self) -> None:
-        if self._stopped:
-            return
-        from repro.core.sender import TfrcDataInfo  # same piggyback format
-
-        packet = Packet(
-            flow_id=self.flow_id,
-            seq=self._seq,
-            size=self.packet_size,
-            ptype=PacketType.DATA,
-            sent_at=self.sim.now,
-            payload=TfrcDataInfo(
-                ts=self.sim.now,
-                rtt_estimate=self.srtt if self.srtt is not None else 0.3,
-            ),
-        )
-        self._seq += 1
-        self.packets_sent += 1
-        self._send_packet(packet)
-        self._send_timer.start(self.packet_size / self.rate)
+    def _data_payload(self) -> TfrcDataInfo:
+        # Same piggyback format as TFRC: the receiver needs the sender's RTT.
+        return TfrcDataInfo(ts=self.sim.now, rtt_estimate=self._rtt_or_default())
 
 
-class TearFlow:
+class TearFlow(Flow):
     """Convenience wiring of a TEAR sender/receiver over two ports."""
 
     def __init__(
         self,
         sim: Simulator,
         flow_id: str,
-        forward_port,
-        reverse_port,
+        forward_port: Port,
+        reverse_port: Port,
         on_data=None,
         **sender_kwargs,
     ) -> None:
-        self.sender = TearSender(
-            sim, flow_id, send_packet=lambda p: forward_port.send(p) and None,
-            **sender_kwargs,
+        sender = TearSender(sim, flow_id, forward_port.send, **sender_kwargs)
+        receiver = TearReceiver(sim, flow_id, reverse_port.send, on_data=on_data)
+        super().__init__(
+            sim, flow_id, forward_port, reverse_port,
+            sender, receiver, sender.on_report,
         )
-        self.receiver = TearReceiver(
-            sim, flow_id, send_report=lambda p: reverse_port.send(p) and None
-        )
-        if on_data is not None:
-            original = self.receiver.receive
-
-            def receive_and_monitor(packet, _orig=original):
-                if packet.is_data:
-                    on_data(sim.now, packet)
-                _orig(packet)
-
-            self.receiver.receive = receive_and_monitor
-        forward_port.connect(self.receiver.receive)
-        reverse_port.connect(self.sender.on_report)
-
-    def start(self, at=None) -> None:
-        if at is None:
-            self.sender.start()
-        else:
-            self.sender.sim.schedule(at, self.sender.start)
 
     def stop(self) -> None:
-        self.sender.stop()
+        super().stop()
         self.receiver.stop()

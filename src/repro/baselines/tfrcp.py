@@ -11,55 +11,19 @@ behaviour the paper reports.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Set
+from typing import Optional, Set
 
+from repro.baselines.ack import AckReceiver, PacketAck
 from repro.core.equations import tcp_response_rate
-from repro.net.packet import Packet, PacketType
+from repro.core.paced import PacedSender, PacketSender
+from repro.net.flow import Flow, Port
+from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess, Timer
+from repro.sim.process import PeriodicProcess
 from repro.sim.trace import Tracer
 
-PacketSender = Callable[[Packet], None]
 
-
-class TfrcpAck:
-    """Per-packet acknowledgment payload."""
-
-    __slots__ = ("echo_ts", "echo_seq")
-
-    def __init__(self, echo_ts: float, echo_seq: int) -> None:
-        self.echo_ts = echo_ts
-        self.echo_seq = echo_seq
-
-
-class TfrcpReceiver:
-    """Acknowledges every data packet (the ACK stream carries loss info
-    implicitly: the sender notices un-ACKed sequence numbers)."""
-
-    ACK_SIZE = 40
-
-    def __init__(self, sim: Simulator, flow_id: str, send_ack: PacketSender) -> None:
-        self.sim = sim
-        self.flow_id = flow_id
-        self._send_ack = send_ack
-        self.packets_received = 0
-
-    def receive(self, packet: Packet) -> None:
-        if not packet.is_data:
-            return
-        self.packets_received += 1
-        ack = Packet(
-            flow_id=self.flow_id,
-            seq=packet.seq,
-            size=self.ACK_SIZE,
-            ptype=PacketType.ACK,
-            sent_at=self.sim.now,
-            payload=TfrcpAck(echo_ts=packet.sent_at, echo_seq=packet.seq),
-        )
-        self._send_ack(ack)
-
-
-class TfrcpSender:
+class TfrcpSender(PacedSender):
     """Fixed-interval, equation-based rate controller."""
 
     def __init__(
@@ -75,71 +39,36 @@ class TfrcpSender:
     ) -> None:
         if update_interval <= 0:
             raise ValueError("update_interval must be positive")
-        self.sim = sim
-        self.flow_id = flow_id
-        self._send_packet = send_packet
-        self.packet_size = packet_size
+        super().__init__(
+            sim, flow_id, send_packet, packet_size,
+            rate=initial_rate_bps / 8.0, initial_rtt=0.2,
+            rtt_ewma_weight=rtt_ewma_weight, tracer=tracer,
+        )
         self.update_interval = update_interval
-        self.rate = initial_rate_bps / 8.0  # bytes/second
-        self.rtt_ewma_weight = rtt_ewma_weight
-        self.srtt: Optional[float] = None
-        self.tracer = tracer
-        self._seq = 0
-        self._sent_this_interval: Set[int] = set()
+        # This interval's packets are ``range(_interval_first_seq, _seq)``.
+        self._interval_first_seq = 0
         self._acked_this_interval: Set[int] = set()
-        self._send_timer = Timer(sim, self._send_next)
         self._update_process = PeriodicProcess(
             sim, self._update_rate, lambda: self.update_interval
         )
-        self._started = False
-        self._stopped = False
-        self.packets_sent = 0
         self.acks_received = 0
-        self.rate_history = []
 
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.rate_history.append((self.sim.now, self.rate))
-        self._send_next()
+    def _after_start(self) -> None:
         self._update_process.start(initial_delay=self.update_interval)
 
     def stop(self) -> None:
-        self._stopped = True
-        self._send_timer.cancel()
+        super().stop()
         self._update_process.stop()
 
     def on_ack(self, packet: Packet) -> None:
         if self._stopped or not packet.is_ack:
             return
         info = packet.payload
-        if not isinstance(info, TfrcpAck):
+        if not isinstance(info, PacketAck):
             return
         self.acks_received += 1
         self._acked_this_interval.add(info.echo_seq)
-        rtt = self.sim.now - info.echo_ts
-        if rtt > 0:
-            if self.srtt is None:
-                self.srtt = rtt
-            else:
-                self.srtt += self.rtt_ewma_weight * (rtt - self.srtt)
-
-    def _send_next(self) -> None:
-        if self._stopped:
-            return
-        packet = Packet(
-            flow_id=self.flow_id,
-            seq=self._seq,
-            size=self.packet_size,
-            ptype=PacketType.DATA,
-            sent_at=self.sim.now,
-        )
-        self._sent_this_interval.add(self._seq)
-        self._seq += 1
-        self.packets_sent += 1
-        self._send_packet(packet)
-        self._send_timer.start(self.packet_size / self.rate)
+        self._sample_rtt(self.sim.now - info.echo_ts)
 
     def _update_rate(self) -> None:
         """Interval boundary: measure last interval's loss fraction, reset rate.
@@ -149,73 +78,46 @@ class TfrcpSender:
         """
         if self._stopped:
             return
-        rtt = self.srtt if self.srtt is not None else 0.2
-        horizon = self.sim.now - rtt
-        considered = {
-            seq for seq in self._sent_this_interval
-        }
+        rtt = self._rtt_or_default()
         # Drop from consideration the packets too recent to have been ACKed.
         recent_cutoff = max(0, self._seq - int(self.rate * rtt / self.packet_size) - 1)
-        considered = {seq for seq in considered if seq < recent_cutoff}
+        considered = range(self._interval_first_seq, recent_cutoff)
         if considered:
-            lost = len(considered - self._acked_this_interval)
+            lost = sum(seq not in self._acked_this_interval for seq in considered)
             loss_fraction = lost / len(considered)
         else:
             loss_fraction = 0.0
         if loss_fraction > 0:
-            self.rate = tcp_response_rate(
-                packet_size=self.packet_size,
-                rtt=rtt,
-                p=loss_fraction,
-                t_rto=4.0 * rtt,
+            self._set_rate(
+                tcp_response_rate(
+                    packet_size=self.packet_size,
+                    rtt=rtt,
+                    p=loss_fraction,
+                    t_rto=4.0 * rtt,
+                )
             )
         else:
             # No loss observed: probe upward, doubling like slow start.
-            self.rate *= 2.0
-        self.rate = max(self.rate, self.packet_size / 64.0)
-        self.rate_history.append((self.sim.now, self.rate))
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, "rate", self.flow_id, self.rate)
-        self._sent_this_interval.clear()
+            self._set_rate(self.rate * 2.0)
+        self._interval_first_seq = self._seq
         self._acked_this_interval.clear()
 
 
-class TfrcpFlow:
+class TfrcpFlow(Flow):
     """Convenience wiring of a TFRCP sender/receiver over two ports."""
 
     def __init__(
         self,
         sim: Simulator,
         flow_id: str,
-        forward_port,
-        reverse_port,
+        forward_port: Port,
+        reverse_port: Port,
         on_data=None,
         **sender_kwargs,
     ) -> None:
-        self.sender = TfrcpSender(
-            sim, flow_id, send_packet=lambda p: forward_port.send(p) and None,
-            **sender_kwargs,
+        sender = TfrcpSender(sim, flow_id, forward_port.send, **sender_kwargs)
+        receiver = AckReceiver(sim, flow_id, reverse_port.send, on_data=on_data)
+        super().__init__(
+            sim, flow_id, forward_port, reverse_port,
+            sender, receiver, sender.on_ack,
         )
-        self.receiver = TfrcpReceiver(
-            sim, flow_id, send_ack=lambda p: reverse_port.send(p) and None
-        )
-        if on_data is not None:
-            original = self.receiver.receive
-
-            def receive_and_monitor(packet, _orig=original):
-                if packet.is_data:
-                    on_data(sim.now, packet)
-                _orig(packet)
-
-            self.receiver.receive = receive_and_monitor
-        forward_port.connect(self.receiver.receive)
-        reverse_port.connect(self.sender.on_ack)
-
-    def start(self, at=None) -> None:
-        if at is None:
-            self.sender.start()
-        else:
-            self.sender.sim.schedule(at, self.sender.start)
-
-    def stop(self) -> None:
-        self.sender.stop()

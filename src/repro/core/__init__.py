@@ -11,6 +11,9 @@
   round-trip-time coalescing (section 3.5.1).
 * :mod:`~repro.core.receiver` -- feedback generation: loss event rate p,
   receive rate, RTT echo (section 3.3).
+* :mod:`~repro.core.paced` -- :class:`PacedSender`, the pacing / RTT /
+  lifecycle mechanism and the single ``_set_rate`` choke point that TFRC,
+  the section-5 baselines and the multicast sender all share.
 * :mod:`~repro.core.sender` -- rate adaptation driven by the control
   equation: RTT smoothing, slow start with the receive-rate cap, the
   no-feedback timer, and the sqrt-RTT interpacket-spacing adjustment

@@ -1,31 +1,18 @@
-"""TfrcFlow: one sender/receiver pair wired over a pair of network ports.
-
-A *port* is anything with ``send(packet) -> bool`` and
-``connect(receiver)`` -- :class:`repro.net.topology.FlowPort`,
-:class:`repro.net.path.LossyPath`, a :class:`repro.net.path.Path`, or the
-two directions of a :class:`repro.net.dummynet.DummynetPipe` (adapted).
-"""
+"""TfrcFlow: one TFRC sender/receiver pair wired over a pair of ports."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 from repro.core.receiver import TfrcReceiver
 from repro.core.sender import TfrcSender
+from repro.net.flow import Flow, Port
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 
 
-class Port(Protocol):
-    """Minimal duck type both topology and path endpoints satisfy."""
-
-    def send(self, packet: Packet) -> bool: ...
-
-    def connect(self, receiver: Callable[[Packet], None]) -> None: ...
-
-
-class TfrcFlow:
+class TfrcFlow(Flow):
     """One TFRC unicast flow: sender on the forward port, receiver replies
     on the reverse port."""
 
@@ -40,8 +27,6 @@ class TfrcFlow:
         on_data: Optional[Callable[[float, Packet], None]] = None,
         **sender_kwargs,
     ) -> None:
-        self.sim = sim
-        self.flow_id = flow_id
         receiver_kwargs = {}
         for key in (
             "ali_n",
@@ -51,9 +36,7 @@ class TfrcFlow:
         ):
             if key in sender_kwargs:
                 receiver_kwargs[key] = sender_kwargs.pop(key)
-        # The ports' bool return (accepted?) is ignored by sender/receiver;
-        # handing the bound method over directly skips a per-packet lambda.
-        self.sender = TfrcSender(
+        sender = TfrcSender(
             sim,
             flow_id,
             send_packet=forward_port.send,
@@ -61,7 +44,7 @@ class TfrcFlow:
             tracer=tracer,
             **sender_kwargs,
         )
-        self.receiver = TfrcReceiver(
+        receiver = TfrcReceiver(
             sim,
             flow_id,
             send_feedback=reverse_port.send,
@@ -69,18 +52,13 @@ class TfrcFlow:
             on_data=on_data,
             **receiver_kwargs,
         )
-        forward_port.connect(self.receiver.receive)
-        reverse_port.connect(self.sender.on_feedback)
-
-    def start(self, at: Optional[float] = None) -> None:
-        """Start the sender now, or at absolute time ``at``."""
-        if at is None:
-            self.sender.start()
-        else:
-            self.sim.schedule(at, self.sender.start)
+        super().__init__(
+            sim, flow_id, forward_port, reverse_port,
+            sender, receiver, sender.on_feedback,
+        )
 
     def stop(self) -> None:
-        self.sender.stop()
+        super().stop()
         self.receiver.stop()
 
     @property

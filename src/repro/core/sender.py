@@ -18,24 +18,24 @@ Responsibilities (paper sections 3.2 and 3.4):
 * optionally apply the quiescent-sender extension (paper section 7 lists it
   as planned work): when the application is idle the allowed rate is not
   banked.
+
+The pacing loop, the RTT EWMA, the floor and the record of every rate
+decision are :class:`~repro.core.paced.PacedSender`'s; this module is the
+TFRC policy on top.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Optional
 
 from repro.core.equations import tcp_response_rate
+from repro.core.paced import PacedSender, PacketSender
 from repro.core.receiver import TfrcFeedback
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
 from repro.sim.process import FastTimer
 from repro.sim.trace import Tracer
-
-PacketSender = Callable[[Packet], None]
-
-#: Maximum back-off interval: never send slower than one packet per 64 s.
-T_MBI = 64.0
 
 
 class TfrcDataInfo:
@@ -48,7 +48,7 @@ class TfrcDataInfo:
         self.rtt_estimate = rtt_estimate
 
 
-class TfrcSender:
+class TfrcSender(PacedSender):
     """Sender half of the TFRC protocol."""
 
     def __init__(
@@ -59,7 +59,6 @@ class TfrcSender:
         packet_size: int = 1000,
         rtt_ewma_weight: float = 0.1,
         interpacket_adjustment: bool = True,
-        cap_to_receive_rate: bool = True,
         initial_rtt: float = 0.5,
         tracer: Optional[Tracer] = None,
         quiescence_aware: bool = False,
@@ -69,14 +68,13 @@ class TfrcSender:
     ) -> None:
         if not 0 < rtt_ewma_weight <= 1:
             raise ValueError("rtt_ewma_weight must be in (0, 1]")
-        self.sim = sim
-        self.flow_id = flow_id
-        self._send_packet = send_packet
-        self.packet_size = packet_size
-        self.rtt_ewma_weight = rtt_ewma_weight
+        super().__init__(
+            sim, flow_id, send_packet, packet_size,
+            rate=packet_size / initial_rtt, initial_rtt=initial_rtt,
+            rtt_ewma_weight=rtt_ewma_weight, tracer=tracer,
+            max_rate_history=max_rate_history,
+        )
         self.interpacket_adjustment = interpacket_adjustment
-        self.cap_to_receive_rate = cap_to_receive_rate
-        self.tracer = tracer
         self.quiescence_aware = quiescence_aware
         #: mark data packets ECN-capable (needs an ECN-enabled RED queue).
         self.ecn = ecn
@@ -88,52 +86,23 @@ class TfrcSender:
         #: (section 4.1), though it is not recommended as the default.
         self.burst_size = burst_size
 
-        self.srtt: Optional[float] = None
         self._latest_rtt_sample: Optional[float] = None
         self._sqrt_rtt_ewma: Optional[float] = None  # M in section 3.4
-        self.initial_rtt = initial_rtt
-
-        #: allowed sending rate in bytes/second
-        self.rate = packet_size / initial_rtt
         self.in_slow_start = True
         self.last_feedback: Optional[TfrcFeedback] = None
-
-        self._seq = 0
-        # Both timers re-arm per packet / per feedback: generation-counter
-        # timers, no Event handle per arming.
-        self._send_timer = FastTimer(sim, self._send_next)
+        # Re-armed per feedback: generation-counter timer, like the send
+        # timer.
         self._no_feedback_timer = FastTimer(sim, self._no_feedback_expired)
-        self._started = False
-        self._stopped = False
         self._app_active = True
-
-        # Statistics.
-        self.packets_sent = 0
         self.feedback_received = 0
-        #: (time, bytes_per_second) on every allowed-rate change.  When
-        #: ``max_rate_history`` is set, exceeding it halves the history by
-        #: decimation (every other interior sample is dropped, endpoints
-        #: kept), bounding memory on long runs the way the loss detector's
-        #: retraction window bounds its bookkeeping.
-        self.rate_history: List[Tuple[float, float]] = []
-        if max_rate_history is not None and max_rate_history < 4:
-            raise ValueError("max_rate_history must be >= 4 (or None)")
-        self.max_rate_history = max_rate_history
 
     # ------------------------------------------------------------------ API
 
-    def start(self) -> None:
-        """Begin transmitting (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        self._record_rate()
-        self._send_next()
+    def _after_start(self) -> None:
         self._arm_no_feedback_timer()
 
     def stop(self) -> None:
-        self._stopped = True
-        self._send_timer.cancel()
+        super().stop()
         self._no_feedback_timer.cancel()
 
     def set_app_active(self, active: bool) -> None:
@@ -150,8 +119,7 @@ class TfrcSender:
             if self.quiescence_aware:
                 # Restart at no more than two packets per RTT.
                 restart = 2.0 * self.packet_size / self._rtt_or_default()
-                self.rate = min(self.rate, max(restart, self._min_rate()))
-                self._record_rate()
+                self._set_rate(min(self.rate, restart))
             self._send_timer.start(self._interpacket_interval())
 
     @property
@@ -170,30 +138,22 @@ class TfrcSender:
             raise TypeError(f"feedback for {self.flow_id} lacks TfrcFeedback payload")
         self.feedback_received += 1
         self.last_feedback = feedback
-        self._sample_rtt(feedback)
+        self._sample_rtt(self.sim.now - feedback.echo_ts - feedback.delay)
         self._update_rate(feedback)
         self._arm_no_feedback_timer()
 
-    def _sample_rtt(self, feedback: TfrcFeedback) -> None:
-        rtt = self.sim.now - feedback.echo_ts - feedback.delay
+    def _sample_rtt(self, rtt: float) -> None:
+        """Also keep R0 and M, the pacing adjustment's two inputs."""
         if rtt <= 0:
             return
+        super()._sample_rtt(rtt)
         self._latest_rtt_sample = rtt
-        if self.srtt is None:
-            self.srtt = rtt
+        if self._sqrt_rtt_ewma is None:
             self._sqrt_rtt_ewma = math.sqrt(rtt)
         else:
-            self.srtt += self.rtt_ewma_weight * (rtt - self.srtt)
-            assert self._sqrt_rtt_ewma is not None
             self._sqrt_rtt_ewma += self.rtt_ewma_weight * (
                 math.sqrt(rtt) - self._sqrt_rtt_ewma
             )
-
-    def _rtt_or_default(self) -> float:
-        return self.srtt if self.srtt is not None else self.initial_rtt
-
-    def _min_rate(self) -> float:
-        return self.packet_size / T_MBI
 
     def _update_rate(self, feedback: TfrcFeedback) -> None:
         rtt = self._rtt_or_default()
@@ -202,8 +162,8 @@ class TfrcSender:
             # so overshoot is no worse than TCP's (section 3.4.1).
             doubled = 2.0 * self.rate
             cap = 2.0 * feedback.recv_rate if feedback.recv_rate > 0 else doubled
-            self.rate = max(self._min_rate(), min(doubled, cap))
             self.in_slow_start = True
+            self._set_rate(min(doubled, cap))
         else:
             self.in_slow_start = False
             t_eq = tcp_response_rate(
@@ -213,12 +173,11 @@ class TfrcSender:
                 t_rto=4.0 * rtt,
             )
             allowed = t_eq
-            if self.cap_to_receive_rate and feedback.recv_rate > 0:
+            if feedback.recv_rate > 0:
                 allowed = min(allowed, 2.0 * feedback.recv_rate)
             # "Decrease to T" / increase to T: the sender tracks the control
             # equation directly; damping lives in the loss measurement.
-            self.rate = max(self._min_rate(), allowed)
-        self._record_rate()
+            self._set_rate(allowed)
 
     # -------------------------------------------------------------- pacing
 
@@ -236,6 +195,8 @@ class TfrcSender:
         return base
 
     def _send_next(self) -> None:
+        """The base's pacing step plus what only TFRC has: the quiescent
+        gate, bursts, ECN marking and the per-packet ``"send"`` record."""
         if self._stopped or not self._app_active:
             return
         for _ in range(self.burst_size):
@@ -274,18 +235,6 @@ class TfrcSender:
             return
         # Halve the sending rate; repeated expiries walk it down to the
         # one-packet-per-64s floor, i.e. the sender ultimately goes quiet.
-        self.rate = max(self._min_rate(), self.rate / 2.0)
         self.in_slow_start = False
-        self._record_rate()
+        self._set_rate(self.rate / 2.0)
         self._arm_no_feedback_timer()
-
-    def _record_rate(self) -> None:
-        history = self.rate_history
-        history.append((self.sim.now, self.rate))
-        if self.max_rate_history is not None and len(history) > self.max_rate_history:
-            # Progressive decimation: each overflow halves the resolution of
-            # the retained trajectory while keeping the first and latest
-            # samples exact.
-            del history[1:-1:2]
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, "rate", self.flow_id, self.rate)

@@ -13,66 +13,56 @@ allowed rates.  Differences from the unicast sender, per section 6:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
-from repro.core.sender import T_MBI, TfrcDataInfo
+from repro.core.paced import PacedSender, PacketSender
+from repro.core.sender import TfrcDataInfo
 from repro.multicast.receiver import MulticastReport
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess, Timer
+from repro.sim.process import PeriodicProcess
 
 
-class MulticastTfrcSender:
+class MulticastTfrcSender(PacedSender):
     """Single-source multicast sender driven by suppressed receiver reports."""
 
     def __init__(
         self,
         sim: Simulator,
         session_id: str,
-        send_packet: Callable[[Packet], None],
+        send_packet: PacketSender,
         echo_report: Optional[Callable[[MulticastReport], None]] = None,
         packet_size: int = 1000,
         initial_rate: float = 2000.0,
         round_duration: float = 1.0,
         rtt_proxy: float = 0.3,
     ) -> None:
-        self.sim = sim
+        # No RTT is ever sampled (receivers' clocks are not synchronised):
+        # ``rtt_proxy`` stands in for it on every data packet.
+        super().__init__(
+            sim, session_id, send_packet, packet_size,
+            rate=float(initial_rate), initial_rtt=rtt_proxy, rtt_ewma_weight=0.0,
+        )
         self.session_id = session_id
-        self._send_packet = send_packet
         self._echo_report = echo_report
-        self.packet_size = packet_size
-        self.rate = float(initial_rate)  # bytes/second
         self.round_duration = round_duration
-        self.rtt_proxy = rtt_proxy
         self.in_slow_start = True
-        self._seq = 0
-        self._send_timer = Timer(sim, self._send_next)
         self._round_process = PeriodicProcess(
             sim, self._round_boundary, lambda: self.round_duration
         )
         self._round_minimum: Optional[float] = None
-        self._started = False
-        self._stopped = False
-        self.packets_sent = 0
         self.reports_received = 0
-        self.rate_history = []
         self.on_round_start: Optional[Callable[[], None]] = None
 
-    # ------------------------------------------------------------------ API
+    # ------------------------------------------------------------ lifecycle
 
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.rate_history.append((self.sim.now, self.rate))
-        self._send_next()
+    def _after_start(self) -> None:
         self._round_process.start(initial_delay=self.round_duration)
         if self.on_round_start is not None:
             self.on_round_start()
 
     def stop(self) -> None:
-        self._stopped = True
-        self._send_timer.cancel()
+        super().stop()
         self._round_process.stop()
 
     # ------------------------------------------------------------- reports
@@ -97,38 +87,21 @@ class MulticastTfrcSender:
         if self._stopped:
             return
         if self._round_minimum is not None and not self.in_slow_start:
-            self.rate = max(self.packet_size / T_MBI, self._round_minimum)
+            self._set_rate(self._round_minimum)
         elif self.in_slow_start:
             if self._round_minimum is not None:
                 # Cap the doubling at the most constrained receiver's rate.
-                self.rate = max(
-                    self.packet_size / T_MBI,
-                    min(2.0 * self.rate, self._round_minimum),
-                )
+                self._set_rate(min(2.0 * self.rate, self._round_minimum))
             else:
-                self.rate = 2.0 * self.rate
+                self._set_rate(2.0 * self.rate)
         else:
             # No feedback round: halve, like the unicast no-feedback timer.
-            self.rate = max(self.packet_size / T_MBI, self.rate / 2.0)
-        self.rate_history.append((self.sim.now, self.rate))
+            self._set_rate(self.rate / 2.0)
         self._round_minimum = None
         if self.on_round_start is not None:
             self.on_round_start()
 
     # -------------------------------------------------------------- pacing
 
-    def _send_next(self) -> None:
-        if self._stopped:
-            return
-        packet = Packet(
-            flow_id=self.session_id,
-            seq=self._seq,
-            size=self.packet_size,
-            ptype=PacketType.DATA,
-            sent_at=self.sim.now,
-            payload=TfrcDataInfo(ts=self.sim.now, rtt_estimate=self.rtt_proxy),
-        )
-        self._seq += 1
-        self.packets_sent += 1
-        self._send_packet(packet)
-        self._send_timer.start(self.packet_size / self.rate)
+    def _data_payload(self) -> TfrcDataInfo:
+        return TfrcDataInfo(ts=self.sim.now, rtt_estimate=self._rtt_or_default())

@@ -11,6 +11,8 @@ This package replaces the ns-2 link/queue substrate the paper evaluates on:
   convenience :class:`~repro.net.path.LossyPath` used for Bernoulli /
   deterministic loss models in the protocol-mechanics figures.
 * :mod:`~repro.net.monitor` -- per-link and per-flow counters.
+* :mod:`~repro.net.flow` -- the ``Port`` duck type and the ``Flow`` base
+  that wires any protocol's sender/receiver pair over two ports.
 * :mod:`~repro.net.topology` -- the dumbbell builder used by the fairness
   experiments.
 * :mod:`~repro.net.dummynet` -- a single configurable pipe mirroring how the

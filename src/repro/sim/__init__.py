@@ -9,8 +9,10 @@ paper.  It provides:
   and :class:`~repro.sim.process.PeriodicProcess` -- restartable timers built
   on the event loop, used for retransmission timers, feedback timers and
   traffic generators.  ``FastTimer`` (generation counters, no ``Event``
-  allocation) drives the TFRC and TCP endpoints; the handle-based ``Timer``
-  drives the baselines and the multicast session.
+  allocation) drives every rate-based sender's pacing loop and the TFRC and
+  TCP endpoints; the handle-based ``Timer`` is left with TEAR's report
+  timer and multicast feedback suppression, and is ``FastTimer``'s fuzz
+  reference.
 * :mod:`~repro.sim.rng` -- named, independently seeded random streams so that
   experiments are reproducible and sub-systems do not perturb each other's
   random sequences.

@@ -6,16 +6,18 @@ generators all use a timer or :class:`PeriodicProcess`.
 
 Two timer classes share one interface:
 
-* :class:`FastTimer` -- what the TFRC and TCP endpoints run on: armings
-  ride :meth:`Simulator.schedule_fast` entries tagged with a generation
-  counter.  Re-arming bumps the generation instead of cancelling; a
-  superseded entry stays in the heap and self-discards when popped because
-  its generation no longer matches.  No ``Event`` handle is ever allocated.
+* :class:`FastTimer` -- what every rate-based sender's pacing loop and the
+  TFRC and TCP endpoints run on: armings ride
+  :meth:`Simulator.schedule_fast` entries tagged with a generation counter.
+  Re-arming bumps the generation instead of cancelling; a superseded entry
+  stays in the heap and self-discards when popped because its generation no
+  longer matches.  No ``Event`` handle is ever allocated.
 * :class:`Timer` -- each ``start`` cancels the previous
   :class:`~repro.sim.engine.Event` handle and allocates a new one, so a
   cancelled arming never reaches the handler and an unbounded ``run()``
-  stops at the last live event.  The baselines (RAP, TEAR, TFRCP) and the
-  multicast session run on it.
+  stops at the last live event.  TEAR's receiver report timer and the
+  multicast feedback-suppression timers run on it, and it is the reference
+  ``FastTimer`` is fuzzed against.
 
 Both consume exactly one scheduler sequence number per ``start``, so they
 order events identically (``tests/test_fast_timer.py`` fuzzes one against

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.net.flow import Flow, Port
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
@@ -11,15 +12,15 @@ from repro.tcp import make_tcp_sender
 from repro.tcp.sink import TCPSink
 
 
-class TcpFlow:
+class TcpFlow(Flow):
     """One TCP flow: sender on the forward port, sink ACKs on the reverse."""
 
     def __init__(
         self,
         sim: Simulator,
         flow_id: str,
-        forward_port,
-        reverse_port,
+        forward_port: Port,
+        reverse_port: Port,
         variant: str = "sack",
         packet_size: int = 1000,
         tracer: Optional[Tracer] = None,
@@ -27,12 +28,7 @@ class TcpFlow:
         delayed_ack: bool = False,
         **sender_kwargs,
     ) -> None:
-        self.sim = sim
-        self.flow_id = flow_id
-        # Ports' ``send`` returns a bool (accepted?) that the sender and
-        # sink ignore; the bound methods are handed over directly so each
-        # packet skips a lambda frame.
-        self.sender = make_tcp_sender(
+        sender = make_tcp_sender(
             variant,
             sim,
             flow_id,
@@ -48,17 +44,10 @@ class TcpFlow:
             delayed_ack=delayed_ack,
             on_data=on_data,
         )
-        forward_port.connect(self.sink.receive)
-        reverse_port.connect(self.sender.on_ack)
-
-    def start(self, at: Optional[float] = None) -> None:
-        if at is None:
-            self.sender.start()
-        else:
-            self.sim.schedule(at, self.sender.start)
-
-    def stop(self) -> None:
-        self.sender.stop()
+        super().__init__(
+            sim, flow_id, forward_port, reverse_port,
+            sender, self.sink, sender.on_ack,
+        )
 
     @property
     def cwnd(self) -> float:

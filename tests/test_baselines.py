@@ -1,5 +1,7 @@
 """Tests for the related-work baseline protocols (TFRCP, RAP)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,31 @@ class TestRap:
         with pytest.raises(ValueError):
             RapFlow(sim, "b", LossyPath(sim, 0.1), LossyPath(sim, 0.1),
                     decrease_factor=1.5)
+
+    def test_loss_bookkeeping_stays_inside_the_scan_window(self):
+        """``_detect_losses`` only reads the 50 sequence numbers below
+        ``highest_acked - LOSS_GAP``; entries under that window are dropped
+        as it advances instead of growing for the life of the flow, and the
+        rate trajectory is the one the unpruned sets gave at f2093f7."""
+        import hashlib
+
+        from test_golden_digests import GOLDEN, environment
+
+        flow, _ = run_baseline(
+            RapFlow, loss_model=bernoulli_loss(0.02, np.random.default_rng(8)),
+            duration=250.0,
+        )
+        sender = flow.sender
+        assert sender.packets_sent >= 20_000
+        assert sender.loss_events > 100
+        window = 50 + sender.LOSS_GAP + 1
+        assert len(sender._acked) <= window
+        assert len(sender._declared_lost) <= window
+        history = repr([(t.hex(), r.hex()) for t, r in sender.rate_history])
+        if json.loads(GOLDEN.read_text())["env"] == environment():
+            assert hashlib.sha256(history.encode()).hexdigest() == (
+                "5c14402400df99092ecaecc63d33bfe5d0758bfa0cdbf96be6614af4c853b01c"
+            )
 
 
 class TestTear:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import TfrcFlow
 from repro.core.equations import tcp_response_rate
-from repro.core.sender import T_MBI, TfrcSender
+from repro.core.paced import T_MBI
+from repro.core.sender import TfrcSender
 from repro.net.path import LossyPath, bernoulli_loss, periodic_loss
 from repro.net.monitor import FlowMonitor
 from repro.sim.engine import Simulator
@@ -221,13 +222,13 @@ class TestRateHistoryBounding:
     def test_unbounded_by_default(self):
         sim, sender = self._sender()
         for _ in range(500):
-            sender._record_rate()
+            sender._set_rate(sender.rate)
         assert len(sender.rate_history) == 500
 
     def test_decimation_bounds_growth(self):
         sim, sender = self._sender(max_rate_history=64)
         for i in range(10_000):
-            sim.schedule(float(i), sender._record_rate)
+            sim.schedule(float(i), sender._set_rate, sender.rate)
         sim.run()
         # Never exceeds the cap (+1 transient before each decimation).
         assert len(sender.rate_history) <= 65

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import TfrcFlow
-from repro.core.sender import T_MBI
+from repro.core.paced import T_MBI
 from repro.experiments.common import run_single_tfrc_on_lossy_path
 from repro.net.monitor import FlowMonitor
 from repro.net.path import LossyPath, bernoulli_loss, periodic_loss

@@ -1,11 +1,14 @@
 """Golden digests: the byte-identity contract of the packet simulator.
 
-Five seeded runs are reduced to sha256 digests of their exact trace
+Nine seeded runs are reduced to sha256 digests of their exact trace
 signature and result JSON and compared with ``tests/golden_digests.json``.
-The committed digests were produced by the per-event implementations the
-simulator used to carry beside its hot path, and verified equal to that hot
-path, before those were deleted; any change to event order, RNG draw order
-or float arithmetic in ``sim/``, ``net/``, ``core/`` or ``tcp/`` moves one.
+The first five committed digests were produced by the per-event
+implementations the simulator used to carry beside its hot path, and
+verified equal to that hot path, before those were deleted; the four
+``baselines/`` and ``multicast/`` runs were captured at f2093f7, before
+the five rate-based senders were put on one ``PacedSender`` base.  Any
+change to event order, RNG draw order or float arithmetic in ``sim/``,
+``net/``, ``core/``, ``tcp/``, ``baselines/`` or ``multicast/`` moves one.
 
 Float formatting and numpy's generators are only stable for one
 ``{python, numpy, machine}`` triple (the one ``bench/golden.json`` is keyed
@@ -22,10 +25,14 @@ from pathlib import Path
 import numpy
 import pytest
 
+from repro.baselines import RapFlow, TearFlow, TfrcpFlow
 from repro.experiments.fig11_onoff import run_one as fig11_run_one
 from repro.experiments.fig14_queue_dynamics import run_one as fig14_run_one
-from repro.net.monitor import LinkMonitor
+from repro.multicast import MulticastTfrcSession
+from repro.net.monitor import FlowMonitor, LinkMonitor
+from repro.net.path import LossyPath, bernoulli_loss
 from repro.scenarios.builders import build_mixed_dumbbell
+from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -111,6 +118,65 @@ def fig14_red():
     return [], asdict(run)
 
 
+def _exact(obj, names):
+    """``names`` read off ``obj``, floats as ``float.hex``."""
+    exact = {}
+    for name in names:
+        value = getattr(obj, name)
+        exact[name] = value.hex() if isinstance(value, float) else value
+    return exact
+
+
+def _rate_history(sender):
+    return [(t.hex(), rate.hex()) for t, rate in sender.rate_history]
+
+
+def lossy_path_baseline(flow_cls, sender_counters, receiver_counters, **kwargs):
+    """One baseline flow, 60 simulated s over a Bernoulli-2 % ``LossyPath``."""
+    sim = Simulator()
+    forward = LossyPath(
+        sim, delay=0.05,
+        loss_model=bernoulli_loss(0.02, numpy.random.default_rng(5)),
+    )
+    reverse = LossyPath(sim, delay=0.05)
+    monitor = FlowMonitor()
+    flow = flow_cls(sim, "b", forward, reverse, on_data=monitor.on_packet,
+                    **kwargs)
+    flow.start()
+    sim.run(until=60.0)
+    return [], {
+        "rate_history": _rate_history(flow.sender),
+        "sender": _exact(flow.sender, ("packets_sent", "srtt") + sender_counters),
+        "receiver": _exact(flow.receiver, receiver_counters),
+        "arrivals": monitor.arrivals["b"],
+        "events": sim.events_processed,
+    }
+
+
+def multicast_session():
+    """Three receivers (lossless, 1 %, 4 % Bernoulli), 60 simulated s."""
+    sim = Simulator()
+    rng = numpy.random.default_rng(9)
+    specs = [(0.03, None), (0.05, bernoulli_loss(0.01, rng)),
+             (0.08, bernoulli_loss(0.04, rng))]
+    session = MulticastTfrcSession(sim, specs, seed=4)
+    session.start()
+    sim.run(until=60.0)
+    return [], {
+        "rate_history": _rate_history(session.sender),
+        "sender": _exact(
+            session.sender,
+            ("packets_sent", "reports_received", "in_slow_start"),
+        ),
+        "receivers": [
+            dict(_exact(r, ("packets_received", "reports_sent")),
+                 p=r.loss_event_rate().hex())
+            for r in session.receivers
+        ],
+        "events": sim.events_processed,
+    }
+
+
 #: name -> zero-argument run returning ``(trace signature, result)``.
 RUNS = {
     "traced_mixed_dumbbell": lambda: mixed_dumbbell(reverse_monitor=True),
@@ -118,6 +184,19 @@ RUNS = {
     "dumbbell_red": mixed_dumbbell,
     "dumbbell_red_ecn": lambda: mixed_dumbbell(ecn=True),
     "fig14_red": fig14_red,
+    "rap_lossy_path": lambda: lossy_path_baseline(
+        RapFlow, ("acks_received", "loss_events"), ("packets_received",),
+    ),
+    "tfrcp_lossy_path": lambda: lossy_path_baseline(
+        TfrcpFlow, ("acks_received",), ("packets_received",),
+        update_interval=2.0,
+    ),
+    "tear_lossy_path": lambda: lossy_path_baseline(
+        TearFlow, ("reports_received",),
+        ("packets_received", "losses_detected", "reports_sent", "cwnd",
+         "smoothed_cwnd"),
+    ),
+    "multicast_session": multicast_session,
 }
 
 

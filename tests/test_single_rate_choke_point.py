@@ -1,0 +1,153 @@
+"""The allowed rate changes in exactly one place, and flows are wired in one.
+
+``PacedSender._set_rate`` is the only function under ``core/``,
+``baselines/`` and ``multicast/`` that assigns ``self.rate`` after
+construction, touches ``rate_history``, emits the tracer ``"rate"`` record
+or computes the ``packet_size / T_MBI`` floor; ``net.flow.Flow`` is the only
+class that connects ports and defines ``start(at)``.  A second site for any
+of these means a sender or a ``*Flow`` has grown its own copy of the
+mechanism again -- and that a rate decision can escape the choke point the
+protocol event stream (ROADMAP 2b) hangs on.
+"""
+
+import ast
+from pathlib import Path
+
+REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
+SENDER_PACKAGES = ("core", "baselines", "multicast")
+FLOW_PACKAGES = SENDER_PACKAGES + ("tcp", "net")
+
+
+def _functions(packages):
+    """``(label, FunctionDef, enclosing class name)`` for every method."""
+    for package in packages:
+        modules = sorted((REPRO / package).glob("*.py"))
+        assert modules, f"nothing to scan under {REPRO / package}"
+        for path in modules:
+            tree = ast.parse(path.read_text(), str(path))
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        yield f"{package}/{path.name}:{node.name}", node, cls.name
+
+
+def _sites(predicate):
+    """The sender-package methods, constructors aside, with a matching node
+    (once per match)."""
+    return [
+        label
+        for label, function, _ in _functions(SENDER_PACKAGES)
+        if function.name != "__init__"
+        for node in ast.walk(function)
+        if predicate(node)
+    ]
+
+
+def _is_self_attr(expr, attr):
+    return (
+        isinstance(expr, ast.Attribute)
+        and expr.attr == attr
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+    )
+
+
+def _assignment_targets(node):
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
+
+
+def _assigns(attr):
+    return lambda node: any(
+        _is_self_attr(target, attr) for target in _assignment_targets(node)
+    )
+
+
+def _calls(method):
+    return lambda node: (
+        isinstance(node, ast.Call) and getattr(node.func, "attr", "") == method
+    )
+
+
+def _traces_rate(node):
+    return (
+        _calls("record")(node)
+        and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == "rate"
+    )
+
+
+def _builds_data_packet(node):
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", "") == "Packet"
+        and any(
+            kw.arg == "ptype" and getattr(kw.value, "attr", "") == "DATA"
+            for kw in node.keywords
+        )
+    )
+
+
+def _divides_by_64(node):
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 64
+    )
+
+
+def test_one_function_sets_floors_records_and_traces_the_rate():
+    set_rate = ["core/paced.py:_set_rate"]
+    assert _sites(_assigns("rate")) == set_rate
+    assert _sites(lambda node: _is_self_attr(node, "rate_history")) == set_rate
+    # rate_history is read nowhere else, so its one append is one of these:
+    assert [s for s in _sites(_calls("append")) if s in set_rate] == set_rate
+    assert _sites(_traces_rate) == set_rate
+    assert _sites(lambda n: isinstance(n, ast.Name) and n.id == "T_MBI") == set_rate
+    assert _sites(_divides_by_64) == []
+
+
+def test_one_srtt_ewma_and_two_pacing_bodies():
+    assert _sites(_assigns("srtt")) == ["core/paced.py:_sample_rtt"] * 2
+    # The base's pacing step, and TFRC's burst / ECN / quiescence-aware one.
+    assert _sites(_builds_data_packet) == [
+        "core/paced.py:_send_next", "core/sender.py:_send_next",
+    ]
+
+
+def test_one_class_wires_ports_and_starts_flows():
+    connects, starts, flows = set(), [], []
+    for label, function, cls in _functions(FLOW_PACKAGES):
+        if cls.endswith("Flow"):
+            flows.append(cls)
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    if getattr(node.func, "attr", "") == "connect":
+                        connects.add(cls)
+        if function.name == "start" and "at" in [a.arg for a in function.args.args]:
+            starts.append(label)
+    assert {"TfrcFlow", "TcpFlow", "RapFlow", "TfrcpFlow", "TearFlow"} < set(flows)
+    assert connects == {"Flow"}
+    assert starts == ["net/flow.py:start"]
+
+
+def test_no_send_wrapper_lambda_and_no_receive_monkey_patch():
+    offenders = []
+    for path in sorted(REPRO.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Lambda) and isinstance(node.body, ast.BoolOp):
+                last = node.body.values[-1]
+                if isinstance(last, ast.Constant) and last.value is None:
+                    # ``lambda p: port.send(p) and None``
+                    offenders.append(f"{path.name}:{node.lineno} lambda")
+            for target in _assignment_targets(node):
+                if isinstance(target, ast.Attribute) and target.attr == "receive":
+                    offenders.append(f"{path.name}:{node.lineno} receive =")
+    assert offenders == []
