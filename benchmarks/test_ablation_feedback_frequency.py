@@ -14,7 +14,7 @@ rather than proportional.
 """
 
 from repro.experiments.fig20_halving import HalvingResult
-from repro.experiments.common import run_single_tfrc_on_lossy_path
+from repro.scenarios import run_single_tfrc_on_lossy_path
 from repro.net.path import periodic_loss, scheduled_loss
 
 INTERVALS = (1.0, 2.0, 4.0)

@@ -9,7 +9,7 @@ The sweep stays in the regime where the appendix's model assumption holds
 round-trip time"): with Equation (1) and t_RTO = 4R, initial drop rates
 beyond ~0.1 push the pre-congestion rate below one packet per RTT, where
 loss *detection* itself takes multiple RTTs and the halving time grows
-beyond the paper's band (recorded in EXPERIMENTS.md).
+beyond the paper's band.
 """
 
 from repro.experiments import fig20_halving as fig20
@@ -26,8 +26,8 @@ def test_fig21_halving_sweep(once, benchmark):
     defined = sweep.defined()
     assert len(defined) >= len(PERIODS) - 1  # nearly all must halve
     for drop_rate, rtts in defined:
-        # Paper band is 3-8; we measure up to ~9.5 at p = 0.04
-        # (recorded in EXPERIMENTS.md), so assert the same decade.
+        # Paper band is 3-8; we measure up to ~9.5 at p = 0.04, so assert
+        # the same decade.
         assert 2.5 <= rtts <= 10.0, (drop_rate, rtts)
     # Low drop rates take at least ~5 RTTs (the A.2 bound).
     low = [rtts for drop_rate, rtts in defined if drop_rate <= 0.02]

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.analysis.charts import line_chart
 from repro.core.equations import tcp_response_rate
-from repro.experiments.common import run_single_tfrc_on_lossy_path, steady_state_window
+from repro.scenarios import run_single_tfrc_on_lossy_path, steady_state_window
 from repro.net.lossmodels import gilbert_elliott_from_rate
 
 PACKET_LOSS_RATE = 0.04

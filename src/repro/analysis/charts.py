@@ -2,8 +2,8 @@
 
 The paper's figures are line plots and scatter plots; this environment has
 no plotting toolkit, so the experiment runner renders Unicode/ASCII charts
-instead.  Charts aim for "readable in a terminal and in EXPERIMENTS.md
-code blocks", not publication typography:
+instead.  Charts aim for "readable in a terminal and in Markdown code
+blocks", not publication typography:
 
 * :func:`line_chart` -- one or more ``(x, y)`` series on shared axes,
   each series drawn with its own glyph;

@@ -16,7 +16,7 @@ import argparse
 import csv
 import os
 import sys
-from typing import Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -155,7 +155,7 @@ def export_fig20(out_dir: str) -> List[str]:
     ]
 
 
-EXPORTERS: Dict[str, callable] = {
+EXPORTERS: Dict[str, Callable[..., List[str]]] = {
     "fig02": export_fig02,
     "fig03": export_fig03,
     "fig05": export_fig05,

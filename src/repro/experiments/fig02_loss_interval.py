@@ -20,7 +20,7 @@ The run is one ``fig02_loss_interval`` scenario cell executed through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.scenarios import ScenarioSpec, register_scenario, run_single_cell
 from repro.scenarios.builders import (
@@ -29,8 +29,6 @@ from repro.scenarios.builders import (
     run_single_tfrc_on_lossy_path,
 )
 from repro.scenarios.spec import JsonDict
-from repro.scenarios.executors import ExecutorArg
-from repro.scenarios.sweep import ProgressFn
 
 
 @dataclass
@@ -96,11 +94,7 @@ def run(
     t_phase2: float = 6.0,
     t_phase3: float = 9.0,
     probe_interval: float = 0.1,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> Fig02Result:
     """Run the Figure 2 scenario and sample the estimator state."""
     base = ScenarioSpec(
@@ -117,10 +111,7 @@ def run(
         },
         extra={"probe_interval": float(probe_interval)},
     )
-    data = run_single_cell(
-        base, parallel=parallel, cache_dir=cache_dir, progress=progress,
-        executor=executor, queue_dir=queue_dir,
-    )
+    data = run_single_cell(base, **sweep)
     return Fig02Result(
         times=list(data["times"]),
         current_interval=list(data["current_interval"]),
@@ -131,7 +122,7 @@ def run(
 
 
 def summarize(result: Fig02Result, t_phase2: float = 6.0, t_phase3: float = 9.0) -> dict:
-    """Key scalars for EXPERIMENTS.md and the bench assertions."""
+    """Key scalars for the CLI printout and the bench assertions."""
     stable = result.series_between(4.0, t_phase2 - 0.5, "estimated_interval")
     high = result.series_between(t_phase2 + 1.5, t_phase3, "loss_event_rate")
     low_phase = result.series_between(t_phase3 + 4.0, result.times[-1], "loss_event_rate")

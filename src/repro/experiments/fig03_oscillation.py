@@ -14,13 +14,11 @@ state) with and without the adjustment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.cov import coefficient_of_variation
 from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios.spec import JsonDict
-from repro.scenarios.executors import ExecutorArg
-from repro.scenarios.sweep import ProgressFn
 from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.core import TfrcFlow
 from repro.net.dummynet import DummynetPipe
@@ -111,12 +109,11 @@ def run(
     buffer_sizes: Tuple[int, ...] = (2, 8, 32, 64),
     interpacket_adjustment: bool = False,
     duration: float = 60.0,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
-    **kwargs,
+    bandwidth_bps: float = 2e6,
+    delay: float = 0.05,
+    rtt_ewma_weight: float = 0.05,
+    tau: float = 0.5,
+    **sweep: object,
 ) -> Fig03Result:
     """Sweep buffer sizes; ``interpacket_adjustment=True`` gives Figure 4.
 
@@ -128,28 +125,21 @@ def run(
         duration=duration,
         flows={"interpacket_adjustment": bool(interpacket_adjustment)},
         topology={
-            "bandwidth_bps": float(kwargs.pop("bandwidth_bps", 2e6)),
-            "delay": float(kwargs.pop("delay", 0.05)),
+            "bandwidth_bps": float(bandwidth_bps),
+            "delay": float(delay),
         },
         extra={
-            "rtt_ewma_weight": float(kwargs.pop("rtt_ewma_weight", 0.05)),
-            "tau": float(kwargs.pop("tau", 0.5)),
+            "rtt_ewma_weight": float(rtt_ewma_weight),
+            "tau": float(tau),
         },
     )
-    if kwargs:
-        raise TypeError(f"unknown run() arguments: {sorted(kwargs)}")
-    sweep = SweepRunner(
+    cells = SweepRunner(
         base,
         {"queue.buffer_packets": [int(b) for b in buffer_sizes]},
-        parallel=parallel,
-        cache_dir=cache_dir,
-        progress=progress,
-        executor=executor,
-        queue_dir=queue_dir,
-    ).run()
+        **sweep,
+    ).run().complete_cells()
     result = Fig03Result(buffer_sizes=list(buffer_sizes))
-    for buffer_packets, cell in zip(buffer_sizes, sweep.cells):
-        assert cell.result is not None
+    for buffer_packets, cell in zip(buffer_sizes, cells):
         result.rate_series[buffer_packets] = list(cell.result["series"])
         result.cov_by_buffer[buffer_packets] = float(cell.result["cov"])
         result.mean_rate_by_buffer[buffer_packets] = float(cell.result["mean"])

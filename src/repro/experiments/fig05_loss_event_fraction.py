@@ -15,7 +15,7 @@ for free and Monte-Carlo streams are seeded deterministically per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from repro.analysis.bernoulli import (
 )
 from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios.spec import JsonDict
-from repro.scenarios.executors import ExecutorArg
-from repro.scenarios.sweep import ProgressFn
 
 DEFAULT_P_LOSS = tuple(np.linspace(0.005, 0.25, 25))
 
@@ -103,11 +101,7 @@ def run(
     rtt: float = 0.1,
     packet_size: int = 1000,
     seed: int = 0,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> Fig05Result:
     """Compute the Figure 5 curves as a sweep over rate multipliers.
 
@@ -128,20 +122,15 @@ def run(
             "mc_packets": int(mc_packets),
         },
     )
-    sweep = SweepRunner(
+    cells = SweepRunner(
         base,
         {"flows.rate_multiplier": [float(m) for m in multipliers]},
-        parallel=parallel,
-        cache_dir=cache_dir,
-        progress=progress,
-        executor=executor,
-        queue_dir=queue_dir,
         seed_mode="derived",
-    ).run()
+        **sweep,
+    ).run().complete_cells()
     result = Fig05Result(p_loss_values=[float(p) for p in p_loss_values])
-    for cell in sweep.cells:
+    for cell in cells:
         data = cell.result
-        assert data is not None
         multiplier = float(data["rate_multiplier"])
         result.p_event_by_multiplier[multiplier] = [
             float(v) for v in data["analytic"]

@@ -13,7 +13,7 @@ Figure 7 is the 15 Mb/s column with per-flow scatter, produced by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from repro.scenarios import (
     steady_state_window,
 )
 from repro.scenarios.spec import JsonDict
-from repro.scenarios.executors import ExecutorArg
-from repro.scenarios.sweep import ProgressFn
 
 
 @dataclass
@@ -127,11 +125,7 @@ def run(
     queue_types: Sequence[str] = ("droptail", "red"),
     duration: float = 90.0,
     seed: int = 0,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> Fig06Result:
     """The full fairness grid as a sweep.  Reduce the sweeps for quicker
     runs; ``parallel=N`` fans the cells out over N worker processes and
@@ -147,12 +141,7 @@ def run(
         "topology.bandwidth_bps": [rate * 1e6 for rate in link_rates_mbps],
         "flows.total": [int(n) for n in flow_counts],
     }
-    sweep = SweepRunner(
-        base, grid, parallel=parallel, cache_dir=cache_dir, progress=progress,
-        executor=executor, queue_dir=queue_dir,
-    ).run()
     result = Fig06Result()
-    for cell in sweep.cells:
-        assert cell.result is not None
+    for cell in SweepRunner(base, grid, **sweep).run().complete_cells():
         result.cells.append(CellResult(**cell.result))
     return result

@@ -15,7 +15,7 @@ protocol, for both RED and DropTail.  Each queue discipline is one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from repro.scenarios import (
     steady_state_window,
 )
 from repro.scenarios.spec import JsonDict
-from repro.scenarios.executors import ExecutorArg
-from repro.scenarios.sweep import ProgressFn
 
 
 @dataclass
@@ -131,26 +129,25 @@ def run(
     tau: float = 0.15,
     traced_flows: int = 4,
     seed: int = 0,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> Fig08Result:
     """Run the Figure 8 scenario for one queue type."""
     base = _base_spec(
         total_flows, link_bps, duration, tau, traced_flows, seed, queue_type
     )
-    data = run_single_cell(
-        base, parallel=parallel, cache_dir=cache_dir, progress=progress,
-        executor=executor, queue_dir=queue_dir,
-    )
+    data = run_single_cell(base, **sweep)
     return _result_from_cell(data)
 
 
 def run_queues(
     queue_types: Sequence[str] = ("red", "droptail"),
-    **kwargs,
+    total_flows: int = 32,
+    link_bps: float = 15e6,
+    duration: float = 30.0,
+    tau: float = 0.15,
+    traced_flows: int = 4,
+    seed: int = 0,
+    **sweep: object,
 ) -> Dict[str, Fig08Result]:
     """The paper's two-queue comparison as one sweep (grid over ``queue.type``).
 
@@ -159,33 +156,16 @@ def run_queues(
     """
     if not queue_types:
         return {}
-    parallel = kwargs.pop("parallel", 1)
-    cache_dir = kwargs.pop("cache_dir", None)
-    progress = kwargs.pop("progress", None)
-    executor = kwargs.pop("executor", None)
-    queue_dir = kwargs.pop("queue_dir", None)
     base = _base_spec(
-        total_flows=kwargs.pop("total_flows", 32),
-        link_bps=kwargs.pop("link_bps", 15e6),
-        duration=kwargs.pop("duration", 30.0),
-        tau=kwargs.pop("tau", 0.15),
-        traced_flows=kwargs.pop("traced_flows", 4),
-        seed=kwargs.pop("seed", 0),
-        queue_type=str(queue_types[0]),
+        total_flows, link_bps, duration, tau, traced_flows, seed,
+        str(queue_types[0]),
     )
-    if kwargs:
-        raise TypeError(f"unknown run_queues() arguments: {sorted(kwargs)}")
-    sweep = SweepRunner(
+    cells = SweepRunner(
         base,
         {"queue.type": [str(q) for q in queue_types]},
-        parallel=parallel,
-        cache_dir=cache_dir,
-        progress=progress,
-        executor=executor,
-        queue_dir=queue_dir,
-    ).run()
+        **sweep,
+    ).run().complete_cells()
     results: Dict[str, Fig08Result] = {}
-    for queue_type, cell in zip(queue_types, sweep.cells):
-        assert cell.result is not None
+    for queue_type, cell in zip(queue_types, cells):
         results[str(queue_type)] = _result_from_cell(cell.result)
     return results

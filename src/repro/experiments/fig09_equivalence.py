@@ -13,7 +13,7 @@ plots the mean CoV of TCP and of TFRC flows at the same timescales.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from repro.scenarios import (
     run_mixed_dumbbell,
 )
 from repro.scenarios.spec import JsonDict
-from repro.scenarios.executors import ExecutorArg
-from repro.scenarios.sweep import ProgressFn
 
 PAPER_TIMESCALES = (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
 
@@ -119,11 +117,7 @@ def run(
     link_bps: float = 15e6,
     timescales: Sequence[float] = PAPER_TIMESCALES,
     seed: int = 0,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> Fig09Result:
     """Run the replicated steady-state scenario as a sweep over seeds.
 
@@ -142,22 +136,17 @@ def run(
         queue={"type": "red"},
         extra={"timescales": timescales, "measure_seconds": float(measure_seconds)},
     )
-    sweep = SweepRunner(
+    cells = SweepRunner(
         base,
         {"seed": [seed + run_index for run_index in range(runs)]},
-        parallel=parallel,
-        cache_dir=cache_dir,
-        progress=progress,
-        executor=executor,
-        queue_dir=queue_dir,
-    ).run()
+        **sweep,
+    ).run().complete_cells()
     samples: Dict[str, Dict[float, List[float]]] = {
         key: {tau: [] for tau in timescales}
         for key in ("ee", "cc", "ec", "cov_tcp", "cov_tfrc")
     }
     result = Fig09Result(timescales=list(timescales))
-    for cell in sweep.cells:
-        assert cell.result is not None
+    for cell in cells:
         result.loss_rates.append(float(cell.result["loss_rate"]))
         for key in samples:
             for tau in timescales:

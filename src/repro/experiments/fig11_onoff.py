@@ -12,15 +12,13 @@ monitored long-duration flows, one TCP and one TFRC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.cov import coefficient_of_variation
 from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios.spec import JsonDict
-from repro.scenarios.executors import ExecutorArg
-from repro.scenarios.sweep import ProgressFn
 from repro.analysis.equivalence import equivalence_ratio
 from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.core import TfrcFlow
@@ -151,11 +149,7 @@ def run(
     warmup: float = 20.0,
     timescales: Sequence[float] = PAPER_TIMESCALES,
     link_bps: float = 15e6,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> Fig11Result:
     """Sweep the number of ON/OFF sources (paper: 5000 s; default reduced).
 
@@ -172,19 +166,14 @@ def run(
             "timescales": [float(t) for t in timescales],
         },
     )
-    sweep = SweepRunner(
+    cells = SweepRunner(
         base,
         {"flows.sources": [int(count) for count in source_counts]},
-        parallel=parallel,
-        cache_dir=cache_dir,
-        progress=progress,
-        executor=executor,
-        queue_dir=queue_dir,
-    ).run()
+        **sweep,
+    ).run().complete_cells()
     result = Fig11Result()
-    for cell in sweep.cells:
+    for cell in cells:
         data = cell.result
-        assert data is not None
         result.runs.append(
             OnOffRunResult(
                 sources=int(data["sources"]),

@@ -17,7 +17,7 @@ variants concurrently; ``--cache`` re-uses them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from repro.net import Dumbbell, DumbbellConfig
 from repro.net.monitor import FlowMonitor, LinkMonitor
 from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios.spec import JsonDict
-from repro.scenarios.executors import ExecutorArg
-from repro.scenarios.sweep import ProgressFn
 from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
 from repro.tcp.flow import TcpFlow
@@ -109,9 +107,8 @@ def run_one(
     )
     web.start(at=0.0)
 
-    # A small amount of reverse-path traffic.
-    reverse_cbr_port, _ = dumbbell.attach_flow("rev-cbr", base_rtt)
-    # Reverse traffic flows on the reverse link; attach via the reverse port.
+    # A small amount of reverse-path traffic: it flows on the reverse link,
+    # so attach via the reverse port.
     _, rev_port = dumbbell.attach_flow("rev-cbr-2", base_rtt)
     CbrSource(sim, "rev-cbr-2", rev_port, rate_bps=0.05 * link_bps).start(at=0.0)
 
@@ -182,11 +179,7 @@ def run(
     start_spread: float = 20.0,
     buffer_packets: int = 250,
     web_fraction: float = 0.2,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> Fig14Result:
     """Both variants of the Figure 14 scenario as a two-cell sweep."""
     base = ScenarioSpec(
@@ -202,18 +195,13 @@ def run(
         queue={"buffer_packets": int(buffer_packets)},
         extra={"web_fraction": float(web_fraction)},
     )
-    sweep = SweepRunner(
+    cells = SweepRunner(
         base,
         {"flows.protocol": ["tcp", "tfrc"]},
-        parallel=parallel,
-        cache_dir=cache_dir,
-        progress=progress,
-        executor=executor,
-        queue_dir=queue_dir,
-    ).run()
+        **sweep,
+    ).run().complete_cells()
     by_protocol = {}
-    for cell in sweep.cells:
-        assert cell.result is not None
+    for cell in cells:
         result = _result_from_cell(cell.result)
         by_protocol[result.protocol] = result
     return Fig14Result(tcp=by_protocol["tcp"], tfrc=by_protocol["tfrc"])

@@ -20,7 +20,7 @@ scenario cell, so multi-path trace gathering runs as a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from repro.experiments.internet import PATHS, PathProfile
 from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios.builders import run_tfrc_probe_path
 from repro.scenarios.spec import JsonDict
-from repro.scenarios.executors import ExecutorArg
-from repro.scenarios.sweep import ProgressFn
 
 PAPER_HISTORY_SIZES = (2, 4, 8, 16, 32)
 
@@ -80,11 +78,7 @@ def run(
     paths: Sequence[str] = ("ucl", "umass_linux", "nokia"),
     duration: float = 150.0,
     seed: int = 0,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> Fig18Result:
     """Score both weighting schemes on traces from several paths.
 
@@ -100,7 +94,7 @@ def run(
         seed=seed,
         topology=PATHS[paths[0]].to_dict(),
     )
-    sweep = SweepRunner(
+    cells = SweepRunner(
         base,
         {
             ("topology", "seed"): [
@@ -108,15 +102,10 @@ def run(
                 for index, name in enumerate(paths)
             ]
         },
-        parallel=parallel,
-        cache_dir=cache_dir,
-        progress=progress,
-        executor=executor,
-        queue_dir=queue_dir,
-    ).run()
+        **sweep,
+    ).run().complete_cells()
     traces = []
-    for name, cell in zip(paths, sweep.cells):
-        assert cell.result is not None
+    for name, cell in zip(paths, cells):
         trace = [float(v) for v in cell.result["intervals"]]
         if len(trace) > max(history_sizes) + 5:
             traces.append(trace)

@@ -18,7 +18,7 @@ spec data), executed through the sweep runner for ``--parallel``/``--cache``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.core.equations import (
     DELTA_T_DISCOUNTED_BOUND,
@@ -33,8 +33,6 @@ from repro.scenarios.builders import (
     run_single_tfrc_on_lossy_path,
 )
 from repro.scenarios.spec import JsonDict
-from repro.scenarios.executors import ExecutorArg
-from repro.scenarios.sweep import ProgressFn
 
 
 @dataclass
@@ -124,11 +122,7 @@ def run(
     duration: float = 13.0,
     rtt: float = 0.1,
     history_discounting: bool = True,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> Fig19Result:
     """Run the Appendix A.1 scenario, sampling once per RTT."""
     base = ScenarioSpec(
@@ -147,10 +141,7 @@ def run(
             "history_discounting": bool(history_discounting),
         },
     )
-    data = run_single_cell(
-        base, parallel=parallel, cache_dir=cache_dir, progress=progress,
-        executor=executor, queue_dir=queue_dir,
-    )
+    data = run_single_cell(base, **sweep)
     return Fig19Result(
         times=list(data["times"]),
         rate_pkts_per_rtt=list(data["rate_pkts_per_rtt"]),

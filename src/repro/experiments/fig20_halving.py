@@ -31,8 +31,6 @@ from repro.scenarios.builders import (
     run_single_tfrc_on_lossy_path,
 )
 from repro.scenarios.spec import JsonDict
-from repro.scenarios.executors import ExecutorArg
-from repro.scenarios.sweep import ProgressFn
 
 
 @dataclass
@@ -118,18 +116,11 @@ def run(
     onset: float = 10.0,
     duration: float = 14.0,
     rtt: float = 0.1,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> HalvingResult:
     """Run the Figure 20 scenario."""
     base = _halving_spec(initial_period, congested_period, onset, duration, rtt)
-    data = run_single_cell(
-        base, parallel=parallel, cache_dir=cache_dir, progress=progress,
-        executor=executor, queue_dir=queue_dir,
-    )
+    data = run_single_cell(base, **sweep)
     return HalvingResult(
         times=list(data["times"]),
         rates=list(data["rates"]),
@@ -157,11 +148,7 @@ def run_sweep(
     onset: float = 10.0,
     duration: float = 16.0,
     rtt: float = 0.1,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> Fig21Result:
     """Figure 21: sweep the pre-congestion drop rate.
 
@@ -171,7 +158,7 @@ def run_sweep(
     base = _halving_spec(
         initial_periods[0], congested_period, onset, duration, rtt
     )
-    sweep = SweepRunner(
+    cells = SweepRunner(
         base,
         {
             "loss.phases": [
@@ -179,16 +166,11 @@ def run_sweep(
                 for period in initial_periods
             ]
         },
-        parallel=parallel,
-        cache_dir=cache_dir,
-        progress=progress,
-        executor=executor,
-        queue_dir=queue_dir,
-    ).run()
+        **sweep,
+    ).run().complete_cells()
     result = Fig21Result()
-    for period, cell in zip(initial_periods, sweep.cells):
+    for period, cell in zip(initial_periods, cells):
         data = cell.result
-        assert data is not None
         halving = HalvingResult(
             times=list(data["times"]),
             rates=list(data["rates"]),

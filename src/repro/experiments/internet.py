@@ -33,7 +33,7 @@ simulates paths concurrently, ``--cache`` re-uses them).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -48,8 +48,6 @@ from repro.scenarios import (
 )
 from repro.scenarios.builders import PathProfile, run_internet_path
 from repro.scenarios.spec import JsonDict
-from repro.scenarios.executors import ExecutorArg
-from repro.scenarios.sweep import ProgressFn
 
 __all__ = [
     "PATHS",
@@ -244,21 +242,14 @@ def run_path(
     trace_tau: float = 1.0,
     interpacket_adjustment: bool = True,
     seed: int = 0,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> InternetRunResult:
     """Run n_tcp TCP flows + 1 TFRC flow + cross traffic over one path."""
     base = _base_spec(
         profile, n_tcp, duration, warmup, timescales, trace_tau,
         interpacket_adjustment, seed,
     )
-    data = run_single_cell(
-        base, parallel=parallel, cache_dir=cache_dir, progress=progress,
-        executor=executor, queue_dir=queue_dir,
-    )
+    data = run_single_cell(base, **sweep)
     return _result_from_cell(data)
 
 
@@ -271,11 +262,7 @@ def run_all(
     timescales: Sequence[float] = (1.0, 2.0, 5.0, 10.0, 20.0),
     trace_tau: float = 1.0,
     interpacket_adjustment: bool = True,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
+    **sweep: object,
 ) -> Dict[str, InternetRunResult]:
     """Figures 16/17: every named path, as one sweep over the profiles."""
     if not paths:
@@ -284,17 +271,12 @@ def run_all(
         PATHS[paths[0]], n_tcp, duration, warmup, timescales, trace_tau,
         interpacket_adjustment, seed,
     )
-    sweep = SweepRunner(
+    cells = SweepRunner(
         base,
         {"topology": [PATHS[name].to_dict() for name in paths]},
-        parallel=parallel,
-        cache_dir=cache_dir,
-        progress=progress,
-        executor=executor,
-        queue_dir=queue_dir,
-    ).run()
+        **sweep,
+    ).run().complete_cells()
     results: Dict[str, InternetRunResult] = {}
-    for name, cell in zip(paths, sweep.cells):
-        assert cell.result is not None
+    for name, cell in zip(paths, cells):
         results[name] = _result_from_cell(cell.result)
     return results

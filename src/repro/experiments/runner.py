@@ -6,6 +6,7 @@ Usage::
     tfrc-experiment fig06 --quick
     tfrc-experiment all --quick
     tfrc-experiment fig09 --plot     # append a text chart of the figure
+                                     # (fig02, fig05, fig09, fig18, fig20)
 """
 
 from __future__ import annotations
@@ -247,24 +248,24 @@ def _fig19(quick: bool, plot: bool = False, **sweep: object) -> None:
     print(f"  analytic bounds: {bounds}")
 
 
-def _fig20(quick: bool, plot: bool = False, **sweep_kwargs: object) -> None:
+def _fig20(quick: bool, plot: bool = False, **sweep: object) -> None:
     from repro.experiments import fig20_halving as fig20
 
-    result = fig20.run(**sweep_kwargs)
+    result = fig20.run(**sweep)
     print(f"Figure 20: RTTs to halve under persistent congestion = {result.rtts_to_halve()}")
-    sweep = fig20.run_sweep(
+    fig21 = fig20.run_sweep(
         initial_periods=(100, 10) if quick else (200, 100, 50, 25, 10, 5, 4),
-        **sweep_kwargs,
+        **sweep,
     )
     print("Figure 21: drop rate -> RTTs to halve")
-    for p, n in zip(sweep.drop_rates, sweep.rtts_to_halve):
+    for p, n in zip(fig21.drop_rates, fig21.rtts_to_halve):
         print(f"  p={p:.3f}: {n if n is not None else 'not halved'}")
     if plot:
         from repro.analysis.charts import line_chart
 
         points = [
             (p, n)
-            for p, n in zip(sweep.drop_rates, sweep.rtts_to_halve)
+            for p, n in zip(fig21.drop_rates, fig21.rtts_to_halve)
             if n is not None
         ]
         print()
@@ -273,7 +274,7 @@ def _fig20(quick: bool, plot: bool = False, **sweep_kwargs: object) -> None:
                          x_label="packet drop rate", y_label="RTTs"))
 
 
-EXPERIMENTS: Dict[str, Callable[[bool], None]] = {
+EXPERIMENTS: Dict[str, Callable[..., None]] = {
     "fig02": _fig02,
     "fig03": _fig03,
     "fig05": _fig05,
@@ -306,7 +307,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--plot", action="store_true",
-        help="append a plain-text chart of the figure where available",
+        help="append a plain-text chart of the figure (fig02, fig05, fig09, "
+        "fig18, fig20; the other figures accept the flag and ignore it)",
     )
     parser.add_argument(
         "--parallel", type=int, default=1, metavar="N",
@@ -386,7 +388,6 @@ def main(argv=None) -> int:
             )
         elif args.executor:
             sweep_kwargs["executor"] = args.executor
-            sweep_kwargs["queue_dir"] = args.queue_dir
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         EXPERIMENTS[name](args.quick, args.plot, **sweep_kwargs)

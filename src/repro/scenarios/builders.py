@@ -1,7 +1,7 @@
 """Scenario builders: the paper's reusable simulation setups.
 
-Lifted out of ``repro.experiments.common`` so that the experiments layer,
-the sweep runner, and ad-hoc studies all build scenarios from one place:
+The experiments layer, the sweep runner, and ad-hoc studies all build
+scenarios from this one place:
 
 * :func:`build_mixed_dumbbell` / :func:`run_mixed_dumbbell` -- n TFRC +
   n TCP flows on a dumbbell (Figures 6-10, 14): random base RTTs

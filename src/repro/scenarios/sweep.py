@@ -97,6 +97,29 @@ class SweepResult:
         """Poison cells dead-lettered instead of finishing (no result)."""
         return [cell for cell in self.cells if cell.quarantined]
 
+    def complete_cells(self) -> List[SweepCell]:
+        """The cells, for a reducer that needs every grid point's result.
+
+        ``cells`` / ``results()`` tolerate holes (a quarantined cell has no
+        result); a figure reduced over the whole grid cannot, so this raises
+        :class:`~repro.scenarios.executors.SweepCellError` naming every cell
+        without a result, with this sweep as ``.partial``.
+        """
+        missing = [cell for cell in self.cells if cell.result is None]
+        if missing:
+            named = "; ".join(
+                f"{cell.describe()} ({cell.failure or 'no result'})"
+                for cell in missing
+            )
+            raise SweepCellError(
+                f"{len(missing)} of {len(self.cells)} sweep cells have no "
+                f"result: {named}",
+                cell=missing[0],
+                overrides=missing[0].overrides,
+                partial=self,
+            )
+        return self.cells
+
 
 class SweepRunner:
     """Expand a parameter grid over a base spec and execute every cell."""
@@ -257,33 +280,15 @@ class SweepRunner:
         return SweepResult(cells=cells)
 
 
-def run_single_cell(
-    base: ScenarioSpec,
-    *,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    executor: Optional[ExecutorArg] = None,
-    queue_dir: Optional[str] = None,
-) -> JsonDict:
+def run_single_cell(base: ScenarioSpec, **sweep: object) -> JsonDict:
     """Execute a gridless spec as one sweep cell and return its result.
 
     The figure modules whose headline run is a single cell still route it
     through :class:`SweepRunner` so the CLI contract (``--cache`` result
     re-use, progress reporting, ``--executor`` selection) applies
-    uniformly.
+    uniformly.  ``sweep`` is :class:`SweepRunner`'s keyword options.
     """
-    sweep = SweepRunner(
-        base,
-        parallel=parallel,
-        cache_dir=cache_dir,
-        progress=progress,
-        executor=executor,
-        queue_dir=queue_dir,
-    ).run()
-    result = sweep.cells[0].result
-    assert result is not None
-    return result
+    return SweepRunner(base, **sweep).run().complete_cells()[0].result
 
 
 def print_progress(stream=None) -> ProgressFn:

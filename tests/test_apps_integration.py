@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.apps import QualityAdapter, simulate_playout
-from repro.experiments.common import run_single_tfrc_on_lossy_path
+from repro.scenarios import run_single_tfrc_on_lossy_path
 from repro.net.path import periodic_loss
 
 

@@ -25,6 +25,7 @@ from repro.scenarios import (
     ResultCache,
     ScenarioSpec,
     SweepCellError,
+    SweepResult,
     SweepRunner,
 )
 from repro.scenarios import faults
@@ -243,6 +244,41 @@ class TestPoisonQuarantine:
         assert "poison cell(s)" in capsys.readouterr().err
         # quarantine is informational: fsck still reports a clean state
         assert audit(queue_dir, cache_dir=tmp_path / "cache") == []
+
+    def test_figure_reducer_names_the_quarantined_cell(self, tmp_path):
+        """A figure reduces its whole grid, so a dead-lettered cell must
+        surface as SweepCellError -- it was a bare AssertionError, and a
+        TypeError on ``None`` under ``python -O``."""
+        from repro.experiments import fig20_halving as fig20
+
+        executor = FileQueueExecutor(
+            tmp_path / "q", local_workers=1, max_attempts=1,
+            poll_interval=0.02, lease_timeout=30.0, on_poison="quarantine",
+        )
+        with pytest.raises(SweepCellError) as excinfo:
+            fig20.run_sweep(
+                initial_periods=(100, 0), duration=11.0,
+                cache_dir=str(tmp_path / "cache"), executor=executor,
+            )
+        err = excinfo.value
+        assert "fig20_halving[" in str(err)
+        assert err.cell is not None and err.cell.quarantined
+        assert [c.result is not None for c in err.partial.cells] == [True, False]
+
+    def test_complete_cells_names_every_cell_without_a_result(self):
+        cells = SweepRunner(BASE_PROBE, {"extra.x": [1, 2]}).cells()
+        cells[0].result = {"x": 1}
+        cells[1].quarantined = True
+        cells[1].failure = "probe exploded on x=2"
+        sweep = SweepResult(cells=cells)
+        with pytest.raises(SweepCellError) as excinfo:
+            sweep.complete_cells()
+        err = excinfo.value
+        assert "executor_probe[extra.x=2] (probe exploded on x=2)" in str(err)
+        assert err.cell is cells[1] and err.overrides == {"extra.x": 2}
+        assert err.partial is sweep and sweep.results() == [{"x": 1}]
+        cells[1].result = {"x": 2}
+        assert sweep.complete_cells() == cells
 
     def test_fresh_run_clears_previous_dead_letters(self, tmp_path):
         """A rerun of the *same* cell after the transient cause is fixed

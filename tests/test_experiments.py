@@ -147,7 +147,7 @@ class TestFig20:
 
     def test_sweep_within_paper_band(self):
         # Paper: 3-8 RTTs across drop rates.  We measure up to ~9.5 at
-        # p = 0.04 (recorded in EXPERIMENTS.md); assert the same decade.
+        # p = 0.04; assert the same decade.
         sweep = fig20_halving.run_sweep(initial_periods=(100, 25, 10))
         defined = sweep.defined()
         assert len(defined) == 3

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import TfrcFlow
 from repro.core.paced import T_MBI
-from repro.experiments.common import run_single_tfrc_on_lossy_path
+from repro.scenarios import run_single_tfrc_on_lossy_path
 from repro.net.monitor import FlowMonitor
 from repro.net.path import LossyPath, bernoulli_loss, periodic_loss
 from repro.rt.scheduler import RealtimeScheduler

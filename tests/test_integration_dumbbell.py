@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis.cov import coefficient_of_variation
 from repro.analysis.timeseries import arrivals_to_rate_series
-from repro.experiments.common import (
+from repro.scenarios import (
     build_mixed_dumbbell,
     run_mixed_dumbbell,
     run_single_tfrc_on_lossy_path,

@@ -15,6 +15,7 @@ blocks order-insensitively, so only the wire ordering changed).
 import json
 
 from repro.experiments import fig02_loss_interval as fig02
+from repro.experiments import fig19_increase as fig19
 from repro.experiments import fig20_halving as fig20
 from repro.net.path import periodic_loss, scheduled_loss
 from repro.scenarios import ScenarioSpec, run_scenario
@@ -77,6 +78,16 @@ def _preport_fig20(initial_period=100, congested_period=2, onset=10.0,
     return series
 
 
+#: (figure entry point, its scale keywords, cells in its sweep): what the
+#: parallel and cache cases below push ``SweepRunner`` options through.
+SWEEP_ENTRIES = [
+    (fig20.run, {"duration": 12.0}, 1),
+    (fig20.run_sweep, {"initial_periods": (100, 10), "duration": 12.0}, 2),
+    (fig02.run, {"duration": 12.0}, 1),
+    (fig19.run, {}, 1),
+]
+
+
 class TestFig02PortEquivalence:
     def test_scenario_matches_preport_glue_byte_identically(self):
         glue = _preport_fig02(duration=12.0)
@@ -130,18 +141,27 @@ class TestFig20PortEquivalence:
             assert rtts == glue_result.rtts_to_halve()
 
     def test_parallel_cells_identical_to_serial(self):
-        serial = fig20.run_sweep(initial_periods=(100, 10), duration=12.0)
-        parallel = fig20.run_sweep(
-            initial_periods=(100, 10), duration=12.0, parallel=2
-        )
-        assert serial.drop_rates == parallel.drop_rates
-        assert serial.rtts_to_halve == parallel.rtts_to_halve
+        for entry, scale, cells in SWEEP_ENTRIES:
+            progressed = []
+            parallel = entry(
+                **scale, parallel=2,
+                progress=lambda done, total, cell: progressed.append((done, total)),
+            )
+            assert parallel == entry(**scale), entry.__module__
+            # one progress call per cell, through the figure entry point
+            assert progressed == [(n + 1, cells) for n in range(cells)]
 
     def test_cache_round_trip_is_exact(self, tmp_path):
-        live = fig20.run(duration=12.0, cache_dir=str(tmp_path))
-        cached = fig20.run(duration=12.0, cache_dir=str(tmp_path))
-        assert cached.times == live.times
-        assert cached.rates == live.rates
+        for entry, scale, cells in SWEEP_ENTRIES:
+            hits = []
+            options = {
+                "cache_dir": str(tmp_path / entry.__module__ / entry.__name__),
+                "progress": lambda done, total, cell: hits.append(cell.from_cache),
+            }
+            live = entry(**scale, **options)
+            cached = entry(**scale, **options)
+            assert cached == live, entry.__module__
+            assert hits == [False] * cells + [True] * cells
 
 
 class TestSackRecoveryOnDumbbell:
