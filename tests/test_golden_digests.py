@@ -1,12 +1,14 @@
 """Golden digests: the byte-identity contract of the packet simulator.
 
-Nine seeded runs are reduced to sha256 digests of their exact trace
+Eleven seeded runs are reduced to sha256 digests of their exact trace
 signature and result JSON and compared with ``tests/golden_digests.json``.
 The first five committed digests were produced by the per-event
 implementations the simulator used to carry beside its hot path, and
 verified equal to that hot path, before those were deleted; the four
 ``baselines/`` and ``multicast/`` runs were captured at f2093f7, before
-the five rate-based senders were put on one ``PacedSender`` base.  Any
+the five rate-based senders were put on one ``PacedSender`` base, and the
+two TFRC ``LossyPath`` runs at b7316be, before the endpoints' per-packet
+paths were shortened.  Any
 change to event order, RNG draw order or float arithmetic in ``sim/``,
 ``net/``, ``core/``, ``tcp/``, ``baselines/`` or ``multicast/`` moves one.
 
@@ -20,12 +22,14 @@ import hashlib
 import json
 import platform
 from dataclasses import asdict
+from functools import reduce
 from pathlib import Path
 
 import numpy
 import pytest
 
 from repro.baselines import RapFlow, TearFlow, TfrcpFlow
+from repro.core.agent import TfrcFlow
 from repro.experiments.fig11_onoff import run_one as fig11_run_one
 from repro.experiments.fig14_queue_dynamics import run_one as fig14_run_one
 from repro.multicast import MulticastTfrcSession
@@ -119,10 +123,11 @@ def fig14_red():
 
 
 def _exact(obj, names):
-    """``names`` read off ``obj``, floats as ``float.hex``."""
+    """``names`` (dotted paths allowed) read off ``obj``, floats as
+    ``float.hex``."""
     exact = {}
     for name in names:
-        value = getattr(obj, name)
+        value = reduce(getattr, name.split("."), obj)
         exact[name] = value.hex() if isinstance(value, float) else value
     return exact
 
@@ -131,20 +136,24 @@ def _rate_history(sender):
     return [(t.hex(), rate.hex()) for t, rate in sender.rate_history]
 
 
-def lossy_path_baseline(flow_cls, sender_counters, receiver_counters, **kwargs):
-    """One baseline flow, 60 simulated s over a Bernoulli-2 % ``LossyPath``."""
+def lossy_path_baseline(flow_cls, sender_counters, receiver_counters,
+                        p=0.02, traced=False, **kwargs):
+    """One flow, 60 simulated s over a Bernoulli-``p`` ``LossyPath``."""
     sim = Simulator()
     forward = LossyPath(
         sim, delay=0.05,
-        loss_model=bernoulli_loss(0.02, numpy.random.default_rng(5)),
+        loss_model=bernoulli_loss(p, numpy.random.default_rng(5)),
     )
     reverse = LossyPath(sim, delay=0.05)
     monitor = FlowMonitor()
+    tracer = Tracer()
+    if traced:
+        kwargs["tracer"] = tracer
     flow = flow_cls(sim, "b", forward, reverse, on_data=monitor.on_packet,
                     **kwargs)
     flow.start()
     sim.run(until=60.0)
-    return [], {
+    return trace_signature(tracer), {
         "rate_history": _rate_history(flow.sender),
         "sender": _exact(flow.sender, ("packets_sent", "srtt") + sender_counters),
         "receiver": _exact(flow.receiver, receiver_counters),
@@ -177,6 +186,17 @@ def multicast_session():
     }
 
 
+def tfrc_lossy_path(p):
+    """TFRC itself on that path, traced (every send and rate decision)."""
+    return lossy_path_baseline(
+        TfrcFlow, ("feedback_received", "in_slow_start"),
+        ("feedback_sent", "detector.packets_received",
+         "detector.packets_lost", "intervals.loss_events",
+         "intervals.open_interval", "intervals.history"),
+        p=p, traced=True,
+    )
+
+
 #: name -> zero-argument run returning ``(trace signature, result)``.
 RUNS = {
     "traced_mixed_dumbbell": lambda: mixed_dumbbell(reverse_monitor=True),
@@ -197,6 +217,8 @@ RUNS = {
          "smoothed_cwnd"),
     ),
     "multicast_session": multicast_session,
+    "tfrc_lossy_path_p01": lambda: tfrc_lossy_path(0.01),
+    "tfrc_lossy_path_p05": lambda: tfrc_lossy_path(0.05),
 }
 
 
