@@ -87,9 +87,28 @@ class LossEventDetector:
 
     # ------------------------------------------------------------- arrival
 
+    def in_order(self, seq: int) -> bool:
+        """Whether ``seq`` would arrive in order with no hole pending: the
+        arrival then moves the highest sequence number up by one and can
+        neither start nor withdraw a loss event."""
+        return seq == self._next_expected and not self._holes_followers
+
     def on_arrival(self, seq: int, now: float) -> List[LossEvent]:
         """Process one data arrival; returns any newly declared loss events."""
-        new_events: List[LossEvent] = []
+        if seq == self._next_expected and not self._holes_followers:
+            # :meth:`in_order`, inlined: nothing to register, follow or
+            # mature, so the general body reduces to these updates.
+            self.packets_received += 1
+            self._next_expected = seq + 1
+            self._last_arrival_time = now
+            self._last_arrival_seq = seq
+            self._expire_retractables()
+            return []
+        return self._on_arrival_general(seq, now)
+
+    def _on_arrival_general(self, seq: int, now: float) -> List[LossEvent]:
+        """Any arrival: gaps, late packets, pending holes.  The only body
+        for those, and what the in-order case above is fuzzed against."""
         self.packets_received += 1
         if seq >= self._next_expected:
             self._register_holes(seq, now)
@@ -102,8 +121,7 @@ class LossEventDetector:
             self._retract(seq)
         self._last_arrival_time = now
         self._last_arrival_seq = max(self._last_arrival_seq or 0, seq)
-        new_events.extend(self._mature_holes())
-        return new_events
+        return self._mature_holes()
 
     def _register_holes(self, seq: int, now: float) -> None:
         gap = range(self._next_expected, seq)

@@ -128,30 +128,42 @@ class TfrcReceiver:
 
     def receive(self, packet: Packet) -> None:
         """Handle one arriving data packet."""
-        if not packet.is_data:
+        if packet.ptype is not PacketType.DATA:
             return
-        info = packet.payload
-        if info is not None and getattr(info, "rtt_estimate", None) is not None:
-            self._rtt_from_sender = info.rtt_estimate
+        now = self.sim.now
+        seq = packet.seq
+        size = packet.size
+        rtt_estimate = getattr(packet.payload, "rtt_estimate", None)
+        if rtt_estimate is not None:
+            self._rtt_from_sender = rtt_estimate
         if self.on_data is not None:
-            self.on_data(self.sim.now, packet)
-        self._arrivals.append((self.sim.now, packet.size))
-        self._arrival_bytes += packet.size
+            self.on_data(now, packet)
+        self._arrivals.append((now, size))
+        self._arrival_bytes += size
         self._last_packet = packet
-        self._last_packet_recv_time = self.sim.now
+        self._last_packet_recv_time = now
 
-        previous_open = self.detector.open_interval_packets()
-        if packet.ecn_marked:
-            # ECN: a mark is a congestion signal without a sequence gap.
-            self.detector.on_congestion_mark(packet.seq, self.sim.now)
-        self.detector.on_arrival(packet.seq, self.sim.now)
-        # Keep the ALI open-interval synchronized with the detector's view
-        # (sequence-space accounting survives reordering and burst arrivals).
-        current_open = self.detector.open_interval_packets()
-        if current_open > previous_open and self.detector.events:
-            self.intervals.on_packet(current_open - previous_open)
-        elif not self.detector.events:
+        detector = self.detector
+        if detector.in_order(seq) and not packet.ecn_marked:
+            # No event starts or is withdrawn and the highest sequence
+            # number moves up by one: the open interval grows by exactly
+            # one packet, whether or not a loss event has been seen.
+            detector.on_arrival(seq, now)
             self.intervals.on_packet(1.0)
+        else:
+            previous_open = detector.open_interval_packets()
+            if packet.ecn_marked:
+                # ECN: a mark is a congestion signal without a sequence gap.
+                detector.on_congestion_mark(seq, now)
+            detector.on_arrival(seq, now)
+            # Keep the ALI open-interval synchronized with the detector's
+            # view (sequence-space accounting survives reordering and burst
+            # arrivals).
+            current_open = detector.open_interval_packets()
+            if current_open > previous_open and detector.events:
+                self.intervals.on_packet(current_open - previous_open)
+            elif not detector.events:
+                self.intervals.on_packet(1.0)
 
         if not self.first_packet_seen:
             self.first_packet_seen = True

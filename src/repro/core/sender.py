@@ -86,8 +86,9 @@ class TfrcSender(PacedSender):
         #: (section 4.1), though it is not recommended as the default.
         self.burst_size = burst_size
 
-        self._latest_rtt_sample: Optional[float] = None
         self._sqrt_rtt_ewma: Optional[float] = None  # M in section 3.4
+        #: sqrt(R0)/M of section 3.4; it changes only with an RTT sample.
+        self._pacing_factor = 1.0
         self.in_slow_start = True
         self.last_feedback: Optional[TfrcFeedback] = None
         # Re-armed per feedback: generation-counter timer, like the send
@@ -143,17 +144,20 @@ class TfrcSender(PacedSender):
         self._arm_no_feedback_timer()
 
     def _sample_rtt(self, rtt: float) -> None:
-        """Also keep R0 and M, the pacing adjustment's two inputs."""
+        """Also fold R0 into M and refresh the pacing adjustment."""
         if rtt <= 0:
             return
         super()._sample_rtt(rtt)
-        self._latest_rtt_sample = rtt
+        root = math.sqrt(rtt)
         if self._sqrt_rtt_ewma is None:
-            self._sqrt_rtt_ewma = math.sqrt(rtt)
+            self._sqrt_rtt_ewma = root
         else:
             self._sqrt_rtt_ewma += self.rtt_ewma_weight * (
-                math.sqrt(rtt) - self._sqrt_rtt_ewma
+                root - self._sqrt_rtt_ewma
             )
+        self._pacing_factor = (
+            root / self._sqrt_rtt_ewma if self._sqrt_rtt_ewma > 0 else 1.0
+        )
 
     def _update_rate(self, feedback: TfrcFeedback) -> None:
         rtt = self._rtt_or_default()
@@ -183,15 +187,10 @@ class TfrcSender(PacedSender):
 
     def _interpacket_interval(self) -> float:
         base = self.packet_size / self.rate
-        if (
-            self.interpacket_adjustment
-            and self._latest_rtt_sample is not None
-            and self._sqrt_rtt_ewma is not None
-            and self._sqrt_rtt_ewma > 0
-        ):
+        if self.interpacket_adjustment:
             # t = s/T * sqrt(R0)/M: instantaneous-delay sensitivity with
             # less than proportional gain (section 3.4).
-            base *= math.sqrt(self._latest_rtt_sample) / self._sqrt_rtt_ewma
+            base *= self._pacing_factor
         return base
 
     def _send_next(self) -> None:
@@ -199,23 +198,23 @@ class TfrcSender(PacedSender):
         gate, bursts, ECN marking and the per-packet ``"send"`` record."""
         if self._stopped or not self._app_active:
             return
+        now = self.sim.now
+        rtt = self.srtt if self.srtt is not None else self.initial_rtt
         for _ in range(self.burst_size):
             packet = Packet(
                 flow_id=self.flow_id,
                 seq=self._seq,
                 size=self.packet_size,
                 ptype=PacketType.DATA,
-                sent_at=self.sim.now,
-                payload=TfrcDataInfo(
-                    ts=self.sim.now, rtt_estimate=self._rtt_or_default()
-                ),
+                sent_at=now,
+                payload=TfrcDataInfo(now, rtt),
                 ecn_capable=self.ecn,
             )
             self._seq += 1
             self.packets_sent += 1
             if self.tracer is not None:
                 self.tracer.record(
-                    self.sim.now, "send", self.flow_id, packet.size,
+                    now, "send", self.flow_id, packet.size,
                     meta={"seq": packet.seq},
                 )
             self._send_packet(packet)

@@ -151,13 +151,17 @@ class LossyPath:
         if self._receiver is None:
             raise RuntimeError(f"path {self.name} has no receiver connected")
         self.packets_sent += 1
-        if self.loss_model is not None and self.loss_model(packet, self.sim.now):
+        now = self.sim.now
+        if self.loss_model is not None and self.loss_model(packet, now):
             self.packets_dropped += 1
             return False
-        departure = self.sim.now
+        departure = now
         if self.bandwidth_bps:
             serialization = packet.size * 8 / self.bandwidth_bps
-            departure = max(self.sim.now, self._busy_until) + serialization
+            departure = max(now, self._busy_until) + serialization
             self._busy_until = departure
-        self.sim.schedule(departure + self.delay, self._receiver, packet)
+        # Nobody cancels a delivery: no Event handle, same sequence number.
+        self.sim.schedule_fast(
+            departure + self.delay, self._receiver, args=(packet,)
+        )
         return True

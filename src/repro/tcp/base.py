@@ -14,7 +14,7 @@ connections set ``packets_to_send`` and an ``on_complete`` callback.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Optional, Set
 
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
@@ -76,7 +76,6 @@ class TCPSender:
         )
         self._retx_timer = FastTimer(sim, self._on_timeout)
         self._retransmitted: Set[int] = set()
-        self._send_times: Dict[int, float] = {}
         self._started = False
         self._stopped = False
 
@@ -114,7 +113,7 @@ class TCPSender:
 
     def on_ack(self, packet: Packet) -> None:
         """Process one arriving ACK packet."""
-        if self._stopped or not packet.is_ack:
+        if self._stopped or packet.ptype is not PacketType.ACK:
             return
         info = packet.payload
         if not isinstance(info, TCPAckInfo):
@@ -125,23 +124,22 @@ class TCPSender:
         self._sample_rtt(info)
         self._register_sack(info)
 
-        if ack_seq > self.snd_una:
-            newly_acked = ack_seq - self.snd_una
+        snd_una = self.snd_una
+        if ack_seq > snd_una:
+            newly_acked = ack_seq - snd_una
             self.snd_una = ack_seq
             self.dupacks = 0
-            for seq in range(ack_seq - newly_acked, ack_seq):
-                self._send_times.pop(seq, None)
-                self._retransmitted.discard(seq)
-            if self.in_recovery and ack_seq > self.recover:
-                self._exit_recovery()
-                self._restart_timer()
-            elif self.in_recovery:
-                self.on_partial_ack(ack_seq, newly_acked)
-                self._restart_timer()
-            else:
+            if self._retransmitted:
+                # Karn bookkeeping exists only after a retransmission.
+                self._retransmitted.difference_update(range(snd_una, ack_seq))
+            if not self.in_recovery:
                 self._open_window(newly_acked)
-                self._restart_timer()
-        elif ack_seq == self.snd_una and self.outstanding > 0:
+            elif ack_seq > self.recover:
+                self._exit_recovery()
+            else:
+                self.on_partial_ack(ack_seq, newly_acked)
+            self._restart_timer()
+        elif ack_seq == snd_una and self.snd_nxt > snd_una:
             self.dupacks += 1
             if self.in_recovery:
                 self.on_recovery_dupack()
@@ -204,7 +202,7 @@ class TCPSender:
         self.ssthresh = max(self.outstanding / 2.0, 2.0)
 
     def _window_allows(self) -> bool:
-        return self.outstanding < int(self.cwnd)
+        return self.snd_nxt - self.snd_una < int(self.cwnd)
 
     # ------------------------------------------------------------- sending
 
@@ -223,24 +221,18 @@ class TCPSender:
     def _transmit(self, seq: int, is_retransmission: bool = False) -> None:
         now = self.sim._now
         packet = Packet(
-            flow_id=self.flow_id,
-            seq=seq,
-            size=self.packet_size,
-            ptype=PacketType.DATA,
-            sent_at=now,
+            self.flow_id, seq, self.packet_size, PacketType.DATA, now
         )
         if is_retransmission:
             self.retransmissions += 1
             self._retransmitted.add(seq)
-        else:
-            self._send_times[seq] = now
         self.packets_sent += 1
         if self.tracer is not None:
             self.tracer.record(
                 now, "send", self.flow_id, packet.size,
                 meta={"seq": seq, "retx": is_retransmission},
             )
-        if not self._retx_timer.pending:
+        if self._retx_timer._deadline is None:  # FastTimer.pending, as a field
             self._retx_timer.start(self.rto_estimator.rto)
         self._send_packet(packet)
 
@@ -249,7 +241,7 @@ class TCPSender:
         self._transmit(self.snd_una, is_retransmission=True)
 
     def _restart_timer(self) -> None:
-        if self.outstanding > 0:
+        if self.snd_nxt > self.snd_una:
             self._retx_timer.start(self.rto_estimator.rto)
         else:
             self._retx_timer.cancel()

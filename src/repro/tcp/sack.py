@@ -28,13 +28,15 @@ class SackSender(TCPSender):
     # ------------------------------------------------------------- SACK in
 
     def _register_sack(self, info: TCPAckInfo) -> None:
-        before = len(self._sacked)
+        if not info.sack_blocks:
+            return  # the common ACK: nothing held out of order
+        sacked = self._sacked
+        before = len(sacked)
+        snd_una = self.snd_una
         for start, end in info.sack_blocks:
-            for seq in range(start, end):
-                if seq >= self.snd_una:
-                    self._sacked.add(seq)
+            sacked.update(range(max(start, snd_una), end))
         if self.in_recovery:
-            newly_sacked = len(self._sacked) - before
+            newly_sacked = len(sacked) - before
             self._pipe = max(0, self._pipe - newly_sacked)
 
     # ------------------------------------------------------------ recovery
@@ -76,10 +78,15 @@ class SackSender(TCPSender):
         self._recovery_send()
 
     def _recovery_send(self) -> None:
-        while self._pipe < int(self.cwnd):
-            holes = self._holes()
-            if holes:
-                seq = holes[0]
+        window = int(self.cwnd)
+        if self._pipe >= window:
+            return
+        # Only ``_retx_in_recovery`` changes inside the loop, and only by
+        # the hole just sent: one scoreboard walk, consumed in order.
+        holes = iter(self._holes())
+        while self._pipe < window:
+            seq = next(holes, None)
+            if seq is not None:
                 self._retx_in_recovery.add(seq)
                 self._transmit(seq, is_retransmission=True)
             elif self._more_data_available():
@@ -101,6 +108,8 @@ class SackSender(TCPSender):
         self._pipe = 0
 
     def _window_allows(self) -> bool:
-        if self.in_recovery:
-            return False  # recovery transmissions are pipe-clocked instead
-        return super()._window_allows()
+        # Recovery transmissions are pipe-clocked instead.
+        return (
+            not self.in_recovery
+            and self.snd_nxt - self.snd_una < int(self.cwnd)
+        )

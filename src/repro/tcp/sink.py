@@ -87,7 +87,7 @@ class TCPSink:
 
     def receive(self, packet: Packet) -> None:
         """Handle an arriving data packet."""
-        if not packet.is_data:
+        if packet.ptype is not PacketType.DATA:
             return
         self.packets_received += 1
         if self.on_data is not None:
@@ -197,8 +197,6 @@ class TCPSink:
         arrived), not the highest-sequence block.
         """
         starts = self._blk_starts
-        if not starts:
-            return []
         ends = self._blk_ends
         recency = self._blk_recency
         n = len(starts)
@@ -211,16 +209,11 @@ class TCPSink:
         ]
 
     def _send(self, echo_ts: float, echo_seq: int) -> None:
-        info = TCPAckInfo(
-            echo_ts=echo_ts, echo_seq=echo_seq, sack_blocks=self._sack_blocks()
-        )
+        # Nothing held out of order (the common ACK): no blocks to select.
+        blocks = self._sack_blocks() if self._blk_starts else None
         ack = Packet(
-            flow_id=self.flow_id,
-            seq=self.next_expected,
-            size=self.ACK_SIZE,
-            ptype=PacketType.ACK,
-            sent_at=self.sim._now,
-            payload=info,
+            self.flow_id, self.next_expected, self.ACK_SIZE, PacketType.ACK,
+            self.sim._now, TCPAckInfo(echo_ts, echo_seq, blocks),
         )
         self.acks_sent += 1
         self._send_ack(ack)

@@ -1,5 +1,5 @@
-"""Per-packet recomputations of what ``REDQueue.enqueue`` and ``TCPSink``
-maintain incrementally; the fuzzers compare the two."""
+"""Per-packet recomputations of what ``REDQueue.enqueue``, ``TCPSink`` and
+``SackSender`` maintain incrementally; the fuzzers compare the two."""
 
 from repro.net.redmath import red_drop_probability, red_ewma, red_uniformized
 
@@ -53,3 +53,32 @@ def sack_reference(arrivals, max_blocks=3):
         blocks.sort(reverse=True)  # RFC 2018: most recently received first
         acks.append((expected, seq, tuple(b[1:] for b in blocks[:max_blocks])))
     return acks, duplicates
+
+
+def sack_scoreboard_reference(steps, snd_nxt, cwnd):
+    """``(scoreboard, pipe, seqs sent)`` per ``(snd_una, in_recovery,
+    blocks)`` step: SACKed seqs filtered one at a time, and during recovery
+    the oldest hole re-derived from the whole scoreboard before every
+    transmission (holes first, then new data)."""
+    sacked, retransmitted, pipe, out = set(), set(), 0, []
+    for snd_una, in_recovery, blocks in steps:
+        before = len(sacked)
+        sacked |= {
+            seq for block in blocks for seq in range(*block) if seq >= snd_una
+        }
+        sent = []
+        if in_recovery:
+            pipe = max(0, pipe - (len(sacked) - before))
+        while in_recovery and pipe < cwnd:
+            hole = next((
+                seq for seq in range(snd_una, max(sacked, default=0))
+                if seq not in sacked and seq not in retransmitted
+            ), None)
+            if hole is None:
+                hole, snd_nxt = snd_nxt, snd_nxt + 1  # none left: new data
+            else:
+                retransmitted.add(hole)
+            sent.append(hole)
+            pipe += 1
+        out.append((sorted(sacked), pipe, sent))
+    return out

@@ -1,5 +1,7 @@
 """TFRC sender/receiver behaviour over controlled paths."""
 
+import math
+
 import pytest
 
 from repro.core import TfrcFlow
@@ -123,28 +125,40 @@ class TestNoFeedbackTimer:
 
 
 class TestInterpacketSpacing:
-    def test_adjustment_uses_sqrt_ratio(self):
-        sim = Simulator()
-        sender = TfrcSender(sim, "t", send_packet=lambda p: None,
-                            interpacket_adjustment=True)
+    """Driven through ``_sample_rtt``, the only place sqrt(R0)/M changes."""
+
+    @staticmethod
+    def _sender(adjust):
+        sender = TfrcSender(Simulator(), "t", send_packet=lambda p: None,
+                            interpacket_adjustment=adjust, rtt_ewma_weight=0.1)
         sender.rate = 10_000.0
-        sender._latest_rtt_sample = 0.16
-        sender._sqrt_rtt_ewma = 0.2  # EWMA of sqrt(rtt): implies mean 0.04
-        base = sender.packet_size / sender.rate
-        assert sender._interpacket_interval() == pytest.approx(
-            base * (0.16 ** 0.5) / 0.2
+        return sender, sender.packet_size / sender.rate
+
+    def test_adjustment_uses_sqrt_ratio(self):
+        sender, base = self._sender(adjust=True)
+        assert sender._interpacket_interval() == base  # no RTT sample yet
+        sender._sample_rtt(0.04)
+        # First sample: M = sqrt(R0), so the factor is exactly 1.
+        assert sender._interpacket_interval() == base
+        m = math.sqrt(0.04)
+        for rtt in (0.16, 0.09, 0.25, 0.01):
+            sender._sample_rtt(rtt)
+            m += 0.1 * (math.sqrt(rtt) - m)
+            # t = s/T * sqrt(R0)/M, the identical product (not approx).
+            assert sender._interpacket_interval() == base * (math.sqrt(rtt) / m)
+        for ignored in (0.0, -0.3):
+            sender._sample_rtt(ignored)  # R0 and M stand
+            assert sender._interpacket_interval() == base * (math.sqrt(0.01) / m)
+        sender.rate = 40_000.0  # the factor rides on whatever s/T is now
+        assert sender._interpacket_interval() == (
+            sender.packet_size / 40_000.0 * (math.sqrt(0.01) / m)
         )
 
     def test_adjustment_disabled_gives_plain_spacing(self):
-        sim = Simulator()
-        sender = TfrcSender(sim, "t", send_packet=lambda p: None,
-                            interpacket_adjustment=False)
-        sender.rate = 10_000.0
-        sender._latest_rtt_sample = 0.4
-        sender._sqrt_rtt_ewma = 0.1
-        assert sender._interpacket_interval() == pytest.approx(
-            sender.packet_size / sender.rate
-        )
+        sender, base = self._sender(adjust=False)
+        for rtt in (0.04, 0.4, 0.01):
+            sender._sample_rtt(rtt)
+            assert sender._interpacket_interval() == base
 
 
 class TestQuiescence:

@@ -8,9 +8,9 @@ verified equal to that hot path, before those were deleted; the four
 ``baselines/`` and ``multicast/`` runs were captured at f2093f7, before
 the five rate-based senders were put on one ``PacedSender`` base, and the
 two TFRC ``LossyPath`` runs at b7316be, before the endpoints' per-packet
-paths were shortened.  Any
-change to event order, RNG draw order or float arithmetic in ``sim/``,
-``net/``, ``core/``, ``tcp/``, ``baselines/`` or ``multicast/`` moves one.
+paths were shortened.  Any change to event order, RNG draw order or float
+arithmetic in ``sim/``, ``net/``, ``core/``, ``tcp/``, ``baselines/`` or
+``multicast/`` moves one.
 
 Float formatting and numpy's generators are only stable for one
 ``{python, numpy, machine}`` triple (the one ``bench/golden.json`` is keyed

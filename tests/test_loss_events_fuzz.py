@@ -9,6 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.loss_events import LossEventDetector
+from repro.core.receiver import TfrcReceiver
+from repro.core.sender import TfrcDataInfo
+from repro.net.packet import Packet
+from repro.sim.engine import Simulator
 
 
 def deliver_pattern(detector, delivered, spacing=0.01, start=0.0):
@@ -144,3 +148,135 @@ class TestIntervalAccounting:
         closed = [e.closed_interval for e in detector.events[1:]]
         expected = [b - a for a, b in zip(drop_seqs, drop_seqs[1:])]
         assert closed == expected
+
+
+# ------------------------------------------------- in-order path vs general
+
+DETECTOR_STATE = (
+    "events", "packets_lost", "packets_received", "_next_expected",
+    "_pending_holes", "_holes_followers", "_declared", "_last_arrival_seq",
+    "_last_arrival_time", "_event_start_seq", "_event_start_time",
+)
+
+
+def assert_indistinguishable(fast, general):
+    for name in DETECTOR_STATE:
+        assert getattr(fast, name) == getattr(general, name), name
+    assert fast.open_interval_packets() == general.open_interval_packets()
+
+
+@st.composite
+def arrival_streams(draw):
+    """``(seq, marked)`` in arrival order: Bernoulli loss, one burst,
+    adjacent swaps, displacements deeper than any tolerance drawn below
+    (declare-then-retract), duplicates, and ECN marks."""
+    n = draw(st.integers(min_value=20, max_value=160))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    burst_at = draw(st.integers(min_value=0, max_value=n - 1))
+    burst = range(burst_at, burst_at + draw(st.integers(0, 12)))
+    order = [s for s in range(n) if (keep[s] or s % 3 == 0) and s not in burst]
+    index = st.integers(min_value=0, max_value=max(0, len(order) - 2))
+    for i in draw(st.lists(index, max_size=12)):
+        if i + 1 < len(order):
+            order[i], order[i + 1] = order[i + 1], order[i]
+    for i in draw(st.lists(index, max_size=6)):
+        if order:
+            order.insert(i + draw(st.integers(4, 12)), order.pop(i))
+    for i in draw(st.lists(index, max_size=6)):
+        if order:
+            order.insert(i + draw(st.integers(0, 9)), order[i])
+    marks = draw(st.sets(st.integers(0, max(0, len(order) - 1)), max_size=5))
+    return [(seq, i in marks) for i, seq in enumerate(order)]
+
+
+class TestInOrderPathAgainstGeneralBody:
+    """``on_arrival`` short-circuits the in-order, nothing-pending arrival;
+    ``_on_arrival_general`` is the body every other arrival runs.  Feeding
+    one stream to both must leave the two detectors indistinguishable after
+    *every* arrival -- widening the short-circuit (say, dropping its
+    ``_holes_followers`` term) stops holes maturing and fails here."""
+
+    @given(
+        arrival_streams(),
+        st.floats(min_value=0.0, max_value=0.2),
+        st.floats(min_value=1e-4, max_value=0.05),
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from([8, 4096]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_state_equal_after_every_arrival(
+        self, stream, rtt, spacing, tolerance, window
+    ):
+        fast, general = (
+            LossEventDetector(rtt_fn=lambda: rtt, reorder_tolerance=tolerance)
+            for _ in range(2)
+        )
+        # A short horizon makes ``_expire_retractables`` bite on both paths.
+        fast.RETRACTION_WINDOW = general.RETRACTION_WINDOW = window
+        for i, (seq, marked) in enumerate(stream):
+            now = i * spacing
+            if marked:
+                assert fast.on_congestion_mark(seq, now) == (
+                    general.on_congestion_mark(seq, now)
+                )
+            assert fast.on_arrival(seq, now) == (
+                general._on_arrival_general(seq, now)
+            )
+            assert_indistinguishable(fast, general)
+
+    def test_long_run_expires_retractables_on_the_in_order_path(self):
+        """> 64 declared losses, then a loss-free tail: only in-order
+        arrivals are left to push them past the retraction horizon."""
+        fast, general = (LossEventDetector(rtt_fn=lambda: 0.01) for _ in range(2))
+        fast.RETRACTION_WINDOW = general.RETRACTION_WINDOW = 100
+        stream = [s for s in range(400) if s % 4] + list(range(400, 700))
+        for i, seq in enumerate(stream):
+            fast.on_arrival(seq, i * 0.005)
+            general._on_arrival_general(seq, i * 0.005)
+            assert_indistinguishable(fast, general)
+        assert fast.packets_lost == 100 and len(fast._declared) <= 64
+
+
+class TestReceiverAgainstGeneralBody:
+    """Same shape one layer up: a ``TfrcReceiver`` whose detector is pinned
+    to the general body (and so takes the receiver's two-measurement
+    open-interval accounting on every packet) must report what the
+    shipped one reports."""
+
+    @staticmethod
+    def _receiver(pinned):
+        sim, reports = Simulator(), []
+        receiver = TfrcReceiver(sim, "f", send_feedback=reports.append)
+        if pinned:
+            detector = receiver.detector
+            detector.on_arrival = detector._on_arrival_general
+            detector.in_order = lambda seq: False
+        return sim, receiver, reports
+
+    @given(
+        arrival_streams(),
+        st.floats(min_value=1e-4, max_value=0.02),
+        st.lists(st.floats(min_value=0.01, max_value=0.3), min_size=1, max_size=4),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_open_interval_rate_and_feedback_equal(self, stream, spacing, rtts):
+        shipped, pinned = self._receiver(False), self._receiver(True)
+        for i, (seq, marked) in enumerate(stream):
+            outcome = []
+            for sim, receiver, reports in (shipped, pinned):
+                sim.run(until=i * spacing)
+                packet = Packet(
+                    "f", seq, 1000, sent_at=sim.now,
+                    payload=TfrcDataInfo(sim.now, rtts[i * len(rtts) // len(stream)]),
+                )
+                packet.ecn_marked = marked
+                receiver.receive(packet)
+                outcome.append((
+                    receiver.intervals.open_interval,
+                    receiver.intervals.history,
+                    receiver.loss_event_rate(),
+                    receiver.feedback_sent,
+                    [(r.seq, r.payload.p, r.payload.recv_rate, r.payload.expedited)
+                     for r in reports],
+                ))
+            assert outcome[0] == outcome[1]

@@ -9,12 +9,17 @@ within one process, on any platform (the digests skip off theirs).
 import numpy as np
 import pytest
 
-from reference_models import red_reference, sack_reference
+from hypothesis import given, settings, strategies as st
+
+from reference_models import (
+    red_reference, sack_reference, sack_scoreboard_reference,
+)
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue, REDQueue
 from repro.sim.engine import Simulator
-from repro.tcp.sink import TCPSink
+from repro.tcp.sack import SackSender
+from repro.tcp.sink import TCPAckInfo, TCPSink
 from test_golden_digests import RUNS
 
 
@@ -100,6 +105,49 @@ class TestIncrementalSackEquivalence:
         acks = _feed(self._sink(), arrivals)
         assert acks == sack_reference(arrivals)[0]
         assert acks[-1][2] == ((2, 3), (6, 7))
+
+
+@st.composite
+def sack_steps(draw):
+    """``(snd_una, in_recovery, blocks)`` per ACK: ``snd_una`` only moves
+    forward, and blocks start up to five below it, so some lie wholly under
+    the cumulative ACK and some straddle it."""
+    steps, snd_una = [], 0
+    for _ in range(draw(st.integers(min_value=1, max_value=25))):
+        snd_una += draw(st.integers(min_value=0, max_value=6))
+        blocks = [
+            (start, start + draw(st.integers(min_value=1, max_value=8)))
+            for start in draw(st.lists(
+                st.integers(min_value=max(0, snd_una - 5), max_value=snd_una + 40),
+                max_size=3,
+            ))
+        ]
+        steps.append((snd_una, draw(st.booleans()), blocks))
+    return steps
+
+
+class TestSackScoreboardEquivalence:
+    """``SackSender._register_sack`` (whole ranges at once, nothing at all on
+    a block-free ACK) and ``_recovery_send`` (one hole walk per call) against
+    the per-seq, re-derive-every-time model."""
+
+    @given(sack_steps(), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=200, deadline=None)
+    def test_scoreboard_pipe_and_hole_order(self, steps, cwnd):
+        sent = []
+        sender = SackSender(Simulator(), "f", send_packet=sent.append)
+        sender.snd_nxt, sender.cwnd = 1000, float(cwnd)
+        observed = []
+        for snd_una, in_recovery, blocks in steps:
+            sender.snd_una, sender.in_recovery = snd_una, in_recovery
+            sender._register_sack(TCPAckInfo(0.0, 0, blocks))
+            del sent[:]
+            if in_recovery:
+                sender._recovery_send()
+            observed.append(
+                (sorted(sender._sacked), sender._pipe, [p.seq for p in sent])
+            )
+        assert observed == sack_scoreboard_reference(steps, 1000, cwnd)
 
 
 #: mean-packet service time of a standalone REDQueue (1000 B at the
