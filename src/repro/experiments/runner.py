@@ -7,6 +7,8 @@ Usage::
     tfrc-experiment all --quick
     tfrc-experiment fig09 --plot     # append a text chart of the figure
                                      # (fig02, fig05, fig09, fig18, fig20)
+    tfrc-experiment fig06 --parallel 1   # in this process (the default is
+                                         # one worker process per CPU)
 """
 
 from __future__ import annotations
@@ -292,7 +294,7 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
 
 
 def main(argv=None) -> int:
-    from repro.scenarios.executors import EXECUTOR_NAMES
+    from repro.scenarios.executors import EXECUTOR_NAMES, available_cpus
 
     parser = argparse.ArgumentParser(
         description="Reproduce a figure from the TFRC paper."
@@ -311,8 +313,9 @@ def main(argv=None) -> int:
         "fig18, fig20; the other figures accept the flag and ignore it)",
     )
     parser.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
-        help="run sweep cells on N worker processes (every figure); with "
+        "--parallel", type=int, default=None, metavar="N",
+        help="run sweep cells on N worker processes (every figure; default: "
+        "one per CPU this process may use; 1 = stay in this process); with "
         "--executor queue, N locally spawned tfrc-sweep-worker processes "
         "(0 = rely on externally started workers only)",
     )
@@ -324,9 +327,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--executor", choices=EXECUTOR_NAMES, default=None,
-        help="sweep execution backend (default: serial, or a process pool "
-        "when --parallel > 1); 'queue' coordinates tfrc-sweep-worker "
-        "processes -- including on other hosts -- through --queue-dir; "
+        help="sweep execution backend (default: a process pool of "
+        "--parallel workers; serial when that is 1 or one cell is left to "
+        "run); 'queue' coordinates tfrc-sweep-worker processes -- "
+        "including on other hosts -- through --queue-dir; "
         "'vector' advances compatible cells in lockstep numpy batches "
         "(cells it cannot batch fall back to scalar with a warning)",
     )
@@ -353,6 +357,12 @@ def main(argv=None) -> int:
         "completes ('quarantine'); tfrc-sweep-fsck audits the leftovers",
     )
     args = parser.parse_args(argv)
+    # Progress lines follow what the user typed, not the machine's CPU count.
+    verbose = (
+        args.parallel is not None or args.cache is not None or args.executor
+    )
+    if args.parallel is None:
+        args.parallel = available_cpus()
     if args.parallel < (0 if args.executor == "queue" else 1):
         parser.error(
             "--parallel must be >= 1 (>= 0 with --executor queue)"
@@ -365,29 +375,25 @@ def main(argv=None) -> int:
         parser.error("--lease-timeout must be > 0")
     if args.max_attempts < 1:
         parser.error("--max-attempts must be >= 1")
-    sweep_kwargs = {}
-    if args.parallel != 1 or args.cache is not None or args.executor:
+    sweep_kwargs = {"parallel": args.parallel, "cache_dir": args.cache}
+    if verbose:
         from repro.scenarios import print_progress
 
-        sweep_kwargs = {
-            "parallel": args.parallel,
-            "cache_dir": args.cache,
-            "progress": print_progress(),
-        }
-        if args.executor == "queue":
-            # Built directly (rather than resolved by name) so the
-            # robustness knobs reach the coordinator.
-            from repro.scenarios import FileQueueExecutor
+        sweep_kwargs["progress"] = print_progress()
+    if args.executor == "queue":
+        # Built directly (rather than resolved by name) so the
+        # robustness knobs reach the coordinator.
+        from repro.scenarios import FileQueueExecutor
 
-            sweep_kwargs["executor"] = FileQueueExecutor(
-                args.queue_dir,
-                local_workers=max(0, args.parallel),
-                lease_timeout=args.lease_timeout,
-                max_attempts=args.max_attempts,
-                on_poison=args.on_poison,
-            )
-        elif args.executor:
-            sweep_kwargs["executor"] = args.executor
+        sweep_kwargs["executor"] = FileQueueExecutor(
+            args.queue_dir,
+            local_workers=args.parallel,
+            lease_timeout=args.lease_timeout,
+            max_attempts=args.max_attempts,
+            on_poison=args.on_poison,
+        )
+    elif args.executor:
+        sweep_kwargs["executor"] = args.executor
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         EXPERIMENTS[name](args.quick, args.plot, **sweep_kwargs)

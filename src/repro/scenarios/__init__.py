@@ -60,6 +60,7 @@ from repro.scenarios.executors import (
     SweepCellError,
     SweepExecutor,
     SweepPlan,
+    available_cpus,
     resolve_executor,
 )
 from repro.scenarios.spec import (
@@ -110,6 +111,7 @@ __all__ = [
     "SweepResult",
     "SweepRunner",
     "VectorFallbackWarning",
+    "available_cpus",
     "batch_key",
     "build_mixed_dumbbell",
     "get_scenario",

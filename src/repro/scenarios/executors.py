@@ -159,6 +159,10 @@ class SweepExecutor:
     def run_cells(self, plan: SweepPlan) -> Iterator[CellCompletion]:
         raise NotImplementedError
 
+    def describe(self, cells: int) -> str:
+        """What ``SweepResult.executor`` says ran a plan of ``cells`` cells."""
+        return type(self).__name__
+
 
 class CellTimeout(Exception):
     """A cell exceeded the worker's ``--cell-timeout`` wall-clock bound."""
@@ -286,6 +290,14 @@ class LocalExecutor(SweepExecutor):
             raise ValueError("batch_limit must be >= 1 (or None)")
         self.workers = workers
         self.batch_limit = batch_limit
+
+    def describe(self, cells: int) -> str:
+        batching = "" if self.batch_limit == 1 else "vector"
+        if not self.workers:
+            return batching or "serial"
+        # run_cells starts one process per group at most; scalar groups
+        # are single cells.
+        return f"pool x{min(self.workers, cells)} {batching}".rstrip()
 
     def _groups(self, cells: Sequence["SweepCell"]) -> List[List["SweepCell"]]:
         """Partition ``cells`` into the groups ``execute_cells`` runs."""
@@ -779,6 +791,9 @@ class FileQueueExecutor(SweepExecutor):
         self.vector_batch = vector_batch
         self.cell_timeout = cell_timeout
 
+    def describe(self, cells: int) -> str:
+        return f"queue x{self.local_workers}"
+
     # ----------------------------------------------------- local workers
 
     def _spawn_local_workers(self) -> List["subprocess.Popen[bytes]"]:
@@ -1226,3 +1241,16 @@ def resolve_executor(
             f"or pass a SweepExecutor instance"
         )
     return factory(parallel, queue_dir)
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: what the figure CLI's ``--parallel``
+    defaults to (``SweepRunner`` itself keeps ``parallel=1``).
+
+    The scheduler affinity mask where the platform has one -- it honours
+    ``taskset`` and cpusets, which ``os.cpu_count()`` does not -- else the
+    machine's CPU count; never less than 1.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

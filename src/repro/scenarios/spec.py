@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import zlib
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Mapping, Tuple
@@ -42,6 +43,37 @@ class ScenarioSpec:
     seed: int = 0
     duration: float = 60.0
     extra: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        """Reject what no scenario can run, naming the field -- here, so
+        ``from_dict``, ``override`` and grid expansion inherit it before a
+        cell runs or a cache directory exists."""
+        if not isinstance(self.scenario, str) or not self.scenario:
+            raise ValueError(
+                f"ScenarioSpec.scenario must be a non-empty str, "
+                f"got {self.scenario!r}"
+            )
+        for name in ("topology", "flows", "queue", "loss", "extra"):
+            group = getattr(self, name)
+            # a plain dict (every sweep cell's) skips the ABC lookup
+            if type(group) is not dict and not isinstance(group, Mapping):
+                raise ValueError(
+                    f"ScenarioSpec.{name} must be a mapping, got {group!r}"
+                )
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(
+                f"ScenarioSpec.seed must be an int, got {self.seed!r}"
+            )
+        duration = self.duration
+        if (
+            not isinstance(duration, (int, float))
+            or isinstance(duration, bool)
+            or not 0 <= duration < math.inf
+        ):
+            raise ValueError(
+                f"ScenarioSpec.duration must be a finite number >= 0, "
+                f"got {duration!r}"
+            )
 
     # ------------------------------------------------------------- serialize
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -49,7 +50,9 @@ from repro.scenarios.spec import (
     get_scenario,
 )
 
-#: progress callback: (cells done, cells total, the cell just finished).
+#: progress callback: (cells done, cells total, the cell just finished).  If
+#: it has a ``finish`` attribute, ``SweepRunner.run`` calls that once with the
+#: finished :class:`SweepResult`.
 ProgressFn = Callable[[int, int, "SweepCell"], None]
 
 
@@ -84,6 +87,12 @@ class SweepResult:
     """All cells of a sweep, in grid-expansion order."""
 
     cells: List[SweepCell] = field(default_factory=list)
+    #: wall-clock of the ``SweepRunner.run()`` call that produced this --
+    #: diagnostics only; no result or cache byte depends on it.
+    wall_seconds: float = 0.0
+    #: what executed the cache-missing cells (``"serial"``, ``"pool x2"``,
+    #: ``"queue x2"``, ``"vector"``); empty when every cell was cached.
+    executor: str = ""
 
     def results(self) -> List[JsonDict]:
         return [cell.result for cell in self.cells if cell.result is not None]
@@ -228,12 +237,13 @@ class SweepRunner:
         :class:`~repro.scenarios.executors.SweepCellError` carries the
         partial :class:`SweepResult` as ``.partial``.
         """
+        started = time.perf_counter()
         get_scenario(self.base.scenario)  # fail fast on unknown scenarios
-        cells = self.cells()
-        total = len(cells)
+        result = SweepResult(cells=self.cells())
+        total = len(result.cells)
         done = 0
         pending: List[SweepCell] = []
-        for cell in cells:
+        for cell in result.cells:
             # `is not None`, not truthiness: ResultCache.__len__ globs the
             # whole cache directory.
             cached = (
@@ -248,36 +258,40 @@ class SweepRunner:
             else:
                 pending.append(cell)
 
-        if not pending:
-            return SweepResult(cells=cells)
-
-        executor = resolve_executor(
-            self.executor,
-            parallel=self.parallel,
-            queue_dir=self.queue_dir,
-            pending=len(pending),
-        )
-        plan = SweepPlan(
-            cells=pending,
-            module_name=get_scenario(self.base.scenario).__module__,
-            cache=self.cache,
-        )
-        try:
-            for completion in executor.run_cells(plan):
-                cell = completion.cell
-                cell.result = completion.result
-                cell.elapsed_seconds = completion.elapsed_seconds
-                if completion.quarantined:
-                    cell.quarantined = True
-                    cell.failure = completion.failure
-                done += 1
-                if self.progress:
-                    self.progress(done, total, cell)
-        except SweepCellError as exc:
-            # Already-finished cells (cached or executed) stay accessible.
-            exc.partial = SweepResult(cells=cells)
-            raise
-        return SweepResult(cells=cells)
+        if pending:
+            executor = resolve_executor(
+                self.executor,
+                parallel=self.parallel,
+                queue_dir=self.queue_dir,
+                pending=len(pending),
+            )
+            result.executor = executor.describe(len(pending))
+            plan = SweepPlan(
+                cells=pending,
+                module_name=get_scenario(self.base.scenario).__module__,
+                cache=self.cache,
+            )
+            try:
+                for completion in executor.run_cells(plan):
+                    cell = completion.cell
+                    cell.result = completion.result
+                    cell.elapsed_seconds = completion.elapsed_seconds
+                    if completion.quarantined:
+                        cell.quarantined = True
+                        cell.failure = completion.failure
+                    done += 1
+                    if self.progress:
+                        self.progress(done, total, cell)
+            except SweepCellError as exc:
+                # Already-finished cells (cached or executed) stay accessible.
+                result.wall_seconds = time.perf_counter() - started
+                exc.partial = result
+                raise
+        result.wall_seconds = time.perf_counter() - started
+        finish = getattr(self.progress, "finish", None)
+        if finish is not None:
+            finish(result)
+        return result
 
 
 def run_single_cell(base: ScenarioSpec, **sweep: object) -> JsonDict:
@@ -292,7 +306,8 @@ def run_single_cell(base: ScenarioSpec, **sweep: object) -> JsonDict:
 
 
 def print_progress(stream=None) -> ProgressFn:
-    """A ready-made progress callback: one status line per finished cell."""
+    """A ready-made progress callback: one status line per finished cell,
+    and one closing line per sweep saying where its wall-clock went."""
     import sys
 
     out = stream if stream is not None else sys.stderr
@@ -301,4 +316,22 @@ def print_progress(stream=None) -> ProgressFn:
         source = "cache" if cell.from_cache else f"{cell.elapsed_seconds:.1f}s"
         print(f"[sweep {done}/{total}] {cell.describe()} ({source})", file=out)
 
+    def finish(result: SweepResult) -> None:
+        total, cached = len(result.cells), result.cache_hits
+        wall = result.wall_seconds
+        line = (
+            f"[sweep] {total} cell{'s' if total != 1 else ''}: "
+            f"{cached} cached, {total - cached} run"
+        )
+        if cached < total:
+            cell_time = sum(cell.elapsed_seconds for cell in result.cells)
+            line += (
+                f" on {result.executor} in {wall:.2f}s (cell time "
+                f"{cell_time:.2f}s, {cell_time / max(wall, 1e-9):.1f}x)"
+            )
+        else:
+            line += f" in {wall:.2f}s"
+        print(line, file=out)
+
+    report.finish = finish
     return report

@@ -227,6 +227,13 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        # Every comparison with NaN is false, so a NaN bound would never
+        # stop the loop below (only NaN differs from itself).
+        if until != until or max_events != max_events:
+            raise SimulationError(
+                f"run(until={until!r}, max_events={max_events!r}): "
+                f"a NaN bound never ends the run"
+            )
         self._running = True
         self._stopped = False
         processed = 0

@@ -1,16 +1,23 @@
 """Tests for the scenarios subsystem: spec/registry, hashing, cache
 round-trips, and sweep determinism (serial vs parallel)."""
 
+import io
 import json
+import math
+import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.scenarios import (
+    FileQueueExecutor,
+    LocalExecutor,
     ResultCache,
     ScenarioSpec,
     SweepRunner,
     get_scenario,
     list_scenarios,
+    print_progress,
     register_scenario,
     run_scenario,
 )
@@ -92,6 +99,72 @@ class TestSpec:
         assert a != ScenarioSpec("test_echo", seed=6).derive_seed(
             {"flows.total": 8}
         )
+
+
+_JUNK = st.one_of(st.none(), st.text(), st.lists(st.integers(), max_size=3))
+_GROUPS = ("topology", "flows", "queue", "loss", "extra")
+
+#: per field, values no scenario can run.
+MALFORMED = {
+    "scenario": st.one_of(st.just(""), st.none(), st.integers(), st.binary()),
+    "duration": st.one_of(
+        _JUNK, st.booleans(), st.integers(max_value=-1),
+        st.floats(max_value=-1e-300), st.sampled_from([math.nan, math.inf]),
+    ),
+    "seed": st.one_of(_JUNK, st.booleans(), st.floats()),
+    **{
+        group: st.one_of(
+            _JUNK, st.integers(), st.lists(st.tuples(st.text(), st.integers()))
+        )
+        for group in _GROUPS
+    },
+}
+
+
+class TestSpecValidation:
+    """ROADMAP 1d: a malformed spec fails at construction with a
+    ``ValueError`` naming the field -- not later, from ``spec_hash()`` or
+    inside a builder, as whatever the value happened to break."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("duration", -1.0), ("duration", math.nan), ("seed", "abc"),
+         ("topology", [1, 2])],
+    )
+    def test_unrunnable_values_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"ScenarioSpec\.{field} .*got "):
+            ScenarioSpec("test_echo", **{field: value})
+
+    @given(field=st.sampled_from(sorted(MALFORMED)), data=st.data())
+    def test_malformed_field_raises_value_error_naming_it(self, field, data):
+        bad = data.draw(MALFORMED[field])
+        named = rf"ScenarioSpec\.{field}\b"
+        kwargs = {"scenario": "test_echo", field: bad}
+        with pytest.raises(ValueError, match=named):
+            ScenarioSpec(**kwargs)
+        with pytest.raises(ValueError, match=named):
+            ScenarioSpec.from_dict(kwargs)
+        with pytest.raises(ValueError, match=named):
+            ScenarioSpec("test_echo").override({field: bad})
+
+    @given(
+        duration=st.one_of(
+            st.integers(min_value=0, max_value=10**6),
+            st.floats(min_value=0.0, allow_infinity=False),
+        ),
+        seed=st.integers(),
+        group=st.sampled_from(_GROUPS),
+        params=st.dictionaries(st.text(), st.integers(), max_size=3),
+    )
+    @example(duration=0.0, seed=0, group="extra", params={})  # fig05's
+    def test_well_formed_specs_construct_and_hash(
+        self, duration, seed, group, params
+    ):
+        spec = ScenarioSpec(
+            "test_echo", duration=duration, seed=seed, **{group: params}
+        )
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        assert len(spec.override({"seed": seed + 1}).spec_hash()) == 16
 
 
 class TestRegistry:
@@ -281,6 +354,50 @@ class TestSweepRunner:
             progress=lambda done, total, cell: seen.append((done, total)),
         ).run()
         assert seen == [(1, 3), (2, 3), (3, 3)]
+
+    def test_result_says_what_ran_it_and_for_how_long(self, tmp_path):
+        grid, cache_dir = {"extra.x": [1, 2, 3]}, str(tmp_path / "sweep")
+        ran = {
+            label: SweepRunner(self.BASE, grid, **options).run()
+            for label, options in [
+                ("serial", {}),
+                ("pool x2", {"parallel": 2, "cache_dir": cache_dir}),
+                ("", {"cache_dir": cache_dir}),  # all hits: nothing executes
+            ]
+        }
+        assert [result.executor for result in ran.values()] == list(ran)
+        assert all(result.wall_seconds > 0.0 for result in ran.values())
+        # wall-clock stays out of the bytes: every run holds the same results
+        assert len(
+            {json.dumps(r.results(), sort_keys=True) for r in ran.values()}
+        ) == 1
+        # the pool never starts more processes than it has cells
+        assert LocalExecutor(workers=8).describe(3) == "pool x3"
+        assert LocalExecutor(batch_limit=None).describe(3) == "vector"
+        queue = FileQueueExecutor(tmp_path / "queue", local_workers=2)
+        assert queue.describe(3) == "queue x2"
+
+    def test_print_progress_closes_each_sweep_with_one_line(self, tmp_path):
+        stream = io.StringIO()
+        options = {
+            "cache_dir": str(tmp_path / "sweep"),
+            "progress": print_progress(stream),
+        }
+        SweepRunner(self.BASE, {"extra.x": [1, 2]}, **options).run()
+        SweepRunner(self.BASE, {"extra.x": [1, 2, 3]}, **options).run()
+        SweepRunner(self.BASE, {"extra.x": [3]}, **options).run()
+        closing = [
+            line for line in stream.getvalue().splitlines()
+            if line.startswith("[sweep] ")
+        ]
+        assert len(stream.getvalue().splitlines()) == 2 + 3 + 1 + len(closing)
+        assert [re.sub(r"\d+\.\d+", "N", line) for line in closing] == [
+            "[sweep] 2 cells: 0 cached, 2 run on serial in Ns "
+            "(cell time Ns, Nx)",
+            "[sweep] 3 cells: 2 cached, 1 run on serial in Ns "
+            "(cell time Ns, Nx)",
+            "[sweep] 1 cell: 1 cached, 0 run in Ns",
+        ]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

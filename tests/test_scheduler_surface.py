@@ -10,7 +10,13 @@ simulator test and breaks the real-time stack with a bare
 """
 
 import ast
+import math
 from pathlib import Path
+
+import pytest
+
+from repro.scenarios.executors import _cell_alarm
+from repro.sim.engine import SimulationError, Simulator
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -63,3 +69,40 @@ def test_the_guard_sees_every_receiver_spelling():
     assert [access for _, access in _private_scheduler_reads(ast.parse(source))] == [
         "sim._now", "sim._heap", "_sim._seq",
     ]
+
+
+def _ticking_simulator():
+    """A simulator whose one event re-arms itself every simulated second."""
+    sim = Simulator()
+
+    def tick():
+        sim.schedule_in(1.0, tick)
+
+    sim.schedule_in(1.0, tick)
+    return sim
+
+
+@pytest.mark.parametrize(
+    "bounds", [{"until": math.nan}, {"max_events": math.nan}], ids=str
+)
+def test_a_nan_bound_is_rejected_instead_of_running_forever(bounds):
+    sim = _ticking_simulator()
+    # The alarm turns the hang this used to be into a CellTimeout failure.
+    with _cell_alarm(5.0), pytest.raises(SimulationError, match="nan"):
+        sim.run(**bounds)
+    # Rejected before the loop: nothing ran, and the simulator is usable.
+    assert sim.events_processed == 0
+    assert sim.run(until=2.5) == 2.5
+    assert sim.events_processed == 2
+
+
+def test_the_other_run_bounds_keep_their_meaning():
+    sim = _ticking_simulator()
+    assert sim.run(max_events=3) == 3.0
+    assert sim.run(until=1.0) == 3.0  # a past horizon runs nothing
+    assert sim.run(until=5.0, max_events=10**9) == 5.0
+    assert sim.events_processed == 5
+    draining = Simulator()
+    draining.schedule_in(1.0, lambda: None)
+    assert draining.run(until=math.inf) == math.inf  # the heap empties
+    assert draining.events_processed == 1
