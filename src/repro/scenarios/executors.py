@@ -16,16 +16,17 @@ Backends differ only in how cells reach that function:
   batches.  The names ``"serial"``, ``"pool"`` and ``"vector"`` are three
   of its configurations (:data:`EXECUTOR_FACTORIES`).
 * :class:`FileQueueExecutor` -- coordinates any number of worker processes
-  (``tfrc-sweep-worker``), locally spawned and/or started by hand on other
-  hosts, through a shared **queue directory**.  Coordination is plain
-  files: claimable cell payloads in ``tasks/``, atomic-rename leases in
-  ``claims/`` (the rename is the mutual exclusion; the claim file's mtime
-  is the worker's heartbeat), completion markers in ``done/``, failure
-  records in ``failures/``, and a ``quarantine/`` dead-letter directory
-  for corrupt files and poison cells.  Results land in the spec-hash
-  :class:`~repro.scenarios.cache.ResultCache`, so the coordinator assembles
-  the sweep purely from cache and a crashed run resumes without
-  recomputing finished cells.  Expired leases (dead workers) are reclaimed
+  through a shared **queue directory**: its own children (forked where the
+  platform forks, so born with its loaded modules and scenario registry)
+  and/or ``tfrc-sweep-worker`` processes started by hand on any host.
+  Coordination is plain files: claimable cell payloads in ``tasks/``,
+  atomic-rename leases in ``claims/`` (the rename is the mutual exclusion;
+  the claim file's mtime is the worker's heartbeat), completion markers in
+  ``done/``, failure records in ``failures/``, and a ``quarantine/``
+  dead-letter directory for corrupt files and poison cells.  Results land
+  in the spec-hash :class:`~repro.scenarios.cache.ResultCache`, so the
+  coordinator assembles the sweep purely from cache and a crashed run
+  resumes without recomputing finished cells.  Expired leases are reclaimed
   by the coordinator -- lease age is measured against the **queue
   directory's own clock** (a coordinator-touched sentinel file), so clock
   skew between hosts sharing the mount cannot reclaim a healthy worker's
@@ -49,9 +50,10 @@ already-finished cells) to the exception before re-raising.
 from __future__ import annotations
 
 import importlib
+import math
+import multiprocessing
 import os
 import signal
-import subprocess
 import sys
 import threading
 import time
@@ -739,8 +741,9 @@ STALL_WARNING_SECONDS = 30.0
 class FileQueueExecutor(SweepExecutor):
     """Coordinate sweep cells across worker processes via a queue directory.
 
-    The coordinator enqueues the pending cells, optionally spawns
-    ``local_workers`` ``tfrc-sweep-worker`` subprocesses, and then only
+    The coordinator enqueues the pending cells, optionally starts
+    ``local_workers`` children running ``tfrc-sweep-worker``'s ``main``
+    (:meth:`_spawn_local_workers` says what they inherit), and then only
     watches the queue: completions are read from ``done/`` markers plus the
     result cache, stale leases (claim age measured against the queue
     directory's own clock, :meth:`FileQueue.fs_now`) are reclaimed and
@@ -752,8 +755,9 @@ class FileQueueExecutor(SweepExecutor):
     started workers -- other terminals, other hosts sharing the directory
     -- drain the same queue concurrently.
 
-    ``vector_batch``/``cell_timeout`` are forwarded to locally spawned
-    workers as ``--vector-batch`` / ``--cell-timeout``.
+    ``vector_batch``/``cell_timeout`` are forwarded to the local workers
+    as ``--vector-batch`` / ``--cell-timeout``.  ``lease_timeout``,
+    ``poll_interval`` and ``cell_timeout`` are seconds: finite and > 0.
     """
 
     def __init__(
@@ -772,16 +776,19 @@ class FileQueueExecutor(SweepExecutor):
             raise ValueError("the queue executor requires a queue_dir")
         if local_workers < 0:
             raise ValueError("local_workers must be >= 0")
-        if lease_timeout <= 0:
-            raise ValueError("lease_timeout must be > 0")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if on_poison not in ("raise", "quarantine"):
             raise ValueError("on_poison must be 'raise' or 'quarantine'")
         if vector_batch < 1:
             raise ValueError("vector_batch must be >= 1")
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise ValueError("cell_timeout must be > 0")
+        waits = {"lease_timeout": lease_timeout, "poll_interval": poll_interval}
+        if cell_timeout is not None:
+            waits["cell_timeout"] = cell_timeout
+        for name, seconds in waits.items():
+            # `not (x > 0)`, not `x <= 0`: every comparison is false for NaN.
+            if not (math.isfinite(seconds) and seconds > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {seconds!r}")
         self.queue_dir = Path(queue_dir)
         self.local_workers = local_workers
         self.lease_timeout = lease_timeout
@@ -796,16 +803,22 @@ class FileQueueExecutor(SweepExecutor):
 
     # ----------------------------------------------------- local workers
 
-    def _spawn_local_workers(self) -> List["subprocess.Popen[bytes]"]:
+    def _spawn_local_workers(self) -> List[multiprocessing.Process]:
         """Start local drain processes (same protocol as remote workers).
 
-        ``sys.path`` is propagated via ``PYTHONPATH`` so scenarios defined
-        in modules outside installed packages (tests, ad-hoc scripts)
-        import cleanly in the children.
+        Each is a ``multiprocessing`` child running :func:`_local_worker`
+        under the platform's default start method, like the local pool's.
+        Forked, it begins with the coordinator's loaded modules, scenario
+        registry, ``sys.path`` and open stderr instead of booting an
+        interpreter and importing them again; spawned, ``multiprocessing``
+        carries ``sys.path`` over -- scenarios defined outside installed
+        packages (tests, scripts) import in the child either way.  Daemonic,
+        so a serve-until-killed worker cannot outlive its coordinator.
+
+        The console entry point, which no local worker passes through any
+        more, is covered by ``tests/test_worker_shutdown.py`` (execs ``-m
+        repro.scenarios.worker``) and CI's hand-started workers.
         """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        heartbeat = max(0.05, min(self.lease_timeout / 4.0, 5.0))
         args = [
             "--poll-interval",
             str(max(0.02, self.poll_interval / 2.0)),
@@ -814,7 +827,7 @@ class FileQueueExecutor(SweepExecutor):
             "--max-poll-interval",
             str(max(0.1, min(1.0, self.lease_timeout / 4.0))),
             "--heartbeat",
-            str(heartbeat),
+            str(max(0.05, min(self.lease_timeout / 4.0, 5.0))),
         ]
         if self.vector_batch > 1:
             args += ["--vector-batch", str(self.vector_batch)]
@@ -822,33 +835,24 @@ class FileQueueExecutor(SweepExecutor):
             args += ["--cell-timeout", str(self.cell_timeout)]
         procs = []
         for index in range(self.local_workers):
-            procs.append(
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro.scenarios.worker",
-                        str(self.queue_dir),
-                        "--worker-id",
-                        f"local-{os.getpid()}-{index}",
-                        *args,
-                    ],
-                    env=env,
-                )
+            worker_id = f"local-{os.getpid()}-{index}"
+            argv = [str(self.queue_dir), "--worker-id", worker_id, *args]
+            proc = multiprocessing.Process(
+                target=_local_worker, args=(argv,), daemon=True
             )
+            proc.start()
+            procs.append(proc)
         return procs
 
     @staticmethod
-    def _stop_workers(procs: List["subprocess.Popen[bytes]"]) -> None:
+    def _stop_workers(procs: List[multiprocessing.Process]) -> None:
         for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
+            proc.terminate()  # a no-op on one that already exited
         for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
+            proc.join(timeout=10)
+            if proc.is_alive():  # pragma: no cover - stuck child
                 proc.kill()
-                proc.wait()
+                proc.join()
 
     # ----------------------------------------------------------- helpers
 
@@ -1127,7 +1131,7 @@ class FileQueueExecutor(SweepExecutor):
 
                     if (
                         procs
-                        and all(proc.poll() is not None for proc in procs)
+                        and not any(proc.is_alive() for proc in procs)
                         # External workers (other hosts) may still be
                         # draining the queue: only give up when no lease
                         # is live either -- and only after the condition
@@ -1140,7 +1144,7 @@ class FileQueueExecutor(SweepExecutor):
                     ):
                         dead_worker_rounds += 1
                         if dead_worker_rounds >= 3:
-                            codes = [proc.returncode for proc in procs]
+                            codes = [proc.exitcode for proc in procs]
                             raise SweepCellError(
                                 f"all {len(procs)} local sweep workers "
                                 f"exited unexpectedly (exit codes {codes}) "
@@ -1185,6 +1189,19 @@ class FileQueueExecutor(SweepExecutor):
                 )
         finally:
             self._stop_workers(procs)
+
+
+def _local_worker(argv: List[str]) -> None:
+    """A local worker process's body: ``tfrc-sweep-worker``'s ``main``.
+
+    First it drops the fault-plan state a fork copied from the coordinator
+    (an ``install()``ed plan, or a "none" cached before ``TFRC_FAULT_PLAN``
+    was exported): a worker sees the plan the environment names, no other.
+    """
+    faults.uninstall()
+    from repro.scenarios.worker import main  # it imports this module
+
+    sys.exit(main(argv))
 
 
 def _cell_key(cell: "SweepCell") -> str:

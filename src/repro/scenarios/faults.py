@@ -20,10 +20,13 @@ Design constraints, in order:
    :func:`active`, which is a cached ``None`` check; no plan object, no
    hashing, no I/O.  The simulation hot path has no hooks at all -- faults
    live strictly in the fabric's file I/O layer.
-3. **Cross-process.**  ``tfrc-sweep-worker`` subprocesses activate the
-   same plan through the :data:`ENV_VAR` environment variable (pointing at
-   a plan JSON written by :meth:`FaultPlan.dump`), which the coordinator's
-   spawned workers inherit automatically.
+3. **Cross-process.**  Worker processes activate the same plan through
+   the :data:`ENV_VAR` environment variable (pointing at a plan JSON
+   written by :meth:`FaultPlan.dump`) and through nothing else.  The
+   coordinator's local workers are its ``multiprocessing`` children, so
+   they inherit its environment -- and, when forked, a copy of this
+   module's state, which their first act (:func:`uninstall`) discards: a
+   plan the coordinator only passed to :func:`install` stays there.
 
 Fault sites (the keys of :attr:`FaultPlan.rates`):
 
@@ -76,7 +79,7 @@ from typing import Any, Dict, Optional, Set
 
 from repro.scenarios._fsio import atomic_write_json
 
-#: environment variable naming a FaultPlan JSON file; worker subprocesses
+#: environment variable naming a FaultPlan JSON file; worker processes
 #: (which inherit the coordinator's environment) activate the plan from it.
 ENV_VAR = "TFRC_FAULT_PLAN"
 

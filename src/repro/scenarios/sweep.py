@@ -93,6 +93,10 @@ class SweepResult:
     #: what executed the cache-missing cells (``"serial"``, ``"pool x2"``,
     #: ``"queue x2"``, ``"vector"``); empty when every cell was cached.
     executor: str = ""
+    #: wall-clock from ``run()`` entry to the first executed cell's
+    #: completion (executor start-up plus one cell; diagnostics only, like
+    #: ``wall_seconds``); None when every cell was a cache hit.
+    first_result_seconds: Optional[float] = None
 
     def results(self) -> List[JsonDict]:
         return [cell.result for cell in self.cells if cell.result is not None]
@@ -273,6 +277,8 @@ class SweepRunner:
             )
             try:
                 for completion in executor.run_cells(plan):
+                    if result.first_result_seconds is None:
+                        result.first_result_seconds = time.perf_counter() - started
                     cell = completion.cell
                     cell.result = completion.result
                     cell.elapsed_seconds = completion.elapsed_seconds
@@ -326,7 +332,8 @@ def print_progress(stream=None) -> ProgressFn:
         if cached < total:
             cell_time = sum(cell.elapsed_seconds for cell in result.cells)
             line += (
-                f" on {result.executor} in {wall:.2f}s (cell time "
+                f" on {result.executor} in {wall:.2f}s, first result "
+                f"{result.first_result_seconds:.2f}s (cell time "
                 f"{cell_time:.2f}s, {cell_time / max(wall, 1e-9):.1f}x)"
             )
         else:

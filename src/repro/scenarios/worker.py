@@ -54,6 +54,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import socket
@@ -62,7 +63,7 @@ import threading
 import time
 import traceback
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.scenarios import faults
 from repro.scenarios.cache import ResultCache
@@ -454,6 +455,20 @@ def drain(
     return executed
 
 
+def _positive(number: type) -> Callable[[str], float]:
+    """argparse ``type=``: a finite ``number`` > 0.  Written ``not (x > 0)``:
+    every comparison is false for NaN, which ``x <= 0`` therefore lets by."""
+
+    def parse(text: str) -> float:
+        value = number(text)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = f"finite positive {number.__name__}"  # argparse quotes it
+    return parse
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tfrc-sweep-worker",
@@ -470,28 +485,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: <hostname>-<pid>)",
     )
     parser.add_argument(
-        "--poll-interval", type=float, default=0.5, metavar="S",
+        "--poll-interval", type=_positive(float), default=0.5, metavar="S",
         help="initial seconds between queue scans while idle; backs off "
         "exponentially with jitter while nothing is claimable "
         "(default: 0.5)",
     )
     parser.add_argument(
-        "--max-poll-interval", type=float, default=None, metavar="S",
+        "--max-poll-interval", type=_positive(float), default=None, metavar="S",
         help="cap on the idle-poll backoff "
         "(default: max(--poll-interval, 10))",
     )
     parser.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="S",
+        "--idle-timeout", type=_positive(float), default=None, metavar="S",
         help="exit after this many seconds with nothing claimable "
         "(default: serve until killed)",
     )
     parser.add_argument(
-        "--heartbeat", type=float, default=5.0, metavar="S",
+        "--heartbeat", type=_positive(float), default=5.0, metavar="S",
         help="lease heartbeat interval; must be well below the "
         "coordinator's lease timeout (default: 5)",
     )
     parser.add_argument(
-        "--max-cells", type=int, default=None, metavar="N",
+        "--max-cells", type=_positive(int), default=None, metavar="N",
         help="exit after executing N cells",
     )
     parser.add_argument(
@@ -499,13 +514,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="exit as soon as the queue is found empty",
     )
     parser.add_argument(
-        "--vector-batch", type=int, default=1, metavar="N",
+        "--vector-batch", type=_positive(int), default=1, metavar="N",
         help="when a claimed cell supports the lockstep vector kernel, "
         "also claim up to N-1 compatible queued cells and advance them "
         "as one batch (default: 1 = one cell at a time)",
     )
     parser.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="S",
+        "--cell-timeout", type=_positive(float), default=None, metavar="S",
         help="wall-clock bound on one cell's execution; a cell exceeding "
         "it gets a 'timeout' failure record and is requeued within its "
         "retry budget (default: unbounded)",
@@ -514,21 +529,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--quiet", action="store_true", help="suppress per-cell log lines"
     )
     args = parser.parse_args(argv)
-    if args.poll_interval <= 0:
-        parser.error("--poll-interval must be > 0")
     if (
         args.max_poll_interval is not None
         and args.max_poll_interval < args.poll_interval
     ):
         parser.error("--max-poll-interval must be >= --poll-interval")
-    if args.heartbeat <= 0:
-        parser.error("--heartbeat must be > 0")
-    if args.max_cells is not None and args.max_cells < 1:
-        parser.error("--max-cells must be >= 1")
-    if args.vector_batch < 1:
-        parser.error("--vector-batch must be >= 1")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        parser.error("--cell-timeout must be > 0")
 
     worker_id = args.worker_id or default_worker_id()
     if not args.quiet:

@@ -337,7 +337,8 @@ class TestChaosSoak:
         ).run()
 
         # -- chaos run: plan active in-process (coordinator hooks) and via
-        #    the environment (spawned tfrc-sweep-worker subprocesses)
+        #    the environment (the local workers re-read it; they drop the
+        #    forked copy of the installed plan)
         log_dir = tmp_path / "fired"
         plan = FaultPlan(
             seed=1009,

@@ -342,6 +342,29 @@ class TestWorkerCli:
         assert all("probe exploded on x=5" in r["error"] for r in records)
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--poll-interval", "--max-poll-interval", "--idle-timeout",
+            "--heartbeat", "--cell-timeout", "--max-cells", "--vector-batch",
+        ],
+    )
+    def test_malformed_number_exits_2_naming_the_flag(
+        self, tmp_path, capsys, flag, value
+    ):
+        """NaN fails every ``<= 0`` test, so each of these used to be
+        accepted (``--idle-timeout nan`` then never exited)."""
+        queue_dir = tmp_path / "q"
+        with pytest.raises(SystemExit) as excinfo:
+            sweep_worker.main([str(queue_dir), "--once", f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and repr(value) in err
+        assert "Traceback" not in err
+        assert not queue_dir.exists()  # rejected before touching the queue
+
+
 @pytest.mark.skipif(
     not hasattr(signal, "SIGALRM"), reason="--cell-timeout needs SIGALRM"
 )
@@ -410,6 +433,19 @@ class TestCellTimeout:
         assert not fq.claim_path(key).exists()
         assert fq.read_done(key) is None
 
+    def test_bound_reaches_the_queue_executors_local_workers(self, tmp_path):
+        """``cell_timeout`` travels as ``--cell-timeout`` and the alarm
+        fires in the worker process the coordinator started."""
+        executor = FileQueueExecutor(
+            tmp_path / "q", local_workers=1, cell_timeout=0.2,
+            max_attempts=1, **QUEUE_KW,
+        )
+        with pytest.raises(SweepCellError, match="0.2s wall-clock bound") as excinfo:
+            SweepRunner(
+                self.HUNG, cache_dir=str(tmp_path / "cache"), executor=executor
+            ).run()
+        assert [r["kind"] for r in excinfo.value.failures] == ["timeout"]
+
 
 class TestExecutorArguments:
     @staticmethod
@@ -444,6 +480,16 @@ class TestExecutorArguments:
         SweepRunner(
             BASE, parallel=0, executor="queue", queue_dir=str(tmp_path / "q")
         )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1])
+    @pytest.mark.parametrize(
+        "argument", ["lease_timeout", "poll_interval", "cell_timeout"]
+    )
+    def test_queue_executor_seconds_must_be_finite_and_positive(
+        self, tmp_path, argument, value
+    ):
+        with pytest.raises(ValueError, match=f"{argument} must be .* > 0"):
+            FileQueueExecutor(tmp_path, **{argument: value})
 
     def test_queue_executor_requires_cache(self, tmp_path):
         from repro.scenarios import SweepPlan

@@ -367,6 +367,11 @@ class TestSweepRunner:
         }
         assert [result.executor for result in ran.values()] == list(ran)
         assert all(result.wall_seconds > 0.0 for result in ran.values())
+        # first executed completion: inside the wall, absent when all hit
+        for label in ("serial", "pool x2"):
+            first = ran[label].first_result_seconds
+            assert 0.0 < first <= ran[label].wall_seconds
+        assert ran[""].first_result_seconds is None
         # wall-clock stays out of the bytes: every run holds the same results
         assert len(
             {json.dumps(r.results(), sort_keys=True) for r in ran.values()}
@@ -392,10 +397,10 @@ class TestSweepRunner:
         ]
         assert len(stream.getvalue().splitlines()) == 2 + 3 + 1 + len(closing)
         assert [re.sub(r"\d+\.\d+", "N", line) for line in closing] == [
-            "[sweep] 2 cells: 0 cached, 2 run on serial in Ns "
-            "(cell time Ns, Nx)",
-            "[sweep] 3 cells: 2 cached, 1 run on serial in Ns "
-            "(cell time Ns, Nx)",
+            "[sweep] 2 cells: 0 cached, 2 run on serial in Ns, "
+            "first result Ns (cell time Ns, Nx)",
+            "[sweep] 3 cells: 2 cached, 1 run on serial in Ns, "
+            "first result Ns (cell time Ns, Nx)",
             "[sweep] 1 cell: 1 cached, 0 run in Ns",
         ]
 
