@@ -100,10 +100,11 @@ def _rule_matches(token: str, rule_id: str) -> bool:
 #: flagged as stale under ``--check-baseline``.
 DEFAULT_ALLOWLIST: Tuple[AllowEntry, ...] = (
     AllowEntry(
-        "src/repro/scenarios/executors.py",
+        "src/repro/scenarios/filequeue.py",
         ("determinism",),
-        "queue fabric: lease ages, heartbeats, and poll loops are "
-        "wall-clock by design; cell results never depend on them",
+        "queue protocol: lease clocks (fs_now's fallback), file-name nonces "
+        "and unordered directory counts are wall-clock / filesystem state "
+        "by design; cell results never depend on them",
     ),
     AllowEntry(
         "src/repro/scenarios/faults.py",

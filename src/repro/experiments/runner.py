@@ -294,7 +294,11 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
 
 
 def main(argv=None) -> int:
-    from repro.scenarios.executors import EXECUTOR_NAMES, available_cpus
+    from repro.scenarios.executors import (
+        EXECUTOR_NAMES,
+        available_cpus,
+        positive,
+    )
 
     parser = argparse.ArgumentParser(
         description="Reproduce a figure from the TFRC paper."
@@ -340,12 +344,12 @@ def main(argv=None) -> int:
         "to DIR/results unless --cache is given)",
     )
     parser.add_argument(
-        "--lease-timeout", type=float, default=60.0, metavar="S",
+        "--lease-timeout", type=positive(float), default=60.0, metavar="S",
         help="(--executor queue) reclaim a cell whose worker has not "
         "heartbeaten for S seconds (default: 60)",
     )
     parser.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
+        "--max-attempts", type=positive(int), default=3, metavar="N",
         help="(--executor queue) retry budget per cell spanning errors, "
         "timeouts, and lease expiries; an exhausted cell is dead-lettered "
         "to the queue's quarantine/ directory (default: 3)",
@@ -371,10 +375,6 @@ def main(argv=None) -> int:
         parser.error("--executor queue requires --queue-dir")
     if args.queue_dir is not None and args.executor != "queue":
         parser.error("--queue-dir only applies to --executor queue")
-    if args.lease_timeout <= 0:
-        parser.error("--lease-timeout must be > 0")
-    if args.max_attempts < 1:
-        parser.error("--max-attempts must be >= 1")
     sweep_kwargs = {"parallel": args.parallel, "cache_dir": args.cache}
     if verbose:
         from repro.scenarios import print_progress

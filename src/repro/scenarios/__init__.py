@@ -16,9 +16,11 @@ scenarios:
 * :mod:`~repro.scenarios.executors` -- ``execute_cells``, the one place a
   sweep cell runs, and the two transports behind ``SweepRunner.run``: the
   local executor (in-process or process pool; scalar or lockstep batches)
-  and the multi-host file-queue coordinator (atomic-rename leases,
-  heartbeats, dead-worker reclaim) drained by ``tfrc-sweep-worker``
-  processes (:mod:`~repro.scenarios.worker`).
+  and the multi-host file-queue coordinator (dead-worker reclaim, retry
+  budget, poison-cell quarantine) over :mod:`~repro.scenarios.filequeue`
+  -- the queue directory's on-disk protocol (atomic-rename leases,
+  heartbeats, the retry policy) -- drained one cell per lease by
+  ``tfrc-sweep-worker`` processes (:mod:`~repro.scenarios.worker`).
 * :mod:`~repro.scenarios.cache` -- the on-disk JSON result cache keyed by
   spec hash, with checksummed durable entries and corrupt-entry
   quarantine (also the result transport for the file-queue executor).
@@ -54,7 +56,6 @@ from repro.scenarios.executors import (
     EXECUTOR_NAMES,
     CellCompletion,
     ExecutorArg,
-    FileQueue,
     FileQueueExecutor,
     LocalExecutor,
     SweepCellError,
@@ -63,6 +64,7 @@ from repro.scenarios.executors import (
     available_cpus,
     resolve_executor,
 )
+from repro.scenarios.filequeue import FileQueue
 from repro.scenarios.spec import (
     ScenarioSpec,
     get_scenario,

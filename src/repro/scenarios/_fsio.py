@@ -29,9 +29,9 @@ This module is the **single blessed owner of raw content writes** in
 ``open(..., "w")`` / ``write_text`` / ``json.dump`` in the scenarios tree
 outside this file, so a torn-write bug class (chased dynamically by the
 PR 7 chaos soak) cannot be reintroduced silently.  Shared by the result
-cache (:mod:`repro.scenarios.cache`), the file queue and its executors
-(:mod:`repro.scenarios.executors`), the worker
-(:mod:`repro.scenarios.worker`), fault-injection state
+cache (:mod:`repro.scenarios.cache`), the file queue
+(:mod:`repro.scenarios.filequeue`) and its coordinator
+(:mod:`repro.scenarios.executors`), fault-injection state
 (:mod:`repro.scenarios.faults`), and ``tfrc-sweep-fsck``.
 """
 

@@ -4,8 +4,8 @@ One file per cell: ``<cache_dir>/<scenario>-<hash>.json`` holding the spec
 (for human inspection / debugging), its result, and a ``checksum`` over
 both.  The unit of commit is the **executed group** --
 :meth:`ResultCache.put_many` takes the cells that finished together (a
-lockstep batch, a worker's claimed batch; :meth:`ResultCache.put` is the
-group of one) and hands their entries to
+lockstep batch; a queue worker's leased cell and :meth:`ResultCache.put`
+are groups of one) and hands their entries to
 :func:`~repro.scenarios._fsio.atomic_write_json_many`: every tmp file
 written and fsynced, *then* the renames, then one directory fsync.  So a
 sweep interrupted mid-commit -- or a host losing power -- never leaves a

@@ -16,26 +16,21 @@ Backends differ only in how cells reach that function:
   batches.  The names ``"serial"``, ``"pool"`` and ``"vector"`` are three
   of its configurations (:data:`EXECUTOR_FACTORIES`).
 * :class:`FileQueueExecutor` -- coordinates any number of worker processes
-  through a shared **queue directory**: its own children (forked where the
-  platform forks, so born with its loaded modules and scenario registry)
-  and/or ``tfrc-sweep-worker`` processes started by hand on any host.
-  Coordination is plain files: claimable cell payloads in ``tasks/``,
-  atomic-rename leases in ``claims/`` (the rename is the mutual exclusion;
-  the claim file's mtime is the worker's heartbeat), completion markers in
-  ``done/``, failure records in ``failures/``, and a ``quarantine/``
-  dead-letter directory for corrupt files and poison cells.  Results land
-  in the spec-hash :class:`~repro.scenarios.cache.ResultCache`, so the
-  coordinator assembles the sweep purely from cache and a crashed run
-  resumes without recomputing finished cells.  Expired leases are reclaimed
-  by the coordinator -- lease age is measured against the **queue
-  directory's own clock** (a coordinator-touched sentinel file), so clock
-  skew between hosts sharing the mount cannot reclaim a healthy worker's
-  lease; each cell has a retry budget (``max_attempts``) spanning worker
-  errors, timeouts, corrupt publications, and lease expiries.  A cell that
-  exhausts the budget is written to ``quarantine/`` with its failure
-  history, then either aborts the sweep (``on_poison="raise"``, the
-  default) or is skipped so the rest of the sweep completes
-  (``on_poison="quarantine"``).
+  through a shared **queue directory** (on-disk protocol:
+  :class:`~repro.scenarios.filequeue.FileQueue`): its own children (forked
+  where the platform forks, so born with its loaded modules and scenario
+  registry) and/or ``tfrc-sweep-worker`` processes started by hand on any
+  host, each leasing one cell at a time.  Results land in the spec-hash
+  :class:`~repro.scenarios.cache.ResultCache`, so the coordinator assembles
+  the sweep purely from cache and a crashed run resumes without recomputing
+  finished cells.  Its ``run_cells`` publishes the cells, then alternates
+  collecting ``done/`` markers with housekeeping: reclaim expired leases,
+  enforce the retry budget (``max_attempts`` spans worker errors, timeouts,
+  corrupt publications and lease expiries), republish stranded cells, watch
+  the local workers.  A cell that exhausts the budget is written to
+  ``quarantine/`` with its failure history, then either aborts the sweep
+  (``on_poison="raise"``, the default) or is skipped so the rest of the
+  sweep completes (``on_poison="quarantine"``).
 
 Every cell's spec -- including its seed -- is fixed at grid-expansion time,
 so all backends produce byte-identical results for the same sweep (pinned
@@ -58,12 +53,10 @@ import sys
 import threading
 import time
 import traceback
-import uuid
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -79,8 +72,9 @@ from typing import (
 )
 
 from repro.scenarios import faults
-from repro.scenarios._fsio import atomic_write_json, read_json
+from repro.scenarios._fsio import read_json
 from repro.scenarios.cache import ResultCache
+from repro.scenarios.filequeue import FileQueue
 from repro.scenarios.spec import JsonDict, ScenarioSpec, run_scenario
 from repro.scenarios.vector import (
     VectorFallbackWarning,
@@ -153,6 +147,9 @@ class CellCompletion:
     quarantined: bool = False
     #: last recorded failure message for a quarantined cell.
     failure: str = ""
+    #: failed attempts before the one that finished (file queue only);
+    #: ``max_attempts`` for a quarantined cell.
+    attempts: int = 0
 
 
 class SweepExecutor:
@@ -219,7 +216,7 @@ def execute_cells(
     """Run ``specs`` in this process: the one place a sweep cell executes.
 
     Module-level, hence picklable: :class:`LocalExecutor` calls it directly
-    or through a process pool, ``tfrc-sweep-worker`` on the cells it leased.
+    or through a process pool, ``tfrc-sweep-worker`` on the cell it leased.
     One spec runs scalar.  Several specs (which the caller vouches share a
     :func:`~repro.scenarios.vector.lockstep_group`) get one lockstep
     attempt; a batch that fails -- any exception, a timeout included --
@@ -390,352 +387,30 @@ def _commit_group(
         yield CellCompletion(cell=cell, result=result, elapsed_seconds=elapsed)
 
 
-# --------------------------------------------------------- file-queue layer
-
-
-class FileQueue:
-    """The shared-directory cell queue behind :class:`FileQueueExecutor`.
-
-    Layout under ``root`` (which may live on a shared filesystem)::
-
-        tasks/<key>.json      claimable cell payloads
-        claims/<key>.json     leased cells (atomic rename from tasks/;
-                              mtime doubles as the worker heartbeat)
-        done/<key>.json       completion markers (elapsed, worker, attempts)
-        failures/<key>.<nonce>.json   one record per failed attempt
-        quarantine/           dead letters: corrupt task/claim files (moved
-                              here verbatim, named <key>.json.<nonce>) and
-                              poison-cell records (<key>.<nonce>.json with
-                              the cell's payload + failure history)
-        results/              default ResultCache location (coordinator may
-                              point the cache elsewhere)
-        .clock                coordinator-touched sentinel; its mtime is
-                              the queue directory's own notion of "now",
-                              used for lease-age checks so coordinator /
-                              worker clock skew cannot reclaim healthy
-                              leases on shared mounts
-
-    A task payload carries everything a worker needs: the cell ``key``
-    (``<scenario>-<spec_hash>``), the scenario's defining ``module``, the
-    ``spec`` dict, the ``cache_dir`` results should land in (relative paths
-    are resolved against ``root`` so multi-host mounts need not agree on
-    absolute paths), the ``attempts`` so far, and the ``max_attempts``
-    budget.
-    """
-
-    def __init__(self, root: "str | os.PathLike[str]") -> None:
-        self.root = Path(root)
-        self.tasks = self.root / "tasks"
-        self.claims = self.root / "claims"
-        self.done = self.root / "done"
-        self.failures = self.root / "failures"
-        self.quarantine = self.root / "quarantine"
-
-    def ensure(self) -> "FileQueue":
-        for directory in (
-            self.tasks,
-            self.claims,
-            self.done,
-            self.failures,
-            self.quarantine,
-        ):
-            directory.mkdir(parents=True, exist_ok=True)
-        return self
-
-    # -------------------------------------------------------------- clock
-
-    def fs_now(self) -> float:
-        """The queue directory's own notion of "now".
-
-        Touches a sentinel file and returns its resulting mtime: on a
-        shared (NFS-style) mount that timestamp comes from the fileserver
-        -- the same clock that stamps claim heartbeats -- so lease ages
-        computed against it are immune to wall-clock skew between the
-        coordinator and worker hosts.  Falls back to local time if the
-        sentinel cannot be touched (read-only snapshot etc.).
-        """
-        sentinel = self.root / ".clock"
-        try:
-            with open(sentinel, "a", encoding="utf-8"):
-                pass
-            os.utime(sentinel)
-            return sentinel.stat().st_mtime
-        except OSError:
-            return time.time()
-
-    # ------------------------------------------------------------- paths
-
-    def task_path(self, key: str) -> Path:
-        return self.tasks / f"{key}.json"
-
-    def claim_path(self, key: str) -> Path:
-        return self.claims / f"{key}.json"
-
-    def done_path(self, key: str) -> Path:
-        return self.done / f"{key}.json"
-
-    # ----------------------------------------------------------- enqueue
-
-    def enqueue(self, payload: JsonDict) -> Path:
-        """(Re-)publish a claimable task; atomic, last write wins."""
-        path = self.task_path(payload["key"])
-        if faults.fires(
-            "corrupt_task_write",
-            payload["key"],
-            int(payload.get("attempts", 0)),
-        ):  # fault injection: a torn task publication
-            faults.write_torn(path, payload)
-            return path
-        atomic_write_json(path, payload)
-        return path
-
-    def resolve_cache_dir(self, cache_dir: str) -> Path:
-        """Task cache dirs may be relative: resolve against the queue root."""
-        path = Path(cache_dir)
-        return path if path.is_absolute() else self.root / path
-
-    def encode_cache_dir(self, cache_root: "str | os.PathLike[str]") -> str:
-        """Store cache paths under the queue root relatively (multi-host)."""
-        cache_root = Path(cache_root).resolve()
-        try:
-            return str(cache_root.relative_to(self.root.resolve()))
-        except ValueError:
-            return str(cache_root)
-
-    # ------------------------------------------------------------- claim
-
-    def claim_task(
-        self, task: Path, worker_id: str
-    ) -> Optional[Tuple[Path, JsonDict]]:
-        """Atomically lease one specific task file, or None if unclaimable.
-
-        The ``tasks/ -> claims/`` rename is the mutual exclusion: exactly
-        one contender's rename succeeds.  A corrupt payload (torn
-        publication, bit rot) is **quarantined** -- moved verbatim into
-        ``quarantine/`` with a ``corrupt_task`` failure record -- so the
-        cell keeps a failure trail instead of silently vanishing from the
-        sweep; the coordinator's liveness backstop then republishes it
-        within the retry budget.
-        """
-        claim = self.claims / task.name
-        try:
-            task.rename(claim)
-        except OSError:
-            return None  # another worker won the rename (or task vanished)
-        payload = read_json(claim)
-        if payload is None or "key" not in payload:
-            key = task.name[: -len(".json")] if task.name.endswith(".json") else task.name
-            self.quarantine_file(
-                claim,
-                key=key,
-                kind="corrupt_task",
-                worker=worker_id,
-                error=f"task payload {task.name} is corrupt or truncated; "
-                f"quarantined for inspection",
-            )
-            return None
-        # Stamp the lease with its holder so cleanup can verify
-        # ownership: a worker that stalls past the lease timeout,
-        # loses the claim to reclaim, and later resumes must not
-        # unlink the *replacement* worker's lease on this same path.
-        payload = dict(payload)
-        payload["worker"] = worker_id
-        atomic_write_json(claim, payload)
-        skewed = faults.skewed_claim_time(
-            payload["key"], int(payload.get("attempts", 0))
-        )
-        if skewed is not None:  # fault injection: skewed worker clock
-            try:
-                os.utime(claim, (skewed, skewed))
-            except OSError:
-                pass
-        return claim, payload
-
-    def claim_next(self, worker_id: str) -> Optional[Tuple[Path, JsonDict]]:
-        """Atomically lease the first claimable task, or None if empty."""
-        for task in sorted(self.tasks.glob("*.json")):
-            claimed = self.claim_task(task, worker_id)
-            if claimed is not None:
-                return claimed
-        return None
-
-    def release_claim(self, claim: Path, worker_id: str) -> None:
-        """Unlink a claim only if it is still this worker's lease."""
-        payload = read_json(claim)
-        if payload is None or payload.get("worker") in (None, worker_id):
-            claim.unlink(missing_ok=True)
-
-    @staticmethod
-    def heartbeat(claim: Path) -> None:
-        """Refresh a lease; a vanished claim (reclaimed) is not an error."""
-        try:
-            os.utime(claim)
-        except OSError:
-            pass
-
-    # ------------------------------------------------------- completions
-
-    def complete(
-        self,
-        key: str,
-        *,
-        worker: str,
-        elapsed_seconds: float,
-        attempts: int,
-        cached: bool = False,
-    ) -> None:
-        atomic_write_json(
-            self.done_path(key),
-            {
-                "key": key,
-                "worker": worker,
-                "elapsed_seconds": elapsed_seconds,
-                "attempts": attempts,
-                "cached": cached,
-            },
-        )
-
-    def read_done(self, key: str) -> Optional[JsonDict]:
-        return read_json(self.done_path(key))
-
-    def done_keys(self) -> "set[str]":
-        """Keys with completion markers, in one directory scan."""
-        try:
-            names = os.listdir(self.done)
-        except OSError:
-            return set()
-        return {
-            name[: -len(".json")] for name in names if name.endswith(".json")
-        }
-
-    # ---------------------------------------------------------- failures
-
-    def record_failure(
-        self, key: str, *, worker: str, kind: str, error: str, attempts: int
-    ) -> None:
-        nonce = f"{time.time_ns():x}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-        atomic_write_json(
-            self.failures / f"{key}.{nonce}.json",
-            {
-                "key": key,
-                "worker": worker,
-                "kind": kind,
-                "error": error,
-                "attempts": attempts,
-            },
-        )
-
-    def failure_count(self, key: str) -> int:
-        return sum(1 for _ in self.failures.glob(f"{key}.*.json"))
-
-    def failure_counts(self) -> Dict[str, int]:
-        """Failure-record counts for every key, in one directory scan.
-
-        Record names are ``<key>.<nonce>.json`` with a dot-free nonce, so
-        stripping the last two dot-separated components recovers the key.
-        """
-        counts: Dict[str, int] = {}
-        try:
-            names = os.listdir(self.failures)
-        except OSError:
-            return counts
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            key = name[: -len(".json")].rsplit(".", 1)[0]
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def clear_failures(self, key: str) -> None:
-        """Forget a cell's failure history (fresh enqueue = fresh budget)."""
-        for path in self.failures.glob(f"{key}.*.json"):
-            path.unlink(missing_ok=True)
-
-    def read_failures(self, key: str) -> List[JsonDict]:
-        records = []
-        for path in sorted(self.failures.glob(f"{key}.*.json")):
-            payload = read_json(path)
-            if payload is not None:
-                records.append(payload)
-        return records
-
-    # --------------------------------------------------------- quarantine
-
-    def quarantine_file(
-        self, path: Path, *, key: str, kind: str, error: str, worker: str = ""
-    ) -> Optional[Path]:
-        """Dead-letter a corrupt file: move it verbatim into
-        ``quarantine/`` and record a failure of ``kind`` for ``key``.
-
-        Returns the quarantined path, or None when the file vanished
-        first (another contender quarantined or reclaimed it).
-        """
-        nonce = f"{time.time_ns():x}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-        target = self.quarantine / f"{path.name}.{nonce}"
-        try:
-            self.quarantine.mkdir(parents=True, exist_ok=True)
-            path.rename(target)
-        except OSError:
-            return None
-        self.record_failure(
-            key,
-            worker=worker,
-            kind=kind,
-            error=error,
-            attempts=self.failure_count(key) + 1,
-        )
-        return target
-
-    def quarantine_cell(
-        self,
-        key: str,
-        *,
-        kind: str,
-        payload: Optional[JsonDict] = None,
-        failures: Optional[List[JsonDict]] = None,
-    ) -> Path:
-        """Write a poison cell's dead-letter record (payload + history)."""
-        nonce = f"{time.time_ns():x}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-        target = self.quarantine / f"{key}.{nonce}.json"
-        self.quarantine.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(
-            target,
-            {
-                "key": key,
-                "kind": kind,
-                "task": payload,
-                "failures": list(failures or []),
-            },
-        )
-        return target
-
-    def quarantined_keys(self) -> "set[str]":
-        """Cell keys with any quarantine entry, in one directory scan.
-
-        Covers both entry shapes: poison records (``<key>.<nonce>.json``)
-        and verbatim corrupt files (``<key>.json.<nonce>``).
-        """
-        keys: "set[str]" = set()
-        try:
-            names = os.listdir(self.quarantine)
-        except OSError:
-            return keys
-        for name in names:
-            if ".json." in name:  # verbatim corrupt file
-                keys.add(name.split(".json.", 1)[0])
-            elif name.endswith(".json"):  # poison record
-                keys.add(name[: -len(".json")].rsplit(".", 1)[0])
-        return keys
-
-    def clear_quarantine(self, key: str) -> None:
-        """Forget a cell's dead letters (fresh enqueue = fresh budget)."""
-        for path in list(self.quarantine.glob(f"{key}.*")):
-            path.unlink(missing_ok=True)
-
+# ------------------------------------------------------ file-queue transport
 
 #: seconds without progress, with no lease live and no local workers, after
 #: which the coordinator prints a "start tfrc-sweep-worker" hint (once).
 STALL_WARNING_SECONDS = 30.0
+
+
+@dataclass
+class _QueueRun:
+    """What the steps of one :meth:`FileQueueExecutor.run_cells` share."""
+
+    fq: FileQueue
+    cache: ResultCache
+    module_name: str
+    #: the cache root as task payloads name it (relative to the queue root
+    #: when under it)
+    cache_dir: str
+    #: unfinished cells by queue key (a grid may name one cell twice)
+    remaining: Dict[str, List["SweepCell"]]
+    procs: List[multiprocessing.Process] = field(default_factory=list)
+    quarantined: List[str] = field(default_factory=list)
+    last_progress: float = field(default_factory=time.monotonic)
+    stall_warned: bool = False
+    dead_worker_rounds: int = 0
 
 
 class FileQueueExecutor(SweepExecutor):
@@ -755,9 +430,9 @@ class FileQueueExecutor(SweepExecutor):
     started workers -- other terminals, other hosts sharing the directory
     -- drain the same queue concurrently.
 
-    ``vector_batch``/``cell_timeout`` are forwarded to the local workers
-    as ``--vector-batch`` / ``--cell-timeout``.  ``lease_timeout``,
-    ``poll_interval`` and ``cell_timeout`` are seconds: finite and > 0.
+    ``cell_timeout`` is forwarded to the local workers as
+    ``--cell-timeout``.  ``lease_timeout``, ``poll_interval`` and
+    ``cell_timeout`` are seconds: finite and > 0.
     """
 
     def __init__(
@@ -769,7 +444,6 @@ class FileQueueExecutor(SweepExecutor):
         poll_interval: float = 0.1,
         max_attempts: int = 3,
         on_poison: str = "raise",
-        vector_batch: int = 1,
         cell_timeout: Optional[float] = None,
     ) -> None:
         if queue_dir is None:
@@ -780,8 +454,6 @@ class FileQueueExecutor(SweepExecutor):
             raise ValueError("max_attempts must be >= 1")
         if on_poison not in ("raise", "quarantine"):
             raise ValueError("on_poison must be 'raise' or 'quarantine'")
-        if vector_batch < 1:
-            raise ValueError("vector_batch must be >= 1")
         waits = {"lease_timeout": lease_timeout, "poll_interval": poll_interval}
         if cell_timeout is not None:
             waits["cell_timeout"] = cell_timeout
@@ -795,7 +467,6 @@ class FileQueueExecutor(SweepExecutor):
         self.poll_interval = poll_interval
         self.max_attempts = max_attempts
         self.on_poison = on_poison
-        self.vector_batch = vector_batch
         self.cell_timeout = cell_timeout
 
     def describe(self, cells: int) -> str:
@@ -829,8 +500,6 @@ class FileQueueExecutor(SweepExecutor):
             "--heartbeat",
             str(max(0.05, min(self.lease_timeout / 4.0, 5.0))),
         ]
-        if self.vector_batch > 1:
-            args += ["--vector-batch", str(self.vector_batch)]
         if self.cell_timeout is not None:
             args += ["--cell-timeout", str(self.cell_timeout)]
         procs = []
@@ -854,66 +523,6 @@ class FileQueueExecutor(SweepExecutor):
                 proc.kill()
                 proc.join()
 
-    # ----------------------------------------------------------- helpers
-
-    def _payload(
-        self, module_name: str, cache_dir: str, cell: "SweepCell", attempts: int
-    ) -> JsonDict:
-        return {
-            "key": _cell_key(cell),
-            "module": module_name,
-            "spec": cell.spec.to_dict(),
-            "cache_dir": cache_dir,
-            "attempts": attempts,
-            "max_attempts": self.max_attempts,
-        }
-
-    def _reclaim_expired(
-        self,
-        fq: FileQueue,
-        remaining: Dict[str, List["SweepCell"]],
-        payload_for: Callable[["SweepCell", int], JsonDict],
-    ) -> None:
-        """Requeue cells whose lease went stale (worker died mid-cell).
-
-        Lease age is ``fs_now() - claim mtime``: both timestamps come from
-        the filesystem holding the queue directory, so on a shared mount
-        the comparison uses the fileserver's clock on both sides.
-        Comparing against the coordinator's local wall clock instead would
-        let clock skew between hosts reclaim a healthy worker's lease the
-        moment it was taken (pinned by ``tests/test_chaos.py``).
-        """
-        now = fq.fs_now()
-        for key, cells in remaining.items():
-            claim = fq.claim_path(key)
-            try:
-                age = now - claim.stat().st_mtime
-            except OSError:
-                continue  # no active claim
-            if age <= self.lease_timeout:
-                continue
-            # The failure-record count -- not the (possibly stale) claim
-            # payload -- is the budget authority: a claim left over from a
-            # previous run may carry spent `attempts` that would otherwise
-            # stop the requeue here while the record count stays below the
-            # budget, stranding the cell.
-            payload = read_json(claim)
-            attempts = fq.failure_count(key) + 1
-            fq.record_failure(
-                key,
-                worker=(payload or {}).get("worker", "unknown"),
-                kind="lease_expired",
-                error=f"lease expired after {age:.1f}s "
-                f"(timeout {self.lease_timeout:.1f}s); reclaiming",
-                attempts=attempts,
-            )
-            # Drop the stale lease BEFORE republishing the task, so a
-            # worker claiming the new task cannot have its fresh claim
-            # (renamed onto this same path) deleted from under it.
-            claim.unlink(missing_ok=True)
-            if attempts < self.max_attempts:
-                fq.enqueue(payload_for(cells[0], attempts))
-
     # --------------------------------------------------------- execution
 
     def run_cells(self, plan: SweepPlan) -> Iterator[CellCompletion]:
@@ -922,23 +531,77 @@ class FileQueueExecutor(SweepExecutor):
                 "the queue executor needs a result cache (pass cache_dir; "
                 "workers deliver results through it)"
             )
-        cache = plan.cache
         fq = FileQueue(self.queue_dir).ensure()
-        cache_dir = fq.encode_cache_dir(cache.root)
-        # (cell, attempts) -> task payload, for this run's module and cache
-        payload_for = partial(self._payload, plan.module_name, cache_dir)
-
-        remaining: Dict[str, List["SweepCell"]] = {}
+        run = _QueueRun(
+            fq=fq,
+            cache=plan.cache,
+            module_name=plan.module_name,
+            cache_dir=fq.encode_cache_dir(plan.cache.root),
+            remaining={},
+        )
         for cell in plan.cells:
-            remaining.setdefault(_cell_key(cell), []).append(cell)
+            run.remaining.setdefault(_cell_key(cell), []).append(cell)
+        self._publish(run)
+        run.procs = self._spawn_local_workers()
+        # Housekeeping runs at a coarser cadence than done-marker
+        # collection: it is O(remaining cells) of filesystem stats, which
+        # on the shared/NFS mounts this executor targets is real metadata
+        # traffic, and none of it needs 10 Hz resolution.
+        housekeep_every = max(
+            self.poll_interval, min(self.lease_timeout / 4.0, 2.0)
+        )
+        next_housekeeping = time.monotonic()
+        try:
+            while run.remaining:
+                yield from self._collect(run)
+                if not run.remaining:
+                    break
+                if time.monotonic() >= next_housekeeping:
+                    next_housekeeping = time.monotonic() + housekeep_every
+                    yield from self._housekeep(run)
+                time.sleep(self.poll_interval)
+        except BaseException:
+            # Leave claims (their workers may still finish and warm the
+            # cache) but withdraw unclaimed tasks so external workers stop
+            # picking up a sweep that already failed.
+            for key in run.remaining:
+                fq.task_path(key).unlink(missing_ok=True)
+            raise
+        else:
+            if run.quarantined:
+                print(
+                    f"[sweep-queue] {len(run.quarantined)} poison cell(s) "
+                    f"quarantined in {fq.quarantine} (retry budget "
+                    f"{self.max_attempts} exhausted): "
+                    f"{', '.join(sorted(run.quarantined))}",
+                    file=sys.stderr,
+                )
+        finally:
+            self._stop_workers(run.procs)
 
-        for key, cells in remaining.items():
+    def _payload(
+        self, run: _QueueRun, cell: "SweepCell", attempts: int
+    ) -> JsonDict:
+        return {
+            "key": _cell_key(cell),
+            "module": run.module_name,
+            "spec": cell.spec.to_dict(),
+            "cache_dir": run.cache_dir,
+            "attempts": attempts,
+            "max_attempts": self.max_attempts,
+        }
+
+    def _publish(self, run: _QueueRun) -> None:
+        """First publication: every unfinished cell claimable, budget fresh."""
+        fq = run.fq
+        for key, cells in run.remaining.items():
             # A done marker without a cached result (interrupted worker,
             # pruned cache) is stale: clear it so the cell re-runs.
-            if fq.done_path(key).exists() and cache.get(cells[0].spec) is None:
-                fq.done_path(key).unlink(missing_ok=True)
-            if fq.done_path(key).exists():
-                continue  # finished: the poll loop collects it right away
+            done = fq.done_path(key)
+            if done.exists() and run.cache.get(cells[0].spec) is None:
+                done.unlink(missing_ok=True)
+            if done.exists():
+                continue  # finished: the first collection delivers it
             # Every coordinator run grants every unfinished cell a fresh
             # retry budget: failure records left by an earlier aborted run
             # must not poison this one, and the worker-side requeue
@@ -958,237 +621,234 @@ class FileQueueExecutor(SweepExecutor):
                 leftover is not None
                 and leftover.get("attempts", 0) == 0
                 and leftover.get("max_attempts") == self.max_attempts
-                and leftover.get("cache_dir") == cache_dir
+                and leftover.get("cache_dir") == run.cache_dir
             ):
                 continue  # already queued with a fresh budget
             # (Re-)publish with attempts=0 -- last-wins overwrite.  The
             # tiny window against a concurrent claim of a leftover task
             # can at worst duplicate one idempotent execution.
-            fq.enqueue(payload_for(cells[0], 0))
+            fq.enqueue(self._payload(run, cells[0], 0))
 
-        procs = self._spawn_local_workers()
-        quarantined_keys: List[str] = []
-        last_progress = time.monotonic()
-        stall_warned = False
-        dead_worker_rounds = 0
-        housekeep_every = max(
-            self.poll_interval, min(self.lease_timeout / 4.0, 2.0)
-        )
-        next_housekeeping = time.monotonic()
-        try:
-            while remaining:
-                progressed = False
-                # One readdir of done/ per poll round; marker JSON is only
-                # read for cells that actually completed (NFS-friendly: no
-                # per-key failed-open probing at poll rate).
-                for key in sorted(fq.done_keys().intersection(remaining)):
-                    marker = fq.read_done(key)
-                    if marker is None:
-                        continue
-                    status, result, defect = cache.get_status(
-                        remaining[key][0].spec
+    def _collect(self, run: _QueueRun) -> Iterator[CellCompletion]:
+        """Deliver every cell whose done marker and cached result landed.
+
+        One readdir of ``done/`` per poll round; marker JSON is only read
+        for cells that actually completed (NFS-friendly: no per-key
+        failed-open probing at poll rate).
+        """
+        fq = run.fq
+        for key in sorted(fq.done_keys().intersection(run.remaining)):
+            marker = fq.read_done(key)
+            if marker is None:
+                continue
+            worker = str(marker.get("worker", ""))
+            first = run.remaining[key][0]
+            status, result, defect = run.cache.get_status(first.spec)
+            if status != "hit":
+                # Marker landed but the result did not reach *this* cache
+                # intact.  A corrupt entry (torn worker write) is
+                # quarantined for inspection; either way the attempt
+                # counts against the retry budget: with a cache the
+                # workers cannot actually share (e.g. --cache outside the
+                # queue dir on a multi-host run) every attempt ends here,
+                # and without the budget the cell would re-execute forever.
+                if status == "corrupt":
+                    run.cache.quarantine(first.spec)
+                    kind = "corrupt_result"
+                    error = (
+                        f"done marker published but the cached result is "
+                        f"corrupt ({defect}); entry quarantined, cell "
+                        f"re-executes"
                     )
-                    if status != "hit":
-                        # Marker landed but the result did not reach *this*
-                        # cache intact.  A corrupt entry (torn worker
-                        # write) is quarantined for inspection; either way
-                        # the attempt counts against the retry budget:
-                        # with a cache the workers cannot actually share
-                        # (e.g. --cache outside the queue dir on a
-                        # multi-host run) every attempt ends here, and
-                        # without the budget the cell would re-execute
-                        # forever.
-                        if status == "corrupt":
-                            cache.quarantine(remaining[key][0].spec)
-                            kind = "corrupt_result"
-                            error = (
-                                f"done marker published but the cached "
-                                f"result is corrupt ({defect}); entry "
-                                f"quarantined, cell re-executes"
-                            )
-                        else:
-                            kind = "missing_result"
-                            error = (
-                                "done marker published but no readable "
-                                "cached result on the coordinator -- is "
-                                "the cache directory shared with the "
-                                "workers?"
-                            )
-                        fq.done_path(key).unlink(missing_ok=True)
-                        attempts = fq.failure_count(key) + 1
-                        fq.record_failure(
-                            key,
-                            worker=str(marker.get("worker", "unknown")),
-                            kind=kind,
-                            error=error,
-                            attempts=attempts,
-                        )
-                        if attempts < self.max_attempts:
-                            fq.enqueue(payload_for(remaining[key][0], attempts))
-                        continue
-                    # A task republished by lease reclaim (or the liveness
-                    # backstop) may linger after a duplicate execution
-                    # completed the cell; withdraw it so workers stop
-                    # re-claiming finished work.
-                    fq.task_path(key).unlink(missing_ok=True)
-                    for cell in remaining.pop(key):
-                        yield CellCompletion(
-                            cell=cell,
-                            result=result,
-                            elapsed_seconds=float(
-                                marker.get("elapsed_seconds", 0.0)
-                            ),
-                            worker=str(marker.get("worker", "")),
-                        )
-                    progressed = True
-                if not remaining:
-                    break
-                if progressed:
-                    last_progress = time.monotonic()
-                    stall_warned = False
-
-                # Housekeeping (lease reclaim, budget enforcement, the
-                # stranded-cell backstop, worker-death detection) runs at
-                # a coarser cadence than done-marker collection: it is
-                # O(remaining cells) of filesystem stats, which on the
-                # shared/NFS mounts this executor targets is real metadata
-                # traffic, and none of it needs 10 Hz resolution.
-                if time.monotonic() >= next_housekeeping:
-                    next_housekeeping = time.monotonic() + housekeep_every
-
-                    self._reclaim_expired(fq, remaining, payload_for)
-
-                    failure_counts = fq.failure_counts()
-                    for key in list(remaining):
-                        failures = failure_counts.get(key, 0)
-                        if failures >= self.max_attempts:
-                            records = fq.read_failures(key)
-                            last = records[-1] if records else {}
-                            detail = str(
-                                last.get("error", "")
-                            ).strip().splitlines()
-                            last_error = (
-                                detail[-1] if detail else "unrecorded"
-                            )
-                            cell = remaining[key][0]
-                            # Dead-letter the poison cell: its payload plus
-                            # full failure history land in quarantine/ so
-                            # the evidence survives whichever policy runs
-                            # next, and the task file is withdrawn so
-                            # workers stop burning attempts on it.
-                            qpath = fq.quarantine_cell(
-                                key,
-                                kind="retry_budget_exhausted",
-                                payload=payload_for(cell, failures),
-                                failures=records,
-                            )
-                            fq.task_path(key).unlink(missing_ok=True)
-                            if self.on_poison == "quarantine":
-                                for cell in remaining.pop(key):
-                                    yield CellCompletion(
-                                        cell=cell,
-                                        result=None,
-                                        quarantined=True,
-                                        failure=last_error,
-                                    )
-                                quarantined_keys.append(key)
-                                last_progress = time.monotonic()
-                                continue
-                            raise SweepCellError(
-                                f"sweep cell {cell.describe()} failed "
-                                f"{failures} time(s) on the file queue "
-                                f"(budget {self.max_attempts}); last error: "
-                                f"{last_error}; dead-letter record: "
-                                f"{qpath}",
-                                cell=cell,
-                                overrides=cell.overrides,
-                                failures=records,
-                                quarantine_path=qpath,
-                            )
-
-                    # Liveness backstop: a cell no queue state tracks at
-                    # all (no task, no claim, no done marker, budget not
-                    # spent) is stranded -- e.g. a worker from a previous
-                    # run failed it but declined the requeue under its
-                    # stale attempt count.  Republish it; a harmless
-                    # duplicate in the rare race with a just-claiming
-                    # worker beats a sweep that never returns.
-                    claims_live = False
-                    for key in list(remaining):
-                        if fq.claim_path(key).exists():
-                            claims_live = True
-                        elif (
-                            failure_counts.get(key, 0) < self.max_attempts
-                            and not fq.task_path(key).exists()
-                            and not fq.done_path(key).exists()
-                        ):
-                            fq.enqueue(
-                                payload_for(
-                                    remaining[key][0],
-                                    failure_counts.get(key, 0),
-                                )
-                            )
-
-                    if (
-                        procs
-                        and not any(proc.is_alive() for proc in procs)
-                        # External workers (other hosts) may still be
-                        # draining the queue: only give up when no lease
-                        # is live either -- and only after the condition
-                        # holds across consecutive rounds, so a poll that
-                        # lands in the instant between one claim being
-                        # released and the next being taken (or right as
-                        # the last cell finishes) cannot kill a healthy
-                        # sweep.
-                        and not claims_live
-                    ):
-                        dead_worker_rounds += 1
-                        if dead_worker_rounds >= 3:
-                            codes = [proc.exitcode for proc in procs]
-                            raise SweepCellError(
-                                f"all {len(procs)} local sweep workers "
-                                f"exited unexpectedly (exit codes {codes}) "
-                                f"with {len(remaining)} cell(s) unfinished "
-                                f"and no external workers active"
-                            )
-                    else:
-                        dead_worker_rounds = 0
-
-                    if (
-                        not stall_warned
-                        and time.monotonic() - last_progress
-                        > STALL_WARNING_SECONDS
-                        and not claims_live
-                        and not procs
-                    ):
-                        print(
-                            f"[sweep-queue] {len(remaining)} cell(s) queued "
-                            f"in {self.queue_dir} with no active workers; "
-                            f"start tfrc-sweep-worker processes pointed at "
-                            f"this directory (or rerun with local workers)",
-                            file=sys.stderr,
-                        )
-                        stall_warned = True
-
-                time.sleep(self.poll_interval)
-        except BaseException:
-            # Leave claims (their workers may still finish and warm the
-            # cache) but withdraw unclaimed tasks so external workers stop
-            # picking up a sweep that already failed.
-            for key in remaining:
-                fq.task_path(key).unlink(missing_ok=True)
-            raise
-        else:
-            if quarantined_keys:
-                print(
-                    f"[sweep-queue] {len(quarantined_keys)} poison cell(s) "
-                    f"quarantined in {fq.quarantine} (retry budget "
-                    f"{self.max_attempts} exhausted): "
-                    f"{', '.join(sorted(quarantined_keys))}",
-                    file=sys.stderr,
+                else:
+                    kind = "missing_result"
+                    error = (
+                        "done marker published but no readable cached "
+                        "result on the coordinator -- is the cache "
+                        "directory shared with the workers?"
+                    )
+                fq.fail_attempt(
+                    self._payload(run, first, 0),
+                    fq.done_path(key),
+                    attempts=fq.failure_count(key),
+                    worker=worker or "unknown",
+                    kind=kind,
+                    error=error,
                 )
-        finally:
-            self._stop_workers(procs)
+                continue
+            # A task republished by lease reclaim (or the liveness
+            # backstop) may linger after a duplicate execution completed
+            # the cell; withdraw it so workers stop re-claiming finished
+            # work.
+            fq.task_path(key).unlink(missing_ok=True)
+            run.last_progress = time.monotonic()
+            run.stall_warned = False
+            for cell in run.remaining.pop(key):
+                yield CellCompletion(
+                    cell=cell,
+                    result=result,
+                    elapsed_seconds=float(marker.get("elapsed_seconds", 0.0)),
+                    worker=worker,
+                    attempts=int(marker.get("attempts", 0)),
+                )
+
+    def _housekeep(self, run: _QueueRun) -> Iterator[CellCompletion]:
+        """Lease reclaim, budget enforcement, the stranded-cell backstop
+        and worker-death detection, in that order."""
+        self._reclaim_expired(run)
+        failure_counts = run.fq.failure_counts()
+        yield from self._enforce_budget(run, failure_counts)
+        claims_live = self._republish_stranded(run, failure_counts)
+        self._watch_workers(run, claims_live)
+
+    def _reclaim_expired(self, run: _QueueRun) -> None:
+        """Requeue cells whose lease went stale (worker died mid-cell).
+
+        Lease age is ``fs_now() - claim mtime``: both timestamps come from
+        the filesystem holding the queue directory, so on a shared mount
+        the comparison uses the fileserver's clock on both sides.
+        Comparing against the coordinator's local wall clock instead would
+        let clock skew between hosts reclaim a healthy worker's lease the
+        moment it was taken (pinned by ``tests/test_chaos.py``).
+        """
+        fq = run.fq
+        now = fq.fs_now()
+        for key, cells in run.remaining.items():
+            claim = fq.claim_path(key)
+            try:
+                age = now - claim.stat().st_mtime
+            except OSError:
+                continue  # no active claim
+            if age <= self.lease_timeout:
+                continue
+            # The failure-record count -- not the (possibly stale) claim
+            # payload -- is the budget authority: a claim left over from a
+            # previous run may carry spent `attempts` that would otherwise
+            # stop the requeue here while the record count stays below the
+            # budget, stranding the cell.
+            fq.fail_attempt(
+                self._payload(run, cells[0], 0),
+                claim,
+                attempts=fq.failure_count(key),
+                worker=(read_json(claim) or {}).get("worker", "unknown"),
+                kind="lease_expired",
+                error=f"lease expired after {age:.1f}s "
+                f"(timeout {self.lease_timeout:.1f}s); reclaiming",
+            )
+
+    def _enforce_budget(
+        self, run: _QueueRun, failure_counts: Dict[str, int]
+    ) -> Iterator[CellCompletion]:
+        """Dead-letter each cell whose failures reached ``max_attempts``:
+        abort the sweep on it, or deliver it quarantined (``on_poison``)."""
+        fq = run.fq
+        for key in list(run.remaining):
+            failures = failure_counts.get(key, 0)
+            if failures < self.max_attempts:
+                continue
+            records = fq.read_failures(key)
+            last = records[-1] if records else {}
+            detail = str(last.get("error", "")).strip().splitlines()
+            last_error = detail[-1] if detail else "unrecorded"
+            cell = run.remaining[key][0]
+            # The poison cell's payload plus full failure history land in
+            # quarantine/ so the evidence survives whichever policy runs
+            # next, and the task file is withdrawn so workers stop burning
+            # attempts on it.
+            qpath = fq.quarantine_cell(
+                key,
+                kind="retry_budget_exhausted",
+                payload=self._payload(run, cell, failures),
+                failures=records,
+            )
+            fq.task_path(key).unlink(missing_ok=True)
+            if self.on_poison != "quarantine":
+                raise SweepCellError(
+                    f"sweep cell {cell.describe()} failed {failures} "
+                    f"time(s) on the file queue (budget "
+                    f"{self.max_attempts}); last error: {last_error}; "
+                    f"dead-letter record: {qpath}",
+                    cell=cell,
+                    overrides=cell.overrides,
+                    failures=records,
+                    quarantine_path=qpath,
+                )
+            run.quarantined.append(key)
+            run.last_progress = time.monotonic()
+            for cell in run.remaining.pop(key):
+                yield CellCompletion(
+                    cell=cell,
+                    result=None,
+                    quarantined=True,
+                    failure=last_error,
+                    attempts=self.max_attempts,
+                )
+
+    def _republish_stranded(
+        self, run: _QueueRun, failure_counts: Dict[str, int]
+    ) -> bool:
+        """Liveness backstop; returns whether any lease is live.
+
+        A cell no queue state tracks at all (no task, no claim, no done
+        marker, budget not spent) is stranded -- e.g. a worker from a
+        previous run failed it but declined the requeue under its stale
+        attempt count.  Republish it; a harmless duplicate in the rare
+        race with a just-claiming worker beats a sweep that never returns.
+        """
+        fq = run.fq
+        claims_live = False
+        for key, cells in run.remaining.items():
+            failures = failure_counts.get(key, 0)
+            if fq.claim_path(key).exists():
+                claims_live = True
+            elif (
+                failures < self.max_attempts
+                and not fq.task_path(key).exists()
+                and not fq.done_path(key).exists()
+            ):
+                fq.enqueue(self._payload(run, cells[0], failures))
+        return claims_live
+
+    def _watch_workers(self, run: _QueueRun, claims_live: bool) -> None:
+        """Give up once every local worker is dead and nothing else drains
+        the queue; hint (once per stall) when nobody ever started one."""
+        procs = run.procs
+        if (
+            procs
+            and not any(proc.is_alive() for proc in procs)
+            # External workers (other hosts) may still be draining the
+            # queue: only give up when no lease is live either -- and only
+            # after the condition holds across consecutive rounds, so a
+            # poll that lands in the instant between one claim being
+            # released and the next being taken (or right as the last cell
+            # finishes) cannot kill a healthy sweep.
+            and not claims_live
+        ):
+            run.dead_worker_rounds += 1
+            if run.dead_worker_rounds >= 3:
+                codes = [proc.exitcode for proc in procs]
+                raise SweepCellError(
+                    f"all {len(procs)} local sweep workers exited "
+                    f"unexpectedly (exit codes {codes}) with "
+                    f"{len(run.remaining)} cell(s) unfinished and no "
+                    f"external workers active"
+                )
+        else:
+            run.dead_worker_rounds = 0
+        if (
+            not run.stall_warned
+            and time.monotonic() - run.last_progress > STALL_WARNING_SECONDS
+            and not claims_live
+            and not procs
+        ):
+            print(
+                f"[sweep-queue] {len(run.remaining)} cell(s) queued in "
+                f"{self.queue_dir} with no active workers; start "
+                f"tfrc-sweep-worker processes pointed at this directory "
+                f"(or rerun with local workers)",
+                file=sys.stderr,
+            )
+            run.stall_warned = True
 
 
 def _local_worker(argv: List[str]) -> None:
@@ -1271,3 +931,18 @@ def available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def positive(number: type) -> Callable[[str], float]:
+    """argparse ``type=`` of the fabric CLIs: a finite ``number`` > 0.
+    Written ``not (x > 0)``: every comparison is false for NaN, which
+    ``x <= 0`` therefore lets by."""
+
+    def parse(text: str) -> float:
+        value = number(text)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = f"finite positive {number.__name__}"  # argparse quotes it
+    return parse

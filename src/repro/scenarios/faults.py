@@ -1,10 +1,11 @@
 """Deterministic fault injection for the sweep fabric.
 
-The file-queue fabric (:mod:`repro.scenarios.executors` /
-:mod:`repro.scenarios.worker`) promises that a sweep survives worker
-crashes, torn writes, clock skew, and poison cells, and that the
-reassembled :class:`~repro.scenarios.sweep.SweepResult` is byte-identical
-to a clean serial run.  This module makes that promise testable: a seeded
+The file-queue fabric (:mod:`repro.scenarios.filequeue`, its coordinator
+in :mod:`repro.scenarios.executors` and :mod:`repro.scenarios.worker`)
+promises that a sweep survives worker crashes, torn writes, clock skew,
+and poison cells, and that the reassembled
+:class:`~repro.scenarios.sweep.SweepResult` is byte-identical to a clean
+serial run.  This module makes that promise testable: a seeded
 :class:`FaultPlan` schedules faults at named **sites** inside the queue
 and cache I/O paths, and the chaos soak (``tests/test_chaos.py``) runs a
 real multi-worker sweep under the plan and asserts the clean-run bytes.
@@ -34,9 +35,6 @@ Fault sites (the keys of :attr:`FaultPlan.rates`):
     The worker "dies" (raises :class:`WorkerKilled`) after claiming a cell
     but before publishing any result: the lease goes stale and the
     coordinator must reclaim and requeue.
-``batch_kill``
-    Same, but fired mid lockstep vector batch (checked per member cell),
-    abandoning every lease in the batch at once.
 ``torn_cache_write``
     The cell executes, but the worker crashes mid cache commit leaving a
     **torn** (truncated, checksum-failing) entry at the final path -- the
@@ -86,7 +84,6 @@ ENV_VAR = "TFRC_FAULT_PLAN"
 #: every recognized fault site, for validation and docs.
 FAULT_SITES = (
     "worker_kill",
-    "batch_kill",
     "torn_cache_write",
     "corrupt_task_write",
     "heartbeat_stall",

@@ -62,7 +62,8 @@ from repro.analysis.audit.records import (
 )
 from repro.scenarios.cache import ResultCache, verify_entry
 from repro.scenarios._fsio import read_json
-from repro.scenarios.executors import FileQueue
+from repro.scenarios.executors import positive
+from repro.scenarios.filequeue import FileQueue
 
 #: finding kinds that are litter rather than lost/untrustworthy state.
 _WARNING_KINDS = frozenset({"stale_tmp"})
@@ -304,7 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="result cache directory (default: <queue_dir>/results)",
     )
     parser.add_argument(
-        "--lease-timeout", type=float, default=None, metavar="S",
+        "--lease-timeout", type=positive(float), default=None, metavar="S",
         help="also flag claims older than S seconds (only meaningful when "
         "no coordinator/worker is running against the directory)",
     )
@@ -317,8 +318,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="machine-readable report (one JSON object) on stdout",
     )
     args = parser.parse_args(argv)
-    if args.lease_timeout is not None and args.lease_timeout <= 0:
-        parser.error("--lease-timeout must be > 0")
     if not Path(args.queue_dir).is_dir():
         parser.error(f"queue directory {args.queue_dir!r} does not exist")
 

@@ -72,6 +72,9 @@ class SweepCell:
     #: ``failure`` summarizes the last recorded error.
     quarantined: bool = False
     failure: str = ""
+    #: failed attempts before the one that finished (the file queue's retry
+    #: budget; 0 under the local executor); ``max_attempts`` if quarantined.
+    attempts: int = 0
 
     def describe(self) -> str:
         def short(value: Any) -> str:
@@ -282,6 +285,7 @@ class SweepRunner:
                     cell = completion.cell
                     cell.result = completion.result
                     cell.elapsed_seconds = completion.elapsed_seconds
+                    cell.attempts = completion.attempts
                     if completion.quarantined:
                         cell.quarantined = True
                         cell.failure = completion.failure
@@ -338,6 +342,9 @@ def print_progress(stream=None) -> ProgressFn:
             )
         else:
             line += f" in {wall:.2f}s"
+        retried = sum(1 for cell in result.cells if cell.attempts)
+        if retried:
+            line += f", {retried} retried"
         print(line, file=out)
 
     report.finish = finish

@@ -12,8 +12,8 @@ bridge:
 * :func:`vector_capability` -- can this spec join a lockstep batch?
   (``None`` = yes, otherwise a human-readable reason.)
 * :func:`lockstep_group` -- the one "may these cells share a lockstep
-  batch" predicate, used by the ``vector`` executor configuration and by
-  ``tfrc-sweep-worker --vector-batch`` alike.
+  batch" predicate; the local executor groups by it (the file queue does
+  not batch: a worker leases one cell at a time).
 * :func:`run_vector_batch` -- one group as one kernel call.  Its only
   caller is :func:`repro.scenarios.executors.execute_cells`, which also
   owns the split-to-scalar policy for a batch that fails.

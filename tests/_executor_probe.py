@@ -6,7 +6,9 @@ name to populate the scenario registry.  The scenario is deterministic in
 the spec, supports an execution side-channel (``extra.touch_dir``: one
 uniquely named file is created per actual execution, letting tests count
 how many times a cell really ran), and can be made to fail on a chosen
-grid value (``extra.boom == extra.x``).
+grid value (``extra.boom == extra.x``), while a file exists
+(``extra.boom_file``) or exactly once (``extra.boom_once``: the execution
+that finds the file deletes it and fails).
 """
 
 import os
@@ -30,6 +32,10 @@ def executor_probe(spec):
     boom_file = extra.get("boom_file")
     if boom_file and os.path.exists(boom_file):
         raise RuntimeError(f"probe exploded on boom_file for x={x}")
+    boom_once = extra.get("boom_once")
+    if boom_once and os.path.exists(boom_once):
+        os.unlink(boom_once)
+        raise RuntimeError(f"probe exploded once on x={x}")
     if extra.get("interrupt") == x:
         raise KeyboardInterrupt(f"probe interrupted on x={x}")
     sleep_for = extra.get("sleep")

@@ -5,7 +5,6 @@ under a seeded FaultPlan whose ResultCache comes out byte-identical to a
 clean serial run, with ``tfrc-sweep-fsck`` reporting a repairable-to-clean
 state afterwards."""
 
-import functools
 import json
 import os
 import subprocess
@@ -28,6 +27,7 @@ from repro.scenarios import (
     SweepResult,
     SweepRunner,
 )
+from repro.scenarios import executors as executors_mod
 from repro.scenarios import faults
 from repro.scenarios.cache import payload_checksum, verify_entry
 from repro.scenarios.fsck import audit
@@ -80,8 +80,10 @@ class TestFaultPlan:
         assert first != second  # retries get fresh decisions
 
     def test_bad_site_and_rate_rejected(self):
-        with pytest.raises(FaultInjectionError):
-            FaultPlan(rates={"bogus_site": 0.1})
+        # "batch_kill" was a site until the queue stopped leasing batches
+        for site in ("bogus_site", "batch_kill"):
+            with pytest.raises(FaultInjectionError):
+                FaultPlan(rates={site: 0.1})
         with pytest.raises(FaultInjectionError):
             FaultPlan(rates={"worker_kill": 1.5})
 
@@ -169,20 +171,22 @@ class TestClockSkewReclaim:
         fq = FileQueue(queue_dir).ensure()
         cell = SweepRunner(BASE_PROBE, {"extra.x": [1]}).cells()[0]
         executor = FileQueueExecutor(queue_dir, lease_timeout=30.0)
-        payload_for = functools.partial(
-            executor._payload, "_executor_probe", "results"
-        )
         key = f"executor_probe-{cell.spec.spec_hash()}"
-        fq.enqueue(payload_for(cell, 0))
+        run = executors_mod._QueueRun(
+            fq=fq,
+            cache=ResultCache(queue_dir / "results"),
+            module_name="_executor_probe",
+            cache_dir="results",
+            remaining={key: [cell]},
+        )
+        fq.enqueue(executor._payload(run, cell, 0))
         claimed = fq.claim_next("healthy-worker")
         assert claimed is not None
-
-        import repro.scenarios.executors as executors_mod
 
         monkeypatch.setattr(
             executors_mod.time, "time", lambda: time.time() + 1000.0
         )
-        executor._reclaim_expired(fq, {key: [cell]}, payload_for)
+        executor._reclaim_expired(run)
         assert fq.claim_path(key).exists()  # lease untouched
         assert fq.failure_count(key) == 0
 
@@ -315,7 +319,6 @@ class TestChaosSoak:
 
     RATES = {
         "worker_kill": 0.08,
-        "batch_kill": 0.15,
         "torn_cache_write": 0.08,
         "corrupt_task_write": 0.06,
         "heartbeat_stall": 0.06,
@@ -360,7 +363,6 @@ class TestChaosSoak:
             lease_timeout=1.0,
             poll_interval=0.02,
             max_attempts=8,
-            vector_batch=8,
         )
         chaos = SweepRunner(
             base, grid, cache_dir=str(chaos_dir), executor=executor
@@ -382,11 +384,11 @@ class TestChaosSoak:
         assert clean_bytes == chaos_bytes
 
         # -- fault coverage: >= 5 distinct kinds actually fired, including
-        #    a mid-vector-batch kill
+        #    a worker killed while holding a lease
         fired = {
             json.loads(p.read_text())["site"] for p in log_dir.glob("*.json")
         }
-        assert "batch_kill" in fired, f"fired kinds: {sorted(fired)}"
+        assert "worker_kill" in fired, f"fired kinds: {sorted(fired)}"
         assert len(fired) >= 5, f"fired kinds: {sorted(fired)}"
 
         # -- the fabric actually took damage (this was not a clean run)

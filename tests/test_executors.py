@@ -160,6 +160,31 @@ class TestSweepCellError:
         assert not list((queue_dir / "tasks").glob("*.json"))
 
 
+    def test_retried_cell_reports_its_attempts(self, tmp_path):
+        """The attempt count the done marker stores reaches the user."""
+        import io
+
+        from repro.scenarios import print_progress
+
+        boom_once = tmp_path / "boom-once"
+        boom_once.write_text("fail the first attempt")
+        stream = io.StringIO()
+        sweep = SweepRunner(
+            BASE,
+            {"extra.x": [1, 2], "extra.boom_once": [str(boom_once)]},
+            executor=FileQueueExecutor(
+                tmp_path / "q", local_workers=1, **QUEUE_KW
+            ),
+            progress=print_progress(stream),
+        ).run()
+        assert sweep.executor == "queue x1"
+        assert [c.result["x"] for c in sweep.cells] == [1, 2]
+        assert sorted(c.attempts for c in sweep.cells) == [0, 1]
+        closing = stream.getvalue().splitlines()[-1]
+        assert closing.startswith("[sweep] 2 cells: 0 cached, 2 run on queue x1")
+        assert closing.endswith("x), 1 retried")
+
+
 class TestCrashResume:
     def test_stale_lease_reclaimed_and_finished_cells_not_recomputed(
         self, tmp_path
@@ -347,17 +372,35 @@ class TestWorkerCli:
         "flag",
         [
             "--poll-interval", "--max-poll-interval", "--idle-timeout",
-            "--heartbeat", "--cell-timeout", "--max-cells", "--vector-batch",
+            "--heartbeat", "--cell-timeout", "--max-cells",
+            "tfrc-experiment:--lease-timeout", "tfrc-experiment:--max-attempts",
+            "tfrc-sweep-fsck:--lease-timeout",
         ],
     )
     def test_malformed_number_exits_2_naming_the_flag(
         self, tmp_path, capsys, flag, value
     ):
         """NaN fails every ``<= 0`` test, so each of these used to be
-        accepted (``--idle-timeout nan`` then never exited)."""
+        accepted (``--idle-timeout nan`` then never exited; ``tfrc-sweep-fsck
+        --lease-timeout nan`` could never flag a lease; ``tfrc-experiment
+        --lease-timeout nan`` died in a traceback).  A bare flag is the
+        worker's; the other two fabric CLIs are named before the colon."""
+        from repro.experiments import runner
+        from repro.scenarios import fsck
+
         queue_dir = tmp_path / "q"
+        cli, _, flag = flag.rpartition(":")
+        main, argv = {
+            "": (sweep_worker.main, [str(queue_dir), "--once"]),
+            "tfrc-sweep-fsck": (fsck.main, [str(queue_dir)]),
+            "tfrc-experiment": (
+                runner.main,
+                ["fig20", "--quick", "--executor", "queue",
+                 "--queue-dir", str(queue_dir)],
+            ),
+        }[cli]
         with pytest.raises(SystemExit) as excinfo:
-            sweep_worker.main([str(queue_dir), "--once", f"{flag}={value}"])
+            main(argv + [f"{flag}={value}"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: " in err and repr(value) in err

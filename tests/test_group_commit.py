@@ -275,7 +275,7 @@ def test_cache_is_written_from_exactly_two_places():
     }
     assert {name: n for name, n in writers.items() if n} == {
         "executors.py": 1,  # LocalExecutor's group commit
-        "worker.py": 1,  # the claimed batch's group commit
+        "worker.py": 1,  # the leased cell's commit, a group of one
     }
     # the one-element forms call the batch forms, not a second writer
     assert len(_calls(SCENARIOS / "cache.py", {"put_many"})) == 1
@@ -374,9 +374,10 @@ def test_failed_member_does_not_cost_its_group_the_commit(tmp_path, monkeypatch)
 def test_worker_commits_its_claimed_batch_before_any_done_marker(
     tmp_path, recorded, monkeypatch
 ):
-    """``process_one`` with a claimed lockstep batch: one ``ResultCache``
-    for the batch's cache directory, one group commit (one directory
-    barrier) for its results, and only then the ``done/`` markers."""
+    """``process_one`` leases one cell (the queue transport does not batch,
+    so the "batch" is a group of one): one ``ResultCache`` for its cache
+    directory, its entry renamed -- behind one directory barrier -- and
+    only then the ``done/`` marker."""
     from repro.scenarios import FileQueue, worker
 
     built = []
@@ -400,17 +401,15 @@ def test_worker_commits_its_claimed_batch_before_any_done_marker(
             "max_attempts": 1,
         })
     del recorded[:]
-    assert worker.process_one(
-        fq, worker_id="w", verbose=False, batch_limit=len(specs)
-    )
+    assert worker.process_one(fq, worker_id="w", verbose=False)
 
     assert built == [str(cache_dir)]
     renames = [Path(t) for kind, t in recorded if kind == "rename"]
     into_cache = [i for i, t in enumerate(renames) if t.parent == cache_dir]
     into_done = [i for i, t in enumerate(renames) if t.parent == fq.done]
-    assert len(into_cache) == len(into_done) == len(specs)
-    assert max(into_cache) < min(into_done)
+    assert len(into_cache) == len(into_done) == 1  # one lease, one cell
+    assert into_cache < into_done
     barriers = [ino for kind, ino in recorded if kind == "fsync_dir"]
     assert barriers.count(cache_dir.stat().st_ino) == 1
-    cache = ResultCache(cache_dir)
-    assert all(cache.get(spec) is not None for spec in specs)
+    assert len(list(fq.tasks.iterdir())) == len(specs) - 1  # mates untouched
+    assert len(ResultCache(cache_dir)) == 1

@@ -6,6 +6,13 @@ worker) differ in how cells reach it, never in how a cell runs.  A second
 call site, a third ``SweepExecutor`` subclass, or a function-level import
 between ``executors`` and ``vector`` (the shape the old import cycle forced)
 means a copy of the execution step is being threaded back in.
+
+The file queue is the transport that stays out of it: ``filequeue.py`` owns
+the on-disk protocol and the retry policy (``FileQueue.fail_attempt``, the
+only place a failed cell is republished), a worker leases one cell at a
+time, and lockstep batching is the local executor's business alone.  The
+second test keeps the queue's three modules that way -- and keeps their
+functions short enough to read.
 """
 
 import ast
@@ -58,3 +65,65 @@ def test_one_execution_site_two_executors_no_late_imports():
     }
     assert sorted(executors) == ["FileQueueExecutor", "LocalExecutor"]
     assert late_imports == []
+
+
+FABRIC = ("executors.py", "filequeue.py", "worker.py")
+RETIRED = ("vector_batch", "batch_limit", "batch_kill")
+MAX_FUNCTION_LINES = 120
+
+
+def _attr_calls(tree, attr):
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+    ]
+
+
+def test_queue_transport_leases_one_cell_and_owns_its_retry_policy():
+    sources = {name: (SCENARIOS / name).read_text() for name in FABRIC}
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+
+    worker_imports = {
+        node.module
+        for node in ast.walk(trees["worker.py"])
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert "repro.scenarios.vector" not in worker_imports
+    # republishing is FileQueue.fail_attempt's job: the coordinator keeps
+    # first publication and the stranded-cell backstop, the worker nothing
+    assert _attr_calls(trees["worker.py"], "enqueue") == []
+    assert len(_attr_calls(trees["executors.py"], "enqueue")) == 2
+
+    classes = {
+        node.name: node
+        for node in ast.walk(trees["executors.py"])
+        if isinstance(node, ast.ClassDef)
+    }
+    assert "FileQueue" not in classes  # it lives in filequeue.py
+    queue_executor = ast.get_source_segment(
+        sources["executors.py"], classes["FileQueueExecutor"]
+    )
+    lockstep_free = {
+        "worker.py": sources["worker.py"],
+        "filequeue.py": sources["filequeue.py"],
+        "faults.py": (SCENARIOS / "faults.py").read_text(),
+        "FileQueueExecutor": queue_executor,
+    }
+    assert [
+        (where, word)
+        for where, text in lockstep_free.items()
+        for word in RETIRED
+        if word in text
+    ] == []
+
+    too_long = [
+        f"{name}:{node.name} ({node.end_lineno - node.lineno + 1} lines)"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.end_lineno - node.lineno + 1 > MAX_FUNCTION_LINES
+    ]
+    assert too_long == []

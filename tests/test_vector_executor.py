@@ -9,9 +9,8 @@ What the executor promises on top of the kernel's bit-identity
   with the vector path for free;
 * unsupported cells fall back to scalar execution announced by exactly one
   ``VectorFallbackWarning``, never an error;
-* a ``tfrc-sweep-worker --vector-batch N`` drains compatible queued cells
-  as one lockstep batch with the same cache bytes and per-cell done
-  markers as one-at-a-time draining.
+* a ``tfrc-sweep-worker`` drains the same grid from a queue one cell per
+  lease (the queue transport does not batch) with the same cache bytes.
 """
 
 from __future__ import annotations
@@ -189,10 +188,9 @@ class TestWorkerVectorBatch:
             worker_id="test-worker",
             once=True,
             verbose=False,
-            batch_limit=64,
         )
-        # All 12 compatible cells drain as ONE lockstep batch.
-        assert executed == 1
+        # One lease per cell: the queue transport does not batch.
+        assert executed == len(specs)
         cache = ResultCache(tmp_path / "worker-cache")
         for spec in specs:
             assert cache.get(spec) is not None
@@ -207,8 +205,7 @@ class TestWorkerVectorBatch:
         assert not list(fq.claims.iterdir())
 
     def test_unbatched_drain_same_cache(self, tmp_path):
-        """batch_limit=1 (the default) drains one cell at a time with the
-        same bytes -- the batching is purely a scheduling optimization."""
+        """A drain writes the bytes a serial sweep writes."""
         serial, serial_dir = run_grid(tmp_path, "serial")
         fq, specs = self._enqueue_grid(
             tmp_path / "queue", tmp_path / "worker-cache"
@@ -225,36 +222,6 @@ class TestWorkerVectorBatch:
                 tmp_path / "worker-cache" / path.name
             ).read_bytes()
 
-    def test_batch_mates_respect_group_boundaries(self, tmp_path):
-        """Cells from two batch groups (different durations) never share a
-        lockstep batch, but both groups drain completely."""
-        fq = FileQueue(tmp_path / "queue").ensure()
-        specs = []
-        for duration in (2.0, 3.0):
-            for seed in (1, 2):
-                spec = grid_spec(duration=duration).override({"seed": seed})
-                specs.append(spec)
-                fq.enqueue({
-                    "key": f"{spec.scenario}-{spec.spec_hash()}",
-                    "module": "repro.scenarios.vector",
-                    "spec": spec.to_dict(),
-                    "cache_dir": str(tmp_path / "cache"),
-                    "attempts": 0,
-                    "max_attempts": 1,
-                })
-        executed = drain(
-            str(tmp_path / "queue"),
-            worker_id="test-worker",
-            once=True,
-            verbose=False,
-            batch_limit=64,
-        )
-        # One batched round per duration group.
-        assert executed == 2
-        cache = ResultCache(tmp_path / "cache")
-        for spec in specs:
-            assert cache.get(spec) == run_scenario(spec)
-
 
 class TestCliThreading:
     def test_runner_accepts_vector_executor(self, capsys):
@@ -269,8 +236,12 @@ class TestCliThreading:
             ) == 0
         capsys.readouterr()
 
-    def test_worker_rejects_bad_vector_batch(self, capsys):
+    def test_worker_rejects_bad_vector_batch(self, tmp_path, capsys):
+        """The retired flag is no longer a flag: exit 2, queue untouched."""
         from repro.scenarios.worker import main
 
-        with pytest.raises(SystemExit):
-            main(["ignored", "--vector-batch", "0"])
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path / "q"), "--once", "--vector-batch", "4"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --vector-batch" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()

@@ -140,9 +140,7 @@ class TestKeyboardInterrupt:
         baseline = set(threading.enumerate())
 
         with pytest.raises(KeyboardInterrupt):
-            # probe cells are not vector-capable, so no batch mates are
-            # claimed -- but process_one is invoked exactly as the
-            # batch-enabled worker would, and every claim it did take
+            # whichever cell the loop reaches first, every claim it took
             # must be released on the way out
             while True:
                 sweep_worker.process_one(
@@ -150,7 +148,6 @@ class TestKeyboardInterrupt:
                     worker_id="ctrl-c",
                     heartbeat_interval=0.05,
                     verbose=False,
-                    batch_limit=8,
                 )
 
         assert set(threading.enumerate()) == baseline
