@@ -112,11 +112,6 @@ DEFAULT_ALLOWLIST: Tuple[AllowEntry, ...] = (
         "fault layer: skewed lease stamps and rename delays manipulate "
         "real time on purpose; fault *decisions* stay pure sha256",
     ),
-    AllowEntry(
-        "src/repro/scenarios/fsck.py",
-        ("determinism",),
-        "fsck judges lease staleness against the fabric's clock",
-    ),
 )
 
 

@@ -150,6 +150,8 @@ class CellCompletion:
     #: failed attempts before the one that finished (file queue only);
     #: ``max_attempts`` for a quarantined cell.
     attempts: int = 0
+    #: the ``kind`` of each of those failed attempts' records, oldest first.
+    failure_kinds: List[str] = field(default_factory=list)
 
 
 class SweepExecutor:
@@ -579,15 +581,12 @@ class FileQueueExecutor(SweepExecutor):
         finally:
             self._stop_workers(run.procs)
 
-    def _payload(
-        self, run: _QueueRun, cell: "SweepCell", attempts: int
-    ) -> JsonDict:
+    def _payload(self, run: _QueueRun, cell: "SweepCell") -> JsonDict:
         return {
             "key": _cell_key(cell),
             "module": run.module_name,
             "spec": cell.spec.to_dict(),
             "cache_dir": run.cache_dir,
-            "attempts": attempts,
             "max_attempts": self.max_attempts,
         }
 
@@ -604,12 +603,8 @@ class FileQueueExecutor(SweepExecutor):
                 continue  # finished: the first collection delivers it
             # Every coordinator run grants every unfinished cell a fresh
             # retry budget: failure records left by an earlier aborted run
-            # must not poison this one, and the worker-side requeue
-            # decision (driven by the payload's `attempts`) must agree
-            # with the coordinator's record count -- leftover state with
-            # spent attempts but cleared records (or vice versa) can
-            # otherwise strand a cell forever.  Dead letters from the
-            # earlier run are cleared with the records they summarize.
+            # must not poison this one.  Dead letters from the earlier run
+            # are cleared with the records they summarize.
             fq.clear_failures(key)
             fq.clear_quarantine(key)
             if fq.claim_path(key).exists():
@@ -619,15 +614,14 @@ class FileQueueExecutor(SweepExecutor):
             leftover = read_json(fq.task_path(key))
             if (
                 leftover is not None
-                and leftover.get("attempts", 0) == 0
                 and leftover.get("max_attempts") == self.max_attempts
                 and leftover.get("cache_dir") == run.cache_dir
             ):
-                continue  # already queued with a fresh budget
-            # (Re-)publish with attempts=0 -- last-wins overwrite.  The
-            # tiny window against a concurrent claim of a leftover task
-            # can at worst duplicate one idempotent execution.
-            fq.enqueue(self._payload(run, cells[0], 0))
+                continue  # already queued under this run's terms
+            # (Re-)publish -- last-wins overwrite.  The tiny window against
+            # a concurrent claim of a leftover task can at worst duplicate
+            # one idempotent execution.
+            fq.enqueue(self._payload(run, cells[0]))
 
     def _collect(self, run: _QueueRun) -> Iterator[CellCompletion]:
         """Deliver every cell whose done marker and cached result landed.
@@ -668,9 +662,8 @@ class FileQueueExecutor(SweepExecutor):
                         "directory shared with the workers?"
                     )
                 fq.fail_attempt(
-                    self._payload(run, first, 0),
+                    self._payload(run, first),
                     fq.done_path(key),
-                    attempts=fq.failure_count(key),
                     worker=worker or "unknown",
                     kind=kind,
                     error=error,
@@ -683,13 +676,16 @@ class FileQueueExecutor(SweepExecutor):
             fq.task_path(key).unlink(missing_ok=True)
             run.last_progress = time.monotonic()
             run.stall_warned = False
+            attempts = int(marker.get("attempts", 0))
+            kinds = _failure_kinds(fq.read_failures(key)) if attempts else []
             for cell in run.remaining.pop(key):
                 yield CellCompletion(
                     cell=cell,
                     result=result,
                     elapsed_seconds=float(marker.get("elapsed_seconds", 0.0)),
                     worker=worker,
-                    attempts=int(marker.get("attempts", 0)),
+                    attempts=attempts,
+                    failure_kinds=kinds,
                 )
 
     def _housekeep(self, run: _QueueRun) -> Iterator[CellCompletion]:
@@ -702,35 +698,16 @@ class FileQueueExecutor(SweepExecutor):
         self._watch_workers(run, claims_live)
 
     def _reclaim_expired(self, run: _QueueRun) -> None:
-        """Requeue cells whose lease went stale (worker died mid-cell).
-
-        Lease age is ``fs_now() - claim mtime``: both timestamps come from
-        the filesystem holding the queue directory, so on a shared mount
-        the comparison uses the fileserver's clock on both sides.
-        Comparing against the coordinator's local wall clock instead would
-        let clock skew between hosts reclaim a healthy worker's lease the
-        moment it was taken (pinned by ``tests/test_chaos.py``).
-        """
+        """Requeue this sweep's cells whose lease went stale (worker died
+        mid-cell); :meth:`FileQueue.stale_leases` says which those are."""
         fq = run.fq
-        now = fq.fs_now()
-        for key, cells in run.remaining.items():
-            claim = fq.claim_path(key)
-            try:
-                age = now - claim.stat().st_mtime
-            except OSError:
-                continue  # no active claim
-            if age <= self.lease_timeout:
-                continue
-            # The failure-record count -- not the (possibly stale) claim
-            # payload -- is the budget authority: a claim left over from a
-            # previous run may carry spent `attempts` that would otherwise
-            # stop the requeue here while the record count stays below the
-            # budget, stranding the cell.
+        for key, claim, age, held in fq.stale_leases(self.lease_timeout):
+            if key not in run.remaining:
+                continue  # another sweep's cell in a shared directory
             fq.fail_attempt(
-                self._payload(run, cells[0], 0),
+                self._payload(run, run.remaining[key][0]),
                 claim,
-                attempts=fq.failure_count(key),
-                worker=(read_json(claim) or {}).get("worker", "unknown"),
+                worker=(held or {}).get("worker", "unknown"),
                 kind="lease_expired",
                 error=f"lease expired after {age:.1f}s "
                 f"(timeout {self.lease_timeout:.1f}s); reclaiming",
@@ -746,22 +723,11 @@ class FileQueueExecutor(SweepExecutor):
             failures = failure_counts.get(key, 0)
             if failures < self.max_attempts:
                 continue
-            records = fq.read_failures(key)
+            cell = run.remaining[key][0]
+            qpath, records = fq.dead_letter(self._payload(run, cell))
             last = records[-1] if records else {}
             detail = str(last.get("error", "")).strip().splitlines()
             last_error = detail[-1] if detail else "unrecorded"
-            cell = run.remaining[key][0]
-            # The poison cell's payload plus full failure history land in
-            # quarantine/ so the evidence survives whichever policy runs
-            # next, and the task file is withdrawn so workers stop burning
-            # attempts on it.
-            qpath = fq.quarantine_cell(
-                key,
-                kind="retry_budget_exhausted",
-                payload=self._payload(run, cell, failures),
-                failures=records,
-            )
-            fq.task_path(key).unlink(missing_ok=True)
             if self.on_poison != "quarantine":
                 raise SweepCellError(
                     f"sweep cell {cell.describe()} failed {failures} "
@@ -782,6 +748,7 @@ class FileQueueExecutor(SweepExecutor):
                     quarantined=True,
                     failure=last_error,
                     attempts=self.max_attempts,
+                    failure_kinds=_failure_kinds(records),
                 )
 
     def _republish_stranded(
@@ -790,10 +757,11 @@ class FileQueueExecutor(SweepExecutor):
         """Liveness backstop; returns whether any lease is live.
 
         A cell no queue state tracks at all (no task, no claim, no done
-        marker, budget not spent) is stranded -- e.g. a worker from a
-        previous run failed it but declined the requeue under its stale
-        attempt count.  Republish it; a harmless duplicate in the rare
-        race with a just-claiming worker beats a sweep that never returns.
+        marker, budget not spent) is stranded -- its torn publication was
+        quarantined by ``claim_task``, or a worker died between dropping
+        its claim and republishing.  Republish it; a harmless duplicate in
+        the rare race with a just-claiming worker beats a sweep that never
+        returns.
         """
         fq = run.fq
         claims_live = False
@@ -806,7 +774,7 @@ class FileQueueExecutor(SweepExecutor):
                 and not fq.task_path(key).exists()
                 and not fq.done_path(key).exists()
             ):
-                fq.enqueue(self._payload(run, cells[0], failures))
+                fq.enqueue(self._payload(run, cells[0]))
         return claims_live
 
     def _watch_workers(self, run: _QueueRun, claims_live: bool) -> None:
@@ -862,6 +830,10 @@ def _local_worker(argv: List[str]) -> None:
     from repro.scenarios.worker import main  # it imports this module
 
     sys.exit(main(argv))
+
+
+def _failure_kinds(records: List[JsonDict]) -> List[str]:
+    return [str(record.get("kind", "")) for record in records]
 
 
 def _cell_key(cell: "SweepCell") -> str:

@@ -3,9 +3,11 @@
 The coordinator (:class:`~repro.scenarios.executors.FileQueueExecutor`),
 the workers (:mod:`repro.scenarios.worker`) and ``tfrc-sweep-fsck``
 (:mod:`repro.scenarios.fsck`) each hold a :class:`FileQueue` over the same
-directory and coordinate through nothing else.  The retry policy -- what a
-failed attempt does to a cell -- is written here once,
-:meth:`FileQueue.fail_attempt`.
+directory and coordinate through nothing else.  The recovery policy is
+written here once, for all three: what a failed attempt does to a cell
+(:meth:`FileQueue.fail_attempt`), which leases are stale
+(:meth:`FileQueue.stale_leases`) and how a spent cell is dead-lettered
+(:meth:`FileQueue.dead_letter`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.scenarios import faults
 from repro.scenarios._fsio import JsonDict, atomic_write_json, read_json
@@ -51,8 +53,11 @@ class FileQueue:
     (``<scenario>-<spec_hash>``), the scenario's defining ``module``, the
     ``spec`` dict, the ``cache_dir`` results should land in (relative paths
     are resolved against ``root`` so multi-host mounts need not agree on
-    absolute paths), the ``attempts`` so far, and the ``max_attempts``
-    budget.
+    absolute paths) and the ``max_attempts`` budget.  How many attempts
+    have failed is **not** in it: that is the number of
+    ``failures/<key>.*.json`` records (:meth:`failure_count`), the only
+    count there is -- an ``attempts`` field in a payload (an older
+    version's file) is carried along and never read.
     """
 
     def __init__(self, root: "str | os.PathLike[str]") -> None:
@@ -110,11 +115,10 @@ class FileQueue:
 
     def enqueue(self, payload: JsonDict) -> Path:
         """(Re-)publish a claimable task; atomic, last write wins."""
-        path = self.task_path(payload["key"])
-        if faults.fires(
-            "corrupt_task_write",
-            payload["key"],
-            int(payload.get("attempts", 0)),
+        key = payload["key"]
+        path = self.task_path(key)
+        if faults.active() is not None and faults.fires(
+            "corrupt_task_write", key, self.failure_count(key)
         ):  # fault injection: a torn task publication
             faults.write_torn(path, payload)
             return path
@@ -173,14 +177,14 @@ class FileQueue:
         payload = dict(payload)
         payload["worker"] = worker_id
         atomic_write_json(claim, payload)
-        skewed = faults.skewed_claim_time(
-            payload["key"], int(payload.get("attempts", 0))
-        )
-        if skewed is not None:  # fault injection: skewed worker clock
-            try:
-                os.utime(claim, (skewed, skewed))
-            except OSError:
-                pass
+        if faults.active() is not None:  # fault injection: skewed worker clock
+            key = payload["key"]
+            skewed = faults.skewed_claim_time(key, self.failure_count(key))
+            if skewed is not None:
+                try:
+                    os.utime(claim, (skewed, skewed))
+                except OSError:
+                    pass
         return claim, payload
 
     def claim_next(self, worker_id: str) -> Optional[Tuple[Path, JsonDict]]:
@@ -243,8 +247,9 @@ class FileQueue:
     # ---------------------------------------------------------- failures
 
     def record_failure(
-        self, key: str, *, worker: str, kind: str, error: str, attempts: int
+        self, key: str, *, worker: str, kind: str, error: str
     ) -> None:
+        """Add one failure record; its number is the count it brings ``key`` to."""
         atomic_write_json(
             self.failures / f"{key}.{_nonce()}.json",
             {
@@ -252,7 +257,7 @@ class FileQueue:
                 "worker": worker,
                 "kind": kind,
                 "error": error,
-                "attempts": attempts,
+                "attempts": self.failure_count(key) + 1,
             },
         )
 
@@ -261,7 +266,6 @@ class FileQueue:
         payload: JsonDict,
         held: Path,
         *,
-        attempts: int,
         worker: str,
         kind: str,
         error: str,
@@ -269,13 +273,12 @@ class FileQueue:
     ) -> bool:
         """The retry policy: what one failed attempt does to a cell.
 
-        Records the failure as attempt ``attempts + 1`` (``attempts`` is
-        the caller's count so far: a worker's from the payload it leased,
-        the coordinator's from the failure records), drops ``held`` -- the
-        claim or done marker that stood for the attempt -- and republishes
-        ``payload`` under the new count while that is below its
-        ``max_attempts``.  Returns whether it republished; a cell it did
-        not has spent its budget and is the coordinator's to dead-letter.
+        Records the failure, drops ``held`` -- the claim or done marker
+        that stood for the attempt -- and republishes ``payload`` while the
+        cell's failure records number fewer than its ``max_attempts``.
+        Returns whether it republished; a cell it did not has spent its
+        budget and is dead-lettered by whoever drives recovery
+        (:meth:`dead_letter`).
 
         ``held`` goes BEFORE the task comes back, and no caller may touch
         it afterwards: a worker claiming the new task renames it onto that
@@ -283,22 +286,38 @@ class FileQueue:
         lease.  ``own_lease`` says ``held`` is ``worker``'s own claim,
         released only if still theirs (:meth:`release_claim`).
         """
-        attempts += 1
-        self.record_failure(
-            payload["key"],
-            worker=worker,
-            kind=kind,
-            error=error,
-            attempts=attempts,
-        )
+        key = payload["key"]
+        self.record_failure(key, worker=worker, kind=kind, error=error)
         if own_lease:
             self.release_claim(held, worker)
         else:
             held.unlink(missing_ok=True)
-        if attempts >= int(payload.get("max_attempts", 1)):
+        if self.failure_count(key) >= int(payload.get("max_attempts", 1)):
             return False
-        self.enqueue({**payload, "attempts": attempts})
+        self.enqueue(payload)
         return True
+
+    def stale_leases(
+        self, older_than: float
+    ) -> Iterator[Tuple[str, Path, float, Optional[JsonDict]]]:
+        """``(key, claim, age, payload)`` of each lease older than
+        ``older_than`` seconds; ``payload`` is None for a corrupt claim.
+
+        Lease age is ``fs_now() - claim mtime``: both timestamps come from
+        the filesystem holding the queue directory, so on a shared mount
+        the comparison uses the fileserver's clock on both sides.
+        Comparing against the caller's local wall clock instead would let
+        clock skew between hosts reclaim a healthy worker's lease the
+        moment it was taken (pinned by ``tests/test_chaos.py``).
+        """
+        now = self.fs_now()
+        for claim in sorted(self.claims.glob("*.json")):
+            try:
+                age = now - claim.stat().st_mtime
+            except OSError:
+                continue  # released since the listing
+            if age > older_than:
+                yield claim.name[: -len(".json")], claim, age, read_json(claim)
 
     def failure_count(self, key: str) -> int:
         return sum(1 for _ in self.failures.glob(f"{key}.*.json"))
@@ -351,13 +370,7 @@ class FileQueue:
             path.rename(target)
         except OSError:
             return None
-        self.record_failure(
-            key,
-            worker=worker,
-            kind=kind,
-            error=error,
-            attempts=self.failure_count(key) + 1,
-        )
+        self.record_failure(key, worker=worker, kind=kind, error=error)
         return target
 
     def quarantine_cell(
@@ -381,6 +394,25 @@ class FileQueue:
             },
         )
         return target
+
+    def dead_letter(self, payload: JsonDict) -> Tuple[Path, List[JsonDict]]:
+        """Dead-letter a cell whose retry budget is spent.
+
+        Its payload plus full failure history land in ``quarantine/`` so
+        the evidence survives whatever runs next, and the task file is
+        withdrawn so workers stop burning attempts on it.  Returns the
+        record's path and the history.
+        """
+        key = payload["key"]
+        records = self.read_failures(key)
+        target = self.quarantine_cell(
+            key,
+            kind="retry_budget_exhausted",
+            payload=payload,
+            failures=records,
+        )
+        self.task_path(key).unlink(missing_ok=True)
+        return target, records
 
     def quarantined_keys(self) -> "set[str]":
         """Cell keys with any quarantine entry, in one directory scan.

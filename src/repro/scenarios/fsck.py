@@ -31,16 +31,23 @@ Findings (kind -> meaning -> repair):
 ``expired_lease``
     (Only with ``--lease-timeout``.)  A claim older than the given bound
     with no completed result -- its worker is presumed dead and no
-    coordinator is running to reclaim it.  Repair: republish the claim's
-    payload as a claimable task, then drop the claim.
+    coordinator is running to reclaim it.  Repair: what the coordinator
+    does -- recorded as a ``lease_expired`` failure and requeued within
+    the budget (dead-lettered once the budget is spent), so repeated
+    ``--repair`` runs cannot requeue a cell whose workers keep dying
+    without bound.
 ``budget_exhausted_task``
-    A queued task whose recorded ``attempts`` already meet its
-    ``max_attempts`` budget: workers would refuse to requeue it and the
-    cell would churn forever.  Repair: dead-letter it (quarantine with its
+    A queued task whose failure records have met the task's
+    ``max_attempts``: a budget-spent cell that workers would keep
+    burning attempts on.  Repair: dead-letter it (quarantine with its
     failure history) and withdraw the task.
 ``stale_tmp``
     Leftover ``*.tmp.*`` litter from interrupted atomic writes.  Repair:
     remove.
+
+The recovery rules themselves -- lease age, the retry budget,
+dead-lettering -- are :class:`~repro.scenarios.filequeue.FileQueue`'s, the
+ones the coordinator applies.
 
 Exit status: 0 when the state is clean (or ``--repair`` fixed every
 finding), 1 when findings remain, 2 on usage errors.
@@ -51,9 +58,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, Iterable, List, Optional, Set
 
 from repro.analysis.audit.records import (
     SEVERITY_ERROR,
@@ -110,6 +117,145 @@ def _key_of(path: Path) -> str:
     return path.name[: -len(".json")]
 
 
+@dataclass
+class _Report:
+    """The findings so far, and whether their repairs run."""
+
+    repair: bool
+    findings: List[Finding] = field(default_factory=list)
+
+    def add(
+        self, kind: str, path: Path, detail: str, fix: Callable[[], Optional[str]]
+    ) -> None:
+        """Report one finding; under ``repair`` run ``fix`` and note what it
+        says it did (None: the file vanished first, nothing was repaired)."""
+        finding = Finding(kind, path, detail)
+        if self.repair:
+            finding.repaired = fix()
+        self.findings.append(finding)
+
+    def remove(self, kind: str, path: Path, detail: str, note: str) -> None:
+        """A finding repaired by removing the file."""
+
+        def fix() -> str:
+            path.unlink(missing_ok=True)
+            return note
+
+        self.add(kind, path, detail, fix)
+
+    def quarantine(self, what: str, path: Path, fq: FileQueue) -> None:
+        """A task / claim that does not parse: moved, with a failure record."""
+
+        def fix() -> Optional[str]:
+            target = fq.quarantine_file(
+                path,
+                key=_key_of(path),
+                kind=f"corrupt_{what}",
+                worker="fsck",
+                error=f"corrupt {what} payload found by tfrc-sweep-fsck",
+            )
+            return None if target is None else f"moved to {target}"
+
+        self.add(f"corrupt_{what}", path, f"{what} payload does not parse", fix)
+
+
+def _check_cache(report: _Report, cache: ResultCache) -> Set[str]:
+    """Returns the keys (= entry stems) with verified cache entries."""
+    intact: Set[str] = set()
+    for path, defect in cache.scan():
+        if defect is None:
+            intact.add(_key_of(path))
+            continue
+
+        def fix() -> Optional[str]:
+            target = cache.quarantine_file(path)
+            return None if target is None else f"moved to {target}"
+
+        report.add("corrupt_cache_entry", path, defect, fix)
+    return intact
+
+
+def _check_done(report: _Report, fq: FileQueue, intact: Set[str]) -> Set[str]:
+    """Returns the keys with a done marker and an intact cache entry."""
+    for path in sorted(fq.done.glob("*.json")):
+        if read_json(path) is None:
+            report.remove("corrupt_done", path, "done marker does not parse",
+                          "removed (derived state; cell re-runs)")
+        elif _key_of(path) not in intact:
+            report.remove("done_without_result", path,
+                          "done marker but no intact cache entry for this key",
+                          "removed marker so the cell re-runs")
+    return fq.done_keys() & intact
+
+
+def _check_tasks(report: _Report, fq: FileQueue, done_and_cached: Set[str]) -> None:
+    failures = fq.failure_counts()
+    for path in sorted(fq.tasks.glob("*.json")):
+        key = _key_of(path)
+        payload = read_json(path)
+        if payload is None or "key" not in payload:
+            report.quarantine("task", path, fq)
+        elif key in done_and_cached:
+            report.remove("task_after_done", path,
+                          "task still queued for a completed cell",
+                          "withdrew the leftover task")
+        elif failures.get(key, 0) >= (budget := int(payload.get("max_attempts", 1))):
+            report.add(
+                "budget_exhausted_task",
+                path,
+                f"queued with {failures[key]} failure record(s) >= "
+                f"max_attempts={budget}; workers will churn on it",
+                lambda: f"dead-lettered to {fq.dead_letter(payload)[0]}",
+            )
+
+
+def _check_claims(
+    report: _Report,
+    fq: FileQueue,
+    done_and_cached: Set[str],
+    lease_timeout: Optional[float],
+) -> None:
+    ages = {}
+    if lease_timeout is not None:
+        ages = {key: age for key, _, age, _ in fq.stale_leases(lease_timeout)}
+    for path in sorted(fq.claims.glob("*.json")):
+        key = _key_of(path)
+        payload = read_json(path)
+        if payload is None or "key" not in payload:
+            report.quarantine("claim", path, fq)
+        elif key in done_and_cached:
+            report.remove("stale_claim", path,
+                          "lease still held for a completed cell",
+                          "released the stale lease")
+        elif key in ages:
+            detail = (
+                f"lease {ages[key]:.1f}s old exceeds the "
+                f"{lease_timeout:.1f}s bound with no result"
+            )
+
+            def reclaim() -> str:
+                # the coordinator's reclaim; republished without its holder
+                task = {k: v for k, v in payload.items() if k != "worker"}
+                if fq.fail_attempt(
+                    task,
+                    path,
+                    worker=payload.get("worker", "unknown"),
+                    kind="lease_expired",
+                    error=f"{detail}; reclaimed by tfrc-sweep-fsck",
+                ):
+                    return "requeued the cell and dropped the lease"
+                return f"budget spent: dead-lettered to {fq.dead_letter(task)[0]}"
+
+            report.add("expired_lease", path, detail, reclaim)
+
+
+def _check_tmp(report: _Report, roots: Iterable[Path]) -> None:
+    for root in roots:
+        for path in sorted(root.glob("*.tmp.*")):
+            report.remove("stale_tmp", path,
+                          "interrupted atomic write left behind", "removed")
+
+
 def audit(
     queue_dir: "str | Path",
     *,
@@ -120,174 +266,21 @@ def audit(
     """Audit ``queue_dir`` (+ its cache); optionally repair as documented.
 
     ``cache_dir`` defaults to ``<queue_dir>/results``, the coordinator's
-    own default.  Repairs are applied as findings are discovered; a
-    finding whose repair ran has ``repaired`` set.
+    own default.  Repairs are applied as findings are discovered (a torn
+    cache entry is moved before ``done/`` is judged against what is left);
+    a finding whose repair ran has ``repaired`` set.
     """
     fq = FileQueue(queue_dir).ensure()
     cache = ResultCache(
         cache_dir if cache_dir is not None else fq.root / "results"
     )
-    findings: List[Finding] = []
-
-    # ------------------------------------------------------------- cache
-    intact: set = set()  # keys (= entry stems) with verified cache entries
-    for path, defect in cache.scan():
-        if defect is None:
-            intact.add(path.name[: -len(".json")])
-            continue
-        finding = Finding("corrupt_cache_entry", path, defect)
-        if repair:
-            target = cache.quarantine_file(path)
-            if target is not None:
-                finding.repaired = f"moved to {target}"
-        findings.append(finding)
-
-    # ------------------------------------------------------ done markers
-    for path in sorted(fq.done.glob("*.json")):
-        key = _key_of(path)
-        marker = read_json(path)
-        if marker is None:
-            finding = Finding(
-                "corrupt_done", path, "done marker does not parse"
-            )
-            if repair:
-                path.unlink(missing_ok=True)
-                finding.repaired = "removed (derived state; cell re-runs)"
-            findings.append(finding)
-            continue
-        if key not in intact:
-            finding = Finding(
-                "done_without_result",
-                path,
-                "done marker but no intact cache entry for this key",
-            )
-            if repair:
-                path.unlink(missing_ok=True)
-                finding.repaired = "removed marker so the cell re-runs"
-            findings.append(finding)
-
-    done_and_cached = {
-        _key_of(path)
-        for path in fq.done.glob("*.json")
-        if _key_of(path) in intact
-    }
-
-    # ------------------------------------------------------------- tasks
-    for path in sorted(fq.tasks.glob("*.json")):
-        key = _key_of(path)
-        payload = read_json(path)
-        if payload is None or "key" not in payload:
-            finding = Finding(
-                "corrupt_task", path, "task payload does not parse"
-            )
-            if repair:
-                target = fq.quarantine_file(
-                    path,
-                    key=key,
-                    kind="corrupt_task",
-                    worker="fsck",
-                    error="corrupt task payload found by tfrc-sweep-fsck",
-                )
-                if target is not None:
-                    finding.repaired = f"moved to {target}"
-            findings.append(finding)
-            continue
-        if key in done_and_cached:
-            finding = Finding(
-                "task_after_done",
-                path,
-                "task still queued for a completed cell",
-            )
-            if repair:
-                path.unlink(missing_ok=True)
-                finding.repaired = "withdrew the leftover task"
-            findings.append(finding)
-            continue
-        attempts = int(payload.get("attempts", 0))
-        max_attempts = int(payload.get("max_attempts", 1))
-        if attempts >= max_attempts:
-            finding = Finding(
-                "budget_exhausted_task",
-                path,
-                f"queued with attempts={attempts} >= "
-                f"max_attempts={max_attempts}; workers will churn on it",
-            )
-            if repair:
-                target = fq.quarantine_cell(
-                    key,
-                    kind="retry_budget_exhausted",
-                    payload=payload,
-                    failures=fq.read_failures(key),
-                )
-                path.unlink(missing_ok=True)
-                finding.repaired = f"dead-lettered to {target}"
-            findings.append(finding)
-
-    # ------------------------------------------------------------ claims
-    now = fq.fs_now()
-    for path in sorted(fq.claims.glob("*.json")):
-        key = _key_of(path)
-        payload = read_json(path)
-        if payload is None or "key" not in payload:
-            finding = Finding(
-                "corrupt_claim", path, "claim payload does not parse"
-            )
-            if repair:
-                target = fq.quarantine_file(
-                    path,
-                    key=key,
-                    kind="corrupt_claim",
-                    worker="fsck",
-                    error="corrupt claim payload found by tfrc-sweep-fsck",
-                )
-                if target is not None:
-                    finding.repaired = f"moved to {target}"
-            findings.append(finding)
-            continue
-        if key in done_and_cached:
-            finding = Finding(
-                "stale_claim",
-                path,
-                "lease still held for a completed cell",
-            )
-            if repair:
-                path.unlink(missing_ok=True)
-                finding.repaired = "released the stale lease"
-            findings.append(finding)
-            continue
-        if lease_timeout is not None:
-            try:
-                age = now - path.stat().st_mtime
-            except OSError:
-                continue  # vanished mid-audit (a live worker released it)
-            if age > lease_timeout:
-                finding = Finding(
-                    "expired_lease",
-                    path,
-                    f"lease {age:.1f}s old exceeds the "
-                    f"{lease_timeout:.1f}s bound with no result",
-                )
-                if repair:
-                    task = {
-                        k: v for k, v in payload.items() if k != "worker"
-                    }
-                    fq.enqueue(task)
-                    path.unlink(missing_ok=True)
-                    finding.repaired = "requeued the cell and dropped the lease"
-                findings.append(finding)
-
-    # --------------------------------------------------------- tmp litter
-    for root in (fq.tasks, fq.claims, fq.done, fq.failures, cache.root):
-        for path in sorted(root.glob("*.tmp.*")):
-            finding = Finding(
-                "stale_tmp", path, "interrupted atomic write left behind"
-            )
-            if repair:
-                path.unlink(missing_ok=True)
-                finding.repaired = "removed"
-            findings.append(finding)
-
-    return findings
+    report = _Report(repair)
+    intact = _check_cache(report, cache)
+    done_and_cached = _check_done(report, fq, intact)
+    _check_tasks(report, fq, done_and_cached)
+    _check_claims(report, fq, done_and_cached, lease_timeout)
+    _check_tmp(report, (fq.tasks, fq.claims, fq.done, fq.failures, cache.root))
+    return report.findings
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -24,6 +24,17 @@ JsonDict = Dict[str, Any]
 ScenarioFn = Callable[["ScenarioSpec"], JsonDict]
 
 
+def split_override_path(path: Any) -> List[str]:
+    """The segments of an override path (``"topology.rtt"``); anything but a
+    ``str`` of non-empty dot-separated segments is a ``ValueError`` naming it."""
+    if not isinstance(path, str) or "" in (parts := path.split(".")):
+        raise ValueError(
+            f"override path {path!r} must be a str of non-empty "
+            f"dot-separated segments"
+        )
+    return parts
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One fully specified simulation cell.
@@ -124,11 +135,12 @@ class ScenarioSpec:
         against the scalar ``seed`` field, or ``"topology.a.b"`` when
         ``topology.a`` is a scalar -- raises :class:`ValueError` naming the
         offending segment instead of silently clobbering it (which would
-        corrupt seeding and spec hashing downstream).
+        corrupt seeding and spec hashing downstream); so does a path that
+        is not a dotted string (:func:`split_override_path`).
         """
         data = self.to_dict()
         for path, value in overrides.items():
-            parts = path.split(".")
+            parts = split_override_path(path)
             node: Any = data
             for depth, part in enumerate(parts[:-1]):
                 if part in node and not isinstance(node[part], dict):

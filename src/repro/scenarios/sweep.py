@@ -32,8 +32,9 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.scenarios.cache import ResultCache
 from repro.scenarios.executors import (
@@ -48,6 +49,7 @@ from repro.scenarios.spec import (
     JsonDict,
     ScenarioSpec,
     get_scenario,
+    split_override_path,
 )
 
 #: progress callback: (cells done, cells total, the cell just finished).  If
@@ -75,6 +77,8 @@ class SweepCell:
     #: failed attempts before the one that finished (the file queue's retry
     #: budget; 0 under the local executor); ``max_attempts`` if quarantined.
     attempts: int = 0
+    #: why: the ``kind`` of each of those attempts' failure records.
+    failure_kinds: List[str] = field(default_factory=list)
 
     def describe(self) -> str:
         def short(value: Any) -> str:
@@ -170,12 +174,7 @@ class SweepRunner:
         if executor == "queue" and queue_dir is None:
             raise ValueError("executor 'queue' requires queue_dir")
         self.base = base
-        self.grid: Dict[str, List[Any]] = {
-            key: list(values) for key, values in (grid or {}).items()
-        }
-        for key, values in self.grid.items():
-            if not values:
-                raise ValueError(f"grid axis {key!r} has no values")
+        self.grid = self._checked_grid(grid or {})
         self.parallel = parallel
         self.executor = executor
         self.queue_dir = queue_dir
@@ -193,6 +192,31 @@ class SweepRunner:
         self.seed_mode = seed_mode
 
     # ------------------------------------------------------------ expansion
+
+    @staticmethod
+    def _checked_grid(grid: Mapping[Any, Any]) -> Dict[Any, List[Any]]:
+        """``grid`` with every axis's values listed -- or a ``ValueError``
+        naming the axis, here, before a cell runs or a directory exists."""
+        checked: Dict[Any, List[Any]] = {}
+        for axis, values in grid.items():
+            for path in axis if isinstance(axis, tuple) else (axis,):
+                split_override_path(path)
+            if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+                raise ValueError(
+                    f"grid axis {axis!r} needs a sequence of values, "
+                    f"got {values!r}"
+                )
+            checked[axis] = list(values)
+            if not checked[axis]:
+                raise ValueError(f"grid axis {axis!r} has no values")
+            if isinstance(axis, tuple):
+                for value in checked[axis]:
+                    if not isinstance(value, (tuple, list)) or len(value) != len(axis):
+                        raise ValueError(
+                            f"zipped axis {axis!r} expects values of length "
+                            f"{len(axis)}, got {value!r}"
+                        )
+        return checked
 
     def cells(self) -> List[SweepCell]:
         """The grid's cells in deterministic expansion order.
@@ -212,11 +236,6 @@ class SweepRunner:
             overrides: Dict[str, Any] = {}
             for (key, _), value in zip(axes, combo):
                 if isinstance(key, tuple):
-                    if len(key) != len(value):
-                        raise ValueError(
-                            f"zipped axis {key!r} expects values of length "
-                            f"{len(key)}, got {value!r}"
-                        )
                     overrides.update(zip(key, value))
                 else:
                     overrides[key] = value
@@ -286,6 +305,7 @@ class SweepRunner:
                     cell.result = completion.result
                     cell.elapsed_seconds = completion.elapsed_seconds
                     cell.attempts = completion.attempts
+                    cell.failure_kinds = completion.failure_kinds
                     if completion.quarantined:
                         cell.quarantined = True
                         cell.failure = completion.failure
@@ -344,7 +364,11 @@ def print_progress(stream=None) -> ProgressFn:
             line += f" in {wall:.2f}s"
         retried = sum(1 for cell in result.cells if cell.attempts)
         if retried:
-            line += f", {retried} retried"
+            kinds = Counter(
+                kind for cell in result.cells for kind in cell.failure_kinds
+            )
+            why = ", ".join(f"{kind} {n}" for kind, n in sorted(kinds.items()))
+            line += f", {retried} retried ({why})"
         print(line, file=out)
 
     report.finish = finish

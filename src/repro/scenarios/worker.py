@@ -17,11 +17,13 @@ mounting the same directory -- and each repeatedly:
 3. only then publishes the ``done/`` marker, so the coordinator can
    assemble the sweep purely from the cache.
 
-A failing cell is recorded under ``failures/`` and requeued until its
-``max_attempts`` budget is spent
-(:meth:`~repro.scenarios.filequeue.FileQueue.fail_attempt`); a worker
-killed mid-cell simply stops heartbeating and the coordinator reclaims the
-lease.  ``--cell-timeout`` bounds a single cell's wall-clock execution (a
+A failing cell is recorded under ``failures/`` and requeued while those
+records number fewer than its ``max_attempts``
+(:meth:`~repro.scenarios.filequeue.FileQueue.fail_attempt`; the record
+count, read once when the cell is leased, is also the attempt number the
+worker logs and stamps on the done marker); a worker killed mid-cell simply
+stops heartbeating and the coordinator reclaims the lease.
+``--cell-timeout`` bounds a single cell's wall-clock execution (a
 hung simulation becomes a ``timeout`` failure record instead of a worker
 that never returns), and idle workers poll the queue with exponential
 backoff plus jitter up to ``--max-poll-interval`` so a large idle fleet
@@ -166,7 +168,8 @@ def process_one(
     if claimed is None:
         return None
     claim, payload = claimed
-    key, attempts = payload["key"], int(payload.get("attempts", 0))
+    key = payload["key"]
+    attempts = fq.failure_count(key)  # the failure records are the count
     stop = threading.Event()
     heartbeater = threading.Thread(
         target=_heartbeat,
@@ -214,7 +217,6 @@ def process_one(
         fq.fail_attempt(
             payload,
             claim,
-            attempts=attempts,
             worker=worker_id,
             kind=kind,
             error=error,

@@ -179,7 +179,7 @@ class TestClockSkewReclaim:
             cache_dir="results",
             remaining={key: [cell]},
         )
-        fq.enqueue(executor._payload(run, cell, 0))
+        fq.enqueue(executor._payload(run, cell))
         claimed = fq.claim_next("healthy-worker")
         assert claimed is not None
 

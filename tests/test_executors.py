@@ -33,14 +33,13 @@ def _results(sweep):
     return [cell.result for cell in sweep.cells]
 
 
-def _probe_payload(fq, spec, cache_root, attempts=0, max_attempts=3):
+def _probe_payload(fq, spec, cache_root, max_attempts=3):
     """A task payload exactly as the coordinator would publish it."""
     return {
         "key": f"{spec.scenario}-{spec.spec_hash()}",
         "module": "_executor_probe",
         "spec": spec.to_dict(),
         "cache_dir": fq.encode_cache_dir(cache_root),
-        "attempts": attempts,
         "max_attempts": max_attempts,
     }
 
@@ -182,7 +181,8 @@ class TestSweepCellError:
         assert sorted(c.attempts for c in sweep.cells) == [0, 1]
         closing = stream.getvalue().splitlines()[-1]
         assert closing.startswith("[sweep] 2 cells: 0 cached, 2 run on queue x1")
-        assert closing.endswith("x), 1 retried")
+        assert closing.endswith("x), 1 retried (error 1)")
+        assert sorted(c.failure_kinds for c in sweep.cells) == [[], ["error"]]
 
 
 class TestCrashResume:
@@ -234,21 +234,21 @@ class TestCrashResume:
         assert not fq.claim_path(key).exists()
 
     def test_resume_with_stale_spent_claim_still_completes(self, tmp_path):
-        """Leftover failure records plus a dead worker's claim whose
-        payload already spent the budget must not strand or abort the
-        rerun: records are cleared, the lease is reclaimed, and the cell
-        completes."""
+        """Leftover failure records at the budget plus a dead worker's
+        claim (an older version's, its payload saying ``attempts=2`` of 2)
+        must not strand or abort the rerun: records are cleared, the lease
+        is reclaimed, and the cell completes."""
         queue_dir = tmp_path / "q"
         cache_root = tmp_path / "cache"
         fq = FileQueue(queue_dir).ensure()
         spec = BASE.override({"extra.x": 6})
         key = f"executor_probe-{spec.spec_hash()}"
-        for n in (1, 2):
+        for _ in range(2):
             fq.record_failure(
-                key, worker="old-run", kind="error", error="boom", attempts=n
+                key, worker="old-run", kind="error", error="boom"
             )
         fq.enqueue(
-            _probe_payload(fq, spec, cache_root, attempts=2, max_attempts=2)
+            {**_probe_payload(fq, spec, cache_root, max_attempts=2), "attempts": 2}
         )
         claimed = fq.claim_next("dead-worker")
         assert claimed is not None
@@ -304,6 +304,49 @@ class TestCrashResume:
         second = SweepRunner(BASE, {"extra.x": [7, 8]}, **kwargs).run()
         assert second.cache_hits == 2
         assert _results(first) == _results(second)
+
+
+class TestOneAttemptCount:
+    """How often a cell has failed is the number of its failure records --
+    not a field copied into task payloads, which racing writers and
+    leftover files used to leave out of step with the records."""
+
+    def test_reclaim_racing_a_live_worker_numbers_records_apart(self, tmp_path):
+        fq = FileQueue(tmp_path / "q").ensure()
+        spec = BASE.override({"extra.x": 1})
+        task = _probe_payload(fq, spec, tmp_path / "cache", max_attempts=2)
+        key = task["key"]
+        fq.enqueue(task)
+        claim, w1_payload = fq.claim_next("W1")
+        # the coordinator presumes W1 dead: reclaims the lease, republishes
+        assert fq.fail_attempt(
+            task, claim, worker="W1", kind="lease_expired", error="expired"
+        )
+        w2_claim, _ = fq.claim_next("W2")
+        # W1 -- alive after all -- now fails the cell it still thinks it holds
+        assert not fq.fail_attempt(
+            w1_payload, claim, worker="W1", kind="error", error="boom",
+            own_lease=True,
+        )
+        assert sorted(r["attempts"] for r in fq.read_failures(key)) == [1, 2]
+        # the budget of 2 is met: W1 did not publish the cell a third time,
+        # and W2's lease (same path as W1's old one) is untouched
+        assert not fq.task_path(key).exists()
+        assert json.loads(w2_claim.read_text())["worker"] == "W2"
+
+    def test_leftover_payload_count_does_not_stop_the_requeue(self, tmp_path):
+        """An older version's file says ``attempts=2`` of 3; no record is
+        on file, so the worker that fails the cell republishes it itself
+        instead of leaving it in no directory for the backstop to find."""
+        fq = FileQueue(tmp_path / "q").ensure()
+        spec = BASE.override({"extra.x": 5, "extra.boom": 5})
+        task = _probe_payload(fq, spec, tmp_path / "cache", max_attempts=3)
+        fq.enqueue({**task, "attempts": 2})
+        assert sweep_worker.process_one(fq, worker_id="t5", verbose=False) is False
+        key = task["key"]
+        assert [r["attempts"] for r in fq.read_failures(key)] == [1]
+        assert fq.task_path(key).exists()
+        assert not fq.claim_path(key).exists()
 
 
 class TestWorkerCli:
@@ -472,7 +515,7 @@ class TestCellTimeout:
         )
         key = f"executor_probe-{self.HUNG.spec_hash()}"
         assert [r["kind"] for r in fq.read_failures(key)] == ["timeout"]
-        assert json.loads(fq.task_path(key).read_text())["attempts"] == 1
+        assert fq.failure_count(key) == 1 and fq.task_path(key).exists()
         assert not fq.claim_path(key).exists()
         assert fq.read_done(key) is None
 

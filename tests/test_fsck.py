@@ -28,13 +28,12 @@ def _queue(tmp_path):
     return fq, cache
 
 
-def _payload(fq, cache, attempts=0, max_attempts=3):
+def _payload(fq, cache, max_attempts=3):
     return {
         "key": KEY,
         "module": "_executor_probe",
         "spec": SPEC.to_dict(),
         "cache_dir": fq.encode_cache_dir(cache.root),
-        "attempts": attempts,
         "max_attempts": max_attempts,
     }
 
@@ -118,21 +117,66 @@ class TestAuditFindings:
         assert audit(fq.root) == []
 
     def test_budget_exhausted_task_dead_lettered(self, tmp_path):
+        """The failure records judge the budget: three of them against a
+        queued task's ``max_attempts=3`` (the state a reclaim racing a live
+        worker leaves) is the finding, whatever the payload says."""
         fq, cache = _queue(tmp_path)
-        fq.record_failure(KEY, worker="w", kind="error", error="x", attempts=3)
-        fq.enqueue(_payload(fq, cache, attempts=3, max_attempts=3))
+        fq.enqueue(_payload(fq, cache, max_attempts=3))
+        for n in (1, 2):
+            fq.record_failure(KEY, worker="w", kind="error", error=f"x{n}")
+            assert audit(fq.root) == []  # below the budget: claimable
+        fq.record_failure(KEY, worker="w", kind="error", error="x3")
         assert _kinds(audit(fq.root)) == ["budget_exhausted_task"]
         audit(fq.root, repair=True)
         assert not fq.task_path(KEY).exists()
         assert KEY in fq.quarantined_keys()
-        letters = [
+        [letter] = [
             json.loads(p.read_text())
             for p in fq.quarantine.glob("*.json")
         ]
-        assert any(
-            d["kind"] == "retry_budget_exhausted" and d["failures"]
-            for d in letters
+        assert letter["kind"] == "retry_budget_exhausted"
+        assert letter["task"] == _payload(fq, cache, max_attempts=3)
+        # the full history, numbered by the records themselves
+        assert [(r["attempts"], r["error"]) for r in letter["failures"]] == [
+            (1, "x1"), (2, "x2"), (3, "x3"),
+        ]
+        assert audit(fq.root) == []
+
+    def test_payload_attempts_field_is_not_the_budget(self, tmp_path):
+        """An older version's task file says ``attempts=3`` of 3 with no
+        record on file: nothing failed, so it is claimable, not a finding."""
+        fq, cache = _queue(tmp_path)
+        fq.enqueue({**_payload(fq, cache, max_attempts=3), "attempts": 3})
+        assert audit(fq.root) == []
+
+    def test_spent_cell_still_queued_beside_a_live_lease(self, tmp_path):
+        """What a reclaim racing a live worker left behind under the old
+        two-count protocol (still reachable with an older worker on the
+        directory): two records against a budget of 2, the task published
+        again, another worker's lease live.  The records are the finding."""
+        fq, cache = _queue(tmp_path)
+        task = _payload(fq, cache, max_attempts=2)
+        fq.enqueue(task)
+        claim, _ = fq.claim_next("W1")
+        fq.fail_attempt(
+            task, claim, worker="W1", kind="lease_expired", error="expired"
         )
+        fq.claim_next("W2")
+        fq.record_failure(KEY, worker="W1", kind="error", error="boom")
+        fq.enqueue({**task, "attempts": 1})  # the older W1's republication
+
+        [finding] = audit(fq.root)
+        assert finding.kind == "budget_exhausted_task"
+        assert finding.path == fq.task_path(KEY)
+        audit(fq.root, repair=True)
+        assert not fq.task_path(KEY).exists()
+        [letter] = [
+            json.loads(p.read_text()) for p in fq.quarantine.glob("*.json")
+        ]
+        assert [(r["attempts"], r["kind"]) for r in letter["failures"]] == [
+            (1, "lease_expired"), (2, "error"),
+        ]
+        assert fq.claim_path(KEY).exists()  # W2's lease is not fsck's to drop
         assert audit(fq.root) == []
 
     def test_corrupt_claim_quarantined(self, tmp_path):
@@ -173,6 +217,30 @@ class TestAuditFindings:
         task = json.loads(fq.task_path(KEY).read_text())
         assert task["key"] == KEY
         assert "worker" not in task  # republished claimable, not leased
+        # the coordinator's reclaim: charged to the budget, holder named
+        [record] = fq.read_failures(KEY)
+        assert record["kind"] == "lease_expired"
+        assert (record["worker"], record["attempts"]) == ("dead-host-1", 1)
+        assert audit(fq.root, lease_timeout=60.0) == []
+
+    def test_expired_lease_past_the_budget_is_dead_lettered(self, tmp_path):
+        """Repeated ``--repair`` runs cannot requeue a cell whose workers
+        keep dying without bound: the reclaim that spends the budget
+        dead-letters the cell instead of publishing it again."""
+        fq, cache = _queue(tmp_path)
+        old = time.time() - 5000.0
+        for attempt in (1, 2):
+            fq.enqueue(_payload(fq, cache, max_attempts=2))
+            claim, _ = fq.claim_next(f"dead-host-{attempt}")
+            os.utime(claim, (old, old))
+            [finding] = audit(fq.root, lease_timeout=60.0, repair=True)
+            assert finding.kind == "expired_lease"
+            assert fq.task_path(KEY).exists() == (attempt == 1)
+        assert "dead-lettered" in finding.repaired
+        assert [r["worker"] for r in fq.read_failures(KEY)] == [
+            "dead-host-1", "dead-host-2",
+        ]
+        assert KEY in fq.quarantined_keys()
         assert audit(fq.root, lease_timeout=60.0) == []
 
     def test_stale_tmp_litter(self, tmp_path):

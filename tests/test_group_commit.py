@@ -397,7 +397,6 @@ def test_worker_commits_its_claimed_batch_before_any_done_marker(
             "module": "repro.scenarios.vector",
             "spec": spec.to_dict(),
             "cache_dir": str(cache_dir),
-            "attempts": 0,
             "max_attempts": 1,
         })
     del recorded[:]

@@ -167,6 +167,77 @@ class TestSpecValidation:
         assert len(spec.override({"seed": seed + 1}).spec_hash()) == 16
 
 
+    #: axis names and override paths, well formed and not (ROADMAP 5c)
+    _PATHS = st.one_of(
+        st.sampled_from(
+            ["seed", "duration", "extra.x", "topology.rtt", "topology.",
+             ".x", "", "seed.x", "bogus", "topology"]
+        ),
+        st.integers(), st.none(),
+    )
+    _VALUES = st.one_of(
+        st.integers(), st.text(max_size=3), st.none(),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    _AXES = st.one_of(
+        st.tuples(_PATHS, st.one_of(_VALUES, st.lists(_VALUES, max_size=3))),
+        st.tuples(  # zipped: values should be tuples as long as the axis
+            st.tuples(_PATHS, _PATHS),
+            st.one_of(
+                _VALUES,
+                st.lists(
+                    st.one_of(_VALUES, st.lists(_VALUES, max_size=3).map(tuple)),
+                    max_size=2,
+                ),
+            ),
+        ),
+    )
+
+    @given(axes=st.lists(_AXES, max_size=2))
+    @example(axes=[(3, [3])])
+    @example(axes=[("topology.", [3])])
+    @example(axes=[("seed", "12")])
+    @example(axes=[("seed", 5)])
+    @example(axes=[(("seed", "duration"), [5])])
+    def test_malformed_grid_or_override_map_names_its_axis(
+        self, axes, tmp_path_factory
+    ):
+        """Expansion succeeds or raises ``ValueError`` naming the axis --
+        never another exception -- from ``SweepRunner.__init__`` / ``cells()``
+        / ``override``, before any directory is created."""
+        cache_dir = tmp_path_factory.mktemp("grid") / "cache"
+        grid = dict(axes)
+        names = [
+            path.split(".")[0] if isinstance(path, str) and path[:1] not in ("", ".")
+            else repr(path)
+            for axis in grid
+            for path in (axis if isinstance(axis, tuple) else (axis,))
+        ]
+        base = ScenarioSpec("test_echo")
+
+        def assert_named(exc):
+            assert any(name in str(exc) for name in names), (str(exc), names)
+
+        try:
+            runner = SweepRunner(base, grid, cache_dir=str(cache_dir))
+        except ValueError as exc:
+            assert_named(exc)
+            assert not cache_dir.exists()  # rejected before any directory
+        else:
+            try:
+                runner.cells()
+            except ValueError as exc:
+                assert_named(exc)
+        single = {
+            axis: values[0] for axis, values in grid.items()
+            if not isinstance(axis, tuple) and isinstance(values, list) and values
+        }
+        try:
+            base.override(single)
+        except ValueError as exc:
+            assert_named(exc)
+
+
 class TestRegistry:
     def test_known_scenarios_registered(self):
         # builders register these at import time

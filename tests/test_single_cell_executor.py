@@ -11,8 +11,9 @@ The file queue is the transport that stays out of it: ``filequeue.py`` owns
 the on-disk protocol and the retry policy (``FileQueue.fail_attempt``, the
 only place a failed cell is republished), a worker leases one cell at a
 time, and lockstep batching is the local executor's business alone.  The
-second test keeps the queue's three modules that way -- and keeps their
-functions short enough to read.
+second test keeps the queue's modules that way -- and keeps their
+functions short enough to read.  The third keeps one count of a cell's
+failed attempts (its failure records) and one copy of each recovery rule.
 """
 
 import ast
@@ -67,7 +68,7 @@ def test_one_execution_site_two_executors_no_late_imports():
     assert late_imports == []
 
 
-FABRIC = ("executors.py", "filequeue.py", "worker.py")
+FABRIC = ("executors.py", "filequeue.py", "worker.py", "fsck.py")
 RETIRED = ("vector_batch", "batch_limit", "batch_kill")
 MAX_FUNCTION_LINES = 120
 
@@ -127,3 +128,64 @@ def test_queue_transport_leases_one_cell_and_owns_its_retry_policy():
         and node.end_lineno - node.lineno + 1 > MAX_FUNCTION_LINES
     ]
     assert too_long == []
+
+
+def _is_const(node, value):
+    return isinstance(node, ast.Constant) and node.value == value
+
+
+def test_failure_records_are_the_only_attempts_count():
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted(SCENARIOS.glob("*.py"))
+    }
+    # nobody hands the queue a count: it numbers a record from the records
+    took_a_count = [
+        node.name
+        for node in ast.walk(trees["filequeue.py"])
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("fail_attempt", "record_failure")
+        and "attempts" in [a.arg for a in node.args.args + node.args.kwonlyargs]
+    ]
+    assert took_a_count == []
+    # ... and nobody copies one into a task payload
+    writes = [
+        f"{name}:{node.lineno}"
+        for name in ("executors.py", "worker.py", "fsck.py")
+        for node in ast.walk(trees[name])
+        if isinstance(node, ast.Dict)
+        and any(key is not None and _is_const(key, "attempts") for key in node.keys)
+    ]
+    assert writes == []
+    # the one read left is of a done marker, which records how many attempts
+    # had failed when the cell finished
+    reads = []
+    for name, tree in trees.items():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                subscript = isinstance(node, ast.Subscript) and _is_const(
+                    node.slice, "attempts"
+                )
+                get = (
+                    isinstance(node, ast.Call)
+                    and _name(node.func) == "get"
+                    and node.args
+                    and _is_const(node.args[0], "attempts")
+                )
+                if subscript or get:
+                    reads.append(f"{name}:{function.name}")
+    assert reads == ["executors.py:_collect"]
+    # each recovery rule is written once, behind FileQueue: dead-lettering
+    # (dead_letter is quarantine_cell's caller) and the lease-age arithmetic
+    assert [
+        (name, len(_attr_calls(tree, "quarantine_cell")))
+        for name, tree in trees.items()
+        if _attr_calls(tree, "quarantine_cell")
+    ] == [("filequeue.py", 1)]
+    assert [
+        (name, len(_attr_calls(tree, "fs_now")))
+        for name, tree in trees.items()
+        if _attr_calls(tree, "fs_now")
+    ] == [("filequeue.py", 1)]

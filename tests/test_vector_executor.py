@@ -173,7 +173,6 @@ class TestWorkerVectorBatch:
                 "module": "repro.scenarios.vector",
                 "spec": cell.spec.to_dict(),
                 "cache_dir": str(cache_dir),
-                "attempts": 0,
                 "max_attempts": 1,
             })
         return fq, [cell.spec for cell in specs]

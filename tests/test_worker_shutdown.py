@@ -31,7 +31,6 @@ def _enqueue(tmp_path, spec=SPEC):
             "module": "_executor_probe",
             "spec": spec.to_dict(),
             "cache_dir": fq.encode_cache_dir(cache.root),
-            "attempts": 0,
             "max_attempts": 3,
         }
     )
