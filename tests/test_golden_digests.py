@@ -1,6 +1,6 @@
 """Golden digests: the byte-identity contract of the packet simulator.
 
-Eleven seeded runs are reduced to sha256 digests of their exact trace
+Fourteen seeded runs are reduced to sha256 digests of their exact trace
 signature and result JSON and compared with ``tests/golden_digests.json``.
 The first five committed digests were produced by the per-event
 implementations the simulator used to carry beside its hot path, and
@@ -8,7 +8,8 @@ verified equal to that hot path, before those were deleted; the four
 ``baselines/`` and ``multicast/`` runs were captured at f2093f7, before
 the five rate-based senders were put on one ``PacedSender`` base, and the
 two TFRC ``LossyPath`` runs at b7316be, before the endpoints' per-packet
-paths were shortened.  Any change to event order, RNG draw order or float
+paths were shortened, and the internet-path, probe-path and Dummynet-pipe
+runs at c5f52e4, before the scene builders were put on one testbed.  Any change to event order, RNG draw order or float
 arithmetic in ``sim/``, ``net/``, ``core/``, ``tcp/``, ``baselines/`` or
 ``multicast/`` moves one.
 
@@ -30,12 +31,15 @@ import pytest
 
 from repro.baselines import RapFlow, TearFlow, TfrcpFlow
 from repro.core.agent import TfrcFlow
+from repro.experiments.fig03_oscillation import run_one as fig03_run_one
 from repro.experiments.fig11_onoff import run_one as fig11_run_one
 from repro.experiments.fig14_queue_dynamics import run_one as fig14_run_one
+from repro.experiments.fig18_predictor import collect_loss_intervals
+from repro.experiments.internet import PATHS
 from repro.multicast import MulticastTfrcSession
 from repro.net.monitor import FlowMonitor, LinkMonitor
 from repro.net.path import LossyPath, bernoulli_loss
-from repro.scenarios.builders import build_mixed_dumbbell
+from repro.scenarios.builders import build_mixed_dumbbell, run_internet_path
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 
@@ -197,6 +201,39 @@ def tfrc_lossy_path(p):
     )
 
 
+def _arrivals(monitor, flow_id):
+    return [(t.hex(), size) for t, size in monitor.arrivals[flow_id]]
+
+
+def internet_path_ucl():
+    """3 TCP + 1 TFRC + ON/OFF cross traffic on the ``ucl`` path, 20 s."""
+    run = run_internet_path(PATHS["ucl"], n_tcp=3, duration=20.0, seed=7)
+    link = run.dumbbell.forward_link
+    flows = run.flow_monitor
+    return [], {
+        "arrivals": {fid: _arrivals(flows, fid) for fid in flows.flows()},
+        "tcp_ids": run.tcp_ids,
+        "loss_rate": run.link_monitor.loss_rate().hex(),
+        "link": _exact(link, ("packets_forwarded", "bytes_forwarded",
+                              "utilization_seconds", "queue.enqueued",
+                              "queue.dequeued", "queue.dropped")),
+        "events": run.sim.events_processed,
+    }
+
+
+def tfrc_probe_nokia():
+    """The Figure 18 probe flow on the ``nokia`` path, 30 simulated s."""
+    intervals = collect_loss_intervals(PATHS["nokia"], duration=30.0, seed=4)
+    return [], {"intervals": [v.hex() for v in intervals]}
+
+
+def fig03_pipe():
+    """One TFRC flow over an 8-packet Dummynet pipe, 15 simulated s."""
+    series, cov, mean = fig03_run_one(8, False, duration=15.0)
+    return [], {"series": [v.hex() for v in series], "cov": cov.hex(),
+                "mean": mean.hex()}
+
+
 #: name -> zero-argument run returning ``(trace signature, result)``.
 RUNS = {
     "traced_mixed_dumbbell": lambda: mixed_dumbbell(reverse_monitor=True),
@@ -219,6 +256,9 @@ RUNS = {
     "multicast_session": multicast_session,
     "tfrc_lossy_path_p01": lambda: tfrc_lossy_path(0.01),
     "tfrc_lossy_path_p05": lambda: tfrc_lossy_path(0.05),
+    "internet_path_ucl": internet_path_ucl,
+    "tfrc_probe_nokia": tfrc_probe_nokia,
+    "fig03_pipe": fig03_pipe,
 }
 
 
