@@ -19,42 +19,31 @@ import numpy as np
 
 from repro.analysis.cov import coefficient_of_variation
 from repro.analysis.timeseries import arrivals_to_rate_series
-from repro.core import TfrcFlow
-from repro.net import Dumbbell, DumbbellConfig
-from repro.net.monitor import FlowMonitor
-from repro.sim import Simulator
-from repro.sim.rng import RngRegistry
-from repro.tcp.flow import TcpFlow
+from repro.net import DumbbellConfig
+from repro.scenarios import DumbbellTestbed
 from repro.traffic.onoff import OnOffSource
 
 
 def main() -> None:
-    registry = RngRegistry(seed=42)
-    sim = Simulator()
     config = DumbbellConfig(bandwidth_bps=6e6, queue_type="red",
                             buffer_packets=60, red_min_thresh=6, red_max_thresh=30)
-    dumbbell = Dumbbell(sim, config, queue_rng=registry.stream("red"))
-    monitor = FlowMonitor()
-
-    fwd, rev = dumbbell.attach_flow("tfrc-stream", base_rtt=0.090)
-    TfrcFlow(sim, "tfrc-stream", fwd, rev, on_data=monitor.on_packet).start()
-
-    fwd, rev = dumbbell.attach_flow("tcp-stream", base_rtt=0.090)
-    TcpFlow(sim, "tcp-stream", fwd, rev, variant="sack",
-            on_data=monitor.on_packet).start(at=0.2)
+    bed = DumbbellTestbed(config, seed=42)
+    monitor = bed.flow_monitor
+    bed.tfrc("tfrc-stream", base_rtt=0.090).start()
+    bed.tcp("tcp-stream", base_rtt=0.090).start(at=0.2)
 
     # Bursty background: eight Pareto ON/OFF sources at 500 kb/s peak.
-    rng = registry.stream("onoff")
-    topo_rng = registry.stream("topo")
+    rng = bed.stream("onoff")
+    topo_rng = bed.stream("topo")
     for i in range(8):
         flow_id = f"bg-{i}"
-        port, _ = dumbbell.attach_flow(flow_id, float(topo_rng.uniform(0.08, 0.12)))
-        OnOffSource(sim, flow_id, port, rng=rng).start(
+        port, _ = bed.attach(flow_id, float(topo_rng.uniform(0.08, 0.12)))
+        OnOffSource(bed.sim, flow_id, port, rng=rng).start(
             at=float(topo_rng.uniform(0.0, 3.0))
         )
 
     duration = 120.0
-    sim.run(until=duration)
+    bed.run(duration)
 
     t0, t1 = 20.0, duration
     print("Streaming comparison on a 6 Mb/s bottleneck with bursty cross traffic")

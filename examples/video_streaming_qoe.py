@@ -29,12 +29,9 @@ from repro.analysis.charts import sparkline
 from repro.analysis.cov import coefficient_of_variation
 from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.apps import QualityAdapter, simulate_playout
-from repro.core import TfrcFlow
-from repro.net import Dumbbell, DumbbellConfig
+from repro.net import DumbbellConfig
 from repro.net.monitor import FlowMonitor
-from repro.sim import Simulator
-from repro.sim.rng import RngRegistry
-from repro.tcp.flow import TcpFlow
+from repro.scenarios import DumbbellTestbed
 from repro.traffic.onoff import OnOffSource
 
 DURATION = 150.0
@@ -43,32 +40,22 @@ TAU = 0.5  # adaptation decision interval, seconds
 
 
 def run_scenario(seed: int = 7):
-    registry = RngRegistry(seed)
-    sim = Simulator()
     config = DumbbellConfig(bandwidth_bps=6e6, queue_type="red",
                             buffer_packets=60, red_min_thresh=6,
                             red_max_thresh=30)
-    dumbbell = Dumbbell(sim, config, queue_rng=registry.stream("red"))
-    monitor = FlowMonitor()
+    bed = DumbbellTestbed(config, seed)
+    bed.tfrc("tfrc", base_rtt=0.090).start()
+    bed.tcp("tcp", base_rtt=0.090).start(at=0.2)
 
-    fwd, rev = dumbbell.attach_flow("tfrc", base_rtt=0.090)
-    TfrcFlow(sim, "tfrc", fwd, rev, on_data=monitor.on_packet).start()
-    fwd, rev = dumbbell.attach_flow("tcp", base_rtt=0.090)
-    TcpFlow(sim, "tcp", fwd, rev, variant="sack",
-            on_data=monitor.on_packet).start(at=0.2)
-
-    rng = registry.stream("onoff")
-    topo_rng = registry.stream("topo")
+    rng = bed.stream("onoff")
+    topo_rng = bed.stream("topo")
     for i in range(8):
         flow_id = f"bg-{i}"
-        port, _ = dumbbell.attach_flow(
-            flow_id, float(topo_rng.uniform(0.08, 0.12))
-        )
-        OnOffSource(sim, flow_id, port, rng=rng).start(
+        port, _ = bed.attach(flow_id, float(topo_rng.uniform(0.08, 0.12)))
+        OnOffSource(bed.sim, flow_id, port, rng=rng).start(
             at=float(topo_rng.uniform(0.0, 3.0))
         )
-    sim.run(until=DURATION)
-    return monitor
+    return bed.run(DURATION).flow_monitor
 
 
 def analyze(monitor: FlowMonitor, flow_id: str) -> dict:

@@ -40,10 +40,12 @@ def arrivals_to_rate_series(
     if n_bins == 0:
         raise ValueError("window shorter than one timescale bin")
     binned = np.zeros(n_bins)
+    end, last = t0 + n_bins * tau, n_bins - 1
     for time, size in arrivals:
-        if time < t0 or time >= t0 + n_bins * tau:
+        if time < t0 or time >= end:
             continue
-        binned[int((time - t0) / tau)] += size
+        # An ulp below ``end`` the quotient can round up to ``n_bins``.
+        binned[min(int((time - t0) / tau), last)] += size
     return binned / tau
 
 

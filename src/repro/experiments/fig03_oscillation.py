@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.analysis.cov import coefficient_of_variation
-from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
+from repro.scenarios import ScenarioSpec, SweepRunner, Testbed, register_scenario
 from repro.scenarios.spec import JsonDict
 from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.core import TfrcFlow
 from repro.net.dummynet import DummynetPipe
-from repro.net.monitor import FlowMonitor
-from repro.sim import Simulator
 
 
 @dataclass
@@ -65,21 +63,20 @@ def run_one(
     tau: float = 0.5,
 ) -> Tuple[List[float], float, float]:
     """One pipe run; returns (rate series KB/s, steady-state CoV, mean)."""
-    sim = Simulator()
-    pipe = DummynetPipe(sim, bandwidth_bps, delay, buffer_packets)
-    monitor = FlowMonitor()
+    bed = Testbed()
+    pipe = DummynetPipe(bed.sim, bandwidth_bps, delay, buffer_packets)
     flow = TfrcFlow(
-        sim,
+        bed.sim,
         "tfrc",
         PipeAdapter(pipe, "forward"),
         PipeAdapter(pipe, "reverse"),
-        on_data=monitor.on_packet,
+        on_data=bed.flow_monitor.on_packet,
         rtt_ewma_weight=rtt_ewma_weight,
         interpacket_adjustment=interpacket_adjustment,
     )
     flow.start()
-    sim.run(until=duration)
-    arrivals = monitor.arrivals.get("tfrc", [])
+    bed.run(duration)
+    arrivals = bed.flow_monitor.arrivals.get("tfrc", [])
     t0 = duration * 0.3  # skip slow start
     series = arrivals_to_rate_series(arrivals, t0, duration, tau) / 1024.0
     series_list = [float(v) for v in series]

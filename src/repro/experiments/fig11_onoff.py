@@ -18,15 +18,11 @@ import numpy as np
 
 from repro.analysis.cov import coefficient_of_variation
 from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
+from repro.scenarios.builders import DumbbellTestbed
 from repro.scenarios.spec import JsonDict
 from repro.analysis.equivalence import equivalence_ratio
 from repro.analysis.timeseries import arrivals_to_rate_series
-from repro.core import TfrcFlow
-from repro.net import Dumbbell, DumbbellConfig
-from repro.net.monitor import FlowMonitor, LinkMonitor
-from repro.sim import Simulator
-from repro.sim.rng import RngRegistry
-from repro.tcp.flow import TcpFlow
+from repro.net import DumbbellConfig
 from repro.traffic.onoff import OnOffSource
 
 PAPER_SOURCE_COUNTS = (50, 60, 100, 130, 150)
@@ -65,40 +61,24 @@ def run_one(
     tracer=None,
 ) -> OnOffRunResult:
     """One configuration: n ON/OFF sources + 1 TCP + 1 TFRC monitored."""
-    registry = RngRegistry(seed)
-    sim = Simulator()
     config = DumbbellConfig(bandwidth_bps=link_bps, queue_type="red")
-    dumbbell = Dumbbell(sim, config, queue_rng=registry.stream("red"))
-    flow_monitor = FlowMonitor(tracer=tracer)
-    link_monitor = LinkMonitor(
-        sim, dumbbell.forward_link, tracer=tracer, sample_queue=False
-    )
-    topo_rng = registry.stream("topology")
+    bed = DumbbellTestbed(config, seed, tracer)
+    topo_rng = bed.rng
+    bed.tcp("tcp-mon", topo_rng.uniform(0.08, 0.12)).start(at=0.1)
+    bed.tfrc("tfrc-mon", topo_rng.uniform(0.08, 0.12)).start(at=0.2)
 
-    fwd, rev = dumbbell.attach_flow("tcp-mon", topo_rng.uniform(0.08, 0.12))
-    tcp = TcpFlow(
-        sim, "tcp-mon", fwd, rev, variant="sack",
-        on_data=flow_monitor.on_packet, tracer=tracer,
-    )
-    tcp.start(at=0.1)
-    fwd, rev = dumbbell.attach_flow("tfrc-mon", topo_rng.uniform(0.08, 0.12))
-    tfrc = TfrcFlow(
-        sim, "tfrc-mon", fwd, rev, on_data=flow_monitor.on_packet,
-        tracer=tracer,
-    )
-    tfrc.start(at=0.2)
-
-    onoff_rng = registry.stream("onoff")
+    onoff_rng = bed.stream("onoff")
     for i in range(n_sources):
         flow_id = f"onoff-{i}"
-        port, _ = dumbbell.attach_flow(flow_id, topo_rng.uniform(0.08, 0.12))
-        source = OnOffSource(sim, flow_id, port, rng=onoff_rng)
+        port, _ = bed.attach(flow_id, topo_rng.uniform(0.08, 0.12))
+        source = OnOffSource(bed.sim, flow_id, port, rng=onoff_rng)
         source.start(at=float(topo_rng.uniform(0.0, 5.0)))
-    sim.run(until=duration)
+    bed.run(duration)
+    flow_monitor = bed.flow_monitor
 
     timescales = [t for t in timescales if t <= (duration - warmup) / 2]
     result = OnOffRunResult(
-        sources=n_sources, loss_rate=link_monitor.loss_rate()
+        sources=n_sources, loss_rate=bed.link_monitor.loss_rate()
     )
     t0, t1 = warmup, duration
     tcp_arrivals = flow_monitor.arrivals.get("tcp-mon", [])

@@ -21,14 +21,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core import TfrcFlow
-from repro.net import Dumbbell, DumbbellConfig
-from repro.net.monitor import FlowMonitor, LinkMonitor
+from repro.net import DumbbellConfig
 from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
+from repro.scenarios.builders import DumbbellTestbed
 from repro.scenarios.spec import JsonDict
-from repro.sim import Simulator
-from repro.sim.rng import RngRegistry
-from repro.tcp.flow import TcpFlow
 from repro.traffic.cbr import CbrSource
 from repro.traffic.web import WebTrafficSource
 
@@ -70,28 +66,18 @@ def run_one(
     """
     if protocol not in ("tcp", "tfrc"):
         raise ValueError("protocol must be 'tcp' or 'tfrc'")
-    registry = RngRegistry(seed)
-    rng = registry.stream("topology")
-    sim = Simulator()
     config = DumbbellConfig(
         bandwidth_bps=link_bps,
         delay=0.010,
         queue_type=queue_type,
         buffer_packets=buffer_packets,
     )
-    dumbbell = Dumbbell(sim, config, queue_rng=registry.stream("red"))
-    flow_monitor = FlowMonitor()
-    link_monitor = LinkMonitor(sim, dumbbell.forward_link, sample_queue=True)
+    bed = DumbbellTestbed(config, seed, sample_queue=True)
+    sim, rng, link_monitor = bed.sim, bed.rng, bed.link_monitor
 
+    long_lived = bed.tcp if protocol == "tcp" else bed.tfrc
     for i in range(n_flows):
-        flow_id = f"{protocol}-{i}"
-        rtt = base_rtt * rng.uniform(0.9, 1.1)
-        fwd, rev = dumbbell.attach_flow(flow_id, rtt)
-        if protocol == "tcp":
-            flow = TcpFlow(sim, flow_id, fwd, rev, variant="sack",
-                           on_data=flow_monitor.on_packet)
-        else:
-            flow = TfrcFlow(sim, flow_id, fwd, rev, on_data=flow_monitor.on_packet)
+        flow = long_lived(f"{protocol}-{i}", base_rtt * rng.uniform(0.9, 1.1))
         flow.start(at=rng.uniform(0.0, start_spread))
 
     # Short-lived background web TCP at ~web_fraction of the link.
@@ -99,20 +85,20 @@ def run_one(
     arrival_rate = web_fraction * link_bps / 8.0 / (mean_size * 1000)
 
     def port_pair(flow_id: str):
-        return dumbbell.attach_flow(flow_id, base_rtt * rng.uniform(0.9, 1.1))
+        return bed.attach(flow_id, base_rtt * rng.uniform(0.9, 1.1))
 
     web = WebTrafficSource(
-        sim, port_pair, rng=registry.stream("web"),
+        sim, port_pair, rng=bed.stream("web"),
         arrival_rate=arrival_rate, mean_size_packets=mean_size,
     )
     web.start(at=0.0)
 
     # A small amount of reverse-path traffic: it flows on the reverse link,
     # so attach via the reverse port.
-    _, rev_port = dumbbell.attach_flow("rev-cbr-2", base_rtt)
+    _, rev_port = bed.attach("rev-cbr-2", base_rtt)
     CbrSource(sim, "rev-cbr-2", rev_port, rate_bps=0.05 * link_bps).start(at=0.0)
 
-    sim.run(until=duration)
+    bed.run(duration)
 
     samples = link_monitor.queue_series(t_min=duration * 0.2)
     depths = np.array([depth for _, depth in samples], dtype=float)

@@ -50,8 +50,7 @@ def collect_loss_intervals(
 ) -> List[float]:
     """Run one TFRC flow over a synthetic path; return its loss intervals."""
     run = run_tfrc_probe_path(profile, duration=duration, seed=seed)
-    assert run.tfrc_flow is not None
-    events = run.tfrc_flow.receiver.detector.events
+    events = run.tfrc_flows[0].receiver.detector.events
     return [float(e.closed_interval) for e in events[1:]]  # skip the seed event
 
 

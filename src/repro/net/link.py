@@ -87,6 +87,11 @@ class Link:
         self._sample_hooks.append(hook)
 
     @property
+    def in_service(self) -> bool:
+        """Whether a packet is on the wire: dequeued, not yet forwarded."""
+        return self._tx_packet is not None
+
+    @property
     def utilization_seconds(self) -> float:
         """Cumulative busy time; divide by elapsed time for utilization.
 

@@ -7,9 +7,12 @@ scenarios:
   :class:`~repro.scenarios.spec.ScenarioSpec` (topology, flow mix, queue,
   loss model, seed, duration), stable spec hashing, and the
   ``@register_scenario`` registry.
-* :mod:`~repro.scenarios.builders` -- the dumbbell / lossy-path scenario
-  builders shared by every figure module, plus registered declarative
-  entry points (``mixed_dumbbell``, ``tfrc_lossy_path``).
+* :mod:`~repro.scenarios.builders` -- :class:`Testbed` /
+  :class:`DumbbellTestbed`, the one place a packet figure's simulator, RNG
+  streams, dumbbell and monitors are made and run; the dumbbell /
+  lossy-path builders every figure module shares, built on them; and the
+  registered declarative entry points (``mixed_dumbbell``,
+  ``tfrc_lossy_path``).
 * :mod:`~repro.scenarios.sweep` -- :class:`~repro.scenarios.sweep.SweepRunner`:
   parameter-grid expansion, deterministic per-cell seeding, progress
   reporting.
@@ -35,10 +38,10 @@ scenarios:
 """
 
 from repro.scenarios.builders import (
-    InternetPathRun,
-    MixedDumbbellResult,
+    DumbbellTestbed,
     PathProfile,
     SingleTfrcResult,
+    Testbed,
     build_mixed_dumbbell,
     lossless_phase,
     loss_model_from_spec,
@@ -92,6 +95,7 @@ __all__ = [
     "EQUATION_GRID_SCENARIO",
     "EXECUTOR_NAMES",
     "CellCompletion",
+    "DumbbellTestbed",
     "ExecutorArg",
     "FaultInjectionError",
     "FaultPlan",
@@ -99,9 +103,7 @@ __all__ = [
     "FileQueueExecutor",
     "WorkerKilled",
     "fsck_audit",
-    "InternetPathRun",
     "LocalExecutor",
-    "MixedDumbbellResult",
     "PathProfile",
     "ResultCache",
     "ScenarioSpec",
@@ -112,6 +114,7 @@ __all__ = [
     "SweepPlan",
     "SweepResult",
     "SweepRunner",
+    "Testbed",
     "VectorFallbackWarning",
     "available_cpus",
     "batch_key",

@@ -3,12 +3,17 @@
 The experiments layer, the sweep runner, and ad-hoc studies all build
 scenarios from this one place:
 
+* :class:`Testbed` / :class:`DumbbellTestbed` -- the seeded simulator, RNG
+  streams, dumbbell and monitors every packet figure is assembled on, and
+  the one ``run`` they all go through (it ends with a link-conservation
+  check).  The dumbbell builders return the testbed itself.
 * :func:`build_mixed_dumbbell` / :func:`run_mixed_dumbbell` -- n TFRC +
-  n TCP flows on a dumbbell (Figures 6-10, 14): random base RTTs
+  n TCP flows on a dumbbell (Figures 6-10): random base RTTs
   U(80,120) ms, staggered starts U(0,10) s, per the section 4.1.2 footnote.
+* :func:`run_internet_path` / :func:`run_tfrc_probe_path` -- the synthetic
+  measurement paths with ON/OFF cross traffic (Figures 15-18).
 * :func:`run_single_tfrc_on_lossy_path` -- one TFRC flow on an ideal pipe
   with a programmable loss model (Figures 2, 19, 20, 21).
-* :class:`MixedDumbbellResult` -- per-flow arrival series plus monitors.
 
 Two declarative entry points are registered with the scenario registry
 (``mixed_dumbbell`` and ``tfrc_lossy_path``) so that sweeps can execute
@@ -17,13 +22,13 @@ them from a :class:`~repro.scenarios.spec.ScenarioSpec` alone.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import TfrcFlow
-from repro.net import Dumbbell, DumbbellConfig
+from repro.net import Dumbbell, DumbbellConfig, Link, REDQueue
 from repro.net.monitor import FlowMonitor, LinkMonitor
 from repro.net.path import (
     LossyPath,
@@ -34,6 +39,7 @@ from repro.net.path import (
 )
 from repro.scenarios.spec import JsonDict, ScenarioSpec, register_scenario
 from repro.sim import Simulator
+from repro.sim.engine import SimulationError
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 from repro.tcp.flow import TcpFlow
@@ -45,17 +51,75 @@ RTT_RANGE = (0.080, 0.120)
 START_RANGE = (0.0, 10.0)
 
 
-@dataclass
-class MixedDumbbellResult:
-    """Everything the analysis layer needs from one dumbbell run."""
+class Testbed:
+    """One seeded simulation: the seed's named RNG streams (``stream(name)``,
+    see :class:`RngRegistry`), the simulator, the flow monitor -- and the
+    only place a scene's simulator is made and run."""
 
-    sim: Simulator
-    dumbbell: Dumbbell
-    flow_monitor: FlowMonitor
-    link_monitor: LinkMonitor
-    tfrc_flows: List[TfrcFlow] = field(default_factory=list)
-    tcp_flows: List[TcpFlow] = field(default_factory=list)
-    duration: float = 0.0
+    def __init__(self, seed: int = 0, tracer: Optional[Tracer] = None) -> None:
+        self.stream = RngRegistry(seed).stream
+        self.sim = Simulator()
+        self.tracer = tracer
+        self.flow_monitor = FlowMonitor(tracer=tracer)
+
+    def run(self, duration: float) -> "Testbed":
+        """Run the scene to ``duration`` simulated seconds."""
+        self.sim.run(until=duration)
+        return self
+
+
+class DumbbellTestbed(Testbed):
+    """A :class:`Testbed` around one dumbbell -- what the dumbbell builders
+    return.
+
+    ``rng`` is the ``"topology"`` stream scenes draw base RTTs and start
+    times from (each in its own fixed order: the draw order is the scene's
+    byte contract); the bottleneck queue draws from ``"red"``.  The forward
+    link is always monitored; ``sample_queue`` adds its occupancy series.
+    ``attach(flow_id, base_rtt)`` gives the (forward, reverse) ports of an
+    unmonitored source (ON/OFF, web, CBR) or a hand-built flow.
+    """
+
+    def __init__(
+        self,
+        config: DumbbellConfig,
+        seed: int = 0,
+        tracer: Optional[Tracer] = None,
+        sample_queue: bool = False,
+    ) -> None:
+        super().__init__(seed, tracer)
+        self.rng = self.stream("topology")
+        self.dumbbell = Dumbbell(self.sim, config, queue_rng=self.stream("red"))
+        self.attach = self.dumbbell.attach_flow
+        self.link_monitor = LinkMonitor(
+            self.sim, self.dumbbell.forward_link,
+            tracer=tracer, sample_queue=sample_queue,
+        )
+        self.tfrc_flows: List[TfrcFlow] = []
+        self.tcp_flows: List[TcpFlow] = []
+
+    def _flow(self, cls, flows: list, flow_id: str, base_rtt: float, kwargs):
+        fwd, rev = self.attach(flow_id, base_rtt)
+        flows.append(cls(
+            self.sim, flow_id, fwd, rev,
+            on_data=self.flow_monitor.on_packet, tracer=self.tracer, **kwargs,
+        ))
+        return flows[-1]
+
+    def tfrc(self, flow_id: str, base_rtt: float, **kwargs) -> TfrcFlow:
+        """Attach a monitored TFRC flow (not started) and remember it."""
+        return self._flow(TfrcFlow, self.tfrc_flows, flow_id, base_rtt, kwargs)
+
+    def tcp(self, flow_id: str, base_rtt: float, **kwargs) -> TcpFlow:
+        """Attach a monitored TCP flow (not started) and remember it."""
+        return self._flow(TcpFlow, self.tcp_flows, flow_id, base_rtt, kwargs)
+
+    def run(self, duration: float) -> "DumbbellTestbed":
+        """Run the scene, then check packet conservation on both links."""
+        super().run(duration)
+        for link in (self.dumbbell.forward_link, self.dumbbell.reverse_link):
+            _check_conservation(link, self.sim.now)
+        return self
 
     @property
     def tfrc_ids(self) -> List[str]:
@@ -77,6 +141,30 @@ class MixedDumbbellResult:
         return self.throughput(flow_id, t_min, t_max) / fair
 
 
+def _check_conservation(link: Link, now: float) -> None:
+    """Every packet a link accepted is queued, in service or forwarded, and
+    every RED drop is an early or a forced one -- O(1), after the run."""
+    queue = link.queue
+    red = isinstance(queue, REDQueue)
+    if (
+        queue.enqueued == queue.dequeued + len(queue)
+        and queue.dequeued == link.packets_forwarded + link.in_service
+        and (not red or queue.dropped == queue.early_drops + queue.forced_drops)
+    ):
+        return
+    names = ("enqueued", "dequeued", "dropped")
+    if red:
+        names += ("early_drops", "forced_drops")
+    counters = {name: getattr(queue, name) for name in names}
+    counters.update(
+        queued=len(queue), forwarded=link.packets_forwarded,
+        in_service=int(link.in_service),
+    )
+    raise SimulationError(
+        f"link {link.name}: packet conservation violated at t={now!r}: {counters}"
+    )
+
+
 def build_mixed_dumbbell(
     n_tfrc: int,
     n_tcp: int,
@@ -90,7 +178,7 @@ def build_mixed_dumbbell(
     sample_queue: bool = False,
     tracer: Optional["Tracer"] = None,
     ecn: bool = False,
-) -> MixedDumbbellResult:
+) -> DumbbellTestbed:
     """Construct (without running) the standard mixed-traffic dumbbell.
 
     Queue sizing follows the paper's Figure 6 methodology ("we scale the
@@ -102,8 +190,6 @@ def build_mixed_dumbbell(
     """
     if n_tfrc < 0 or n_tcp < 0 or n_tfrc + n_tcp == 0:
         raise ValueError("need at least one flow")
-    rng_registry = RngRegistry(seed)
-    rng = rng_registry.stream("topology")
     scale_bw = queue_scaling_bandwidth or bandwidth_bps
     if buffer_packets is None:
         buffer_packets = max(5, int(round(100 * scale_bw / 15e6)))
@@ -114,63 +200,30 @@ def build_mixed_dumbbell(
         red_min_thresh=max(2, buffer_packets // 10),
         red_max_thresh=max(4, buffer_packets // 2),
     )
-    sim = Simulator()
-    dumbbell = Dumbbell(sim, config, queue_rng=rng_registry.stream("red"))
+    bed = DumbbellTestbed(config, seed, tracer, sample_queue)
     if ecn:
         if queue_type != "red":
             raise ValueError("ecn requires a RED bottleneck queue")
-        dumbbell.forward_link.queue.ecn = True
-    flow_monitor = FlowMonitor(tracer=tracer)
-    link_monitor = LinkMonitor(
-        sim, dumbbell.forward_link, tracer=tracer, sample_queue=sample_queue
-    )
-    result = MixedDumbbellResult(
-        sim=sim,
-        dumbbell=dumbbell,
-        flow_monitor=flow_monitor,
-        link_monitor=link_monitor,
-    )
+        bed.dumbbell.forward_link.queue.ecn = True
+    rng = bed.rng
     staggered_starts: List[Tuple[float, Callable[[], None], tuple]] = []
     for i in range(n_tfrc):
-        flow_id = f"tfrc-{i}"
-        fwd, rev = dumbbell.attach_flow(flow_id, rng.uniform(*RTT_RANGE))
-        flow = TfrcFlow(
-            sim,
-            flow_id,
-            fwd,
-            rev,
-            on_data=flow_monitor.on_packet,
-            interpacket_adjustment=interpacket_adjustment,
-            tracer=tracer,
-            ecn=ecn,
+        flow = bed.tfrc(
+            f"tfrc-{i}", rng.uniform(*RTT_RANGE),
+            interpacket_adjustment=interpacket_adjustment, ecn=ecn,
         )
         staggered_starts.append((rng.uniform(*START_RANGE), flow.start, ()))
-        result.tfrc_flows.append(flow)
     for i in range(n_tcp):
-        flow_id = f"tcp-{i}"
-        fwd, rev = dumbbell.attach_flow(flow_id, rng.uniform(*RTT_RANGE))
-        flow = TcpFlow(
-            sim,
-            flow_id,
-            fwd,
-            rev,
-            variant=tcp_variant,
-            on_data=flow_monitor.on_packet,
-            tracer=tracer,
-        )
+        flow = bed.tcp(f"tcp-{i}", rng.uniform(*RTT_RANGE), variant=tcp_variant)
         staggered_starts.append((rng.uniform(*START_RANGE), flow.start, ()))
-        result.tcp_flows.append(flow)
     # Bulk-seed the staggered flow starts in one O(n) heapify.
-    sim.schedule_batch(staggered_starts)
-    return result
+    bed.sim.schedule_batch(staggered_starts)
+    return bed
 
 
-def run_mixed_dumbbell(duration: float = 90.0, **kwargs) -> MixedDumbbellResult:
+def run_mixed_dumbbell(duration: float = 90.0, **kwargs) -> DumbbellTestbed:
     """Build and run the standard scenario for ``duration`` seconds."""
-    result = build_mixed_dumbbell(**kwargs)
-    result.sim.run(until=duration)
-    result.duration = duration
-    return result
+    return build_mixed_dumbbell(**kwargs).run(duration)
 
 
 @dataclass
@@ -205,16 +258,16 @@ def run_single_tfrc_on_lossy_path(
     ``probe_interval`` simulated seconds -- figure modules use it to sample
     estimator state mid-run.
     """
-    sim = Simulator()
+    bed = Testbed()
+    sim = bed.sim
     forward = LossyPath(
         sim, delay=rtt / 2.0, loss_model=loss_model,
         bandwidth_bps=bandwidth_bps, name="fwd",
     )
     reverse = LossyPath(sim, delay=rtt / 2.0, name="rev")
-    monitor = FlowMonitor()
     flow = TfrcFlow(
-        sim, "tfrc", forward, reverse,
-        packet_size=packet_size, on_data=monitor.on_packet, **flow_kwargs,
+        sim, "tfrc", forward, reverse, packet_size=packet_size,
+        on_data=bed.flow_monitor.on_packet, **flow_kwargs,
     )
     flow.start()
     if probe is not None:
@@ -224,9 +277,10 @@ def run_single_tfrc_on_lossy_path(
                 sim.schedule_in(probe_interval, tick)
 
         sim.schedule_in(probe_interval, tick)
-    sim.run(until=duration)
+    bed.run(duration)
     return SingleTfrcResult(
-        sim=sim, flow=flow, path=forward, flow_monitor=monitor, duration=duration
+        sim=sim, flow=flow, path=forward, flow_monitor=bed.flow_monitor,
+        duration=duration,
     )
 
 
@@ -263,23 +317,7 @@ class PathProfile:
         return cls(**dict(data))
 
 
-@dataclass
-class InternetPathRun:
-    """One synthetic internet-path run: monitors plus the attached flows."""
-
-    sim: Simulator
-    profile: PathProfile
-    dumbbell: Dumbbell
-    flow_monitor: FlowMonitor
-    link_monitor: Optional[LinkMonitor] = None
-    tcp_ids: List[str] = field(default_factory=list)
-    tfrc_flow: Optional[TfrcFlow] = None
-    duration: float = 0.0
-
-
-def _build_path_bottleneck(
-    profile: PathProfile, registry: RngRegistry, sim: Simulator
-) -> Dumbbell:
+def _path_testbed(profile: PathProfile, seed: int) -> DumbbellTestbed:
     """The shared single-bottleneck topology of the synthetic paths."""
     config = DumbbellConfig(
         bandwidth_bps=profile.bandwidth_bps,
@@ -287,7 +325,25 @@ def _build_path_bottleneck(
         queue_type=profile.queue_type,
         buffer_packets=profile.buffer_packets,
     )
-    return Dumbbell(sim, config, queue_rng=registry.stream("red"))
+    return DumbbellTestbed(config, seed)
+
+
+def _cross_traffic(
+    bed: DumbbellTestbed,
+    profile: PathProfile,
+    rtt_factor: Optional[Tuple[float, float]],
+) -> None:
+    """The path's ON/OFF cross sources: per source a base RTT (the profile's,
+    times a U(``rtt_factor``) draw if given), then a start time U(0, 5) s."""
+    cross_rng = bed.stream("cross")
+    for i in range(profile.cross_sources):
+        flow_id = f"cross-{i}"
+        factor = bed.rng.uniform(*rtt_factor) if rtt_factor else 1.0
+        port, _ = bed.attach(flow_id, profile.base_rtt * factor)
+        OnOffSource(
+            bed.sim, flow_id, port, rng=cross_rng,
+            peak_rate_bps=profile.cross_peak_bps,
+        ).start(at=bed.rng.uniform(0.0, 5.0))
 
 
 def run_internet_path(
@@ -296,99 +352,44 @@ def run_internet_path(
     duration: float = 120.0,
     interpacket_adjustment: bool = True,
     seed: int = 0,
-) -> InternetPathRun:
+) -> DumbbellTestbed:
     """Run ``n_tcp`` TCP flows + 1 TFRC flow + cross traffic over one path.
 
     The topology half of the paper's section 4.3 methodology (Figures
     15-18): construction order (and hence RNG draw order) is fixed, so one
     ``(profile, seed)`` pair always produces the same run.
     """
-    registry = RngRegistry(seed)
-    rng = registry.stream("topology")
-    sim = Simulator()
-    dumbbell = _build_path_bottleneck(profile, registry, sim)
-    flow_monitor = FlowMonitor()
-    link_monitor = LinkMonitor(sim, dumbbell.forward_link, sample_queue=False)
-
-    run = InternetPathRun(
-        sim=sim,
-        profile=profile,
-        dumbbell=dumbbell,
-        flow_monitor=flow_monitor,
-        link_monitor=link_monitor,
-        duration=duration,
-    )
+    bed = _path_testbed(profile, seed)
+    rng = bed.rng
     for i in range(n_tcp):
-        flow_id = f"tcp-{i}"
-        run.tcp_ids.append(flow_id)
-        fwd, rev = dumbbell.attach_flow(
-            flow_id, profile.base_rtt * rng.uniform(0.95, 1.05)
-        )
-        TcpFlow(
-            sim, flow_id, fwd, rev, variant="sack",
-            on_data=flow_monitor.on_packet,
+        bed.tcp(
+            f"tcp-{i}", profile.base_rtt * rng.uniform(0.95, 1.05),
             min_rto=profile.tcp_min_rto,
             rto_granularity=profile.tcp_granularity,
             rto_k=profile.tcp_rto_k,
         ).start(at=rng.uniform(0.0, 2.0))
-    fwd, rev = dumbbell.attach_flow("tfrc", profile.base_rtt)
-    run.tfrc_flow = TfrcFlow(
-        sim, "tfrc", fwd, rev, on_data=flow_monitor.on_packet,
-        interpacket_adjustment=interpacket_adjustment,
-    )
-    run.tfrc_flow.start(at=rng.uniform(0.0, 2.0))
-
-    cross_rng = registry.stream("cross")
-    for i in range(profile.cross_sources):
-        flow_id = f"cross-{i}"
-        port, _ = dumbbell.attach_flow(
-            flow_id, profile.base_rtt * rng.uniform(0.8, 1.2)
-        )
-        OnOffSource(
-            sim, flow_id, port, rng=cross_rng,
-            peak_rate_bps=profile.cross_peak_bps,
-        ).start(at=rng.uniform(0.0, 5.0))
-
-    sim.run(until=duration)
-    return run
+    bed.tfrc(
+        "tfrc", profile.base_rtt, interpacket_adjustment=interpacket_adjustment
+    ).start(at=rng.uniform(0.0, 2.0))
+    _cross_traffic(bed, profile, rtt_factor=(0.8, 1.2))
+    return bed.run(duration)
 
 
 def run_tfrc_probe_path(
     profile: PathProfile,
     duration: float = 150.0,
     seed: int = 0,
-) -> InternetPathRun:
+) -> DumbbellTestbed:
     """One TFRC probe flow over a synthetic path with ON/OFF cross traffic.
 
     The predictor-scoring harness (Figure 18): the monitored flow starts at
     t=0 and its receiver-side loss-interval history is the product; cross
     sources provide the bursty, non-stationary loss process.
     """
-    registry = RngRegistry(seed)
-    rng = registry.stream("topology")
-    sim = Simulator()
-    dumbbell = _build_path_bottleneck(profile, registry, sim)
-    monitor = FlowMonitor()
-    fwd, rev = dumbbell.attach_flow("tfrc", profile.base_rtt)
-    flow = TfrcFlow(sim, "tfrc", fwd, rev, on_data=monitor.on_packet)
-    flow.start()
-    cross_rng = registry.stream("cross")
-    for i in range(profile.cross_sources):
-        flow_id = f"cross-{i}"
-        port, _ = dumbbell.attach_flow(flow_id, profile.base_rtt)
-        OnOffSource(
-            sim, flow_id, port, rng=cross_rng,
-            peak_rate_bps=profile.cross_peak_bps,
-        ).start(at=rng.uniform(0.0, 5.0))
-    sim.run(until=duration)
-    return InternetPathRun(
-        sim=sim,
-        profile=profile,
-        dumbbell=dumbbell,
-        flow_monitor=monitor,
-        tfrc_flow=flow,
-        duration=duration,
-    )
+    bed = _path_testbed(profile, seed)
+    bed.tfrc("tfrc", profile.base_rtt).start()
+    _cross_traffic(bed, profile, rtt_factor=None)
+    return bed.run(duration)
 
 
 def steady_state_window(duration: float, fraction: float = 0.5) -> Tuple[float, float]:
@@ -396,6 +397,8 @@ def steady_state_window(duration: float, fraction: float = 0.5) -> Tuple[float, 
     run, mirroring the paper's "last 60 seconds" / "last 100 seconds" usage."""
     if duration <= 0:
         raise ValueError("duration must be positive")
+    if not 0 < fraction <= 1:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
     return duration * (1.0 - fraction), duration
 
 
@@ -475,6 +478,9 @@ def mixed_dumbbell_scenario(spec: ScenarioSpec) -> JsonDict:
         queue:    {type, buffer_packets?}
         extra:    {measure_fraction?}
     """
+    t0, t1 = steady_state_window(
+        spec.duration, float(spec.extra.get("measure_fraction", 0.5))
+    )
     result = run_mixed_dumbbell(
         duration=spec.duration,
         n_tfrc=int(spec.flows.get("n_tfrc", 1)),
@@ -488,9 +494,6 @@ def mixed_dumbbell_scenario(spec: ScenarioSpec) -> JsonDict:
             spec.flows.get("interpacket_adjustment", True)
         ),
         queue_scaling_bandwidth=spec.topology.get("queue_scaling_bandwidth"),
-    )
-    t0, t1 = steady_state_window(
-        spec.duration, float(spec.extra.get("measure_fraction", 0.5))
     )
     return {
         "tcp_normalized": [

@@ -43,6 +43,18 @@ class TestRateSeries:
         series = arrivals_to_rate_series(arrivals, 0.0, 0.5, 0.5)
         assert series.tolist() == [200.0]
 
+    @pytest.mark.parametrize(
+        "time, t1, tau",
+        [(19.799999999999997, 20.0, 0.3), (9.899999999999999, 10.0, 0.15)],
+    )
+    def test_arrival_one_ulp_below_the_edge_lands_in_the_last_bin(
+        self, time, t1, tau
+    ):
+        # (time - t0) / tau rounds up to n_bins although time < n_bins * tau.
+        series = arrivals_to_rate_series([(time, 1000)], 0.0, t1, tau)
+        assert len(series) == 66
+        assert series[-1] == 1000 / tau and series[:-1].sum() == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             arrivals_to_rate_series([], 0, 1, 0)

@@ -20,6 +20,7 @@ from repro.scenarios import (
     print_progress,
     register_scenario,
     run_scenario,
+    steady_state_window,
 )
 from repro.scenarios.spec import _REGISTRY
 
@@ -291,6 +292,24 @@ class TestRegistry:
     def test_run_scenario_dispatches(self):
         result = run_scenario(ScenarioSpec("test_echo", seed=4, extra={"x": 2}))
         assert result == {"seed": 4, "duration": 60.0, "x": 2, "product": 8}
+
+
+class TestSteadyStateWindow:
+    def test_last_fraction_of_the_run(self):
+        assert steady_state_window(60.0) == (30.0, 60.0)
+        assert steady_state_window(60.0, 1) == (0.0, 60.0)
+
+    @pytest.mark.parametrize("fraction", [1.5, math.nan, 0, -1])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\], got"):
+            steady_state_window(60.0, fraction)
+
+    def test_scenario_names_the_fraction_it_was_handed(self):
+        spec = ScenarioSpec(
+            "mixed_dumbbell", duration=1.0, extra={"measure_fraction": 1.5}
+        )
+        with pytest.raises(ValueError, match="fraction.*1.5"):
+            run_scenario(spec)
 
 
 class TestCache:

@@ -1,0 +1,115 @@
+"""Every packet figure's simulator is made, and run, in one place.
+
+Under ``scenarios/`` and ``experiments/`` the only ``Simulator(...)``,
+``FlowMonitor(...)`` and ``.run(until=...)`` are ``Testbed``'s, the only
+``Dumbbell(...)`` and ``LinkMonitor(...)`` are ``DumbbellTestbed``'s, and
+``RngRegistry(...)`` is built there and in ``tfrc_lossy_path_scenario``
+(whose ``"loss"`` stream exists before the harness does).  A second site
+means a figure assembles its scene by hand again -- out of reach of the
+tracer ``Testbed.__init__`` takes and of the link-conservation check
+``DumbbellTestbed.run`` ends with.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from repro.net import DumbbellConfig
+from repro.scenarios import DumbbellTestbed
+from repro.sim.engine import SimulationError
+
+REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
+BUILDERS = "scenarios/builders.py"
+
+#: constructor name -> the only functions allowed to call it.
+CONSTRUCTION_SITES = {
+    "Simulator": {f"{BUILDERS}:Testbed.__init__"},
+    "FlowMonitor": {f"{BUILDERS}:Testbed.__init__"},
+    "Dumbbell": {f"{BUILDERS}:DumbbellTestbed.__init__"},
+    "LinkMonitor": {f"{BUILDERS}:DumbbellTestbed.__init__"},
+    "RngRegistry": {
+        f"{BUILDERS}:Testbed.__init__",
+        f"{BUILDERS}:tfrc_lossy_path_scenario",
+    },
+}
+
+
+def _calls():
+    """``(site, Call)`` for every call under the two packages, where site
+    is ``<package>/<file>:<qualified function name>``."""
+    for package in ("scenarios", "experiments"):
+        modules = sorted((REPRO / package).glob("*.py"))
+        assert len(modules) > 10, f"nothing to scan under {REPRO / package}"
+        for path in modules:
+            tree = ast.parse(path.read_text(), str(path))
+            yield from _walk(tree, f"{package}/{path.name}:", ())
+
+
+def _walk(node, prefix, scope):
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = scope + (child.name,)
+        if isinstance(child, ast.Call):
+            yield prefix + ".".join(scope), child
+        yield from _walk(child, prefix, inner)
+
+
+def _callee(call):
+    func = call.func
+    return getattr(func, "id", None) or getattr(func, "attr", "")
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_SITES))
+def test_one_construction_site(name):
+    sites = [site for site, call in _calls() if _callee(call) == name]
+    assert sorted(sites) == sorted(CONSTRUCTION_SITES[name])
+
+
+def test_one_run_site():
+    sites = [
+        site
+        for site, call in _calls()
+        if _callee(call) == "run"
+        and any(keyword.arg == "until" for keyword in call.keywords)
+    ]
+    assert sites == [f"{BUILDERS}:Testbed.run"]
+
+
+def test_result_records_are_gone():
+    for path in sorted(REPRO.rglob("*.py")):
+        text = path.read_text()
+        for name in ("MixedDumbbellResult", "InternetPathRun"):
+            assert name not in text, f"{name} is back in {path}"
+
+
+def _built_testbed():
+    bed = DumbbellTestbed(DumbbellConfig(bandwidth_bps=1e6), seed=1)
+    bed.tfrc("tfrc", 0.05).start()
+    bed.tcp("tcp", 0.05).start(at=0.1)
+    return bed
+
+
+def test_run_checks_link_conservation():
+    bed = _built_testbed().run(3.0)
+    assert bed.dumbbell.forward_link.packets_forwarded > 100
+    assert bed.dumbbell.forward_link.queue.dropped > 0
+
+
+@pytest.mark.parametrize("counter", ["enqueued", "dequeued", "early_drops"])
+def test_corrupt_counter_names_the_link(counter):
+    bed = _built_testbed()
+    queue = bed.dumbbell.forward_link.queue
+    setattr(queue, counter, getattr(queue, counter) + 1)
+    with pytest.raises(SimulationError, match="bottleneck-fwd") as raised:
+        bed.run(3.0)
+    message = str(raised.value)
+    assert "t=3.0" in message and f"'{counter}'" in message
+
+
+def test_corrupt_reverse_link_is_caught_too():
+    bed = _built_testbed()
+    bed.dumbbell.reverse_link.packets_forwarded += 1
+    with pytest.raises(SimulationError, match="bottleneck-rev"):
+        bed.run(3.0)
