@@ -33,18 +33,17 @@ and runs a registry of checkers, one per invariant family:
     (:mod:`repro.analysis.audit.rules_twins`).
 
 Findings share one record schema (rule / path / line / severity / detail)
-with ``tfrc-sweep-fsck --json`` (see :mod:`repro.analysis.audit.records`),
-support inline ``# tfrc-audit: ignore[rule]`` suppressions and a
-per-layer allowlist table, and gate CI against a committed baseline
-(:mod:`repro.analysis.audit.baseline`) whose entries each require a
-written justification.
+with ``tfrc-sweep-fsck --json`` (see :mod:`repro.analysis.audit.records`).
+A finding is accepted in exactly two ways, both at the source and both
+with a written reason: an inline ``# tfrc-audit: ignore[rule] -- why``
+suppression, or an entry in the per-layer ``DEFAULT_ALLOWLIST`` table.
+Any other finding fails the run.
 
 Entry point: ``tfrc-audit`` (:mod:`repro.analysis.audit.cli`).
 """
 
 from repro.analysis.audit.engine import (
     AllowEntry,
-    AuditConfig,
     AuditReport,
     run_audit,
     run_audit_report,
@@ -57,7 +56,6 @@ from repro.analysis.audit.records import (
 
 __all__ = [
     "AllowEntry",
-    "AuditConfig",
     "AuditRecord",
     "AuditReport",
     "finding_record",

@@ -2,26 +2,23 @@
 
 Usage::
 
-    tfrc-audit [--root DIR] [--json] [--baseline PATH]
-               [--check-baseline] [--update-baseline]
-               [--paths FILE ...] [--annotations]
-               [--list-rules | --rules-markdown]
+    tfrc-audit [--root DIR] [--json] [--annotations]
+    tfrc-audit --rules-markdown
 
-Exit codes: 0 = clean (every finding baselined-with-justification),
-1 = new findings (or, with ``--check-baseline``, an unjustified baseline
-entry), 2 = configuration problems (bad root, malformed baseline,
-incompatible flags).
+One way to run: the whole tree.  Exit codes: 0 = clean, 1 = findings,
+2 = ``--root`` has no ``src/repro`` tree.  A finding is accepted only at
+its source, with a written reason: an inline ``# tfrc-audit:
+ignore[rule] -- why`` or a ``DEFAULT_ALLOWLIST`` entry
+(:mod:`repro.analysis.audit.engine`).
 
-``--json`` emits the findings-record schema shared with
-``tfrc-sweep-fsck --json`` (see :mod:`repro.analysis.audit.records`), so
-one consumer parses both CI artifacts.  ``--paths`` restricts per-file
-checkers to the listed files for sub-second pre-commit runs (project-wide
-checkers still scan the whole tree; baseline/allowlist staleness is not
-judged from a partial run).  ``--annotations`` renders findings as
-GitHub Actions workflow commands (``::error file=...,line=...``) so they
-surface inline on PRs.  ``--rules-markdown`` prints the rule table the
-README embeds, so the docs are generated from :func:`all_rules` rather
-than maintained by hand.
+``--json`` emits ``{"tool", "root", "findings"}`` in the findings-record
+schema shared with ``tfrc-sweep-fsck --json`` (see
+:mod:`repro.analysis.audit.records`), so one consumer parses both CI
+artifacts.  ``--annotations`` renders findings as GitHub Actions
+workflow commands (``::error file=...,line=...``) so they surface inline
+on PRs.  ``--rules-markdown`` prints the rule table the README embeds,
+so the docs are generated from :func:`all_rules` rather than maintained
+by hand.
 """
 
 from __future__ import annotations
@@ -32,10 +29,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.audit import baseline as baseline_mod
-from repro.analysis.audit.engine import all_rules, run_audit_report
-
-DEFAULT_BASELINE = "audit_baseline.json"
+from repro.analysis.audit.engine import all_rules, run_audit
+from repro.analysis.audit.records import AuditRecord
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,32 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit findings as JSON (schema shared with tfrc-sweep-fsck)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--check-baseline", action="store_true",
-        help="also fail on baseline entries without a justification, "
-        "and warn on stale allowlist entries (the CI gate mode)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to the current findings, preserving "
-        "existing justifications; new entries need one written by hand",
-    )
-    parser.add_argument(
-        "--paths", nargs="+", default=None, metavar="FILE",
-        help="restrict per-file checkers to these files (pre-commit "
-        "mode); project-wide checkers still scan the whole tree",
-    )
-    parser.add_argument(
         "--annotations", action="store_true",
-        help="also emit GitHub Actions ::error/::warning workflow "
-        "commands for each finding",
-    )
-    parser.add_argument(
-        "--list-rules", "--rules", action="store_true", dest="list_rules",
-        help="list every registered rule and exit",
+        help="also emit a GitHub Actions ::error workflow command for "
+        "each finding",
     )
     parser.add_argument(
         "--rules-markdown", action="store_true",
@@ -87,11 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         "output) and exit",
     )
     return parser
-
-
-def _print_rules(out) -> None:
-    for rule in all_rules():
-        print(f"{rule.id:36s} {rule.severity:8s} {rule.summary}", file=out)
 
 
 def rules_markdown() -> str:
@@ -105,13 +72,12 @@ def rules_markdown() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _annotate(out, level: str, record_dict: dict) -> None:
+def _annotate(out, record: AuditRecord) -> None:
     """One GitHub Actions workflow command for a finding."""
-    title = f"tfrc-audit {record_dict['rule']}"
-    detail = str(record_dict["detail"]).replace("\n", " ")
+    detail = record.detail.replace("\n", " ")
     print(
-        f"::{level} file={record_dict['path']},line={record_dict['line']},"
-        f"title={title}::{detail}",
+        f"::error file={record.path},line={record.line},"
+        f"title=tfrc-audit {record.rule}::{detail}",
         file=out,
     )
 
@@ -120,19 +86,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
 
-    if args.list_rules:
-        _print_rules(out)
-        return 0
     if args.rules_markdown:
         out.write(rules_markdown())
         return 0
-    if args.update_baseline and args.paths:
-        print(
-            "tfrc-audit: --update-baseline needs a whole-tree run; "
-            "drop --paths",
-            file=sys.stderr,
-        )
-        return 2
 
     root = Path(args.root).resolve()
     if not (root / "src" / "repro").is_dir():
@@ -142,103 +98,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
 
-    report = run_audit_report(root, paths=args.paths)
-    findings = report.findings
-
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-    )
-    try:
-        entries = baseline_mod.load_baseline(baseline_path)
-    except baseline_mod.BaselineError as exc:
-        print(f"tfrc-audit: {exc}", file=sys.stderr)
-        return 2
-
-    if args.update_baseline:
-        count = baseline_mod.write_baseline(baseline_path, findings, entries)
-        blank = len(baseline_mod.unjustified(
-            baseline_mod.load_baseline(baseline_path)
-        ))
-        print(
-            f"tfrc-audit: wrote {count} baseline entr{'y' if count == 1 else 'ies'} "
-            f"to {baseline_path}"
-            + (f" ({blank} still need a justification)" if blank else ""),
-            file=out,
-        )
-        return 0
-
-    new, baselined, stale = baseline_mod.apply_baseline(findings, entries)
-    if report.restricted:
-        stale = []  # a partial run cannot judge baseline staleness
-    unjustified = baseline_mod.unjustified(entries) if args.check_baseline else []
-    stale_allowlist = report.stale_allowlist if args.check_baseline else []
-
+    findings = run_audit(root)
     if args.as_json:
         document = {
             "tool": "tfrc-audit",
             "root": str(root),
-            "findings": [record.to_dict() for record in new],
-            "baselined": baselined,
-            "stale_baseline": stale,
-            "unjustified_baseline": unjustified,
-            "stale_allowlist": stale_allowlist,
+            "findings": [record.to_dict() for record in findings],
         }
         json.dump(document, out, indent=2, sort_keys=True, allow_nan=False)
         out.write("\n")
     else:
-        for record in new:
+        for record in findings:
             print(record.render(), file=out)
-        summary = (
-            f"tfrc-audit: {len(new)} finding(s)"
-            + (f", {baselined} baselined" if baselined else "")
-            + (f", {len(stale)} stale baseline entr"
-               f"{'y' if len(stale) == 1 else 'ies'}" if stale else "")
-        )
-        print(summary, file=out)
-        for fp in stale:
-            entry = entries[fp]
-            print(
-                f"  stale baseline entry {fp} "
-                f"({entry.get('rule')} at {entry.get('path')}): finding is "
-                "gone; run --update-baseline",
-                file=out,
-            )
-        for fp in unjustified:
-            entry = entries[fp]
-            print(
-                f"  baseline entry {fp} ({entry.get('rule')} at "
-                f"{entry.get('path')}) has no justification -- write one "
-                "in the baseline file",
-                file=out,
-            )
-        for description in stale_allowlist:
-            print(
-                f"  stale allowlist entry {description}; delete it from "
-                "DEFAULT_ALLOWLIST",
-                file=out,
-            )
-
+        print(f"tfrc-audit: {len(findings)} finding(s)", file=out)
     if args.annotations:
-        for record in new:
-            _annotate(out, "error", record.to_dict())
-        for fp in unjustified:
-            entry = entries[fp]
-            print(
-                f"::warning title=tfrc-audit baseline::entry {fp} "
-                f"({entry.get('rule')} at {entry.get('path')}) has no "
-                "justification",
-                file=out,
-            )
-        for description in stale_allowlist:
-            print(
-                f"::warning title=tfrc-audit allowlist::stale entry "
-                f"{description}",
-                file=out,
-            )
-
-    if new or unjustified:
-        return 1
-    return 0
+        for record in findings:
+            _annotate(out, record)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

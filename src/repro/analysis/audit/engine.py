@@ -34,6 +34,10 @@ from repro.analysis.audit.records import (
     AuditRecord,
 )
 
+#: the trees the audit parses, relative to the repo root.
+SRC_PREFIX = "src/repro"
+TESTS_PREFIX = "tests"
+
 # --------------------------------------------------------------------- rules
 
 
@@ -95,9 +99,10 @@ def _rule_matches(token: str, rule_id: str) -> bool:
 #: simulation core must be a pure function of the spec, but the fabric
 #: *around* it schedules real processes against real clocks.  Layers the
 #: checker never visits at all (anything outside
-#: ``AuditConfig.determinism_prefixes`` -- rt/, apps/, wire/)
+#: ``rules_determinism.DETERMINISM_PREFIXES`` -- rt/, apps/, wire/)
 #: need no entry here: an entry that suppresses nothing is itself
-#: flagged as stale under ``--check-baseline``.
+#: reported in ``AuditReport.stale_allowlist``, which the tier-1 test
+#: ``test_repo_audits_clean`` requires to be empty.
 DEFAULT_ALLOWLIST: Tuple[AllowEntry, ...] = (
     AllowEntry(
         "src/repro/scenarios/filequeue.py",
@@ -216,10 +221,8 @@ class SourceFile:
 
 # ------------------------------------------------------------------ registry
 
-FileChecker = Callable[[SourceFile, "AuditConfig"], Iterable[AuditRecord]]
-ProjectChecker = Callable[
-    [Sequence[SourceFile], "AuditConfig"], Iterable[AuditRecord]
-]
+FileChecker = Callable[[SourceFile], Iterable[AuditRecord]]
+ProjectChecker = Callable[[Sequence[SourceFile]], Iterable[AuditRecord]]
 
 _FILE_CHECKERS: List[Tuple[FileChecker, Tuple[Rule, ...]]] = []
 _PROJECT_CHECKERS: List[Tuple[ProjectChecker, Tuple[Rule, ...]]] = []
@@ -274,52 +277,13 @@ def load_builtin_checkers() -> None:
     )
 
 
-# ------------------------------------------------------------------- config
-
-
-@dataclass(frozen=True)
-class AuditConfig:
-    """What to scan and which layer-level exemptions apply."""
-
-    src_prefix: str = "src/repro"
-    tests_prefix: str = "tests"
-    allowlist: Tuple[AllowEntry, ...] = DEFAULT_ALLOWLIST
-    #: prefixes (under the repo root) where the determinism family applies:
-    #: the simulation core and everything a scenario cell executes.
-    determinism_prefixes: Tuple[str, ...] = (
-        "src/repro/sim/",
-        "src/repro/core/",
-        "src/repro/net/",
-        "src/repro/tcp/",
-        "src/repro/traffic/",
-        "src/repro/multicast/",
-        "src/repro/scenarios/",
-        "src/repro/experiments/",
-        "src/repro/analysis/",
-    )
-    #: the tree whose durable writes must route through the blessed module.
-    fsio_prefix: str = "src/repro/scenarios/"
-    #: modules allowed to perform raw content writes.
-    fsio_blessed: Tuple[str, ...] = ("src/repro/scenarios/_fsio.py",)
-    #: tests.missing-slow-marker: flag unmarked tests whose statically
-    #: estimated simulated work (grid cells x duration seconds) reaches
-    #: this threshold...
-    slow_work_threshold: float = 600.0
-    #: ...or whose grid alone reaches this many cells.
-    slow_cell_threshold: int = 256
-    #: name suffixes that mark a function as a vector kernel; such a
-    #: function must declare its scalar twin (twin.unregistered-twin).
-    twin_suffixes: Tuple[str, ...] = ("_vec", "_vector")
-
-
 # ---------------------------------------------------------------- the audit
 
 
-def iter_source_paths(repo_root: Path, config: AuditConfig) -> List[Path]:
+def iter_source_paths(repo_root: Path) -> List[Path]:
     """Every Python file the audit parses, deterministically ordered."""
-    roots = [repo_root / config.src_prefix, repo_root / config.tests_prefix]
     paths: List[Path] = []
-    for root in roots:
+    for root in (repo_root / SRC_PREFIX, repo_root / TESTS_PREFIX):
         if root.is_dir():
             paths.extend(sorted(root.rglob("*.py")))
     return paths
@@ -329,54 +293,26 @@ def iter_source_paths(repo_root: Path, config: AuditConfig) -> List[Path]:
 class AuditReport:
     """The outcome of one audit run.
 
-    ``stale_allowlist`` mirrors the stale-baseline warning: a
-    :class:`AllowEntry` whose prefix matches no scanned file, or that
-    suppressed no finding this run, is a hole nobody needs anymore and
-    should be deleted.  It is only computed on whole-tree runs --
-    a ``--paths``-restricted run sees too few findings to judge.
+    ``stale_allowlist`` names each :class:`AllowEntry` whose prefix
+    matches no scanned file, or that suppressed no finding this run: a
+    hole nobody needs anymore, to be deleted.
     """
 
     findings: List[AuditRecord]
     stale_allowlist: List[str] = field(default_factory=list)
-    restricted: bool = False
-
-
-def _normalize_paths(
-    root: Path, paths: Sequence["str | Path"]
-) -> Set[str]:
-    """Requested --paths values as root-relative posix strings."""
-    rel_set: Set[str] = set()
-    for raw in paths:
-        candidate = Path(raw)
-        if not candidate.is_absolute():
-            candidate = root / candidate
-        try:
-            rel_set.add(candidate.resolve().relative_to(root).as_posix())
-        except ValueError:
-            rel_set.add(Path(raw).as_posix())
-    return rel_set
 
 
 def run_audit_report(
     repo_root: "str | Path",
-    config: Optional[AuditConfig] = None,
-    paths: Optional[Sequence["str | Path"]] = None,
+    allowlist: Tuple[AllowEntry, ...] = DEFAULT_ALLOWLIST,
 ) -> AuditReport:
-    """Parse the tree, run every checker, filter, and sort the findings.
-
-    With ``paths``, per-file checkers run only on the listed files
-    (the sub-second pre-commit mode); project-wide checkers still see
-    the whole corpus, since their invariants are cross-file.
-    """
+    """Parse the tree, run every checker, filter, and sort the findings."""
     load_builtin_checkers()
     root = Path(repo_root).resolve()
-    cfg = config or AuditConfig()
-    restricted = paths is not None
-    rel_set = _normalize_paths(root, paths) if paths is not None else set()
 
     corpus: List[SourceFile] = []
     findings: List[AuditRecord] = []
-    for path in iter_source_paths(root, cfg):
+    for path in iter_source_paths(root):
         rel = path.relative_to(root).as_posix()
         try:
             text = path.read_text(encoding="utf-8")
@@ -393,15 +329,13 @@ def run_audit_report(
             )
 
     for source in corpus:
-        if restricted and source.rel_path not in rel_set:
-            continue
         for checker, _ in _FILE_CHECKERS:
-            findings.extend(checker(source, cfg))
+            findings.extend(checker(source))
     for checker, _ in _PROJECT_CHECKERS:
-        findings.extend(checker(corpus, cfg))
+        findings.extend(checker(corpus))
 
     by_path = {source.rel_path: source for source in corpus}
-    allow_hits = [0] * len(cfg.allowlist)
+    allow_hits = [0] * len(allowlist)
     kept: List[AuditRecord] = []
     for record in findings:
         source = by_path.get(record.path)
@@ -410,7 +344,7 @@ def run_audit_report(
         matched = next(
             (
                 i
-                for i, entry in enumerate(cfg.allowlist)
+                for i, entry in enumerate(allowlist)
                 if entry.covers(record.path, record.rule)
             ),
             None,
@@ -422,21 +356,15 @@ def run_audit_report(
     kept.sort(key=lambda r: (r.path, r.line, r.rule, r.detail))
 
     stale: List[str] = []
-    if not restricted:
-        for entry, hits in zip(cfg.allowlist, allow_hits):
-            label = f"{entry.path_prefix} ({', '.join(entry.rules)})"
-            if not any(
-                s.rel_path.startswith(entry.path_prefix) for s in corpus
-            ):
-                stale.append(f"{label}: matches no scanned file")
-            elif hits == 0:
-                stale.append(f"{label}: suppresses no finding")
-    return AuditReport(findings=kept, stale_allowlist=stale,
-                       restricted=restricted)
+    for entry, hits in zip(allowlist, allow_hits):
+        label = f"{entry.path_prefix} ({', '.join(entry.rules)})"
+        if not any(s.rel_path.startswith(entry.path_prefix) for s in corpus):
+            stale.append(f"{label}: matches no scanned file")
+        elif hits == 0:
+            stale.append(f"{label}: suppresses no finding")
+    return AuditReport(findings=kept, stale_allowlist=stale)
 
 
-def run_audit(
-    repo_root: "str | Path", config: Optional[AuditConfig] = None
-) -> List[AuditRecord]:
-    """The findings of a whole-tree audit run (see :func:`run_audit_report`)."""
-    return run_audit_report(repo_root, config).findings
+def run_audit(repo_root: "str | Path") -> List[AuditRecord]:
+    """The findings of an audit run (see :func:`run_audit_report`)."""
+    return run_audit_report(repo_root).findings

@@ -22,7 +22,7 @@ import ast
 from typing import Iterator, Optional
 
 from repro.analysis.audit.engine import (
-    AuditConfig,
+    SRC_PREFIX,
     Rule,
     SourceFile,
     file_checker,
@@ -83,10 +83,8 @@ def _in_registered_scenario(source: SourceFile, node: ast.AST) -> Optional[str]:
 
 
 @file_checker(RULE_NON_FINITE, RULE_LENIENT_DUMP)
-def check_cache_contract(
-    source: SourceFile, config: AuditConfig
-) -> Iterator[AuditRecord]:
-    if not source.rel_path.startswith(config.src_prefix):
+def check_cache_contract(source: SourceFile) -> Iterator[AuditRecord]:
+    if not source.rel_path.startswith(SRC_PREFIX):
         return
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Call):

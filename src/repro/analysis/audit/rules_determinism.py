@@ -18,7 +18,6 @@ import ast
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.analysis.audit.engine import (
-    AuditConfig,
     Rule,
     SourceFile,
     file_checker,
@@ -76,9 +75,19 @@ _LISTING_SANITIZERS = frozenset(
 _LISTING_FUNCS = frozenset({"os.listdir", "os.scandir"})
 _LISTING_METHODS = frozenset({"iterdir", "glob", "rglob"})
 
-
-def _applies(source: SourceFile, config: AuditConfig) -> bool:
-    return source.rel_path.startswith(tuple(config.determinism_prefixes))
+#: where the family applies: the simulation core and everything a
+#: scenario cell executes.
+DETERMINISM_PREFIXES = (
+    "src/repro/sim/",
+    "src/repro/core/",
+    "src/repro/net/",
+    "src/repro/tcp/",
+    "src/repro/traffic/",
+    "src/repro/multicast/",
+    "src/repro/scenarios/",
+    "src/repro/experiments/",
+    "src/repro/analysis/",
+)
 
 
 def _sanitized(source: SourceFile, node: ast.AST) -> bool:
@@ -126,10 +135,8 @@ def _record(rule: Rule, source: SourceFile, node: ast.AST, detail: str) -> Audit
 @file_checker(
     RULE_WALL_CLOCK, RULE_GLOBAL_RNG, RULE_UNSORTED_LISTDIR, RULE_SET_ITERATION
 )
-def check_determinism(
-    source: SourceFile, config: AuditConfig
-) -> Iterator[AuditRecord]:
-    if not _applies(source, config):
+def check_determinism(source: SourceFile) -> Iterator[AuditRecord]:
+    if not source.rel_path.startswith(DETERMINISM_PREFIXES):
         return
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Call):

@@ -18,7 +18,6 @@ import ast
 from typing import Iterator, Optional
 
 from repro.analysis.audit.engine import (
-    AuditConfig,
     Rule,
     SourceFile,
     file_checker,
@@ -44,6 +43,11 @@ RULE_STREAM_DUMP = Rule(
 _WRITE_MODES = ("w", "x")
 
 _WRITE_METHODS = frozenset({"write_text", "write_bytes"})
+
+#: the tree whose durable writes must route through the blessed module,
+#: and that module, the one allowed to perform raw content writes.
+SCENARIOS_PREFIX = "src/repro/scenarios/"
+FSIO_PATH = SCENARIOS_PREFIX + "_fsio.py"
 
 
 def _write_mode(call: ast.Call) -> Optional[str]:
@@ -73,10 +77,11 @@ def _write_mode(call: ast.Call) -> Optional[str]:
 
 
 @file_checker(RULE_RAW_WRITE, RULE_STREAM_DUMP)
-def check_fsio(source: SourceFile, config: AuditConfig) -> Iterator[AuditRecord]:
-    if not source.rel_path.startswith(config.fsio_prefix):
-        return
-    if source.rel_path in config.fsio_blessed:
+def check_fsio(source: SourceFile) -> Iterator[AuditRecord]:
+    if (
+        not source.rel_path.startswith(SCENARIOS_PREFIX)
+        or source.rel_path == FSIO_PATH
+    ):
         return
     for node in ast.walk(source.tree):
         if not isinstance(node, ast.Call):

@@ -18,7 +18,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.audit.engine import (
-    AuditConfig,
+    SRC_PREFIX,
     Rule,
     SourceFile,
     project_checker,
@@ -109,9 +109,9 @@ def _executor_table(src: Sequence[SourceFile]) -> Set[str]:
 
 @project_checker(RULE_DUPLICATE, RULE_EXECUTOR_DRIFT, RULE_UNREGISTERED)
 def check_registry_coherence(
-    corpus: Sequence[SourceFile], config: AuditConfig
+    corpus: Sequence[SourceFile],
 ) -> Iterator[AuditRecord]:
-    src = [s for s in corpus if s.rel_path.startswith(config.src_prefix)]
+    src = [s for s in corpus if s.rel_path.startswith(SRC_PREFIX)]
     constants = {s.rel_path: _module_constants(s) for s in src}
 
     # ------------------------------------------------ scenario registrations

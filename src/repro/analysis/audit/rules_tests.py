@@ -21,7 +21,7 @@ import ast
 from typing import Iterator, List, Optional
 
 from repro.analysis.audit.engine import (
-    AuditConfig,
+    TESTS_PREFIX,
     Rule,
     SourceFile,
     file_checker,
@@ -37,6 +37,12 @@ RULE_MISSING_SLOW = Rule(
 
 #: call names that execute simulated work, with how many cells one call is.
 _SINGLE_CELL_CALLS = frozenset({"run_scenario", "run_single_cell"})
+
+#: flag unmarked tests whose statically estimated simulated work (grid
+#: cells x duration seconds) reaches this threshold...
+SLOW_WORK_THRESHOLD = 600.0
+#: ...or whose grid alone reaches this many cells.
+SLOW_CELL_THRESHOLD = 256
 
 
 def _is_slow_marker(node: ast.expr) -> bool:
@@ -160,10 +166,8 @@ def _estimated_cells(source: SourceFile, func: ast.AST) -> int:
 
 
 @file_checker(RULE_MISSING_SLOW)
-def check_test_tiers(
-    source: SourceFile, config: AuditConfig
-) -> Iterator[AuditRecord]:
-    if not source.rel_path.startswith(config.tests_prefix):
+def check_test_tiers(source: SourceFile) -> Iterator[AuditRecord]:
+    if not source.rel_path.startswith(TESTS_PREFIX):
         return
     if _module_marked_slow(source):
         return
@@ -204,8 +208,8 @@ def check_test_tiers(
                 if duration is None:
                     duration = module_duration
                 work = cells * duration if duration is not None else None
-                heavy = cells >= config.slow_cell_threshold or (
-                    work is not None and work >= config.slow_work_threshold
+                heavy = cells >= SLOW_CELL_THRESHOLD or (
+                    work is not None and work >= SLOW_WORK_THRESHOLD
                 )
                 if heavy:
                     shown_work = (

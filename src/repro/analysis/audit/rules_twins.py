@@ -63,9 +63,10 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.audit.engine import (
-    AuditConfig,
+    SRC_PREFIX,
     Rule,
     SourceFile,
+    iter_source_paths,
     project_checker,
 )
 from repro.analysis.audit.normalize import (
@@ -149,6 +150,10 @@ _NARROW_DTYPES = frozenset(
     {"numpy.float32", "numpy.float16", "numpy.half", "numpy.single"}
 )
 _NARROW_DTYPE_STRINGS = frozenset({"float32", "float16", "half", "single"})
+
+#: name suffixes that mark a function as a vector kernel; such a function
+#: must declare its scalar twin (``twin.unregistered-twin``).
+TWIN_SUFFIXES = ("_vec", "_vector")
 
 
 @dataclass(frozen=True)
@@ -348,17 +353,14 @@ def collect_twins(
 
 
 def collect_repo_twins(
-    repo_root: "str | Path", config: Optional[AuditConfig] = None
+    repo_root: "str | Path",
 ) -> Tuple[List[TwinPair], List[AuditRecord]]:
     """Parse a repo tree and collect its twin pairs (for the fuzz tier)."""
-    from repro.analysis.audit.engine import iter_source_paths
-
     root = Path(repo_root).resolve()
-    cfg = config or AuditConfig()
     src: List[SourceFile] = []
-    for path in iter_source_paths(root, cfg):
+    for path in iter_source_paths(root):
         rel = path.relative_to(root).as_posix()
-        if not rel.startswith(cfg.src_prefix):
+        if not rel.startswith(SRC_PREFIX):
             continue
         src.append(SourceFile(rel, path.read_text(encoding="utf-8")))
     return collect_twins(src)
@@ -458,15 +460,14 @@ def _lint_vector_body(
     RULE_UNREGISTERED,
 )
 def check_twin_congruence(
-    corpus: Sequence[SourceFile], config: AuditConfig
+    corpus: Sequence[SourceFile],
 ) -> Iterator[AuditRecord]:
-    src = [s for s in corpus if s.rel_path.startswith(config.src_prefix)]
+    src = [s for s in corpus if s.rel_path.startswith(SRC_PREFIX)]
     by_path = {s.rel_path: s for s in src}
     pairs, problems = collect_twins(src)
     yield from problems
 
     registered = {(pair.source.rel_path, pair.vector_qual) for pair in pairs}
-    suffixes = config.twin_suffixes
 
     # Calls to a twin canonicalize to the scalar's bare name on both
     # sides, so a vector body calling a sibling vector twin still
@@ -487,7 +488,7 @@ def check_twin_congruence(
 
     for source in src:
         for qual, node in sorted(_function_table(source).items()):
-            if not node.name.endswith(suffixes):
+            if not node.name.endswith(TWIN_SUFFIXES):
                 continue
             if (source.rel_path, qual) in registered:
                 continue

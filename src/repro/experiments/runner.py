@@ -297,6 +297,7 @@ def main(argv=None) -> int:
     from repro.scenarios.executors import (
         EXECUTOR_NAMES,
         available_cpus,
+        directory,
         positive,
     )
 
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--cache", nargs="?", const=".tfrc-sweep-cache", default=None,
-        metavar="DIR",
+        type=directory, metavar="DIR",
         help="cache sweep cell results on disk (default dir: "
         ".tfrc-sweep-cache); cached cells are not re-simulated",
     )
@@ -339,7 +340,7 @@ def main(argv=None) -> int:
         "(cells it cannot batch fall back to scalar with a warning)",
     )
     parser.add_argument(
-        "--queue-dir", default=None, metavar="DIR",
+        "--queue-dir", default=None, type=directory, metavar="DIR",
         help="shared queue directory for --executor queue (results default "
         "to DIR/results unless --cache is given)",
     )

@@ -44,6 +44,7 @@ already-finished cells) to the exception before re-raising.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import math
 import multiprocessing
@@ -918,3 +919,22 @@ def positive(number: type) -> Callable[[str], float]:
 
     parse.__name__ = f"finite positive {number.__name__}"  # argparse quotes it
     return parse
+
+
+def directory(text: str) -> str:
+    """argparse ``type=`` of the fabric CLIs' directory arguments: a path
+    that is a directory or can become one, i.e. neither it nor any
+    ancestor is an existing non-directory.  A missing path passes; the
+    caller creates it (or, like ``tfrc-sweep-fsck``, refuses it)."""
+    target = Path(text)
+    for path in (target, *target.parents):
+        if path.is_dir():
+            break
+        if path.exists():
+            under = (
+                "" if path == target else f" lies under {str(path)!r}, which"
+            )
+            raise argparse.ArgumentTypeError(
+                f"{text!r}{under} is not a directory"
+            )
+    return text

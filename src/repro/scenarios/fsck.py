@@ -69,7 +69,7 @@ from repro.analysis.audit.records import (
 )
 from repro.scenarios.cache import ResultCache, verify_entry
 from repro.scenarios._fsio import read_json
-from repro.scenarios.executors import positive
+from repro.scenarios.executors import directory, positive
 from repro.scenarios.filequeue import FileQueue
 
 #: finding kinds that are litter rather than lost/untrustworthy state.
@@ -291,10 +291,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "without deleting results or evidence.",
     )
     parser.add_argument(
-        "queue_dir", help="queue directory to audit (the coordinator's)"
+        "queue_dir", type=directory,
+        help="queue directory to audit (the coordinator's)",
     )
     parser.add_argument(
-        "--cache", default=None, metavar="DIR",
+        "--cache", default=None, type=directory, metavar="DIR",
         help="result cache directory (default: <queue_dir>/results)",
     )
     parser.add_argument(

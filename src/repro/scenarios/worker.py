@@ -57,7 +57,7 @@ from typing import List, Optional, Tuple
 
 from repro.scenarios import faults
 from repro.scenarios.cache import ResultCache
-from repro.scenarios.executors import execute_cells, positive
+from repro.scenarios.executors import directory, execute_cells, positive
 from repro.scenarios.filequeue import FileQueue
 from repro.scenarios.spec import ScenarioSpec
 
@@ -306,7 +306,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "written by SweepRunner's file-queue executor.",
     )
     parser.add_argument(
-        "queue_dir",
+        "queue_dir", type=directory,
         help="queue directory (may be a shared mount used by other hosts)",
     )
     parser.add_argument(

@@ -1,7 +1,8 @@
 """``tfrc-audit``: per-rule fixtures (hit / suppressed / allowlisted),
-the baseline gate, the shared findings schema, and the repo smoke test
-asserting the tree is audit-clean against the committed baseline."""
+the stale-allowlist check, the CLI's shape, the shared findings schema,
+and the repo smoke test asserting the tree is audit-clean."""
 
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -9,13 +10,18 @@ from textwrap import dedent
 
 import pytest
 
+import repro.analysis.audit as audit_pkg
 from repro.analysis.audit import (
     AllowEntry,
-    AuditConfig,
     run_audit,
     run_audit_report,
 )
-from repro.analysis.audit.cli import main as audit_main, rules_markdown
+from repro.analysis.audit import engine as audit_engine
+from repro.analysis.audit.cli import (
+    build_parser,
+    main as audit_main,
+    rules_markdown,
+)
 from repro.analysis.audit.records import finding_record, read_findings
 from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios import faults
@@ -525,13 +531,10 @@ class TestTwinRules:
 
 
 class TestStaleAllowlist:
-    def _config(self, *entries):
-        return AuditConfig(allowlist=tuple(entries))
-
     def test_entry_matching_no_file_is_stale(self, tmp_path):
         root = _tree(tmp_path)
         _write(root, "src/repro/sim/ok.py", "X = 1.0\n")
-        report = run_audit_report(root, self._config(
+        report = run_audit_report(root, (
             AllowEntry("src/repro/nowhere/", ("determinism",), "why"),
         ))
         assert len(report.stale_allowlist) == 1
@@ -540,7 +543,7 @@ class TestStaleAllowlist:
     def test_entry_suppressing_nothing_is_stale(self, tmp_path):
         root = _tree(tmp_path)
         _write(root, "src/repro/sim/ok.py", "X = 1.0\n")
-        report = run_audit_report(root, self._config(
+        report = run_audit_report(root, (
             AllowEntry("src/repro/sim/", ("determinism",), "why"),
         ))
         assert len(report.stale_allowlist) == 1
@@ -554,82 +557,11 @@ class TestStaleAllowlist:
             def sample():
                 return time.time()
             """)
-        report = run_audit_report(root, self._config(
+        report = run_audit_report(root, (
             AllowEntry("src/repro/sim/", ("determinism",), "why"),
         ))
         assert report.findings == []
         assert report.stale_allowlist == []
-
-    def test_cli_warns_only_under_check_baseline(self, tmp_path, capsys):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/sim/ok.py", "X = 1.0\n")
-        # the default allowlist's entries match none of this tiny tree
-        assert audit_main(["--root", str(root)]) == 0
-        assert "stale allowlist" not in capsys.readouterr().out
-        assert audit_main(["--root", str(root), "--check-baseline"]) == 0
-        assert "stale allowlist" in capsys.readouterr().out
-
-
-# ------------------------------------------------------------ --paths mode
-
-
-class TestPathsMode:
-    def _two_file_tree(self, tmp_path):
-        root = _tree(tmp_path)
-        for name in ("a", "b"):
-            _write(root, f"src/repro/sim/{name}.py", """\
-                import time
-
-                def sample():
-                    return time.time()
-                """)
-        return root
-
-    def test_file_checkers_restricted_to_paths(self, tmp_path):
-        root = self._two_file_tree(tmp_path)
-        report = run_audit_report(root, paths=["src/repro/sim/a.py"])
-        assert [f.path for f in report.findings] == ["src/repro/sim/a.py"]
-        assert report.restricted
-        assert report.stale_allowlist == []
-
-    def test_project_checkers_still_scan_whole_tree(self, tmp_path):
-        root = self._two_file_tree(tmp_path)
-        _write(root, "src/repro/scenarios/executors.py", """\
-            EXECUTOR_FACTORIES = {"serial": object}
-
-            def wants_queue(executor):
-                return executor == "ghost"
-            """)
-        report = run_audit_report(root, paths=["src/repro/sim/a.py"])
-        rules = [f.rule for f in report.findings]
-        assert "registry.executor-name-drift" in rules  # unlisted file
-
-    def test_cli_paths_run(self, tmp_path, capsys):
-        root = self._two_file_tree(tmp_path)
-        assert audit_main(
-            ["--root", str(root), "--paths", "src/repro/sim/a.py"]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "src/repro/sim/a.py" in out
-        assert "src/repro/sim/b.py" not in out
-
-    def test_paths_conflicts_with_update_baseline(self, tmp_path):
-        root = self._two_file_tree(tmp_path)
-        assert audit_main(
-            ["--root", str(root), "--update-baseline",
-             "--paths", "src/repro/sim/a.py"]
-        ) == 2
-
-    def test_paths_mode_does_not_report_stale_baseline(self, tmp_path, capsys):
-        root = self._two_file_tree(tmp_path)
-        assert audit_main(["--root", str(root), "--update-baseline"]) == 0
-        (root / "src/repro/sim/b.py").write_text("X = 1.0\n")
-        capsys.readouterr()
-        # b's baselined finding is gone, but a partial run cannot know that
-        assert audit_main(
-            ["--root", str(root), "--paths", "src/repro/sim/a.py"]
-        ) == 0
-        assert "stale" not in capsys.readouterr().out
 
 
 # --------------------------------------------------- GitHub Actions rendering
@@ -684,62 +616,33 @@ class TestRulesDocSync:
         assert out == rules_markdown()
         assert "`twin.op-divergence`" in out
 
-    def test_rules_alias_lists_rules(self, capsys):
-        assert audit_main(["--rules"]) == 0
-        assert "twin.unregistered-twin" in capsys.readouterr().out
 
-
-# -------------------------------------------------------- baseline + CLI gate
+# ------------------------------------------------------------ the CLI gate
 
 
 class TestBaselineGate:
-    def _violating_tree(self, tmp_path):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/sim/probe.py", """\
-            import time
-
-            def sample():
-                return time.time()
-            """)
-        return root
-
-    def test_update_then_gate(self, tmp_path, capsys):
-        root = self._violating_tree(tmp_path)
-        assert audit_main(["--root", str(root)]) == 1
-        capsys.readouterr()
-
-        assert audit_main(["--root", str(root), "--update-baseline"]) == 0
-        capsys.readouterr()
-        # baselined: plain runs are clean...
-        assert audit_main(["--root", str(root)]) == 0
-        capsys.readouterr()
-        # ...but the gate rejects the entry until someone justifies it.
-        assert audit_main(["--root", str(root), "--check-baseline"]) == 1
-        assert "no justification" in capsys.readouterr().out
-
-        baseline_path = root / "audit_baseline.json"
-        payload = json.loads(baseline_path.read_text())
-        for entry in payload["findings"]:
-            entry["justification"] = "legacy probe; tracked in ROADMAP"
-        baseline_path.write_text(json.dumps(payload))
-        assert audit_main(["--root", str(root), "--check-baseline"]) == 0
-
-    def test_stale_entries_warn_but_pass(self, tmp_path, capsys):
-        root = self._violating_tree(tmp_path)
-        audit_main(["--root", str(root), "--update-baseline"])
-        (root / "src/repro/sim/probe.py").write_text(
-            "def sample():\n    return 0.0\n"
-        )
-        assert audit_main(["--root", str(root)]) == 0
-        assert "stale" in capsys.readouterr().out
-
-    def test_malformed_baseline_is_a_usage_error(self, tmp_path):
-        root = self._violating_tree(tmp_path)
-        (root / "audit_baseline.json").write_text("{not json")
-        assert audit_main(["--root", str(root)]) == 2
+    """The CLI gate: whole tree, exit 1 on any finding, 2 on a bad root.
+    (The class name predates the baseline file's removal; it is kept so
+    the test ids below stay stable.)"""
 
     def test_bad_root_is_a_usage_error(self, tmp_path):
         assert audit_main(["--root", str(tmp_path / "nowhere")]) == 2
+
+    def test_one_way_to_run(self):
+        """No baseline file, no partial-run mode, no config object: the
+        only option besides the output format is the root."""
+        options = {
+            option
+            for action in build_parser()._actions
+            for option in action.option_strings
+        }
+        assert options == {
+            "-h", "--help", "--root", "--json", "--annotations",
+            "--rules-markdown",
+        }
+        assert importlib.util.find_spec("repro.analysis.audit.baseline") is None
+        assert not hasattr(audit_pkg, "AuditConfig")
+        assert not hasattr(audit_engine, "AuditConfig")
 
 
 class TestSharedSchema:
@@ -769,23 +672,13 @@ class TestSharedSchema:
             read_findings({"findings": "nope"})
 
 
-class TestRepoIsClean:
-    def test_repo_smoke_audit_clean_against_committed_baseline(self, capsys):
-        """The whole tree audits clean (zero non-baselined findings)."""
-        assert audit_main(
-            ["--root", str(REPO_ROOT), "--json", "--check-baseline"]
-        ) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["findings"] == []
-        assert report["unjustified_baseline"] == []
-        assert report["stale_allowlist"] == []
-
-    def test_committed_baseline_entries_are_justified(self):
-        payload = json.loads(
-            (REPO_ROOT / "audit_baseline.json").read_text(encoding="utf-8")
-        )
-        for entry in payload["findings"]:
-            assert str(entry.get("justification", "")).strip(), entry
+def test_repo_audits_clean(capsys):
+    """The whole tree audits clean, and every allowlist entry still
+    suppresses something (a stale entry is a hole to delete)."""
+    report = run_audit_report(REPO_ROOT)
+    assert report.findings == []
+    assert report.stale_allowlist == []
+    assert audit_main(["--root", str(REPO_ROOT)]) == 0
 
 
 # ---------------------------------------------- fabric regression (satellites)

@@ -354,6 +354,22 @@ class TestWorkerCli:
         assert sweep_worker.main([str(tmp_path / "q"), "--once"]) == 0
         assert "exiting after 0 cell(s)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "under", [False, True], ids=["file", "under-file"]
+    )
+    def test_file_as_queue_dir_exits_2(self, tmp_path, capsys, under):
+        """A file (or a path under one) used to die in a
+        NotADirectoryError traceback on '<file>/tasks'."""
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        path = str(afile / "q" if under else afile)
+        with pytest.raises(SystemExit) as excinfo:
+            sweep_worker.main([path, "--once"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument queue_dir: {path!r}" in err
+        assert "is not a directory" in err and "Traceback" not in err
+
     def test_drains_manually_enqueued_task(self, tmp_path):
         queue_dir = tmp_path / "q"
         cache_root = tmp_path / "cache"

@@ -314,3 +314,26 @@ class TestFsckCli:
         with pytest.raises(SystemExit) as exc:
             fsck_main([str(tmp_path / "q"), "--lease-timeout", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "under", [False, True], ids=["file", "under-file"]
+    )
+    @pytest.mark.parametrize("arg", ["queue_dir", "--cache"])
+    def test_file_where_a_directory_goes_exits_2(
+        self, tmp_path, capsys, arg, under
+    ):
+        """A file used to be reported as a queue directory that "does not
+        exist"; as --cache it died in a traceback."""
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        path = str(afile / "sub" if under else afile)
+        (tmp_path / "q").mkdir()
+        queue = str(tmp_path / "q")
+        argv = [path] if arg == "queue_dir" else [queue, arg, path]
+        with pytest.raises(SystemExit) as exc:
+            fsck_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {arg}: {path!r}" in err
+        assert "is not a directory" in err and "does not exist" not in err
+        assert "Traceback" not in err

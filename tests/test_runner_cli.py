@@ -51,6 +51,28 @@ class TestRunnerCli:
         with pytest.raises(SystemExit):
             runner.main(["fig20", "--quick", "--executor", "ring"])
 
+    @pytest.mark.parametrize(
+        "under", [False, True], ids=["file", "under-file"]
+    )
+    @pytest.mark.parametrize("flag", ["--cache", "--queue-dir"])
+    def test_file_where_a_directory_goes_exits_2(
+        self, tmp_path, capsys, flag, under
+    ):
+        """A file (or a path under one) given as a directory used to die
+        in a FileExistsError / NotADirectoryError traceback."""
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        path = str(afile / "sub" if under else afile)
+        argv = ["fig20", "--quick", flag, path]
+        if flag == "--queue-dir":
+            argv += ["--executor", "queue", "--parallel", "0"]
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {path!r}" in err
+        assert "is not a directory" in err and "Traceback" not in err
+
     def test_fig05_explicit_serial_executor(self, capsys):
         assert runner.main(["fig05", "--quick", "--executor", "serial"]) == 0
         assert "rate x1.0" in capsys.readouterr().out

@@ -6,10 +6,12 @@ whole feedback loop is exercised with exactly controlled losses.
 
 import pytest
 
+from repro.net.packet import Packet, PacketType
 from repro.net.path import LossyPath, periodic_loss
 from repro.sim.engine import Simulator
-from repro.tcp import TCP_VARIANTS, make_tcp_sender
+from repro.tcp import TCP_VARIANTS, RenoSender, SackSender, make_tcp_sender
 from repro.tcp.flow import TcpFlow
+from repro.tcp.sink import TCPAckInfo
 
 
 def run_flow(variant, loss_model=None, duration=20.0, rtt=0.1, bw=None, **kwargs):
@@ -174,6 +176,30 @@ class TestCongestionResponse:
         # SRTT must reflect the true ~0.1s RTT, unpolluted by retransmission
         # ambiguity (echo of a retransmitted segment measured from first send).
         assert flow.sender.rto_estimator.srtt == pytest.approx(0.1, abs=0.05)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 5): after an RTO leaves snd_nxt = "
+    "snd_una + 1, a cumulative ACK past snd_nxt advances snd_una but not "
+    "snd_nxt, so _try_send re-sends segments below snd_una.  The fix "
+    "changes every TCP golden digest.",
+)
+def test_new_ack_past_snd_nxt_sends_no_acked_segment():
+    for sender_cls in (RenoSender, SackSender):
+        sim = Simulator()
+        sent = []
+        sender = sender_cls(sim, "f", sent.append, initial_cwnd=8.0)
+        sender.start()
+        sim.run(until=5.0)  # no ACK arrives: 0..7, then an RTO resends 0
+        assert sender.timeouts >= 1 and sender.snd_nxt == sender.snd_una + 1
+        del sent[:]
+        ack = Packet("f", 8, 40, PacketType.ACK, sim.now, TCPAckInfo(0.0, 0))
+        sender.on_ack(ack)  # the receiver held 0..7 all along
+        assert sender.snd_una == 8
+        already_acked = [p.seq for p in sent if p.seq < sender.snd_una]
+        assert already_acked == [], sender_cls.__name__
+        assert sender.snd_una <= sender.snd_nxt
 
 
 class TestRecoveryBookkeeping:
