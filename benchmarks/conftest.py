@@ -32,3 +32,14 @@ def run_once(benchmark, fn, *args, **kwargs):
 @pytest.fixture
 def once():
     return run_once
+
+
+@pytest.fixture(scope="session")
+def cache_dir(tmp_path_factory):
+    """One result cache for the session, for benches that run the same
+    cells: fig09 / fig10 make the same ``fig09.run`` call, fig16 / fig17 the
+    same ``internet.run_all`` call (whose UCL cell is fig15's), so a later
+    bench replays an earlier one's cells instead of simulating them again.
+    fig06 / fig07 do not share: a 60 s grid vs ``run_cell`` at 80 s, seeds
+    0 and 1."""
+    return str(tmp_path_factory.mktemp("sweep-cache"))

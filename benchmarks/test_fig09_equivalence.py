@@ -9,10 +9,11 @@ short timescales.
 from repro.experiments import fig09_equivalence as fig09
 
 
-def test_fig09_equivalence(once, benchmark):
+def test_fig09_equivalence(once, benchmark, cache_dir):
     result = once(
         benchmark, fig09.run,
         runs=2, duration=60.0, measure_seconds=40.0, n_each=16,
+        cache_dir=cache_dir,
     )
     print("\nFigure 9 reproduction (equivalence ratio by timescale):")
     print("  tau    TFRC/TFRC  TCP/TCP  TFRC/TCP")

@@ -11,10 +11,10 @@ from repro.analysis.cov import coefficient_of_variation
 from repro.experiments import internet
 
 
-def test_fig15_internet_trace(once, benchmark):
+def test_fig15_internet_trace(once, benchmark, cache_dir):
     result = once(
         benchmark, internet.run_path,
-        internet.PATHS["ucl"], n_tcp=3, duration=90.0,
+        internet.PATHS["ucl"], n_tcp=3, duration=90.0, cache_dir=cache_dir,
     )
     mean_tcp = float(np.mean(result.tcp_throughputs_bps))
     print("\nFigure 15 reproduction (synthetic UCL path):")

@@ -2,14 +2,18 @@
 
 Paper's observations: equivalence improves with timescale on every path;
 the Linux sender gives good equivalence while the Solaris sender (broken
-aggressive RTO) does more poorly -- a TCP defect, not a TFRC one.
+aggressive RTO) does more poorly -- a TCP defect, not a TFRC one.  Its
+UCL cell is the Figure 15 bench's, replayed from the session's result
+cache when that bench ran first.
 """
 
 from repro.experiments import internet
 
 
-def test_fig16_internet_equivalence(once, benchmark):
-    results = once(benchmark, internet.run_all, duration=90.0)
+def test_fig16_internet_equivalence(once, benchmark, cache_dir):
+    results = once(
+        benchmark, internet.run_all, duration=90.0, cache_dir=cache_dir
+    )
     print("\nFigure 16 reproduction (equivalence by path):")
     for name, result in results.items():
         taus = sorted(result.equivalence_by_tau)

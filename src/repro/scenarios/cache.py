@@ -40,6 +40,13 @@ STATUS_MISS = "miss"
 STATUS_CORRUPT = "corrupt"
 
 
+def entry_key(spec: ScenarioSpec) -> str:
+    """A cell's identity, ``<scenario>-<spec_hash>``: its cache entry's file
+    name stem and its file-queue key.  A sweep makes it once per cell, at
+    expansion (``SweepCell.key``), and passes it on from there."""
+    return f"{spec.scenario}-{spec.spec_hash()}"
+
+
 def payload_checksum(spec_dict: JsonDict, result: JsonDict) -> str:
     """The entry checksum: sha256 over the canonical spec+result JSON."""
     canonical = json.dumps(
@@ -79,18 +86,19 @@ def verify_entry(payload: Any) -> Optional[str]:
 
 
 class ResultCache:
-    """Spec-hash-keyed store of scenario results."""
+    """Spec-hash-keyed store of scenario results.  ``key``, where a method
+    takes one, is the spec's :func:`entry_key` if the caller holds it."""
 
     def __init__(self, root: "str | os.PathLike[str]") -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: corrupt entries :meth:`get` has found (and quarantined) through
+        #: this object; each is a cell that re-executes.
+        self.quarantined_on_read = 0
 
-    def _path(self, spec: ScenarioSpec) -> Path:
-        return self.root / f"{spec.scenario}-{spec.spec_hash()}.json"
-
-    def entry_path(self, spec: ScenarioSpec) -> Path:
+    def entry_path(self, spec: ScenarioSpec, key: Optional[str] = None) -> Path:
         """Where ``spec``'s entry lives (whether or not it exists yet)."""
-        return self._path(spec)
+        return self.root / f"{key or entry_key(spec)}.json"
 
     def serialize(self, spec: ScenarioSpec, result: JsonDict) -> JsonDict:
         """The full checksummed entry payload :meth:`put` would write."""
@@ -103,29 +111,32 @@ class ResultCache:
 
     # ---------------------------------------------------------------- reads
 
-    def get(self, spec: ScenarioSpec) -> Optional[JsonDict]:
+    def get(
+        self, spec: ScenarioSpec, key: Optional[str] = None
+    ) -> Optional[JsonDict]:
         """The cached result for ``spec``, or None on a miss.
 
         A **corrupt** entry (unparseable, checksum-failing, or misshapen)
         is also reported as a miss -- after being moved into the
-        quarantine directory with a warning -- so the caller re-executes
-        the damaged cell instead of trusting or crashing on it.
+        quarantine directory with a warning and counted in
+        :attr:`quarantined_on_read` -- so the caller re-executes the
+        damaged cell instead of trusting or crashing on it.
         """
-        status, result, _ = self.get_status(spec)
+        status, result, _ = self.get_status(spec, key)
         if status == STATUS_CORRUPT:
-            self.quarantine(spec)
-            return None
+            self.quarantine(spec, key)
+            self.quarantined_on_read += 1
         return result
 
     def get_status(
-        self, spec: ScenarioSpec
+        self, spec: ScenarioSpec, key: Optional[str] = None
     ) -> Tuple[str, Optional[JsonDict], Optional[str]]:
         """``(status, result, defect)`` without side effects.
 
         ``status`` is ``"hit"`` (result returned), ``"miss"`` (no file),
         or ``"corrupt"`` (file present but damaged; ``defect`` says how).
         """
-        path = self._path(spec)
+        path = self.entry_path(spec, key)
         try:
             with path.open("r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -144,13 +155,13 @@ class ResultCache:
         """:meth:`put_many` for a group of one; returns the entry's path."""
         return self.put_many([(spec, result)])[0]
 
-    def put_many(
-        self, items: Sequence[Tuple[ScenarioSpec, JsonDict]]
-    ) -> List[Path]:
+    def put_many(self, items: Sequence[Tuple[Any, ...]]) -> List[Path]:
         """Store the results of cells that finished together as one group
         commit; returns the entries' paths, in order.
 
-        Entries are strict JSON (``allow_nan=False``, matching
+        ``items`` are ``(spec, result)`` pairs, or ``(spec, result, key)``
+        triples carrying the spec's :func:`entry_key`.  Entries are strict
+        JSON (``allow_nan=False``, matching
         :meth:`~repro.scenarios.spec.ScenarioSpec.canonical_json`) with a
         content checksum: a NaN or Infinity metric raises
         :class:`ValueError` naming the cell -- before anything of the group
@@ -160,14 +171,14 @@ class ResultCache:
         committed name.
         """
         entries = []
-        for spec, result in items:
+        for spec, result, *carried in items:
+            path = self.entry_path(spec, *carried)
             try:
-                entries.append((self._path(spec), self.serialize(spec, result)))
+                entries.append((path, self.serialize(spec, result)))
             except ValueError as exc:
                 raise ValueError(
-                    f"result for {spec.scenario} ({spec.spec_hash()}) is not "
-                    f"strict JSON -- NaN/Infinity values cannot be cached: "
-                    f"{exc}"
+                    f"result for {path.stem} is not strict JSON -- "
+                    f"NaN/Infinity values cannot be cached: {exc}"
                 ) from exc
         atomic_write_json_many(entries)
         return [path for path, _payload in entries]
@@ -178,14 +189,16 @@ class ResultCache:
     def quarantine_dir(self) -> Path:
         return self.root / QUARANTINE_DIRNAME
 
-    def quarantine(self, spec: ScenarioSpec) -> Optional[Path]:
+    def quarantine(
+        self, spec: ScenarioSpec, key: Optional[str] = None
+    ) -> Optional[Path]:
         """Move ``spec``'s (corrupt) entry into quarantine; its new path.
 
         Returns None when the entry vanished first (e.g. another process
         quarantined it already).  The sweep then sees a plain miss and
         re-executes the cell.
         """
-        return self.quarantine_file(self._path(spec))
+        return self.quarantine_file(self.entry_path(spec, key))
 
     def quarantine_file(self, path: Path) -> Optional[Path]:
         """Move one corrupt entry file into the quarantine directory."""

@@ -374,7 +374,7 @@ def _commit_group(
     if cache is not None:
         cache.put_many(
             [
-                (cell.spec, result)
+                (cell.spec, result, cell.key)
                 for cell, (result, _elapsed, failure) in zip(group, outcomes)
                 if failure is None
             ]
@@ -543,7 +543,7 @@ class FileQueueExecutor(SweepExecutor):
             remaining={},
         )
         for cell in plan.cells:
-            run.remaining.setdefault(_cell_key(cell), []).append(cell)
+            run.remaining.setdefault(cell.key, []).append(cell)
         self._publish(run)
         run.procs = self._spawn_local_workers()
         # Housekeeping runs at a coarser cadence than done-marker
@@ -584,7 +584,7 @@ class FileQueueExecutor(SweepExecutor):
 
     def _payload(self, run: _QueueRun, cell: "SweepCell") -> JsonDict:
         return {
-            "key": _cell_key(cell),
+            "key": cell.key,
             "module": run.module_name,
             "spec": cell.spec.to_dict(),
             "cache_dir": run.cache_dir,
@@ -598,7 +598,7 @@ class FileQueueExecutor(SweepExecutor):
             # A done marker without a cached result (interrupted worker,
             # pruned cache) is stale: clear it so the cell re-runs.
             done = fq.done_path(key)
-            if done.exists() and run.cache.get(cells[0].spec) is None:
+            if done.exists() and run.cache.get(cells[0].spec, key) is None:
                 done.unlink(missing_ok=True)
             if done.exists():
                 continue  # finished: the first collection delivers it
@@ -638,7 +638,7 @@ class FileQueueExecutor(SweepExecutor):
                 continue
             worker = str(marker.get("worker", ""))
             first = run.remaining[key][0]
-            status, result, defect = run.cache.get_status(first.spec)
+            status, result, defect = run.cache.get_status(first.spec, key)
             if status != "hit":
                 # Marker landed but the result did not reach *this* cache
                 # intact.  A corrupt entry (torn worker write) is
@@ -648,7 +648,7 @@ class FileQueueExecutor(SweepExecutor):
                 # queue dir on a multi-host run) every attempt ends here,
                 # and without the budget the cell would re-execute forever.
                 if status == "corrupt":
-                    run.cache.quarantine(first.spec)
+                    run.cache.quarantine(first.spec, key)
                     kind = "corrupt_result"
                     error = (
                         f"done marker published but the cached result is "
@@ -835,11 +835,6 @@ def _local_worker(argv: List[str]) -> None:
 
 def _failure_kinds(records: List[JsonDict]) -> List[str]:
     return [str(record.get("kind", "")) for record in records]
-
-
-def _cell_key(cell: "SweepCell") -> str:
-    """Queue/cache-aligned cell identity: ``<scenario>-<spec_hash>``."""
-    return f"{cell.spec.scenario}-{cell.spec.spec_hash()}"
 
 
 #: what SweepRunner accepts for ``executor=``: a name or an instance.

@@ -16,12 +16,56 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Mapping, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 JsonDict = Dict[str, Any]
 
 #: A scenario maps a spec to a JSON-serializable result dictionary.
 ScenarioFn = Callable[["ScenarioSpec"], JsonDict]
+
+#: a spec's free-form parameter groups, in field order.
+_GROUPS = ("topology", "flows", "queue", "loss", "extra")
+
+#: the scalar types a JSON copy shares instead of copying (all immutable).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _copy_json(value: Any) -> Any:
+    """A deep copy of JSON-shaped ``value``: dicts and lists rebuilt, scalars
+    shared, anything else handed to ``copy.deepcopy``."""
+    kind = type(value)
+    if kind is dict:
+        return {key: _copy_json(item) for key, item in value.items()}
+    if kind is list:
+        return [_copy_json(item) for item in value]
+    if kind in _SCALARS:
+        return value
+    return copy.deepcopy(value)
+
+
+def _first_non_json(
+    value: Any, where: str, inside: Tuple[int, ...] = ()
+) -> Optional[Tuple[str, Any]]:
+    """``(path, value)`` of the innermost part of ``value`` that strict JSON
+    rejects, or None when it has none.  Only ever walked after
+    ``canonical_json`` failed, so a valid spec never pays for it."""
+    try:
+        json.dumps(value, sort_keys=True, allow_nan=False)
+        return None
+    except (TypeError, ValueError):
+        pass
+    if id(value) in inside:
+        return where, value  # a container that holds itself
+    inside += (id(value),)
+    if isinstance(value, dict):
+        parts: Any = value.items()
+    else:
+        parts = enumerate(value) if isinstance(value, (list, tuple)) else ()
+    for key, item in parts:
+        found = _first_non_json(item, f"{where}[{key!r}]", inside)
+        if found is not None:
+            return found
+    return where, value
 
 
 def split_override_path(path: Any) -> List[str]:
@@ -64,7 +108,7 @@ class ScenarioSpec:
                 f"ScenarioSpec.scenario must be a non-empty str, "
                 f"got {self.scenario!r}"
             )
-        for name in ("topology", "flows", "queue", "loss", "extra"):
+        for name in _GROUPS:
             group = getattr(self, name)
             # a plain dict (every sweep cell's) skips the ABC lookup
             if type(group) is not dict and not isinstance(group, Mapping):
@@ -92,13 +136,13 @@ class ScenarioSpec:
         """Deep plain-dict form, safe to mutate and JSON-dump."""
         return {
             "scenario": self.scenario,
-            "topology": copy.deepcopy(dict(self.topology)),
-            "flows": copy.deepcopy(dict(self.flows)),
-            "queue": copy.deepcopy(dict(self.queue)),
-            "loss": copy.deepcopy(dict(self.loss)),
+            "topology": _copy_json(dict(self.topology)),
+            "flows": _copy_json(dict(self.flows)),
+            "queue": _copy_json(dict(self.queue)),
+            "loss": _copy_json(dict(self.loss)),
             "seed": self.seed,
             "duration": self.duration,
-            "extra": copy.deepcopy(dict(self.extra)),
+            "extra": _copy_json(dict(self.extra)),
         }
 
     @classmethod
@@ -112,13 +156,33 @@ class ScenarioSpec:
         return cls(**dict(data))
 
     def canonical_json(self) -> str:
-        """Key-sorted compact JSON -- the hashing/caching representation."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        """Key-sorted compact JSON -- the hashing/caching representation.
+
+        Serializes the groups as they stand, with no deep copy
+        (``json.dumps`` never mutates its input).  A value strict JSON cannot hold -- NaN,
+        ±Infinity, a ``set``, any other object -- is a ``ValueError`` naming
+        where it sits (``ScenarioSpec.topology['rtt']``) and what it is.
+        """
+        data = {name: dict(getattr(self, name)) for name in _GROUPS}
+        data.update(scenario=self.scenario, seed=self.seed, duration=self.duration)
+        try:
+            return json.dumps(
+                data, sort_keys=True, separators=(",", ":"), allow_nan=False
+            )
+        except (TypeError, ValueError) as exc:
+            for name in _GROUPS:
+                found = _first_non_json(data[name], f"ScenarioSpec.{name}")
+                if found is not None:
+                    where, value = found
+                    raise ValueError(
+                        f"{where} is {value!r}, which strict JSON cannot "
+                        f"hold, so the spec has no hash: {exc}"
+                    ) from exc
+            raise
 
     def spec_hash(self) -> str:
-        """Stable 16-hex-digit digest identifying this spec (cache key)."""
+        """Stable 16-hex-digit digest identifying this spec (a sweep takes
+        it once per cell, in :func:`repro.scenarios.cache.entry_key`)."""
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:16]
 
     # -------------------------------------------------------------- override

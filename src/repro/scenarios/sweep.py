@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.scenarios.cache import ResultCache
+from repro.scenarios.cache import ResultCache, entry_key
 from repro.scenarios.executors import (
     EXECUTOR_NAMES,
     ExecutorArg,
@@ -65,6 +65,8 @@ class SweepCell:
     index: int
     overrides: Dict[str, Any]
     spec: ScenarioSpec
+    #: ``<scenario>-<spec_hash>`` (:func:`~repro.scenarios.cache.entry_key`),
+    #: computed once at expansion: the cell's cache entry and queue key.
     key: str
     result: Optional[JsonDict] = None
     from_cache: bool = False
@@ -104,6 +106,9 @@ class SweepResult:
     #: completion (executor start-up plus one cell; diagnostics only, like
     #: ``wall_seconds``); None when every cell was a cache hit.
     first_result_seconds: Optional[float] = None
+    #: cache entries this run found corrupt, quarantined and re-ran (the
+    #: executed cells include them).
+    corrupt_entries: int = 0
 
     def results(self) -> List[JsonDict]:
         return [cell.result for cell in self.cells if cell.result is not None]
@@ -247,7 +252,7 @@ class SweepRunner:
                     index=index,
                     overrides=overrides,
                     spec=spec,
-                    key=spec.spec_hash(),
+                    key=entry_key(spec),
                 )
             )
         return expanded
@@ -269,12 +274,12 @@ class SweepRunner:
         total = len(result.cells)
         done = 0
         pending: List[SweepCell] = []
+        # `is not None`, not truthiness: ResultCache.__len__ globs the
+        # whole cache directory.
+        cache = self.cache
+        quarantined = cache.quarantined_on_read if cache is not None else 0
         for cell in result.cells:
-            # `is not None`, not truthiness: ResultCache.__len__ globs the
-            # whole cache directory.
-            cached = (
-                self.cache.get(cell.spec) if self.cache is not None else None
-            )
+            cached = cache.get(cell.spec, cell.key) if cache is not None else None
             if cached is not None:
                 cell.result = cached
                 cell.from_cache = True
@@ -283,6 +288,8 @@ class SweepRunner:
                     self.progress(done, total, cell)
             else:
                 pending.append(cell)
+        if cache is not None:
+            result.corrupt_entries = cache.quarantined_on_read - quarantined
 
         if pending:
             executor = resolve_executor(
@@ -362,6 +369,8 @@ def print_progress(stream=None) -> ProgressFn:
             )
         else:
             line += f" in {wall:.2f}s"
+        if result.corrupt_entries:
+            line += f", {result.corrupt_entries} corrupt entries re-run"
         retried = sum(1 for cell in result.cells if cell.attempts)
         if retried:
             kinds = Counter(

@@ -1,7 +1,22 @@
 """Per-packet recomputations of what ``REDQueue.enqueue``, ``TCPSink`` and
-``SackSender`` maintain incrementally; the fuzzers compare the two."""
+``SackSender`` maintain incrementally, and the first, copy-everything form
+of a spec's canonical JSON; the fuzzers compare the two."""
+
+import copy
+import hashlib
+import json
 
 from repro.net.redmath import red_drop_probability, red_ewma, red_uniformized
+
+
+def spec_canonical_reference(spec):
+    """``(canonical_json, spec_hash)`` of ``spec`` as first written: strict
+    key-sorted ``json.dumps`` over a ``copy.deepcopy`` of every group."""
+    data = {"scenario": spec.scenario, "seed": spec.seed, "duration": spec.duration}
+    for name in ("topology", "flows", "queue", "loss", "extra"):
+        data[name] = copy.deepcopy(dict(getattr(spec, name)))
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def red_reference(ops, capacity, params, rng, packet_time, ecn=False):

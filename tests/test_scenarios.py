@@ -494,6 +494,30 @@ class TestSweepRunner:
             "[sweep] 1 cell: 1 cached, 0 run in Ns",
         ]
 
+    def test_corrupt_entry_found_on_read_is_counted_and_re_run(self, tmp_path):
+        grid, cache_dir = {"extra.x": [1, 2], "seed": [10, 20]}, tmp_path / "c"
+        clean = SweepRunner(self.BASE, grid, cache_dir=str(cache_dir)).run()
+        assert clean.corrupt_entries == 0
+        victim = cache_dir / f"{clean.cells[2].key}.json"
+        victim.write_bytes(victim.read_bytes()[:40])
+
+        stream = io.StringIO()
+        rerun = SweepRunner(
+            self.BASE, grid, cache_dir=str(cache_dir),
+            progress=print_progress(stream),
+        ).run()
+        assert (rerun.corrupt_entries, rerun.cache_hits) == (1, 3)
+        assert not rerun.cells[2].from_cache
+        quarantined = [p.name for p in (cache_dir / "quarantine").iterdir()]
+        assert [name.split(".json.")[0] for name in quarantined] == [victim.stem]
+        assert rerun.results() == clean.results()
+        assert stream.getvalue().splitlines()[-1].endswith(
+            ", 1 corrupt entries re-run"
+        )
+        # the re-run committed a whole entry again: the next replay is clean
+        replay = SweepRunner(self.BASE, grid, cache_dir=str(cache_dir)).run()
+        assert (replay.corrupt_entries, replay.cache_hits) == (0, 4)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             SweepRunner(self.BASE, parallel=0)
