@@ -1,6 +1,6 @@
 """Golden digests: the byte-identity contract of the packet simulator.
 
-Fourteen seeded runs are reduced to sha256 digests of their exact trace
+Eighteen seeded runs are reduced to sha256 digests of their exact trace
 signature and result JSON and compared with ``tests/golden_digests.json``.
 The first five committed digests were produced by the per-event
 implementations the simulator used to carry beside its hot path, and
@@ -9,7 +9,10 @@ verified equal to that hot path, before those were deleted; the four
 the five rate-based senders were put on one ``PacedSender`` base, and the
 two TFRC ``LossyPath`` runs at b7316be, before the endpoints' per-packet
 paths were shortened, and the internet-path, probe-path and Dummynet-pipe
-runs at c5f52e4, before the scene builders were put on one testbed.  Any change to event order, RNG draw order or float
+runs at c5f52e4, before the scene builders were put on one testbed, and
+the four single-TCP-flow runs (one per variant; every other TCP run uses
+SACK) at cb8717a, before the window state machine was put on one set of
+transition methods.  Any change to event order, RNG draw order or float
 arithmetic in ``sim/``, ``net/``, ``core/``, ``tcp/``, ``baselines/`` or
 ``multicast/`` moves one.
 
@@ -23,7 +26,7 @@ import hashlib
 import json
 import platform
 from dataclasses import asdict
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy
@@ -42,6 +45,7 @@ from repro.net.path import LossyPath, bernoulli_loss
 from repro.scenarios.builders import build_mixed_dumbbell, run_internet_path
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
+from repro.tcp.flow import TcpFlow
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
@@ -140,8 +144,7 @@ def _rate_history(sender):
     return [(t.hex(), rate.hex()) for t, rate in sender.rate_history]
 
 
-def lossy_path_baseline(flow_cls, sender_counters, receiver_counters,
-                        p=0.02, traced=False, **kwargs):
+def _run_lossy_path(flow_cls, p, traced, **kwargs):
     """One flow, 60 simulated s over a Bernoulli-``p`` ``LossyPath``."""
     sim = Simulator()
     forward = LossyPath(
@@ -157,6 +160,13 @@ def lossy_path_baseline(flow_cls, sender_counters, receiver_counters,
                     **kwargs)
     flow.start()
     sim.run(until=60.0)
+    return sim, flow, monitor, tracer
+
+
+def lossy_path_baseline(flow_cls, sender_counters, receiver_counters,
+                        p=0.02, traced=False, **kwargs):
+    """A rate-based flow on the lossy path: its rate decisions and counters."""
+    sim, flow, monitor, tracer = _run_lossy_path(flow_cls, p, traced, **kwargs)
     return trace_signature(tracer), {
         "rate_history": _rate_history(flow.sender),
         "sender": _exact(flow.sender, ("packets_sent", "srtt") + sender_counters),
@@ -199,6 +209,22 @@ def tfrc_lossy_path(p):
          "intervals.open_interval", "intervals.history"),
         p=p, traced=True,
     )
+
+
+def tcp_lossy_path(variant):
+    """One TCP flow of ``variant`` on that path at 5 % loss, traced: every
+    variant times out and fast-retransmits there."""
+    sim, flow, monitor, tracer = _run_lossy_path(
+        TcpFlow, 0.05, traced=True, variant=variant
+    )
+    return trace_signature(tracer), {
+        "sender": _exact(flow.sender, (
+            "packets_sent", "retransmissions", "timeouts", "fast_retransmits",
+            "acks_received", "cwnd", "ssthresh", "snd_una", "snd_nxt",
+        )),
+        "arrivals": monitor.arrivals["b"],
+        "events": sim.events_processed,
+    }
 
 
 def _arrivals(monitor, flow_id):
@@ -259,6 +285,8 @@ RUNS = {
     "internet_path_ucl": internet_path_ucl,
     "tfrc_probe_nokia": tfrc_probe_nokia,
     "fig03_pipe": fig03_pipe,
+    **{f"tcp_lossy_path_{variant}": partial(tcp_lossy_path, variant)
+       for variant in ("tahoe", "reno", "newreno", "sack")},
 }
 
 
