@@ -106,10 +106,8 @@ class TearReceiver:
     # ----------------------------------------------------- window emulation
 
     def _on_emulated_arrival(self) -> None:
-        if self.cwnd < self.ssthresh:
-            self.cwnd += 1.0  # slow start: +1 per ACKed packet
-        else:
-            self.cwnd += 1.0 / self.cwnd
+        # Slow start: +1 per ACKed packet; congestion avoidance: +1/cwnd.
+        self.cwnd += 1.0 if self.cwnd < self.ssthresh else 1.0 / self.cwnd
         self._window_packets += 1
         if self._window_packets >= self.cwnd:
             # One emulated round completed: re-arm the once-per-window

@@ -7,6 +7,9 @@ behaviour on duplicate ACKs and on (partial) new ACKs is delegated to hook
 methods that :mod:`tahoe`, :mod:`reno`, :mod:`newreno` and :mod:`sack`
 override.
 
+The hooks move the window state only through the transitions ``_set_cwnd``,
+``_enter_recovery``, ``_exit_recovery``, ``_go_back_n`` and ``_send_new``.
+
 The sender models a bulk (FTP-like) application by default: data is always
 available until ``packets_to_send`` (if set) is exhausted.  Short web-like
 connections set ``packets_to_send`` and an ``on_complete`` callback.
@@ -31,6 +34,8 @@ class TCPSender:
 
     #: human-readable variant name, overridden by subclasses
     variant = "base"
+    MAX_CWND = 10_000.0  # _open_window's ceiling; dupACK inflation may pass it
+    DUPACK_THRESHOLD = 3  # duplicate ACKs that trigger fast retransmit
 
     def __init__(
         self,
@@ -40,22 +45,18 @@ class TCPSender:
         packet_size: int = 1000,
         initial_cwnd: float = 2.0,
         initial_ssthresh: float = 64.0,
-        max_cwnd: float = 10_000.0,
         rto_granularity: float = 0.1,
         min_rto: float = 0.2,
         rto_k: float = 4.0,
         packets_to_send: Optional[int] = None,
         on_complete: Optional[Callable[[], None]] = None,
         tracer: Optional[Tracer] = None,
-        dupack_threshold: int = 3,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
         self._send_packet = send_packet
         self.packet_size = packet_size
-        self.max_cwnd = max_cwnd
         self.tracer = tracer
-        self.dupack_threshold = dupack_threshold
         self.packets_to_send = packets_to_send
         self.on_complete = on_complete
         self._completed = False
@@ -63,7 +64,7 @@ class TCPSender:
         self.cwnd = float(initial_cwnd)
         # Bounding the initial slow-start like real stacks do (64 segments ~
         # a 64 KB window) avoids a pathological first overshoot on long-fat
-        # paths; pass max_cwnd to get unbounded classic slow start.
+        # paths; a larger initial_ssthresh gives classic slow start.
         self.ssthresh = float(initial_ssthresh)
         self.snd_una = 0  # oldest unacknowledged sequence number
         self.snd_nxt = 0  # next new sequence number to send
@@ -85,6 +86,7 @@ class TCPSender:
         self.timeouts = 0
         self.fast_retransmits = 0
         self.acks_received = 0
+        self.acked_resends = 0  # new data below snd_una (ROADMAP item 5)
 
     # ------------------------------------------------------------------ API
 
@@ -143,11 +145,9 @@ class TCPSender:
             self.dupacks += 1
             if self.in_recovery:
                 self.on_recovery_dupack()
-            elif self.dupacks == self.dupack_threshold:
+            elif self.dupacks == self.DUPACK_THRESHOLD:
                 self.fast_retransmits += 1
                 self.on_dupack_threshold()
-            elif self.dupacks > self.dupack_threshold:
-                self.on_excess_dupack()
         self._check_complete()
         self._try_send()
 
@@ -165,11 +165,8 @@ class TCPSender:
     # ----------------------------------------------------- variant hooks
 
     def on_dupack_threshold(self) -> None:
-        """Third duplicate ACK outside recovery."""
+        """Third dupACK outside recovery: enter recovery or go back N."""
         raise NotImplementedError
-
-    def on_excess_dupack(self) -> None:
-        """Duplicate ACKs beyond the threshold, outside recovery."""
 
     def on_recovery_dupack(self) -> None:
         """Duplicate ACK while already in recovery."""
@@ -178,10 +175,41 @@ class TCPSender:
         """New ACK below ``recover`` while in recovery (default: exit)."""
         self._exit_recovery()
 
+    def on_timeout_reset(self) -> None:
+        """Variant hook to clear recovery state on a timeout."""
+
+    # ---------------------------------------------------------- transitions
+
+    def _set_cwnd(self, value: float) -> None:
+        """Every ``cwnd`` write after ``__init__``; floored at one packet."""
+        self.cwnd = max(1.0, value)
+
+    def _enter_recovery(self) -> None:
+        """Halve, and recover until everything sent so far is ACKed."""
+        self.halve_window()
+        self.in_recovery = True
+        self.recover = self.snd_nxt - 1
+
     def _exit_recovery(self) -> None:
         self.in_recovery = False
         self.dupacks = 0
-        self.cwnd = max(1.0, self.ssthresh)
+        self._set_cwnd(self.ssthresh)
+
+    def _go_back_n(self) -> None:
+        """Resend the head from cwnd 1; the rest goes again as new data."""
+        self.halve_window()
+        self._set_cwnd(1.0)
+        self.dupacks = 0
+        self.retransmit_head()
+        self.snd_nxt = self.snd_una + 1
+
+    def _send_new(self) -> None:
+        """Send segment ``snd_nxt`` and advance it."""
+        seq = self.snd_nxt
+        if seq < self.snd_una:
+            self.acked_resends += 1
+        self._transmit(seq)
+        self.snd_nxt = seq + 1
 
     # --------------------------------------------------------- window math
 
@@ -191,11 +219,9 @@ class TCPSender:
         Growth is per-ACK ("ACK counting"), not per acknowledged packet --
         the standard behaviour that makes delayed ACKs slow window growth.
         """
-        if self.cwnd < self.ssthresh:
-            self.cwnd += 1.0
-        else:
-            self.cwnd += 1.0 / self.cwnd
-        self.cwnd = min(self.cwnd, self.max_cwnd)
+        cwnd = self.cwnd
+        cwnd += 1.0 if cwnd < self.ssthresh else 1.0 / cwnd
+        self._set_cwnd(min(cwnd, self.MAX_CWND))
 
     def halve_window(self) -> None:
         """ssthresh <- max(flight/2, 2); used on loss detection."""
@@ -215,8 +241,7 @@ class TCPSender:
         if self._stopped or not self._started:
             return
         while self._window_allows() and self._more_data_available():
-            self._transmit(self.snd_nxt)
-            self.snd_nxt += 1
+            self._send_new()
 
     def _transmit(self, seq: int, is_retransmission: bool = False) -> None:
         now = self.sim._now
@@ -253,19 +278,12 @@ class TCPSender:
             return
         self.timeouts += 1
         self.rto_estimator.backoff()
-        self.halve_window()
-        self.cwnd = 1.0
         self.in_recovery = False
-        self.dupacks = 0
+        self.recover = -1
         self.on_timeout_reset()
-        # Go-back-N: everything outstanding is presumed lost.
-        self.snd_nxt = self.snd_una
-        self.retransmit_head()
-        self.snd_nxt = self.snd_una + 1
+        # Everything outstanding is presumed lost.
+        self._go_back_n()
         self._retx_timer.start(self.rto_estimator.rto)
-
-    def on_timeout_reset(self) -> None:
-        """Variant hook to clear recovery state on a timeout."""
 
     # ----------------------------------------------------------- completion
 

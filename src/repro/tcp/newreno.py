@@ -18,5 +18,5 @@ class NewRenoSender(RenoSender):
         # Retransmit the next hole and deflate by the amount acked, plus one
         # for the retransmission (RFC 2582 partial-ACK window management).
         self.retransmit_head()
-        self.cwnd = max(1.0, self.cwnd - newly_acked + 1.0)
+        self._set_cwnd(self.cwnd - newly_acked + 1.0)
         # Stay in recovery until self.recover is cumulatively acknowledged.

@@ -16,24 +16,11 @@ class RenoSender(TCPSender):
     variant = "reno"
 
     def on_dupack_threshold(self) -> None:
-        self.halve_window()
-        self.in_recovery = True
-        self.recover = self.snd_nxt - 1
+        self._enter_recovery()
         self.retransmit_head()
         # Window inflation: ssthresh + number of dupACKs seen so far.
-        self.cwnd = self.ssthresh + self.dupack_threshold
-
-    def on_excess_dupack(self) -> None:
-        # Only reachable if recovery was exited while dupacks kept counting;
-        # treat like a recovery dupack for window inflation.
-        self.cwnd += 1.0
+        self._set_cwnd(self.ssthresh + self.DUPACK_THRESHOLD)
 
     def on_recovery_dupack(self) -> None:
-        self.cwnd += 1.0  # each dupACK signals a departure; inflate
-
-    def on_partial_ack(self, ack_seq: int, newly_acked: int) -> None:
-        # Classic Reno: any new ACK terminates recovery (deflate to ssthresh).
-        self._exit_recovery()
-
-    def on_timeout_reset(self) -> None:
-        self.recover = -1
+        # Each dupACK signals a departure; inflate (past MAX_CWND if need be).
+        self._set_cwnd(self.cwnd + 1.0)

@@ -53,12 +53,10 @@ class SackSender(TCPSender):
         ]
 
     def on_dupack_threshold(self) -> None:
-        self.halve_window()
-        self.in_recovery = True
-        self.recover = self.snd_nxt - 1
-        self.cwnd = max(1.0, self.ssthresh)
+        self._enter_recovery()
+        self._set_cwnd(self.ssthresh)
         # Conservative pipe estimate: flight minus the dupACK departures.
-        self._pipe = max(0, self.outstanding - self.dupack_threshold)
+        self._pipe = max(0, self.outstanding - self.DUPACK_THRESHOLD)
         self._retx_in_recovery.clear()
         self._recovery_send()
 
@@ -90,8 +88,7 @@ class SackSender(TCPSender):
                 self._retx_in_recovery.add(seq)
                 self._transmit(seq, is_retransmission=True)
             elif self._more_data_available():
-                self._transmit(self.snd_nxt)
-                self.snd_nxt += 1
+                self._send_new()
             else:
                 break
             self._pipe += 1

@@ -11,11 +11,6 @@ class TahoeSender(TCPSender):
     variant = "tahoe"
 
     def on_dupack_threshold(self) -> None:
-        self.halve_window()
-        self.cwnd = 1.0
-        self.dupacks = 0
-        # Tahoe re-enters slow start and retransmits the lost packet; data
-        # beyond snd_una will be re-sent as the window regrows (go-back-N).
-        self.snd_nxt = self.snd_una
-        self.retransmit_head()
-        self.snd_nxt = self.snd_una + 1
+        # Tahoe re-enters slow start and retransmits the lost packet, exactly
+        # as after a timeout.
+        self._go_back_n()

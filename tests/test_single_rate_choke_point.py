@@ -1,4 +1,5 @@
-"""The allowed rate changes in exactly one place, and flows are wired in one.
+"""The allowed rate changes in exactly one place, a TCP window in one set of
+transitions, and flows are wired in one.
 
 ``PacedSender._set_rate`` is the only function under ``core/``,
 ``baselines/`` and ``multicast/`` that assigns ``self.rate`` after
@@ -8,6 +9,11 @@ class that connects ports and defines ``start(at)``.  A second site for any
 of these means a sender or a ``*Flow`` has grown its own copy of the
 mechanism again -- and that a rate decision can escape the choke point the
 protocol event stream (ROADMAP 2b) hangs on.
+
+Under ``tcp/`` the same holds for windows: ``TCPSender._set_cwnd`` is the
+only ``self.cwnd`` write after construction, ``snd_nxt`` moves only in
+``_send_new`` and ``_go_back_n``, and recovery is entered only in
+``_enter_recovery``.
 """
 
 import ast
@@ -33,12 +39,12 @@ def _functions(packages):
                         yield f"{package}/{path.name}:{node.name}", node, cls.name
 
 
-def _sites(predicate):
-    """The sender-package methods, constructors aside, with a matching node
-    (once per match)."""
+def _sites(predicate, packages=SENDER_PACKAGES):
+    """The methods under ``packages``, constructors aside, with a matching
+    node (once per match)."""
     return [
         label
-        for label, function, _ in _functions(SENDER_PACKAGES)
+        for label, function, _ in _functions(packages)
         if function.name != "__init__"
         for node in ast.walk(function)
         if predicate(node)
@@ -71,6 +77,14 @@ def _assigns(attr):
 def _calls(method):
     return lambda node: (
         isinstance(node, ast.Call) and getattr(node.func, "attr", "") == method
+    )
+
+
+def _enters_recovery(node):
+    return (
+        _assigns("in_recovery")(node)
+        and isinstance(node.value, ast.Constant)
+        and node.value.value is True
     )
 
 
@@ -119,6 +133,30 @@ def test_one_srtt_ewma_and_two_pacing_bodies():
     # The base's pacing step, and TFRC's burst / ECN / quiescence-aware one.
     assert _sites(_builds_data_packet) == [
         "core/paced.py:_send_next", "core/sender.py:_send_next",
+    ]
+
+
+def test_one_tcp_window_state_machine():
+    tcp = ("tcp",)
+    assert _sites(_assigns("cwnd"), tcp) == ["tcp/base.py:_set_cwnd"]
+    assert _sites(_assigns("snd_nxt"), tcp) == [
+        "tcp/base.py:_go_back_n", "tcp/base.py:_send_new",
+    ]
+    assert _sites(_enters_recovery, tcp) == ["tcp/base.py:_enter_recovery"]
+    assert _sites(_calls("halve_window"), tcp) == [
+        "tcp/base.py:_enter_recovery", "tcp/base.py:_go_back_n",
+    ]
+    # Unreachable, since every variant enters recovery or zeroes ``dupacks``
+    # at the threshold; it must not come back as a second inflation path.
+    excess = "on_excess_dupack"
+    assert _sites(lambda node: getattr(node, "attr", "") == excess, tcp) == []
+    assert excess not in [function.name for _, function, _ in _functions(tcp)]
+
+
+def test_tear_writes_its_emulated_window_once_per_event():
+    assert _sites(_assigns("cwnd"), ("baselines",)) == [
+        "baselines/tear.py:_on_emulated_arrival",
+        "baselines/tear.py:_on_emulated_loss",
     ]
 
 

@@ -4,10 +4,11 @@ These run the real sender against the real sink over a LossyPath so the
 whole feedback loop is exercised with exactly controlled losses.
 """
 
+import numpy as np
 import pytest
 
 from repro.net.packet import Packet, PacketType
-from repro.net.path import LossyPath, periodic_loss
+from repro.net.path import LossyPath, bernoulli_loss, periodic_loss
 from repro.sim.engine import Simulator
 from repro.tcp import TCP_VARIANTS, RenoSender, SackSender, make_tcp_sender
 from repro.tcp.flow import TcpFlow
@@ -26,6 +27,34 @@ def run_flow(variant, loss_model=None, duration=20.0, rtt=0.1, bw=None, **kwargs
     flow.start()
     sim.run(until=duration)
     return flow, received, sim
+
+
+def one_shot_loss(seqs):
+    """Drop each listed data seq once; its retransmission goes through."""
+    seqs = set(seqs)
+
+    def loss(packet, now):
+        if packet.is_data and packet.seq in seqs:
+            seqs.discard(packet.seq)
+            return True
+        return False
+
+    return loss
+
+
+def three_in_one_window(seed):
+    """Three distinct seqs of the 32-packet slow-start flight 30..61."""
+    rng = np.random.default_rng(seed)
+    return rng.choice(np.arange(30, 62), size=3, replace=False).tolist()
+
+
+TAHOE_REPEATS_FAST_RETRANSMIT = pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 5): Tahoe makes 27-49 reductions, "
+    "not 1.  Its go-back-N re-sends ACKed segments and, lacking ns-2's "
+    "guard, it fast-retransmits again on dupACKs of the flight sent before "
+    "its first fast retransmit.",
+)
 
 
 class TestBasics:
@@ -131,18 +160,10 @@ class TestCongestionResponse:
     def test_sack_repairs_multiple_losses_without_timeout(self):
         """A burst of 3 losses in one window should be repaired by SACK
         recovery without resorting to a retransmission timeout."""
-        drop_these = {50, 52, 54}
-
-        def burst_loss(packet, now):
-            # One-shot: each listed seq is dropped once; the retransmission
-            # goes through.
-            if packet.is_data and packet.seq in drop_these:
-                drop_these.discard(packet.seq)
-                return True
-            return False
-
         sim = Simulator()
-        forward = LossyPath(sim, delay=0.05, loss_model=burst_loss)
+        forward = LossyPath(
+            sim, delay=0.05, loss_model=one_shot_loss({50, 52, 54})
+        )
         reverse = LossyPath(sim, delay=0.05)
         flow = TcpFlow(sim, "t", forward, reverse, variant="sack")
         flow.start()
@@ -150,6 +171,32 @@ class TestCongestionResponse:
         assert flow.sender.timeouts == 0
         assert flow.sender.retransmissions >= 3
         assert flow.sender.snd_una > 60
+
+    @pytest.mark.parametrize("variant", [
+        pytest.param(v, marks=TAHOE_REPEATS_FAST_RETRANSMIT)
+        if v == "tahoe" else v
+        for v in sorted(TCP_VARIANTS)
+    ])
+    def test_three_losses_in_one_window(self, variant):
+        """Section 3.5.1: "Reno TCP typically reduces the congestion window
+        twice in response to multiple losses in a window of data"; NewReno
+        and SACK reduce it once, and so should Tahoe.  A reduction is a fast
+        retransmit or a timeout; ten drop placements."""
+        reductions = []
+        for seed in range(10):
+            flow, _, _ = run_flow(
+                variant, loss_model=one_shot_loss(three_in_one_window(seed)),
+                duration=10.0,
+            )
+            sender = flow.sender
+            reductions.append(
+                (sender.fast_retransmits + sender.timeouts, sender.timeouts)
+            )
+        if variant == "reno":
+            # Measured: three fast retransmits and one RTO per placement.
+            assert min(n for n, _ in reductions) >= 2, reductions
+        else:
+            assert reductions == [(1, 0)] * 10
 
     def test_timeout_on_total_blackout(self):
         """If everything is lost the RTO must fire and back off."""
@@ -180,10 +227,10 @@ class TestCongestionResponse:
 
 @pytest.mark.xfail(
     strict=True,
-    reason="known defect (ROADMAP item 5): after an RTO leaves snd_nxt = "
-    "snd_una + 1, a cumulative ACK past snd_nxt advances snd_una but not "
-    "snd_nxt, so _try_send re-sends segments below snd_una.  The fix "
-    "changes every TCP golden digest.",
+    reason="known defect (ROADMAP item 5): after an RTO, _go_back_n leaves "
+    "snd_nxt = snd_una + 1; a cumulative ACK past snd_nxt advances snd_una "
+    "but not snd_nxt, so _send_new re-sends segments below snd_una.  The "
+    "fix changes every TCP golden digest.",
 )
 def test_new_ack_past_snd_nxt_sends_no_acked_segment():
     for sender_cls in (RenoSender, SackSender):
@@ -200,6 +247,59 @@ def test_new_ack_past_snd_nxt_sends_no_acked_segment():
         already_acked = [p.seq for p in sent if p.seq < sender.snd_una]
         assert already_acked == [], sender_cls.__name__
         assert sender.snd_una <= sender.snd_nxt
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 5), second trigger: Tahoe's fast "
+    "retransmit goes back N as an RTO does, so the cumulative ACK for the "
+    "repaired hole passes snd_nxt and _send_new re-sends segments below "
+    "snd_una -- with no timeout at all.",
+)
+def test_tahoe_fast_retransmit_sends_no_acked_segment():
+    flow, _, _ = run_flow("tahoe", loss_model=one_shot_loss({40}), duration=5.0)
+    sender = flow.sender
+    assert sender.timeouts == 0 and sender.fast_retransmits >= 1
+    assert sender.acked_resends == 0
+
+
+@pytest.mark.parametrize("variant, p, resends", [
+    ("tahoe", 0.01, 456), ("reno", 0.05, 162), ("newreno", 0.05, 100),
+    ("sack", 0.05, 114), ("sack", 0.01, 0),
+])
+def test_acked_resends_counts_the_go_back_n_defect(variant, p, resends):
+    """``TCPSender.acked_resends`` on the golden lossy path (Bernoulli ``p``,
+    seed 5, 60 simulated s), pinned at the values measured before the
+    counter existed; ROADMAP item 5's fix takes them all to zero."""
+    flow, _, _ = run_flow(
+        variant, loss_model=bernoulli_loss(p, np.random.default_rng(5)),
+        duration=60.0,
+    )
+    assert flow.sender.acked_resends == resends
+
+
+class TestWindowCeiling:
+    """``MAX_CWND`` bounds normal growth (``_open_window``) only; Reno and
+    NewReno dupACK inflation passes it.  These pin today's answer; whether
+    inflation should stop at the ceiling too is decided with ROADMAP
+    item 5."""
+
+    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
+    def test_open_window_stops_at_max_cwnd(self, variant):
+        sender = make_tcp_sender(variant, Simulator(), "f", lambda p: None)
+        sender.ssthresh = 2 * sender.MAX_CWND  # slow start: +1 per ACK
+        sender.cwnd = sender.MAX_CWND - 0.5
+        sender._open_window(1)
+        assert sender.cwnd == sender.MAX_CWND
+        sender._open_window(1)
+        assert sender.cwnd == sender.MAX_CWND
+
+    @pytest.mark.parametrize("variant", ["reno", "newreno"])
+    def test_dupack_inflation_passes_max_cwnd(self, variant):
+        sender = make_tcp_sender(variant, Simulator(), "f", lambda p: None)
+        sender.cwnd, sender.in_recovery = sender.MAX_CWND, True
+        sender.on_recovery_dupack()
+        assert sender.cwnd == sender.MAX_CWND + 1.0
 
 
 class TestRecoveryBookkeeping:
