@@ -99,7 +99,7 @@ def _rule_matches(token: str, rule_id: str) -> bool:
 #: simulation core must be a pure function of the spec, but the fabric
 #: *around* it schedules real processes against real clocks.  Layers the
 #: checker never visits at all (anything outside
-#: ``rules_determinism.DETERMINISM_PREFIXES`` -- rt/, apps/, wire/)
+#: ``rules_determinism.DETERMINISM_PREFIXES`` -- apps/, baselines/)
 #: need no entry here: an entry that suppresses nothing is itself
 #: reported in ``AuditReport.stale_allowlist``, which the tier-1 test
 #: ``test_repo_audits_clean`` requires to be empty.

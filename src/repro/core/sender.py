@@ -90,7 +90,6 @@ class TfrcSender(PacedSender):
         #: sqrt(R0)/M of section 3.4; it changes only with an RTT sample.
         self._pacing_factor = 1.0
         self.in_slow_start = True
-        self.last_feedback: Optional[TfrcFeedback] = None
         # Re-armed per feedback: generation-counter timer, like the send
         # timer.
         self._no_feedback_timer = FastTimer(sim, self._no_feedback_expired)
@@ -138,7 +137,6 @@ class TfrcSender(PacedSender):
         if not isinstance(feedback, TfrcFeedback):
             raise TypeError(f"feedback for {self.flow_id} lacks TfrcFeedback payload")
         self.feedback_received += 1
-        self.last_feedback = feedback
         self._sample_rtt(self.sim.now - feedback.echo_ts - feedback.delay)
         self._update_rate(feedback)
         self._arm_no_feedback_timer()

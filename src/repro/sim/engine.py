@@ -40,40 +40,23 @@ class Event:
 
     Events are returned by :meth:`Simulator.schedule` and can be cancelled.
     Cancellation is lazy: the heap entry stays in place and is skipped when
-    popped, which keeps cancellation O(1).
+    popped, which keeps cancellation O(1).  The heap entry carries the
+    ordering key and the callback, so the handle holds only the time.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple,
-    ) -> None:
+    def __init__(self, time: float) -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.args = args
         self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.6f} prio={self.priority} {state}>"
+        return f"<Event t={self.time:.6f} {state}>"
 
 
 #: One heap entry: (time, priority, seq, callback, args, event-or-None).
@@ -129,7 +112,7 @@ class Simulator:
         """
         if not (self._now <= time <= _FMAX):
             self._check_time(time)
-        event = Event(time, priority, self._seq, callback, args)
+        event = Event(time)
         heapq.heappush(
             self._heap, (time, priority, self._seq, callback, args, event)
         )

@@ -67,9 +67,9 @@ class TestDeterminismRules:
         assert _rules(findings) == ["determinism.wall-clock"] * 2
         assert findings[0].line == 5
 
-    def test_wall_clock_allowlisted_in_rt_layer(self, tmp_path):
+    def test_wall_clock_not_checked_in_apps_layer(self, tmp_path):
         root = _tree(tmp_path)
-        _write(root, "src/repro/rt/pacer.py", """\
+        _write(root, "src/repro/apps/pacer.py", """\
             import time
 
             def now():
@@ -196,7 +196,7 @@ class TestCacheRules:
 
     def test_lenient_json_dump(self, tmp_path):
         root = _tree(tmp_path)
-        _write(root, "src/repro/wire/export.py", """\
+        _write(root, "src/repro/apps/export.py", """\
             import json
 
             def bad(d):

@@ -15,8 +15,6 @@ from repro.core.paced import T_MBI
 from repro.scenarios import run_single_tfrc_on_lossy_path
 from repro.net.monitor import FlowMonitor
 from repro.net.path import LossyPath, bernoulli_loss, periodic_loss
-from repro.rt.scheduler import RealtimeScheduler
-from repro.rt.udp import UdpTfrcReceiver
 from repro.sim import Simulator
 
 
@@ -149,49 +147,3 @@ class TestHostileArrivals:
         assert flow.receiver.loss_event_rate() > 0
         assert monitor.throughput_bps("tfrc", 30, 60) > 0
 
-
-class TestSequenceUnwrap:
-    """32-bit wire sequence numbers unwrap into the unbounded space."""
-
-    def make_receiver(self):
-        scheduler = RealtimeScheduler()
-        receiver = UdpTfrcReceiver(scheduler)
-        return receiver
-
-    def test_monotone_sequences_pass_through(self):
-        receiver = self.make_receiver()
-        try:
-            assert [receiver._unwrap(s) for s in (0, 1, 2, 5)] == [0, 1, 2, 5]
-        finally:
-            receiver.close()
-
-    def test_wrap_boundary_continues_counting(self):
-        receiver = self.make_receiver()
-        top = (1 << 32) - 2
-        try:
-            assert receiver._unwrap(top) == top
-            assert receiver._unwrap(top + 1) == top + 1
-            assert receiver._unwrap(0) == 1 << 32
-            assert receiver._unwrap(1) == (1 << 32) + 1
-        finally:
-            receiver.close()
-
-    def test_late_packet_after_wrap_maps_to_old_epoch(self):
-        receiver = self.make_receiver()
-        top = (1 << 32) - 1
-        try:
-            receiver._unwrap(top)       # last seq of epoch 0
-            receiver._unwrap(3)         # epoch 1 begins
-            # A straggler from before the wrap resolves into epoch 0.
-            assert receiver._unwrap(top - 1) == top - 1
-        finally:
-            receiver.close()
-
-    def test_reordered_within_epoch(self):
-        receiver = self.make_receiver()
-        try:
-            receiver._unwrap(10)
-            assert receiver._unwrap(8) == 8
-            assert receiver._unwrap(11) == 11
-        finally:
-            receiver.close()

@@ -23,7 +23,7 @@ from repro.tcp.sink import TCPAckInfo, TCPSink
 from test_golden_digests import RUNS
 
 
-class TestNetFastpathIdentity:
+class TestSeededRedRunsRepeat:
     """Nothing outside the seeded streams (module state, id()-ordered
     containers, leftovers of a previous run) reaches trace or results."""
 

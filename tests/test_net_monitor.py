@@ -120,7 +120,7 @@ class TestFlowMonitor:
         assert records[0].value == 1000
 
 
-class TestMonitorModeEquivalence:
+class TestMonitorLiteralValues:
     """The array-backed accumulators, pinned to literal values on tiny inputs."""
 
     def _fill_flow(self, monitor):
@@ -129,7 +129,7 @@ class TestMonitorModeEquivalence:
         monitor.on_packet(2.5, make_packet("b", 0, 300))
         monitor.on_packet(4.0, make_packet("a", 2, 900))
 
-    def test_flow_monitor_modes_agree(self):
+    def test_flow_monitor_counts_series_and_rates(self):
         monitor = FlowMonitor()
         self._fill_flow(monitor)
         assert monitor.bytes_by_flow == {"a": 2100, "b": 300}
@@ -161,7 +161,7 @@ class TestMonitorModeEquivalence:
             pytest.approx(0.0)
         )
 
-    def test_link_monitor_modes_agree(self):
+    def test_link_monitor_queue_and_drop_samples(self):
         sim = Simulator()
         link = Link(sim, 8e6, 0.01, DropTailQueue(2))
         link.connect(lambda p: None)

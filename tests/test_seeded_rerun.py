@@ -8,7 +8,7 @@ must match itself everywhere (exact floats via ``float.hex``).
 from test_golden_digests import RUNS
 
 
-class TestEndpointFastpathIdentity:
+class TestSeededRunsRepeat:
     def test_dumbbell_traces_byte_identical(self):
         trace, outcome = RUNS["traced_mixed_dumbbell"]()
         assert trace, "scenario produced no trace records"

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.scenarios.executors import _cell_alarm
 from repro.sim.engine import SimulationError, Simulator
 
 
@@ -167,3 +168,40 @@ class TestDeterminism:
             sim.schedule(1.0, lambda i=i: seen.append(i))
         sim.run()
         assert seen == list(range(100))
+
+
+def _ticking_simulator():
+    """A simulator whose one event re-arms itself every simulated second."""
+    sim = Simulator()
+
+    def tick():
+        sim.schedule_in(1.0, tick)
+
+    sim.schedule_in(1.0, tick)
+    return sim
+
+
+@pytest.mark.parametrize(
+    "bounds", [{"until": math.nan}, {"max_events": math.nan}], ids=str
+)
+def test_a_nan_bound_is_rejected_instead_of_running_forever(bounds):
+    sim = _ticking_simulator()
+    # The alarm turns the hang this used to be into a CellTimeout failure.
+    with _cell_alarm(5.0), pytest.raises(SimulationError, match="nan"):
+        sim.run(**bounds)
+    # Rejected before the loop: nothing ran, and the simulator is usable.
+    assert sim.events_processed == 0
+    assert sim.run(until=2.5) == 2.5
+    assert sim.events_processed == 2
+
+
+def test_the_other_run_bounds_keep_their_meaning():
+    sim = _ticking_simulator()
+    assert sim.run(max_events=3) == 3.0
+    assert sim.run(until=1.0) == 3.0  # a past horizon runs nothing
+    assert sim.run(until=5.0, max_events=10**9) == 5.0
+    assert sim.events_processed == 5
+    draining = Simulator()
+    draining.schedule_in(1.0, lambda: None)
+    assert draining.run(until=math.inf) == math.inf  # the heap empties
+    assert draining.events_processed == 1

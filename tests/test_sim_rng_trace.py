@@ -109,7 +109,7 @@ class TestTracer:
         assert tracer.select()[0].meta == {"seq": 3}
 
 
-class TestColumnarTracer:
+class TestTracerColumns:
     """Parallel-array storage behind record-object views."""
 
     @staticmethod
@@ -119,7 +119,7 @@ class TestColumnarTracer:
         tracer.record(2.0, "recv", "b", 100)
         tracer.record(2.5, "send", "a", 200, meta={"seq": 2})
 
-    def test_modes_produce_identical_records(self):
+    def test_records_select_sources_and_series(self):
         tracer = Tracer()
         self._fill(tracer)
         records = [
@@ -151,14 +151,14 @@ class TestColumnarTracer:
         assert times == [1.0, 2.5]
         assert values == [100, 200]
 
-    def test_columnar_clear(self):
+    def test_clear_empties_every_view(self):
         tracer = Tracer()
         self._fill(tracer)
         tracer.clear()
         assert len(tracer) == 0
         assert tracer.select() == []
 
-    def test_hooks_receive_records_in_columnar_mode(self):
+    def test_hooks_receive_each_record(self):
         tracer = Tracer()
         seen = []
         tracer.add_hook(seen.append)
