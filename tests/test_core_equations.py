@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.equations import (
+    DELTA_T_SIMPLE_BOUND,
     analytic_rate_increase,
     invert_response,
     simple_response_rate,
@@ -64,6 +65,19 @@ class TestTcpResponseRate:
         with pytest.raises(ValueError):
             tcp_response_rate(1000, 0.1, 0.01, 0)
 
+    @pytest.mark.parametrize("p", [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3])
+    def test_packets_per_rtt_depend_on_p_alone_when_t_rto_is_4r(self, p):
+        """With the paper's t_RTO = 4R heuristic, Equation (1) in packets
+        per RTT is 1 / (sqrt(2p/3) + 12 sqrt(3p/8) p (1 + 32p^2)) for every
+        RTT and packet size."""
+        expected = 1 / (
+            math.sqrt(2 * p / 3) + 12 * math.sqrt(3 * p / 8) * p * (1 + 32 * p * p)
+        )
+        for rtt in (0.01, 0.1, 1.0):
+            for size in (500, 1500):
+                rate = tcp_response_rate(size, rtt, p, 4 * rtt)
+                assert rate * rtt / size == pytest.approx(expected, rel=1e-12)
+
     @given(
         p=st.floats(min_value=1e-6, max_value=1.0),
         rtt=st.floats(min_value=1e-3, max_value=2.0),
@@ -112,6 +126,23 @@ class TestAnalyticIncrease:
         assert analytic_rate_increase(100.0, 1.0 / 6.0) == pytest.approx(0.12, abs=0.01)
         # With maximum history discounting, w=0.4 gives ~0.28.
         assert analytic_rate_increase(100.0, 0.4) == pytest.approx(0.28, abs=0.015)
+
+    @pytest.mark.parametrize("w, bound", [
+        (1 / 6, DELTA_T_SIMPLE_BOUND),  # no discounting
+        (0.25, 0.18),
+        (0.4, 0.288),  # maximum discounting; the paper rounds to 0.28
+        (1.0, 0.72),
+    ])
+    def test_increase_rises_toward_0_72_w(self, w, bound):
+        """Appendix A.1: 1.2 (sqrt(A + 1.2 w sqrt(A)) - sqrt(A)) grows with
+        A and tends to 0.72 w from below, which is where the paper's
+        0.12 packets/RTT for w = 1/6 comes from."""
+        assert 0.72 * w == pytest.approx(bound)
+        grid = [1.0, 10.0, 100.0, 1e4, 1e6, 1e8]
+        deltas = [analytic_rate_increase(a, w) for a in grid]
+        assert deltas == sorted(deltas)
+        assert all(delta < 0.72 * w for delta in deltas)
+        assert deltas[-1] == pytest.approx(0.72 * w, rel=1e-3)
 
     def test_w_of_one_below_one_packet(self):
         """Even weighting only the newest interval, increase < 1 pkt/RTT."""

@@ -174,6 +174,42 @@ class TestAverageLossIntervals:
         feed_intervals(ali, intervals)
         assert 0.0 < ali.loss_event_rate() <= 1.0
 
+    @pytest.mark.parametrize("intervals, s0, discounting, average", [
+        # Weights 1, 1, 1, 1, .8, .6, .4, .2 (sum 6) over s1..s8; the open
+        # interval counts, shifted in as s0, only when that raises the mean.
+        ([100] * 8, 0, True, 100.0),
+        ([100] * 8, 150, True, (150 + 5 * 100) / 6),
+        ([100] * 8, 200, True, (200 + 5 * 100) / 6),  # 2x: not yet discounted
+        # s0 = 400 discounts s1..s7 by 2 * 100 / 400 = 0.5: weights
+        # 1, .5, .5, .5, .4, .3, .2, .1 (sum 3.5) over 400, 100 x 7.
+        ([100] * 8, 400, True, (400 + 2.5 * 100) / 3.5),
+        # s0 = 1000 would discount by 0.2; the floor holds it at 0.3.
+        ([100] * 8, 1000, True, (1000 + 1.5 * 100) / 2.5),
+        ([100] * 8, 1000, False, (1000 + 5 * 100) / 6),
+        # Newest first: s_hat = (10 + 20 + 30 + 40 + .8*50 + .6*60 + .4*70
+        # + .2*80) / 6; shifting in s0 = 0 would only lower it.
+        ([10, 20, 30, 40, 50, 60, 70, 80], 0, True, 220 / 6),
+        ([50, 100], 0, True, 75.0),  # a short history: the weights it has
+    ])
+    def test_worked_examples(self, intervals, s0, discounting, average):
+        """Section 3.3's average loss interval, with history discounting,
+        on histories small enough to work out by hand."""
+        ali = AverageLossIntervals.from_state(
+            intervals, [1.0] * len(intervals), s0, len(intervals),
+            discounting=discounting,
+        )
+        assert ali.average_interval() == pytest.approx(average, rel=1e-12)
+        assert ali.loss_event_rate() == pytest.approx(1 / average, rel=1e-12)
+
+    def test_worked_example_of_folding_the_discount(self):
+        """s0 = 400 over eight 100s closes with discount 0.5 folded into
+        s2..s8: the closed-history mean is the 185.7 the lull reached, and
+        the new, empty s0 cannot raise it ((400 + 2 * 100) / 4 = 150)."""
+        ali = AverageLossIntervals.from_state([100] * 8, [1.0] * 8, 400, 8)
+        ali.on_loss_event()
+        assert ali.history == [400.0] + [100.0] * 7
+        assert ali.average_interval() == pytest.approx(650 / 3.5, rel=1e-12)
+
 
 class TestEwmaLossIntervals:
     def test_first_interval_sets_average(self):

@@ -1,5 +1,7 @@
 """Tests for the multicast TFRC building blocks (paper section 6)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,77 @@ class TestSuppressionTimer:
                 sim, lambda: None, lambda: 1.0,
                 rng=np.random.default_rng(0), suppress_factor=0.5,
             )
+
+    @pytest.mark.parametrize("own, heard, factor, keeps_timer", [
+        (80.0, 100.0, 1.2, True),  # 80 < 100 / 1.2: the new bottleneck
+        (83.4, 100.0, 1.2, False),  # within the factor: the report covers us
+        (100.0, 100.0, 1.2, False),
+        (200.0, 100.0, 1.2, False),  # better off than the reporter
+        (99.0, 100.0, 1.0, True),  # factor 1: any lower rate reports
+        (100.0, 100.0, 1.0, False),  # an equal rate never does
+    ])
+    def test_heard_report_decision(self, own, heard, factor, keeps_timer):
+        """Section 6: a heard report cancels ours unless our own rate is
+        lower than the reported one by more than ``suppress_factor``."""
+        sim = Simulator()
+        suppression, fired = self.make(sim, rate=own, suppress_factor=factor)
+        suppression.start_round()
+        suppression.on_heard_report(reported_rate=heard)
+        assert suppression.pending is keeps_timer
+        sim.run(until=1.1)
+        assert len(fired) == int(keeps_timer)
+
+    def test_heard_report_after_ours_fired_is_ignored(self):
+        sim = Simulator()
+        suppression, fired = self.make(sim, rate=1e6)
+        suppression.start_round()
+        sim.run(until=1.1)
+        suppression.on_heard_report(reported_rate=1.0)
+        assert fired and suppression.reports_sent == 1
+
+    @pytest.mark.parametrize("rate, fraction", [
+        (0.0, math.log(2) / math.log1p(1e6)),  # rates below 1 B/s count as 1
+        (1.0, math.log(2) / math.log1p(1e6)),
+        (1e3, math.log1p(1e3) / math.log1p(1e6)),
+        (1e6, 1.0),  # rate_scale: the end of the round
+        (1e9, 1.0),  # above rate_scale: clamped to the end of the round
+    ])
+    def test_full_bias_delay_is_log_rate_over_log_scale(self, rate, fraction):
+        """With ``bias_strength=1`` there is no jitter: the delay is the
+        round length times log(1 + rate) / log(1 + rate_scale)."""
+        sim = Simulator()
+        suppression, fired = self.make(
+            sim, rate=rate, round_duration=2.0, bias_strength=1.0
+        )
+        suppression.start_round()
+        sim.run(until=2.1)
+        assert fired == [pytest.approx(2.0 * fraction, rel=1e-12)]
+
+    @pytest.mark.parametrize("bias", [0.6, 0.8, 0.95])
+    def test_jitter_never_reorders_well_separated_rates(self, bias):
+        """The ``_draw_delay`` guarantee: receivers whose deterministic
+        components differ by more than ``(1 - bias) * T`` fire in rate
+        order whatever the jitter draws."""
+        scale = 1e6
+        low = 1.0
+        # Pick the high rate so the deterministic gap, T * bias * (u_high -
+        # u_low), is just over the jitter's range (1 - bias) * T.
+        u_low = math.log1p(low) / math.log1p(scale)
+        u_high = u_low + (1 - bias) / bias + 1e-6
+        assert u_high < 1.0
+        high = math.expm1(u_high * math.log1p(scale))
+        for seed in range(20):
+            sim = Simulator()
+            slow, slow_fired = self.make(
+                sim, rate=low, rng_seed=seed, bias_strength=bias
+            )
+            fast, fast_fired = self.make(
+                sim, rate=high, rng_seed=seed + 1000, bias_strength=bias
+            )
+            slow.start_round()
+            fast.start_round()
+            sim.run(until=1.1)
+            assert slow_fired[0] < fast_fired[0]
 
 
 class TestSession:
