@@ -46,15 +46,16 @@ class AckReceiver:
         if not packet.is_data:
             return
         self.packets_received += 1
+        now = self.sim._now
         if self.on_data is not None:
-            self.on_data(self.sim.now, packet)
+            self.on_data(now, packet)
         self._send_ack(
             Packet(
                 flow_id=self.flow_id,
                 seq=packet.seq,
                 size=self.ACK_SIZE,
                 ptype=PacketType.ACK,
-                sent_at=self.sim.now,
+                sent_at=now,
                 payload=PacketAck(echo_ts=packet.sent_at, echo_seq=packet.seq),
             )
         )

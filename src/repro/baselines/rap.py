@@ -80,7 +80,7 @@ class RapSender(PacedSender):
         if not isinstance(info, PacketAck):
             return
         self.acks_received += 1
-        self._sample_rtt(self.sim.now - info.echo_ts)
+        self._sample_rtt(self.sim._now - info.echo_ts)
         seq = info.echo_seq
         if seq >= self._scan_floor:
             self._acked.add(seq)

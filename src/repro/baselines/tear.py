@@ -87,7 +87,7 @@ class TearReceiver:
             return
         self.packets_received += 1
         if self.on_data is not None:
-            self.on_data(self.sim.now, packet)
+            self.on_data(self.sim._now, packet)
         info = packet.payload
         if info is not None and getattr(info, "rtt_estimate", None):
             self._rtt = info.rtt_estimate
@@ -196,7 +196,7 @@ class TearSender(PacedSender):
 
     def _data_payload(self) -> TfrcDataInfo:
         # Same piggyback format as TFRC: the receiver needs the sender's RTT.
-        return TfrcDataInfo(ts=self.sim.now, rtt_estimate=self._rtt_or_default())
+        return TfrcDataInfo(ts=self.sim._now, rtt_estimate=self._rtt_or_default())
 
 
 class TearFlow(Flow):

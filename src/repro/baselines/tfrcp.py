@@ -68,7 +68,7 @@ class TfrcpSender(PacedSender):
             return
         self.acks_received += 1
         self._acked_this_interval.add(info.echo_seq)
-        self._sample_rtt(self.sim.now - info.echo_ts)
+        self._sample_rtt(self.sim._now - info.echo_ts)
 
     def _update_rate(self) -> None:
         """Interval boundary: measure last interval's loss fraction, reset rate.

@@ -21,8 +21,12 @@ delivered packets never leave a phantom loss event behind.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
+
+#: "No expiry scan is due": above every sequence number a run reaches.
+_NEVER = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,11 @@ class LossEventDetector:
         self._event_start_seq: Optional[int] = None
         self._active_event: Optional[LossEvent] = None
         self._declared: Dict[int, LossEvent] = {}  # matured seq -> its event
+        # A lower bound on the keys of ``_declared``, and the first in-order
+        # seq whose arrival lets an expiry scan drop one of them (see
+        # :meth:`_expire_retractables`).
+        self._declared_floor = _NEVER
+        self._expiry_seq = _NEVER
         self._event_members: Dict[int, int] = {}  # id(event) -> live losses
         self.events: List[LossEvent] = []
         self.packets_received = 0
@@ -87,22 +96,28 @@ class LossEventDetector:
 
     # ------------------------------------------------------------- arrival
 
-    def in_order(self, seq: int) -> bool:
-        """Whether ``seq`` would arrive in order with no hole pending: the
-        arrival then moves the highest sequence number up by one and can
-        neither start nor withdraw a loss event."""
-        return seq == self._next_expected and not self._holes_followers
+    def arrive_in_order(self, seq: int, now: float) -> bool:
+        """Process ``seq`` if it arrives in order with no hole pending, and
+        say whether it did; otherwise change nothing and return False.
+
+        An in-order arrival moves the highest sequence number up by one and
+        can neither start nor withdraw a loss event, so the general body
+        reduces to the updates below.  A False return leaves the arrival to
+        :meth:`on_arrival`.
+        """
+        if seq != self._next_expected or self._holes_followers:
+            return False
+        self.packets_received += 1
+        self._next_expected = seq + 1
+        self._last_arrival_time = now
+        self._last_arrival_seq = seq
+        if seq >= self._expiry_seq:
+            self._expire_retractables()
+        return True
 
     def on_arrival(self, seq: int, now: float) -> List[LossEvent]:
         """Process one data arrival; returns any newly declared loss events."""
-        if seq == self._next_expected and not self._holes_followers:
-            # :meth:`in_order`, inlined: nothing to register, follow or
-            # mature, so the general body reduces to these updates.
-            self.packets_received += 1
-            self._next_expected = seq + 1
-            self._last_arrival_time = now
-            self._last_arrival_seq = seq
-            self._expire_retractables()
+        if self.arrive_in_order(seq, now):
             return []
         return self._on_arrival_general(seq, now)
 
@@ -161,6 +176,8 @@ class LossEventDetector:
             # the declared loss is a retractable constituent of that event.
             assert self._active_event is not None
             self._declared[seq] = self._active_event
+            if seq < self._declared_floor:
+                self._declared_floor = seq
             self._add_member(self._active_event)
         self._expire_retractables()
         return new_events
@@ -189,12 +206,30 @@ class LossEventDetector:
     RETRACTION_WINDOW = 4096
 
     def _expire_retractables(self) -> None:
-        if len(self._declared) <= 64:
+        """Forget declared losses behind the horizon, once more than 64 are
+        held.
+
+        The scan is skipped while ``_declared_floor`` (a lower bound on the
+        declared seqs) is at or above the horizon, since it would drop
+        nothing.  Only the general body changes ``_declared``, and it ends
+        here, so ``_expiry_seq`` -- the in-order arrival at which a scan
+        next has anything to drop -- is set here too.
+        """
+        declared = self._declared
+        window = self.RETRACTION_WINDOW
+        if len(declared) <= 64:
+            self._expiry_seq = _NEVER
             return
-        horizon = self._next_expected - self.RETRACTION_WINDOW
-        expired = [s for s in self._declared if s < horizon]
-        for s in expired:
-            del self._declared[s]
+        horizon = self._next_expected - window
+        if self._declared_floor < horizon:
+            for s in [s for s in declared if s < horizon]:
+                del declared[s]
+            self._declared_floor = min(declared, default=_NEVER)
+        if len(declared) > 64:
+            # Due once ``_next_expected - window`` passes the floor.
+            self._expiry_seq = self._declared_floor + window
+        else:
+            self._expiry_seq = _NEVER
 
     def _retract(self, seq: int) -> None:
         """A declared-lost packet arrived after all: withdraw the loss.

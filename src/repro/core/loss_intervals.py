@@ -77,6 +77,12 @@ class AverageLossIntervals:
       the 0.28 packets/RTT/RTT increase bound.  When the next loss event
       arrives the prevailing discount is folded permanently into the
       per-interval discount factors, as in the TFRC specification.
+
+    The two folds that read the closed history alone -- the undiscounted
+    average the discount test uses, and ``s_hat`` while no discount is in
+    force -- are cached between history changes, so a report between loss
+    events folds only ``s_hat_new``.  The cached values are the floats an
+    uncached fold returns (``d * 1.0 == d``).
     """
 
     def __init__(
@@ -95,6 +101,9 @@ class AverageLossIntervals:
         self._discounts: Deque[float] = deque(maxlen=n)  # parallel to above
         self._s0 = 0.0
         self.loss_events = 0
+        # History-only folds, None until first read after a history change.
+        self._undiscounted: Optional[float] = None
+        self._s_hat: Optional[float] = None
 
     # ------------------------------------------------------------- updates
 
@@ -124,6 +133,7 @@ class AverageLossIntervals:
         self._discounts.appendleft(1.0)
         self._s0 = 0.0
         self.loss_events += 1
+        self._undiscounted = self._s_hat = None
 
     def seed(self, interval_packets: float) -> None:
         """Initialize history with one synthetic interval (slow-start exit).
@@ -140,6 +150,7 @@ class AverageLossIntervals:
         self._discounts.appendleft(1.0)
         self._s0 = 0.0
         self.loss_events += 1
+        self._undiscounted = self._s_hat = None
 
     @classmethod
     def from_state(
@@ -189,27 +200,43 @@ class AverageLossIntervals:
         return wali_fold_average(weighted, intervals)
 
     def _raw_average(self) -> float:
-        """Average over closed intervals with accumulated discounts only."""
-        return self._weighted_average(self._intervals, self._discounts)
+        """Average over closed intervals with accumulated discounts only:
+        ``s_hat`` while no discount is in force (cached)."""
+        s_hat = self._s_hat
+        if s_hat is None:
+            s_hat = self._s_hat = self._weighted_average(
+                self._intervals, self._discounts
+            )
+        return s_hat
 
     def _current_discount(self) -> float:
         """Discount to apply to history while the current lull lasts."""
         if not self.discounting or not self._intervals:
             return 1.0
-        raw = self._weighted_average(self._intervals, [1.0] * len(self._intervals))
+        raw = self._undiscounted
+        if raw is None:
+            raw = self._undiscounted = self._weighted_average(
+                self._intervals, [1.0] * len(self._intervals)
+            )
         if raw <= 0 or self._s0 <= 2.0 * raw:
             return 1.0
         return max(self.discount_floor, 2.0 * raw / self._s0)
 
     def average_interval(self) -> float:
         """The average loss interval max(s_hat, s_hat_new), in packets."""
-        if not self._intervals:
+        intervals = self._intervals
+        if not intervals:
             return 0.0
         discount = self._current_discount()
-        discounts = [d * discount for d in self._discounts]
-        s_hat = self._weighted_average(self._intervals, discounts)
-        shifted_intervals = [self._s0] + list(self._intervals)[: self.n - 1]
-        shifted_discounts = [1.0] + discounts[: self.n - 1]
+        if discount == 1.0:
+            discounts: Sequence[float] = self._discounts
+            s_hat = self._raw_average()
+        else:
+            discounts = [d * discount for d in self._discounts]
+            s_hat = self._weighted_average(intervals, discounts)
+        n = self.n
+        shifted_intervals = [self._s0, *intervals][:n]
+        shifted_discounts = [1.0, *discounts][:n]
         s_hat_new = self._weighted_average(shifted_intervals, shifted_discounts)
         return max(s_hat, s_hat_new)
 

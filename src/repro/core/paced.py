@@ -96,8 +96,8 @@ class PacedSender:
         A decision is recorded even when it leaves the value unchanged, so
         ``rate_history`` (and the trace) has one sample per feedback event.
         """
-        now = self.sim.now
-        rate = max(self.packet_size / T_MBI, rate)
+        now = self.sim._now
+        rate = max(self.min_rate, rate)
         self.rate = rate
         history = self.rate_history
         history.append((now, rate))
@@ -108,6 +108,11 @@ class PacedSender:
             del history[1:-1:2]
         if self.tracer is not None:
             self.tracer.record(now, "rate", self.flow_id, rate)
+
+    @property
+    def min_rate(self) -> float:
+        """The floor :meth:`_set_rate` applies: one packet per ``T_MBI``."""
+        return self.packet_size / T_MBI
 
     # ------------------------------------------------------------------ RTT
 
@@ -140,7 +145,7 @@ class PacedSender:
             seq=self._seq,
             size=self.packet_size,
             ptype=PacketType.DATA,
-            sent_at=self.sim.now,
+            sent_at=self.sim._now,
             payload=self._data_payload(),
         )
         self._seq += 1

@@ -115,7 +115,7 @@ class TfrcReceiver:
     def receive_rate(self) -> float:
         """Bytes/second received over the last measurement window."""
         window = self._measurement_window()
-        cutoff = self.sim.now - window
+        cutoff = self.sim._now - window
         arrivals = self._arrivals
         while arrivals and arrivals[0][0] < cutoff:
             self._arrival_bytes -= arrivals.popleft()[1]
@@ -130,25 +130,25 @@ class TfrcReceiver:
         """Handle one arriving data packet."""
         if packet.ptype is not PacketType.DATA:
             return
-        now = self.sim.now
+        now = self.sim._now
         seq = packet.seq
         size = packet.size
         rtt_estimate = getattr(packet.payload, "rtt_estimate", None)
         if rtt_estimate is not None:
             self._rtt_from_sender = rtt_estimate
-        if self.on_data is not None:
-            self.on_data(now, packet)
+        on_data = self.on_data
+        if on_data is not None:
+            on_data(now, packet)
         self._arrivals.append((now, size))
         self._arrival_bytes += size
         self._last_packet = packet
         self._last_packet_recv_time = now
 
         detector = self.detector
-        if detector.in_order(seq) and not packet.ecn_marked:
+        if not packet.ecn_marked and detector.arrive_in_order(seq, now):
             # No event starts or is withdrawn and the highest sequence
-            # number moves up by one: the open interval grows by exactly
+            # number moved up by one: the open interval grows by exactly
             # one packet, whether or not a loss event has been seen.
-            detector.on_arrival(seq, now)
             self.intervals.on_packet(1.0)
         else:
             previous_open = detector.open_interval_packets()
@@ -212,30 +212,30 @@ class TfrcReceiver:
         # The epsilon absorbs float round-off when an arrival lands exactly
         # one window ago.
         window = self.feedback_interval_rtts * self._measurement_window()
-        cutoff = self.sim.now - window - 1e-9
+        cutoff = self.sim._now - window - 1e-9
         if self._arrivals and self._arrivals[-1][0] >= cutoff:
             self._send_report(expedited=False)
         self._schedule_feedback()
 
     def _send_report(self, expedited: bool) -> None:
-        if self._last_packet is None:
+        last = self._last_packet
+        if last is None:
             return
-        info = self._last_packet.payload
-        echo_ts = getattr(info, "ts", self._last_packet.sent_at)
+        now = self.sim._now
         feedback = TfrcFeedback(
-            echo_ts=echo_ts,
-            echo_seq=self._last_packet.seq,
-            delay=self.sim.now - self._last_packet_recv_time,
+            echo_ts=getattr(last.payload, "ts", last.sent_at),
+            echo_seq=last.seq,
+            delay=now - self._last_packet_recv_time,
             p=self.loss_event_rate(),
             recv_rate=self.receive_rate(),
             expedited=expedited,
         )
         packet = Packet(
             flow_id=self.flow_id,
-            seq=self._last_packet.seq,
+            seq=last.seq,
             size=self.FEEDBACK_SIZE,
             ptype=PacketType.FEEDBACK,
-            sent_at=self.sim.now,
+            sent_at=now,
             payload=feedback,
         )
         self.feedback_sent += 1

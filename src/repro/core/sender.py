@@ -33,7 +33,7 @@ from repro.core.equations import tcp_response_rate
 from repro.core.paced import PacedSender, PacketSender
 from repro.core.receiver import TfrcFeedback
 from repro.net.packet import Packet, PacketType
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import FastTimer
 from repro.sim.trace import Tracer
 
@@ -130,15 +130,38 @@ class TfrcSender(PacedSender):
     # ------------------------------------------------------------- feedback
 
     def on_feedback(self, packet: Packet) -> None:
-        """Process one feedback packet from the receiver."""
+        """Process one feedback packet from the receiver.
+
+        Always checks the report (``p`` in [0, 1], ``recv_rate >= 0``) and,
+        after the update, the balance rule ``rate <= max(2 * recv_rate,
+        min_rate)`` when ``recv_rate > 0``; a violation raises
+        :class:`SimulationError` naming the flow and the sim-time.
+        """
         if self._stopped or packet.ptype is not PacketType.FEEDBACK:
             return
         feedback = packet.payload
         if not isinstance(feedback, TfrcFeedback):
             raise TypeError(f"feedback for {self.flow_id} lacks TfrcFeedback payload")
+        now = self.sim._now
+        p = feedback.p
+        recv_rate = feedback.recv_rate
+        if not (0.0 <= p <= 1.0 and recv_rate >= 0.0):
+            raise SimulationError(
+                f"flow {self.flow_id}: feedback at t={now!r} reports "
+                f"p={p!r}, recv_rate={recv_rate!r} (need p in [0, 1], "
+                f"recv_rate >= 0)"
+            )
         self.feedback_received += 1
-        self._sample_rtt(self.sim.now - feedback.echo_ts - feedback.delay)
+        self._sample_rtt(now - feedback.echo_ts - feedback.delay)
         self._update_rate(feedback)
+        if recv_rate > 0.0:
+            bound = max(2.0 * recv_rate, self.min_rate)
+            if self.rate > bound:
+                raise SimulationError(
+                    f"flow {self.flow_id}: rate {self.rate!r} B/s after "
+                    f"feedback at t={now!r} exceeds max(2 * recv_rate, "
+                    f"min_rate) = {bound!r} B/s"
+                )
         self._arm_no_feedback_timer()
 
     def _sample_rtt(self, rtt: float) -> None:
@@ -196,27 +219,25 @@ class TfrcSender(PacedSender):
         gate, bursts, ECN marking and the per-packet ``"send"`` record."""
         if self._stopped or not self._app_active:
             return
-        now = self.sim.now
+        now = self.sim._now
         rtt = self.srtt if self.srtt is not None else self.initial_rtt
-        for _ in range(self.burst_size):
+        flow_id = self.flow_id
+        size = self.packet_size
+        tracer = self.tracer
+        send = self._send_packet
+        burst = self.burst_size
+        for _ in range(burst):
+            seq = self._seq
             packet = Packet(
-                flow_id=self.flow_id,
-                seq=self._seq,
-                size=self.packet_size,
-                ptype=PacketType.DATA,
-                sent_at=now,
-                payload=TfrcDataInfo(now, rtt),
-                ecn_capable=self.ecn,
+                flow_id, seq, size, PacketType.DATA, now,
+                TfrcDataInfo(now, rtt), self.ecn,
             )
-            self._seq += 1
+            self._seq = seq + 1
             self.packets_sent += 1
-            if self.tracer is not None:
-                self.tracer.record(
-                    now, "send", self.flow_id, packet.size,
-                    meta={"seq": packet.seq},
-                )
-            self._send_packet(packet)
-        self._send_timer.start(self.burst_size * self._interpacket_interval())
+            if tracer is not None:
+                tracer.record(now, "send", flow_id, size, meta={"seq": seq})
+            send(packet)
+        self._send_timer.start(burst * self._interpacket_interval())
 
     # ---------------------------------------------------- no-feedback timer
 

@@ -10,13 +10,15 @@ simulations do.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from heapq import heappush
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.net.link import Link, Receiver
 from repro.net.packet import Packet
-from repro.sim.engine import Simulator
+from repro.sim.engine import _FMAX, Simulator
+from repro.sim.rng import BlockDraws
 
 
 class Path:
@@ -52,13 +54,23 @@ LossModel = Callable[[Packet, float], bool]
 """A loss model maps ``(packet, now)`` to True when the packet is dropped."""
 
 
-def bernoulli_loss(probability: float, rng: np.random.Generator) -> LossModel:
-    """Drop each packet independently with ``probability``."""
+def bernoulli_loss(
+    probability: float, rng: Union[np.random.Generator, BlockDraws]
+) -> LossModel:
+    """Drop each packet independently with ``probability``.
+
+    A generator is drawn from once per packet.  A :class:`BlockDraws` over
+    one hands out the same values block-buffered, so it is the cheaper form
+    when nothing else draws from that generator; models that share a
+    generator each take it raw (or share one ``BlockDraws``), since two
+    buffers over one generator would reorder its draws.
+    """
     if not 0 <= probability < 1:
         raise ValueError("loss probability must be in [0, 1)")
+    draw = rng.next if isinstance(rng, BlockDraws) else rng.random
 
     def model(packet: Packet, now: float) -> bool:
-        return rng.random() < probability
+        return draw() < probability
 
     return model
 
@@ -148,11 +160,14 @@ class LossyPath:
         self._receiver = receiver
 
     def send(self, packet: Packet) -> bool:
-        if self._receiver is None:
+        receiver = self._receiver
+        if receiver is None:
             raise RuntimeError(f"path {self.name} has no receiver connected")
         self.packets_sent += 1
-        now = self.sim.now
-        if self.loss_model is not None and self.loss_model(packet, now):
+        sim = self.sim
+        now = sim._now
+        loss_model = self.loss_model
+        if loss_model is not None and loss_model(packet, now):
             self.packets_dropped += 1
             return False
         departure = now
@@ -160,8 +175,11 @@ class LossyPath:
             serialization = packet.size * 8 / self.bandwidth_bps
             departure = max(now, self._busy_until) + serialization
             self._busy_until = departure
-        # Nobody cancels a delivery: no Event handle, same sequence number.
-        self.sim.schedule_fast(
-            departure + self.delay, self._receiver, args=(packet,)
-        )
+        # Nobody cancels a delivery: the handle-free entry, range check and
+        # sequence number ``Simulator.schedule_fast`` would push.
+        arrival = departure + self.delay
+        if not (now <= arrival <= _FMAX):
+            sim._check_time(arrival)
+        heappush(sim._heap, (arrival, 0, sim._seq, receiver, (packet,), None))
+        sim._seq += 1
         return True

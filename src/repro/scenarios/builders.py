@@ -23,7 +23,7 @@ them from a :class:`~repro.scenarios.spec.ScenarioSpec` alone.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.net.path import (
 from repro.scenarios.spec import JsonDict, ScenarioSpec, register_scenario
 from repro.sim import Simulator
 from repro.sim.engine import SimulationError
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import BlockDraws, RngRegistry
 from repro.sim.trace import Tracer
 from repro.tcp.flow import TcpFlow
 from repro.traffic.onoff import OnOffSource
@@ -410,7 +410,8 @@ def _never_drop(packet, now) -> bool:
 
 
 def loss_model_from_spec(
-    loss: Dict[str, object], rng: Optional[np.random.Generator] = None
+    loss: Dict[str, object],
+    rng: Optional[Union[np.random.Generator, BlockDraws]] = None,
 ) -> Optional[LossModel]:
     """Instantiate a loss model from a spec's ``loss`` mapping.
 
@@ -427,7 +428,13 @@ def loss_model_from_spec(
     ``at`` time passes (``"none"`` phases drop nothing), which expresses
     Figure 2's 1% -> 10% -> 0.5% pattern and Figures 19-21's loss steps as
     plain spec data.
+
+    Every Bernoulli phase of one call draws from one :class:`BlockDraws`
+    over ``rng``, so the model consumes the generator's values in the order
+    per-packet scalar draws would; nothing else may draw from ``rng``.
     """
+    if rng is not None and not isinstance(rng, BlockDraws):
+        rng = BlockDraws(rng)
     model = str(loss.get("model", "none"))
     if model in ("none", ""):
         return None

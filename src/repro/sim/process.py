@@ -26,9 +26,10 @@ the other).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import _FMAX, Event, SimulationError, Simulator
 
 
 class Timer:
@@ -87,6 +88,10 @@ class FastTimer:
     entries from superseded armings self-discard on pop instead of being
     cancelled up front.
 
+    ``start`` pushes its heap entry itself, as :mod:`repro.net.link` does:
+    the entry, its range check and its one sequence number are exactly
+    what ``schedule_fast`` would push.
+
     The trade against :class:`Timer` is pure bookkeeping: superseded entries
     are popped as (counted) no-op events rather than skipped as cancelled
     ones, and they are indistinguishable from live work to
@@ -131,13 +136,17 @@ class FastTimer:
         gen = self._gen + 1
         self._gen = gen
         self._deadline = None
-        deadline = self._sim.now + interval
-        self._sim.schedule_fast(deadline, self._on_pop, args=(gen,))
+        sim = self._sim
+        now = sim._now
+        deadline = now + interval
+        if not (now <= deadline <= _FMAX):
+            sim._check_time(deadline)
+        heappush(sim._heap, (deadline, 0, sim._seq, self._on_pop, (gen,), None))
+        sim._seq += 1
         self._deadline = deadline
 
-    def restart(self, interval: float) -> None:
-        """Alias of :meth:`start`; reads better at call sites that re-arm."""
-        self.start(interval)
+    #: Alias of :meth:`start`; reads better at call sites that re-arm.
+    restart = start
 
     def cancel(self) -> None:
         """Disarm the timer if pending (the heap entry self-discards)."""

@@ -120,7 +120,7 @@ class OnOffSource:
             seq=self._seq,
             size=self.packet_size,
             ptype=PacketType.DATA,
-            sent_at=self.sim.now,
+            sent_at=self.sim._now,
         )
         self._seq += 1
         self.packets_sent += 1

@@ -9,6 +9,7 @@ from repro.core.loss_intervals import (
     DynamicHistoryWindow,
     EwmaLossIntervals,
     ali_weights,
+    wali_fold_average,
 )
 
 
@@ -209,6 +210,111 @@ class TestAverageLossIntervals:
         ali.on_loss_event()
         assert ali.history == [400.0] + [100.0] * 7
         assert ali.average_interval() == pytest.approx(650 / 3.5, rel=1e-12)
+
+
+class UncachedAli(AverageLossIntervals):
+    """Reference: every call folds the history afresh (three folds per
+    average), with nothing cached."""
+
+    def _fold(self, values, discounts):
+        weighted = [w * d for w, d in zip(self.weights, discounts)]
+        return wali_fold_average(weighted, values)
+
+    def _raw_average(self):
+        return self._fold(self._intervals, self._discounts)
+
+    def _current_discount(self):
+        if not self.discounting or not self._intervals:
+            return 1.0
+        raw = self._fold(self._intervals, [1.0] * len(self._intervals))
+        if raw <= 0 or self._s0 <= 2.0 * raw:
+            return 1.0
+        return max(self.discount_floor, 2.0 * raw / self._s0)
+
+    def average_interval(self):
+        if not self._intervals:
+            return 0.0
+        discount = self._current_discount()
+        discounts = [d * discount for d in self._discounts]
+        s_hat = self._fold(self._intervals, discounts)
+        shifted_intervals = [self._s0] + list(self._intervals)[: self.n - 1]
+        shifted_discounts = [1.0] + discounts[: self.n - 1]
+        return max(s_hat, self._fold(shifted_intervals, shifted_discounts))
+
+
+ALI_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("packets"), st.integers(min_value=0, max_value=900)),
+        st.tuples(st.just("loss"), st.none() | st.integers(0, 300)),
+        st.tuples(st.just("seed"), st.floats(min_value=0.5, max_value=500)),
+        st.tuples(st.just("from_state"), st.none()),
+    ),
+    max_size=60,
+)
+
+
+def ali_snapshot(ali):
+    """Everything observable, floats as hex so equal means bit-identical."""
+    return (
+        [v.hex() for v in ali._intervals],
+        [d.hex() for d in ali._discounts],
+        ali.open_interval.hex(),
+        ali.loss_events,
+        ali.average_interval().hex(),
+        ali.loss_event_rate().hex(),
+        ali.newest_effective_weight().hex(),
+    )
+
+
+class TestCachedFoldsAgainstUncached:
+    """The cached raw average and ``s_hat`` at discount 1 must give the
+    floats an uncached fold gives, after every update, with discounting on
+    and off, and through ``seed`` / ``from_state`` / ``on_loss_event``."""
+
+    @given(ALI_OPS, st.booleans(), st.sampled_from([0.3, 0.75, 1.0]),
+           st.sampled_from([2, 4, 8]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_after_every_update(self, ops, discounting, floor, n):
+        kwargs = dict(n=n, discounting=discounting, discount_floor=floor)
+        cached, uncached = AverageLossIntervals(**kwargs), UncachedAli(**kwargs)
+        for op, arg in ops:
+            if op == "from_state":
+                cached, uncached = (
+                    type(ali).from_state(
+                        ali.history, list(ali._discounts), ali.open_interval,
+                        ali.loss_events, **kwargs,
+                    )
+                    for ali in (cached, uncached)
+                )
+            else:
+                for ali in (cached, uncached):
+                    if op == "packets":
+                        ali.on_packet(arg)
+                    elif op == "loss":
+                        ali.on_loss_event(arg)
+                    else:
+                        ali.seed(arg)
+            # Twice: the second read is served from the cache.
+            assert ali_snapshot(cached) == ali_snapshot(uncached)
+            assert ali_snapshot(cached) == ali_snapshot(uncached)
+
+    def test_a_lull_in_steps_crosses_into_discounting_and_back(self):
+        """Between two loss events the cache serves many reports: below the
+        2x threshold (the cached ``s_hat``), past it (a discounted fold),
+        and after the loss event that folds the discount in."""
+        cached, uncached = AverageLossIntervals(), UncachedAli()
+        for ali in (cached, uncached):
+            for interval in (120, 80, 100, 95, 110, 90, 105, 100):
+                ali.on_packet(interval)
+                ali.on_loss_event()
+        for step in range(60):
+            for ali in (cached, uncached):
+                ali.on_packet(10)
+            assert ali_snapshot(cached) == ali_snapshot(uncached)
+            if step == 45:
+                for ali in (cached, uncached):
+                    ali.on_loss_event()
+        assert cached._current_discount() == uncached._current_discount() == 1.0
 
 
 class TestEwmaLossIntervals:

@@ -7,10 +7,12 @@ import pytest
 from repro.core import TfrcFlow
 from repro.core.equations import tcp_response_rate
 from repro.core.paced import T_MBI
+from repro.core.receiver import TfrcFeedback
 from repro.core.sender import TfrcSender
+from repro.net.packet import Packet, PacketType
 from repro.net.path import LossyPath, bernoulli_loss, periodic_loss
 from repro.net.monitor import FlowMonitor
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 import numpy as np
 
@@ -222,6 +224,60 @@ class TestFeedback:
     def test_feedback_interval_validation(self):
         with pytest.raises(ValueError):
             run_tfrc(duration=0.1, feedback_interval_rtts=0.0)
+
+
+def forged_feedback(p=0.01, recv_rate=50_000.0, echo_ts=0.0):
+    report = TfrcFeedback(echo_ts=echo_ts, echo_seq=0, delay=0.0, p=p,
+                          recv_rate=recv_rate)
+    return Packet("t", 0, 40, PacketType.FEEDBACK, payload=report)
+
+
+class TestBalanceRule:
+    """Every feedback report is checked, always: ``p`` in [0, 1] and
+    ``recv_rate >= 0`` before the update, ``rate <= max(2 * recv_rate,
+    s / T_MBI)`` after it when ``recv_rate > 0``."""
+
+    @staticmethod
+    def _sender(cls=TfrcSender):
+        sim = Simulator()
+        sender = cls(sim, "flow-7", send_packet=lambda p: None)
+        sender.start()
+        sim.run(until=0.25)
+        return sender
+
+    @pytest.mark.parametrize("p, recv_rate", [
+        (1.5, 50_000.0), (-0.1, 50_000.0), (math.nan, 50_000.0),
+        (0.01, -1.0), (0.01, math.nan),
+    ])
+    def test_out_of_range_report_names_flow_and_time(self, p, recv_rate):
+        sender = self._sender()
+        rate, received = sender.rate, sender.feedback_received
+        with pytest.raises(SimulationError, match=r"flow flow-7: .*t=0\.25"):
+            sender.on_feedback(forged_feedback(p, recv_rate))
+        assert (sender.rate, sender.feedback_received) == (rate, received)
+
+    @pytest.mark.parametrize("p, recv_rate", [
+        (0.0, 0.0), (1.0, 0.0), (0.0, 2e4), (0.05, 2e4), (1.0, 1e9),
+    ])
+    def test_in_range_reports_pass(self, p, recv_rate):
+        sender = self._sender()
+        sender.on_feedback(forged_feedback(p, recv_rate))
+        assert sender.rate <= max(2 * recv_rate or math.inf, sender.min_rate)
+
+    def test_floor_above_twice_the_receive_rate_is_allowed(self):
+        sender = self._sender()
+        tiny = sender.min_rate / 10
+        sender.on_feedback(forged_feedback(0.5, tiny))
+        assert sender.rate == sender.min_rate > 2 * tiny
+
+    def test_update_past_twice_the_receive_rate_raises(self):
+        class Overshooting(TfrcSender):
+            def _update_rate(self, feedback):
+                self._set_rate(3.0 * feedback.recv_rate)
+
+        sender = self._sender(Overshooting)
+        with pytest.raises(SimulationError, match=r"flow flow-7: rate 150000\.0"):
+            sender.on_feedback(forged_feedback(0.01, 50_000.0))
 
 
 class TestRateHistoryBounding:

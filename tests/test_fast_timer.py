@@ -115,6 +115,22 @@ class TestFastTimerSemantics:
         with pytest.raises(SimulationError):
             timer.start(-0.5)
 
+    def test_start_pushes_the_entry_schedule_fast_would(self):
+        """``start`` writes the heap itself: the same tuple, one sequence
+        number, as ``schedule_fast(deadline, on_pop, args=(gen,))``."""
+        direct, reference = Simulator(), Simulator()
+        for sim in (direct, reference):
+            sim.schedule_fast(0.25, lambda: None)
+            sim.run()
+        timer = FastTimer(direct, lambda: None)
+        for interval in (0.5, 0.0, 0.125):
+            timer.start(interval)
+            reference.schedule_fast(
+                reference.now + interval, timer._on_pop, args=(timer._gen,)
+            )
+        assert direct._heap == reference._heap
+        assert direct._seq == reference._seq == 4
+
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_nonfinite_interval_leaves_timer_disarmed(self, bad):
         """Error-path parity with Timer: a failed start() disarms both

@@ -250,7 +250,7 @@ class TestReceiverAgainstGeneralBody:
         if pinned:
             detector = receiver.detector
             detector.on_arrival = detector._on_arrival_general
-            detector.in_order = lambda seq: False
+            detector.arrive_in_order = lambda seq, now: False
         return sim, receiver, reports
 
     @given(
@@ -280,3 +280,99 @@ class TestReceiverAgainstGeneralBody:
                      for r in reports],
                 ))
             assert outcome[0] == outcome[1]
+
+
+class TestFusedInOrderArrival:
+    """``arrive_in_order`` either runs an in-order arrival whole or leaves
+    the detector untouched; with ``on_arrival`` as its fallback it must
+    track the general body state for state."""
+
+    @given(arrival_streams(), st.floats(min_value=0.0, max_value=0.2),
+           st.integers(min_value=0, max_value=4), st.sampled_from([8, 4096]))
+    @settings(max_examples=150, deadline=None)
+    def test_fused_call_then_fallback_equals_general_body(
+        self, stream, rtt, tolerance, window
+    ):
+        fused, general = (
+            LossEventDetector(rtt_fn=lambda: rtt, reorder_tolerance=tolerance)
+            for _ in range(2)
+        )
+        fused.RETRACTION_WINDOW = general.RETRACTION_WINDOW = window
+        for i, (seq, _) in enumerate(stream):
+            now = i * 0.003
+            expected = seq == fused._next_expected and not fused._holes_followers
+            before = {name: repr(getattr(fused, name)) for name in DETECTOR_STATE}
+            took = fused.arrive_in_order(seq, now)
+            assert took is expected
+            if not took:
+                after = {name: repr(getattr(fused, name)) for name in DETECTOR_STATE}
+                assert after == before  # a refusal changes nothing
+                fused.on_arrival(seq, now)
+            general._on_arrival_general(seq, now)
+            assert_indistinguishable(fused, general)
+
+
+class EagerExpiry(LossEventDetector):
+    """Reference: every arrival runs the general body, which scans the
+    declared losses whenever more than 64 are held."""
+
+    def on_arrival(self, seq, now):
+        return self._on_arrival_general(seq, now)
+
+    def _expire_retractables(self):
+        if len(self._declared) <= 64:
+            return
+        horizon = self._next_expected - self.RETRACTION_WINDOW
+        for s in [s for s in self._declared if s < horizon]:
+            del self._declared[s]
+
+
+class TestLazyRetractionExpiry:
+    """Skipping the scan while the declared-seq floor is at or above the
+    horizon must drop exactly what an eager scan on every arrival drops."""
+
+    @given(arrival_streams(), st.floats(min_value=0.0, max_value=0.05),
+           st.sampled_from([2, 30, 150, 200]))
+    @settings(max_examples=150, deadline=None)
+    def test_lazy_equals_eager_after_every_arrival(self, stream, rtt, window):
+        lazy = LossEventDetector(rtt_fn=lambda: rtt, reorder_tolerance=1)
+        eager = EagerExpiry(rtt_fn=lambda: rtt, reorder_tolerance=1)
+        lazy.RETRACTION_WINDOW = eager.RETRACTION_WINDOW = window
+        # Every other packet lost first: with the wider windows > 64
+        # declarations stay held, so in-order arrivals in the tail expire
+        # them one by one.
+        prefix = [(s, False) for s in range(0, 300, 2)]
+        tail = [(300 + seq, marked) for seq, marked in stream]
+        for i, (seq, _) in enumerate(prefix + tail):
+            assert lazy.on_arrival(seq, i * 0.01) == eager.on_arrival(seq, i * 0.01)
+            assert_indistinguishable(lazy, eager)
+            assert lazy._declared_floor <= min(lazy._declared, default=lazy._declared_floor)
+
+    def test_retraction_window_edge(self):
+        """Declared seq ``s`` survives while ``_next_expected - s`` is at most
+        the window, and is gone on the arrival that makes it window + 1; a
+        late copy of ``s`` retracts the loss before and not after."""
+        window = 200
+
+        def run(detector, until, late):
+            detector.RETRACTION_WINDOW = window
+            lost = list(range(1, 140, 2))  # 70 declarations, > 64
+            stream = [s for s in range(until) if s not in lost]
+            for i, seq in enumerate(stream):
+                detector.on_arrival(seq, i * 0.01)
+            if late is not None:
+                detector.on_arrival(late, len(stream) * 0.01)
+            return detector
+
+        first = 1
+        for until, kept in ((first + window, True), (first + window + 1, False)):
+            # ``until`` is ``_next_expected`` after the last in-order arrival.
+            lazy = run(LossEventDetector(rtt_fn=lambda: 0.0), until, None)
+            eager = run(EagerExpiry(rtt_fn=lambda: 0.0), until, None)
+            assert_indistinguishable(lazy, eager)
+            assert (first in lazy._declared) is kept
+            lost_before = lazy.packets_lost
+            lazy = run(LossEventDetector(rtt_fn=lambda: 0.0), until, first)
+            eager = run(EagerExpiry(rtt_fn=lambda: 0.0), until, first)
+            assert_indistinguishable(lazy, eager)
+            assert lazy.packets_lost == lost_before - (1 if kept else 0)

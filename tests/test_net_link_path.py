@@ -13,7 +13,9 @@ from repro.net.path import (
     scheduled_loss,
 )
 from repro.net.queues import DropTailQueue
-from repro.sim.engine import Simulator
+from repro.scenarios import loss_model_from_spec
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.rng import BlockDraws
 
 
 def make_packet(seq=0, size=1000, flow="f"):
@@ -156,7 +158,78 @@ class TestLossModels:
             scheduled_loss([(5.0, never), (1.0, never)])
 
 
+class TestBernoulliDrawOrder:
+    """Block-buffered draws are exact only while one buffer serves every
+    consumer of a generator.  Two buffers over one generator each prefetch
+    a block, so consumers see each other's values in a different order (a
+    buffer per model moves the multicast session's golden digest, whose two
+    receivers share one generator)."""
+
+    PHASES = {"model": "scheduled", "phases": [
+        {"at": 0.0, "model": "bernoulli", "probability": 0.3},
+        {"at": 1.0, "model": "periodic", "period": 4},
+        {"at": 2.0, "model": "bernoulli", "probability": 0.6},
+    ]}
+
+    @staticmethod
+    def verdicts(model, count=600, step=0.005):
+        return [model(make_packet(i), i * step) for i in range(count)]
+
+    def test_scheduled_phases_share_one_buffer_and_drop_what_scalar_draws_drop(self):
+        scalar = np.random.default_rng(11)
+        per_call = scheduled_loss([
+            (0.0, bernoulli_loss(0.3, scalar)),
+            (1.0, periodic_loss(4)),
+            (2.0, bernoulli_loss(0.6, scalar)),
+        ])
+        spec_model = loss_model_from_spec(self.PHASES, np.random.default_rng(11))
+        assert self.verdicts(spec_model) == self.verdicts(per_call)
+
+    def test_a_buffer_per_phase_would_reorder_the_draws(self):
+        rng = np.random.default_rng(11)
+        per_phase = scheduled_loss([
+            (0.0, bernoulli_loss(0.3, BlockDraws(rng))),
+            (1.0, periodic_loss(4)),
+            (2.0, bernoulli_loss(0.6, BlockDraws(rng))),
+        ])
+        spec_model = loss_model_from_spec(self.PHASES, np.random.default_rng(11))
+        assert self.verdicts(per_phase) != self.verdicts(spec_model)
+
+    def test_models_on_one_raw_generator_keep_their_interleaving(self):
+        """Two receivers' models on one generator (the multicast session's
+        layout) each take the next scalar draw when called."""
+        rng = np.random.default_rng(5)
+        a, b = bernoulli_loss(0.2, rng), bernoulli_loss(0.7, rng)
+        order = [a, b, b, a, a, a, b, a, b, b] * 30
+        values = np.random.default_rng(5).random(len(order))
+        expected = [
+            value < (0.2 if model is a else 0.7)
+            for model, value in zip(order, values)
+        ]
+        assert [model(make_packet(), 0.0) for model in order] == expected
+
+
 class TestLossyPath:
+    def test_send_pushes_the_entry_schedule_fast_would(self):
+        direct, reference = Simulator(), Simulator()
+        path = LossyPath(direct, delay=0.05, bandwidth_bps=8e6)
+        receiver = lambda p: None
+        path.connect(receiver)
+        packets = [make_packet(i) for i in range(3)]
+        for i, packet in enumerate(packets):
+            path.send(packet)
+            # 1 ms of serialization each, back to back.
+            reference.schedule_fast(0.001 * (i + 1) + 0.05, receiver, args=(packet,))
+        assert direct._heap == reference._heap
+        assert direct._seq == reference._seq == 3
+
+    def test_non_finite_delivery_time_rejected_like_schedule_fast(self):
+        sim = Simulator()
+        path = LossyPath(sim, delay=float("inf"))
+        path.connect(lambda p: None)
+        with pytest.raises(SimulationError, match="non-finite"):
+            path.send(make_packet())
+
     def test_fixed_delay_delivery(self):
         sim = Simulator()
         path = LossyPath(sim, delay=0.05)

@@ -4,7 +4,8 @@ transitions, and flows are wired in one.
 ``PacedSender._set_rate`` is the only function under ``core/``,
 ``baselines/`` and ``multicast/`` that assigns ``self.rate`` after
 construction, touches ``rate_history``, emits the tracer ``"rate"`` record
-or computes the ``packet_size / T_MBI`` floor; ``net.flow.Flow`` is the only
+or applies the ``packet_size / T_MBI`` floor (which only the
+``PacedSender.min_rate`` property computes); ``net.flow.Flow`` is the only
 class that connects ports and defines ``start(at)``.  A second site for any
 of these means a sender or a ``*Flow`` has grown its own copy of the
 mechanism again -- and that a rate decision can escape the choke point the
@@ -97,15 +98,19 @@ def _traces_rate(node):
     )
 
 
+#: ``Packet(flow_id, seq, size, ptype, ...)``: where a positional ptype sits.
+PTYPE_POSITION = 3
+
+
 def _builds_data_packet(node):
-    return (
-        isinstance(node, ast.Call)
-        and getattr(node.func, "id", "") == "Packet"
-        and any(
-            kw.arg == "ptype" and getattr(kw.value, "attr", "") == "DATA"
-            for kw in node.keywords
-        )
-    )
+    """A ``Packet(...)`` call whose ptype, by keyword, by position or by
+    default, is ``PacketType.DATA``."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", "") == "Packet"):
+        return False
+    ptype = next((kw.value for kw in node.keywords if kw.arg == "ptype"), None)
+    if ptype is None and len(node.args) > PTYPE_POSITION:
+        ptype = node.args[PTYPE_POSITION]
+    return ptype is None or getattr(ptype, "attr", "") == "DATA"
 
 
 def _divides_by_64(node):
@@ -124,7 +129,13 @@ def test_one_function_sets_floors_records_and_traces_the_rate():
     # rate_history is read nowhere else, so its one append is one of these:
     assert [s for s in _sites(_calls("append")) if s in set_rate] == set_rate
     assert _sites(_traces_rate) == set_rate
-    assert _sites(lambda n: isinstance(n, ast.Name) and n.id == "T_MBI") == set_rate
+    # The floor is computed once; TFRC's balance check only reads it.
+    assert _sites(lambda n: isinstance(n, ast.Name) and n.id == "T_MBI") == [
+        "core/paced.py:min_rate"
+    ]
+    assert _sites(lambda n: _is_self_attr(n, "min_rate")) == [
+        "core/paced.py:_set_rate", "core/sender.py:on_feedback",
+    ]
     assert _sites(_divides_by_64) == []
 
 
@@ -134,6 +145,19 @@ def test_one_srtt_ewma_and_two_pacing_bodies():
     assert _sites(_builds_data_packet) == [
         "core/paced.py:_send_next", "core/sender.py:_send_next",
     ]
+
+
+def test_the_data_packet_guard_reads_keyword_positional_and_default_ptype():
+    def builds(source):
+        return _builds_data_packet(ast.parse(source, mode="eval").body)
+
+    assert builds("Packet(f, 0, 1000, ptype=PacketType.DATA)")
+    assert builds("Packet(f, 0, 1000, PacketType.DATA, now, info, ecn)")
+    assert builds("Packet(f, 0, 1000)")  # the constructor's default
+    assert not builds("Packet(f, 0, 40, PacketType.FEEDBACK, now, report)")
+    assert not builds("Packet(f, 0, 40, ptype=PacketType.ACK)")
+    assert not builds("Packet(f, 0, 40, ptype=packet.ptype)")  # a copy
+    assert not builds("Other(f, 0, 1000, PacketType.DATA)")
 
 
 def test_one_tcp_window_state_machine():
