@@ -25,12 +25,6 @@ and runs a registry of checkers, one per invariant family:
 ``tests.*``
     heavyweight tests (big sweep grids / long simulated durations)
     missing ``@pytest.mark.slow``.
-``twin.*``
-    scalar/vector kernel lockstep: declared twin pairs whose bodies
-    lower to different arithmetic traces, pairwise reductions, dtype
-    narrowing, ops outside the blessed float64 set, and vector-named
-    functions with no declared scalar twin
-    (:mod:`repro.analysis.audit.rules_twins`).
 
 Findings share one record schema (rule / path / line / severity / detail)
 with ``tfrc-sweep-fsck --json`` (see :mod:`repro.analysis.audit.records`).

@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tfrc-audit",
         description="AST-based invariant analyzer for the repro tree "
         "(determinism, fs-commit protocol, cache contract, registry "
-        "coherence, test-tier hygiene, scalar/vector twin congruence).",
+        "coherence, test-tier hygiene).",
     )
     parser.add_argument(
         "--root", default=".", metavar="DIR",

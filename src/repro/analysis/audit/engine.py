@@ -273,7 +273,6 @@ def load_builtin_checkers() -> None:
         rules_fsio,
         rules_registry,
         rules_tests,
-        rules_twins,
     )
 
 

@@ -110,7 +110,6 @@ def invert_response(
     return math.sqrt(lo * hi)
 
 
-# tfrc-audit: twin-of repro.core.equations.tcp_response_rate
 def tcp_response_rate_vec(
     packet_size: float,
     rtt: np.ndarray,
@@ -132,7 +131,6 @@ def tcp_response_rate_vec(
     return packet_size / (term_rtt + term_rto)
 
 
-# tfrc-audit: twin-of repro.core.equations.invert_response [runtime] -- masked bisection loop; per-element (lo, hi) lockstep is fuzz-verified in tests/test_vector_kernel.py and tests/test_twin_congruence.py
 def invert_response_vec(
     packet_size: float,
     rtt: np.ndarray,

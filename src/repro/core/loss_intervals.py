@@ -49,8 +49,9 @@ def wali_fold_average(
     This is the scalar reference for the vector kernel's lane-parallel
     WALI fold (``_WaliLanes._fold_average``); the two must stay
     bit-identical, so both accumulate strictly left-to-right over the
-    same ``weighted``/``values`` operands.  The audit's ``twin.*`` gate
-    proves the lockstep statically.
+    same ``weighted``/``values`` operands (``np.sum`` may reassociate and
+    breaks that in the last ulp).  ``tests/test_twin_congruence.py``
+    fuzzes the pair to bit equality.
     """
     total = 0.0
     total_weight = 0.0

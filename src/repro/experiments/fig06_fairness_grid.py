@@ -6,8 +6,11 @@ queueing.  The figure reports mean TCP throughput over the last 60 s of
 simulation, normalized so 1.0 is a fair share of the link; the queue size
 scales with the bandwidth.
 
-Figure 7 is the 15 Mb/s column with per-flow scatter, produced by
-:func:`run_cell` with ``per_flow=True``.
+Figure 7 is the per-flow scatter of the 15 Mb/s column: every
+:class:`CellResult` (from :func:`run_cell` or a ``fig06_cell`` sweep
+cell) carries one normalized throughput per flow in ``per_flow_tcp`` /
+``per_flow_tfrc`` (``benchmarks/test_fig07_throughput_variance.py``
+summarizes and asserts it).
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@
 :class:`~repro.net.queues.REDQueue` fuses this math into its per-packet
 enqueue for speed; the batched cell kernel (``repro.sim.vector_kernel``)
 needs the *same float expressions* applied across a vector of per-cell
-average-queue states.  Keeping one definition of the constants and the
-drop-probability / uniformization expressions here guarantees the scalar
-and vectorized forms stay bit-identical: every vector helper evaluates,
-element-wise, exactly the arithmetic its scalar twin evaluates (selection
-via ``np.where`` discards the untaken branches' values, just as control
-flow does in the scalar form).
+average-queue states.  The constants and the drop-probability /
+uniformization expressions are defined once here, and every ``*_vec``
+helper evaluates, element-wise, exactly the float64 arithmetic of its
+scalar function, in the same order (selection via ``np.where`` discards
+the untaken branches' values, just as control flow does in the scalar
+form).  ``tests/test_twin_congruence.py`` fuzzes each pair to bit
+equality, thresholds included.
 
 Follows Floyd & Jacobson (1993) with the ``gentle`` extension (drop
 probability rising linearly from ``max_p`` to 1 between ``maxthresh`` and
@@ -68,7 +69,6 @@ def red_drop_probability(params: RedParams, avg: float) -> float:
     return 1.0
 
 
-# tfrc-audit: twin-of repro.net.redmath.red_drop_probability
 def red_drop_probability_vec(params: RedParams, avg: np.ndarray) -> np.ndarray:
     """Element-wise :func:`red_drop_probability` over a vector of averages."""
     mid = (avg - params.min_thresh) / params.thresh_range * params.max_p
@@ -99,7 +99,6 @@ def red_uniformized(p_b: float, count: int) -> float:
     return 1.0 if denom <= 0 else min(1.0, p_b / denom)
 
 
-# tfrc-audit: twin-of repro.net.redmath.red_uniformized
 def red_uniformized_vec(p_b: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Element-wise :func:`red_uniformized` over vectors of p_b and counts."""
     denom = 1.0 - count * p_b
@@ -113,7 +112,6 @@ def red_ewma(weight: float, avg: float, qlen: float) -> float:
     return avg + weight * (qlen - avg)
 
 
-# tfrc-audit: twin-of repro.net.redmath.red_ewma
 def red_ewma_vec(weight: float, avg: np.ndarray, qlen: np.ndarray) -> np.ndarray:
     """Element-wise :func:`red_ewma` over vectors of averages/occupancies."""
     return avg + weight * (qlen - avg)

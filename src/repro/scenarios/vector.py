@@ -21,12 +21,10 @@ bridge:
 Because the batch kernel is bit-identical to the scalar kernel, results
 reaching the :class:`~repro.scenarios.cache.ResultCache` are byte-identical
 whether or not a sweep batches; ``tests/test_vector_executor.py``
-pins this file-for-file.  The bit-identity contract is also enforced
-*statically*: every scalar/vector kernel pair underneath a batch is
-registered with the ``twin.*`` rules of ``tfrc-audit`` (see
-``repro.analysis.audit.rules_twins``), which prove the two bodies lower
-to the same arithmetic trace -- or, for the loop-shaped kernels, pin them
-to seeded bit-equality fuzz in ``tests/test_twin_congruence.py``.
+pins this file-for-file.  Each scalar/vector function pair underneath a
+batch is fuzzed to bit equality in ``tests/test_twin_congruence.py``,
+whose registry must name every ``*_vec`` / ``*_vector`` function in the
+tree.
 """
 
 from __future__ import annotations

@@ -569,7 +569,6 @@ class _WaliLanes:
         # it is refreshed on history shifts instead of on every query.
         self._raw = np.zeros(n_cells, dtype=np.float64)
 
-    # tfrc-audit: twin-of repro.core.loss_intervals.wali_fold_average
     @staticmethod
     def _fold_average(weighted: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Left-fold ``sum(w*v) / sum(w)`` over the 8 columns.
@@ -707,22 +706,14 @@ class _WaliLanes:
 # Lockstep batch kernel
 # --------------------------------------------------------------------------
 
-#: Twin registrations beyond static trace scope: the batch kernel is a whole
-#: simulation loop, so its congruence with the scalar reference is enforced
-#: at runtime (grid-equivalence fuzz in tests/test_vector_kernel.py) while
-#: the audit's twin body lints still police it for pairwise reductions,
-#: dtype drift, and off-blessed ops.
-TWINS = {
-    "run_cells_vector": ("repro.sim.vector_kernel.run_cell_scalar", "runtime"),
-}
-
 
 def run_cells_vector(cells: Sequence[GridCellParams]) -> List[Dict[str, Any]]:
     """Advance N compatible cells in lockstep; one packet per cell per step.
 
     Cells must agree on everything except ``rtt``, ``loss_rate`` and
     ``seed`` (checked).  Returns one result dict per cell, bit-identical
-    to :func:`run_cell_scalar` on the same params.
+    to :func:`run_cell_scalar` on the same params
+    (``tests/test_vector_kernel.py`` checks this over whole grids).
     """
     if not cells:
         return []
@@ -783,7 +774,6 @@ def run_cells_vector(cells: Sequence[GridCellParams]) -> List[Dict[str, Any]]:
     scratch = np.empty(n, dtype=np.float64)
 
     active = t_next < duration
-    # tfrc-audit: ignore[twin.forbidden-op] -- integer lane bookkeeping, not cell arithmetic
     tail_threshold = n // TAIL_DIVISOR
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:

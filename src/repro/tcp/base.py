@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Set
 
 from repro.net.packet import Packet, PacketType
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import FastTimer
 from repro.sim.trace import Tracer
 from repro.tcp.rto import RTOEstimator
@@ -181,7 +181,17 @@ class TCPSender:
     # ---------------------------------------------------------- transitions
 
     def _set_cwnd(self, value: float) -> None:
-        """Every ``cwnd`` write after ``__init__``; floored at one packet."""
+        """Every ``cwnd`` write after ``__init__``; floored at one packet.
+
+        A NaN or infinite ``value`` raises instead (``max(1.0, nan)`` would
+        make it a window of 1).  ``value - value`` is 0.0 for every finite
+        float and NaN for NaN and +-inf, so one comparison tests all three.
+        """
+        if value - value != 0.0:
+            raise SimulationError(
+                f"flow {self.flow_id}: cwnd {value!r} at t={self.sim._now!r} "
+                f"is not finite"
+            )
         self.cwnd = max(1.0, value)
 
     def _enter_recovery(self) -> None:

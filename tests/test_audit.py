@@ -349,184 +349,6 @@ class TestTestTierRules:
         assert _rules(findings) == ["tests.missing-slow-marker"]
 
 
-# ----------------------------------------------------------- twin congruence
-
-
-class TestTwinRules:
-    def test_trace_equal_pair_is_clean(self, tmp_path):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/net/twinmod.py", """\
-            import numpy as np
-
-            def clamp(lo, x):
-                if x < lo:
-                    return lo
-                return x
-
-            # tfrc-audit: twin-of repro.net.twinmod.clamp
-            def clamp_vec(lo, x):
-                return np.where(x < lo, lo, x)
-            """)
-        assert run_audit(root) == []
-
-    def test_operand_reorder_diverges(self, tmp_path):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/net/twinmod.py", """\
-            import numpy as np
-
-            def scale(a, b, c):
-                return a / b * c
-
-            # tfrc-audit: twin-of repro.net.twinmod.scale
-            def scale_vec(a, b, c):
-                return a * c / b
-            """)
-        findings = run_audit(root)
-        assert _rules(findings) == ["twin.op-divergence"]
-        assert "diverge at" in findings[0].detail
-
-    def test_np_sum_substitution_flagged_twice(self, tmp_path):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/net/twinmod.py", """\
-            import numpy as np
-
-            def total(xs):
-                total = 0.0
-                for x in xs:
-                    total += x
-                return total
-
-            # tfrc-audit: twin-of repro.net.twinmod.total
-            def total_vec(xs):
-                return np.sum(xs, axis=1)
-            """)
-        rules = set(_rules(run_audit(root)))
-        assert rules == {"twin.nonassoc-reduction", "twin.op-divergence"}
-
-    def test_fast_path_guard_must_match_specialization(self, tmp_path):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/net/guardmod.py", """\
-            import numpy as np
-
-            def pick(lo, x):
-                if x < lo:
-                    return lo
-                return x
-
-            # tfrc-audit: twin-of repro.net.guardmod.pick
-            def pick_vec(lo, x):
-                below = x < lo
-                if below.all():
-                    return x
-                return np.where(below, lo, x)
-            """)
-        findings = run_audit(root)
-        assert _rules(findings) == ["twin.op-divergence"]
-        assert "fast-path guard" in findings[0].detail
-
-    def test_dtype_drift_in_runtime_mode_body(self, tmp_path):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/net/twinmod.py", """\
-            import numpy as np
-
-            def narrow(x):
-                return x
-
-            # tfrc-audit: twin-of repro.net.twinmod.narrow [runtime] -- fuzzed elsewhere
-            def narrow_vec(x):
-                y = np.asarray(x, dtype="float32")
-                return y.astype(np.float16)
-            """)
-        assert _rules(run_audit(root)) == ["twin.dtype-drift"] * 2
-
-    def test_forbidden_ops(self, tmp_path):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/net/twinmod.py", """\
-            import numpy as np
-
-            def dist(x, y):
-                return np.where(x < y, y, x)
-
-            # tfrc-audit: twin-of repro.net.twinmod.dist [runtime] -- fuzzed elsewhere
-            def dist_vec(x, y):
-                h = np.hypot(x, y)
-                return h ** 2.0
-            """)
-        assert _rules(run_audit(root)) == ["twin.forbidden-op"] * 2
-
-    def test_unregistered_vec_flagged_and_suppressible(self, tmp_path):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/net/loose.py", """\
-            def helper_vec(x):
-                return x
-            """)
-        findings = run_audit(root)
-        assert _rules(findings) == ["twin.unregistered-twin"]
-        _write(root, "src/repro/net/loose.py", """\
-            # tfrc-audit: ignore[twin.unregistered-twin] -- not a kernel twin
-            def helper_vec(x):
-                return x
-            """)
-        assert run_audit(root) == []
-
-    def test_runtime_mode_needs_a_reason(self, tmp_path):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/net/twinmod.py", """\
-            def f(x):
-                return x
-
-            # tfrc-audit: twin-of repro.net.twinmod.f [runtime]
-            def f_vec(x):
-                return x
-            """)
-        findings = run_audit(root)
-        rules = _rules(findings)
-        # the malformed declaration does not register the pair, so the
-        # suffix check fires too
-        assert rules == ["twin.unregistered-twin"] * 2
-        assert any("reason" in f.detail for f in findings)
-
-    def test_twins_table_registers_and_checks_keys(self, tmp_path):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/sim/batch.py", """\
-            def step(x):
-                return x + 1.0
-
-            TWINS = {
-                "step_vector": ("repro.sim.batch.step", "trace"),
-                "ghost_vector": ("repro.sim.batch.step", "runtime"),
-            }
-
-            def step_vector(x):
-                return x + 1.0
-            """)
-        findings = run_audit(root)
-        assert _rules(findings) == ["twin.unregistered-twin"]
-        assert "ghost_vector" in findings[0].detail
-
-    def test_missing_scalar_target(self, tmp_path):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/net/twinmod.py", """\
-            # tfrc-audit: twin-of repro.net.nowhere.gone
-            def lost_vec(x):
-                return x
-            """)
-        findings = run_audit(root)
-        assert _rules(findings) == ["twin.unregistered-twin"]
-        assert "not found" in findings[0].detail
-
-    def test_docstring_mention_is_not_a_declaration(self, tmp_path):
-        root = _tree(tmp_path)
-        _write(root, "src/repro/net/docs.py", '''\
-            """Explains the syntax:
-
-                # tfrc-audit: twin-of repro.net.redmath.red_drop_probability
-
-            without declaring anything."""
-            ''')
-        assert run_audit(root) == []
-
-
 # ----------------------------------------------------------- stale allowlist
 
 
@@ -614,7 +436,7 @@ class TestRulesDocSync:
         assert audit_main(["--rules-markdown"]) == 0
         out = capsys.readouterr().out
         assert out == rules_markdown()
-        assert "`twin.op-divergence`" in out
+        assert "`determinism.wall-clock`" in out
 
 
 # ------------------------------------------------------------ the CLI gate

@@ -9,7 +9,7 @@ import pytest
 
 from repro.net.packet import Packet, PacketType
 from repro.net.path import LossyPath, bernoulli_loss, periodic_loss
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.tcp import TCP_VARIANTS, RenoSender, SackSender, make_tcp_sender
 from repro.tcp.flow import TcpFlow
 from repro.tcp.sink import TCPAckInfo
@@ -300,6 +300,37 @@ class TestWindowCeiling:
         sender.cwnd, sender.in_recovery = sender.MAX_CWND, True
         sender.on_recovery_dupack()
         assert sender.cwnd == sender.MAX_CWND + 1.0
+
+
+class TestNonFiniteWindow:
+    """``_set_cwnd`` raises on a NaN or infinite window instead of flooring
+    it to one packet, naming the flow and the sim-time."""
+
+    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
+    def test_forged_value_raises(self, variant):
+        sim = Simulator()
+        sender = make_tcp_sender(variant, sim, "f7", lambda p: None)
+        sim.run(until=1.25)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(
+                SimulationError, match=r"flow f7: cwnd .* at t=1\.25 "
+            ):
+                sender._set_cwnd(value)
+        sender._set_cwnd(0.25)  # finite values keep the one-packet floor
+        assert sender.cwnd == 1.0
+
+    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
+    def test_forged_nan_stops_the_run_at_the_next_ack(self, variant):
+        sim = Simulator()
+        forward = LossyPath(sim, delay=0.05)
+        reverse = LossyPath(sim, delay=0.05)
+        flow = TcpFlow(sim, "t", forward, reverse, variant=variant)
+        flow.start()
+        sim.run(until=1.0)
+        flow.sender.cwnd = float("nan")  # grows to NaN on the next ACK
+        with pytest.raises(SimulationError, match=r"flow t: cwnd nan at t="):
+            sim.run(until=2.0)
+        assert sim.now < 1.2
 
 
 class TestRecoveryBookkeeping:

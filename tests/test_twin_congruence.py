@@ -1,54 +1,78 @@
-"""Cross-validation of the ``twin.*`` static gate against reality.
+"""Scalar/vector twins: the registry, and bit identity of every pair.
 
-Two directions, per the twin-congruence contract:
+A vector twin evaluates, per element, exactly the float64 arithmetic of its
+scalar reference, in the same order, so the two agree bit for bit.  This
+file is where that contract is kept:
 
-* **The analyzer catches drift** -- a copy of the real RED module with a
-  planted operand reorder (or an ``np.sum`` substitution) in its vector
-  twin must produce ``twin.op-divergence`` / ``twin.nonassoc-reduction``.
-
-* **The proof is not vacuous** -- every ``trace``-mode twin pair in the
-  live tree (the ones the analyzer certifies congruent) is fuzzed here
-  over seeded inputs and must be *bit-identical*, element for element.
-  The fuzz registry is keyed by the collected pairs, so adding a new
-  trace pair without a fuzz case fails the coverage assertion, and a
-  ``runtime``-mode registration must be on the known list (with its fuzz
-  living in tests/test_vector_kernel.py for the batch kernel).
+* ``FUZZERS`` is the twin registry: each vector function's dotted name
+  maps to its scalar reference and a seeded fuzz that compares the pair
+  bit for bit over inputs that span every zone and hit every threshold
+  exactly.  ``KNOWN_RUNTIME_PAIRS`` names the loop-shaped pairs whose
+  bit identity is checked through the whole batch kernel instead
+  (tests/test_vector_kernel.py).
+* ``TestLiveTwinRegistry`` walks ``src/repro`` with ``ast``: every
+  ``*_vec`` / ``*_vector`` function (and each name in
+  ``UNSUFFIXED_TWINS``) must be registered, and every registered name must
+  exist, so a pair someone forgets to fuzz fails the build.
+* ``TestPlantedDrift`` execs a copy of a twin's module with one mutation
+  planted in the vector body and requires the pair's fuzz to fail on it.
 """
 
+import ast
 import importlib
+import shutil
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.analysis.audit.engine import run_audit
-from repro.analysis.audit.rules_twins import collect_repo_twins
-
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SEED = 20260808
 
-#: runtime-mode pairs whose congruence is enforced by dedicated fuzz
-#: suites instead of a static trace proof.
+#: name suffixes that mark a function as a vector twin.
+TWIN_SUFFIXES = ("_vec", "_vector")
+
+#: vector twins whose names carry no suffix.
+UNSUFFIXED_TWINS = {"repro.sim.vector_kernel._WaliLanes._fold_average"}
+
+#: vector -> scalar pairs checked only through the batch kernel's
+#: grid-equivalence fuzz in tests/test_vector_kernel.py: the masked
+#: bisection runs at every cell's slow-start exit, and the kernel is a
+#: whole simulation loop.
 KNOWN_RUNTIME_PAIRS = {
-    # masked bisection + whole-batch kernel: grid-equivalence fuzz in
-    # tests/test_vector_kernel.py
-    "repro.core.equations.invert_response_vec",
-    "repro.sim.vector_kernel.run_cells_vector",
+    "repro.core.equations.invert_response_vec": (
+        "repro.core.equations.invert_response"
+    ),
+    "repro.sim.vector_kernel.run_cells_vector": (
+        "repro.sim.vector_kernel.run_cell_scalar"
+    ),
 }
 
 
-def _import_dotted(dotted: str):
+def _split_dotted(dotted: str):
+    """``(module name, attribute path)`` of an importable dotted name."""
     parts = dotted.split(".")
     for split in range(len(parts), 0, -1):
         try:
-            module = importlib.import_module(".".join(parts[:split]))
+            importlib.import_module(".".join(parts[:split]))
         except ImportError:
             continue
-        obj = module
-        for attr in parts[split:]:
-            obj = getattr(obj, attr)
-        return obj
+        return ".".join(parts[:split]), parts[split:]
     raise ImportError(f"cannot import {dotted}")
+
+
+def _lookup(namespace, attrs):
+    obj = namespace
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _import_dotted(dotted: str):
+    module, attrs = _split_dotted(dotted)
+    return _lookup(importlib.import_module(module), attrs)
 
 
 def _assert_bits_equal(scalar_value, vector_value, context: str) -> None:
@@ -93,6 +117,16 @@ def _fuzz_red_drop_probability(scalar, vector):
             _assert_bits_equal(
                 scalar(params, float(fast[i])), fast_out[i],
                 f"red_drop_probability fast path (avg={fast[i]!r})",
+            )
+        # a batch with no forced drop but some averages past maxthresh:
+        # the fast-path guard must not admit it.
+        gentle = rng.uniform(0.0, params.two_max_thresh * 0.999, size=64)
+        gentle[0] = params.max_thresh
+        gentle_out = vector(params, gentle)
+        for i in range(gentle.size):
+            _assert_bits_equal(
+                scalar(params, float(gentle[i])), gentle_out[i],
+                f"red_drop_probability below 2*maxthresh (avg={gentle[i]!r})",
             )
 
 
@@ -155,98 +189,269 @@ def _fuzz_wali_fold_average(scalar, vector):
         )
 
 
+#: the twin registry: vector dotted name -> (scalar dotted name, fuzz).
 FUZZERS = {
-    "repro.net.redmath.red_drop_probability_vec": _fuzz_red_drop_probability,
-    "repro.net.redmath.red_uniformized_vec": _fuzz_red_uniformized,
-    "repro.net.redmath.red_ewma_vec": _fuzz_red_ewma,
-    "repro.core.equations.tcp_response_rate_vec": _fuzz_tcp_response_rate,
+    "repro.net.redmath.red_drop_probability_vec": (
+        "repro.net.redmath.red_drop_probability",
+        _fuzz_red_drop_probability,
+    ),
+    "repro.net.redmath.red_uniformized_vec": (
+        "repro.net.redmath.red_uniformized", _fuzz_red_uniformized,
+    ),
+    "repro.net.redmath.red_ewma_vec": (
+        "repro.net.redmath.red_ewma", _fuzz_red_ewma,
+    ),
+    "repro.core.equations.tcp_response_rate_vec": (
+        "repro.core.equations.tcp_response_rate", _fuzz_tcp_response_rate,
+    ),
     "repro.sim.vector_kernel._WaliLanes._fold_average": (
-        _fuzz_wali_fold_average
+        "repro.core.loss_intervals.wali_fold_average",
+        _fuzz_wali_fold_average,
     ),
 }
 
 
-def _live_pairs():
-    pairs, problems = collect_repo_twins(REPO_ROOT)
-    assert problems == [], [p.detail for p in problems]
-    return pairs
+# ------------------------------------------------------------ the registry
+
+
+def _qualnames(body, prefix=""):
+    """Qualified names of every function defined in ``body``, nested ones
+    and methods included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name
+            yield from _qualnames(node.body, prefix + node.name + ".")
+        elif isinstance(node, ast.ClassDef):
+            yield from _qualnames(node.body, prefix + node.name + ".")
+
+
+def _vector_functions(src_root: Path) -> set:
+    """Dotted names of the vector twins defined under ``src_root/repro``."""
+    found = set()
+    for path in sorted((src_root / "repro").rglob("*.py")):
+        parts = path.relative_to(src_root).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = ".".join(parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for qual in _qualnames(tree.body):
+            dotted = f"{module}.{qual}"
+            if qual.endswith(TWIN_SUFFIXES) or dotted in UNSUFFIXED_TWINS:
+                found.add(dotted)
+    return found
+
+
+def _registry_drift(src_root: Path):
+    """``(unregistered, stale)``: vector twins missing from the registry,
+    and registry entries naming no function in the tree."""
+    found = _vector_functions(src_root)
+    registered = set(FUZZERS) | set(KNOWN_RUNTIME_PAIRS)
+    return sorted(found - registered), sorted(registered - found)
+
+
+def _copy_src(tmp_path: Path) -> Path:
+    src = tmp_path / "src"
+    shutil.copytree(
+        REPO_ROOT / "src" / "repro", src / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return src
 
 
 class TestLiveTwinRegistry:
-    def test_trace_pairs_each_have_a_fuzzer(self):
-        """Every statically certified pair must also be fuzzed here."""
-        trace = {p.vector_dotted for p in _live_pairs() if p.mode == "trace"}
-        assert trace == set(FUZZERS), (
-            "trace-mode twin registry and fuzz registry drifted; add a "
-            "fuzz case for each new pair"
+    def test_every_vector_function_is_registered(self):
+        unregistered, stale = _registry_drift(REPO_ROOT / "src")
+        assert unregistered == [], (
+            "vector twins without a registry entry; add each to FUZZERS "
+            "with its scalar reference and a bit-equality fuzz"
+        )
+        assert stale == [], "registry entries name functions that are gone"
+
+    def test_registered_names_resolve(self):
+        assert not set(FUZZERS) & set(KNOWN_RUNTIME_PAIRS)
+        pairs = [(v, s) for v, (s, _) in FUZZERS.items()]
+        pairs += list(KNOWN_RUNTIME_PAIRS.items())
+        for vector, scalar in pairs:
+            assert callable(_import_dotted(vector)), vector
+            assert callable(_import_dotted(scalar)), scalar
+
+    def test_unregistered_vector_function_fails(self, tmp_path):
+        src = _copy_src(tmp_path)
+        (src / "repro/net/extra.py").write_text(
+            '"""Mentions def ghost_vec(x) only in prose."""\n\n\n'
+            "class Lanes:\n"
+            "    def step_vector(self, x):\n"
+            "        return x\n\n\n"
+            "def helper_vec(x):\n"
+            "    return x\n",
+            encoding="utf-8",
+        )
+        assert _registry_drift(src) == (
+            ["repro.net.extra.Lanes.step_vector", "repro.net.extra.helper_vec"],
+            [],
         )
 
-    def test_runtime_pairs_are_the_known_set(self):
-        """A [runtime] registration must name its fuzz coverage here."""
-        runtime = {
-            p.vector_dotted for p in _live_pairs() if p.mode == "runtime"
-        }
-        assert runtime == KNOWN_RUNTIME_PAIRS
+    def test_stale_registry_entry_fails(self, tmp_path):
+        src = _copy_src(tmp_path)
+        kernel = src / "repro/sim/vector_kernel.py"
+        text = kernel.read_text(encoding="utf-8")
+        kernel.write_text(
+            text.replace("def _fold_average(", "def _fold_mean("),
+            encoding="utf-8",
+        )
+        redmath = src / "repro/net/redmath.py"
+        text = redmath.read_text(encoding="utf-8")
+        redmath.write_text(
+            text.replace("def red_ewma_vec(", "def red_ewma_lanes_vec("),
+            encoding="utf-8",
+        )
+        assert _registry_drift(src) == (
+            ["repro.net.redmath.red_ewma_lanes_vec"],
+            [
+                "repro.net.redmath.red_ewma_vec",
+                "repro.sim.vector_kernel._WaliLanes._fold_average",
+            ],
+        )
 
 
 class TestLiveTwinCongruence:
     @pytest.mark.parametrize("vector_dotted", sorted(FUZZERS))
     def test_congruence_clean_pair_is_bit_identical(self, vector_dotted):
-        pair = next(
-            p for p in _live_pairs() if p.vector_dotted == vector_dotted
-        )
-        scalar = _import_dotted(pair.scalar)
-        vector = _import_dotted(vector_dotted)
-        FUZZERS[vector_dotted](scalar, vector)
+        scalar_dotted, fuzz = FUZZERS[vector_dotted]
+        fuzz(_import_dotted(scalar_dotted), _import_dotted(vector_dotted))
+
+
+# ------------------------------------------------------------ planted drift
+
+#: (id, vector twin, text in its body, replacement).  Each text occurs once
+#: in the module, inside the vector body, so the scalar stays as it is.
+PLANTED = [
+    (
+        "red_drop-operand-reorder",
+        "repro.net.redmath.red_drop_probability_vec",
+        "    mid = (avg - params.min_thresh) / params.thresh_range"
+        " * params.max_p",
+        "    mid = (avg - params.min_thresh) * params.max_p"
+        " / params.thresh_range",
+    ),
+    (
+        "red_drop-reciprocal-multiply",
+        "repro.net.redmath.red_drop_probability_vec",
+        "        gentle_zone = (\n"
+        "            params.max_p\n"
+        "            + (avg - params.max_thresh) / params.max_thresh",
+        "        gentle_zone = (\n"
+        "            params.max_p\n"
+        "            + (avg - params.max_thresh) * (1.0 / params.max_thresh)",
+    ),
+    (
+        "red_drop-fast-path-guard",
+        "repro.net.redmath.red_drop_probability_vec",
+        "    if below_max.all():",
+        "    if (avg < params.two_max_thresh).all():",
+    ),
+    (
+        "red_uniformized-reciprocal-form",
+        "repro.net.redmath.red_uniformized_vec",
+        "        ratio = p_b / denom",
+        "        ratio = 1.0 / (1.0 / p_b - count)",
+    ),
+    (
+        "red_uniformized-clamp-dropped",
+        "repro.net.redmath.red_uniformized_vec",
+        "np.where(denom <= 0.0, 1.0, np.minimum(1.0, ratio))",
+        "np.where(denom <= 0.0, 1.0, ratio)",
+    ),
+    (
+        "red_ewma-lerp-form",
+        "repro.net.redmath.red_ewma_vec",
+        "occupancies.\"\"\"\n    return avg + weight * (qlen - avg)",
+        "occupancies.\"\"\"\n    return (1.0 - weight) * avg + weight * qlen",
+    ),
+    (
+        "red_ewma-float32",
+        "repro.net.redmath.red_ewma_vec",
+        "occupancies.\"\"\"\n    return avg + weight * (qlen - avg)",
+        "occupancies.\"\"\"\n"
+        "    return (avg + weight * (qlen - avg)).astype(np.float32)",
+    ),
+    (
+        "tcp_response_rate-reassociated",
+        "repro.core.equations.tcp_response_rate_vec",
+        "    term_rto = t_rto * (3.0 * np.sqrt(3.0 * p / 8.0))",
+        "    term_rto = t_rto * 3.0 * np.sqrt(3.0 * p / 8.0)",
+    ),
+    (
+        "tcp_response_rate-exp-log-sqrt",
+        "repro.core.equations.tcp_response_rate_vec",
+        "    term_rtt = rtt * np.sqrt(2.0 * p / 3.0)",
+        "    term_rtt = rtt * np.exp(0.5 * np.log(2.0 * p / 3.0))",
+    ),
+    (
+        "tcp_response_rate-p_min-clamp-dropped",
+        "repro.core.equations.tcp_response_rate_vec",
+        "    p = np.maximum(p, P_MIN)\n    term_rtt",
+        "    term_rtt",
+    ),
+    (
+        "wali_fold-np-sum",
+        "repro.sim.vector_kernel._WaliLanes._fold_average",
+        "        total = terms[:, 0] + terms[:, 1]\n"
+        "        total_weight = weighted[:, 0] + weighted[:, 1]\n"
+        "        for j in range(2, WALI_N):\n"
+        "            total += terms[:, j]\n"
+        "            total_weight += weighted[:, j]\n",
+        "        total = np.sum(terms, axis=1)\n"
+        "        total_weight = np.sum(weighted, axis=1)\n",
+    ),
+    (
+        "wali_fold-right-fold",
+        "repro.sim.vector_kernel._WaliLanes._fold_average",
+        "        for j in range(2, WALI_N):\n            total += terms[:, j]",
+        "        for j in range(WALI_N - 1, 1, -1):\n"
+        "            total += terms[:, j]",
+    ),
+]
+
+
+def _planted_twin(monkeypatch, vector_dotted: str, old: str, new: str):
+    """The vector twin from a copy of its module with ``old`` (which must
+    occur exactly once) replaced by ``new``."""
+    module_name, attrs = _split_dotted(vector_dotted)
+    path = Path(importlib.import_module(module_name).__file__)
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1, f"planting failed: {text.count(old)} matches"
+    planted = types.ModuleType(f"planted_{path.stem}")
+    # dataclasses resolve string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, planted.__name__, planted)
+    exec(compile(text.replace(old, new), str(path), "exec"), planted.__dict__)
+    return _lookup(planted, attrs)
 
 
 class TestPlantedDrift:
-    def _copy_redmath(self, tmp_path: Path, mutate) -> Path:
-        root = tmp_path
-        (root / "src/repro/net").mkdir(parents=True)
-        text = (REPO_ROOT / "src/repro/net/redmath.py").read_text(
-            encoding="utf-8"
-        )
-        mutated = mutate(text)
-        assert mutated != text, "planting failed: pattern not found"
-        (root / "src/repro/net/redmath.py").write_text(
-            mutated, encoding="utf-8"
-        )
-        return root
+    @pytest.mark.parametrize(
+        "vector_dotted, old, new",
+        [row[1:] for row in PLANTED],
+        ids=[row[0] for row in PLANTED],
+    )
+    def test_fuzz_catches_planted_drift(self, monkeypatch, vector_dotted,
+                                        old, new):
+        scalar_dotted, fuzz = FUZZERS[vector_dotted]
+        vector = _planted_twin(monkeypatch, vector_dotted, old, new)
+        with pytest.raises(AssertionError, match="bitwise"):
+            with np.errstate(all="ignore"):
+                fuzz(_import_dotted(scalar_dotted), vector)
 
-    def test_operand_reorder_in_real_red_twin_is_flagged(self, tmp_path):
-        root = self._copy_redmath(
-            tmp_path,
-            lambda text: text.replace(
-                "    mid = (avg - params.min_thresh)"
-                " / params.thresh_range * params.max_p",
-                "    mid = (avg - params.min_thresh)"
-                " * params.max_p / params.thresh_range",
-            ),
+    @pytest.mark.parametrize("vector_dotted", [
+        "repro.net.redmath.red_drop_probability_vec",
+        "repro.core.equations.tcp_response_rate_vec",
+        "repro.sim.vector_kernel._WaliLanes._fold_average",
+    ])
+    def test_unmutated_copy_passes(self, monkeypatch, vector_dotted):
+        """The exec'd copy itself is faithful: only the planted text fails."""
+        scalar_dotted, fuzz = FUZZERS[vector_dotted]
+        name = vector_dotted.rsplit(".", 1)[1]
+        vector = _planted_twin(
+            monkeypatch, vector_dotted, f"def {name}(", f"def {name}("
         )
-        findings = [f for f in run_audit(root) if f.rule == "twin.op-divergence"]
-        assert findings, "planted operand reorder was not flagged"
-        assert "red_drop_probability" in findings[0].detail
-
-    def test_np_sum_substitution_in_ewma_twin_is_flagged(self, tmp_path):
-        # the ewma bodies are textually identical, so anchor the
-        # replacement on the vec def's docstring to mutate only the twin
-        root = self._copy_redmath(
-            tmp_path,
-            lambda text: text.replace(
-                '    """Element-wise :func:`red_ewma` over vectors of'
-                ' averages/occupancies."""\n'
-                "    return avg + weight * (qlen - avg)\n",
-                '    """Element-wise :func:`red_ewma` over vectors of'
-                ' averages/occupancies."""\n'
-                "    return np.sum(np.stack([avg, weight * (qlen - avg)]),"
-                " axis=0)\n",
-            ),
-        )
-        rules = {f.rule for f in run_audit(root)}
-        assert "twin.op-divergence" in rules
-        assert "twin.nonassoc-reduction" in rules
-
-    def test_unmutated_copy_is_clean(self, tmp_path):
-        root = self._copy_redmath(tmp_path, lambda text: text + "\n# tail\n")
-        assert [f.rule for f in run_audit(root)] == []
+        fuzz(_import_dotted(scalar_dotted), vector)
