@@ -25,7 +25,7 @@ from repro.core.equations import invert_response
 from repro.core.loss_events import LossEvent, LossEventDetector
 from repro.core.loss_intervals import AverageLossIntervals
 from repro.net.packet import Packet, PacketType
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import FastTimer
 
 FeedbackSender = Callable[[Packet], None]
@@ -218,15 +218,23 @@ class TfrcReceiver:
         self._schedule_feedback()
 
     def _send_report(self, expedited: bool) -> None:
+        """Send one report; a ``p`` outside [0, 1] (NaN included) raises
+        :class:`SimulationError` naming the flow and the sim-time."""
         last = self._last_packet
         if last is None:
             return
         now = self.sim._now
+        p = self.loss_event_rate()
+        if not 0.0 <= p <= 1.0:
+            raise SimulationError(
+                f"flow {self.flow_id}: loss event rate {p!r} at t={now!r} "
+                f"is outside [0, 1]"
+            )
         feedback = TfrcFeedback(
             echo_ts=getattr(last.payload, "ts", last.sent_at),
             echo_seq=last.seq,
             delay=now - self._last_packet_recv_time,
-            p=self.loss_event_rate(),
+            p=p,
             recv_rate=self.receive_rate(),
             expedited=expedited,
         )

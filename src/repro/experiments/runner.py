@@ -293,13 +293,9 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
 }
 
 
-def main(argv=None) -> int:
-    from repro.scenarios.executors import (
-        EXECUTOR_NAMES,
-        available_cpus,
-        directory,
-        positive,
-    )
+def build_parser() -> argparse.ArgumentParser:
+    """The ``tfrc-experiment`` argument parser."""
+    from repro.scenarios.executors import EXECUTOR_NAMES, directory, positive
 
     parser = argparse.ArgumentParser(
         description="Reproduce a figure from the TFRC paper."
@@ -361,6 +357,13 @@ def main(argv=None) -> int:
         "abort it ('raise', default) or skip the cell so the rest "
         "completes ('quarantine'); tfrc-sweep-fsck audits the leftovers",
     )
+    return parser
+
+
+def main(argv=None) -> int:
+    from repro.scenarios.executors import available_cpus
+
+    parser = build_parser()
     args = parser.parse_args(argv)
     # Progress lines follow what the user typed, not the machine's CPU count.
     verbose = (

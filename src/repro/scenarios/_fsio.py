@@ -25,8 +25,8 @@ read side, :func:`read_json`, treats missing/corrupt/partial files as
 one) see a clean miss instead of an exception.
 
 This module is the **single blessed owner of raw content writes** in
-``repro.scenarios``: ``tfrc-audit``'s fs-protocol rules statically flag any
-``open(..., "w")`` / ``write_text`` / ``json.dump`` in the scenarios tree
+``repro.scenarios``: the fsio guard in ``tests/test_static_guards.py`` flags
+any ``open(..., "w")`` / ``write_text`` / ``json.dump`` in the scenarios tree
 outside this file, so a torn-write bug class (chased dynamically by the
 PR 7 chaos soak) cannot be reintroduced silently.  Shared by the result
 cache (:mod:`repro.scenarios.cache`), the file queue

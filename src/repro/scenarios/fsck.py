@@ -62,11 +62,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Set
 
-from repro.analysis.audit.records import (
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    finding_record,
-)
 from repro.scenarios.cache import ResultCache, verify_entry
 from repro.scenarios._fsio import read_json
 from repro.scenarios.executors import directory, positive
@@ -87,24 +82,25 @@ class Finding:
 
     @property
     def severity(self) -> str:
-        return (
-            SEVERITY_WARNING if self.kind in _WARNING_KINDS else SEVERITY_ERROR
-        )
+        return "warning" if self.kind in _WARNING_KINDS else "error"
 
     def to_record(self) -> dict:
-        """The canonical findings record shared with ``tfrc-audit --json``.
+        """One ``--json`` findings record: ``rule``, ``path``, ``line``,
+        ``severity``, ``detail``, plus ``repaired`` once a repair ran.
 
         fsck findings are whole-file, never line-anchored, so ``line`` is
-        always 0; the fsck-specific ``repaired`` note rides along as an
-        extra key.
+        always 0.
         """
-        return finding_record(
-            rule=f"fsck.{self.kind}",
-            path=str(self.path),
-            detail=self.detail,
-            severity=self.severity,
-            repaired=self.repaired,
-        )
+        record = {
+            "rule": f"fsck.{self.kind}",
+            "path": str(self.path),
+            "line": 0,
+            "severity": self.severity,
+            "detail": self.detail,
+        }
+        if self.repaired:
+            record["repaired"] = self.repaired
+        return record
 
     def render(self) -> str:
         line = f"[{self.kind}] {self.path}: {self.detail}"

@@ -418,3 +418,36 @@ class TestChaosSoak:
         assert done.returncode == 2
         assert faults.ENV_VAR in done.stderr
         assert done.stdout == ""
+
+
+class TestFaultStateWrites:
+    def test_plan_dump_is_atomic_strict_json(self, tmp_path):
+        """Satellite regression: the fault layer's own state file commits
+        through the shared atomic helper (strict JSON, no tmp litter)."""
+        plan = faults.FaultPlan(seed=3, rates={"worker_kill": 0.5})
+        path = plan.dump(tmp_path / "plan.json")
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+        assert loaded["seed"] == 3
+        assert list(tmp_path.glob("*.tmp.*")) == []
+        assert faults.FaultPlan.load(path).rates == {"worker_kill": 0.5}
+
+    def test_fault_state_writes_bypass_the_fault_hook(self, tmp_path):
+        """A plan that delays every atomic rename must not delay (or
+        recursively re-enter) its own dump/log writes."""
+        log_dir = tmp_path / "log"
+        plan = faults.FaultPlan(
+            seed=1,
+            rates={"delayed_rename": 1.0, "worker_kill": 1.0},
+            delay_seconds=30.0,
+            log_dir=str(log_dir),
+        )
+        faults.install(plan)
+        try:
+            start = time.monotonic()
+            plan.dump(tmp_path / "plan.json")
+            assert plan.fires("worker_kill", "cell-1")  # writes a log record
+            elapsed = time.monotonic() - start
+        finally:
+            faults.uninstall()
+        assert elapsed < 5.0, "fault-layer state write hit its own fault hook"
+        assert len(list(log_dir.glob("*.json"))) == 1

@@ -7,7 +7,7 @@ import pytest
 from repro.core import TfrcFlow
 from repro.core.equations import tcp_response_rate
 from repro.core.paced import T_MBI
-from repro.core.receiver import TfrcFeedback
+from repro.core.receiver import TfrcFeedback, TfrcReceiver
 from repro.core.sender import TfrcSender
 from repro.net.packet import Packet, PacketType
 from repro.net.path import LossyPath, bernoulli_loss, periodic_loss
@@ -278,6 +278,34 @@ class TestBalanceRule:
         sender = self._sender(Overshooting)
         with pytest.raises(SimulationError, match=r"flow flow-7: rate 150000\.0"):
             sender.on_feedback(forged_feedback(0.01, 50_000.0))
+
+
+class TestReceiverReportCheck:
+    """The receiver checks the ``p`` it is about to report, once per
+    report: outside [0, 1] (NaN included) raises, naming the flow and the
+    sim-time, and nothing is sent."""
+
+    @staticmethod
+    def _report(p):
+        sim, reports = Simulator(), []
+        receiver = TfrcReceiver(sim, "flow-9", send_feedback=reports.append)
+        # forged history: the estimator answers p whatever it has seen
+        receiver.intervals.loss_event_rate = lambda: p
+        sim.run(until=0.25)
+        receiver.receive(Packet("flow-9", 0, 1000, PacketType.DATA, sent_at=0.2))
+        return reports
+
+    @pytest.mark.parametrize("p", [math.nan, -0.1, 1.5])
+    def test_out_of_range_p_names_flow_and_time(self, p):
+        with pytest.raises(
+            SimulationError, match=r"flow flow-9: loss event rate .* at t=0\.25"
+        ):
+            self._report(p)
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
+    def test_in_range_p_is_reported(self, p):
+        [packet] = self._report(p)
+        assert packet.payload.p == p
 
 
 class TestRateHistoryBounding:

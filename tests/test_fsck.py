@@ -284,24 +284,24 @@ class TestFsckCli:
         assert "repaired" in out and "quarantined cell(s)" in out
 
     def test_json_report(self, tmp_path, capsys):
-        from repro.analysis.audit.records import read_findings
-
         fq, _cache = _queue(tmp_path)
         (fq.done / f"{KEY}.json").write_text("nope")
         assert fsck_main([str(fq.root), "--json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["tool"] == "tfrc-sweep-fsck"
         assert report["clean"] is False
-        # the canonical findings-record schema shared with tfrc-audit
-        records = read_findings(report)
-        assert [f["rule"] for f in records] == ["fsck.corrupt_done"]
-        assert records[0]["severity"] == "error"
-        assert records[0]["line"] == 0
-        assert "repaired" not in records[0]  # extras only when set
+        [record] = report["findings"]
+        assert record == {
+            "rule": "fsck.corrupt_done",
+            "path": str(fq.done / f"{KEY}.json"),
+            "line": 0,
+            "severity": "error",
+            "detail": record["detail"],
+        }  # no "repaired" key until a repair ran
 
         assert fsck_main([str(fq.root), "--json", "--repair"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert read_findings(report)[0]["repaired"]
+        assert report["findings"][0]["repaired"]
 
         assert fsck_main([str(fq.root), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["clean"] is True

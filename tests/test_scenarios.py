@@ -5,6 +5,8 @@ import io
 import json
 import math
 import re
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -282,7 +284,8 @@ class TestRegistry:
         assert get_scenario("test_echo") is _echo_scenario
 
     def test_name_collision_rejected(self):
-        with pytest.raises(ValueError):
+        # the only guard against duplicate scenario names
+        with pytest.raises(ValueError, match="'test_echo' already registered"):
             @register_scenario("test_echo")
             def _other(spec):  # pragma: no cover - never runs
                 return {}
@@ -563,3 +566,35 @@ class TestDumbbellSweepDeterminism:
         assert cached.cache_hits == 2
         # JSON round trip preserves every metric bit-for-bit
         assert [c.result for c in live.cells] == [c.result for c in cached.cells]
+
+
+@register_scenario("audit_probe")
+def _audit_probe(spec: ScenarioSpec):
+    return {"x": spec.extra.get("x", 0), "rtt": spec.topology.get("rtt", 0.0)}
+
+
+class TestWallClockInvariance:
+    def test_cached_cell_bytes_ignore_wall_clock(self, tmp_path, monkeypatch):
+        """Satellite regression: no wall-clock value may reach cached cell
+        results -- identical sweeps run under wildly different clocks must
+        produce byte-identical cache entries."""
+        base = ScenarioSpec(scenario="audit_probe", extra={"x": 1})
+
+        def run_with_offset(offset: float, cache_dir: Path) -> bytes:
+            real_time = time.time
+            monkeypatch.setattr(
+                time, "time", lambda: real_time() + offset
+            )
+            try:
+                SweepRunner(
+                    base, {"extra.x": [1, 2]}, cache_dir=str(cache_dir)
+                ).run()
+            finally:
+                monkeypatch.setattr(time, "time", real_time)
+            entries = sorted(cache_dir.glob("*.json"))
+            assert len(entries) == 2
+            return b"".join(p.read_bytes() for p in entries)
+
+        first = run_with_offset(0.0, tmp_path / "a")
+        second = run_with_offset(86_400.0, tmp_path / "b")
+        assert first == second

@@ -1,0 +1,943 @@
+"""Structure guards for the two promises every figure rests on: a simulated
+cell is a pure function of its spec, and it is committed as strict JSON.
+
+The runtime tests probe those promises on the runs they make; the guards
+here read the source with :mod:`ast` and fail on the code shapes that break
+them anywhere.  One test per rule family:
+
+``determinism.*`` (all of ``src/repro``)
+    ``wall-clock``: a wall-clock read (``time.time``, ``datetime.now``, ...);
+    ``global-rng``: a draw from the process-global ``random`` /
+    ``numpy.random`` state (``random.Random(seed)`` and
+    ``default_rng(seed)`` are fine); ``unsorted-listdir``: an
+    ``os.listdir`` / ``.glob`` / ``.iterdir`` result not consumed by
+    ``sorted`` or another order-free reducer; ``set-iteration``: a loop,
+    comprehension, ``list(...)`` or ``tuple(...)`` over a set expression.
+``fsio.*`` (``src/repro/scenarios`` outside ``_fsio.py``)
+    ``raw-write``: ``open(..., "w" | "x")``, ``write_text``,
+    ``write_bytes``; ``stream-dump``: ``json.dump`` onto a handle.  Durable
+    state commits through ``repro.scenarios._fsio.atomic_write_json_many``
+    (tmp file, fsync, rename), so a crash never leaves a torn file.
+``cache.*`` (``src/repro``)
+    ``non-finite-literal``: ``float("nan")``, ``math.inf``, ... inside a
+    ``@register_scenario`` function; ``lenient-json-dump``: ``json.dump(s)``
+    without a literal ``allow_nan=False``.
+``registry.*``
+    ``unregistered-scenario-ref``: a ``ScenarioSpec(scenario="...")`` or
+    ``get_scenario("...")`` literal that :func:`list_scenarios` does not
+    know once every ``repro`` module is imported; ``executor-name-drift``:
+    ``<...executor...> == "literal"`` with a name not in ``EXECUTOR_NAMES``,
+    or a runner ``--executor`` whose choices are not that table.  A second
+    function registered under a taken name raises in ``register_scenario``
+    itself, at import (``test_scenarios.py::TestRegistry``).
+``tests.missing-slow-marker`` (``tests/``)
+    a test without ``@pytest.mark.slow`` (on it, its class or the module's
+    ``pytestmark``) whose visible work -- sweep-grid cells times constant
+    ``range`` loops times the largest ``duration`` literal -- reaches
+    ``SLOW_WORK_THRESHOLD`` simulated seconds, or whose grid alone reaches
+    ``SLOW_CELL_THRESHOLD`` cells.  CI's fast tier runs ``-m "not slow"``.
+
+Each checker is a function over ``(rel_path, text)`` pairs returning
+:class:`Finding` rows; the live tests feed it the repository, each module
+parsed once through :func:`_parse`'s cache, and the negative cases feed it a
+planted tree.  A finding is accepted only by its family's allowlist, a
+``{(path, rule): reason}`` dict, and an entry that excuses no finding is
+stale and fails the guard too.
+"""
+
+import argparse
+import ast
+import functools
+import importlib
+import pkgutil
+from pathlib import Path
+from textwrap import dedent
+from typing import NamedTuple
+
+import repro
+from repro.experiments.runner import build_parser
+from repro.scenarios import list_scenarios
+from repro.scenarios.executors import EXECUTOR_NAMES
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC = "src/repro/"
+SCENARIOS = SRC + "scenarios/"
+FSIO = SCENARIOS + "_fsio.py"
+TESTS = "tests/"
+
+#: flag unmarked tests whose visible simulated work (grid cells x duration
+#: seconds) reaches this...
+SLOW_WORK_THRESHOLD = 600.0
+#: ...or whose grid alone reaches this many cells.
+SLOW_CELL_THRESHOLD = 256
+
+
+class Finding(NamedTuple):
+    path: str
+    line: int
+    rule: str
+    detail: str
+
+    def __str__(self) -> str:
+        return f"{self.path}:{self.line}: [{self.rule}] {self.detail}"
+
+
+# ------------------------------------------------------------------ parsing
+
+
+@functools.lru_cache(maxsize=None)
+def _repo_sources():
+    """``(rel_path, text)`` of every module under ``src/repro`` and ``tests``."""
+    return tuple(
+        (path.relative_to(REPO_ROOT).as_posix(), path.read_text(encoding="utf-8"))
+        for top in ("src/repro", "tests")
+        for path in sorted((REPO_ROOT / top).rglob("*.py"))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _parse(rel_path, text):
+    """``(tree, nodes, aliases)`` of one module, parsed and walked once."""
+    tree = ast.parse(text, filename=rel_path)
+    nodes = list(ast.walk(tree))
+    return tree, nodes, _import_aliases(nodes)
+
+
+def _import_aliases(nodes):
+    """Local name -> canonical dotted name, from the module's imports:
+    ``import time as t`` and ``from time import time`` both give
+    ``time.time``.  Relative imports never hide a stdlib module."""
+    aliases = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".", 1)[0]
+                    aliases[head] = head
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def _qualname(node, aliases):
+    """Canonical dotted name of a Name/Attribute chain rooted in an import,
+    else None: ``self.time()`` never resolves to ``time.time``."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _qualname(node.value, aliases)
+        return f"{base}.{node.attr}" if base else None
+    return None
+
+
+def _calls_named(call, aliases, bare):
+    """Does ``call`` invoke ``bare``, directly or as a module attribute?"""
+    if isinstance(call.func, ast.Name) and call.func.id == bare:
+        return True
+    qual = _qualname(call.func, aliases)
+    return qual is not None and qual.endswith("." + bare)
+
+
+def _modules(sources, prefix, exclude=()):
+    """``(rel_path, tree, nodes, aliases)`` of each source under ``prefix``."""
+    for rel, text in sources:
+        if rel.startswith(prefix) and rel not in exclude:
+            yield (rel, *_parse(rel, text))
+
+
+def _unexcused(findings, allowlist):
+    """Findings no allowlist entry excuses, and the entries excusing none."""
+    used = {(f.path, f.rule) for f in findings}
+    return (
+        [f for f in findings if (f.path, f.rule) not in allowlist],
+        sorted(set(allowlist) - used),
+    )
+
+
+def _assert_clean(findings, allowlist):
+    assert all(reason.strip() for reason in allowlist.values())
+    left, stale = _unexcused(findings, allowlist)
+    assert not left, "\n".join(map(str, left))
+    assert not stale, f"allowlist entries that excuse nothing (delete them): {stale}"
+
+
+# -------------------------------------------------------------- determinism
+
+WALL_CLOCK_CALLS = frozenset({
+    "time.time", "time.time_ns", "time.localtime", "time.gmtime",
+    "time.ctime", "time.asctime", "time.strftime",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.datetime.today", "datetime.date.today",
+})
+#: consumers for which a listing's order cannot matter.
+ORDER_FREE = frozenset(
+    {"sorted", "set", "frozenset", "len", "sum", "any", "all", "max", "min"}
+)
+LISTING_CALLS = frozenset({"os.listdir", "os.scandir"})
+#: listing methods; their receivers are local Path objects, so the method
+#: name is all the static evidence there is.
+LISTING_METHODS = frozenset({"iterdir", "glob", "rglob"})
+COMPREHENSIONS = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)
+
+DETERMINISM_ALLOWLIST = {
+    ("src/repro/scenarios/filequeue.py", "determinism.wall-clock"):
+        "queue protocol: lease clocks (fs_now's fallback) and file-name "
+        "nonces are wall-clock state by design; cell results never read them",
+    ("src/repro/scenarios/filequeue.py", "determinism.unsorted-listdir"):
+        "queue protocol: directory counts and claim scans are filesystem "
+        "state; which cell is claimed first never changes its result",
+    ("src/repro/scenarios/faults.py", "determinism.wall-clock"):
+        "fault layer: skewed lease stamps manipulate real time on purpose; "
+        "fault decisions stay pure sha256",
+}
+
+
+def _is_set_expr(node):
+    """A set literal, set comprehension, or ``set(...)`` / ``frozenset(...)``."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset")
+    )
+
+
+def _order_free_operands(nodes):
+    """Nodes consumed by an order-free call: its arguments, and the
+    iterables of comprehensions that are (``sum(1 for _ in p.glob(...))``)."""
+
+    def operands(node):
+        if isinstance(node, COMPREHENSIONS):
+            for generator in node.generators:
+                yield from operands(generator.iter)
+        else:
+            yield node
+
+    return {
+        operand
+        for call in nodes
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id in ORDER_FREE
+        for arg in call.args
+        for operand in operands(arg)
+    }
+
+
+def _global_rng(name, call):
+    """Why ``name(...)`` draws from process-global RNG state, or None."""
+    for module in ("random.", "numpy.random."):
+        if not name.startswith(module):
+            continue
+        func = name[len(module):]
+        if not func or "." in func or func[0].isupper():
+            return None  # random.Random(seed) etc.: explicitly seeded
+        if func == "default_rng":
+            if call.args or call.keywords:
+                return None
+            return "numpy.random.default_rng() without a seed"
+        return f"{name}() draws from the process-global RNG"
+    return None
+
+
+def check_determinism(sources):
+    """``determinism.*`` over every module under ``src/repro``."""
+    findings = []
+    for rel, _, nodes, aliases in _modules(sources, SRC):
+        order_free = _order_free_operands(nodes)
+
+        def hit(rule, node, detail):
+            findings.append(Finding(rel, node.lineno, rule, detail))
+
+        for node in nodes:
+            if isinstance(node, (ast.For, ast.AsyncFor)) and _is_set_expr(node.iter):
+                hit("determinism.set-iteration", node.iter,
+                    "for-loop iterates a set in hash order")
+            elif isinstance(node, ast.comprehension) and _is_set_expr(node.iter):
+                hit("determinism.set-iteration", node.iter,
+                    "comprehension iterates a set in hash order")
+            if not isinstance(node, ast.Call):
+                continue
+            name = _qualname(node.func, aliases)
+            rng = name and _global_rng(name, node)
+            method = isinstance(node.func, ast.Attribute) and node.func.attr
+            if name in WALL_CLOCK_CALLS:
+                hit("determinism.wall-clock", node, f"{name}() reads the wall clock")
+            elif rng:
+                hit("determinism.global-rng", node, rng)
+            elif (
+                name in LISTING_CALLS
+                or (name is None and method in LISTING_METHODS)
+            ) and node not in order_free:
+                hit("determinism.unsorted-listdir", node,
+                    f"{name or '.' + method + '(...)'} result used without sorted(...)")
+            elif (
+                isinstance(node.func, ast.Name)
+                and node.func.id in ("list", "tuple")
+                and len(node.args) == 1
+                and _is_set_expr(node.args[0])
+            ):
+                hit("determinism.set-iteration", node,
+                    f"{node.func.id}(set(...)) materializes hash order")
+    return sorted(findings)
+
+
+def test_determinism_guard():
+    _assert_clean(check_determinism(_repo_sources()), DETERMINISM_ALLOWLIST)
+
+
+# --------------------------------------------------------------------- fsio
+
+FSIO_ALLOWLIST = {
+    ("src/repro/scenarios/faults.py", "fsio.raw-write"):
+        "write_torn is the simulated crashed write the atomic helper "
+        "prevents; only the fault-injection sites call it",
+}
+
+
+def _write_mode(call):
+    """The mode of ``open(path, mode)`` / ``path.open(mode)`` when it
+    creates or truncates content, else None.  Append mode is not a content
+    write: the queue's clock sentinel opens with ``"a"`` for its mtime."""
+    if isinstance(call.func, ast.Name) and call.func.id == "open":
+        positional = call.args[1:2]
+    elif isinstance(call.func, ast.Attribute) and call.func.attr == "open":
+        positional = call.args[:1]
+    else:
+        return None
+    modes = positional + [k.value for k in call.keywords if k.arg == "mode"]
+    mode = modes[-1] if modes else None
+    if (
+        isinstance(mode, ast.Constant)
+        and isinstance(mode.value, str)
+        and ("w" in mode.value or "x" in mode.value)
+    ):
+        return mode.value
+    return None
+
+
+def check_fsio(sources):
+    """``fsio.*`` over ``src/repro/scenarios`` outside ``_fsio.py``."""
+    findings = []
+    for rel, _, nodes, aliases in _modules(sources, SCENARIOS, exclude=(FSIO,)):
+        for node in nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            mode = _write_mode(node)
+            if mode is not None:
+                findings.append(Finding(rel, node.lineno, "fsio.raw-write",
+                                        f'raw open(..., "{mode}")'))
+            elif isinstance(node.func, ast.Attribute) and node.func.attr in (
+                "write_text", "write_bytes",
+            ):
+                findings.append(Finding(rel, node.lineno, "fsio.raw-write",
+                                        f".{node.func.attr}()"))
+            elif _qualname(node.func, aliases) == "json.dump":
+                findings.append(Finding(rel, node.lineno, "fsio.stream-dump",
+                                        "json.dump streams onto a file handle"))
+    return sorted(findings)
+
+
+def test_fsio_guard():
+    _assert_clean(check_fsio(_repo_sources()), FSIO_ALLOWLIST)
+
+
+# -------------------------------------------------------------------- cache
+
+NON_FINITE_NAMES = frozenset({
+    "math.nan", "math.inf",
+    "numpy.nan", "numpy.inf", "numpy.NaN", "numpy.Inf", "numpy.NINF",
+})
+NON_FINITE_STRINGS = frozenset(
+    {"nan", "inf", "infinity", "-inf", "-infinity", "+inf", "+infinity"}
+)
+CACHE_ALLOWLIST = {}
+
+
+def _registered_scenarios(nodes, aliases):
+    """Every ``@register_scenario(...)`` function, nested ones included."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            isinstance(d, ast.Call) and _calls_named(d, aliases, "register_scenario")
+            for d in node.decorator_list
+        ):
+            yield node
+
+
+def _non_finite(node, aliases):
+    """How ``node`` spells a non-finite float, or None."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+        and node.args[0].value.strip().lower() in NON_FINITE_STRINGS
+    ):
+        return f'float("{node.args[0].value}")'
+    qual = _qualname(node, aliases)
+    return qual if qual in NON_FINITE_NAMES else None
+
+
+def _lenient_dump(call, aliases):
+    """Why a ``json.dump(s)`` call may emit NaN, or None."""
+    name = _qualname(call.func, aliases)
+    if name not in ("json.dump", "json.dumps"):
+        return None
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            return None  # **kwargs: the flag is not visible
+        if keyword.arg == "allow_nan":
+            value = keyword.value
+            if isinstance(value, ast.Constant) and value.value is False:
+                return None
+            return f"{name}(...) with allow_nan not literally False"
+    return f"{name}(...) without allow_nan=False"
+
+
+def check_cache(sources):
+    """``cache.*`` over every module under ``src/repro``."""
+    findings = []
+    for rel, _, nodes, aliases in _modules(sources, SRC):
+        for func in _registered_scenarios(nodes, aliases):
+            for node in ast.walk(func):
+                spelled = _non_finite(node, aliases)
+                if spelled:
+                    findings.append(Finding(
+                        rel, node.lineno, "cache.non-finite-literal",
+                        f"{spelled} in registered scenario {func.name}()",
+                    ))
+        for node in nodes:
+            lenient = isinstance(node, ast.Call) and _lenient_dump(node, aliases)
+            if lenient:
+                findings.append(Finding(
+                    rel, node.lineno, "cache.lenient-json-dump", lenient
+                ))
+    return sorted(findings)
+
+
+def test_cache_guard():
+    _assert_clean(check_cache(_repo_sources()), CACHE_ALLOWLIST)
+
+
+# ----------------------------------------------------------------- registry
+
+REGISTRY_ALLOWLIST = {}
+
+
+def _import_every_repro_module():
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+
+
+def _scenario_ref(call, aliases):
+    """The string literal a ``ScenarioSpec(...)`` / ``get_scenario(...)``
+    call names as its scenario, else None."""
+    if _calls_named(call, aliases, "ScenarioSpec"):
+        named = [k.value for k in call.keywords if k.arg == "scenario"]
+        ref = (named or call.args[:1] or [None])[0]
+    elif _calls_named(call, aliases, "get_scenario"):
+        ref = (call.args[:1] or [None])[0]
+    else:
+        return None
+    if isinstance(ref, ast.Constant) and isinstance(ref.value, str):
+        return ref.value
+    return None
+
+
+def _mentions_executor(node):
+    if isinstance(node, ast.Name):
+        return "executor" in node.id.lower()
+    if isinstance(node, ast.Attribute):
+        return "executor" in node.attr.lower()
+    return False
+
+
+def check_registry(sources, scenarios, executors):
+    """``registry.*`` over ``src/repro``: scenario-name literals must be in
+    ``scenarios``, and ``...executor... == "literal"`` in ``executors``."""
+    findings = []
+    for rel, _, nodes, aliases in _modules(sources, SRC):
+        for node in nodes:
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(_mentions_executor(op) for op in operands):
+                    findings.extend(
+                        Finding(rel, node.lineno, "registry.executor-name-drift",
+                                f"executor compared against {op.value!r}, "
+                                "which is not in EXECUTOR_NAMES")
+                        for op in operands
+                        if isinstance(op, ast.Constant)
+                        and isinstance(op.value, str)
+                        and op.value not in executors
+                    )
+            ref = isinstance(node, ast.Call) and _scenario_ref(node, aliases)
+            if ref and ref not in scenarios:
+                findings.append(Finding(
+                    rel, node.lineno, "registry.unregistered-scenario-ref",
+                    f"scenario name {ref!r} is not registered",
+                ))
+    return sorted(findings)
+
+
+def test_registry_guard():
+    _import_every_repro_module()
+    _assert_clean(
+        check_registry(_repo_sources(), set(list_scenarios()), set(EXECUTOR_NAMES)),
+        REGISTRY_ALLOWLIST,
+    )
+
+
+def _runner_executor_choices():
+    [action] = [
+        a for a in build_parser()._actions if "--executor" in a.option_strings
+    ]
+    return list(action.choices)
+
+
+def test_runner_executor_choices_are_the_executor_table():
+    assert _runner_executor_choices() == list(EXECUTOR_NAMES)
+
+
+# -------------------------------------------------------------- test tiers
+
+TESTS_ALLOWLIST = {}
+SINGLE_CELL_CALLS = frozenset({"run_scenario", "run_single_cell"})
+
+
+def _is_slow_marker(node):
+    """``pytest.mark.slow`` (or any ``...mark.slow`` chain), called or not."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "slow"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "mark"
+    )
+
+
+def _module_marked_slow(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "pytestmark" for t in node.targets
+        ):
+            values = (
+                node.value.elts
+                if isinstance(node.value, (ast.List, ast.Tuple))
+                else [node.value]
+            )
+            if any(_is_slow_marker(v) for v in values):
+                return True
+    return False
+
+
+def _max_duration(tree):
+    """The largest ``duration=<number>`` keyword or ``"...duration":
+    <number>`` dict entry under ``tree``, or None."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            found += [k.value for k in node.keywords if k.arg == "duration"]
+        elif isinstance(node, ast.Dict):
+            found += [
+                value for key, value in zip(node.keys, node.values)
+                if isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+                and key.value.split(".")[-1] == "duration"
+            ]
+    numbers = [
+        float(v.value) for v in found
+        if isinstance(v, ast.Constant) and isinstance(v.value, (int, float))
+    ]
+    return max(numbers, default=None)
+
+
+def _grid_cells(call):
+    """Cells of a ``SweepRunner(base, grid)`` call's literal grid."""
+    grid = call.args[1] if len(call.args) >= 2 else None
+    for keyword in call.keywords:
+        if keyword.arg == "grid":
+            grid = keyword.value
+    cells = 1
+    if isinstance(grid, ast.Dict):
+        for value in grid.values:
+            if isinstance(value, (ast.List, ast.Tuple, ast.Set)):
+                cells *= max(1, len(value.elts))
+    return cells
+
+
+def _range_bound(iterable):
+    """N for a loop over a constant ``range(..., N)``, else 1."""
+    if (
+        isinstance(iterable, ast.Call)
+        and isinstance(iterable.func, ast.Name)
+        and iterable.func.id == "range"
+        and iterable.args
+    ):
+        bound = iterable.args[-1 if len(iterable.args) < 3 else 1]
+        if isinstance(bound, ast.Constant) and isinstance(bound.value, int):
+            return max(1, bound.value)
+    return 1
+
+
+def _estimated_cells(node, multiplier=1):
+    """Cells run under ``node``: each ``SweepRunner`` grid and single-cell
+    call, times the constant ``range`` loops around it."""
+    cells = 0
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name == "SweepRunner":
+            cells += _grid_cells(node) * multiplier
+        elif name in SINGLE_CELL_CALLS:
+            cells += multiplier
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        multiplier *= _range_bound(node.iter)
+    for child in ast.iter_child_nodes(node):
+        cells += _estimated_cells(child, multiplier)
+    return cells
+
+
+def check_test_tiers(sources):
+    """``tests.missing-slow-marker`` over every module under ``tests/``."""
+    findings = []
+    for rel, tree, _, _ in _modules(sources, TESTS):
+        if _module_marked_slow(tree):
+            continue
+        # module default duration: module-level statements only (shared
+        # BASE specs), never other tests' bodies.
+        durations = [
+            _max_duration(stmt) for stmt in tree.body
+            if not isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            )
+        ]
+        module_duration = max(
+            (d for d in durations if d is not None), default=None
+        )
+
+        def walk(body, class_slow):
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    walk(node.body, class_slow
+                         or any(map(_is_slow_marker, node.decorator_list)))
+                elif (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("test")
+                    and not class_slow
+                    and not any(map(_is_slow_marker, node.decorator_list))
+                ):
+                    cells = _estimated_cells(node)
+                    duration = _max_duration(node)
+                    if duration is None:
+                        duration = module_duration
+                    work = None if duration is None else cells * duration
+                    if cells and (
+                        cells >= SLOW_CELL_THRESHOLD
+                        or (work is not None and work >= SLOW_WORK_THRESHOLD)
+                    ):
+                        findings.append(Finding(
+                            rel, node.lineno, "tests.missing-slow-marker",
+                            f"{node.name} runs ~{cells} cell(s) x "
+                            f"{'?' if duration is None else duration}s "
+                            "without @pytest.mark.slow",
+                        ))
+
+        walk(tree.body, False)
+    return sorted(findings)
+
+
+def test_slow_marker_guard():
+    _assert_clean(check_test_tiers(_repo_sources()), TESTS_ALLOWLIST)
+
+
+# ---------------------------------------------------- planted violations
+
+
+def _planted(rel_path, text):
+    """A one-module planted tree, as ``(rel_path, text)`` sources."""
+    return [(rel_path, dedent(text))]
+
+
+def _rules(findings):
+    return [f.rule for f in findings]
+
+
+class TestDeterminismGuard:
+    def test_wall_clock_hit_through_aliases(self):
+        findings = check_determinism(_planted("src/repro/sim/probe.py", """\
+            import time as t
+            from datetime import datetime
+
+            def sample():
+                return t.time()
+
+            def stamp():
+                return datetime.now()
+
+            def simulated(sim):
+                return sim.time()  # an attribute, not the time module
+            """))
+        assert _rules(findings) == ["determinism.wall-clock"] * 2
+        assert [f.line for f in findings] == [5, 8]
+
+    def test_wall_clock_checked_in_apps_layer(self):
+        findings = check_determinism(_planted("src/repro/apps/pacer.py", """\
+            import time
+
+            def now():
+                return time.time()
+            """))
+        assert _rules(findings) == ["determinism.wall-clock"]
+
+    def test_global_rng_checked_in_baselines_layer(self):
+        findings = check_determinism(_planted("src/repro/baselines/jitter.py", """\
+            import numpy as np
+
+            def backoff():
+                return np.random.uniform(0.0, 1.0)
+
+            def seeded(seed):
+                return np.random.default_rng(seed).uniform(0.0, 1.0)
+            """))
+        assert _rules(findings) == ["determinism.global-rng"]
+        assert findings[0].line == 4
+
+    def test_global_rng_from_import_alias(self):
+        findings = check_determinism(_planted("src/repro/core/jitter.py", """\
+            from random import choice
+            import random
+
+            def pick(xs):
+                return choice(xs)
+
+            def draw():
+                return random.random()
+
+            def seeded():
+                return random.Random(7).random()  # instance: fine
+            """))
+        assert _rules(findings) == ["determinism.global-rng"] * 2
+
+    def test_unsorted_listdir_vs_sanitized(self):
+        findings = check_determinism(_planted("src/repro/net/walk.py", """\
+            import os
+
+            def bad(d):
+                return [n for n in os.listdir(d)]
+
+            def good(d):
+                return sorted(os.listdir(d))
+
+            def counted(p):
+                return sum(1 for _ in p.glob("*.json"))
+
+            def raw(p):
+                for entry in p.iterdir():
+                    yield entry
+            """))
+        assert _rules(findings) == ["determinism.unsorted-listdir"] * 2
+        assert [f.line for f in findings] == [4, 13]
+
+    def test_set_iteration(self):
+        findings = check_determinism(_planted("src/repro/tcp/order.py", """\
+            def bad(xs):
+                return [x for x in set(xs)]
+
+            def worse(xs):
+                return list(set(xs))
+
+            def good(xs):
+                return sorted(set(xs))
+            """))
+        assert _rules(findings) == ["determinism.set-iteration"] * 2
+
+
+class TestFsioGuard:
+    def test_raw_writes_flagged_outside_fsio(self):
+        findings = check_fsio(_planted("src/repro/scenarios/leaky.py", """\
+            import json
+
+            def save(path, payload):
+                path.write_text("boom")
+                with open(path, "w") as fh:
+                    json.dump(payload, fh, allow_nan=False)
+            """))
+        assert _rules(findings) == [
+            "fsio.raw-write", "fsio.raw-write", "fsio.stream-dump",
+        ]
+
+    def test_blessed_module_passes_and_allowlist_excuses(self):
+        findings = check_fsio(_planted("src/repro/scenarios/_fsio.py", """\
+            def atomic(path, text):
+                with path.open("w") as fh:
+                    fh.write(text)
+            """) + _planted("src/repro/scenarios/torn.py", """\
+            def tear(path):
+                with path.open(mode="w") as fh:
+                    fh.write("ha")
+            """))
+        assert [(f.path, f.rule) for f in findings] == [
+            ("src/repro/scenarios/torn.py", "fsio.raw-write"),
+        ]
+        allowlist = {("src/repro/scenarios/torn.py", "fsio.raw-write"): "torn"}
+        assert _unexcused(findings, allowlist) == ([], [])
+
+    def test_append_mode_is_not_a_content_write(self):
+        assert check_fsio(_planted("src/repro/scenarios/clock.py", """\
+            def touch(sentinel):
+                with sentinel.open("a"):
+                    pass
+            """)) == []
+
+
+class TestCacheGuard:
+    def test_non_finite_in_registered_scenario(self):
+        findings = check_cache(_planted("src/repro/experiments/figx.py", """\
+            import math
+            from repro.scenarios import register_scenario
+
+            @register_scenario("figx_cell")
+            def run(spec):
+                return {"metric": float("nan"), "bound": math.inf}
+
+            def helper():
+                return float("inf")  # not a scenario function: fine
+            """))
+        assert _rules(findings) == ["cache.non-finite-literal"] * 2
+
+    def test_lenient_json_dump(self):
+        findings = check_cache(_planted("src/repro/apps/export.py", """\
+            import json
+
+            def bad(d):
+                return json.dumps(d)
+
+            def good(d):
+                return json.dumps(d, allow_nan=False)
+            """))
+        assert _rules(findings) == ["cache.lenient-json-dump"]
+
+
+class TestRegistryGuard:
+    def test_executor_compared_against_unknown_name(self):
+        findings = check_registry(_planted("src/repro/scenarios/executors.py", """\
+            def wants_queue(executor):
+                return executor == "bogus"
+
+            def wants_serial(executor):
+                return executor == "serial"
+            """), scenarios=set(), executors={"serial"})
+        assert _rules(findings) == ["registry.executor-name-drift"]
+        assert "'bogus'" in findings[0].detail
+
+    def test_runner_choices_drift_is_caught(self, monkeypatch):
+        real = argparse.ArgumentParser.add_argument
+
+        def narrowed(self, *args, **kwargs):
+            if args[:1] == ("--executor",):
+                kwargs["choices"] = ("serial",)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", narrowed)
+        assert _runner_executor_choices() != list(EXECUTOR_NAMES)
+
+    def test_unregistered_scenario_ref(self):
+        findings = check_registry(_planted("src/repro/experiments/use.py", """\
+            from repro.scenarios import ScenarioSpec, get_scenario
+
+            def good():
+                return ScenarioSpec(scenario="grid_cell")
+
+            def bad():
+                return ScenarioSpec(scenario="grid_cel")
+
+            def looked_up():
+                return get_scenario("grid_cells")
+            """), scenarios={"grid_cell"}, executors=set())
+        assert [(f.rule, f.line) for f in findings] == [
+            ("registry.unregistered-scenario-ref", 7),
+            ("registry.unregistered-scenario-ref", 10),
+        ]
+        assert "'grid_cel'" in findings[0].detail
+
+
+class TestSlowMarkerGuard:
+    HEAVY = dedent("""\
+        import pytest
+        from repro.scenarios import ScenarioSpec, SweepRunner
+
+        def test_heavy():
+            base = ScenarioSpec(scenario="x", duration=120.0)
+            SweepRunner(base, {"a": [1, 2, 3, 4, 5], "b": [1, 2]}).run()
+        """)
+
+    def test_unmarked_heavy_test_flagged(self):
+        findings = check_test_tiers([("tests/test_heavy.py", self.HEAVY)])
+        assert _rules(findings) == ["tests.missing-slow-marker"]
+        assert "10 cell(s)" in findings[0].detail
+
+    def test_marked_variants_pass(self):
+        marked = self.HEAVY.replace(
+            "def test_heavy():", "@pytest.mark.slow\ndef test_heavy():"
+        )
+        module_marked = "import pytest\npytestmark = pytest.mark.slow\n" + self.HEAVY
+        assert check_test_tiers([
+            ("tests/test_marked.py", marked),
+            ("tests/test_module_marked.py", module_marked),
+        ]) == []
+
+    def test_small_grid_with_small_duration_passes(self):
+        assert check_test_tiers(_planted("tests/test_light.py", """\
+            from repro.scenarios import ScenarioSpec, SweepRunner
+
+            def test_light():
+                base = ScenarioSpec(scenario="x", duration=1.0)
+                SweepRunner(base, {"a": [1, 2, 3, 4]}).run()
+            """)) == []
+
+    def test_huge_grid_flagged_even_without_duration(self):
+        findings = check_test_tiers(_planted("tests/test_wide.py", """\
+            from repro.scenarios import SweepRunner
+
+            def test_wide(base):
+                SweepRunner(base, {
+                    "a": [1, 2, 3, 4, 5, 6, 7, 8],
+                    "b": [1, 2, 3, 4, 5, 6, 7, 8],
+                    "c": [1, 2, 3, 4],
+                }).run()
+            """))
+        assert _rules(findings) == ["tests.missing-slow-marker"]
+
+    def test_range_loop_multiplies_single_cells(self):
+        findings = check_test_tiers(_planted("tests/test_loop.py", """\
+            from repro.scenarios import ScenarioSpec, run_scenario
+
+            def test_loop():
+                for seed in range(20):
+                    run_scenario(ScenarioSpec("x", seed=seed, duration=30.0))
+            """))
+        assert "~20 cell(s) x 30.0s" in findings[0].detail
+
+
+class TestAllowlist:
+    FINDING = Finding("src/repro/sim/probe.py", 4, "determinism.wall-clock", "")
+
+    def test_entry_naming_no_finding_is_stale(self):
+        allowlist = {
+            ("src/repro/nowhere.py", "determinism.wall-clock"): "why",
+            ("src/repro/sim/probe.py", "determinism.global-rng"): "why",
+        }
+        assert _unexcused([self.FINDING], allowlist) == (
+            [self.FINDING], sorted(allowlist),
+        )
+
+    def test_live_entry_excuses_and_is_not_stale(self):
+        allowlist = {("src/repro/sim/probe.py", "determinism.wall-clock"): "why"}
+        assert _unexcused([self.FINDING], allowlist) == ([], [])

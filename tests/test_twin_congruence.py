@@ -7,9 +7,9 @@ file is where that contract is kept:
 * ``FUZZERS`` is the twin registry: each vector function's dotted name
   maps to its scalar reference and a seeded fuzz that compares the pair
   bit for bit over inputs that span every zone and hit every threshold
-  exactly.  ``KNOWN_RUNTIME_PAIRS`` names the loop-shaped pairs whose
-  bit identity is checked through the whole batch kernel instead
-  (tests/test_vector_kernel.py).
+  exactly.  ``KNOWN_RUNTIME_PAIRS`` names the one pair whose bit identity
+  is checked through the whole batch kernel instead
+  (tests/test_vector_kernel.py): the kernel itself.
 * ``TestLiveTwinRegistry`` walks ``src/repro`` with ``ast``: every
   ``*_vec`` / ``*_vector`` function (and each name in
   ``UNSUFFIXED_TWINS``) must be registered, and every registered name must
@@ -38,13 +38,9 @@ TWIN_SUFFIXES = ("_vec", "_vector")
 UNSUFFIXED_TWINS = {"repro.sim.vector_kernel._WaliLanes._fold_average"}
 
 #: vector -> scalar pairs checked only through the batch kernel's
-#: grid-equivalence fuzz in tests/test_vector_kernel.py: the masked
-#: bisection runs at every cell's slow-start exit, and the kernel is a
+#: grid-equivalence fuzz in tests/test_vector_kernel.py: the kernel is a
 #: whole simulation loop.
 KNOWN_RUNTIME_PAIRS = {
-    "repro.core.equations.invert_response_vec": (
-        "repro.core.equations.invert_response"
-    ),
     "repro.sim.vector_kernel.run_cells_vector": (
         "repro.sim.vector_kernel.run_cell_scalar"
     ),
@@ -189,6 +185,50 @@ def _fuzz_wali_fold_average(scalar, vector):
         )
 
 
+def _fuzz_invert_response(scalar, vector):
+    """Hypothesis-drawn lanes of one batch: each lane's target sits at or
+    past the rate at ``P_MIN`` (early exit to ``P_MIN``), at or below the
+    rate at ``p = 1`` (early exit to 1.0), or geometrically between them,
+    so exiting lanes are masked beside lanes still bisecting."""
+    from hypothesis import given, settings, strategies as st
+
+    from repro.core.equations import P_MIN, tcp_response_rate
+
+    lanes = st.lists(
+        st.tuples(
+            st.floats(0.001, 2.0),  # rtt
+            st.sampled_from(("p_min", "one", "between")),
+            st.floats(0.0, 1.0),  # where in the zone
+        ),
+        min_size=1, max_size=12,
+    )
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from((500, 1000, 1460)), lanes)
+    def check(packet_size, drawn):
+        rtt = np.array([lane[0] for lane in drawn])
+        t_rto = 4.0 * rtt
+        target = np.empty_like(rtt)
+        for i, (r, zone, u) in enumerate(drawn):
+            top = tcp_response_rate(packet_size, r, P_MIN, 4.0 * r)
+            bottom = tcp_response_rate(packet_size, r, 1.0, 4.0 * r)
+            target[i] = {
+                "p_min": top * (1.0 + u),
+                "one": bottom * (1.0 - 0.999 * u),
+                "between": bottom * (top / bottom) ** u,
+            }[zone]
+        out = vector(float(packet_size), rtt, target, t_rto)
+        for i in range(rtt.size):
+            _assert_bits_equal(
+                scalar(packet_size, float(rtt[i]), float(target[i]),
+                       float(t_rto[i])),
+                out[i],
+                f"invert_response(rtt={rtt[i]!r}, target={target[i]!r})",
+            )
+
+    check()
+
+
 #: the twin registry: vector dotted name -> (scalar dotted name, fuzz).
 FUZZERS = {
     "repro.net.redmath.red_drop_probability_vec": (
@@ -207,6 +247,9 @@ FUZZERS = {
     "repro.sim.vector_kernel._WaliLanes._fold_average": (
         "repro.core.loss_intervals.wali_fold_average",
         _fuzz_wali_fold_average,
+    ),
+    "repro.core.equations.invert_response_vec": (
+        "repro.core.equations.invert_response", _fuzz_invert_response,
     ),
 }
 
@@ -392,6 +435,12 @@ PLANTED = [
         "repro.core.equations.tcp_response_rate_vec",
         "    p = np.maximum(p, P_MIN)\n    term_rtt",
         "    term_rtt",
+    ),
+    (
+        "invert_response-stopping-rule-unscaled",
+        "repro.core.equations.invert_response_vec",
+        "tolerance * np.maximum(1.0, hi)",
+        "tolerance * hi",
     ),
     (
         "wali_fold-np-sum",
