@@ -27,18 +27,3 @@ def coefficient_of_variation(series: Sequence[float]) -> float:
     if mean == 0:
         return 0.0
     return float(values.std() / mean)
-
-
-def cov_vs_timescale(
-    arrivals,
-    t0: float,
-    t1: float,
-    timescales: Sequence[float],
-) -> dict:
-    """CoV of one flow's rate series at each requested timescale."""
-    from repro.analysis.timeseries import arrivals_to_rate_series
-
-    return {
-        tau: coefficient_of_variation(arrivals_to_rate_series(arrivals, t0, t1, tau))
-        for tau in timescales
-    }

@@ -48,22 +48,3 @@ def equivalence_ratio(
     if not values:
         return float("nan")
     return float(np.mean(values))
-
-
-def pairwise_equivalence(
-    series_by_flow: dict, pairs: Sequence[tuple]
-) -> float:
-    """Mean equivalence ratio over a set of flow pairs.
-
-    The paper reports mean equivalence between pairs of TCP flows, pairs of
-    TFRC flows, and TCP/TFRC pairs; this helper averages Eq. (3) over any
-    such pairing.
-    """
-    ratios = []
-    for flow_a, flow_b in pairs:
-        ratio = equivalence_ratio(series_by_flow[flow_a], series_by_flow[flow_b])
-        if not np.isnan(ratio):
-            ratios.append(ratio)
-    if not ratios:
-        return float("nan")
-    return float(np.mean(ratios))

@@ -10,7 +10,7 @@ figures are computed from simulator traces.  The series for flow F between
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -57,22 +57,3 @@ def rate_series(
 ) -> np.ndarray:
     """Alias of :func:`arrivals_to_rate_series` named after paper Eq. (2)."""
     return arrivals_to_rate_series(arrivals, t0, t1, tau)
-
-
-def normalized_throughputs(
-    per_flow_bytes: dict,
-    duration: float,
-    link_bps: float,
-    flow_count: int,
-) -> dict:
-    """Per-flow throughput normalized so that 1.0 = a fair share of the link.
-
-    Used by the fairness figures: ``normalized = rate / (link / n_flows)``.
-    """
-    if duration <= 0 or link_bps <= 0 or flow_count <= 0:
-        raise ValueError("duration, link_bps and flow_count must be positive")
-    fair_share = link_bps / flow_count
-    return {
-        flow: (total_bytes * 8 / duration) / fair_share
-        for flow, total_bytes in per_flow_bytes.items()
-    }

@@ -83,10 +83,6 @@ class LossEventDetector:
 
     # ------------------------------------------------------------ geometry
 
-    @property
-    def last_event_start_seq(self) -> Optional[int]:
-        return self._event_start_seq
-
     def open_interval_packets(self) -> int:
         """s0: packets spanning from just after the current event's start to
         the highest sequence number received."""

@@ -7,9 +7,9 @@ This package replaces the ns-2 link/queue substrate the paper evaluates on:
 * :mod:`~repro.net.queues` -- DropTail and RED queue disciplines.
 * :mod:`~repro.net.link` -- store-and-forward links that serialize packets at
   a configured bandwidth and add propagation delay.
-* :mod:`~repro.net.path` -- unidirectional paths (chains of links) plus the
-  convenience :class:`~repro.net.path.LossyPath` used for Bernoulli /
-  deterministic loss models in the protocol-mechanics figures.
+* :mod:`~repro.net.path` -- :class:`~repro.net.path.LossyPath`, the ideal
+  pipe with Bernoulli / periodic / scheduled loss models used by the
+  protocol-mechanics figures.
 * :mod:`~repro.net.monitor` -- per-link and per-flow counters.
 * :mod:`~repro.net.flow` -- the ``Port`` duck type and the ``Flow`` base
   that wires any protocol's sender/receiver pair over two ports.
@@ -17,20 +17,19 @@ This package replaces the ns-2 link/queue substrate the paper evaluates on:
   experiments.
 * :mod:`~repro.net.dummynet` -- a single configurable pipe mirroring how the
   paper uses Rizzo's Dummynet for the oscillation experiments.
-* :mod:`~repro.net.lossmodels` -- correlated (Gilbert-Elliott), trace-replay
-  and policer loss models for emulating real-path loss behaviour.
+* :mod:`~repro.net.lossmodels` -- the correlated (Gilbert-Elliott) loss
+  model for emulating bursty real-path loss.
 """
 
 from repro.net.packet import Packet, PacketType
 from repro.net.queues import DropTailQueue, Queue, REDQueue
 from repro.net.link import Link
-from repro.net.path import LossyPath, Path
+from repro.net.path import LossyPath
 from repro.net.monitor import FlowMonitor, LinkMonitor
 from repro.net.topology import Dumbbell, DumbbellConfig
 from repro.net.dummynet import DummynetPipe
 from repro.net.lossmodels import (
     GilbertElliottLoss,
-    TraceLoss,
     gilbert_elliott_from_rate,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "DropTailQueue",
     "REDQueue",
     "Link",
-    "Path",
     "LossyPath",
     "LinkMonitor",
     "FlowMonitor",
@@ -49,6 +47,5 @@ __all__ = [
     "DumbbellConfig",
     "DummynetPipe",
     "GilbertElliottLoss",
-    "TraceLoss",
     "gilbert_elliott_from_rate",
 ]

@@ -1,36 +1,24 @@
-"""Stochastic loss models beyond Bernoulli.
+"""Correlated (bursty) packet loss.
 
 :mod:`repro.net.path` defines the ``LossModel`` callable contract --
 ``(packet, now) -> dropped?`` -- and the simple Bernoulli / periodic /
-scheduled models the protocol-mechanics figures need.  This module adds the
-models required to emulate *real* paths (the paper's section 4.3 Internet
-experiments observed bursty, correlated loss that a Bernoulli process cannot
-produce):
+scheduled models the protocol-mechanics figures need.  This module adds
+:class:`GilbertElliottLoss`, the classic two-state Markov loss model: real
+Internet paths drop packets in bursts (router buffer overflows hit
+consecutive arrivals, as the paper's section 4.3 experiments observed), and
+Gilbert-Elliott captures this with a GOOD state (low loss) and a BAD state
+(high loss) with geometric sojourn times.  ``examples/bursty_loss_study.py``
+(the section 3.5.1 demo) drives it through :func:`gilbert_elliott_from_rate`.
 
-* :class:`GilbertElliottLoss` -- the classic two-state Markov loss model.
-  Real Internet paths drop packets in bursts (router buffer overflows hit
-  consecutive arrivals); Gilbert-Elliott captures this with a GOOD state
-  (low loss) and a BAD state (high loss) with geometric sojourn times.
-* :class:`TraceLoss` -- replays a recorded boolean drop sequence, so a loss
-  pattern captured from one experiment can be imposed verbatim on another
-  (used by the Figure 18 predictor methodology, which evaluates estimators
-  on *fixed* loss traces).
-* :func:`rate_limited_loss` -- wraps another model so it never exceeds a
-  drop budget over a sliding window, modelling policers.
-
-All models are deterministic given their ``numpy`` Generator, preserving the
+The model is deterministic given its ``numpy`` Generator, preserving the
 repository-wide reproducibility guarantee.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple
-
 import numpy as np
 
 from repro.net.packet import Packet
-from repro.net.path import LossModel
 
 
 class GilbertElliottLoss:
@@ -150,103 +138,3 @@ def gilbert_elliott_from_rate(
         loss_bad=loss_bad,
         rng=rng,
     )
-
-
-class TraceLoss:
-    """Replay a recorded drop pattern.
-
-    ``trace`` is a sequence of booleans (True = drop) consumed one entry per
-    data packet.  When the trace is exhausted the model either repeats from
-    the start (``loop=True``, the default) or stops dropping.
-
-    Recording the decisions of another model is supported via
-    :meth:`recording`, which wraps a model so its verdicts are captured for
-    later replay -- the Figure 18 predictor study runs every estimator
-    configuration against identical loss traces this way.
-    """
-
-    def __init__(self, trace: Iterable[bool], loop: bool = True) -> None:
-        self.trace: List[bool] = [bool(x) for x in trace]
-        if not self.trace:
-            raise ValueError("trace must not be empty")
-        self.loop = loop
-        self._index = 0
-        self.packets_seen = 0
-        self.packets_dropped = 0
-
-    @classmethod
-    def recording(cls, inner: LossModel) -> Tuple[LossModel, List[bool]]:
-        """Wrap ``inner`` so its drop decisions are recorded.
-
-        Returns ``(wrapped_model, record)`` where ``record`` grows one entry
-        per data packet and can later seed ``TraceLoss(record)``.
-        """
-        record: List[bool] = []
-
-        def model(packet: Packet, now: float) -> bool:
-            dropped = inner(packet, now)
-            if packet.is_data:
-                record.append(bool(dropped))
-            return dropped
-
-        return model, record
-
-    def __call__(self, packet: Packet, now: float) -> bool:
-        if not packet.is_data:
-            return False
-        self.packets_seen += 1
-        if self._index >= len(self.trace):
-            if not self.loop:
-                return False
-            self._index = 0
-        dropped = self.trace[self._index]
-        self._index += 1
-        if dropped:
-            self.packets_dropped += 1
-        return dropped
-
-
-def rate_limited_loss(
-    inner: LossModel, max_drops: int, window: float
-) -> LossModel:
-    """Cap ``inner`` to at most ``max_drops`` drops per ``window`` seconds.
-
-    Useful for modelling token-bucket policers and for bounding synthetic
-    impairment so a test path cannot starve a flow outright.
-    """
-    if max_drops < 0:
-        raise ValueError("max_drops cannot be negative")
-    if window <= 0:
-        raise ValueError("window must be positive")
-    recent: Deque[float] = deque()
-
-    def model(packet: Packet, now: float) -> bool:
-        while recent and recent[0] <= now - window:
-            recent.popleft()
-        if not inner(packet, now):
-            return False
-        if len(recent) >= max_drops:
-            return False  # budget exhausted: let the packet through
-        recent.append(now)
-        return True
-
-    return model
-
-
-def loss_run_lengths(trace: Sequence[bool]) -> List[int]:
-    """Lengths of consecutive-drop runs in a boolean drop trace.
-
-    Analysis helper for validating burstiness: for a Gilbert-Elliott model
-    with ``loss_bad = 1`` the mean run length estimates the BAD sojourn.
-    """
-    runs: List[int] = []
-    current = 0
-    for dropped in trace:
-        if dropped:
-            current += 1
-        elif current:
-            runs.append(current)
-            current = 0
-    if current:
-        runs.append(current)
-    return runs

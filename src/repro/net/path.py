@@ -1,53 +1,22 @@
-"""Unidirectional paths and controlled-loss paths.
+"""Controlled-loss paths.
 
-:class:`Path` chains links so a packet injected at the head is delivered to
-the sink after traversing every hop.  :class:`LossyPath` wraps an ideal path
-with a programmable loss model -- Bernoulli, deterministic every-Nth, or a
-time-varying schedule -- which the protocol-mechanics figures (2, 19, 20, 21)
-use to impose exact loss patterns, exactly as the paper's appendix
-simulations do.
+:class:`LossyPath` is an ideal fixed-delay pipe with a programmable loss
+model -- Bernoulli, deterministic every-Nth, or a time-varying schedule --
+which the protocol-mechanics figures (2, 19, 20, 21) use to impose exact
+loss patterns, exactly as the paper's appendix simulations do.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.net.link import Link, Receiver
+from repro.net.link import Receiver
 from repro.net.packet import Packet
 from repro.sim.engine import _FMAX, Simulator
 from repro.sim.rng import BlockDraws
-
-
-class Path:
-    """A chain of links delivering packets to a final receiver."""
-
-    def __init__(self, links: Sequence[Link], name: str = "path") -> None:
-        if not links:
-            raise ValueError("a path needs at least one link")
-        self.links: List[Link] = list(links)
-        self.name = name
-        for upstream, downstream in zip(self.links, self.links[1:]):
-            upstream.connect(downstream.send)
-
-    def connect(self, receiver: Receiver) -> None:
-        """Attach the endpoint that consumes packets leaving the last link."""
-        self.links[-1].connect(receiver)
-
-    def send(self, packet: Packet) -> bool:
-        """Inject ``packet`` at the head of the path."""
-        return self.links[0].send(packet)
-
-    @property
-    def min_bandwidth_bps(self) -> float:
-        return min(link.bandwidth_bps for link in self.links)
-
-    @property
-    def base_delay(self) -> float:
-        """Sum of propagation delays (excludes queueing/serialization)."""
-        return sum(link.propagation_delay for link in self.links)
 
 
 LossModel = Callable[[Packet, float], bool]
@@ -99,8 +68,9 @@ def scheduled_loss(schedule: Sequence[Tuple[float, LossModel]]) -> LossModel:
 
     ``schedule`` is a list of ``(start_time, model)`` pairs in increasing
     start-time order; the model whose start time most recently passed is
-    active.  Used for Figure 2's 1% -> 10% -> 0.5% pattern and Figure 20's
-    switch to persistent congestion at t=10.
+    active, and nothing drops before the first start time (no model sees
+    those packets).  Used for Figure 2's 1% -> 10% -> 0.5% pattern and
+    Figure 20's switch to persistent congestion at t=10.
     """
     if not schedule:
         raise ValueError("schedule must not be empty")
@@ -109,13 +79,12 @@ def scheduled_loss(schedule: Sequence[Tuple[float, LossModel]]) -> LossModel:
         raise ValueError("schedule start times must be strictly increasing")
 
     def model(packet: Packet, now: float) -> bool:
-        active = schedule[0][1]
+        active = None
         for start, candidate in schedule:
-            if now >= start:
-                active = candidate
-            else:
+            if now < start:
                 break
-        return active(packet, now)
+            active = candidate
+        return active is not None and active(packet, now)
 
     return model
 
@@ -123,7 +92,7 @@ def scheduled_loss(schedule: Sequence[Tuple[float, LossModel]]) -> LossModel:
 class LossyPath:
     """An ideal fixed-delay pipe with an explicit loss model.
 
-    Unlike :class:`Path`, congestion loss never occurs here; losses come
+    There is no queue, so congestion loss never occurs here; losses come
     only from the model.  This isolates the protocol mechanics under study
     from queue dynamics -- the methodology of the paper's Figures 2 and
     19-21.

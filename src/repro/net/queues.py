@@ -46,10 +46,6 @@ class Queue:
     def __len__(self) -> int:
         return len(self._queue)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._queue
-
     def enqueue(self, packet: Packet, now: float) -> bool:
         """Try to accept ``packet``; return True if queued, False if dropped."""
         raise NotImplementedError

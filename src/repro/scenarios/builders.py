@@ -22,6 +22,9 @@ them from a :class:`~repro.scenarios.spec.ScenarioSpec` alone.
 
 from __future__ import annotations
 
+import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -409,6 +412,16 @@ def _never_drop(packet, now) -> bool:
     return False
 
 
+#: the keys each loss model accepts besides ``model`` (a phase adds ``at``).
+_LOSS_KEYS = {
+    "none": (),
+    "": (),
+    "bernoulli": ("probability",),
+    "periodic": ("offset", "period"),
+    "scheduled": ("phases",),
+}
+
+
 def loss_model_from_spec(
     loss: Dict[str, object],
     rng: Optional[Union[np.random.Generator, BlockDraws]] = None,
@@ -429,38 +442,77 @@ def loss_model_from_spec(
     Figure 2's 1% -> 10% -> 0.5% pattern and Figures 19-21's loss steps as
     plain spec data.
 
+    Malformed input raises :class:`ValueError` naming the offending field,
+    e.g. ``loss.phases[1].perod``: a key the chosen model does not take, a
+    value that is not a finite number (``bool`` included), a ``period`` or
+    ``offset`` that is not integral, or ``phases`` that is not a list of
+    mappings.
+
     Every Bernoulli phase of one call draws from one :class:`BlockDraws`
     over ``rng``, so the model consumes the generator's values in the order
     per-packet scalar draws would; nothing else may draw from ``rng``.
     """
     if rng is not None and not isinstance(rng, BlockDraws):
         rng = BlockDraws(rng)
-    model = str(loss.get("model", "none"))
+    return _loss_model(loss, rng, "loss")
+
+
+def _number(
+    loss: Dict[str, object], key: str, default: float, where: str,
+    integral: bool = False,
+) -> float:
+    """``loss[key]`` (else ``default``), checked finite and, if asked, integral."""
+    value = loss.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{where}.{key}: expected a finite number, got {value!r}")
+    if integral and value != int(value):
+        raise ValueError(f"{where}.{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _loss_model(
+    loss: Dict[str, object], rng: Optional[BlockDraws], where: str
+) -> Optional[LossModel]:
+    model = loss.get("model", "none")
+    if not isinstance(model, str) or model not in _LOSS_KEYS:
+        raise ValueError(f"{where}.model: unknown loss model {model!r}")
+    accepted = _LOSS_KEYS[model]
+    unknown = sorted(str(k) for k in loss if k != "model" and k not in accepted)
+    if unknown:
+        raise ValueError(
+            f"{where}.{unknown[0]}: not a key of the {model or 'none'!r} loss "
+            f"model (accepted: {', '.join(('model',) + accepted)})"
+        )
     if model in ("none", ""):
         return None
     if model == "bernoulli":
         if rng is None:
             raise ValueError("bernoulli loss model needs an rng")
-        return bernoulli_loss(float(loss.get("probability", 0.01)), rng)
+        return bernoulli_loss(float(_number(loss, "probability", 0.01, where)), rng)
     if model == "periodic":
         return periodic_loss(
-            int(loss.get("period", 100)), offset=int(loss.get("offset", 0))
+            int(_number(loss, "period", 100, where, integral=True)),
+            offset=int(_number(loss, "offset", 0, where, integral=True)),
         )
-    if model == "scheduled":
-        phases = list(loss.get("phases", []))
-        if not phases:
-            raise ValueError("scheduled loss model needs at least one phase")
-        schedule: List[Tuple[float, LossModel]] = []
-        for phase in phases:
-            inner = {k: v for k, v in dict(phase).items() if k != "at"}
-            schedule.append(
-                (
-                    float(dict(phase).get("at", 0.0)),
-                    loss_model_from_spec(inner, rng) or _never_drop,
-                )
+    phases = loss.get("phases", [])
+    if not isinstance(phases, (list, tuple)):
+        raise ValueError(f"{where}.phases: expected a list, got {phases!r}")
+    if not phases:
+        raise ValueError(f"{where}.phases: a scheduled loss model needs a phase")
+    schedule: List[Tuple[float, LossModel]] = []
+    for i, phase in enumerate(phases):
+        at = f"{where}.phases[{i}]"
+        if not isinstance(phase, Mapping):
+            raise ValueError(f"{at}: expected a mapping, got {phase!r}")
+        inner = {k: v for k, v in phase.items() if k != "at"}
+        schedule.append(
+            (
+                float(_number(phase, "at", 0.0, at)),
+                _loss_model(inner, rng, at) or _never_drop,
             )
-        return scheduled_loss(schedule)
-    raise ValueError(f"unknown loss model {model!r}")
+        )
+    return scheduled_loss(schedule)
 
 
 def periodic_phase(at: float, period: int, offset: int = 0) -> JsonDict:

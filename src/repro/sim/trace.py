@@ -2,7 +2,8 @@
 
 Protocol agents and queue monitors feed a shared :class:`Tracer`; the
 analysis layer (time series, CoV, equivalence ratio) consumes the records
-after the run.  Tracing is designed to be cheap enough to leave enabled.
+after the run.  Tracing is designed to be cheap enough to leave on; a
+component built with ``tracer=None`` skips it with one ``None`` check.
 
 Storage is one parallel list per field (time, category, source, value) plus
 a sparse ``{index: meta}`` dict, so the hot path appends four scalars
@@ -14,7 +15,7 @@ that materialize records only when the analysis layer asks for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -41,14 +42,12 @@ class TraceRecord:
 class Tracer:
     """Append-only trace sink with simple filtered views."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._times: List[float] = []
         self._categories: List[str] = []
         self._sources: List[str] = []
         self._values: List[float] = []
         self._meta: Dict[int, Dict[str, Any]] = {}
-        self._hooks: List[Callable[[TraceRecord], None]] = []
 
     def record(
         self,
@@ -58,9 +57,7 @@ class Tracer:
         value: float = 0.0,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Append one record (no-op, and allocation-free, when disabled)."""
-        if not self.enabled:
-            return
+        """Append one record: four scalars, plus ``meta`` when given."""
         times = self._times
         if meta is not None:
             self._meta[len(times)] = meta
@@ -68,18 +65,6 @@ class Tracer:
         self._categories.append(category)
         self._sources.append(source)
         self._values.append(value)
-        if self._hooks:
-            rec = TraceRecord(time, category, source, value, meta)
-            for hook in self._hooks:
-                hook(rec)
-
-    def add_hook(self, hook: Callable[[TraceRecord], None]) -> None:
-        """Register a live observer invoked for every record.
-
-        Record objects are constructed *only* while at least one hook is
-        registered; hook-free runs never allocate them.
-        """
-        self._hooks.append(hook)
 
     def __len__(self) -> int:
         return len(self._times)

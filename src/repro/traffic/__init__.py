@@ -9,7 +9,7 @@
 """
 
 from repro.traffic.cbr import CbrSource
-from repro.traffic.onoff import OnOffSource, make_onoff_fleet
+from repro.traffic.onoff import OnOffSource
 from repro.traffic.web import WebTrafficSource
 
-__all__ = ["CbrSource", "OnOffSource", "make_onoff_fleet", "WebTrafficSource"]
+__all__ = ["CbrSource", "OnOffSource", "WebTrafficSource"]

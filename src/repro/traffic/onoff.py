@@ -10,7 +10,7 @@ aggregate traffic (Willinger et al. 1995).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -90,10 +90,6 @@ class OnOffSource:
                 event.cancel()
         self._send_event = self._phase_event = None
 
-    @property
-    def is_on(self) -> bool:
-        return self._on and self._running
-
     def _enter_on(self) -> None:
         if not self._running:
             return
@@ -126,20 +122,3 @@ class OnOffSource:
         self.packets_sent += 1
         self._port.send(packet)
         self._send_event = self.sim.schedule_in(self._interval, self._emit)
-
-
-def make_onoff_fleet(
-    sim: Simulator,
-    count: int,
-    port_factory,
-    rng: np.random.Generator,
-    **kwargs,
-) -> List[OnOffSource]:
-    """Create ``count`` ON/OFF sources, one port each via ``port_factory(i)``."""
-    sources = []
-    for i in range(count):
-        flow_id = f"onoff-{i}"
-        sources.append(
-            OnOffSource(sim, flow_id, port_factory(i), rng=rng, **kwargs)
-        )
-    return sources

@@ -12,19 +12,15 @@ from repro.analysis.bernoulli import (
     packets_per_rtt_from_equation,
     simulate_loss_event_fraction,
 )
-from repro.analysis.cov import coefficient_of_variation, cov_vs_timescale
-from repro.analysis.equivalence import (
-    equivalence_ratio,
-    equivalence_series,
-    pairwise_equivalence,
-)
+from repro.analysis.cov import coefficient_of_variation
+from repro.analysis.equivalence import equivalence_ratio, equivalence_series
 from repro.analysis.predictor import (
     make_weights,
     predictor_errors,
     weighted_interval_predictor,
 )
 from repro.analysis.stats import confidence_interval, mean_and_ci, t_critical_90
-from repro.analysis.timeseries import arrivals_to_rate_series, normalized_throughputs
+from repro.analysis.timeseries import arrivals_to_rate_series
 
 
 class TestRateSeries:
@@ -77,14 +73,6 @@ class TestRateSeries:
         series = arrivals_to_rate_series(arrivals, 0.0, 10.0, 1.0)
         assert series.sum() * 1.0 == pytest.approx(sum(b for _, b in arrivals))
 
-    def test_normalized_throughputs(self):
-        result = normalized_throughputs(
-            {"a": 12_500_000, "b": 25_000_000}, duration=10.0,
-            link_bps=40e6, flow_count=2,
-        )
-        assert result["a"] == pytest.approx(0.5)
-        assert result["b"] == pytest.approx(1.0)
-
 
 class TestCov:
     def test_constant_series_zero(self):
@@ -106,9 +94,14 @@ class TestCov:
 
     def test_cov_decreases_with_timescale_for_bursty_flow(self):
         """Aggregating a bursty arrival process smooths it."""
-        arrivals = [(t, 1000) for t in np.arange(0, 100, 0.5)][::2]  # bursty
-        covs = cov_vs_timescale(arrivals, 0, 100, [0.5, 2.0, 10.0])
-        assert covs[10.0] <= covs[0.5]
+        # one packet a second, each alone in a 0.5 s bin: on/off at tau=0.5
+        arrivals = [(float(t), 1000) for t in range(100)]
+        covs = [
+            coefficient_of_variation(arrivals_to_rate_series(arrivals, 0, 100, tau))
+            for tau in (0.5, 2.0, 10.0)
+        ]
+        assert covs[0] == pytest.approx(1.0)
+        assert covs[0] > covs[1] == covs[2] == 0.0
 
     @given(st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=2, max_size=50))
     @settings(max_examples=50)
@@ -144,9 +137,13 @@ class TestEquivalence:
             equivalence_ratio([1], [1, 2])
 
     def test_pairwise(self):
+        """Figure 9's per-pair samples: one ratio per flow pair, then the mean."""
         series = {"a": [1, 1], "b": [1, 1], "c": [2, 2]}
-        ratio = pairwise_equivalence(series, [("a", "b"), ("a", "c")])
-        assert ratio == pytest.approx((1.0 + 0.5) / 2)
+        ratios = [
+            equivalence_ratio(series[x], series[y]) for x, y in [("a", "b"), ("a", "c")]
+        ]
+        assert ratios == [1.0, pytest.approx(0.5)]
+        assert np.mean(ratios) == pytest.approx((1.0 + 0.5) / 2)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=30),

@@ -1,4 +1,6 @@
-"""Unit tests for links, paths and loss models."""
+"""Unit tests for links, the lossy path and loss models."""
+
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.path import (
     LossyPath,
-    Path,
     bernoulli_loss,
     periodic_loss,
     scheduled_loss,
@@ -98,30 +99,6 @@ class TestLink:
             Link(sim, 1e6, -0.1, DropTailQueue(1))
 
 
-class TestPath:
-    def test_chains_links(self):
-        sim = Simulator()
-        first = make_link(sim, delay=0.01)
-        second = make_link(sim, delay=0.02)
-        path = Path([first, second])
-        arrivals = []
-        path.connect(lambda p: arrivals.append(sim.now))
-        path.send(make_packet())
-        sim.run()
-        # 1 ms tx + 10 ms + 1 ms tx + 20 ms
-        assert arrivals == [pytest.approx(0.032)]
-
-    def test_min_bandwidth_and_delay(self):
-        sim = Simulator()
-        path = Path([make_link(sim, bw=8e6, delay=0.01), make_link(sim, bw=4e6, delay=0.02)])
-        assert path.min_bandwidth_bps == 4e6
-        assert path.base_delay == pytest.approx(0.03)
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(ValueError):
-            Path([])
-
-
 class TestLossModels:
     def test_periodic_loss_every_nth(self):
         model = periodic_loss(3)
@@ -156,6 +133,72 @@ class TestLossModels:
         never = lambda p, t: False
         with pytest.raises(ValueError):
             scheduled_loss([(5.0, never), (1.0, never)])
+
+    def test_scheduled_drops_nothing_before_the_first_phase(self):
+        model = loss_model_from_spec({"model": "scheduled", "phases": [
+            {"at": 5.0, "model": "periodic", "period": 1},
+        ]})
+        times = [0.0, 4.99, 5.0, 6.0]
+        assert [model(make_packet(i), t) for i, t in enumerate(times)] == [
+            False, False, True, True,
+        ]
+
+    def test_scheduled_first_model_counts_from_its_start(self):
+        model = scheduled_loss([(5.0, periodic_loss(2))])
+        early = [model(make_packet(i), 1.0) for i in range(3)]
+        late = [model(make_packet(i), 5.0 + i) for i in range(4)]
+        assert early == [False] * 3
+        assert late == [False, True, False, True]
+
+
+class TestLossModelFromSpec:
+    """A malformed ``loss`` mapping fails loudly, naming the field."""
+
+    @pytest.mark.parametrize("loss, field", [
+        ({"model": "periodic", "perod": 10}, "loss.perod"),
+        ({"model": "scheduled", "phases": [
+            {"at": 0.0, "model": "none"},
+            {"at": 1.0, "model": "periodic", "perod": 10},
+        ]}, "loss.phases[1].perod"),
+        ({"probability": 0.1}, "loss.probability"),
+        ({"model": "bernoulli", "probability": "0.1"}, "loss.probability"),
+        ({"model": "bernoulli", "probability": True}, "loss.probability"),
+        ({"model": "bernoulli", "probability": float("nan")}, "loss.probability"),
+        ({"model": "periodic", "period": float("inf")}, "loss.period"),
+        ({"model": "periodic", "period": 2.7}, "loss.period"),
+        ({"model": "periodic", "period": 10, "offset": 0.5}, "loss.offset"),
+        ({"model": "scheduled", "phases": [5]}, "loss.phases[0]"),
+        ({"model": "scheduled", "phases": {"at": 0.0}}, "loss.phases"),
+        ({"model": "scheduled", "phases": []}, "loss.phases"),
+        ({"model": "scheduled", "phases": [{"at": "1", "model": "none"}]},
+         "loss.phases[0].at"),
+        ({"model": "scheduled", "phases": [{"at": 0.0, "model": "bernouli"}]},
+         "loss.phases[0].model"),
+        ({"model": ["periodic"]}, "loss.model"),
+    ], ids=[
+        "typo-key", "typo-key-in-phase", "key-without-model", "string-value",
+        "bool-value", "nan-value", "inf-period", "fractional-period",
+        "fractional-offset", "phase-not-mapping", "phases-not-list",
+        "empty-phases", "string-at", "unknown-phase-model", "model-not-string",
+    ])
+    def test_malformed_loss_names_the_field(self, loss, field):
+        with pytest.raises(ValueError, match="^" + re.escape(field) + ":"):
+            loss_model_from_spec(loss, np.random.default_rng(0))
+
+    def test_integral_values_of_any_numeric_type_are_accepted(self):
+        from_spec = loss_model_from_spec(
+            {"model": "periodic", "period": 3.0, "offset": np.int64(1)}
+        )
+        reference = periodic_loss(3, offset=1)
+        assert [from_spec(make_packet(i), 0.0) for i in range(9)] == [
+            reference(make_packet(i), 0.0) for i in range(9)
+        ]
+
+    @pytest.mark.parametrize(
+        "loss", [{}, {"model": "none"}, {"model": ""}], ids=["empty", "none", "blank"]
+    )
+    def test_lossless_forms_build_no_model(self, loss):
+        assert loss_model_from_spec(loss) is None
 
 
 class TestBernoulliDrawOrder:

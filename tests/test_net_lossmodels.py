@@ -1,17 +1,11 @@
-"""Tests for the Gilbert-Elliott, trace, and rate-limited loss models."""
+"""Tests for the Gilbert-Elliott loss model."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.lossmodels import (
-    GilbertElliottLoss,
-    TraceLoss,
-    gilbert_elliott_from_rate,
-    loss_run_lengths,
-    rate_limited_loss,
-)
+from repro.net.lossmodels import GilbertElliottLoss, gilbert_elliott_from_rate
 from repro.net.packet import Packet, PacketType
 
 
@@ -25,6 +19,18 @@ def ack_packet():
 
 def run_model(model, n, start_seq=0):
     return [model(data_packet(start_seq + i), i * 0.01) for i in range(n)]
+
+
+def drop_runs(drops):
+    """Lengths of the runs of consecutive drops."""
+    runs, current = [], 0
+    for dropped in [*drops, False]:
+        if dropped:
+            current += 1
+        elif current:
+            runs.append(current)
+            current = 0
+    return runs
 
 
 class TestGilbertElliott:
@@ -54,7 +60,7 @@ class TestGilbertElliott:
         rng = np.random.default_rng(7)
         bursty = gilbert_elliott_from_rate(0.05, mean_burst_length=5, rng=rng)
         drops = run_model(bursty, 50000)
-        runs = loss_run_lengths(drops)
+        runs = drop_runs(drops)
         assert np.mean(runs) > 2.5  # Bernoulli at 5% would give ~1.05
 
     def test_non_data_packets_pass(self):
@@ -79,74 +85,3 @@ class TestGilbertElliott:
                                           np.random.default_rng(0))
         assert model.stationary_loss_rate == pytest.approx(rate)
         assert model.mean_burst_length == pytest.approx(burst)
-
-
-class TestTraceLoss:
-    def test_replays_exactly(self):
-        trace = [False, True, False, False, True]
-        model = TraceLoss(trace, loop=False)
-        assert run_model(model, 5) == trace
-
-    def test_loops_by_default(self):
-        model = TraceLoss([True, False])
-        assert run_model(model, 4) == [True, False, True, False]
-
-    def test_exhausted_without_loop_stops_dropping(self):
-        model = TraceLoss([True], loop=False)
-        assert run_model(model, 3) == [True, False, False]
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            TraceLoss([])
-
-    def test_ignores_non_data(self):
-        model = TraceLoss([True, True])
-        assert model(ack_packet(), 0.0) is False
-        assert model.packets_seen == 0
-
-    def test_recording_wrapper_roundtrip(self):
-        rng = np.random.default_rng(3)
-        original = GilbertElliottLoss(0.1, 0.4, 0.0, 1.0, rng)
-        wrapped, record = TraceLoss.recording(original)
-        first_run = run_model(wrapped, 500)
-        assert record == first_run
-        replay = TraceLoss(record, loop=False)
-        assert run_model(replay, 500) == first_run
-
-
-class TestRateLimitedLoss:
-    def test_caps_drops_per_window(self):
-        always = lambda packet, now: packet.is_data
-        model = rate_limited_loss(always, max_drops=3, window=1.0)
-        # 10 packets within one second: only the first three drop.
-        drops = [model(data_packet(i), i * 0.05) for i in range(10)]
-        assert sum(drops) == 3
-
-    def test_budget_replenishes_after_window(self):
-        always = lambda packet, now: packet.is_data
-        model = rate_limited_loss(always, max_drops=1, window=1.0)
-        assert model(data_packet(0), 0.0) is True
-        assert model(data_packet(1), 0.5) is False
-        assert model(data_packet(2), 1.5) is True
-
-    def test_validation(self):
-        inner = lambda packet, now: False
-        with pytest.raises(ValueError):
-            rate_limited_loss(inner, max_drops=-1, window=1.0)
-        with pytest.raises(ValueError):
-            rate_limited_loss(inner, max_drops=1, window=0.0)
-
-
-class TestRunLengths:
-    def test_basic(self):
-        assert loss_run_lengths([0, 1, 1, 0, 1, 0, 0, 1, 1, 1]) == [2, 1, 3]
-
-    def test_trailing_run_counted(self):
-        assert loss_run_lengths([1, 1]) == [2]
-
-    def test_no_drops(self):
-        assert loss_run_lengths([0, 0, 0]) == []
-
-    @given(trace=st.lists(st.booleans(), max_size=200))
-    def test_run_lengths_sum_to_total_drops(self, trace):
-        assert sum(loss_run_lengths(trace)) == sum(trace)

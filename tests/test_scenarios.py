@@ -315,6 +315,22 @@ class TestSteadyStateWindow:
             run_scenario(spec)
 
 
+class TestDumbbellTestbed:
+    def test_normalized_throughput_is_rate_over_fair_share(self):
+        """1.0 = the bottleneck divided evenly over the bed's flows."""
+        from repro.net import DumbbellConfig, Packet
+        from repro.scenarios import DumbbellTestbed
+
+        bed = DumbbellTestbed(DumbbellConfig(bandwidth_bps=40e6))
+        bed.tfrc("a", 0.05)
+        bed.tcp("b", 0.05)
+        for i in range(10):  # a: 1.25 MB/s = 10 Mb/s; b: twice that
+            bed.flow_monitor.on_packet(i + 0.5, Packet("a", i, 1_250_000))
+            bed.flow_monitor.on_packet(i + 0.5, Packet("b", i, 2_500_000))
+        assert bed.normalized_throughput("a", 0.0, 10.0) == pytest.approx(0.5)
+        assert bed.normalized_throughput("b", 0.0, 10.0) == pytest.approx(1.0)
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

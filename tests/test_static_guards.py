@@ -30,6 +30,13 @@ them anywhere.  One test per rule family:
     or a runner ``--executor`` whose choices are not that table.  A second
     function registered under a taken name raises in ``register_scenario``
     itself, at import (``test_scenarios.py::TestRegistry``).
+``reach.unused-name`` (top-level names in ``src/repro``)
+    a ``def`` or ``class`` that no load in a caller -- ``src/repro``,
+    ``bench/`` (its own tests aside) or ``examples/`` -- reaches: a bare
+    name counts in the defining module or where it is imported from that
+    module or a package above it, an ``x.name`` attribute load anywhere.
+    Imports and ``__all__`` are not uses; ``@register_scenario`` is (the
+    registry calls it).  Code only tests call is dead code with tests.
 ``tests.missing-slow-marker`` (``tests/``)
     a test without ``@pytest.mark.slow`` (on it, its class or the module's
     ``pytestmark``) whose visible work -- sweep-grid cells times constant
@@ -53,6 +60,8 @@ import pkgutil
 from pathlib import Path
 from textwrap import dedent
 from typing import NamedTuple
+
+import pytest
 
 import repro
 from repro.experiments.runner import build_parser
@@ -87,10 +96,11 @@ class Finding(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _repo_sources():
-    """``(rel_path, text)`` of every module under ``src/repro`` and ``tests``."""
+    """``(rel_path, text)`` of every module under ``src/repro``, ``tests``,
+    ``bench`` and ``examples``."""
     return tuple(
         (path.relative_to(REPO_ROOT).as_posix(), path.read_text(encoding="utf-8"))
-        for top in ("src/repro", "tests")
+        for top in ("src/repro", "tests", "bench", "examples")
         for path in sorted((REPO_ROOT / top).rglob("*.py"))
     )
 
@@ -148,18 +158,22 @@ def _modules(sources, prefix, exclude=()):
             yield (rel, *_parse(rel, text))
 
 
-def _unexcused(findings, allowlist):
+def _by_rule(finding):
+    return finding.path, finding.rule
+
+
+def _unexcused(findings, allowlist, key=_by_rule):
     """Findings no allowlist entry excuses, and the entries excusing none."""
-    used = {(f.path, f.rule) for f in findings}
+    used = {key(f) for f in findings}
     return (
-        [f for f in findings if (f.path, f.rule) not in allowlist],
+        [f for f in findings if key(f) not in allowlist],
         sorted(set(allowlist) - used),
     )
 
 
-def _assert_clean(findings, allowlist):
+def _assert_clean(findings, allowlist, key=_by_rule):
     assert all(reason.strip() for reason in allowlist.values())
-    left, stale = _unexcused(findings, allowlist)
+    left, stale = _unexcused(findings, allowlist, key)
     assert not left, "\n".join(map(str, left))
     assert not stale, f"allowlist entries that excuse nothing (delete them): {stale}"
 
@@ -502,6 +516,94 @@ def _runner_executor_choices():
 
 def test_runner_executor_choices_are_the_executor_table():
     assert _runner_executor_choices() == list(EXECUTOR_NAMES)
+
+
+# -------------------------------------------------------------------- reach
+
+#: where a use counts; ``bench/tests`` are the harness's own tests.
+CALLERS = (SRC, "bench/", "examples/")
+NOT_CALLERS = ("bench/tests/",)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+#: ``(path, name)`` -> why a name only tests reach is kept.
+REACH_ALLOWLIST = {
+    ("src/repro/analysis/selfsimilarity.py", "hurst_variance_time"):
+        "census row traffic: the Hurst estimator test_selfsimilarity.py "
+        "checks the ON/OFF background load's self-similarity with",
+    ("src/repro/analysis/selfsimilarity.py", "expected_hurst_for_pareto"):
+        "census row traffic: the closed-form Hurst exponent that "
+        "test_selfsimilarity.py compares the estimate against",
+    ("src/repro/analysis/stats.py", "jain_fairness_index"):
+        "test oracle: benchmarks/test_fig07_throughput_variance.py "
+        "asserts fig07's fairness claim with it",
+    ("src/repro/baselines/tear.py", "TearFlow"):
+        "census row baselines: TEAR's flow wiring, pinned by a golden digest",
+    ("src/repro/core/equations.py", "simple_response_rate"):
+        "test oracle: the paper's simple sqrt(1.5/p) equation that "
+        "test_core_equations.py checks the full equation against",
+    ("src/repro/core/loss_intervals.py", "EwmaLossIntervals"):
+        "paper ablation (section 3.1): the EWMA estimator the paper "
+        "rejects, benchmarks/test_ablation_estimators.py",
+    ("src/repro/core/loss_intervals.py", "DynamicHistoryWindow"):
+        "paper ablation (section 3.1): the dynamic history window the "
+        "paper rejects, benchmarks/test_ablation_estimators.py",
+    ("src/repro/scenarios/faults.py", "install"):
+        "census row scenarios (fault injection): the chaos tests activate "
+        "a plan in the coordinator process with it; workers read the env",
+}
+
+
+def _by_name(finding):
+    return finding.path, finding.detail
+
+
+def _module_name(rel):
+    """``src/repro/net/path.py`` -> ``repro.net.path``; a package's
+    ``__init__`` -> the package."""
+    parts = rel[len("src/"):-len(".py")].split("/")
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _packages(module):
+    """``repro.net.path`` -> itself, ``repro.net``, ``repro``: the modules a
+    name defined in it may be imported from."""
+    parts = module.split(".")
+    return [".".join(parts[:i]) for i in range(len(parts), 0, -1)]
+
+
+def check_reach(sources):
+    """``reach.unused-name`` over the top-level names of ``src/repro``; the
+    finding's detail is the name."""
+    attrs, names, defs = set(), set(), []
+    for rel, text in sources:
+        if not rel.startswith(CALLERS) or rel.startswith(NOT_CALLERS):
+            continue
+        tree, nodes, aliases = _parse(rel, text)
+        module = _module_name(rel) if rel.startswith(SRC) else None
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                qual = aliases.get(node.id)
+                names.add(qual.rpartition(".")[::2] if qual else (module, node.id))
+        if module:
+            registered = set(_registered_scenarios(tree.body, aliases))
+            defs += [
+                (rel, module, node) for node in tree.body
+                if isinstance(node, DEFINITIONS) and node not in registered
+            ]
+    return sorted(
+        Finding(rel, node.lineno, "reach.unused-name", node.name)
+        for rel, module, node in defs
+        if node.name not in attrs
+        and not any((m, node.name) in names for m in _packages(module))
+    )
+
+
+def test_reach_guard():
+    _assert_clean(check_reach(_repo_sources()), REACH_ALLOWLIST, _by_name)
 
 
 # -------------------------------------------------------------- test tiers
@@ -866,6 +968,75 @@ class TestRegistryGuard:
             ("registry.unregistered-scenario-ref", 10),
         ]
         assert "'grid_cel'" in findings[0].detail
+
+
+class TestReachGuard:
+    MODULE = ("src/repro/net/probe.py", dedent("""\
+        __all__ = ["helper", "orphan"]
+
+        def helper():
+            return 1
+
+        def orphan():
+            return 2
+        """))
+
+    def _names(self, *callers):
+        return [f.detail for f in check_reach([self.MODULE, *callers])]
+
+    def test_unused_def_fails(self):
+        findings = check_reach([self.MODULE])
+        assert _rules(findings) == ["reach.unused-name"] * 2
+        assert [(f.line, f.detail) for f in findings] == [(3, "helper"), (6, "orphan")]
+
+    def test_use_only_from_examples_passes(self):
+        assert self._names(("examples/demo.py", dedent("""\
+            from repro.net import probe
+            from repro.net.probe import helper as h
+
+            h()
+            probe.orphan()
+            """))) == []
+
+    def test_test_bench_test_and_import_only_uses_do_not_count(self):
+        assert self._names(
+            ("tests/test_probe.py", "from repro.net.probe import helper\nhelper()\n"),
+            ("bench/tests/test_x.py", "from repro.net.probe import helper\nhelper()\n"),
+            ("bench/run.py", "from repro.net.probe import helper, orphan\n"),
+        ) == ["helper", "orphan"]
+
+    def test_same_name_from_another_module_does_not_count(self):
+        assert self._names(("src/repro/scenarios/disk.py", dedent("""\
+            from pathlib import Path as helper
+            from repro.net import orphan
+
+            helper(".")
+            orphan()
+            """))) == ["helper"]
+
+    def test_own_module_use_and_registered_scenario_count(self):
+        assert check_reach(_planted("src/repro/scenarios/extra.py", """\
+            from repro.scenarios.spec import register_scenario
+
+            def _inner():
+                return {}
+
+            @register_scenario("extra_cell")
+            def extra(spec):
+                return _inner()
+            """)) == []
+
+    def test_stale_entry_fails(self):
+        findings = check_reach([self.MODULE, ("bench/run.py", dedent("""\
+            from repro.net.probe import helper
+
+            helper()
+            """))])
+        live = {("src/repro/net/probe.py", "orphan"): "kept: a test oracle"}
+        _assert_clean(findings, live, _by_name)
+        stale = {**live, ("src/repro/net/probe.py", "helper"): "kept: was unused"}
+        with pytest.raises(AssertionError, match="excuse nothing"):
+            _assert_clean(findings, stale, _by_name)
 
 
 class TestSlowMarkerGuard:

@@ -6,7 +6,7 @@ import pytest
 from repro.net.path import LossyPath
 from repro.sim.engine import Simulator
 from repro.traffic.cbr import CbrSource
-from repro.traffic.onoff import OnOffSource, make_onoff_fleet, pareto_draw
+from repro.traffic.onoff import OnOffSource, pareto_draw
 from repro.traffic.web import WebTrafficSource
 
 
@@ -123,15 +123,6 @@ class TestOnOff:
         count = len(sink.packets)
         sim.run(until=20.0)
         assert len(sink.packets) == count
-
-    def test_fleet_builder(self):
-        sim = Simulator()
-        sinks = [Sink() for _ in range(5)]
-        sources = make_onoff_fleet(
-            sim, 5, lambda i: sinks[i], rng=np.random.default_rng(0)
-        )
-        assert len(sources) == 5
-        assert len({s.flow_id for s in sources}) == 5
 
 
 class TestWebTraffic:
