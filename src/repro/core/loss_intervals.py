@@ -194,6 +194,11 @@ class AverageLossIntervals:
         """Closed intervals, newest first."""
         return list(self._intervals)
 
+    @property
+    def discounts(self) -> List[float]:
+        """Accumulated discount factors, parallel to :attr:`history`."""
+        return list(self._discounts)
+
     def _weighted_average(
         self, intervals: Sequence[float], discounts: Sequence[float]
     ) -> float:

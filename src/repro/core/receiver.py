@@ -12,11 +12,15 @@ The receiver (paper section 3.3):
   whenever a *new* loss event is detected,
 * seeds the loss history with a synthetic interval when the first loss ends
   slow start, derived by inverting the control equation at half the receive
-  rate at that moment (section 3.4.1).
+  rate at that moment (section 3.4.1),
+* checks the loss history after every interval close (one check per loss
+  event, none per packet) and raises :class:`SimulationError` when it is
+  malformed.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Optional, Tuple
@@ -52,6 +56,32 @@ class TfrcFeedback:
     p: float
     recv_rate: float
     expedited: bool = False
+
+
+def _wali_history_problem(history: AverageLossIntervals) -> Optional[str]:
+    """What is wrong with ``history``, or None when it is well formed:
+
+    * intervals and discounts are parallel and hold at most ``n`` entries;
+    * every interval is finite and >= 1;
+    * every discount is in (0, 1], and the newest is 1.0.
+
+    The weights are positive, so these imply that the discounted weight
+    sum(w_i * d_i) is in (0, sum(w_i)]; it is not checked again.
+    """
+    intervals, discounts = history.history, history.discounts
+    if len(intervals) != len(discounts) or len(intervals) > history.n:
+        return (
+            f"holds {len(intervals)} intervals and {len(discounts)} "
+            f"discounts (n={history.n})"
+        )
+    for slot, (interval, discount) in enumerate(zip(intervals, discounts)):
+        if not (math.isfinite(interval) and interval >= 1.0):
+            return f"slot {slot}: interval {interval!r} is not finite and >= 1"
+        if not 0.0 < discount <= 1.0:
+            return f"slot {slot}: discount {discount!r} is outside (0, 1]"
+    if discounts and discounts[0] != 1.0:
+        return f"slot 0: newest discount {discounts[0]!r} is not 1.0"
+    return None
 
 
 class TfrcReceiver:
@@ -174,9 +204,20 @@ class TfrcReceiver:
         if not self._history_seeded:
             self._seed_history()
         self.intervals.on_loss_event(event.closed_interval)
+        self._check_history()
         # Expedited feedback: tell the sender about new congestion promptly.
         self._send_report(expedited=True)
         self._schedule_feedback()
+
+    def _check_history(self) -> None:
+        """Raise :class:`SimulationError` naming the flow, the sim-time and
+        the offending slot if the WALI history is malformed."""
+        problem = _wali_history_problem(self.intervals)
+        if problem is not None:
+            raise SimulationError(
+                f"flow {self.flow_id}: WALI history {problem} at "
+                f"t={self.sim._now!r}"
+            )
 
     def _seed_history(self) -> None:
         """First-ever loss: fabricate the slow-start loss interval.

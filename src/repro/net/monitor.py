@@ -5,21 +5,30 @@ raw material the analysis layer needs: per-flow byte arrival events (for the
 send-rate time series of paper Eq. 2), link drop/forward counts (loss rate,
 utilization), and queue-occupancy samples (Figure 14).
 
-Accumulators are per-flow parallel arrays (arrival times + cumulative
-bytes), so the per-packet callback is two list appends and window queries
-(`throughput_bps`, `queue_series`) are ``bisect`` slices on sorted time
-arrays instead of full scans; byte totals are exact integer sums.
+Every series is typed columns: ``array('d')`` times beside ``array('q')``
+cumulative bytes (per flow) or queue depths, and drops as ``array('d')``
+times beside ``array('I')`` codes into the monitor's flow names.  The
+per-packet arrival and queue-sample callbacks make two list appends
+(time, and packet size or depth), packed into the columns every
+:data:`~repro.sim.trace.CHUNK` entries (as :class:`~repro.sim.trace.Tracer`
+does; arrival sizes are summed into the cumulative column then); the rare
+drops go straight into their arrays.  No per-packet Python object is kept.
+Window queries (`throughput_bps`, `queue_series`) are ``bisect`` slices on
+the sorted time columns instead of full scans; byte totals are exact
+integer sums.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import CHUNK, Tracer, pack_into
 
 
 class LinkMonitor:
@@ -35,32 +44,49 @@ class LinkMonitor:
         self.sim = sim
         self.link = link
         self.tracer = tracer
-        # Parallel (time, value) arrays.
-        self._queue_times: List[float] = []
-        self._queue_depths: List[int] = []
-        self._drop_times: List[float] = []
-        self._drop_flows: List[str] = []
+        self._queue_times = array("d")
+        self._queue_depths = array("q")
+        self._new_queue_times: List[float] = []
+        self._new_queue_depths: List[int] = []
+        self._drop_times = array("d")
+        self._drop_flows = array("I")  # codes into _flow_names
+        self._flow_names: List[str] = []
+        self._flow_codes: Dict[str, int] = {}
         self._wrap_queue()
         if sample_queue:
             link.add_queue_sample_hook(self._make_queue_hook())
 
+    def _pack_queue(self) -> None:
+        pack_into(self._queue_times, self._new_queue_times)
+        pack_into(self._queue_depths, self._new_queue_depths)
+
     @property
     def queue_samples(self) -> List[Tuple[float, int]]:
         """Queue-depth samples as ``(time, depth)`` pairs, in time order."""
+        self._pack_queue()
         return list(zip(self._queue_times, self._queue_depths))
 
     @property
     def drops(self) -> List[Tuple[float, str]]:
         """Drops as ``(time, flow_id)`` pairs, in time order."""
-        return list(zip(self._drop_times, self._drop_flows))
+        names = self._flow_names
+        return [
+            (time, names[code])
+            for time, code in zip(self._drop_times, self._drop_flows)
+        ]
 
     def _wrap_queue(self) -> None:
         previous_hook = self.link.queue.drop_hook
 
         def on_drop(packet: Packet) -> None:
-            now = self.sim.now
+            now = self.sim._now
+            flow_id = packet.flow_id
+            code = self._flow_codes.get(flow_id)
+            if code is None:
+                code = self._flow_codes[flow_id] = len(self._flow_names)
+                self._flow_names.append(flow_id)
             self._drop_times.append(now)
-            self._drop_flows.append(packet.flow_id)
+            self._drop_flows.append(code)
             if self.tracer is not None:
                 self.tracer.record(
                     now, "drop", self.link.name, packet.size,
@@ -79,25 +105,26 @@ class LinkMonitor:
         per packet.
         """
         tracer = self.tracer
-        times_append = self._queue_times.append
-        depths_append = self._queue_depths.append
+        times = self._new_queue_times
+        depths_append = self._new_queue_depths.append
+        pack = self._pack_queue
         if tracer is None:
             def hook(now: float, depth: int) -> None:
-                times_append(now)
+                times.append(now)
                 depths_append(depth)
+                if len(times) == CHUNK:
+                    pack()
             return hook
         record = tracer.record
         name = self.link.name
 
         def hook(now: float, depth: int) -> None:
-            times_append(now)
+            times.append(now)
             depths_append(depth)
+            if len(times) == CHUNK:
+                pack()
             record(now, "queue", name, depth)
         return hook
-
-    @property
-    def drop_count(self) -> int:
-        return len(self._drop_times)
 
     def loss_rate(self) -> float:
         """Fraction of offered packets the queue dropped."""
@@ -116,6 +143,7 @@ class LinkMonitor:
         self, t_min: float = 0.0, t_max: Optional[float] = None
     ) -> List[Tuple[float, int]]:
         """Queue-depth samples within a window (bisect-sliced, no scan)."""
+        self._pack_queue()
         times = self._queue_times
         lo = bisect_left(times, t_min)
         hi = len(times) if t_max is None else bisect_right(times, t_max)
@@ -145,12 +173,24 @@ class _ArrivalsView(Mapping):
 class _FlowSeries:
     """Per-flow arrival series: times plus cumulative bytes."""
 
-    __slots__ = ("times", "cum", "total")
+    __slots__ = ("times", "cum", "new_times", "new_sizes", "total")
 
     def __init__(self) -> None:
-        self.times: List[float] = []
-        self.cum: List[int] = []  # cum[i] = bytes delivered through arrival i
-        self.total = 0
+        self.times = array("d")
+        self.cum = array("q")  # cum[i] = bytes delivered through arrival i
+        self.new_times: List[float] = []
+        self.new_sizes: List[int] = []  # summed into cum when packed
+        self.total = 0  # bytes delivered through the last packed arrival
+
+    def pack(self) -> "_FlowSeries":
+        if self.new_sizes:
+            cum = list(accumulate(self.new_sizes, initial=self.total))
+            del cum[0]
+            self.total = cum[-1]
+            pack_into(self.cum, cum)
+            pack_into(self.times, self.new_times)
+            self.new_sizes.clear()
+        return self
 
 
 class FlowMonitor:
@@ -175,9 +215,11 @@ class FlowMonitor:
         if series is None:
             series = _FlowSeries()
             self._series[flow_id] = series
-        series.times.append(now)
-        series.total += size
-        series.cum.append(series.total)
+        times = series.new_times
+        times.append(now)
+        series.new_sizes.append(size)
+        if len(times) == CHUNK:
+            series.pack()
         if self.tracer is not None:
             self.tracer.record(now, "recv", flow_id, size)
 
@@ -197,18 +239,21 @@ class FlowMonitor:
         series = self._series.get(flow_id)
         if series is None:
             return []
-        cum = series.cum
+        cum = series.pack().cum
         sizes = [cum[0]] if cum else []
         sizes.extend(cum[i] - cum[i - 1] for i in range(1, len(cum)))
         return list(zip(series.times, sizes))
 
     @property
     def bytes_by_flow(self) -> Dict[str, int]:
-        return {fid: s.total for fid, s in self._series.items()}
+        return {fid: s.pack().total for fid, s in self._series.items()}
 
     @property
     def packets_by_flow(self) -> Dict[str, int]:
-        return {fid: len(s.times) for fid, s in self._series.items()}
+        return {
+            fid: len(s.times) + len(s.new_times)
+            for fid, s in self._series.items()
+        }
 
     def throughput_bps(self, flow_id: str, t_min: float, t_max: float) -> float:
         """Average delivered rate for ``flow_id`` over [t_min, t_max]."""
@@ -217,7 +262,7 @@ class FlowMonitor:
         series = self._series.get(flow_id)
         if series is None:
             return 0.0
-        times = series.times
+        times = series.pack().times
         lo = bisect_left(times, t_min)
         hi = bisect_right(times, t_max)
         if hi <= lo:

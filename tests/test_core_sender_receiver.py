@@ -308,6 +308,62 @@ class TestReceiverReportCheck:
         assert packet.payload.p == p
 
 
+class TestReceiverHistoryCheck:
+    """After every interval close the receiver checks its WALI history; a
+    planted violation raises at the next loss event, naming the flow, the
+    sim-time and the offending slot."""
+
+    @staticmethod
+    def _deliver(receiver, seqs):
+        for seq in seqs:
+            receiver.receive(Packet("flow-3", seq, 1000, PacketType.DATA, sent_at=0.0))
+
+    def _second_loss_after(self, plant):
+        sim = Simulator()
+        receiver = TfrcReceiver(sim, "flow-3", send_feedback=lambda packet: None)
+        sim.run(until=1.5)
+        self._deliver(receiver, [*range(10), *range(11, 21)])  # loses 10
+        assert receiver.intervals.loss_events >= 1
+        plant(receiver.intervals)
+        self._deliver(receiver, range(22, 32))  # loses 21
+
+    def test_clean_history_passes(self):
+        self._second_loss_after(lambda history: None)
+
+    def test_discount_above_one_names_its_slot(self):
+        def plant(history):
+            history._discounts[0] = 1.5
+
+        with pytest.raises(
+            SimulationError,
+            match=r"flow flow-3: WALI history slot 1: discount 1\.5 is "
+            r"outside \(0, 1\] at t=1\.5",
+        ):
+            self._second_loss_after(plant)
+
+    def test_nan_interval_names_its_slot(self):
+        def plant(history):
+            history._intervals[0] = math.nan
+
+        with pytest.raises(
+            SimulationError,
+            match=r"flow flow-3: WALI history slot 1: interval nan is not "
+            r"finite and >= 1 at t=1\.5",
+        ):
+            self._second_loss_after(plant)
+
+    def test_length_mismatch_names_both_lengths(self):
+        def plant(history):
+            history._discounts.append(1.0)
+
+        with pytest.raises(
+            SimulationError,
+            match=r"flow flow-3: WALI history holds 3 intervals and 4 "
+            r"discounts \(n=8\) at t=1\.5",
+        ):
+            self._second_loss_after(plant)
+
+
 class TestRateHistoryBounding:
     def _sender(self, **kwargs):
         from repro.core.sender import TfrcSender

@@ -26,7 +26,7 @@ class TestLinkMonitor:
         sim, link, monitor = self.make(capacity=1)
         for i in range(5):
             link.send(make_packet("f", i))
-        assert monitor.drop_count == 3  # 1 transmitting + 1 queued survive
+        assert len(monitor.drops) == 3  # 1 transmitting + 1 queued survive
         assert all(fid == "f" for _, fid in monitor.drops)
 
     def test_loss_rate(self):
@@ -84,7 +84,7 @@ class TestLinkMonitor:
         for i in range(3):
             link.send(make_packet("f", i))
         assert first  # the original hook still fires
-        assert monitor.drop_count == len(first)
+        assert len(monitor.drops) == len(first)
 
 
 class TestFlowMonitor:
@@ -177,7 +177,7 @@ class TestMonitorLiteralValues:
                    (0.0, 2), (0.0, 2), (0.001, 1), (0.002, 0)]
         assert monitor.queue_samples == samples
         assert monitor.drops == [(0.0, "f")] * 3
-        assert monitor.drop_count == 3
+        assert len(monitor.drops) == 3
         assert monitor.queue_series(t_min=0.0005) == samples[-2:]
         assert monitor.queue_series(t_min=0.0, t_max=0.001) == samples[:-1]
 

@@ -1,9 +1,11 @@
 """Unit tests for the RNG registry and tracer."""
 
+from array import array
+
 import pytest
 
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import CHUNK, TraceRecord, Tracer
 
 
 class TestRngRegistry:
@@ -83,12 +85,6 @@ class TestTracer:
         assert tracer.sources() == ["a", "b"]
         assert tracer.sources(category="send") == ["b"]
 
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.record(1.0, "send", "a")
-        tracer.clear()
-        assert len(tracer) == 0
-
     def test_meta_preserved(self):
         tracer = Tracer()
         tracer.record(1.0, "send", "a", 5, meta={"seq": 3})
@@ -120,7 +116,8 @@ class TestTracerColumns:
         assert tracer.select(source="a", t_min=1.2, t_max=2.5) == [records[3]]
         assert tracer.sources() == ["a", "b", "link"]
         assert tracer.sources(category="send") == ["a"]
-        assert tracer.series(category="queue") == ([1.5], [7])
+        times, values = tracer.series(category="queue")
+        assert (times, values) == (array("d", [1.5]), [7])
 
     def test_lazy_records_carry_meta(self):
         tracer = Tracer()
@@ -134,15 +131,33 @@ class TestTracerColumns:
         tracer = Tracer()
         self._fill(tracer)
         times, values = tracer.series(category="send", source="a")
-        assert times == [1.0, 2.5]
+        assert times == array("d", [1.0, 2.5])
         assert values == [100, 200]
 
-    def test_clear_empties_every_view(self):
+    def test_ints_of_any_size_read_back_exactly(self):
         tracer = Tracer()
-        self._fill(tracer)
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.select() == []
+        tracer.record(1.0, "send", "a", 2 ** 63, meta={"seq": -(2 ** 70)})
+        tracer.record(2.0, "send", "a", 2 ** 63 - 1, meta={"seq": 2 ** 64})
+        assert list(tracer) == [
+            TraceRecord(1.0, "send", "a", 2 ** 63, {"seq": -(2 ** 70)}),
+            TraceRecord(2.0, "send", "a", 2 ** 63 - 1, {"seq": 2 ** 64}),
+        ]
+
+    def test_unstorable_record_is_named_and_nothing_changes(self):
+        """A field pickle cannot store fails the pack that meets it, with a
+        ValueError naming the record, and leaves every column as it was."""
+        tracer = Tracer()
+        tracer.record(1.0, "send", "a", 100, meta={"seq": 1})
+        tracer.record(2.0, "drop", "link", 100, meta={"flow": lambda: 0})
+        message = r"the meta \{'flow': .*\} of a 'drop' record from 'link'"
+        for _ in range(2):  # every later pack raises it again
+            with pytest.raises(ValueError, match=message):
+                tracer.select()
+        assert len(tracer) == 2
+        with pytest.raises(ValueError, match=message):
+            for i in range(CHUNK):
+                tracer.record(3.0, "queue", "link", i)
+        assert len(tracer) == CHUNK  # the 2 records and those up to the pack
 
     def test_record_builds_no_record_objects(self, monkeypatch):
         """record() appends scalars; TraceRecord is built only on reads."""
