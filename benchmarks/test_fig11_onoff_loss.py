@@ -14,7 +14,7 @@ def test_fig11_onoff_loss_rate(once, benchmark):
     result = once(
         benchmark, fig11.run, source_counts=COUNTS, duration=120.0,
     )
-    curve = result.loss_curve()
+    curve = [(run.sources, run.loss_rate) for run in result.runs]
     print("\nFigure 11 reproduction (loss rate vs ON/OFF sources):")
     for sources, loss in curve:
         print(f"  {sources:4d} sources: {loss * 100:5.1f}%")

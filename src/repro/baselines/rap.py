@@ -33,6 +33,7 @@ class RapSender(PacedSender):
 
     LOSS_GAP = 3  # ACKs with higher seq before a hole is declared lost
     SCAN_WINDOW = 50  # sequence numbers below the loss horizon still examined
+    DECREASE_FACTOR = 0.5  # multiplicative decrease per loss
 
     def __init__(
         self,
@@ -40,19 +41,13 @@ class RapSender(PacedSender):
         flow_id: str,
         send_packet: PacketSender,
         packet_size: int = 1000,
-        initial_rate_bps: float = 16_000.0,
-        rtt_ewma_weight: float = 0.125,
-        decrease_factor: float = 0.5,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if not 0 < decrease_factor < 1:
-            raise ValueError("decrease_factor must be in (0, 1)")
         super().__init__(
             sim, flow_id, send_packet, packet_size,
-            rate=initial_rate_bps / 8.0, initial_rtt=0.2,
-            rtt_ewma_weight=rtt_ewma_weight, tracer=tracer,
+            rate=16_000.0 / 8.0, initial_rtt=0.2,  # 16 kb/s
+            rtt_ewma_weight=0.125, tracer=tracer,
         )
-        self.decrease_factor = decrease_factor
         self._highest_acked = -1
         # Both sets only ever hold sequence numbers at or above
         # ``_scan_floor``, the lowest one ``_detect_losses`` can still read.
@@ -110,7 +105,7 @@ class RapSender(PacedSender):
         if new_loss and not self._loss_in_this_rtt:
             self._loss_in_this_rtt = True
             self.loss_events += 1
-            self._set_rate(self.rate * self.decrease_factor)
+            self._set_rate(self.rate * self.DECREASE_FACTOR)
 
     def _per_rtt_update(self) -> None:
         """Once per RTT: additive increase if the RTT was loss-free."""

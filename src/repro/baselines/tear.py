@@ -47,6 +47,7 @@ class TearReceiver:
     """Emulates a TCP sender's window at the receiver."""
 
     REPORT_SIZE = 40
+    CWND_EWMA_WEIGHT = 0.1  # smoothing of the emulated window
 
     def __init__(
         self,
@@ -54,9 +55,6 @@ class TearReceiver:
         flow_id: str,
         send_report: PacketSender,
         packet_size: int = 1000,
-        cwnd_ewma_weight: float = 0.1,
-        initial_rtt: float = 0.3,
-        report_interval: Optional[float] = None,
         on_data: Optional[Callable[[float, Packet], None]] = None,
     ) -> None:
         self.sim = sim
@@ -64,9 +62,7 @@ class TearReceiver:
         self._send_report = send_report
         self.on_data = on_data
         self.packet_size = packet_size
-        self.cwnd_ewma_weight = cwnd_ewma_weight
-        self._rtt = initial_rtt
-        self._fixed_report_interval = report_interval
+        self._rtt = 0.3  # until a data packet carries an RTT estimate
         self.cwnd = 2.0
         self.ssthresh = 64.0
         self.smoothed_cwnd = self.cwnd
@@ -114,7 +110,7 @@ class TearReceiver:
             # reduction and fold the window into the EWMA.
             self._window_packets = 0
             self._reduced_this_window = False
-            self.smoothed_cwnd += self.cwnd_ewma_weight * (
+            self.smoothed_cwnd += self.CWND_EWMA_WEIGHT * (
                 self.cwnd - self.smoothed_cwnd
             )
 
@@ -124,7 +120,7 @@ class TearReceiver:
         self._reduced_this_window = True
         self.ssthresh = max(2.0, self.cwnd / 2.0)
         self.cwnd = self.ssthresh
-        self.smoothed_cwnd += self.cwnd_ewma_weight * (
+        self.smoothed_cwnd += self.CWND_EWMA_WEIGHT * (
             self.cwnd - self.smoothed_cwnd
         )
 
@@ -135,8 +131,6 @@ class TearReceiver:
         return self.smoothed_cwnd * self.packet_size / max(self._rtt, 1e-3)
 
     def _report_interval(self) -> float:
-        if self._fixed_report_interval is not None:
-            return self._fixed_report_interval
         return max(self._rtt, 0.05)
 
     def _schedule_report(self) -> None:
@@ -174,13 +168,11 @@ class TearSender(PacedSender):
         flow_id: str,
         send_packet: PacketSender,
         packet_size: int = 1000,
-        initial_rate_bps: float = 32_000.0,
-        rtt_ewma_weight: float = 0.1,
     ) -> None:
         super().__init__(
             sim, flow_id, send_packet, packet_size,
-            rate=initial_rate_bps / 8.0, initial_rtt=0.3,
-            rtt_ewma_weight=rtt_ewma_weight,
+            rate=32_000.0 / 8.0, initial_rtt=0.3,  # 32 kb/s
+            rtt_ewma_weight=0.1,
         )
         self.reports_received = 0
 

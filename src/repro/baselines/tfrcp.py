@@ -33,16 +33,14 @@ class TfrcpSender(PacedSender):
         send_packet: PacketSender,
         packet_size: int = 1000,
         update_interval: float = 5.0,
-        initial_rate_bps: float = 16_000.0,
-        rtt_ewma_weight: float = 0.1,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if update_interval <= 0:
             raise ValueError("update_interval must be positive")
         super().__init__(
             sim, flow_id, send_packet, packet_size,
-            rate=initial_rate_bps / 8.0, initial_rtt=0.2,
-            rtt_ewma_weight=rtt_ewma_weight, tracer=tracer,
+            rate=16_000.0 / 8.0, initial_rtt=0.2,  # 16 kb/s
+            rtt_ewma_weight=0.1, tracer=tracer,
         )
         self.update_interval = update_interval
         # This interval's packets are ``range(_interval_first_seq, _seq)``.

@@ -28,12 +28,7 @@ class TfrcFlow(Flow):
         **sender_kwargs,
     ) -> None:
         receiver_kwargs = {}
-        for key in (
-            "ali_n",
-            "history_discounting",
-            "reorder_tolerance",
-            "feedback_interval_rtts",
-        ):
+        for key in ("history_discounting", "feedback_interval_rtts"):
             if key in sender_kwargs:
                 receiver_kwargs[key] = sender_kwargs.pop(key)
         sender = TfrcSender(

@@ -253,24 +253,6 @@ class AverageLossIntervals:
             return 0.0
         return min(1.0, 1.0 / avg)
 
-    def newest_effective_weight(self) -> float:
-        """Normalized weight of the newest information in the current average.
-
-        Without discounting this is w1 / sum(w) = 1/6 for n=8; with maximum
-        discounting it approaches 1 / (1 + floor*(sum(w)-1)) ~ 0.4.  Exposed
-        for the Appendix A.1 experiments.
-        """
-        if not self._intervals:
-            return 1.0
-        discount = self._current_discount()
-        discounts = [d * discount for d in self._discounts]
-        shifted = [1.0] + discounts[: self.n - 1]
-        weights = [w * d for w, d in zip(self.weights, shifted)]
-        total = sum(weights)
-        if total == 0:
-            return 1.0
-        return weights[0] / total
-
 
 class EwmaLossIntervals:
     """EWMA of the inter-loss interval (rejected alternative, section 3.3).
@@ -326,14 +308,6 @@ class DynamicHistoryWindow:
         self.window = window_packets
         self._outcomes: Deque[bool] = deque(maxlen=window_packets)
         self.loss_events = 0
-
-    def set_window(self, window_packets: int) -> None:
-        """Resize the window (rate changed); keeps the newest outcomes."""
-        if window_packets < 2:
-            raise ValueError("window must hold at least 2 packets")
-        newest = list(self._outcomes)[-window_packets:]
-        self.window = window_packets
-        self._outcomes = deque(newest, maxlen=window_packets)
 
     def on_packet(self, count: float = 1.0) -> None:
         for _ in range(int(count)):

@@ -41,10 +41,7 @@ class PacedSender:
         initial_rtt: float,
         rtt_ewma_weight: float,
         tracer: Optional[Tracer] = None,
-        max_rate_history: Optional[int] = None,
     ) -> None:
-        if max_rate_history is not None and max_rate_history < 4:
-            raise ValueError("max_rate_history must be >= 4 (or None)")
         self.sim = sim
         self.flow_id = flow_id
         self._send_packet = send_packet
@@ -62,13 +59,8 @@ class PacedSender:
         self._started = False
         self._stopped = False
         self.packets_sent = 0
-        #: (time, bytes_per_second) on every allowed-rate decision.  When
-        #: ``max_rate_history`` is set, exceeding it halves the history by
-        #: decimation (every other interior sample is dropped, endpoints
-        #: kept), bounding memory on long runs the way the loss detector's
-        #: retraction window bounds its bookkeeping.
+        #: (time, bytes_per_second) on every allowed-rate decision.
         self.rate_history: List[Tuple[float, float]] = []
-        self.max_rate_history = max_rate_history
 
     # ------------------------------------------------------------ lifecycle
 
@@ -99,13 +91,7 @@ class PacedSender:
         now = self.sim._now
         rate = max(self.min_rate, rate)
         self.rate = rate
-        history = self.rate_history
-        history.append((now, rate))
-        if self.max_rate_history is not None and len(history) > self.max_rate_history:
-            # Progressive decimation: each overflow halves the resolution of
-            # the retained trajectory while keeping the first and latest
-            # samples exact.
-            del history[1:-1:2]
+        self.rate_history.append((now, rate))
         if self.tracer is not None:
             self.tracer.record(now, "rate", self.flow_id, rate)
 

@@ -95,9 +95,7 @@ class TfrcReceiver:
         flow_id: str,
         send_feedback: FeedbackSender,
         packet_size: int = 1000,
-        ali_n: int = 8,
         history_discounting: bool = True,
-        reorder_tolerance: int = 3,
         on_data: Optional[Callable[[float, Packet], None]] = None,
         feedback_interval_rtts: float = 1.0,
     ) -> None:
@@ -112,13 +110,9 @@ class TfrcReceiver:
         #: is at least once per RTT (1.0, the default); larger values are
         #: for the feedback-frequency ablation only.
         self.feedback_interval_rtts = feedback_interval_rtts
-        self.intervals = AverageLossIntervals(
-            n=ali_n, discounting=history_discounting
-        )
+        self.intervals = AverageLossIntervals(discounting=history_discounting)
         self.detector = LossEventDetector(
-            rtt_fn=self._current_rtt,
-            reorder_tolerance=reorder_tolerance,
-            on_event=self._on_new_loss_event,
+            rtt_fn=self._current_rtt, on_event=self._on_new_loss_event
         )
         self._rtt_from_sender = 0.0
         self._last_packet: Optional[Packet] = None

@@ -14,10 +14,11 @@ Responsibilities (paper sections 3.2 and 3.4):
   damps the oscillations of Figure 3 into Figure 4, and it is togglable so
   both figures can be reproduced;
 * halve the rate when no feedback arrives for a conservative number of RTTs
-  (no-feedback timer), with a floor of one packet per 64 seconds;
-* optionally apply the quiescent-sender extension (paper section 7 lists it
-  as planned work): when the application is idle the allowed rate is not
-  banked.
+  (no-feedback timer), with a floor of one packet per 64 seconds.
+
+The sender is always backlogged and sends one packet per interpacket
+interval: quiescent senders are the paper's section 7 future work and
+bursts a section 4.1 aside, and no figure runs either.
 
 The pacing loop, the RTT EWMA, the floor and the record of every rate
 decision are :class:`~repro.core.paced.PacedSender`'s; this module is the
@@ -61,10 +62,7 @@ class TfrcSender(PacedSender):
         interpacket_adjustment: bool = True,
         initial_rtt: float = 0.5,
         tracer: Optional[Tracer] = None,
-        quiescence_aware: bool = False,
         ecn: bool = False,
-        burst_size: int = 1,
-        max_rate_history: Optional[int] = None,
     ) -> None:
         if not 0 < rtt_ewma_weight <= 1:
             raise ValueError("rtt_ewma_weight must be in (0, 1]")
@@ -72,19 +70,10 @@ class TfrcSender(PacedSender):
             sim, flow_id, send_packet, packet_size,
             rate=packet_size / initial_rtt, initial_rtt=initial_rtt,
             rtt_ewma_weight=rtt_ewma_weight, tracer=tracer,
-            max_rate_history=max_rate_history,
         )
         self.interpacket_adjustment = interpacket_adjustment
-        self.quiescence_aware = quiescence_aware
         #: mark data packets ECN-capable (needs an ECN-enabled RED queue).
         self.ecn = ecn
-        if burst_size < 1:
-            raise ValueError("burst_size must be >= 1")
-        #: send `burst_size` packets every `burst_size` interpacket
-        #: intervals.  The paper notes that "two packets every two
-        #: inter-packet intervals" lets small-window TCP compete more fairly
-        #: (section 4.1), though it is not recommended as the default.
-        self.burst_size = burst_size
 
         self._sqrt_rtt_ewma: Optional[float] = None  # M in section 3.4
         #: sqrt(R0)/M of section 3.4; it changes only with an RTT sample.
@@ -93,7 +82,6 @@ class TfrcSender(PacedSender):
         # Re-armed per feedback: generation-counter timer, like the send
         # timer.
         self._no_feedback_timer = FastTimer(sim, self._no_feedback_expired)
-        self._app_active = True
         self.feedback_received = 0
 
     # ------------------------------------------------------------------ API
@@ -104,23 +92,6 @@ class TfrcSender(PacedSender):
     def stop(self) -> None:
         super().stop()
         self._no_feedback_timer.cancel()
-
-    def set_app_active(self, active: bool) -> None:
-        """Quiescent-sender support: pause/resume the application source.
-
-        With ``quiescence_aware`` enabled, resuming from an idle period
-        restarts from the (decayed) allowed rate rather than banking the
-        pre-idle rate, the rate-based analogue of TCP congestion-window
-        validation the paper cites as planned work.
-        """
-        was_active = self._app_active
-        self._app_active = active
-        if active and not was_active and self._started and not self._stopped:
-            if self.quiescence_aware:
-                # Restart at no more than two packets per RTT.
-                restart = 2.0 * self.packet_size / self._rtt_or_default()
-                self._set_rate(min(self.rate, restart))
-            self._send_timer.start(self._interpacket_interval())
 
     @property
     def rate_pkts_per_rtt(self) -> float:
@@ -215,29 +186,24 @@ class TfrcSender(PacedSender):
         return base
 
     def _send_next(self) -> None:
-        """The base's pacing step plus what only TFRC has: the quiescent
-        gate, bursts, ECN marking and the per-packet ``"send"`` record."""
-        if self._stopped or not self._app_active:
+        """The base's pacing step plus what only TFRC has: ECN marking and
+        the per-packet ``"send"`` record."""
+        if self._stopped:
             return
         now = self.sim._now
         rtt = self.srtt if self.srtt is not None else self.initial_rtt
-        flow_id = self.flow_id
+        seq = self._seq
         size = self.packet_size
-        tracer = self.tracer
-        send = self._send_packet
-        burst = self.burst_size
-        for _ in range(burst):
-            seq = self._seq
-            packet = Packet(
-                flow_id, seq, size, PacketType.DATA, now,
-                TfrcDataInfo(now, rtt), self.ecn,
-            )
-            self._seq = seq + 1
-            self.packets_sent += 1
-            if tracer is not None:
-                tracer.record(now, "send", flow_id, size, meta={"seq": seq})
-            send(packet)
-        self._send_timer.start(burst * self._interpacket_interval())
+        packet = Packet(
+            self.flow_id, seq, size, PacketType.DATA, now,
+            TfrcDataInfo(now, rtt), self.ecn,
+        )
+        self._seq = seq + 1
+        self.packets_sent += 1
+        if self.tracer is not None:
+            self.tracer.record(now, "send", self.flow_id, size, meta={"seq": seq})
+        self._send_packet(packet)
+        self._send_timer.start(self._interpacket_interval())
 
     # ---------------------------------------------------- no-feedback timer
 

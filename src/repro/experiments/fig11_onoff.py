@@ -46,10 +46,6 @@ class OnOffRunResult:
 class Fig11Result:
     runs: List[OnOffRunResult] = field(default_factory=list)
 
-    def loss_curve(self) -> List[Tuple[int, float]]:
-        """(sources, loss rate) pairs -- the Figure 11 series."""
-        return [(r.sources, r.loss_rate) for r in self.runs]
-
 
 def run_one(
     n_sources: int,

@@ -14,7 +14,7 @@ additional problems to solve:
    *any* receiver).
 3. **RTT estimation without synchronized clocks** -- receivers here measure
    a one-way-delay-change proxy seeded by an initial unicast-style
-   handshake; the conservatism knob compensates for its error.
+   handshake.
 
 The deliverable is a working single-source, N-receiver TFRC-style session
 (:class:`~repro.multicast.session.MulticastTfrcSession`): the sender tracks

@@ -44,23 +44,15 @@ class MulticastReceiver:
         send_report: Callable[[Packet], None],
         rng: np.random.Generator,
         packet_size: int = 1000,
-        initial_rtt: float = 0.3,
         round_duration: float = 1.0,
-        conservatism: float = 1.0,
         on_data: Optional[Callable[[float, Packet], None]] = None,
     ) -> None:
-        if conservatism < 1.0:
-            raise ValueError("conservatism must be >= 1 (divide the rate)")
         self.sim = sim
         self.receiver_id = receiver_id
         self._send_report = send_report
         self.packet_size = packet_size
         self.on_data = on_data
-        #: multicast sessions shade the rate down to absorb RTT-estimate
-        #: error (section 6: "a little more conservative ... to ensure safe
-        #: operation").
-        self.conservatism = conservatism
-        self._rtt = initial_rtt
+        self._rtt = 0.3  # until a data packet carries an RTT estimate
         self.intervals = AverageLossIntervals()
         self.detector = LossEventDetector(
             rtt_fn=lambda: self._rtt, on_event=self._on_loss_event
@@ -116,7 +108,7 @@ class MulticastReceiver:
         rate = tcp_response_rate(
             self.packet_size, self._rtt, p, t_rto=4.0 * self._rtt
         )
-        return rate / self.conservatism
+        return rate
 
     def start_round(self) -> None:
         self.suppression.start_round()

@@ -33,15 +33,14 @@ class MulticastTfrcSender(PacedSender):
         send_packet: PacketSender,
         echo_report: Optional[Callable[[MulticastReport], None]] = None,
         packet_size: int = 1000,
-        initial_rate: float = 2000.0,
         round_duration: float = 1.0,
-        rtt_proxy: float = 0.3,
     ) -> None:
-        # No RTT is ever sampled (receivers' clocks are not synchronised):
-        # ``rtt_proxy`` stands in for it on every data packet.
+        # Starts at 2 kB/s.  No RTT is ever sampled (receivers' clocks are
+        # not synchronised): a 0.3 s proxy stands in for it on every data
+        # packet.
         super().__init__(
             sim, session_id, send_packet, packet_size,
-            rate=float(initial_rate), initial_rtt=rtt_proxy, rtt_ewma_weight=0.0,
+            rate=2000.0, initial_rtt=0.3, rtt_ewma_weight=0.0,
         )
         self.session_id = session_id
         self._echo_report = echo_report

@@ -31,14 +31,11 @@ class MulticastTfrcSession:
         seed: int = 0,
         packet_size: int = 1000,
         round_duration: float = 1.0,
-        conservatism: float = 1.0,
-        session_id: str = "mcast",
     ) -> None:
         """``receiver_specs`` is a list of ``(one_way_delay, loss_model)``."""
         if not receiver_specs:
             raise ValueError("need at least one receiver")
         self.sim = sim
-        self.session_id = session_id
         registry = RngRegistry(seed)
         self.receivers: List[MulticastReceiver] = []
         self._down_paths: List[LossyPath] = []
@@ -46,7 +43,7 @@ class MulticastTfrcSession:
 
         self.sender = MulticastTfrcSender(
             sim,
-            session_id,
+            "mcast",
             send_packet=self._replicate,
             echo_report=self._echo_to_group,
             packet_size=packet_size,
@@ -55,7 +52,7 @@ class MulticastTfrcSession:
         self.sender.on_round_start = self._start_receiver_round
 
         for index, (delay, loss_model) in enumerate(receiver_specs):
-            receiver_id = f"{session_id}-rx{index}"
+            receiver_id = f"mcast-rx{index}"
             down = LossyPath(
                 sim, delay=delay, loss_model=loss_model, name=f"{receiver_id}-down"
             )
@@ -68,7 +65,6 @@ class MulticastTfrcSession:
                 rng=registry.stream(f"suppression-{index}"),
                 packet_size=packet_size,
                 round_duration=round_duration,
-                conservatism=conservatism,
             )
             down.connect(receiver.receive)
             self.receivers.append(receiver)

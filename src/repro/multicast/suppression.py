@@ -43,10 +43,12 @@ class FeedbackSuppression:
         bias_strength: how strongly the rate separates firing times; with
             ``b`` the deterministic component is ``T * (1 - b + b * u)``
             where ``u`` in [0,1] grows with the receiver's rate relative to
-            ``rate_scale``.
+            ``RATE_SCALE``.
         suppress_factor: a heard report with rate ``r`` suppresses this
             receiver unless ``own_rate < r / suppress_factor``.
     """
+
+    RATE_SCALE = 1e6  # bytes/second whose timer sits at the end of the round
 
     def __init__(
         self,
@@ -57,7 +59,6 @@ class FeedbackSuppression:
         round_duration: float = 1.0,
         bias_strength: float = 0.8,
         suppress_factor: float = 1.2,
-        rate_scale: float = 1e6,
     ) -> None:
         if round_duration <= 0:
             raise ValueError("round_duration must be positive")
@@ -72,7 +73,6 @@ class FeedbackSuppression:
         self.round_duration = round_duration
         self.bias_strength = bias_strength
         self.suppress_factor = suppress_factor
-        self.rate_scale = rate_scale
         self._timer = Timer(sim, self._fire)
         self._suppressed = False
         self.reports_sent = 0
@@ -103,8 +103,8 @@ class FeedbackSuppression:
         differ by more than that can never fire out of order.
         """
         rate = max(1.0, self.rate_fn())
-        # Map rate onto [0, 1] logarithmically: 1 B/s .. rate_scale.
-        u = min(1.0, max(0.0, math.log1p(rate) / math.log1p(self.rate_scale)))
+        # Map rate onto [0, 1] logarithmically: 1 B/s .. RATE_SCALE.
+        u = min(1.0, max(0.0, math.log1p(rate) / math.log1p(self.RATE_SCALE)))
         deterministic = self.round_duration * self.bias_strength * u
         random_part = self.round_duration * (1 - self.bias_strength)
         jitter = float(self._rng.uniform(0.0, random_part))

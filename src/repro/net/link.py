@@ -71,12 +71,12 @@ class Link:
         self._armed_time = inf
         if isinstance(queue, REDQueue):
             queue.set_service_rate(self.bandwidth_bps)
-        # The wake chain may inline the dequeue bookkeeping only for the
-        # two stock disciplines (their dequeue is pure FIFO bookkeeping
-        # plus, for RED, the idle timestamp); a custom subclass keeps its
-        # dequeue override honored.
+        # The wake chain inlines the dequeue bookkeeping of the two
+        # disciplines, DropTail and RED: pure FIFO bookkeeping plus, for
+        # RED, the idle timestamp.
+        if type(queue) not in (DropTailQueue, REDQueue):
+            raise TypeError(f"link {name}: no inline dequeue for {queue!r}")
         self._red_queue = queue if type(queue) is REDQueue else None
-        self._inline_dequeue = type(queue) in (DropTailQueue, REDQueue)
 
     def connect(self, receiver: Receiver) -> None:
         """Attach the downstream consumer of delivered packets."""
@@ -179,14 +179,11 @@ class Link:
             queue = self.queue
             q = queue._queue
             if q:
-                if self._inline_dequeue:
-                    packet = q.popleft()
-                    queue.bytes_queued -= packet.size
-                    queue.dequeued += 1
-                    if not q and self._red_queue is not None:
-                        self._red_queue._idle_since = now
-                else:
-                    packet = queue.dequeue(now)
+                packet = q.popleft()
+                queue.bytes_queued -= packet.size
+                queue.dequeued += 1
+                if not q and self._red_queue is not None:
+                    self._red_queue._idle_since = now
                 if self._sample_hooks:
                     depth = len(q)
                     for hook in self._sample_hooks:

@@ -37,8 +37,8 @@ class GilbertElliottLoss:
 
     The stationary probability of being in BAD is
     ``p_good_to_bad / (p_good_to_bad + p_bad_to_good)``, giving a long-run
-    loss rate of ``pi_good * loss_good + pi_bad * loss_bad`` (exposed as
-    :attr:`stationary_loss_rate` and verified by property tests).
+    loss rate of ``pi_good * loss_good + pi_bad * loss_bad`` (verified by
+    property tests).
     """
 
     def __init__(
@@ -67,22 +67,6 @@ class GilbertElliottLoss:
         self.in_bad_state = False
         self.packets_seen = 0
         self.packets_dropped = 0
-
-    @property
-    def stationary_bad_probability(self) -> float:
-        """Long-run fraction of time the chain spends in the BAD state."""
-        return self.p_good_to_bad / (self.p_good_to_bad + self.p_bad_to_good)
-
-    @property
-    def stationary_loss_rate(self) -> float:
-        """Long-run packet loss rate implied by the chain parameters."""
-        pi_bad = self.stationary_bad_probability
-        return (1.0 - pi_bad) * self.loss_good + pi_bad * self.loss_bad
-
-    @property
-    def mean_burst_length(self) -> float:
-        """Expected number of packets per BAD-state sojourn."""
-        return 1.0 / self.p_bad_to_good if self.p_bad_to_good > 0 else float("inf")
 
     def __call__(self, packet: Packet, now: float) -> bool:
         if not packet.is_data:

@@ -122,6 +122,8 @@ class REDQueue(Queue):
     #: the paper's nominal 15 Mb/s bottleneck, giving a mean-packet service
     #: time of ~0.53 ms for the default 1000-byte packets.
     fallback_service_rate_bps = 15e6
+    #: bytes: the packet the idle decay counts missed departures in.
+    MEAN_PACKET_SIZE = 1000
 
     def __init__(
         self,
@@ -132,7 +134,6 @@ class REDQueue(Queue):
         weight: float = 0.002,
         gentle: bool = True,
         rng: Optional[np.random.Generator] = None,
-        mean_packet_size: int = 1000,
         ecn: bool = False,
         name: str = "red",
     ) -> None:
@@ -151,7 +152,6 @@ class REDQueue(Queue):
         self.max_p = self.params.max_p
         self.weight = self.params.weight
         self.gentle = gentle
-        self.mean_packet_size = mean_packet_size
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.avg = 0.0
         self._count_since_drop = -1  # -1: average below min_thresh
@@ -177,7 +177,7 @@ class REDQueue(Queue):
             log(1.0 - self.weight) if self.weight < 1.0 else None
         )
         self._packet_time = (
-            self.mean_packet_size * 8
+            self.MEAN_PACKET_SIZE * 8
         ) / self.fallback_service_rate_bps
         # Block-buffered uniform draws; the shared helper consumes the same
         # bit stream as per-call scalar draws.  ``next`` is hoisted to a
@@ -190,7 +190,7 @@ class REDQueue(Queue):
         if bits_per_second <= 0:
             raise ValueError("service rate must be positive")
         self._service_rate_bps = bits_per_second
-        self._packet_time = (self.mean_packet_size * 8) / bits_per_second
+        self._packet_time = (self.MEAN_PACKET_SIZE * 8) / bits_per_second
 
     @property
     def has_service_rate(self) -> bool:

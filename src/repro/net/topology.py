@@ -36,7 +36,9 @@ class DumbbellConfig:
     Defaults mirror the paper's steady-state scenario (section 4.1.2
     footnote): 15 Mb/s bottleneck, 50 ms one-way bottleneck delay,
     1000-byte packets, RED with gentle, buffer 100 packets, minthresh 10,
-    maxthresh 50.
+    maxthresh 50.  RED's ``max_p``, ``weight`` and ``gentle`` are
+    :class:`~repro.net.queues.REDQueue`'s defaults; the reverse link runs at
+    the forward bandwidth with a 1000-packet DropTail buffer.
     """
 
     bandwidth_bps: float = 15e6
@@ -45,19 +47,13 @@ class DumbbellConfig:
     buffer_packets: int = 100
     red_min_thresh: float = 10
     red_max_thresh: float = 50
-    red_max_p: float = 0.1
-    red_gentle: bool = True
-    red_weight: float = 0.002
-    mean_packet_size: int = 1000
-    reverse_bandwidth_bps: Optional[float] = None  # defaults to forward bw
-    reverse_buffer_packets: int = 1000
-    queue_seed: int = 7
     #: per-packet access-segment processing jitter (anti-phase-effect);
     #: ~2 bottleneck packet times by default for the paper's 15 Mb/s link.
     access_jitter: float = 0.001
 
     def build_queue(self, rng: Optional[np.random.Generator] = None) -> Queue:
-        """Instantiate the configured forward queue discipline."""
+        """Instantiate the configured forward queue discipline; RED draws
+        from ``rng``, else from a fixed-seed stream."""
         if self.queue_type == "droptail":
             return DropTailQueue(self.buffer_packets, name="bottleneck-q")
         if self.queue_type == "red":
@@ -65,11 +61,7 @@ class DumbbellConfig:
                 self.buffer_packets,
                 min_thresh=self.red_min_thresh,
                 max_thresh=self.red_max_thresh,
-                max_p=self.red_max_p,
-                weight=self.red_weight,
-                gentle=self.red_gentle,
-                rng=rng if rng is not None else np.random.default_rng(self.queue_seed),
-                mean_packet_size=self.mean_packet_size,
+                rng=rng if rng is not None else np.random.default_rng(7),
                 name="bottleneck-red",
             )
         raise ValueError(f"unknown queue type {self.queue_type!r}")
@@ -140,7 +132,7 @@ class FlowPort:
 
     def deliver(self, packet: Packet) -> None:
         if self._receiver is None:
-            return  # flow detached; drop silently
+            return  # no sink connected (ON/OFF load): dropped at the edge
         if self.egress_delay > 0:
             sim = self._sim
             heappush(
@@ -167,17 +159,17 @@ class Dumbbell:
         sim: Simulator,
         config: Optional[DumbbellConfig] = None,
         queue_rng: Optional[np.random.Generator] = None,
-        jitter_rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.sim = sim
         self.config = config if config is not None else DumbbellConfig()
-        if jitter_rng is None:
-            jitter_rng = np.random.default_rng(11)
         # All ports draw jitter from one shared block-buffered stream, which
         # hands out the values per-packet ``rng.uniform(0, access_jitter)``
         # calls would, in event order.
         self._jitter_stream = (
-            BlockDraws(jitter_rng, high=self.config.access_jitter, block=256)
+            BlockDraws(
+                np.random.default_rng(11), high=self.config.access_jitter,
+                block=256,
+            )
             if self.config.access_jitter > 0
             else None
         )
@@ -198,16 +190,11 @@ class Dumbbell:
                 raise RuntimeError(
                     "bottleneck RED queue has no service rate wired up"
                 )
-        reverse_bw = (
-            cfg.reverse_bandwidth_bps
-            if cfg.reverse_bandwidth_bps is not None
-            else cfg.bandwidth_bps
-        )
         self.reverse_link = Link(
             sim,
-            reverse_bw,
+            cfg.bandwidth_bps,
             cfg.delay,
-            DropTailQueue(cfg.reverse_buffer_packets, name="bottleneck-rev-q"),
+            DropTailQueue(1000, name="bottleneck-rev-q"),
             name="bottleneck-rev",
         )
         self._forward_ports: Dict[str, FlowPort] = {}
@@ -248,11 +235,3 @@ class Dumbbell:
         self._forward_ports[flow_id] = fwd
         self._reverse_ports[flow_id] = rev
         return fwd, rev
-
-    def detach_flow(self, flow_id: str) -> None:
-        self._forward_ports.pop(flow_id, None)
-        self._reverse_ports.pop(flow_id, None)
-
-    @property
-    def flow_count(self) -> int:
-        return len(self._forward_ports)

@@ -218,17 +218,6 @@ class ResultCache:
 
     # -------------------------------------------------------------- surveys
 
-    def entries(self) -> List[Dict[str, Any]]:
-        """All readable cache entries (spec + result payloads)."""
-        found = []
-        for path in sorted(self.root.glob("*.json")):
-            try:
-                with path.open("r", encoding="utf-8") as fh:
-                    found.append(json.load(fh))
-            except (OSError, ValueError):
-                continue
-        return found
-
     def scan(self) -> List[Tuple[Path, Optional[str]]]:
         """Audit every entry file: ``(path, defect-or-None)`` per entry.
 

@@ -11,10 +11,16 @@ exist on top of that representation:
 
 * :meth:`Simulator.schedule` allocates an :class:`Event` handle that can be
   cancelled later (lazily: the heap entry is skipped when popped).
-* :meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_batch` push
-  bare entries with no handle at all.  They cannot be cancelled, but they
-  skip the ``Event`` allocation entirely, which is what the per-link
-  transmit loop in :mod:`repro.net.link` rides on.
+* :meth:`Simulator.schedule_batch` pushes bare entries with no handle at
+  all.  They cannot be cancelled, but they skip the ``Event`` allocation.
+
+The per-packet loops -- the link wake chain and the access-segment handoffs
+in :mod:`repro.net`, :class:`~repro.sim.process.FastTimer`, the lossy path
+-- push the entry :meth:`Simulator.schedule_fast` would push themselves,
+with its one ``_seq`` (and its range check, except where the deadline is
+``>= now`` by construction).  Nothing in the simulator calls
+``schedule_fast``; it is the reference form of that push, and the benchmark
+harness times it by name.
 """
 
 from __future__ import annotations
@@ -141,10 +147,9 @@ class Simulator:
         """Hot-path scheduling: no ``Event`` handle, not cancellable.
 
         ``callback(*args)`` runs at ``time``; with the default empty ``args``
-        use a bound method or closure.  This is the cheapest way to get a
-        wakeup and is what self-clocking loops (link transmit loops, delivery
-        trains, :class:`~repro.sim.process.FastTimer`, access-segment packet
-        handoffs) ride on.
+        use a bound method or closure.  The self-clocking loops (link wake
+        chains, :class:`~repro.sim.process.FastTimer`, access-segment packet
+        handoffs) push this same entry inline.
         """
         if not (self._now <= time <= _FMAX):
             self._check_time(time)
@@ -189,16 +194,6 @@ class Simulator:
     def stop(self) -> None:
         """Stop the run loop after the current event finishes."""
         self._stopped = True
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None if the heap is empty."""
-        while self._heap:
-            event = self._heap[0][5]
-            if event is not None and event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            return self._heap[0][0]
-        return None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events in order until the heap drains, ``until`` is reached,
@@ -246,20 +241,3 @@ class Simulator:
         if until is not None and self._now < until and not self._stopped:
             self._now = until
         return self._now
-
-    def pending_count(self) -> int:
-        """Number of not-yet-cancelled events still queued."""
-        return sum(
-            1 for entry in self._heap
-            if entry[5] is None or not entry[5].cancelled
-        )
-
-    def reset(self) -> None:
-        """Clear the event heap and rewind the clock to zero."""
-        if self._running:
-            raise SimulationError("cannot reset a running simulator")
-        self._heap.clear()
-        self._now = 0.0
-        self._seq = 0
-        self._stopped = False
-        self.events_processed = 0

@@ -94,8 +94,7 @@ class FastTimer:
 
     The trade against :class:`Timer` is pure bookkeeping: superseded entries
     are popped as (counted) no-op events rather than skipped as cancelled
-    ones, and they are indistinguishable from live work to
-    :meth:`Simulator.pending_count`/:meth:`Simulator.peek_time`.
+    ones, and in the heap they are indistinguishable from live work.
     Consequently a ``run()`` with no ``until`` drains stale entries too --
     the clock (and ``run``'s return value) advances to the last stale
     deadline, where a cancelled ``Timer`` event would be skipped --

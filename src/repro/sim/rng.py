@@ -190,10 +190,6 @@ class RngRegistry:
             self._streams[name] = np.random.Generator(np.random.PCG64(seq))
         return self._streams[name]
 
-    def fork(self, salt: int) -> "RngRegistry":
-        """A registry seeded from (seed, salt), for per-run replication."""
-        return RngRegistry(seed=(self.seed * 1_000_003 + salt) & 0x7FFFFFFF)
-
     def __contains__(self, name: str) -> bool:
         return name in self._streams
 

@@ -182,11 +182,6 @@ class TimerLanes:
         self.deadline = np.asarray(deadlines, dtype=np.float64).copy()
         self.generation = np.ones(len(self.deadline), dtype=np.int64)
 
-    def rearm(self, mask: np.ndarray, at: np.ndarray) -> None:
-        """Re-arm lanes selected by ``mask`` to absolute deadlines ``at``."""
-        np.copyto(self.deadline, at, where=mask)
-        self.generation += mask
-
     def rearm_rows(self, rows: np.ndarray, at: np.ndarray) -> None:
         """Re-arm the lanes at integer indices ``rows`` (row-subset form)."""
         self.deadline[rows] = at

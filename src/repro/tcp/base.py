@@ -12,7 +12,7 @@ The hooks move the window state only through the transitions ``_set_cwnd``,
 
 The sender models a bulk (FTP-like) application by default: data is always
 available until ``packets_to_send`` (if set) is exhausted.  Short web-like
-connections set ``packets_to_send`` and an ``on_complete`` callback.
+connections set ``packets_to_send`` and assign an ``on_complete`` callback.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class TCPSender:
         min_rto: float = 0.2,
         rto_k: float = 4.0,
         packets_to_send: Optional[int] = None,
-        on_complete: Optional[Callable[[], None]] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
@@ -58,7 +57,8 @@ class TCPSender:
         self.packet_size = packet_size
         self.tracer = tracer
         self.packets_to_send = packets_to_send
-        self.on_complete = on_complete
+        #: called once when ``packets_to_send`` segments are all ACKed.
+        self.on_complete: Optional[Callable[[], None]] = None
         self._completed = False
 
         self.cwnd = float(initial_cwnd)
@@ -86,7 +86,11 @@ class TCPSender:
         self.timeouts = 0
         self.fast_retransmits = 0
         self.acks_received = 0
-        self.acked_resends = 0  # new data below snd_una (ROADMAP item 5)
+        self.acked_resends = 0  # new data below snd_una (go-back-N defect)
+        # Cumulative ACKs past snd_nxt after a go-back-N: the same defect,
+        # seen from the ACK side; _ack_past_snd_nxt raises on any other.
+        self.acks_past_snd_nxt = 0
+        self._went_back_n = False
 
     # ------------------------------------------------------------------ API
 
@@ -107,10 +111,6 @@ class TCPSender:
         """Packets in flight according to cumulative state."""
         return self.snd_nxt - self.snd_una
 
-    @property
-    def is_complete(self) -> bool:
-        return self._completed
-
     # ------------------------------------------------------- ACK processing
 
     def on_ack(self, packet: Packet) -> None:
@@ -130,6 +130,8 @@ class TCPSender:
         if ack_seq > snd_una:
             newly_acked = ack_seq - snd_una
             self.snd_una = ack_seq
+            if ack_seq > self.snd_nxt:
+                self._ack_past_snd_nxt()
             self.dupacks = 0
             if self._retransmitted:
                 # Karn bookkeeping exists only after a retransmission.
@@ -150,6 +152,22 @@ class TCPSender:
                 self.on_dupack_threshold()
         self._check_complete()
         self._try_send()
+
+    def _ack_past_snd_nxt(self) -> None:
+        """``snd_una > snd_nxt`` after a new ACK.
+
+        ``_go_back_n`` leaves ``snd_nxt = snd_una + 1`` while segments above
+        it are still in flight, so their cumulative ACK can pass ``snd_nxt``:
+        that known defect is counted in ``acks_past_snd_nxt``.  Without a
+        preceding go-back-N the sender state is corrupt, and this raises.
+        """
+        if self._went_back_n:
+            self.acks_past_snd_nxt += 1
+            return
+        raise SimulationError(
+            f"flow {self.flow_id}: snd_una {self.snd_una} > snd_nxt "
+            f"{self.snd_nxt} after a new ACK at t={self.sim._now!r}"
+        )
 
     def _sample_rtt(self, info: TCPAckInfo) -> None:
         # Karn's rule: never sample from a retransmitted segment.
@@ -212,6 +230,7 @@ class TCPSender:
         self.dupacks = 0
         self.retransmit_head()
         self.snd_nxt = self.snd_una + 1
+        self._went_back_n = True
 
     def _send_new(self) -> None:
         """Send segment ``snd_nxt`` and advance it."""
@@ -226,8 +245,9 @@ class TCPSender:
     def _open_window(self, newly_acked: int) -> None:
         """Normal (non-recovery) window growth for one arriving ACK.
 
-        Growth is per-ACK ("ACK counting"), not per acknowledged packet --
-        the standard behaviour that makes delayed ACKs slow window growth.
+        Growth is per-ACK ("ACK counting"), not per acknowledged packet;
+        the sink ACKs every segment, so in slow start that is one per
+        segment.
         """
         cwnd = self.cwnd
         cwnd += 1.0 if cwnd < self.ssthresh else 1.0 / cwnd

@@ -25,7 +25,6 @@ class TcpFlow(Flow):
         packet_size: int = 1000,
         tracer: Optional[Tracer] = None,
         on_data: Optional[Callable[[float, Packet], None]] = None,
-        delayed_ack: bool = False,
         **sender_kwargs,
     ) -> None:
         sender = make_tcp_sender(
@@ -38,11 +37,7 @@ class TcpFlow(Flow):
             **sender_kwargs,
         )
         self.sink = TCPSink(
-            sim,
-            flow_id,
-            send_ack=reverse_port.send,
-            delayed_ack=delayed_ack,
-            on_data=on_data,
+            sim, flow_id, send_ack=reverse_port.send, on_data=on_data
         )
         super().__init__(
             sim, flow_id, forward_port, reverse_port,

@@ -22,15 +22,15 @@ class RTOEstimator:
     """SRTT/RTTVAR estimator with exponential backoff."""
 
     MAX_RTO = 64.0
+    ALPHA = 1.0 / 8.0  # SRTT gain (RFC 6298)
+    BETA = 1.0 / 4.0  # RTTVAR gain (RFC 6298)
+    INITIAL_RTO = 3.0  # before the first sample (RFC 2988)
 
     def __init__(
         self,
         granularity: float = 0.5,
         min_rto: float = 1.0,
         k: float = 4.0,
-        alpha: float = 1.0 / 8.0,
-        beta: float = 1.0 / 4.0,
-        initial_rto: float = 3.0,
     ) -> None:
         if granularity < 0:
             raise ValueError("granularity cannot be negative")
@@ -39,11 +39,9 @@ class RTOEstimator:
         self.granularity = float(granularity)
         self.min_rto = float(min_rto)
         self.k = float(k)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
-        self._base_rto = float(initial_rto)
+        self._base_rto = self.INITIAL_RTO
         self._backoff = 1
 
     def sample(self, rtt: float) -> None:
@@ -55,8 +53,8 @@ class RTOEstimator:
             self.rttvar = rtt / 2.0
         else:
             assert self.rttvar is not None
-            self.rttvar += self.beta * (abs(self.srtt - rtt) - self.rttvar)
-            self.srtt += self.alpha * (rtt - self.srtt)
+            self.rttvar += self.BETA * (abs(self.srtt - rtt) - self.rttvar)
+            self.srtt += self.ALPHA * (rtt - self.srtt)
         self._base_rto = self.srtt + self.k * max(self.rttvar, self.granularity)
         self._backoff = 1  # a valid sample clears backoff
 

@@ -1,4 +1,4 @@
-"""TCP receiver (sink): cumulative ACKs, SACK blocks, optional delayed ACKs.
+"""TCP receiver (sink): an immediate cumulative ACK with SACK blocks per segment.
 
 Out-of-order data is held as a sorted list of disjoint ``[start, end)``
 intervals with a per-interval arrival-recency tag.  Each arrival touches at
@@ -25,10 +25,7 @@ class TCPAckInfo:
 
     Attributes:
         echo_ts: send timestamp echoed for RTT measurement at the sender
-            (RFC 7323-style).  For ACKs covering a delayed (held) segment
-            this is the *earliest* pending segment's timestamp, so the
-            delayed-ACK hold time is included in the measured RTT and the
-            RTO stays conservative (RFC 7323 section 4.2).
+            (RFC 7323-style).
         echo_seq: sequence number of the echoed data packet.
         sack_blocks: up to three ``(start, end)`` half-open ranges of
             out-of-order data held by the receiver, ordered by arrival
@@ -50,27 +47,22 @@ class TCPAckInfo:
 
 
 class TCPSink:
-    """Receives data packets and emits (possibly delayed) cumulative ACKs."""
+    """Receives data packets and ACKs each one at once (no delayed ACKs)."""
 
     ACK_SIZE = 40  # bytes: TCP/IP header only
+    MAX_SACK_BLOCKS = 3  # RFC 2018 with timestamps
 
     def __init__(
         self,
         sim: Simulator,
         flow_id: str,
         send_ack: AckSender,
-        delayed_ack: bool = False,
-        delack_interval: float = 0.2,
         on_data: Optional[Callable[[float, Packet], None]] = None,
-        max_sack_blocks: int = 3,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
         self._send_ack = send_ack
-        self.delayed_ack = delayed_ack
-        self.delack_interval = delack_interval
         self.on_data = on_data
-        self.max_sack_blocks = max_sack_blocks
         self.next_expected = 0
         # Disjoint [start, end) intervals of held out-of-order data, sorted
         # by start, with per-interval recency (the arrival counter of the
@@ -79,8 +71,6 @@ class TCPSink:
         self._blk_ends: List[int] = []
         self._blk_recency: List[int] = []
         self._arrivals_seen = 0
-        self._pending_ack_echo: Optional[Tuple[float, int]] = None
-        self._delack_event = None
         self.packets_received = 0
         self.acks_sent = 0
         self.duplicate_data = 0
@@ -98,10 +88,7 @@ class TCPSink:
         if seq == self.next_expected and not starts:
             # Common case: in-order data with nothing held out of order.
             self.next_expected = seq + 1
-            if self.delayed_ack:
-                self._maybe_delay_ack(packet)
-            else:
-                self._emit_ack(packet)
+            self._send(packet.sent_at, seq)
             return
         ends = self._blk_ends
         recency = self._blk_recency
@@ -113,7 +100,7 @@ class TCPSink:
                 # A duplicate of held out-of-order data is still the most
                 # recent arrival; its block must lead the next SACK.
                 recency[i] = self._arrivals_seen
-            self._emit_ack(packet)  # duplicate data still triggers an ACK
+            self._send(packet.sent_at, seq)  # duplicate data still triggers an ACK
             return
         # Fresh data: splice into the interval structure.  At most the two
         # neighbouring intervals are touched.
@@ -133,60 +120,15 @@ class TCPSink:
             starts.insert(i + 1, seq)
             ends.insert(i + 1, seq + 1)
             recency.insert(i + 1, self._arrivals_seen)
-        in_order = seq == self.next_expected
-        if in_order:
+        if seq == self.next_expected:
             # The first interval now begins exactly at next_expected; the
             # cumulative ACK consumes it whole (intervals are contiguous
             # runs, so partial consumption is impossible).
             self.next_expected = ends[0]
             del starts[0], ends[0], recency[0]
-        if in_order and self.delayed_ack and not starts:
-            self._maybe_delay_ack(packet)
-        else:
-            # Out-of-order data (or a gap fill) must be ACKed immediately so
-            # the sender's fast-retransmit machinery sees dupACKs promptly.
-            self._emit_ack(packet)
+        self._send(packet.sent_at, seq)
 
     # ------------------------------------------------------- ACK emission
-
-    def _maybe_delay_ack(self, packet: Packet) -> None:
-        if self._pending_ack_echo is None:
-            self._pending_ack_echo = (packet.sent_at, packet.seq)
-            self._delack_event = self.sim.schedule_in(
-                self.delack_interval, self._delack_fire
-            )
-        else:
-            # Second in-order packet: ACK both at once, echoing the *first*
-            # (earliest) pending segment's timestamp so the hold time is
-            # part of the measured RTT (RFC 7323 section 4.2).
-            echo_ts, echo_seq = self._pending_ack_echo
-            if self._delack_event is not None:
-                self._delack_event.cancel()
-                self._delack_event = None
-            self._pending_ack_echo = None
-            self._send(echo_ts, echo_seq)
-
-    def _delack_fire(self) -> None:
-        if self._pending_ack_echo is None:
-            return
-        echo_ts, echo_seq = self._pending_ack_echo
-        self._pending_ack_echo = None
-        self._delack_event = None
-        self._send(echo_ts, echo_seq)
-
-    def _emit_ack(self, packet: Packet) -> None:
-        pending = self._pending_ack_echo
-        if self._delack_event is not None:
-            self._delack_event.cancel()
-            self._delack_event = None
-            self._pending_ack_echo = None
-        if pending is not None:
-            # Flushing a held ACK (an out-of-order or duplicate segment
-            # arrived): the earliest pending in-order segment is the one
-            # whose timestamp belongs in the echo (RFC 7323 section 4.2).
-            self._send(pending[0], pending[1])
-        else:
-            self._send(packet.sent_at, packet.seq)
 
     def _sack_blocks(self) -> List[Tuple[int, int]]:
         """Contiguous ranges of out-of-order data above the cumulative ACK.
@@ -205,7 +147,7 @@ class TCPSink:
         # Recency tags are unique arrival counters, so the order is total.
         order = sorted(range(n), key=recency.__getitem__, reverse=True)
         return [
-            (starts[i], ends[i]) for i in order[: self.max_sack_blocks]
+            (starts[i], ends[i]) for i in order[: self.MAX_SACK_BLOCKS]
         ]
 
     def _send(self, echo_ts: float, echo_seq: int) -> None:

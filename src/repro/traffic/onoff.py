@@ -39,6 +39,10 @@ def pareto_draw(rng: np.random.Generator, mean: float, shape: float) -> float:
 class OnOffSource:
     """A single Pareto ON/OFF source sending at ``peak_rate_bps`` when ON."""
 
+    MEAN_ON = 1.0  # seconds
+    MEAN_OFF = 2.0  # seconds
+    SHAPE = 1.5  # Pareto alpha of both periods: H = 0.75
+
     def __init__(
         self,
         sim: Simulator,
@@ -46,9 +50,6 @@ class OnOffSource:
         port,
         rng: np.random.Generator,
         peak_rate_bps: float = 500e3,
-        mean_on: float = 1.0,
-        mean_off: float = 2.0,
-        shape: float = 1.5,
         packet_size: int = 1000,
     ) -> None:
         self.sim = sim
@@ -56,9 +57,6 @@ class OnOffSource:
         self._port = port
         self._rng = rng
         self.peak_rate_bps = peak_rate_bps
-        self.mean_on = mean_on
-        self.mean_off = mean_off
-        self.shape = shape
         self.packet_size = packet_size
         self._interval = packet_size * 8 / peak_rate_bps
         self._seq = 0
@@ -74,10 +72,10 @@ class OnOffSource:
         self._running = True
         delay = 0.0 if at is None else max(0.0, at - self.sim.now)
         # Begin in a random phase: OFF with probability mean_off/(on+off).
-        p_off = self.mean_off / (self.mean_on + self.mean_off)
+        p_off = self.MEAN_OFF / (self.MEAN_ON + self.MEAN_OFF)
         if self._rng.random() < p_off:
             self._phase_event = self.sim.schedule_in(
-                delay + pareto_draw(self._rng, self.mean_off, self.shape),
+                delay + pareto_draw(self._rng, self.MEAN_OFF, self.SHAPE),
                 self._enter_on,
             )
         else:
@@ -94,7 +92,7 @@ class OnOffSource:
         if not self._running:
             return
         self._on = True
-        duration = pareto_draw(self._rng, self.mean_on, self.shape)
+        duration = pareto_draw(self._rng, self.MEAN_ON, self.SHAPE)
         self._phase_event = self.sim.schedule_in(duration, self._enter_off)
         self._emit()
 
@@ -105,7 +103,7 @@ class OnOffSource:
         if self._send_event is not None:
             self._send_event.cancel()
             self._send_event = None
-        duration = pareto_draw(self._rng, self.mean_off, self.shape)
+        duration = pareto_draw(self._rng, self.MEAN_OFF, self.SHAPE)
         self._phase_event = self.sim.schedule_in(duration, self._enter_on)
 
     def _emit(self) -> None:

@@ -27,10 +27,12 @@ class WebTrafficSource:
         port_pair_factory: maps a fresh flow id to ``(forward, reverse)``
             ports attached to the topology under test.
         arrival_rate: new connections per second.
-        mean_size_packets: mean transfer size (Pareto, shape 1.5 -- heavy
-            tails per the web-traffic literature the paper cites).
-        max_concurrent: safety valve bounding simultaneous connections.
+        mean_size_packets: mean transfer size (Pareto, shape ``SIZE_SHAPE``
+            -- heavy tails per the web-traffic literature the paper cites).
     """
+
+    SIZE_SHAPE = 1.5
+    MAX_CONCURRENT = 200  # safety valve bounding simultaneous connections
 
     def __init__(
         self,
@@ -39,10 +41,8 @@ class WebTrafficSource:
         rng: np.random.Generator,
         arrival_rate: float = 10.0,
         mean_size_packets: float = 20.0,
-        size_shape: float = 1.5,
         variant: str = "sack",
         packet_size: int = 1000,
-        max_concurrent: int = 200,
     ) -> None:
         if arrival_rate <= 0:
             raise ValueError("arrival_rate must be positive")
@@ -51,10 +51,8 @@ class WebTrafficSource:
         self._rng = rng
         self.arrival_rate = arrival_rate
         self.mean_size_packets = mean_size_packets
-        self.size_shape = size_shape
         self.variant = variant
         self.packet_size = packet_size
-        self.max_concurrent = max_concurrent
         self._running = False
         self._next_id = 0
         self._active: List[TcpFlow] = []
@@ -78,14 +76,10 @@ class WebTrafficSource:
             flow.stop()
         self._active.clear()
 
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
-
     def _arrive(self) -> None:
         if not self._running:
             return
-        if len(self._active) < self.max_concurrent:
+        if len(self._active) < self.MAX_CONCURRENT:
             self._launch()
         gap = self._rng.exponential(1.0 / self.arrival_rate)
         self._arrival_event = self.sim.schedule_in(gap, self._arrive)
@@ -93,7 +87,7 @@ class WebTrafficSource:
     def _launch(self) -> None:
         flow_id = f"web-{self._next_id}"
         self._next_id += 1
-        size = max(1, int(round(pareto_draw(self._rng, self.mean_size_packets, self.size_shape))))
+        size = max(1, int(round(pareto_draw(self._rng, self.mean_size_packets, self.SIZE_SHAPE))))
         forward, reverse = self._factory(flow_id)
         flow = TcpFlow(
             self.sim,

@@ -1,11 +1,14 @@
-"""Per-packet recomputations of what ``REDQueue.enqueue``, ``TCPSink`` and
-``SackSender`` maintain incrementally, and the first, copy-everything form
-of a spec's canonical JSON; the fuzzers compare the two."""
+"""Per-packet recomputations of what ``REDQueue.enqueue``, ``TCPSink``,
+``SackSender`` and the TFRC receiver's loss event rate maintain
+incrementally, and the first, copy-everything form of a spec's canonical
+JSON; the fuzzers compare the two."""
 
 import copy
 import hashlib
 import json
 
+from repro.core.equations import invert_response
+from repro.core.loss_intervals import ALI_DEFAULT_WEIGHTS as ALI_WEIGHTS
 from repro.net.redmath import red_drop_probability, red_ewma, red_uniformized
 
 
@@ -97,3 +100,59 @@ def sack_scoreboard_reference(steps, snd_nxt, cwnd):
             pipe += 1
         out.append((sorted(sacked), pipe, sent))
     return out
+
+
+def newest_effective_weight(ali):
+    """Normalized weight of the newest information in ``ali``'s average
+    (an ``AverageLossIntervals``): w1 / sum(w) = 1/6 for n = 8 without
+    discounting; with maximum discounting it approaches
+    1 / (1 + floor * (sum(w) - 1)) ~ 0.4 (paper Appendix A.1)."""
+    if not ali.history:
+        return 1.0
+    discount = ali._current_discount()
+    shifted = [1.0] + [d * discount for d in ali.discounts][: ali.n - 1]
+    weights = [w * d for w, d in zip(ali.weights, shifted)]
+    total = sum(weights)
+    return weights[0] / total if total else 1.0
+
+
+def loss_event_rate_reference(arrivals, size=1000):
+    """The TFRC receiver's ``p`` after ``(seq, time, rtt)`` arrivals with no
+    duplicate and no seq arriving after three newer ones (nothing retracted):
+    NDUPACK = 3, section 5.2 loss times, one event per RTT (0 before a
+    sample), the synthetic first interval, WALI with discounting."""
+    w, holes, hist, disc, got, start = ALI_WEIGHTS, {}, [], [], [], None
+    s0, nxt, last_t, last_s = 0.0, 0, None, None  # open interval, arrivals
+    def fold(h, d):
+        return sum(a * b * c for a, b, c in zip(w, d, h)) / sum(a * b for a, b in zip(w, d))
+
+    def discount():
+        raw = fold(hist, [1.0] * len(hist)) if hist else 0.0
+        return max(0.3, 2 * raw / s0) if hist and s0 > 2 * raw > 0 else 1.0
+
+    for seq, now, rtt in arrivals:
+        got.append(now)
+        before = last_s - start[1] if start else len(got) - 1
+        for h in holes.values():
+            h[1] += seq > nxt - 1
+        holes.pop(seq, None)
+        for m in range(nxt, seq):  # the gap this arrival opens
+            ps, pt = (last_s, last_t) if last_s is not None else (nxt - 1, now)
+            holes[m] = [pt + (m - ps) / max(1, seq - ps) * (now - pt), 1]
+        nxt, last_t, last_s = max(nxt, seq + 1), now, max(last_s or 0, seq)
+        for m in sorted(s for s, h in holes.items() if h[1] >= 3):
+            t = holes.pop(m)[0]
+            if start and t < start[0] + max(0.0, rtt):
+                continue
+            if not start:  # first event: seed the synthetic interval
+                rate = sum(size for a in got if a >= now - max(rtt, 0.05)) / max(rtt, 0.05)
+                p0 = invert_response(size, max(rtt, 1e-3), rate / 2, 4 * max(rtt, 1e-3))
+                hist, disc, s0 = ([max(1.0, 1 / p0)], [1.0], 0.0) if p0 > 0 else ([], [], s0)
+            d = discount()
+            hist, disc = [max(1.0, m - start[1] if start else m)] + hist[:7], [1.0] + [x * d for x in disc][:7]
+            start, s0 = (t, m), 0.0
+        after = last_s - start[1] if start else len(got)
+        s0 += (after - before if after > before else 0) if start else 1
+    d = discount()
+    avg = max(fold(hist, [x * d for x in disc]), fold([s0] + hist[:7], [1.0] + [x * d for x in disc][:7])) if hist else 0.0
+    return min(1.0, 1 / avg) if avg > 0 else 0.0

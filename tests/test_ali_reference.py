@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference_models import newest_effective_weight
 from repro.core.loss_intervals import AverageLossIntervals, ali_weights
 
 
@@ -118,5 +119,5 @@ class TestDiscountingProperties:
         for interval in intervals:
             ali.on_loss_event(interval)
         ali.on_packet(lull)
-        weight = ali.newest_effective_weight()
+        weight = newest_effective_weight(ali)
         assert 0.0 < weight <= 1.0

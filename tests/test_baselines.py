@@ -125,11 +125,6 @@ class TestRap:
         eq_rate = tcp_response_rate(1000, sender.srtt or 0.1, 1 / 8, 4 * (sender.srtt or 0.1))
         assert sender.rate > eq_rate
 
-    def test_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            RapFlow(sim, "b", LossyPath(sim, 0.1), LossyPath(sim, 0.1),
-                    decrease_factor=1.5)
 
     def test_loss_bookkeeping_stays_inside_the_scan_window(self):
         """``_detect_losses`` only reads the 50 sequence numbers below

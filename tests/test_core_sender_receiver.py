@@ -163,39 +163,6 @@ class TestInterpacketSpacing:
             assert sender._interpacket_interval() == base
 
 
-class TestQuiescence:
-    def test_quiescent_sender_restarts_slow(self):
-        sim = Simulator()
-        forward = LossyPath(sim, delay=0.05, loss_model=periodic_loss(100))
-        reverse = LossyPath(sim, delay=0.05)
-        flow = TfrcFlow(sim, "t", forward, reverse, quiescence_aware=True)
-        flow.start()
-        sim.run(until=20.0)
-        rate_active = flow.sender.rate
-        flow.sender.set_app_active(False)
-        sim.run(until=25.0)
-        flow.sender.set_app_active(True)
-        # Restart rate limited to ~2 packets per RTT, far below steady state.
-        assert flow.sender.rate <= max(
-            2.2 * flow.sender.packet_size / flow.sender.srtt,
-            flow.sender.packet_size / T_MBI,
-        )
-        assert flow.sender.rate < rate_active
-
-    def test_non_quiescence_aware_banks_rate(self):
-        sim = Simulator()
-        forward = LossyPath(sim, delay=0.05, loss_model=periodic_loss(100))
-        reverse = LossyPath(sim, delay=0.05)
-        flow = TfrcFlow(sim, "t", forward, reverse, quiescence_aware=False)
-        flow.start()
-        sim.run(until=20.0)
-        rate_active = flow.sender.rate
-        flow.sender.set_app_active(False)
-        sim.run(until=21.0)
-        flow.sender.set_app_active(True)
-        # Without the extension the pre-idle rate is kept (modulo the
-        # no-feedback halving that may fire during the idle second).
-        assert flow.sender.rate >= rate_active / 4
 
 
 class TestFeedback:
@@ -379,21 +346,4 @@ class TestRateHistoryBounding:
             sender._set_rate(sender.rate)
         assert len(sender.rate_history) == 500
 
-    def test_decimation_bounds_growth(self):
-        sim, sender = self._sender(max_rate_history=64)
-        for i in range(10_000):
-            sim.schedule(float(i), sender._set_rate, sender.rate)
-        sim.run()
-        # Never exceeds the cap (+1 transient before each decimation).
-        assert len(sender.rate_history) <= 65
-        times = [t for t, _ in sender.rate_history]
-        assert times == sorted(times)
-        # The first and the latest samples survive decimation.
-        assert times[0] == 0.0
-        assert times[-1] == 9999.0
 
-    def test_invalid_cap_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            self._sender(max_rate_history=2)

@@ -1,66 +1,6 @@
-"""Tests for optional extensions: burst mode and experiment helpers."""
+"""Tests for the experiment helpers."""
 
-import pytest
-
-from repro.core import TfrcFlow
-from repro.core.sender import TfrcSender
 from repro.experiments.fig09_equivalence import _cross_pairs, _pair_up
-from repro.net.path import LossyPath
-from repro.sim.engine import Simulator
-
-
-class TestBurstMode:
-    def test_burst_size_validation(self):
-        with pytest.raises(ValueError):
-            TfrcSender(Simulator(), "f", send_packet=lambda p: None, burst_size=0)
-
-    def test_packets_sent_in_pairs(self):
-        """burst_size=2: 'two packets every two inter-packet intervals'."""
-        sim = Simulator()
-        sent_times = []
-        sender = TfrcSender(
-            sim, "f",
-            send_packet=lambda p: sent_times.append(sim.now),
-            burst_size=2,
-        )
-        sender.rate = 10_000.0  # 10 pkts/s -> pair every 0.2 s
-        sender.start()
-        sim.run(until=1.0)
-        # Packets arrive in same-instant pairs.
-        pairs = list(zip(sent_times[::2], sent_times[1::2]))
-        assert pairs
-        assert all(a == b for a, b in pairs)
-        # Pair spacing is twice the single-packet interval.
-        gaps = [b[0] - a[0] for a, b in zip(pairs, pairs[1:])]
-        assert all(abs(g - 0.2) < 1e-6 for g in gaps)
-
-    def test_burst_mode_preserves_average_rate(self):
-        sim = Simulator()
-        counts = {1: 0, 2: 0}
-        for burst in (1, 2):
-            sent = []
-            sender = TfrcSender(
-                sim, f"f{burst}",
-                send_packet=lambda p, s=sent: s.append(p.seq),
-                burst_size=burst,
-            )
-            sender.rate = 20_000.0
-            sender.start()
-            sim.run(until=sim.now + 5.0)
-            sender.stop()
-            counts[burst] = len(sent)
-        assert counts[2] == pytest.approx(counts[1], abs=3)
-
-    @pytest.mark.slow
-    def test_burst_flow_end_to_end(self):
-        sim = Simulator()
-        forward = LossyPath(sim, delay=0.05)
-        reverse = LossyPath(sim, delay=0.05)
-        flow = TfrcFlow(sim, "f", forward, reverse, burst_size=2)
-        flow.start()
-        sim.run(until=10.0)
-        assert flow.sender.packets_sent > 10
-        assert flow.sender.feedback_received > 0
 
 
 class TestPairingHelpers:

@@ -163,9 +163,10 @@ def _fuzz_ops(seed, n_ops=300):
 
 
 def _drive(timer_cls, seed):
-    """Apply one op schedule to a timer; return exact fire times."""
+    """Apply one op schedule to a timer; return exact fire times and the
+    ``expiry`` it reports after every operation."""
     sim = Simulator()
-    fired = []
+    fired, expiries = [], []
 
     def on_fire():
         fired.append(sim.now)
@@ -174,21 +175,26 @@ def _drive(timer_cls, seed):
         if len(fired) % 3 == 0:
             timer.start(0.21)
 
+    def apply(op, interval):
+        if op == "start":
+            timer.start(interval)
+        else:
+            timer.cancel()
+        expiries.append((sim.now, timer.expiry))
+
     timer = timer_cls(sim, on_fire)
     for when, op, interval in _fuzz_ops(seed):
-        if op == "start":
-            sim.schedule(when, timer.start, interval)
-        else:
-            sim.schedule(when, timer.cancel)
+        sim.schedule(when, apply, op, interval)
     sim.run()
-    return fired
+    return fired, expiries
 
 
 class TestFastTimerEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_schedule_matches_legacy_timer(self, seed):
         """Under a random start/cancel/restart schedule (with callback
-        re-arms), FastTimer fires at exactly Timer's times."""
+        re-arms), FastTimer fires at exactly Timer's times and reports
+        Timer's ``expiry`` after every operation."""
         assert _drive(FastTimer, seed) == _drive(Timer, seed)
 
     def test_endpoint_sequence_parity(self):

@@ -84,7 +84,7 @@ class TestScenarioBuilder:
         result = build_mixed_dumbbell(n_tfrc=3, n_tcp=2, seed=0)
         assert len(result.tfrc_flows) == 3
         assert len(result.tcp_flows) == 2
-        assert result.dumbbell.flow_count == 5
+        assert len(result.dumbbell._forward_ports) == 5
 
     def test_zero_flows_rejected(self):
         with pytest.raises(ValueError):

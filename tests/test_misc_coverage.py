@@ -9,34 +9,22 @@ from repro.sim.engine import Simulator
 from repro.tcp.flow import TcpFlow
 
 
-class TestDelayedAckFlow:
-    def test_end_to_end_with_delayed_acks(self):
+class TestAckPerSegmentFlow:
+    def test_every_data_arrival_is_acked(self):
+        """No delayed ACKs: the sink sends one ACK per data packet, so the
+        window opens once per segment in slow start."""
         sim = Simulator()
         forward = LossyPath(sim, delay=0.05)
         reverse = LossyPath(sim, delay=0.05)
         received = []
         flow = TcpFlow(
-            sim, "t", forward, reverse, variant="sack", delayed_ack=True,
+            sim, "t", forward, reverse, variant="sack",
             on_data=lambda t, p: received.append(p.seq),
         )
         flow.start()
         sim.run(until=5.0)
         assert len(received) > 50
-        # Delayed ACKs: roughly one ACK per two data packets.
-        assert flow.sink.acks_sent < 0.8 * flow.sink.packets_received
-
-    def test_delayed_ack_slows_window_growth(self):
-        def run(delayed):
-            sim = Simulator()
-            forward = LossyPath(sim, delay=0.05)
-            reverse = LossyPath(sim, delay=0.05)
-            flow = TcpFlow(sim, "t", forward, reverse, delayed_ack=delayed,
-                           initial_ssthresh=10_000)
-            flow.start()
-            sim.run(until=1.0)
-            return flow.sender.cwnd
-
-        assert run(delayed=True) < run(delayed=False)
+        assert flow.sink.acks_sent == flow.sink.packets_received == len(received)
 
 
 class TestVariantRelativeBehaviour:

@@ -5,11 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.multicast import (
-    FeedbackSuppression,
-    MulticastReceiver,
-    MulticastTfrcSession,
-)
+from repro.multicast import FeedbackSuppression, MulticastTfrcSession
 from repro.net.path import periodic_loss
 from repro.sim.engine import Simulator
 
@@ -106,12 +102,12 @@ class TestSuppressionTimer:
         (0.0, math.log(2) / math.log1p(1e6)),  # rates below 1 B/s count as 1
         (1.0, math.log(2) / math.log1p(1e6)),
         (1e3, math.log1p(1e3) / math.log1p(1e6)),
-        (1e6, 1.0),  # rate_scale: the end of the round
-        (1e9, 1.0),  # above rate_scale: clamped to the end of the round
+        (1e6, 1.0),  # RATE_SCALE: the end of the round
+        (1e9, 1.0),  # above RATE_SCALE: clamped to the end of the round
     ])
     def test_full_bias_delay_is_log_rate_over_log_scale(self, rate, fraction):
         """With ``bias_strength=1`` there is no jitter: the delay is the
-        round length times log(1 + rate) / log(1 + rate_scale)."""
+        round length times log(1 + rate) / log(1 + RATE_SCALE)."""
         sim = Simulator()
         suppression, fired = self.make(
             sim, rate=rate, round_duration=2.0, bias_strength=1.0
@@ -168,6 +164,22 @@ class TestSession:
             worst.calculated_rate(), rel=0.5
         )
 
+    def test_receiver_reports_the_equation_rate_unshaded(self):
+        """Each receiver's calculated rate is the control equation at its
+        own RTT proxy and loss event rate: no conservatism divisor."""
+        from repro.core.equations import tcp_response_rate
+
+        sim = Simulator()
+        session = self.make_session(sim, [40])
+        session.start()
+        sim.run(until=30.0)
+        receiver = session.receivers[0]
+        p, rtt = receiver.loss_event_rate(), receiver._rtt
+        assert p > 0
+        assert receiver.calculated_rate() == tcp_response_rate(
+            receiver.packet_size, rtt, p, t_rto=4.0 * rtt
+        )
+
     def test_feedback_scales_sublinearly(self):
         """Suppression: reports per round must not grow linearly with N.
 
@@ -212,24 +224,8 @@ class TestSession:
         sim.run(until=40.0)
         assert session.sender.rate < rate_before / 2
 
-    def test_conservatism_shades_rate_down(self):
-        sim_a = Simulator()
-        plain = self.make_session(sim_a, [100], conservatism=1.0)
-        plain.start()
-        sim_a.run(until=40.0)
-        sim_b = Simulator()
-        shaded = self.make_session(sim_b, [100], conservatism=2.0)
-        shaded.start()
-        sim_b.run(until=40.0)
-        assert shaded.sender.rate < plain.sender.rate
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             MulticastTfrcSession(Simulator(), [])
 
-    def test_receiver_conservatism_validation(self):
-        with pytest.raises(ValueError):
-            MulticastReceiver(
-                Simulator(), "r", lambda p: None,
-                rng=np.random.default_rng(0), conservatism=0.5,
-            )

@@ -61,9 +61,10 @@ def _feed(sink, arrivals):
 class TestIncrementalSackEquivalence:
     """The sink's interval state against the set-of-seqs reference model."""
 
-    def _sink(self, max_blocks=3):
-        return TCPSink(Simulator(), "f", send_ack=lambda p: None,
-                       max_sack_blocks=max_blocks)
+    def _sink(self, max_blocks=TCPSink.MAX_SACK_BLOCKS):
+        sink = TCPSink(Simulator(), "f", send_ack=lambda p: None)
+        sink.MAX_SACK_BLOCKS = max_blocks  # truncation at other limits too
+        return sink
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_arrival_fuzz(self, seed):

@@ -98,6 +98,17 @@ class TestLink:
         with pytest.raises(ValueError):
             Link(sim, 1e6, -0.1, DropTailQueue(1))
 
+    def test_only_droptail_and_red_disciplines(self):
+        """The wake chain inlines their dequeue; a subclass would have its
+        ``dequeue`` override skipped, so it is refused at construction."""
+
+        class Lifo(DropTailQueue):
+            def dequeue(self, now):
+                return self._queue.pop() if self._queue else None
+
+        with pytest.raises(TypeError, match="no inline dequeue"):
+            Link(Simulator(), 1e6, 0.01, Lifo(4))
+
 
 class TestLossModels:
     def test_periodic_loss_every_nth(self):

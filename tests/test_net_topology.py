@@ -1,11 +1,11 @@
 """Unit tests for the dumbbell topology and Dummynet pipe."""
 
-import numpy as np
 import pytest
 
 from repro.net.dummynet import DummynetPipe
 from repro.net.packet import Packet
 from repro.net.topology import Dumbbell, DumbbellConfig
+from repro.scenarios.builders import RTT_RANGE, build_mixed_dumbbell
 from repro.sim.engine import Simulator
 
 
@@ -21,7 +21,7 @@ class TestDumbbellConfig:
         assert cfg.buffer_packets == 100
         assert cfg.red_min_thresh == 10
         assert cfg.red_max_thresh == 50
-        assert cfg.red_gentle
+        assert cfg.build_queue().gentle
 
     def test_build_queue_types(self):
         from repro.net.queues import DropTailQueue, REDQueue
@@ -85,22 +85,11 @@ class TestDumbbell:
         with pytest.raises(ValueError):
             dumbbell.attach_flow("f", 0.1)
 
-    def test_detach_flow_silences_delivery(self):
-        sim = Simulator()
-        dumbbell = Dumbbell(sim, DumbbellConfig(queue_type="droptail", access_jitter=0.0))
-        fwd, _ = dumbbell.attach_flow("f", 0.1)
-        got = []
-        fwd.connect(got.append)
-        fwd.send(make_packet("f"))
-        dumbbell.detach_flow("f")
-        sim.run()
-        assert got == []
-        assert dumbbell.flow_count == 0
 
     def test_jitter_preserves_per_flow_order(self):
         sim = Simulator()
         config = DumbbellConfig(queue_type="droptail", access_jitter=0.005)
-        dumbbell = Dumbbell(sim, config, jitter_rng=np.random.default_rng(5))
+        dumbbell = Dumbbell(sim, config)
         fwd, _ = dumbbell.attach_flow("f", 0.1)
         seqs = []
         fwd.connect(lambda p: seqs.append(p.seq))
@@ -164,3 +153,47 @@ class TestDummynetPipe:
         pipe = DummynetPipe(sim, 1e6, 0.01, 2)
         with pytest.raises(RuntimeError):
             pipe.send_reverse(make_packet("f"))
+
+
+def realized_base_rtts(bed):
+    """Each flow's no-queueing RTT as the dumbbell built it: two bottleneck
+    traversals plus the four access segments."""
+    dumbbell = bed.dumbbell
+    return [
+        2 * dumbbell.config.delay + sum(
+            port.ingress_delay + port.egress_delay
+            for port in (fwd, dumbbell._reverse_ports[flow_id])
+        )
+        for flow_id, fwd in dumbbell._forward_ports.items()
+    ]
+
+
+class TestBaseRttClipping:
+    """``RTT_RANGE`` cites the paper's U(80, 120) ms (section 4.1.2), but
+    with the dumbbell's 50 ms one-way bottleneck delay ``attach_flow``
+    clips every draw below 100 ms to 100 ms.  Shown on
+    ``packet_dumbbell``'s shape: 16 + 16 flows, 32 Mb/s RED, seed 0."""
+
+    @staticmethod
+    def _rtts():
+        bed = build_mixed_dumbbell(
+            n_tfrc=16, n_tcp=16, bandwidth_bps=32e6, queue_type="red", seed=0
+        )
+        return realized_base_rtts(bed)
+
+    def test_draws_below_twice_the_bottleneck_delay_are_clipped(self):
+        rtts = self._rtts()
+        assert len(rtts) == 32 and min(rtts) == 0.1
+        assert sum(rtt == 0.1 for rtt in rtts) == 17
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known departure: draws below 2 x 50 ms are clipped to "
+        "100 ms, so the realized base RTTs span U(100, 120) ms, not the "
+        "paper's U(80, 120) ms.  The fix moves every dumbbell digest.",
+    )
+    def test_realized_base_rtts_span_the_cited_range(self):
+        rtts = self._rtts()
+        low, high = RTT_RANGE
+        assert all(low <= rtt <= high for rtt in rtts)
+        assert min(rtts) < low + 0.01 and max(rtts) > high - 0.01

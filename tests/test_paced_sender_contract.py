@@ -33,7 +33,7 @@ def unicast(flow_cls, **kwargs):
 
 def multicast(sim, loss_model=None):
     specs = [(0.03, None), (0.05, loss_model)]
-    return MulticastTfrcSession(sim, specs, seed=1, session_id="f")
+    return MulticastTfrcSession(sim, specs, seed=1)
 
 
 #: name -> (builder of something with .sender/.start()/.stop(), takes a tracer?)
@@ -89,11 +89,11 @@ def test_start_records_the_first_sample_and_is_idempotent(name):
     flow.start()
     assert sender.rate_history == [(0.0, sender.rate)]
     assert sender.packets_sent == 1
-    pending = sim.pending_count()
+    pending = len(sim._heap)
     flow.start()
     assert sender.rate_history == [(0.0, sender.rate)]
     assert sender.packets_sent == 1
-    assert sim.pending_count() == pending
+    assert len(sim._heap) == pending
 
 
 @every_sender

@@ -339,8 +339,8 @@ class TestCache:
         cache.put(spec, {"value": 42})
         assert cache.get(spec) == {"value": 42}
         assert len(cache) == 1
-        entries = cache.entries()
-        assert entries[0]["spec"]["scenario"] == "test_echo"
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        assert json.loads(entry.read_text())["spec"]["scenario"] == "test_echo"
 
     def test_different_specs_do_not_collide(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -114,13 +114,6 @@ class TestRunControl:
         sim.run()
         assert sim.events_processed == 4
 
-    def test_reset(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.pending_count() == 0
 
 
 class TestCancellation:
@@ -132,22 +125,8 @@ class TestCancellation:
         sim.run()
         assert fired == []
 
-    def test_pending_count_excludes_cancelled(self):
-        sim = Simulator()
-        keep = sim.schedule(1.0, lambda: None)
-        drop = sim.schedule(2.0, lambda: None)
-        drop.cancel()
-        assert sim.pending_count() == 1
 
-    def test_peek_time_skips_cancelled(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        first.cancel()
-        assert sim.peek_time() == 2.0
 
-    def test_peek_time_empty(self):
-        assert Simulator().peek_time() is None
 
 
 class TestDeterminism:

@@ -37,18 +37,7 @@ class TestRngRegistry:
         b = RngRegistry(7).stream("traffic").random(10)
         assert a.tolist() == b.tolist()
 
-    def test_fork_changes_streams(self):
-        base = RngRegistry(7)
-        forked = base.fork(1)
-        assert (
-            base.stream("x").random(5).tolist()
-            != forked.stream("x").random(5).tolist()
-        )
 
-    def test_fork_deterministic(self):
-        a = RngRegistry(7).fork(3).stream("x").random(5)
-        b = RngRegistry(7).fork(3).stream("x").random(5)
-        assert a.tolist() == b.tolist()
 
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):

@@ -37,6 +37,14 @@ them anywhere.  One test per rule family:
     module or a package above it, an ``x.name`` attribute load anywhere.
     Imports and ``__all__`` are not uses; ``@register_scenario`` is (the
     registry calls it).  Code only tests call is dead code with tests.
+``reach.unused-member`` (methods and properties of ``src/repro`` classes)
+    a member, dunders aside, that nothing in a caller reaches: an
+    ``x.name`` attribute load anywhere, a string literal equal to its name
+    (``getattr(sim, "schedule_fast")``), or a bare-name load in its own
+    class body (``restart = start``).  Names are matched, not types, so a
+    member shares its reach with every same-named member.  A member that
+    only a test oracle reads -- a golden-digest input, a statistic a
+    ``benchmarks/`` claim asserts, a fuzz reference -- is allowlisted.
 ``tests.missing-slow-marker`` (``tests/``)
     a test without ``@pytest.mark.slow`` (on it, its class or the module's
     ``pytestmark``) whose visible work -- sweep-grid cells times constant
@@ -606,6 +614,84 @@ def test_reach_guard():
     _assert_clean(check_reach(_repo_sources()), REACH_ALLOWLIST, _by_name)
 
 
+#: ``(path, "Class.member")`` -> why a member only tests reach is kept.
+MEMBER_ALLOWLIST = {
+    ("src/repro/core/loss_intervals.py", "AverageLossIntervals.open_interval"):
+        "golden-digest input: tfrc_lossy_path pins s0 after the run",
+    ("src/repro/experiments/fig19_increase.py", "Fig19Result.mean_slope"):
+        "claim statistic: benchmarks/test_fig19_increase_rate.py and "
+        "test_ablation_discounting.py bound the increase rate (~0.12 "
+        "packets/RTT per RTT, ~0.3 with discounting)",
+    ("src/repro/experiments/fig19_increase.py",
+     "Fig19Result.increase_start_time"):
+        "claim statistic: benchmarks/test_fig19_increase_rate.py asserts "
+        "the increase starts 0.2-1.5 s after loss stops",
+    ("src/repro/experiments/fig20_halving.py", "Fig21Result.defined"):
+        "claim statistic: benchmarks/test_fig21_halving_sweep.py asserts "
+        "over the drop rates whose rate halved",
+    ("src/repro/net/monitor.py", "LinkMonitor.queue_samples"):
+        "golden-digest input: the mixed-dumbbell runs hash the queue series",
+    ("src/repro/net/monitor.py", "LinkMonitor.drops"):
+        "golden-digest input: the mixed-dumbbell runs hash the drop list",
+    ("src/repro/net/monitor.py", "FlowMonitor.packets_by_flow"):
+        "golden-digest input: the mixed-dumbbell runs hash per-flow counts",
+    ("src/repro/sim/process.py", "Timer.expiry"):
+        "fuzz reference: test_fast_timer.py's randomized schedules compare "
+        "FastTimer's expiry with this one after every operation",
+    ("src/repro/sim/process.py", "FastTimer.expiry"):
+        "fuzz reference: compared with Timer.expiry after every operation "
+        "of test_fast_timer.py's randomized schedules",
+}
+METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _class_body_loads(cls):
+    """Bare names the class body loads outside its methods: an alias such
+    as ``restart = start`` reaches ``start``."""
+    return {
+        node.id
+        for stmt in cls.body if not isinstance(stmt, METHODS)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def check_member_reach(sources):
+    """``reach.unused-member`` over the methods and properties of every
+    ``src/repro`` class; the finding's detail is ``Class.member``."""
+    reached, members = set(), []
+    for rel, text in sources:
+        if not rel.startswith(CALLERS) or rel.startswith(NOT_CALLERS):
+            continue
+        tree, nodes, _ = _parse(rel, text)
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reached.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reached.add(node.value)
+            elif isinstance(node, ast.ClassDef) and rel.startswith(SRC):
+                aliased = _class_body_loads(node)
+                members += [
+                    (rel, node.name, member, aliased) for member in node.body
+                    if isinstance(member, METHODS) and not _is_dunder(member.name)
+                ]
+    return sorted(
+        Finding(rel, member.lineno, "reach.unused-member", f"{cls}.{member.name}")
+        for rel, cls, member, aliased in members
+        if member.name not in reached and member.name not in aliased
+    )
+
+
+def test_member_reach_guard():
+    _assert_clean(
+        check_member_reach(_repo_sources()), MEMBER_ALLOWLIST, _by_name
+    )
+
+
 # -------------------------------------------------------------- test tiers
 
 TESTS_ALLOWLIST = {}
@@ -1035,6 +1121,79 @@ class TestReachGuard:
         live = {("src/repro/net/probe.py", "orphan"): "kept: a test oracle"}
         _assert_clean(findings, live, _by_name)
         stale = {**live, ("src/repro/net/probe.py", "helper"): "kept: was unused"}
+        with pytest.raises(AssertionError, match="excuse nothing"):
+            _assert_clean(findings, stale, _by_name)
+
+
+class TestMemberReachGuard:
+    MODULE = ("src/repro/sim/clock.py", dedent("""\
+        class Clock:
+            def __init__(self):
+                self.t = 0.0
+
+            def __repr__(self):
+                return "<Clock>"
+
+            def tick(self):
+                self.t += 1.0
+
+            @property
+            def now(self):
+                return self.t
+
+            def start(self):
+                self.tick()
+
+            def orphan(self):
+                return None
+
+            restart = start
+        """))
+
+    def _members(self, *callers):
+        return [f.detail for f in check_member_reach([self.MODULE, *callers])]
+
+    def test_unreached_method_and_property_fail(self):
+        findings = check_member_reach([self.MODULE])
+        assert _rules(findings) == ["reach.unused-member"] * 2
+        assert [(f.line, f.detail) for f in findings] == [
+            (12, "Clock.now"), (18, "Clock.orphan"),
+        ]
+
+    def test_attribute_load_from_a_caller_reaches(self):
+        assert self._members(("examples/demo.py", dedent("""\
+            from repro.sim.clock import Clock
+
+            print(Clock().now)
+            """))) == ["Clock.orphan"]
+
+    def test_bare_name_in_the_class_body_reaches(self):
+        assert "Clock.start" not in self._members()
+        unaliased = (self.MODULE[0], self.MODULE[1].replace("restart = start", ""))
+        findings = check_member_reach([unaliased])
+        assert "Clock.start" in [f.detail for f in findings]
+
+    def test_string_literal_reaches(self):
+        assert self._members(("bench/layers.py", dedent("""\
+            def probe(clock):
+                return getattr(clock, "now")
+            """))) == ["Clock.orphan"]
+
+    def test_loads_in_tests_and_stores_do_not_reach(self):
+        assert self._members(
+            ("tests/test_clock.py", "def test_now(c):\n    assert c.orphan()\n"),
+            ("bench/tests/test_clock.py", "def test_now(c):\n    c.now\n"),
+            ("examples/set.py", "def reset(c):\n    c.now = 0.0\n"),
+        ) == ["Clock.now", "Clock.orphan"]
+
+    def test_stale_entry_fails(self):
+        findings = check_member_reach([self.MODULE])
+        live = {
+            ("src/repro/sim/clock.py", "Clock.now"): "kept: a fuzz reference",
+            ("src/repro/sim/clock.py", "Clock.orphan"): "kept: a claim statistic",
+        }
+        _assert_clean(findings, live, _by_name)
+        stale = {**live, ("src/repro/sim/clock.py", "Clock.tick"): "kept: unused"}
         with pytest.raises(AssertionError, match="excuse nothing"):
             _assert_clean(findings, stale, _by_name)
 

@@ -62,12 +62,11 @@ class TestTfrcFlowWiring:
         fwd, rev = make_paths(sim)
         flow = TfrcFlow(
             sim, "f", fwd, rev,
-            ali_n=16, history_discounting=False, reorder_tolerance=5,
+            history_discounting=False, feedback_interval_rtts=2.0,
             rtt_ewma_weight=0.3,
         )
-        assert flow.receiver.intervals.n == 16
         assert not flow.receiver.intervals.discounting
-        assert flow.receiver.detector.reorder_tolerance == 5
+        assert flow.receiver.feedback_interval_rtts == 2.0
         assert flow.sender.rtt_ewma_weight == 0.3
 
     def test_rate_and_loss_properties(self):

@@ -8,8 +8,8 @@ from repro.tcp.rto import RTOEstimator
 
 class TestRTOEstimator:
     def test_initial_rto(self):
-        est = RTOEstimator(granularity=0.0, min_rto=0.2, initial_rto=3.0)
-        assert est.rto == 3.0
+        est = RTOEstimator(granularity=0.0, min_rto=0.2)
+        assert est.rto == RTOEstimator.INITIAL_RTO == 3.0
 
     def test_first_sample_sets_srtt_and_var(self):
         est = RTOEstimator(granularity=0.0, min_rto=0.01)

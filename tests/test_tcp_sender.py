@@ -91,11 +91,11 @@ class TestBasics:
         forward = LossyPath(sim, delay=0.05)
         reverse = LossyPath(sim, delay=0.05)
         flow = TcpFlow(sim, "t", forward, reverse, variant="sack",
-                       packets_to_send=50, on_complete=lambda: done.append(1))
+                       packets_to_send=50)
+        flow.sender.on_complete = lambda: done.append(1)
         flow.start()
         sim.run(until=10.0)
         assert done == [1]
-        assert flow.sender.is_complete
         assert flow.sender.packets_sent >= 50
 
     def test_finite_transfer_completes_despite_loss(self):
@@ -104,7 +104,8 @@ class TestBasics:
         reverse = LossyPath(sim, delay=0.05)
         done = []
         flow = TcpFlow(sim, "t", forward, reverse, variant="sack",
-                       packets_to_send=100, on_complete=lambda: done.append(1))
+                       packets_to_send=100)
+        flow.sender.on_complete = lambda: done.append(1)
         flow.start()
         sim.run(until=60.0)
         assert done == [1]
@@ -276,6 +277,64 @@ def test_acked_resends_counts_the_go_back_n_defect(variant, p, resends):
         duration=60.0,
     )
     assert flow.sender.acked_resends == resends
+
+
+class TestSndUnaBoundCheck:
+    """After every new ACK, ``snd_una <= snd_nxt``.  The one tolerated
+    violation is the go-back-N defect above -- a cumulative ACK past the
+    ``snd_nxt`` that ``_go_back_n`` pulled back -- counted in
+    ``acks_past_snd_nxt``; any other raises ``SimulationError``."""
+
+    @staticmethod
+    def _eight_in_flight(variant):
+        sim = Simulator()
+        sender = make_tcp_sender(
+            variant, sim, "f", lambda p: None, initial_cwnd=8.0
+        )
+        sender.start()
+        assert (sender.snd_una, sender.snd_nxt) == (0, 8)
+        return sim, sender
+
+    @staticmethod
+    def _ack(sim, seq):
+        return Packet("f", seq, 40, PacketType.ACK, sim.now, TCPAckInfo(0.0, 0))
+
+    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
+    def test_planted_violation_without_go_back_n_raises(self, variant):
+        sim, sender = self._eight_in_flight(variant)
+        sim.run(until=0.05)  # before the RTO: nothing went back
+        with pytest.raises(SimulationError) as excinfo:
+            sender.on_ack(self._ack(sim, 12))  # 12 > snd_nxt = 8: corrupt
+        message = str(excinfo.value)
+        assert "flow f" in message and "t=0.05" in message
+        assert "snd_una 12 > snd_nxt 8" in message
+        assert sender.acks_past_snd_nxt == 0
+
+    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
+    def test_ack_past_a_go_back_n_snd_nxt_is_counted(self, variant):
+        sim, sender = self._eight_in_flight(variant)
+        sim.run(until=5.0)  # no ACK arrives: the RTO goes back N
+        assert sender.timeouts >= 1 and sender.snd_nxt == sender.snd_una + 1
+        sender.on_ack(self._ack(sim, 8))  # the receiver held 0..7 all along
+        assert sender.snd_una == 8 and sender.acks_past_snd_nxt == 1
+
+    @pytest.mark.parametrize("variant, p, past, resends", [
+        ("tahoe", 0.05, 74, 265), ("reno", 0.05, 32, 162),
+        ("newreno", 0.05, 22, 100), ("sack", 0.05, 26, 114),
+        ("sack", 0.01, 0, 0),
+    ])
+    def test_count_is_zero_exactly_where_acked_resends_is(
+        self, variant, p, past, resends
+    ):
+        """The four per-variant golden TCP runs (Bernoulli 5 %, seed 5, 60
+        simulated s) and SACK at 1 %, where neither count moves; the counts
+        are the ones measured when the check landed."""
+        flow, _, _ = run_flow(
+            variant, loss_model=bernoulli_loss(p, np.random.default_rng(5)),
+            duration=60.0,
+        )
+        sender = flow.sender
+        assert (sender.acks_past_snd_nxt, sender.acked_resends) == (past, resends)
 
 
 class TestWindowCeiling:

@@ -1,4 +1,4 @@
-"""Unit tests for the TCP sink (ACK generation, SACK blocks, delayed ACKs).
+"""Unit tests for the TCP sink (ACK generation, SACK blocks, immediate ACKs).
 
 Every case runs twice: bare, and with each emitted ACK cross-checked against
 the set-of-seqs reference model (the randomized fuzz against that model
@@ -198,79 +198,26 @@ class TestSackRecencyOrdering:
         assert sink._blk_recency == []
 
 
-class TestDelayedAcks:
-    def test_second_packet_flushes_immediately(self, cross_check):
+class TestImmediateAcks:
+    """Every data segment is ACKed on arrival, echoing its own timestamp:
+    the sink has no delayed-ACK timer."""
+
+    def test_each_segment_acked_at_once_with_its_own_echo(self, cross_check):
         sim = Simulator()
-        sink, acks = make(sim, cross_check, delayed_ack=True)
-        sink.receive(data(0))
-        assert acks == []  # held
-        sink.receive(data(1))
-        assert [a.seq for a in acks] == [2]
-
-    def test_delack_timer_flushes_single_packet(self, cross_check):
-        sim = Simulator()
-        sink, acks = make(sim, cross_check, delayed_ack=True,
-                          delack_interval=0.2)
-        sink.receive(data(0))
-        sim.run(until=0.3)
-        assert [a.seq for a in acks] == [1]
-
-    def test_out_of_order_acks_immediately_despite_delack(self, cross_check):
-        sim = Simulator()
-        sink, acks = make(sim, cross_check, delayed_ack=True)
-        sink.receive(data(0))
-        sink.receive(data(2))  # gap: must ACK at once (and flush pending)
-        assert len(acks) >= 1
-        assert acks[-1].seq == 1
-
-
-class TestDelayedAckTimestampEcho:
-    """RFC 7323 section 4.2: an ACK covering a delayed (held) segment must
-    echo the *first* (earliest) pending segment's timestamp, so the
-    delayed-ACK hold time is included in the measured RTT and the RTO stays
-    conservative.  The pre-fix behaviour echoed the triggering (second)
-    segment, silently shaving the hold time off every delayed-ACK RTT
-    sample.
-    """
-
-    def test_second_segment_ack_echoes_first_segment_timestamp(self, cross_check):
-        sim = Simulator()
-        sink, acks = make(sim, cross_check, delayed_ack=True)
-        sim.schedule(0.00, lambda: sink.receive(data(0, sent_at=0.00)))
-        sim.schedule(0.05, lambda: sink.receive(data(1, sent_at=0.05)))
-        sim.run(until=0.1)
-        assert [a.seq for a in acks] == [2]
-        assert acks[0].payload.echo_ts == 0.00
-        assert acks[0].payload.echo_seq == 0
-
-    def test_out_of_order_flush_echoes_pending_segment(self, cross_check):
-        sim = Simulator()
-        sink, acks = make(sim, cross_check, delayed_ack=True)
-        sim.schedule(0.00, lambda: sink.receive(data(0, sent_at=0.00)))
-        # An out-of-order segment flushes the held ACK: the echo must still
-        # come from the earliest pending in-order segment.
-        sim.schedule(0.05, lambda: sink.receive(data(2, sent_at=0.05)))
-        sim.run(until=0.1)
-        assert [a.seq for a in acks] == [1]
-        assert acks[0].payload.echo_ts == 0.00
-        assert acks[0].payload.echo_seq == 0
-
-    def test_measured_rtt_includes_delack_hold_time(self, cross_check):
-        """End-to-end RTT accounting: data sent at t=0 arrives at t=0.04,
-        is held by the delayed-ACK timer, and the second segment triggers
-        the ACK at t=0.06.  A sender receiving that ACK after another 0.04s
-        one-way delay measures now - echo_ts = 0.10 -- the full RTT
-        including the hold -- not 0.08 (the pre-fix sample, which would
-        underestimate the RTO floor the receiver's delack imposes).
-        """
-        sim = Simulator()
-        sink, acks = make(sim, cross_check, delayed_ack=True)
+        sink, acks = make(sim, cross_check)
         sim.schedule(0.04, lambda: sink.receive(data(0, sent_at=0.00)))
         sim.schedule(0.06, lambda: sink.receive(data(1, sent_at=0.02)))
+        sim.schedule(0.08, lambda: sink.receive(data(3, sent_at=0.04)))
         sim.run(until=0.1)
-        assert len(acks) == 1
-        ack = acks[0]
-        ack_emit_time = 0.06
-        sender_receives_at = ack_emit_time + 0.04
-        measured_rtt = sender_receives_at - ack.payload.echo_ts
-        assert measured_rtt == pytest.approx(0.10)
+        assert [a.seq for a in acks] == [1, 2, 2]
+        assert [(a.payload.echo_ts, a.payload.echo_seq) for a in acks] == [
+            (0.00, 0), (0.02, 1), (0.04, 3),
+        ]
+        assert [a.sent_at for a in acks] == [0.04, 0.06, 0.08]
+
+    def test_receiving_schedules_nothing(self, cross_check):
+        sim = Simulator()
+        sink, acks = make(sim, cross_check)
+        for seq in (0, 2, 1, 1):
+            sink.receive(data(seq))
+        assert len(acks) == 4 and sim._heap == []

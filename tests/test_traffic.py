@@ -95,8 +95,9 @@ class TestOnOff:
         sink = Sink()
         source = OnOffSource(
             sim, "o", sink, rng=np.random.default_rng(3),
-            peak_rate_bps=500e3, mean_on=1.0, mean_off=2.0,
+            peak_rate_bps=500e3,
         )
+        assert (source.MEAN_ON, source.MEAN_OFF) == (1.0, 2.0)
         source.start()
         sim.run(until=2000.0)
         achieved = len(sink.packets) * 1000 * 8 / 2000.0
@@ -149,13 +150,14 @@ class TestWebTraffic:
         sim = Simulator()
         source = WebTrafficSource(
             sim, self.make_ports(sim), rng=np.random.default_rng(1),
-            arrival_rate=100.0, mean_size_packets=50.0, max_concurrent=10,
+            arrival_rate=100.0, mean_size_packets=50.0,
         )
+        source.MAX_CONCURRENT = 10  # the valve at a limit a short run hits
         source.start()
         worst = [0]
 
         def probe():
-            worst[0] = max(worst[0], source.active_count)
+            worst[0] = max(worst[0], len(source._active))
             if sim.now < 5.0:
                 sim.schedule_in(0.05, probe)
 
