@@ -24,7 +24,7 @@ from repro.core.paced import PacedSender, PacketSender
 from repro.net.flow import Flow, Port
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
+from repro.sim.process import FastTimer
 from repro.sim.trace import Tracer
 
 
@@ -55,18 +55,16 @@ class RapSender(PacedSender):
         self._declared_lost: Set[int] = set()
         self._scan_floor = 0
         self._loss_in_this_rtt = False
-        self._ipg_process = PeriodicProcess(
-            sim, self._per_rtt_update, self._rtt_or_default
-        )
+        self._rtt_timer = FastTimer(sim, self._per_rtt_update)
         self.acks_received = 0
         self.loss_events = 0
 
     def _after_start(self) -> None:
-        self._ipg_process.start(initial_delay=self._rtt_or_default())
+        self._rtt_timer.start(self._rtt_or_default())
 
     def stop(self) -> None:
         super().stop()
-        self._ipg_process.stop()
+        self._rtt_timer.cancel()
 
     def on_ack(self, packet: Packet) -> None:
         if self._stopped or not packet.is_ack:
@@ -109,11 +107,11 @@ class RapSender(PacedSender):
 
     def _per_rtt_update(self) -> None:
         """Once per RTT: additive increase if the RTT was loss-free."""
-        if self._stopped:
-            return
         if not self._loss_in_this_rtt and self.srtt:
             self._set_rate(self.rate + self.packet_size / self.srtt)
         self._loss_in_this_rtt = False
+        if not self._stopped:
+            self._rtt_timer.start(self._rtt_or_default())
 
 
 class RapFlow(Flow):

@@ -29,7 +29,7 @@ from repro.core.sender import TfrcDataInfo
 from repro.net.flow import Flow, Port
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
-from repro.sim.process import Timer
+from repro.sim.process import FastTimer
 
 
 class TearReport:
@@ -70,7 +70,7 @@ class TearReceiver:
         self._window_packets = 0  # arrivals since the last emulated round
         self._reduced_this_window = False
         self._last_packet: Optional[Packet] = None
-        self._report_timer = Timer(sim, self._report_due)
+        self._report_timer = FastTimer(sim, self._report_due)
         self.packets_received = 0
         self.losses_detected = 0
         self.reports_sent = 0

@@ -19,7 +19,7 @@ from repro.core.paced import PacedSender, PacketSender
 from repro.net.flow import Flow, Port
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
+from repro.sim.process import FastTimer
 from repro.sim.trace import Tracer
 
 
@@ -46,17 +46,15 @@ class TfrcpSender(PacedSender):
         # This interval's packets are ``range(_interval_first_seq, _seq)``.
         self._interval_first_seq = 0
         self._acked_this_interval: Set[int] = set()
-        self._update_process = PeriodicProcess(
-            sim, self._update_rate, lambda: self.update_interval
-        )
+        self._update_timer = FastTimer(sim, self._update_rate)
         self.acks_received = 0
 
     def _after_start(self) -> None:
-        self._update_process.start(initial_delay=self.update_interval)
+        self._update_timer.start(self.update_interval)
 
     def stop(self) -> None:
         super().stop()
-        self._update_process.stop()
+        self._update_timer.cancel()
 
     def on_ack(self, packet: Packet) -> None:
         if self._stopped or not packet.is_ack:
@@ -74,8 +72,6 @@ class TfrcpSender(PacedSender):
         ACKs still in flight make very recent packets look lost; exclude
         packets sent within the last RTT from the accounting.
         """
-        if self._stopped:
-            return
         rtt = self._rtt_or_default()
         # Drop from consideration the packets too recent to have been ACKed.
         recent_cutoff = max(0, self._seq - int(self.rate * rtt / self.packet_size) - 1)
@@ -99,6 +95,8 @@ class TfrcpSender(PacedSender):
             self._set_rate(self.rate * 2.0)
         self._interval_first_seq = self._seq
         self._acked_this_interval.clear()
+        if not self._stopped:
+            self._update_timer.start(self.update_interval)
 
 
 class TfrcpFlow(Flow):

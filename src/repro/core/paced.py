@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.net.packet import Packet, PacketType
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import FastTimer
 from repro.sim.trace import Tracer
 
@@ -87,8 +87,16 @@ class PacedSender:
 
         A decision is recorded even when it leaves the value unchanged, so
         ``rate_history`` (and the trace) has one sample per feedback event.
+        A NaN or infinite ``rate`` raises instead: ``max`` would floor a NaN
+        to ``min_rate``, and +inf would pace packets 0 s apart.  ``rate -
+        rate`` is 0.0 for every finite float and NaN otherwise, so one
+        comparison tests all three.
         """
         now = self.sim._now
+        if rate - rate != 0.0:
+            raise SimulationError(
+                f"flow {self.flow_id}: rate {rate!r} at t={now!r} is not finite"
+            )
         rate = max(self.min_rate, rate)
         self.rate = rate
         self.rate_history.append((now, rate))

@@ -1,6 +1,11 @@
 """Figures 3 and 4: TFRC oscillations over a Dummynet pipe.
 
-One TFRC flow crosses a DropTail pipe whose buffer is swept over
+The paper runs these through Rizzo's Dummynet: one rate-limited pipe with
+a small DropTail buffer.  Here the pipe is a :class:`~repro.net.link.Link`
+with a :class:`~repro.net.queues.DropTailQueue` forward and a lossless
+fixed-delay :class:`~repro.net.path.LossyPath` back.
+
+One TFRC flow crosses the pipe, whose buffer is swept over
 {2, 8, 32, 64} packets (the paper's axis is 2..64).  With the RTT EWMA
 weight at a small value and **without** the interpacket-spacing adjustment,
 the flow overshoots the link and oscillates (Figure 3); enabling the
@@ -21,26 +26,10 @@ from repro.scenarios import ScenarioSpec, SweepRunner, Testbed, register_scenari
 from repro.scenarios.spec import JsonDict
 from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.core import TfrcFlow
-from repro.net.dummynet import DummynetPipe
-
-
-@dataclass
-class PipeAdapter:
-    """Adapt one direction of a DummynetPipe to the flow Port protocol."""
-
-    pipe: DummynetPipe
-    direction: str  # "forward" or "reverse"
-
-    def send(self, packet) -> bool:
-        if self.direction == "forward":
-            return self.pipe.send_forward(packet)
-        return self.pipe.send_reverse(packet)
-
-    def connect(self, receiver) -> None:
-        if self.direction == "forward":
-            self.pipe.connect_forward(receiver)
-        else:
-            self.pipe.connect_reverse(receiver)
+from repro.net.link import Link
+from repro.net.path import LossyPath
+from repro.net.queues import DropTailQueue
+from repro.sim.engine import Simulator
 
 
 @dataclass
@@ -51,6 +40,16 @@ class Fig03Result:
     rate_series: Dict[int, List[float]] = field(default_factory=dict)
     cov_by_buffer: Dict[int, float] = field(default_factory=dict)
     mean_rate_by_buffer: Dict[int, float] = field(default_factory=dict)
+
+
+def dummynet_pipe(
+    sim: Simulator, bandwidth_bps: float, delay: float, buffer_packets: int
+) -> Tuple[Link, LossyPath]:
+    """The pipe's two ports: a rate limit with a finite DropTail buffer
+    forward, a fixed-delay lossless return path (feedback never congests
+    it) back."""
+    forward = Link(sim, bandwidth_bps, delay, DropTailQueue(buffer_packets))
+    return forward, LossyPath(sim, delay)
 
 
 def run_one(
@@ -64,12 +63,12 @@ def run_one(
 ) -> Tuple[List[float], float, float]:
     """One pipe run; returns (rate series KB/s, steady-state CoV, mean)."""
     bed = Testbed()
-    pipe = DummynetPipe(bed.sim, bandwidth_bps, delay, buffer_packets)
+    forward, reverse = dummynet_pipe(bed.sim, bandwidth_bps, delay, buffer_packets)
     flow = TfrcFlow(
         bed.sim,
         "tfrc",
-        PipeAdapter(pipe, "forward"),
-        PipeAdapter(pipe, "reverse"),
+        forward,
+        reverse,
         on_data=bed.flow_monitor.on_packet,
         rtt_ewma_weight=rtt_ewma_weight,
         interpacket_adjustment=interpacket_adjustment,

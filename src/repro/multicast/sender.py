@@ -20,7 +20,7 @@ from repro.core.sender import TfrcDataInfo
 from repro.multicast.receiver import MulticastReport
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
+from repro.sim.process import FastTimer
 
 
 class MulticastTfrcSender(PacedSender):
@@ -46,9 +46,7 @@ class MulticastTfrcSender(PacedSender):
         self._echo_report = echo_report
         self.round_duration = round_duration
         self.in_slow_start = True
-        self._round_process = PeriodicProcess(
-            sim, self._round_boundary, lambda: self.round_duration
-        )
+        self._round_timer = FastTimer(sim, self._round_boundary)
         self._round_minimum: Optional[float] = None
         self.reports_received = 0
         self.on_round_start: Optional[Callable[[], None]] = None
@@ -56,13 +54,13 @@ class MulticastTfrcSender(PacedSender):
     # ------------------------------------------------------------ lifecycle
 
     def _after_start(self) -> None:
-        self._round_process.start(initial_delay=self.round_duration)
+        self._round_timer.start(self.round_duration)
         if self.on_round_start is not None:
             self.on_round_start()
 
     def stop(self) -> None:
         super().stop()
-        self._round_process.stop()
+        self._round_timer.cancel()
 
     # ------------------------------------------------------------- reports
 
@@ -83,8 +81,6 @@ class MulticastTfrcSender(PacedSender):
 
     def _round_boundary(self) -> None:
         """End of a feedback round: adapt the rate, start the next round."""
-        if self._stopped:
-            return
         if self._round_minimum is not None and not self.in_slow_start:
             self._set_rate(self._round_minimum)
         elif self.in_slow_start:
@@ -99,6 +95,8 @@ class MulticastTfrcSender(PacedSender):
         self._round_minimum = None
         if self.on_round_start is not None:
             self.on_round_start()
+        if not self._stopped:
+            self._round_timer.start(self.round_duration)
 
     # -------------------------------------------------------------- pacing
 

@@ -9,14 +9,14 @@ This package replaces the ns-2 link/queue substrate the paper evaluates on:
   a configured bandwidth and add propagation delay.
 * :mod:`~repro.net.path` -- :class:`~repro.net.path.LossyPath`, the ideal
   pipe with Bernoulli / periodic / scheduled loss models used by the
-  protocol-mechanics figures.
+  protocol-mechanics figures, and (lossless) as the return path of the
+  Dummynet-style pipe of the oscillation experiments, whose forward half
+  is a :class:`~repro.net.link.Link` with a small DropTail buffer.
 * :mod:`~repro.net.monitor` -- per-link and per-flow counters.
 * :mod:`~repro.net.flow` -- the ``Port`` duck type and the ``Flow`` base
   that wires any protocol's sender/receiver pair over two ports.
 * :mod:`~repro.net.topology` -- the dumbbell builder used by the fairness
   experiments.
-* :mod:`~repro.net.dummynet` -- a single configurable pipe mirroring how the
-  paper uses Rizzo's Dummynet for the oscillation experiments.
 * :mod:`~repro.net.lossmodels` -- the correlated (Gilbert-Elliott) loss
   model for emulating bursty real-path loss.
 """
@@ -27,7 +27,6 @@ from repro.net.link import Link
 from repro.net.path import LossyPath
 from repro.net.monitor import FlowMonitor, LinkMonitor
 from repro.net.topology import Dumbbell, DumbbellConfig
-from repro.net.dummynet import DummynetPipe
 from repro.net.lossmodels import (
     GilbertElliottLoss,
     gilbert_elliott_from_rate,
@@ -45,7 +44,6 @@ __all__ = [
     "FlowMonitor",
     "Dumbbell",
     "DumbbellConfig",
-    "DummynetPipe",
     "GilbertElliottLoss",
     "gilbert_elliott_from_rate",
 ]

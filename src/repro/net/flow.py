@@ -2,8 +2,8 @@
 
 A *port* is anything with ``send(packet) -> bool`` and
 ``connect(receiver)`` -- :class:`repro.net.topology.FlowPort`,
-:class:`repro.net.path.LossyPath`, a :class:`repro.net.path.Path`, or the
-two directions of a :class:`repro.net.dummynet.DummynetPipe` (adapted).
+:class:`repro.net.link.Link` or :class:`repro.net.path.LossyPath` (fig03's
+Dummynet-style pipe is one of each).
 
 Every protocol's ``*Flow`` (TFRC, TCP, RAP, TFRCP, TEAR) builds its two
 endpoints on ``forward_port.send`` / ``reverse_port.send`` and hands them

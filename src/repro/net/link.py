@@ -158,7 +158,7 @@ class Link:
         if need < self._armed_time:
             self._armed_time = need
             sim = self.sim
-            heappush(sim._heap, (need, 0, sim._seq, self._wake, (), None))
+            heappush(sim._heap, (need, sim._seq, self._wake, (), None))
             sim._seq += 1
 
     def _wake(self) -> None:
@@ -209,5 +209,5 @@ class Link:
             need = in_flight[0][0]
         if need < self._armed_time:
             self._armed_time = need
-            heappush(sim._heap, (need, 0, sim._seq, self._wake, (), None))
+            heappush(sim._heap, (need, sim._seq, self._wake, (), None))
             sim._seq += 1

@@ -8,7 +8,6 @@ layer stays protocol-agnostic.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Optional
 
 
@@ -18,9 +17,6 @@ class PacketType(enum.Enum):
     DATA = "data"
     ACK = "ack"
     FEEDBACK = "feedback"
-
-
-_packet_uid = itertools.count()
 
 
 class Packet:
@@ -35,15 +31,13 @@ class Packet:
         ptype: coarse type (data / ack / feedback).
         sent_at: timestamp the packet entered the network (set by the sender).
         payload: protocol-specific object (e.g. a TFRC feedback report).
-        uid: globally unique id, handy for tracing retransmissions, which
-            reuse ``seq`` but get a fresh ``uid``.
         ecn_capable: the flow understands ECN; RED (with ECN enabled) marks
             this packet under early congestion instead of dropping it.
         ecn_marked: set by a queue that signalled congestion on this packet.
     """
 
     __slots__ = (
-        "flow_id", "seq", "size", "ptype", "sent_at", "payload", "uid",
+        "flow_id", "seq", "size", "ptype", "sent_at", "payload",
         "ecn_capable", "ecn_marked",
     )
 
@@ -65,7 +59,6 @@ class Packet:
         self.ptype = ptype
         self.sent_at = sent_at
         self.payload = payload
-        self.uid = next(_packet_uid)
         #: ECN (RFC 2481, cited by the paper as a future direction): a
         #: capable packet is marked instead of early-dropped by RED.
         self.ecn_capable = ecn_capable
@@ -82,5 +75,5 @@ class Packet:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Packet {self.flow_id} seq={self.seq} {self.ptype.value} "
-            f"{self.size}B uid={self.uid}>"
+            f"{self.size}B>"
         )

@@ -149,6 +149,6 @@ class LossyPath:
         arrival = departure + self.delay
         if not (now <= arrival <= _FMAX):
             sim._check_time(arrival)
-        heappush(sim._heap, (arrival, 0, sim._seq, receiver, (packet,), None))
+        heappush(sim._heap, (arrival, sim._seq, receiver, (packet,), None))
         sim._seq += 1
         return True

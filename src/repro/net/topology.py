@@ -123,10 +123,7 @@ class FlowPort:
         # Access-segment handoffs are never cancelled, so they need no Event
         # handle: a straight heap push (schedule_fast minus the range
         # check; the clamp above keeps arrival >= now by construction).
-        heappush(
-            sim._heap,
-            (arrival, 0, sim._seq, self._link_send, (packet,), None),
-        )
+        heappush(sim._heap, (arrival, sim._seq, self._link_send, (packet,), None))
         sim._seq += 1
         return True  # access links never drop; loss is at the bottleneck
 
@@ -135,16 +132,9 @@ class FlowPort:
             return  # no sink connected (ON/OFF load): dropped at the edge
         if self.egress_delay > 0:
             sim = self._sim
+            arrival = sim._now + self.egress_delay
             heappush(
-                sim._heap,
-                (
-                    sim._now + self.egress_delay,
-                    0,
-                    sim._seq,
-                    self._receiver,
-                    (packet,),
-                    None,
-                ),
+                sim._heap, (arrival, sim._seq, self._receiver, (packet,), None)
             )
             sim._seq += 1
         else:

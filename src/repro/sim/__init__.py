@@ -5,14 +5,14 @@ paper.  It provides:
 
 * :class:`~repro.sim.engine.Simulator` -- a heap-based event loop with a
   monotonically non-decreasing clock.
-* :class:`~repro.sim.process.Timer`, :class:`~repro.sim.process.FastTimer`
-  and :class:`~repro.sim.process.PeriodicProcess` -- restartable timers built
-  on the event loop, used for retransmission timers, feedback timers and
-  traffic generators.  ``FastTimer`` (generation counters, no ``Event``
-  allocation) drives every rate-based sender's pacing loop and the TFRC and
-  TCP endpoints; the handle-based ``Timer`` is left with TEAR's report
-  timer and multicast feedback suppression, and is ``FastTimer``'s fuzz
-  reference.
+* :class:`~repro.sim.process.FastTimer` and
+  :class:`~repro.sim.process.Timer` -- restartable timers built on the
+  event loop.  ``FastTimer`` (generation counters, no ``Event``
+  allocation) runs every retransmission, feedback and pacing timer and
+  every periodic loop (RAP, TFRCP, the multicast round, TEAR's reports,
+  CBR sources), each of which re-arms it from its own callback; the
+  handle-based ``Timer`` is left with multicast feedback suppression,
+  which must cancel, and is ``FastTimer``'s fuzz reference.
 * :mod:`~repro.sim.rng` -- named, independently seeded random streams so that
   experiments are reproducible and sub-systems do not perturb each other's
   random sequences.
@@ -21,7 +21,7 @@ paper.  It provides:
 """
 
 from repro.sim.engine import Event, Simulator
-from repro.sim.process import FastTimer, PeriodicProcess, Timer
+from repro.sim.process import FastTimer, Timer
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -30,7 +30,6 @@ __all__ = [
     "Simulator",
     "Timer",
     "FastTimer",
-    "PeriodicProcess",
     "RngRegistry",
     "Tracer",
     "TraceRecord",

@@ -1,9 +1,10 @@
 """Heap-based discrete-event simulation engine.
 
 The engine is the substrate equivalent of the ns-2 scheduler used in the
-paper's evaluation.  Heap entries are ``(time, priority, seq, callback,
-args, event)`` tuples; the sequence number makes ordering total and
-deterministic, so two runs with the same seeds produce identical traces.
+paper's evaluation.  Heap entries are ``(time, seq, callback, args,
+event)`` tuples; the sequence number breaks ties first-scheduled-first and
+makes ordering total and deterministic, so two runs with the same seeds
+produce identical traces.
 
 Tuples (rather than objects) are used as heap entries so that heap sifting
 compares in C instead of calling a Python ``__lt__``.  Two scheduling paths
@@ -65,8 +66,8 @@ class Event:
         return f"<Event t={self.time:.6f} {state}>"
 
 
-#: One heap entry: (time, priority, seq, callback, args, event-or-None).
-Entry = Tuple[float, int, int, Callable[..., None], tuple, Optional[Event]]
+#: One heap entry: (time, seq, callback, args, event-or-None).
+Entry = Tuple[float, int, Callable[..., None], tuple, Optional[Event]]
 
 
 class Simulator:
@@ -104,44 +105,33 @@ class Simulator:
             )
 
     def schedule(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
+        self, time: float, callback: Callable[..., None], *args: Any
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time``.
 
-        ``priority`` breaks ties among events at the same instant (lower runs
-        first).  Raises :class:`SimulationError` if ``time`` precedes the
-        current clock or is not finite.  Returns a cancellable handle.
+        Events at the same instant run in the order they were scheduled.
+        Raises :class:`SimulationError` if ``time`` precedes the current
+        clock or is not finite.  Returns a cancellable handle.
         """
         if not (self._now <= time <= _FMAX):
             self._check_time(time)
         event = Event(time)
-        heapq.heappush(
-            self._heap, (time, priority, self._seq, callback, args, event)
-        )
+        heapq.heappush(self._heap, (time, self._seq, callback, args, event))
         self._seq += 1
         return event
 
     def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
+        self, delay: float, callback: Callable[..., None], *args: Any
     ) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule(self._now + delay, callback, *args, priority=priority)
+        return self.schedule(self._now + delay, callback, *args)
 
     def schedule_fast(
         self,
         time: float,
         callback: Callable[..., None],
-        priority: int = 0,
         args: tuple = _EMPTY_ARGS,
     ) -> None:
         """Hot-path scheduling: no ``Event`` handle, not cancellable.
@@ -153,20 +143,15 @@ class Simulator:
         """
         if not (self._now <= time <= _FMAX):
             self._check_time(time)
-        heapq.heappush(
-            self._heap, (time, priority, self._seq, callback, args, None)
-        )
+        heapq.heappush(self._heap, (time, self._seq, callback, args, None))
         self._seq += 1
 
     def schedule_batch(
-        self,
-        items: Iterable[Tuple[float, Callable[..., None], tuple]],
-        priority: int = 0,
+        self, items: Iterable[Tuple[float, Callable[..., None], tuple]]
     ) -> int:
         """Bulk-schedule ``(time, callback, args)`` triples; returns the count.
 
-        All entries share ``priority``; ties within the batch keep the
-        iteration order.  When the batch is at least as large as the pending
+        Ties within the batch keep the iteration order.  When the batch is at least as large as the pending
         heap the entries are appended and the heap rebuilt in O(n) instead
         of n heap-pushes, which is markedly faster for scenario setup
         (seeding thousands of flow start/arrival events at once).  No
@@ -176,7 +161,7 @@ class Simulator:
         seq = self._seq
         for time, callback, args in items:
             self._check_time(time)
-            staged.append((time, priority, seq, callback, args, None))
+            staged.append((time, seq, callback, args, None))
             seq += 1
         self._seq = seq
         if not staged:
@@ -200,8 +185,11 @@ class Simulator:
         or ``max_events`` have been processed.
 
         Returns the simulation time when the loop exits.  When ``until`` is
-        given the clock is advanced to ``until`` even if the last event fired
-        earlier, which makes back-to-back ``run`` calls well behaved.
+        given and nothing due by ``until`` is left, the clock is advanced to
+        ``until`` even if the last event fired earlier, which makes
+        back-to-back ``run`` calls well behaved.  A run that ``stop()`` or
+        ``max_events`` cuts short leaves the clock at its last event, so
+        the next ``run`` never moves it backwards.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -227,17 +215,22 @@ class Simulator:
                 if entry[0] > horizon:
                     break
                 heappop(heap)
-                event = entry[5]
+                event = entry[4]
                 if event is not None and event.cancelled:
                     continue
                 self._now = entry[0]
-                entry[3](*entry[4])
+                entry[2](*entry[3])
                 processed += 1
                 if processed >= limit:
                     break
         finally:
             self._running = False
             self.events_processed += processed
-        if until is not None and self._now < until and not self._stopped:
+        if (
+            until is not None
+            and self._now < until
+            and not self._stopped
+            and not (heap and heap[0][0] <= until)
+        ):
             self._now = until
         return self._now

@@ -1,23 +1,24 @@
-"""Restartable timers and periodic processes on top of the event loop.
+"""Restartable timers on top of the event loop.
 
-These are the building blocks for protocol machinery: TCP retransmission
-timers, the TFRC no-feedback timer, receiver feedback timers, and traffic
-generators all use a timer or :class:`PeriodicProcess`.
+Every piece of protocol machinery that waits runs on one of these: TCP's
+retransmission timer, the TFRC send, no-feedback and feedback timers, and
+the periodic loops -- RAP's per-RTT increase, TFRCP's interval update, the
+multicast round, TEAR's report timer and every CBR source -- which re-arm
+their timer at the end of their own callback.
 
 Two timer classes share one interface:
 
-* :class:`FastTimer` -- what every rate-based sender's pacing loop and the
-  TFRC and TCP endpoints run on: armings ride
+* :class:`FastTimer` -- what all of the above run on: armings ride
   :meth:`Simulator.schedule_fast` entries tagged with a generation counter.
   Re-arming bumps the generation instead of cancelling; a superseded entry
   stays in the heap and self-discards when popped because its generation no
   longer matches.  No ``Event`` handle is ever allocated.
 * :class:`Timer` -- each ``start`` cancels the previous
   :class:`~repro.sim.engine.Event` handle and allocates a new one, so a
-  cancelled arming never reaches the handler and an unbounded ``run()``
-  stops at the last live event.  TEAR's receiver report timer and the
-  multicast feedback-suppression timers run on it, and it is the reference
-  ``FastTimer`` is fuzzed against.
+  cancelled arming never reaches the handler, is never counted as an
+  event, and an unbounded ``run()`` stops at the last live event.  The
+  multicast feedback-suppression timers, which a heard report cancels,
+  run on it, and it is the reference ``FastTimer`` is fuzzed against.
 
 Both consume exactly one scheduler sequence number per ``start``, so they
 order events identically (``tests/test_fast_timer.py`` fuzzes one against
@@ -27,7 +28,7 @@ the other).
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.sim.engine import _FMAX, Event, SimulationError, Simulator
 
@@ -98,10 +99,12 @@ class FastTimer:
     Consequently a ``run()`` with no ``until`` drains stale entries too --
     the clock (and ``run``'s return value) advances to the last stale
     deadline, where a cancelled ``Timer`` event would be skipped --
-    and ``max_events`` budgets count the no-op pops.  Bound runs with
-    ``until`` (as every scenario here does) are unaffected.  Firing order
-    is identical either way -- both implementations consume one sequence
-    number per ``start``, at the same deadline and priority.
+    and ``max_events`` budgets count the no-op pops.  A run with ``until``
+    (as every scenario here is) still pops, and counts in
+    ``events_processed``, each superseded or cancelled arming whose deadline
+    falls by ``until`` -- a periodic loop's ``stop()`` mid-run included.  Firing
+    order is identical either way -- both implementations consume one
+    sequence number per ``start``, at the same deadline.
     """
 
     __slots__ = ("_sim", "_callback", "_gen", "_deadline", "_on_pop")
@@ -140,7 +143,7 @@ class FastTimer:
         deadline = now + interval
         if not (now <= deadline <= _FMAX):
             sim._check_time(deadline)
-        heappush(sim._heap, (deadline, 0, sim._seq, self._on_pop, (gen,), None))
+        heappush(sim._heap, (deadline, sim._seq, self._on_pop, (gen,), None))
         sim._seq += 1
         self._deadline = deadline
 
@@ -157,57 +160,3 @@ class FastTimer:
             return  # stale entry from a superseded arming or a cancel
         self._deadline = None
         self._callback()
-
-
-class PeriodicProcess:
-    """Invoke a callback at (possibly varying) intervals.
-
-    ``interval_fn`` is consulted before each scheduling step, which lets
-    traffic sources draw intervals from a distribution and lets rate-paced
-    senders change their spacing between packets.  Returning ``None`` from
-    ``interval_fn`` stops the process.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        callback: Callable[[], Any],
-        interval_fn: Callable[[], Optional[float]],
-    ) -> None:
-        self._sim = sim
-        self._callback = callback
-        self._interval_fn = interval_fn
-        self._event: Optional[Event] = None
-        self._running = False
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def start(self, initial_delay: float = 0.0) -> None:
-        """Begin ticking ``initial_delay`` seconds from now."""
-        if self._running:
-            return
-        self._running = True
-        self._event = self._sim.schedule_in(initial_delay, self._tick)
-
-    def stop(self) -> None:
-        """Stop ticking; safe to call repeatedly."""
-        self._running = False
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        self._callback()
-        if not self._running:
-            # The callback may have stopped us.
-            return
-        interval = self._interval_fn()
-        if interval is None:
-            self._running = False
-            self._event = None
-            return
-        self._event = self._sim.schedule_in(interval, self._tick)

@@ -6,14 +6,17 @@ from typing import Optional
 
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
+from repro.sim.process import FastTimer
 
 
 class CbrSource:
     """Sends fixed-size packets at a constant rate into a port.
 
     UDP-like: no feedback, no congestion response.  Used for reverse-path
-    filler traffic and as the building block of the ON/OFF sources.
+    filler traffic.  The ON/OFF sources do not build on it: entering OFF
+    cancels the pending emission, which on a ``FastTimer`` would still pop
+    as a counted no-op and move the event count ``internet_path_ucl``'s
+    golden digest pins, so they keep their own cancellable events.
     """
 
     def __init__(
@@ -34,18 +37,19 @@ class CbrSource:
         self._interval = packet_size * 8 / rate_bps
         self._seq = 0
         self.packets_sent = 0
-        self._process = PeriodicProcess(sim, self._emit, lambda: self._interval)
+        self._timer = FastTimer(sim, self._emit)
+        self._stopped = False
 
     def start(self, at: Optional[float] = None) -> None:
-        delay = 0.0 if at is None else max(0.0, at - self.sim.now)
-        self._process.start(initial_delay=delay)
+        """Start sending now, or at absolute time ``at`` (idempotent)."""
+        if self._timer.pending:
+            return
+        self._stopped = False
+        self._timer.start(0.0 if at is None else max(0.0, at - self.sim.now))
 
     def stop(self) -> None:
-        self._process.stop()
-
-    @property
-    def running(self) -> bool:
-        return self._process.running
+        self._stopped = True
+        self._timer.cancel()
 
     def _emit(self) -> None:
         packet = Packet(
@@ -58,3 +62,5 @@ class CbrSource:
         self._seq += 1
         self.packets_sent += 1
         self._port.send(packet)
+        if not self._stopped:
+            self._timer.start(self._interval)

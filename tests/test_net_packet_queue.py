@@ -19,10 +19,6 @@ class TestPacket:
         assert p.is_data and not p.is_ack
         assert p.ptype is PacketType.DATA
 
-    def test_uid_unique(self):
-        a, b = make_packet(), make_packet()
-        assert a.uid != b.uid
-
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             Packet(flow_id="f", seq=0, size=0)

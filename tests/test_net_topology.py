@@ -1,8 +1,8 @@
-"""Unit tests for the dumbbell topology and Dummynet pipe."""
+"""Unit tests for the dumbbell topology and fig03's Dummynet-style pipe."""
 
 import pytest
 
-from repro.net.dummynet import DummynetPipe
+from repro.experiments.fig03_oscillation import dummynet_pipe
 from repro.net.packet import Packet
 from repro.net.topology import Dumbbell, DumbbellConfig
 from repro.scenarios.builders import RTT_RANGE, build_mixed_dumbbell
@@ -114,45 +114,48 @@ class TestDumbbell:
         assert dumbbell.forward_link.queue.dropped > 0
 
 
-class TestDummynetPipe:
-    def test_forward_rate_limit_and_delay(self):
+class TestFig03Pipe:
+    """fig03's Dummynet-style pipe: a ``Link`` with a DropTail buffer
+    forward, a lossless fixed-delay ``LossyPath`` back."""
+
+    def test_forward_arrives_after_serialization_plus_delay(self):
         sim = Simulator()
-        pipe = DummynetPipe(sim, bandwidth_bps=8e6, delay=0.02, buffer_packets=10)
+        forward, _ = dummynet_pipe(sim, 8e6, delay=0.02, buffer_packets=10)
         arrivals = []
-        pipe.connect_forward(lambda p: arrivals.append(sim.now))
-        pipe.send_forward(make_packet("f", 0))
-        pipe.send_forward(make_packet("f", 1))
+        forward.connect(lambda p: arrivals.append(sim.now))
+        forward.send(make_packet("f", 0))
+        forward.send(make_packet("f", 1))
         sim.run()
-        assert arrivals == [pytest.approx(0.021), pytest.approx(0.022)]
+        tx = 1000 * 8 / 8e6
+        assert arrivals == [tx + 0.02, 2 * tx + 0.02]
 
-    def test_reverse_is_lossless_fixed_delay(self):
+    def test_reverse_is_lossless_at_fixed_delay(self):
         sim = Simulator()
-        pipe = DummynetPipe(sim, 8e6, 0.02, 2)
+        _, reverse = dummynet_pipe(sim, 8e6, 0.02, 2)
         arrivals = []
-        pipe.connect_reverse(lambda p: arrivals.append(sim.now))
-        for i in range(10):
-            assert pipe.send_reverse(make_packet("f", i, size=40))
+        reverse.connect(lambda p: arrivals.append(sim.now))
+        assert all(reverse.send(make_packet("f", i, size=40)) for i in range(10))
         sim.run()
-        assert len(arrivals) == 10
-        assert all(t == pytest.approx(0.02) for t in arrivals)
+        assert arrivals == [0.02] * 10
 
-    def test_buffer_overflow(self):
+    def test_forward_drops_on_buffer_overflow(self):
         sim = Simulator()
-        pipe = DummynetPipe(sim, 1e6, 0.01, buffer_packets=2)
-        pipe.connect_forward(lambda p: None)
-        results = [pipe.send_forward(make_packet("f", i)) for i in range(6)]
-        assert False in results
-        assert pipe.queue.dropped > 0
+        forward, _ = dummynet_pipe(sim, 1e6, 0.01, buffer_packets=2)
+        forward.connect(lambda p: None)
+        # One packet goes straight into service, two wait, the rest drop.
+        results = [forward.send(make_packet("f", i)) for i in range(6)]
+        assert results == [True, True, True, False, False, False]
+        assert forward.queue.dropped == 3
 
-    def test_base_rtt(self):
+    def test_round_trip_is_serialization_plus_twice_the_delay(self):
         sim = Simulator()
-        assert DummynetPipe(sim, 1e6, 0.03, 2).base_rtt == pytest.approx(0.06)
-
-    def test_reverse_unconnected_raises(self):
-        sim = Simulator()
-        pipe = DummynetPipe(sim, 1e6, 0.01, 2)
-        with pytest.raises(RuntimeError):
-            pipe.send_reverse(make_packet("f"))
+        forward, reverse = dummynet_pipe(sim, 1e6, 0.03, 2)
+        echoed = []
+        forward.connect(reverse.send)
+        reverse.connect(lambda p: echoed.append(sim.now))
+        forward.send(make_packet("f"))
+        sim.run()
+        assert echoed == [pytest.approx(1000 * 8 / 1e6 + 2 * 0.03)]
 
 
 def realized_base_rtts(bed):

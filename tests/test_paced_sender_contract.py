@@ -6,6 +6,8 @@ the record of every rate decision are the base's, so one parametrised suite
 pins them for all five.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.core import TfrcFlow
 from repro.core.paced import T_MBI
 from repro.multicast import MulticastTfrcSession
 from repro.net.path import LossyPath, bernoulli_loss
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.trace import Tracer
 
 
@@ -46,6 +48,16 @@ SENDERS = {
 }
 
 every_sender = pytest.mark.parametrize("name", SENDERS)
+
+#: name -> the sender's periodic control loop, a FastTimer its own callback
+#: re-arms: RAP's per-RTT increase, TFRCP's interval update, the round.
+CONTROL_TIMERS = {
+    "rap": "_rtt_timer",
+    "tfrcp": "_update_timer",
+    "multicast": "_round_timer",
+}
+
+every_control_loop = pytest.mark.parametrize("name", CONTROL_TIMERS)
 
 
 def lossy():
@@ -155,3 +167,61 @@ def test_every_rate_change_is_recorded_exactly_once(name):
         traced = [(r.time, r.value) for r in tracer.select(category="rate")]
         assert traced == sender.rate_history
         assert {r.source for r in tracer.select(category="rate")} == {"f"}
+
+
+@every_sender
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"]
+)
+def test_a_non_finite_rate_raises_naming_flow_time_and_value(name, value):
+    """``max(min_rate, nan)`` is ``min_rate`` and +inf paces packets 0 s
+    apart: both must fail loudly, not run on."""
+    sim = Simulator()
+    flow = SENDERS[name][0](sim)
+    sender = flow.sender
+    flow.start()
+    sim.run(until=1.0)
+    rate, decisions = sender.rate, list(sender.rate_history)
+    with pytest.raises(SimulationError) as raised:
+        sender._set_rate(value)
+    assert str(raised.value) == (
+        f"flow {sender.flow_id}: rate {value!r} at t=1.0 is not finite"
+    )
+    assert sender.rate == rate and sender.rate_history == decisions
+
+
+@every_control_loop
+def test_stop_inside_a_control_tick_ends_its_loop(name):
+    """The tick re-arms its timer last, and not once ``stop()`` has run --
+    even when ``stop()`` runs inside the tick itself."""
+    sim = Simulator()
+    flow = SENDERS[name][0](sim)
+    sender = flow.sender
+    set_rate = sender._set_rate
+
+    def set_rate_then_stop(rate):
+        set_rate(rate)
+        if len(sender.rate_history) == 3:  # start, then two control ticks
+            sender.stop()
+
+    sender._set_rate = set_rate_then_stop
+    flow.start()
+    sim.run(until=30.0)
+    assert len(sender.rate_history) == 3
+    assert sender.rate_history[-1][0] > 0.0
+    assert not getattr(sender, CONTROL_TIMERS[name]).pending
+
+
+@every_control_loop
+def test_a_second_start_arms_no_second_control_loop(name):
+    def run(starts):
+        sim = Simulator()
+        flow = SENDERS[name][0](sim)
+        for _ in range(starts):
+            flow.start()
+        sim.run(until=10.0)
+        return flow.sender.rate_history, sim.events_processed
+
+    once = run(1)
+    assert len(once[0]) > 5
+    assert run(2) == once

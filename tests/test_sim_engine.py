@@ -29,15 +29,6 @@ class TestScheduling:
         sim.run()
         assert seen == [1.5]
 
-    def test_ties_broken_by_priority_then_fifo(self):
-        sim = Simulator()
-        order = []
-        sim.schedule(1.0, lambda: order.append("first"))
-        sim.schedule(1.0, lambda: order.append("second"))
-        sim.schedule(1.0, lambda: order.append("prio"), priority=-1)
-        sim.run()
-        assert order == ["prio", "first", "second"]
-
     def test_schedule_in_is_relative(self):
         sim = Simulator()
         times = []
@@ -113,6 +104,27 @@ class TestRunControl:
             sim.schedule(float(i), lambda: None)
         sim.run()
         assert sim.events_processed == 4
+
+    def test_budget_stop_keeps_the_clock_at_its_last_event(self):
+        """``max_events`` ends the run with work due before ``until``: the
+        clock must not jump past it, or resuming would move it backwards."""
+        sim = Simulator()
+        fired = []
+        for i in range(10):
+            sim.schedule(0.1 * (i + 1), lambda: fired.append(sim.now))
+        assert sim.run(until=10.0, max_events=5) == fired[-1] == 0.1 * 5
+        assert sim.now == 0.1 * 5
+        assert sim.run(until=10.0) == 10.0
+        assert fired == [0.1 * (i + 1) for i in range(10)]
+        assert fired == sorted(fired)
+
+    def test_budget_stop_with_nothing_due_still_reaches_until(self):
+        sim = Simulator()
+        for t in (1.0, 2.0, 20.0):
+            sim.schedule(t, lambda: None)
+        assert sim.run(until=10.0, max_events=2) == 10.0
+        assert sim.run(until=30.0) == 30.0
+        assert sim.events_processed == 3
 
 
 

@@ -1,7 +1,12 @@
-"""Unit tests for timers and periodic processes."""
+"""Unit tests for the handle-based ``Timer``.
+
+The periodic loops that run on ``FastTimer`` are tested with their
+owners: ``tests/test_paced_sender_contract.py`` (RAP, TFRCP, the multicast
+round) and ``tests/test_traffic.py`` (``CbrSource``).
+"""
 
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess, Timer
+from repro.sim.process import Timer
 
 
 class TestTimer:
@@ -65,76 +70,3 @@ class TestTimer:
         timer.cancel()
         sim.run()
         assert not timer.pending
-
-
-class TestPeriodicProcess:
-    def test_ticks_at_fixed_interval(self):
-        sim = Simulator()
-        ticks = []
-        proc = PeriodicProcess(sim, lambda: ticks.append(sim.now), lambda: 1.0)
-        proc.start()
-        sim.run(until=3.5)
-        assert ticks == [0.0, 1.0, 2.0, 3.0]
-
-    def test_initial_delay(self):
-        sim = Simulator()
-        ticks = []
-        proc = PeriodicProcess(sim, lambda: ticks.append(sim.now), lambda: 1.0)
-        proc.start(initial_delay=0.5)
-        sim.run(until=2.6)
-        assert ticks == [0.5, 1.5, 2.5]
-
-    def test_stop(self):
-        sim = Simulator()
-        ticks = []
-        proc = PeriodicProcess(sim, lambda: ticks.append(sim.now), lambda: 1.0)
-        proc.start()
-        sim.schedule(1.5, proc.stop)
-        sim.run(until=5.0)
-        assert ticks == [0.0, 1.0]
-
-    def test_interval_fn_none_terminates(self):
-        sim = Simulator()
-        ticks = []
-        intervals = iter([1.0, 1.0, None])
-        proc = PeriodicProcess(
-            sim, lambda: ticks.append(sim.now), lambda: next(intervals)
-        )
-        proc.start()
-        sim.run(until=10.0)
-        assert ticks == [0.0, 1.0, 2.0]
-        assert not proc.running
-
-    def test_variable_intervals(self):
-        sim = Simulator()
-        ticks = []
-        intervals = iter([0.5, 1.5, 0.25])
-        proc = PeriodicProcess(
-            sim, lambda: ticks.append(sim.now), lambda: next(intervals, None)
-        )
-        proc.start()
-        sim.run(until=10.0)
-        assert ticks == [0.0, 0.5, 2.0, 2.25]
-
-    def test_callback_may_stop_process(self):
-        sim = Simulator()
-        ticks = []
-
-        def tick():
-            ticks.append(sim.now)
-            if len(ticks) == 2:
-                proc.stop()
-
-        proc = PeriodicProcess(sim, tick, lambda: 1.0)
-        proc.start()
-        sim.run(until=10.0)
-        assert ticks == [0.0, 1.0]
-
-    def test_start_idempotent(self):
-        sim = Simulator()
-        ticks = []
-        proc = PeriodicProcess(sim, lambda: ticks.append(sim.now), lambda: 1.0)
-        proc.start()
-        proc.start()
-        sim.run(until=1.5)
-        assert ticks == [0.0, 1.0]

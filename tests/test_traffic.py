@@ -61,6 +61,58 @@ class TestCbr:
         with pytest.raises(ValueError):
             CbrSource(Simulator(), "cbr", Sink(), rate_bps=0)
 
+    def test_stop_inside_the_send_ends_the_loop(self):
+        """The emission re-arms its timer after the send, and not once
+        ``stop()`` has run -- even when the send itself stops the source."""
+        sim = Simulator()
+        sink = Sink()
+        source = CbrSource(sim, "cbr", sink, rate_bps=800e3)
+        send = sink.send
+
+        def send_then_stop(packet):
+            send(packet)
+            if len(sink.packets) == 3:
+                source.stop()
+            return True
+
+        sink.send = send_then_stop
+        source.start()
+        sim.run(until=1.0)
+        assert [p.seq for p in sink.packets] == [0, 1, 2]
+        assert not source._timer.pending
+
+    def test_start_is_idempotent(self):
+        def run(starts, *also_at):
+            sim = Simulator()
+            sink = Sink()
+            source = CbrSource(sim, "cbr", sink, rate_bps=800e3)
+            for _ in range(starts):
+                source.start()
+            for at in also_at:
+                sim.schedule(at, source.start)
+            sim.run(until=1.0)
+            sends = [(p.seq, p.sent_at) for p in sink.packets]
+            return sends, sim.events_processed - len(also_at)
+
+        once = run(1)
+        assert len(once[0]) == pytest.approx(100, abs=1)
+        assert run(2) == once  # before the first emission
+        assert run(1, 0.5) == once  # mid-run, with an emission pending
+
+    def test_start_after_stop_resumes(self):
+        sim = Simulator()
+        sink = Sink()
+        source = CbrSource(sim, "cbr", sink, rate_bps=800e3)
+        source.start()
+        sim.schedule(0.105, source.stop)
+        restart_at = 0.5
+        sim.schedule(restart_at, source.start)
+        sim.run(until=0.6)
+        times = [p.sent_at for p in sink.packets]
+        assert not [t for t in times if 0.105 < t < restart_at]
+        assert restart_at in times
+        assert [p.seq for p in sink.packets] == list(range(len(times)))
+
 
 class TestParetoDraw:
     def test_mean_approximately_correct(self):
