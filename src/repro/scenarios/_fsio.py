@@ -73,8 +73,10 @@ def atomic_write_json_many(
                 f"{path.name}.tmp.{os.getpid()}-{uuid.uuid4().hex[:8]}"
             )
             staged.append((tmp, path))
+            # one write of the whole text (json.dump writes per token)
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
             with tmp.open("w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+                fh.write(text)
                 if durable:
                     fh.flush()
                     os.fsync(fh.fileno())

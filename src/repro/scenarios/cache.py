@@ -11,8 +11,14 @@ written and fsynced, *then* the renames, then one directory fsync.  So a
 sweep interrupted mid-commit -- or a host losing power -- never leaves a
 silently-trusted corrupt entry: an entry is either absent (a clean miss,
 the cell re-executes) or whole, and no entry is visible at its final name
-before its bytes are durable.  A corrupt entry found on read (truncated
-JSON, checksum mismatch, wrong shape) is **quarantined** into
+before its bytes are durable.
+
+Every read -- a sweep's lookup and ``tfrc-sweep-fsck``'s :meth:`scan`
+alike -- is one binary read, one parse and :func:`verify_entry`, which
+re-encodes the stored result and spec, recomputes the checksum from them
+and checks that the stored spec hashes to the file's name, each time.  A
+corrupt entry found on read (truncated JSON, checksum mismatch or none,
+wrong shape, or another cell's spec) is **quarantined** into
 ``<cache_dir>/quarantine/`` and reported as a miss, so the damaged cell is
 automatically re-executed instead of poisoning the sweep; missing files
 are plain misses.
@@ -29,7 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.scenarios._fsio import atomic_write_json_many
-from repro.scenarios.spec import JsonDict, ScenarioSpec
+from repro.scenarios.spec import CANONICAL, JsonDict, ScenarioSpec, canonical_hash
 
 #: subdirectory (of the cache root) holding quarantined corrupt entries.
 QUARANTINE_DIRNAME = "quarantine"
@@ -47,42 +53,71 @@ def entry_key(spec: ScenarioSpec) -> str:
     return f"{spec.scenario}-{spec.spec_hash()}"
 
 
-def payload_checksum(spec_dict: JsonDict, result: JsonDict) -> str:
-    """The entry checksum: sha256 over the canonical spec+result JSON."""
-    canonical = json.dumps(
-        {"result": result, "spec": spec_dict},
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def payload_checksum(result_text: str, spec_text: str) -> str:
+    """The entry checksum, from the canonical texts of its result and spec:
+    sha256 over ``{"result":<result>,"spec":<spec>}``, the very text a
+    key-sorted, compact, strict ``json.dumps`` of the pair makes."""
+    text = '{"result":' + result_text + ',"spec":' + spec_text + "}"
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def verify_entry(payload: Any) -> Optional[str]:
+def verify_entry(payload: Any, key: Optional[str] = None) -> Optional[str]:
     """Validate a parsed cache entry; None when intact, else the defect.
 
-    Entries written before checksums existed (no ``checksum`` key) are
-    accepted as long as their shape is right -- corruption in them is
-    undetectable anyway -- so old caches keep resuming sweeps.
+    An entry is intact when it is an object with a ``result`` object, a
+    ``spec`` object and a ``checksum`` that matches both, recomputed here
+    from the stored bytes on every call.  An entry without a checksum is
+    corrupt: the writer stamps every entry, so a missing one means a
+    damaged file.  With ``key`` given -- the :func:`entry_key` the entry is
+    filed under, its file name stem -- the stored spec must also hash to
+    that key: an entry copied or renamed over another cell's name holds
+    another cell's result, and is corrupt too.
     """
     if not isinstance(payload, dict):
         return "entry is not a JSON object"
     result = payload.get("result")
     if not isinstance(result, dict):
         return "entry has no result object"
-    spec_dict = payload.get("spec")
-    if not isinstance(spec_dict, dict):
+    stored = payload.get("spec")
+    if not isinstance(stored, dict):
         return "entry has no spec object"
     checksum = payload.get("checksum")
     if checksum is None:
-        return None  # pre-checksum entry: shape is all we can verify
+        return "entry has no checksum"
     try:
-        expected = payload_checksum(spec_dict, result)
+        spec_text = CANONICAL.encode(stored)
+        expected = payload_checksum(CANONICAL.encode(result), spec_text)
     except ValueError:
         return "entry is not canonicalizable strict JSON"
     if checksum != expected:
         return f"checksum mismatch (stored {checksum}, computed {expected})"
+    if key is not None:
+        held = f"{stored.get('scenario')}-{canonical_hash(spec_text)}"
+        if held != key:
+            return (
+                f"entry holds the spec of {held}, not of {key}, "
+                "the cell it is filed under"
+            )
     return None
+
+
+def _read_entry(path: str) -> Tuple[str, Optional[JsonDict], Optional[str]]:
+    """``(status, result, defect)`` of the entry file at ``path``: one
+    binary read, one parse, :func:`verify_entry` against the key its name
+    (``<key>.json``) files it under."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
+    except OSError:
+        return STATUS_MISS, None, None
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
+        return STATUS_CORRUPT, None, f"unparseable JSON: {exc}"
+    defect = verify_entry(payload, os.path.basename(path)[: -len(".json")])
+    if defect is not None:
+        return STATUS_CORRUPT, None, defect
+    return STATUS_HIT, payload["result"], None
 
 
 class ResultCache:
@@ -92,19 +127,26 @@ class ResultCache:
     def __init__(self, root: "str | os.PathLike[str]") -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._prefix = os.path.join(self.root, "")
         #: corrupt entries :meth:`get` has found (and quarantined) through
         #: this object; each is a cell that re-executes.
         self.quarantined_on_read = 0
 
     def entry_path(self, spec: ScenarioSpec, key: Optional[str] = None) -> Path:
         """Where ``spec``'s entry lives (whether or not it exists yet)."""
-        return self.root / f"{key or entry_key(spec)}.json"
+        return Path(self._entry_file(spec, key))
+
+    def _entry_file(self, spec: ScenarioSpec, key: Optional[str] = None) -> str:
+        """:meth:`entry_path` as a plain string: a hit builds no ``Path``."""
+        return f"{self._prefix}{key or entry_key(spec)}.json"
 
     def serialize(self, spec: ScenarioSpec, result: JsonDict) -> JsonDict:
         """The full checksummed entry payload :meth:`put` would write."""
         spec_dict = spec.to_dict()
         return {
-            "checksum": payload_checksum(spec_dict, result),
+            "checksum": payload_checksum(
+                CANONICAL.encode(result), CANONICAL.encode(spec_dict)
+            ),
             "result": result,
             "spec": spec_dict,
         }
@@ -116,11 +158,11 @@ class ResultCache:
     ) -> Optional[JsonDict]:
         """The cached result for ``spec``, or None on a miss.
 
-        A **corrupt** entry (unparseable, checksum-failing, or misshapen)
-        is also reported as a miss -- after being moved into the
-        quarantine directory with a warning and counted in
-        :attr:`quarantined_on_read` -- so the caller re-executes the
-        damaged cell instead of trusting or crashing on it.
+        A **corrupt** entry (unparseable, checksum-failing or unstamped,
+        misshapen, or holding another cell's spec) is also reported as a
+        miss -- after being moved into the quarantine directory with a
+        warning and counted in :attr:`quarantined_on_read` -- so the caller
+        re-executes the damaged cell instead of trusting or crashing on it.
         """
         status, result, _ = self.get_status(spec, key)
         if status == STATUS_CORRUPT:
@@ -136,18 +178,7 @@ class ResultCache:
         ``status`` is ``"hit"`` (result returned), ``"miss"`` (no file),
         or ``"corrupt"`` (file present but damaged; ``defect`` says how).
         """
-        path = self.entry_path(spec, key)
-        try:
-            with path.open("r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except OSError:
-            return STATUS_MISS, None, None
-        except ValueError as exc:
-            return STATUS_CORRUPT, None, f"unparseable JSON: {exc}"
-        defect = verify_entry(payload)
-        if defect is not None:
-            return STATUS_CORRUPT, None, defect
-        return STATUS_HIT, payload["result"], None
+        return _read_entry(self._entry_file(spec, key))
 
     # --------------------------------------------------------------- writes
 
@@ -225,15 +256,9 @@ class ResultCache:
         """
         report: List[Tuple[Path, Optional[str]]] = []
         for path in sorted(self.root.glob("*.json")):
-            try:
-                with path.open("r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-            except OSError:
-                continue  # vanished mid-scan
-            except ValueError as exc:
-                report.append((path, f"unparseable JSON: {exc}"))
-                continue
-            report.append((path, verify_entry(payload)))
+            status, _result, defect = _read_entry(str(path))
+            if status != STATUS_MISS:  # a miss: vanished mid-scan
+                report.append((path, defect))
         return report
 
     def __len__(self) -> int:

@@ -29,6 +29,19 @@ _GROUPS = ("topology", "flows", "queue", "loss", "extra")
 #: the scalar types a JSON copy shares instead of copying (all immutable).
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
+#: the one strict encoder: key-sorted, compact, no NaN/Infinity.  Its
+#: ``encode`` makes every canonical text -- a spec's, and both halves of a
+#: cache entry's checksum -- without building an encoder per call.
+CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+
+def canonical_hash(text: str) -> str:
+    """The 16-hex-digit digest of a canonical text (a spec's is its
+    :meth:`ScenarioSpec.spec_hash`)."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
 
 def _copy_json(value: Any) -> Any:
     """A deep copy of JSON-shaped ``value``: dicts and lists rebuilt, scalars
@@ -50,7 +63,7 @@ def _first_non_json(
     rejects, or None when it has none.  Only ever walked after
     ``canonical_json`` failed, so a valid spec never pays for it."""
     try:
-        json.dumps(value, sort_keys=True, allow_nan=False)
+        CANONICAL.encode(value)
         return None
     except (TypeError, ValueError):
         pass
@@ -147,8 +160,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - _FIELDS
         if unknown:
             raise ValueError(f"unknown ScenarioSpec fields: {sorted(unknown)}")
         if "scenario" not in data:
@@ -158,17 +170,19 @@ class ScenarioSpec:
     def canonical_json(self) -> str:
         """Key-sorted compact JSON -- the hashing/caching representation.
 
-        Serializes the groups as they stand, with no deep copy
-        (``json.dumps`` never mutates its input).  A value strict JSON cannot hold -- NaN,
-        ±Infinity, a ``set``, any other object -- is a ``ValueError`` naming
-        where it sits (``ScenarioSpec.topology['rtt']``) and what it is.
+        Serializes the groups as they stand, with no deep copy (the
+        encoder never mutates its input).  A value strict JSON cannot hold
+        -- NaN, ±Infinity, a ``set``, any other object -- is a
+        ``ValueError`` naming where it sits (``ScenarioSpec.topology['rtt']``)
+        and what it is.
         """
-        data = {name: dict(getattr(self, name)) for name in _GROUPS}
+        data: JsonDict = {}
+        for name in _GROUPS:
+            group = getattr(self, name)  # a plain dict is not re-wrapped
+            data[name] = group if type(group) is dict else dict(group)
         data.update(scenario=self.scenario, seed=self.seed, duration=self.duration)
         try:
-            return json.dumps(
-                data, sort_keys=True, separators=(",", ":"), allow_nan=False
-            )
+            return CANONICAL.encode(data)
         except (TypeError, ValueError) as exc:
             for name in _GROUPS:
                 found = _first_non_json(data[name], f"ScenarioSpec.{name}")
@@ -183,7 +197,7 @@ class ScenarioSpec:
     def spec_hash(self) -> str:
         """Stable 16-hex-digit digest identifying this spec (a sweep takes
         it once per cell, in :func:`repro.scenarios.cache.entry_key`)."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:16]
+        return canonical_hash(self.canonical_json())
 
     # -------------------------------------------------------------- override
 
@@ -230,6 +244,10 @@ class ScenarioSpec:
             allow_nan=False,
         )
         return (self.seed * 1_000_003 + zlib.crc32(tag.encode("utf-8"))) & 0x7FFFFFFF
+
+
+#: the keyword arguments a :class:`ScenarioSpec` takes.
+_FIELDS = frozenset(f.name for f in fields(ScenarioSpec))
 
 
 # ----------------------------------------------------------------- registry

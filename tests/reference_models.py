@@ -1,7 +1,8 @@
 """Per-packet recomputations of what ``REDQueue.enqueue``, ``TCPSink``,
 ``SackSender`` and the TFRC receiver's loss event rate maintain
-incrementally, and the first, copy-everything form of a spec's canonical
-JSON; the fuzzers compare the two."""
+incrementally, the first, copy-everything form of a spec's canonical JSON
+and the first form of a cache entry's checksum; the fuzzers compare the
+two."""
 
 import copy
 import hashlib
@@ -20,6 +21,18 @@ def spec_canonical_reference(spec):
         data[name] = copy.deepcopy(dict(getattr(spec, name)))
     text = json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return text, hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def entry_checksum_reference(spec_dict, result):
+    """A cache entry's checksum as first written: sha256 over one strict
+    key-sorted ``json.dumps`` of ``{"result": ..., "spec": ...}``."""
+    text = json.dumps(
+        {"result": result, "spec": spec_dict},
+        sort_keys=True,
+        separators=(",", ":"),
+        allow_nan=False,
+    )
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def red_reference(ops, capacity, params, rng, packet_time, ecn=False):

@@ -7,6 +7,7 @@ state afterwards."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import _executor_probe  # noqa: F401  (registers the "executor_probe" scenario)
+from reference_models import entry_checksum_reference
 from repro.scenarios import (
     EQUATION_GRID_SCENARIO,
     FaultInjectionError,
@@ -29,7 +31,7 @@ from repro.scenarios import (
 )
 from repro.scenarios import executors as executors_mod
 from repro.scenarios import faults
-from repro.scenarios.cache import payload_checksum, verify_entry
+from repro.scenarios.cache import verify_entry
 from repro.scenarios.fsck import audit
 
 BASE_PROBE = ScenarioSpec("executor_probe", seed=3, extra={"x": 0})
@@ -123,8 +125,11 @@ class TestCacheHardening:
         spec = BASE_PROBE.override({"extra.x": 1})
         path = cache.put(spec, {"x": 1})
         entry = json.loads(path.read_text())
-        assert entry["checksum"] == payload_checksum(entry["spec"], entry["result"])
+        assert entry["checksum"] == entry_checksum_reference(
+            entry["spec"], entry["result"]
+        )
         assert verify_entry(entry) is None
+        assert verify_entry(entry, path.stem) is None
         assert cache.get(spec) == {"x": 1}
 
     def test_truncated_entry_quarantined_and_missed(self, tmp_path, capsys):
@@ -150,13 +155,48 @@ class TestCacheHardening:
         status, _result, defect = cache.get_status(spec)
         assert status == "corrupt" and "checksum mismatch" in defect
 
-    def test_pre_checksum_entries_still_readable(self, tmp_path):
+    def test_entry_without_checksum_is_quarantined_and_rerun(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = BASE_PROBE.override({"extra.x": 4})
-        cache.entry_path(spec).write_text(
-            json.dumps({"result": {"x": 4}, "spec": spec.to_dict()})
+        runner = SweepRunner(BASE_PROBE, {"extra.x": [4]}, cache_dir=str(tmp_path))
+        path = cache.entry_path(runner.cells()[0].spec)
+        runner.run()
+        entry = json.loads(path.read_text())
+        del entry["checksum"]  # one damaged byte in the key name
+        entry["result"]["x"] = 99
+        path.write_text(json.dumps(entry))
+        assert cache.get_status(runner.cells()[0].spec)[2] == "entry has no checksum"
+        swept = runner.run()
+        assert swept.corrupt_entries == 1 and swept.cache_hits == 0
+        assert swept.cells[0].result["x"] == 4  # re-ran, not read back as 99
+        assert [q.name.split(".json.")[0] for q in cache.quarantine_dir.iterdir()] == [
+            path.stem
+        ]
+        assert runner.run().cache_hits == 1  # the re-run's entry is whole
+
+    def test_misfiled_entry_is_quarantined_and_rerun(self, tmp_path, capsys):
+        """An entry copied over another cell's name carries a valid checksum
+        -- of the wrong spec.  Reading it for the cell it is filed under
+        names both keys, quarantines it and re-runs that cell."""
+        runner = SweepRunner(
+            BASE_PROBE, {"extra.x": [1, 2]}, cache_dir=str(tmp_path)
         )
-        assert cache.get(spec) == {"x": 4}  # old caches keep resuming
+        first, second = runner.cells()
+        runner.run()
+        cache = ResultCache(tmp_path)
+        source, target = cache.entry_path(first.spec), cache.entry_path(second.spec)
+        shutil.copy(source, target)
+        status, result, defect = cache.get_status(second.spec, second.key)
+        assert (status, result) == ("corrupt", None)
+        assert first.key in defect and second.key in defect
+        assert verify_entry(json.loads(target.read_text())) is None  # whole
+        swept = runner.run()
+        assert swept.corrupt_entries == 1 and swept.cache_hits == 1
+        assert [cell.result["x"] for cell in swept.cells] == [1, 2]
+        assert [q.name.split(".json.")[0] for q in cache.quarantine_dir.iterdir()] == [
+            second.key
+        ]
+        assert "quarantined" in capsys.readouterr().err
+        assert runner.run().cache_hits == 2
 
 
 class TestClockSkewReclaim:

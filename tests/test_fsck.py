@@ -76,6 +76,23 @@ class TestAuditFindings:
         assert list(cache.quarantine_dir.iterdir())  # evidence preserved
         assert audit(fq.root) == []
 
+    def test_misfiled_cache_entry(self, tmp_path):
+        """An entry copied over another cell's name passes its checksum but
+        holds the wrong spec; the audit finds it with no cell in hand."""
+        fq, cache = _queue(tmp_path)
+        _complete(fq, cache)
+        other = ScenarioSpec("executor_probe", seed=8, extra={"x": 5})
+        misfiled = cache.entry_path(other)
+        misfiled.write_bytes(cache.entry_path(SPEC).read_bytes())
+        findings = audit(fq.root)
+        assert _kinds(findings) == ["corrupt_cache_entry"]
+        assert findings[0].path == misfiled
+        assert KEY in findings[0].detail and misfiled.stem in findings[0].detail
+
+        audit(fq.root, repair=True)
+        assert not misfiled.exists() and cache.get(SPEC) is not None
+        assert audit(fq.root) == []
+
     def test_corrupt_done_marker(self, tmp_path):
         fq, _cache = _queue(tmp_path)
         (fq.done / f"{KEY}.json").write_text("not json")

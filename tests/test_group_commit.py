@@ -281,7 +281,9 @@ def test_cache_is_written_from_exactly_two_places():
     # the one-element forms call the batch forms, not a second writer
     assert len(_calls(SCENARIOS / "cache.py", {"put_many"})) == 1
     assert len(_calls(SCENARIOS / "cache.py", {"put"})) == 0
-    assert len(_calls(SCENARIOS / "_fsio.py", {"dump"})) == 1
+    # one serialization per entry: a single json.dumps, written once
+    assert len(_calls(SCENARIOS / "_fsio.py", {"dump", "dumps"})) == 1
+    assert len(_calls(SCENARIOS / "_fsio.py", {"write"})) == 1
     assert len(_calls(SCENARIOS / "_fsio.py", {"replace"})) == 1
 
 

@@ -7,18 +7,28 @@ pinned here against :func:`reference_models.spec_canonical_reference`.  A
 sweep hashes each cell once, at expansion (``SweepCell.key``, made by
 ``cache.entry_key``), and carries the key into every cache lookup and
 commit; a value strict JSON cannot hold is named by its path.
+
+A cache entry's checksum is spliced from the canonical texts of its
+result and spec, byte for byte the one ``json.dumps`` of the pair
+(:func:`reference_models.entry_checksum_reference`), and an entry's stored
+spec must hash to the name it is filed under, which survives the JSON round
+trip.
 """
 
 import ast
+import json
 import math
 import pickle
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from reference_models import spec_canonical_reference
-from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
+from reference_models import entry_checksum_reference, spec_canonical_reference
+from repro.scenarios import ResultCache, ScenarioSpec, SweepRunner, register_scenario
+from repro.scenarios.cache import payload_checksum
+from repro.scenarios.spec import CANONICAL
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "repro" / "scenarios"
 GROUPS = ("topology", "flows", "queue", "loss", "extra")
@@ -65,6 +75,78 @@ def test_canonical_json_and_hash_match_the_deepcopy_reference(
     assert (spec.canonical_json(), spec.spec_hash()) == expected
     assert spec_canonical_reference(ScenarioSpec.from_dict(spec.to_dict())) == expected
     assert pickle.loads(pickle.dumps(spec)).spec_hash() == expected[1]
+
+
+_GROUP_DICTS = st.fixed_dictionaries(
+    {name: st.dictionaries(st.text(), _JSON, max_size=4) for name in GROUPS}
+)
+
+
+@given(groups=_GROUP_DICTS, result=st.dictionaries(st.text(), _JSON, max_size=4))
+def test_spliced_checksum_is_the_one_dumps_digest(groups, result):
+    spec = ScenarioSpec("identity_probe", **groups)
+    spliced = payload_checksum(CANONICAL.encode(result), spec.canonical_json())
+    assert spliced == entry_checksum_reference(spec.to_dict(), result)
+
+
+def _extra(**extra):
+    return {name: extra if name == "extra" else {} for name in GROUPS}
+
+
+@given(groups=_GROUP_DICTS, seed=st.integers(), result=_JSON)
+@example(_extra(pair=(1, 2), nested=[(0.5, (True, None))]), 0, (1, [2.0]))
+@example(_extra(rtt=1), 0, 1)
+@example(_extra(rtt=1.0), 0, 1.0)
+@example(_extra(on=True), 0, True)
+@example(_extra(on=1), 0, -0.0)
+@example(_extra(zero=-0.0), -1, None)
+@example(
+    {**_extra(), "topology": {"zéro": 0.0, "ключ": "☃", "☃": ["é"]}}, 0, "☃"
+)
+def test_put_then_get_is_a_hit_for_any_json_shaped_spec(groups, seed, result):
+    """The entry is read back through a JSON round trip (tuples come back as
+    lists); the stored spec must still be the cell's, never quarantined."""
+    spec = ScenarioSpec("identity_probe", seed=seed, **groups)
+    with tempfile.TemporaryDirectory() as root:
+        cache = ResultCache(root)
+        cache.put(spec, {"value": result})
+        stored = {"value": json.loads(json.dumps(result))}
+        assert cache.get_status(spec)[:2] == ("hit", stored)
+        assert cache.scan() == [(cache.entry_path(spec), None)]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ({"rtt": 1}, {"rtt": 1.0}),
+        ({"on": True}, {"on": 1}),
+        ({"z": 0.0}, {"z": -0.0}),
+    ],
+)
+def test_a_twin_cells_entry_is_not_a_hit(tmp_path, a, b):
+    """Specs that JSON tells apart file apart; an entry copied across is
+    another cell's, even though its checksum holds."""
+    first, second = (ScenarioSpec("identity_probe", extra=g) for g in (a, b))
+    cache = ResultCache(tmp_path)
+    cache.entry_path(second).write_bytes(cache.put(first, {"ok": 1}).read_bytes())
+    status, _result, defect = cache.get_status(second)
+    assert status == "corrupt" and "filed under" in defect
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"colour": 1}, "unknown ScenarioSpec fields: ['colour']"),
+        ({"colour.hue": 1, "seed": 2}, "unknown ScenarioSpec fields: ['colour']"),
+        ({"b": 1, "a.x": 2}, "unknown ScenarioSpec fields: ['a', 'b']"),
+    ],
+)
+def test_override_with_an_unknown_top_level_path_raises_as_before(
+    overrides, message
+):
+    with pytest.raises(ValueError) as raised:
+        BASE.override(overrides)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(
