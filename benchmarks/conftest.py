@@ -38,7 +38,8 @@ def once():
 def cache_dir(tmp_path_factory):
     """One result cache for the session, for benches that run the same
     cells: fig09 / fig10 make the same ``fig09.run`` call, fig16 / fig17 the
-    same ``internet.run_all`` call (whose UCL cell is fig15's), so a later
+    same ``internet.run_all`` call (whose UCL cell is fig15's
+    ``run_all(("ucl",))``), so a later
     bench replays an earlier one's cells instead of simulating them again.
     fig06 / fig07 do not share: a 60 s grid vs ``run_cell`` at 80 s, seeds
     0 and 1."""

@@ -9,8 +9,8 @@ from repro.experiments import fig08_smoothness as fig08
 
 
 def test_fig08_smoothness(once, benchmark):
-    red = once(benchmark, fig08.run, queue_type="red", duration=30.0)
-    droptail = fig08.run(queue_type="droptail", duration=30.0)
+    results = once(benchmark, fig08.run, duration=30.0)
+    red, droptail = results["red"], results["droptail"]
     print("\nFigure 8 reproduction (mean CoV of 0.15 s throughput):")
     for result in (red, droptail):
         print(

@@ -13,9 +13,9 @@ from repro.experiments import internet
 
 def test_fig15_internet_trace(once, benchmark, cache_dir):
     result = once(
-        benchmark, internet.run_path,
-        internet.PATHS["ucl"], n_tcp=3, duration=90.0, cache_dir=cache_dir,
-    )
+        benchmark, internet.run_all, ("ucl",), duration=90.0,
+        cache_dir=cache_dir,
+    )["ucl"]
     mean_tcp = float(np.mean(result.tcp_throughputs_bps))
     print("\nFigure 15 reproduction (synthetic UCL path):")
     print(f"  TFRC: {result.tfrc_throughput_bps / 1e3:6.0f} kb/s")

@@ -19,7 +19,7 @@ The run is one ``fig02_loss_interval`` scenario cell executed through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List
 
 from repro.scenarios import ScenarioSpec, register_scenario, run_single_cell
@@ -29,6 +29,12 @@ from repro.scenarios.builders import (
     run_single_tfrc_on_lossy_path,
 )
 from repro.scenarios.spec import JsonDict
+
+RTT = 0.1
+#: ``(start time, drop period)``: 1% periodic loss, 10% from t = 6 s, 0.5%
+#: from t = 9 s.
+PHASES = ((0.0, 100), (6.0, 10), (9.0, 200))
+PROBE_INTERVAL = 0.1
 
 
 @dataclass
@@ -52,17 +58,11 @@ def loss_interval_scenario(spec: ScenarioSpec) -> JsonDict:
 
     Spec layout::
 
-        topology: {rtt?}
+        topology: {rtt}
         loss:     {model: "scheduled", phases: [...]} (the 1%/10%/0.5% steps)
-        extra:    {probe_interval?}
+        extra:    {probe_interval}
     """
-    series: JsonDict = {
-        "times": [],
-        "current_interval": [],
-        "estimated_interval": [],
-        "loss_event_rate": [],
-        "tx_rate_bytes": [],
-    }
+    series: JsonDict = asdict(Fig02Result())
 
     def probe(sim, flow) -> None:
         series["times"].append(sim.now)
@@ -78,51 +78,31 @@ def loss_interval_scenario(spec: ScenarioSpec) -> JsonDict:
     run_single_tfrc_on_lossy_path(
         loss_model=loss_model_from_spec(dict(spec.loss)),
         duration=spec.duration,
-        rtt=float(spec.topology.get("rtt", 0.1)),
+        rtt=float(spec.topology["rtt"]),
         probe=probe,
-        probe_interval=float(spec.extra.get("probe_interval", 0.1)),
+        probe_interval=float(spec.extra["probe_interval"]),
     )
     return series
 
 
-def run(
-    duration: float = 16.0,
-    rtt: float = 0.1,
-    phase1_period: int = 100,   # 1% periodic loss
-    phase2_period: int = 10,    # 10%
-    phase3_period: int = 200,   # 0.5%
-    t_phase2: float = 6.0,
-    t_phase3: float = 9.0,
-    probe_interval: float = 0.1,
-    **sweep: object,
-) -> Fig02Result:
+def run(duration: float = 16.0, **sweep: object) -> Fig02Result:
     """Run the Figure 2 scenario and sample the estimator state."""
     base = ScenarioSpec(
         scenario="fig02_loss_interval",
         duration=float(duration),
-        topology={"rtt": float(rtt)},
+        topology={"rtt": RTT},
         loss={
             "model": "scheduled",
-            "phases": [
-                periodic_phase(0.0, phase1_period),
-                periodic_phase(t_phase2, phase2_period),
-                periodic_phase(t_phase3, phase3_period),
-            ],
+            "phases": [periodic_phase(at, period) for at, period in PHASES],
         },
-        extra={"probe_interval": float(probe_interval)},
+        extra={"probe_interval": PROBE_INTERVAL},
     )
-    data = run_single_cell(base, **sweep)
-    return Fig02Result(
-        times=list(data["times"]),
-        current_interval=list(data["current_interval"]),
-        estimated_interval=list(data["estimated_interval"]),
-        loss_event_rate=list(data["loss_event_rate"]),
-        tx_rate_bytes=list(data["tx_rate_bytes"]),
-    )
+    return Fig02Result(**run_single_cell(base, **sweep))
 
 
-def summarize(result: Fig02Result, t_phase2: float = 6.0, t_phase3: float = 9.0) -> dict:
+def summarize(result: Fig02Result) -> dict:
     """Key scalars for the CLI printout and the bench assertions."""
+    (t_phase2, _), (t_phase3, _) = PHASES[1:]
     stable = result.series_between(4.0, t_phase2 - 0.5, "estimated_interval")
     high = result.series_between(t_phase2 + 1.5, t_phase3, "loss_event_rate")
     low_phase = result.series_between(t_phase3 + 4.0, result.times[-1], "loss_event_rate")

@@ -31,6 +31,13 @@ from repro.net.path import LossyPath
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
 
+DURATION = 60.0
+BANDWIDTH_BPS = 2e6
+DELAY = 0.05
+RTT_EWMA_WEIGHT = 0.05
+#: the send-rate sampling interval, seconds.
+TAU = 0.5
+
 
 @dataclass
 class Fig03Result:
@@ -48,22 +55,25 @@ def dummynet_pipe(
     """The pipe's two ports: a rate limit with a finite DropTail buffer
     forward, a fixed-delay lossless return path (feedback never congests
     it) back."""
-    forward = Link(sim, bandwidth_bps, delay, DropTailQueue(buffer_packets))
+    forward = Link(
+        sim, bandwidth_bps, delay, DropTailQueue(buffer_packets), name="pipe"
+    )
     return forward, LossyPath(sim, delay)
 
 
 def run_one(
     buffer_packets: int,
     interpacket_adjustment: bool,
-    duration: float = 60.0,
-    bandwidth_bps: float = 2e6,
-    delay: float = 0.05,
-    rtt_ewma_weight: float = 0.05,
-    tau: float = 0.5,
+    duration: float = DURATION,
+    bandwidth_bps: float = BANDWIDTH_BPS,
+    delay: float = DELAY,
+    rtt_ewma_weight: float = RTT_EWMA_WEIGHT,
+    tau: float = TAU,
 ) -> Tuple[List[float], float, float]:
     """One pipe run; returns (rate series KB/s, steady-state CoV, mean)."""
     bed = Testbed()
     forward, reverse = dummynet_pipe(bed.sim, bandwidth_bps, delay, buffer_packets)
+    bed.links.append(forward)
     flow = TfrcFlow(
         bed.sim,
         "tfrc",
@@ -88,15 +98,23 @@ def run_one(
 
 @register_scenario("fig03_pipe")
 def pipe_scenario(spec: ScenarioSpec) -> JsonDict:
-    """Declarative Figure 3/4 pipe run, executable by the sweep runner."""
+    """Declarative Figure 3/4 pipe run, executable by the sweep runner.
+
+    Spec layout::
+
+        topology: {bandwidth_bps, delay}
+        flows:    {interpacket_adjustment}
+        queue:    {buffer_packets}
+        extra:    {rtt_ewma_weight, tau}
+    """
     series, cov, mean = run_one(
         buffer_packets=int(spec.queue["buffer_packets"]),
         interpacket_adjustment=bool(spec.flows["interpacket_adjustment"]),
         duration=spec.duration,
-        bandwidth_bps=float(spec.topology.get("bandwidth_bps", 2e6)),
-        delay=float(spec.topology.get("delay", 0.05)),
-        rtt_ewma_weight=float(spec.extra.get("rtt_ewma_weight", 0.05)),
-        tau=float(spec.extra.get("tau", 0.5)),
+        bandwidth_bps=float(spec.topology["bandwidth_bps"]),
+        delay=float(spec.topology["delay"]),
+        rtt_ewma_weight=float(spec.extra["rtt_ewma_weight"]),
+        tau=float(spec.extra["tau"]),
     )
     return {"series": series, "cov": cov, "mean": mean}
 
@@ -104,11 +122,8 @@ def pipe_scenario(spec: ScenarioSpec) -> JsonDict:
 def run(
     buffer_sizes: Tuple[int, ...] = (2, 8, 32, 64),
     interpacket_adjustment: bool = False,
-    duration: float = 60.0,
-    bandwidth_bps: float = 2e6,
-    delay: float = 0.05,
-    rtt_ewma_weight: float = 0.05,
-    tau: float = 0.5,
+    duration: float = DURATION,
+    rtt_ewma_weight: float = RTT_EWMA_WEIGHT,
     **sweep: object,
 ) -> Fig03Result:
     """Sweep buffer sizes; ``interpacket_adjustment=True`` gives Figure 4.
@@ -120,14 +135,8 @@ def run(
         scenario="fig03_pipe",
         duration=duration,
         flows={"interpacket_adjustment": bool(interpacket_adjustment)},
-        topology={
-            "bandwidth_bps": float(bandwidth_bps),
-            "delay": float(delay),
-        },
-        extra={
-            "rtt_ewma_weight": float(rtt_ewma_weight),
-            "tau": float(tau),
-        },
+        topology={"bandwidth_bps": BANDWIDTH_BPS, "delay": DELAY},
+        extra={"rtt_ewma_weight": float(rtt_ewma_weight), "tau": TAU},
     )
     cells = SweepRunner(
         base,

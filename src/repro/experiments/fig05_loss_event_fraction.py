@@ -28,6 +28,10 @@ from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios.spec import JsonDict
 
 DEFAULT_P_LOSS = tuple(np.linspace(0.005, 0.25, 25))
+#: rates at 0.5x, 1x and 2x the equation's.
+MULTIPLIERS = (0.5, 1.0, 2.0)
+RTT = 0.1
+PACKET_SIZE = 1000
 
 
 @dataclass
@@ -54,14 +58,14 @@ def curve_scenario(spec: ScenarioSpec) -> JsonDict:
 
     Spec layout::
 
-        topology: {rtt?, packet_size?}
+        topology: {rtt, packet_size}
         flows:    {rate_multiplier}
-        extra:    {p_loss_values, monte_carlo?, mc_packets?}
+        extra:    {p_loss_values, monte_carlo, mc_packets}
     """
     p_loss_values = [float(p) for p in spec.extra["p_loss_values"]]
-    multiplier = float(spec.flows.get("rate_multiplier", 1.0))
-    rtt = float(spec.topology.get("rtt", 0.1))
-    packet_size = int(spec.topology.get("packet_size", 1000))
+    multiplier = float(spec.flows["rate_multiplier"])
+    rtt = float(spec.topology["rtt"])
+    packet_size = int(spec.topology["packet_size"])
     analytic = [
         consistent_loss_event_fraction(
             p_loss, packet_size=packet_size, rtt=rtt, rate_multiplier=multiplier
@@ -73,9 +77,9 @@ def curve_scenario(spec: ScenarioSpec) -> JsonDict:
         "p_loss_values": p_loss_values,
         "analytic": analytic,
     }
-    if bool(spec.extra.get("monte_carlo", True)):
+    if bool(spec.extra["monte_carlo"]):
         rng = np.random.default_rng(spec.seed)
-        mc_packets = int(spec.extra.get("mc_packets", 100_000))
+        mc_packets = int(spec.extra["mc_packets"])
         simulated = []
         for p_loss, p_event in zip(p_loss_values, analytic):
             n = packets_per_rtt_from_equation(
@@ -95,11 +99,8 @@ def curve_scenario(spec: ScenarioSpec) -> JsonDict:
 
 def run(
     p_loss_values: Sequence[float] = DEFAULT_P_LOSS,
-    multipliers: Sequence[float] = (0.5, 1.0, 2.0),
     monte_carlo: bool = True,
     mc_packets: int = 100_000,
-    rtt: float = 0.1,
-    packet_size: int = 1000,
     seed: int = 0,
     **sweep: object,
 ) -> Fig05Result:
@@ -115,7 +116,7 @@ def run(
         scenario="fig05_curve",
         seed=seed,
         duration=0.0,  # analytic + Monte-Carlo: no simulated clock
-        topology={"rtt": float(rtt), "packet_size": int(packet_size)},
+        topology={"rtt": RTT, "packet_size": PACKET_SIZE},
         extra={
             "p_loss_values": [float(p) for p in p_loss_values],
             "monte_carlo": bool(monte_carlo),
@@ -124,7 +125,7 @@ def run(
     )
     cells = SweepRunner(
         base,
-        {"flows.rate_multiplier": [float(m) for m in multipliers]},
+        {"flows.rate_multiplier": list(MULTIPLIERS)},
         seed_mode="derived",
         **sweep,
     ).run().complete_cells()

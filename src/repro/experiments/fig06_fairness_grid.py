@@ -15,7 +15,7 @@ summarizes and asserts it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +28,11 @@ from repro.scenarios import (
     steady_state_window,
 )
 from repro.scenarios.spec import JsonDict
+
+DURATION = 90.0
+#: throughput is measured over the last third of the run (the paper's last
+#: 60 s of 90).
+MEASURE_FRACTION = 2.0 / 3.0
 
 
 @dataclass
@@ -64,9 +69,9 @@ def run_cell(
     link_bps: float,
     total_flows: int,
     queue_type: str,
-    duration: float = 90.0,
+    duration: float = DURATION,
     seed: int = 0,
-    measure_fraction: float = 2.0 / 3.0,
+    measure_fraction: float = MEASURE_FRACTION,
 ) -> CellResult:
     """One simulation cell; ``total_flows`` is split evenly TCP/TFRC."""
     if total_flows < 2 or total_flows % 2 != 0:
@@ -100,33 +105,30 @@ def run_cell(
 
 @register_scenario("fig06_cell")
 def cell_scenario(spec: ScenarioSpec) -> JsonDict:
-    """Declarative Figure 6 cell, executable by the sweep runner."""
-    cell = run_cell(
+    """Declarative Figure 6 cell, executable by the sweep runner.
+
+    Spec layout::
+
+        topology: {bandwidth_bps}
+        flows:    {total}
+        queue:    {type}
+        extra:    {measure_fraction}
+    """
+    return asdict(run_cell(
         link_bps=float(spec.topology["bandwidth_bps"]),
         total_flows=int(spec.flows["total"]),
         queue_type=str(spec.queue["type"]),
         duration=spec.duration,
         seed=spec.seed,
-        measure_fraction=float(spec.extra.get("measure_fraction", 2.0 / 3.0)),
-    )
-    return {
-        "link_bps": cell.link_bps,
-        "total_flows": cell.total_flows,
-        "queue_type": cell.queue_type,
-        "mean_tcp_normalized": cell.mean_tcp_normalized,
-        "mean_tfrc_normalized": cell.mean_tfrc_normalized,
-        "per_flow_tcp": cell.per_flow_tcp,
-        "per_flow_tfrc": cell.per_flow_tfrc,
-        "utilization": cell.utilization,
-        "loss_rate": cell.loss_rate,
-    }
+        measure_fraction=float(spec.extra["measure_fraction"]),
+    ))
 
 
 def run(
     link_rates_mbps: Sequence[float] = (1, 2, 4, 8, 16, 32, 64),
     flow_counts: Sequence[int] = (2, 8, 32, 128),
     queue_types: Sequence[str] = ("droptail", "red"),
-    duration: float = 90.0,
+    duration: float = DURATION,
     seed: int = 0,
     **sweep: object,
 ) -> Fig06Result:
@@ -137,7 +139,7 @@ def run(
         scenario="fig06_cell",
         duration=duration,
         seed=seed,
-        extra={"measure_fraction": 2.0 / 3.0},
+        extra={"measure_fraction": MEASURE_FRACTION},
     )
     grid = {
         "queue.type": [str(q) for q in queue_types],

@@ -14,8 +14,8 @@ protocol, for both RED and DropTail.  Each queue discipline is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List
 
 import numpy as np
 
@@ -26,10 +26,18 @@ from repro.scenarios import (
     SweepRunner,
     register_scenario,
     run_mixed_dumbbell,
-    run_single_cell,
     steady_state_window,
 )
 from repro.scenarios.spec import JsonDict
+
+
+TOTAL_FLOWS = 32
+LINK_BPS = 15e6
+#: the throughput averaging interval, seconds.
+TAU = 0.15
+#: flows per protocol whose full trace is kept.
+TRACED_FLOWS = 4
+QUEUE_TYPES = ("red", "droptail")
 
 
 @dataclass
@@ -48,30 +56,25 @@ def smoothness_scenario(spec: ScenarioSpec) -> JsonDict:
 
     Spec layout::
 
-        topology: {bandwidth_bps?}
-        flows:    {total?, traced?}
+        topology: {bandwidth_bps}
+        flows:    {total, traced}
         queue:    {type}
-        extra:    {tau?}
+        extra:    {tau}
     """
-    total_flows = int(spec.flows.get("total", 32))
-    traced_flows = int(spec.flows.get("traced", 4))
-    tau = float(spec.extra.get("tau", 0.15))
-    n = total_flows // 2
+    traced_flows = int(spec.flows["traced"])
+    tau = float(spec.extra["tau"])
+    queue_type = str(spec.queue["type"])
+    n = int(spec.flows["total"]) // 2
     sim_result = run_mixed_dumbbell(
         duration=spec.duration,
         n_tfrc=n,
         n_tcp=n,
-        bandwidth_bps=float(spec.topology.get("bandwidth_bps", 15e6)),
-        queue_type=str(spec.queue.get("type", "red")),
+        bandwidth_bps=float(spec.topology["bandwidth_bps"]),
+        queue_type=queue_type,
         seed=spec.seed,
     )
     t0, t1 = steady_state_window(spec.duration, 0.5)
-    out: JsonDict = {
-        "queue_type": str(spec.queue.get("type", "red")),
-        "tau": tau,
-        "traces_tcp": {},
-        "traces_tfrc": {},
-    }
+    out: JsonDict = asdict(Fig08Result(queue_type, tau))
     covs_tcp, covs_tfrc = [], []
     for rank, fid in enumerate(sim_result.tcp_ids):
         arrivals = sim_result.flow_monitor.arrivals.get(fid, [])
@@ -90,82 +93,27 @@ def smoothness_scenario(spec: ScenarioSpec) -> JsonDict:
     return out
 
 
-def _result_from_cell(data: JsonDict) -> Fig08Result:
-    return Fig08Result(
-        queue_type=str(data["queue_type"]),
-        tau=float(data["tau"]),
-        traces_tcp={fid: list(s) for fid, s in data["traces_tcp"].items()},
-        traces_tfrc={fid: list(s) for fid, s in data["traces_tfrc"].items()},
-        mean_cov_tcp=float(data["mean_cov_tcp"]),
-        mean_cov_tfrc=float(data["mean_cov_tfrc"]),
-    )
-
-
-def _base_spec(
-    total_flows: int,
-    link_bps: float,
-    duration: float,
-    tau: float,
-    traced_flows: int,
-    seed: int,
-    queue_type: str,
-) -> ScenarioSpec:
-    return ScenarioSpec(
+def run(
+    duration: float = 30.0, seed: int = 0, **sweep: object
+) -> Dict[str, Fig08Result]:
+    """The paper's two-queue comparison as one sweep (grid over
+    ``queue.type``); ``parallel``, ``cache_dir`` and ``progress`` fan out /
+    re-use the per-queue cells."""
+    base = ScenarioSpec(
         scenario="fig08_smoothness",
         duration=float(duration),
         seed=seed,
-        topology={"bandwidth_bps": float(link_bps)},
-        flows={"total": int(total_flows), "traced": int(traced_flows)},
-        queue={"type": str(queue_type)},
-        extra={"tau": float(tau)},
-    )
-
-
-def run(
-    queue_type: str = "red",
-    total_flows: int = 32,
-    link_bps: float = 15e6,
-    duration: float = 30.0,
-    tau: float = 0.15,
-    traced_flows: int = 4,
-    seed: int = 0,
-    **sweep: object,
-) -> Fig08Result:
-    """Run the Figure 8 scenario for one queue type."""
-    base = _base_spec(
-        total_flows, link_bps, duration, tau, traced_flows, seed, queue_type
-    )
-    data = run_single_cell(base, **sweep)
-    return _result_from_cell(data)
-
-
-def run_queues(
-    queue_types: Sequence[str] = ("red", "droptail"),
-    total_flows: int = 32,
-    link_bps: float = 15e6,
-    duration: float = 30.0,
-    tau: float = 0.15,
-    traced_flows: int = 4,
-    seed: int = 0,
-    **sweep: object,
-) -> Dict[str, Fig08Result]:
-    """The paper's two-queue comparison as one sweep (grid over ``queue.type``).
-
-    Accepts the same keyword arguments as :func:`run` (``parallel``,
-    ``cache_dir`` and ``progress`` fan out / re-use the per-queue cells).
-    """
-    if not queue_types:
-        return {}
-    base = _base_spec(
-        total_flows, link_bps, duration, tau, traced_flows, seed,
-        str(queue_types[0]),
+        topology={"bandwidth_bps": LINK_BPS},
+        flows={"total": TOTAL_FLOWS, "traced": TRACED_FLOWS},
+        queue={"type": QUEUE_TYPES[0]},
+        extra={"tau": TAU},
     )
     cells = SweepRunner(
         base,
-        {"queue.type": [str(q) for q in queue_types]},
+        {"queue.type": list(QUEUE_TYPES)},
         **sweep,
     ).run().complete_cells()
-    results: Dict[str, Fig08Result] = {}
-    for queue_type, cell in zip(queue_types, cells):
-        results[str(queue_type)] = _result_from_cell(cell.result)
-    return results
+    return {
+        queue_type: Fig08Result(**cell.result)
+        for queue_type, cell in zip(QUEUE_TYPES, cells)
+    }

@@ -30,6 +30,7 @@ from repro.scenarios import (
 from repro.scenarios.spec import JsonDict
 
 PAPER_TIMESCALES = (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
+LINK_BPS = 15e6
 
 
 @dataclass
@@ -61,16 +62,23 @@ def replication_scenario(spec: ScenarioSpec) -> JsonDict:
 
     Returns tau-keyed (stringified, for JSON round-tripping) sample lists
     for the three equivalence pairings and the two CoV populations.
+
+    Spec layout::
+
+        topology: {bandwidth_bps}
+        flows:    {n_each}
+        queue:    {type}
+        extra:    {timescales, measure_seconds}
     """
     timescales = [float(t) for t in spec.extra["timescales"]]
     measure_seconds = float(spec.extra["measure_seconds"])
-    n_each = int(spec.flows.get("n_each", 16))
+    n_each = int(spec.flows["n_each"])
     sim_result = run_mixed_dumbbell(
         duration=spec.duration,
         n_tfrc=n_each,
         n_tcp=n_each,
-        bandwidth_bps=float(spec.topology.get("bandwidth_bps", 15e6)),
-        queue_type=str(spec.queue.get("type", "red")),
+        bandwidth_bps=float(spec.topology["bandwidth_bps"]),
+        queue_type=str(spec.queue["type"]),
         seed=spec.seed,
     )
     out: JsonDict = {
@@ -114,8 +122,6 @@ def run(
     duration: float = 90.0,
     measure_seconds: float = 60.0,
     n_each: int = 16,
-    link_bps: float = 15e6,
-    timescales: Sequence[float] = PAPER_TIMESCALES,
     seed: int = 0,
     **sweep: object,
 ) -> Fig09Result:
@@ -126,13 +132,13 @@ def run(
     configuration.  The replications are independent cells, so
     ``parallel=N`` runs them N at a time.
     """
-    timescales = [float(t) for t in timescales if t < measure_seconds / 2]
+    timescales = [t for t in PAPER_TIMESCALES if t < measure_seconds / 2]
     base = ScenarioSpec(
         scenario="fig09_replication",
         duration=duration,
         seed=seed,
         flows={"n_each": int(n_each)},
-        topology={"bandwidth_bps": float(link_bps)},
+        topology={"bandwidth_bps": LINK_BPS},
         queue={"type": "red"},
         extra={"timescales": timescales, "measure_seconds": float(measure_seconds)},
     )

@@ -11,7 +11,7 @@ monitored long-duration flows, one TCP and one TFRC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +27,13 @@ from repro.traffic.onoff import OnOffSource
 
 PAPER_SOURCE_COUNTS = (50, 60, 100, 130, 150)
 PAPER_TIMESCALES = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
+DURATION = 200.0
+#: seconds left out of every measurement at the start of the run.
+WARMUP = 20.0
+LINK_BPS = 15e6
+#: the result fields keyed by timescale; a cell's JSON keys them by
+#: ``repr(tau)``.
+TAU_MAPS = ("equivalence_by_tau", "cov_tcp_by_tau", "cov_tfrc_by_tau")
 
 
 @dataclass
@@ -49,10 +56,10 @@ class Fig11Result:
 
 def run_one(
     n_sources: int,
-    duration: float = 200.0,
-    warmup: float = 20.0,
+    duration: float = DURATION,
+    warmup: float = WARMUP,
     timescales: Sequence[float] = PAPER_TIMESCALES,
-    link_bps: float = 15e6,
+    link_bps: float = LINK_BPS,
     seed: int = 0,
     tracer=None,
 ) -> OnOffRunResult:
@@ -92,39 +99,31 @@ def run_one(
 
 @register_scenario("fig11_onoff")
 def onoff_scenario(spec: ScenarioSpec) -> JsonDict:
-    """One ON/OFF background-traffic configuration as a sweep cell."""
-    run_result = run_one(
+    """One ON/OFF background-traffic configuration as a sweep cell.
+
+    Spec layout::
+
+        topology: {bandwidth_bps}
+        flows:    {sources}
+        extra:    {warmup, timescales}
+    """
+    data = asdict(run_one(
         n_sources=int(spec.flows["sources"]),
         duration=spec.duration,
-        warmup=float(spec.extra.get("warmup", 20.0)),
+        warmup=float(spec.extra["warmup"]),
         timescales=[float(t) for t in spec.extra["timescales"]],
-        link_bps=float(spec.topology.get("bandwidth_bps", 15e6)),
+        link_bps=float(spec.topology["bandwidth_bps"]),
         seed=spec.seed,
-    )
-    return {
-        "sources": run_result.sources,
-        "loss_rate": run_result.loss_rate,
-        "equivalence_by_tau": {
-            repr(t): v for t, v in run_result.equivalence_by_tau.items()
-        },
-        "cov_tcp_by_tau": {
-            repr(t): v for t, v in run_result.cov_tcp_by_tau.items()
-        },
-        "cov_tfrc_by_tau": {
-            repr(t): v for t, v in run_result.cov_tfrc_by_tau.items()
-        },
-        "tcp_throughput_bps": run_result.tcp_throughput_bps,
-        "tfrc_throughput_bps": run_result.tfrc_throughput_bps,
-    }
+    ))
+    for name in TAU_MAPS:
+        data[name] = {repr(t): v for t, v in data[name].items()}
+    return data
 
 
 def run(
     source_counts: Sequence[int] = PAPER_SOURCE_COUNTS,
-    duration: float = 200.0,
+    duration: float = DURATION,
     seed: int = 0,
-    warmup: float = 20.0,
-    timescales: Sequence[float] = PAPER_TIMESCALES,
-    link_bps: float = 15e6,
     **sweep: object,
 ) -> Fig11Result:
     """Sweep the number of ON/OFF sources (paper: 5000 s; default reduced).
@@ -136,11 +135,8 @@ def run(
         scenario="fig11_onoff",
         duration=duration,
         seed=seed,
-        topology={"bandwidth_bps": float(link_bps)},
-        extra={
-            "warmup": float(warmup),
-            "timescales": [float(t) for t in timescales],
-        },
+        topology={"bandwidth_bps": LINK_BPS},
+        extra={"warmup": WARMUP, "timescales": list(PAPER_TIMESCALES)},
     )
     cells = SweepRunner(
         base,
@@ -149,22 +145,8 @@ def run(
     ).run().complete_cells()
     result = Fig11Result()
     for cell in cells:
-        data = cell.result
-        result.runs.append(
-            OnOffRunResult(
-                sources=int(data["sources"]),
-                loss_rate=float(data["loss_rate"]),
-                equivalence_by_tau={
-                    float(t): v for t, v in data["equivalence_by_tau"].items()
-                },
-                cov_tcp_by_tau={
-                    float(t): v for t, v in data["cov_tcp_by_tau"].items()
-                },
-                cov_tfrc_by_tau={
-                    float(t): v for t, v in data["cov_tfrc_by_tau"].items()
-                },
-                tcp_throughput_bps=float(data["tcp_throughput_bps"]),
-                tfrc_throughput_bps=float(data["tfrc_throughput_bps"]),
-            )
-        )
+        data = dict(cell.result)
+        for name in TAU_MAPS:
+            data[name] = {float(t): v for t, v in data[name].items()}
+        result.runs.append(OnOffRunResult(**data))
     return result

@@ -16,7 +16,7 @@ variants concurrently; ``--cache`` re-uses them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -27,6 +27,17 @@ from repro.scenarios.builders import DumbbellTestbed
 from repro.scenarios.spec import JsonDict
 from repro.traffic.cbr import CbrSource
 from repro.traffic.web import WebTrafficSource
+
+DURATION = 30.0
+N_FLOWS = 40
+LINK_BPS = 15e6
+BASE_RTT = 0.045
+#: long-lived flows start uniformly over the first this-many seconds.
+START_SPREAD = 20.0
+BUFFER_PACKETS = 250
+#: share of the link the short-lived web TCP uses.
+WEB_FRACTION = 0.2
+QUEUE_TYPE = "droptail"
 
 
 @dataclass
@@ -49,15 +60,15 @@ class Fig14Result:
 
 def run_one(
     protocol: str,
-    n_flows: int = 40,
-    link_bps: float = 15e6,
-    duration: float = 30.0,
-    base_rtt: float = 0.045,
-    start_spread: float = 20.0,
-    buffer_packets: int = 250,
-    web_fraction: float = 0.2,
+    n_flows: int = N_FLOWS,
+    link_bps: float = LINK_BPS,
+    duration: float = DURATION,
+    base_rtt: float = BASE_RTT,
+    start_spread: float = START_SPREAD,
+    buffer_packets: int = BUFFER_PACKETS,
+    web_fraction: float = WEB_FRACTION,
     seed: int = 0,
-    queue_type: str = "droptail",
+    queue_type: str = QUEUE_TYPE,
 ) -> QueueDynamicsResult:
     """Run the Figure 14 scenario with all long-lived flows of one protocol.
 
@@ -118,68 +129,42 @@ def queue_dynamics_scenario(spec: ScenarioSpec) -> JsonDict:
 
     Spec layout::
 
-        topology: {bandwidth_bps?, base_rtt?, start_spread?}
-        flows:    {protocol, n_flows?}
-        queue:    {buffer_packets?, type?}
-        extra:    {web_fraction?}
+        topology: {bandwidth_bps, base_rtt, start_spread}
+        flows:    {protocol, n_flows}
+        queue:    {buffer_packets, type?}
+        extra:    {web_fraction}
+
+    ``queue.type`` is the one optional key: :func:`run` leaves it out (the
+    paper's DropTail), a hand-built spec may set ``"red"``.
     """
-    result = run_one(
+    return asdict(run_one(
         protocol=str(spec.flows["protocol"]),
-        n_flows=int(spec.flows.get("n_flows", 40)),
-        link_bps=float(spec.topology.get("bandwidth_bps", 15e6)),
+        n_flows=int(spec.flows["n_flows"]),
+        link_bps=float(spec.topology["bandwidth_bps"]),
         duration=spec.duration,
-        base_rtt=float(spec.topology.get("base_rtt", 0.045)),
-        start_spread=float(spec.topology.get("start_spread", 20.0)),
-        buffer_packets=int(spec.queue.get("buffer_packets", 250)),
-        web_fraction=float(spec.extra.get("web_fraction", 0.2)),
+        base_rtt=float(spec.topology["base_rtt"]),
+        start_spread=float(spec.topology["start_spread"]),
+        buffer_packets=int(spec.queue["buffer_packets"]),
+        web_fraction=float(spec.extra["web_fraction"]),
         seed=spec.seed,
-        queue_type=str(spec.queue.get("type", "droptail")),
-    )
-    return {
-        "protocol": result.protocol,
-        "queue_series": [[float(t), int(d)] for t, d in result.queue_series],
-        "drop_rate": result.drop_rate,
-        "utilization": result.utilization,
-        "mean_queue": result.mean_queue,
-        "queue_std": result.queue_std,
-    }
+        queue_type=str(spec.queue.get("type", QUEUE_TYPE)),
+    ))
 
 
-def _result_from_cell(data: JsonDict) -> QueueDynamicsResult:
-    return QueueDynamicsResult(
-        protocol=str(data["protocol"]),
-        queue_series=[(float(t), int(d)) for t, d in data["queue_series"]],
-        drop_rate=float(data["drop_rate"]),
-        utilization=float(data["utilization"]),
-        mean_queue=float(data["mean_queue"]),
-        queue_std=float(data["queue_std"]),
-    )
-
-
-def run(
-    duration: float = 30.0,
-    seed: int = 0,
-    n_flows: int = 40,
-    link_bps: float = 15e6,
-    base_rtt: float = 0.045,
-    start_spread: float = 20.0,
-    buffer_packets: int = 250,
-    web_fraction: float = 0.2,
-    **sweep: object,
-) -> Fig14Result:
+def run(duration: float = DURATION, seed: int = 0, **sweep: object) -> Fig14Result:
     """Both variants of the Figure 14 scenario as a two-cell sweep."""
     base = ScenarioSpec(
         scenario="fig14_queue_dynamics",
         duration=float(duration),
         seed=seed,
         topology={
-            "bandwidth_bps": float(link_bps),
-            "base_rtt": float(base_rtt),
-            "start_spread": float(start_spread),
+            "bandwidth_bps": LINK_BPS,
+            "base_rtt": BASE_RTT,
+            "start_spread": START_SPREAD,
         },
-        flows={"protocol": "tcp", "n_flows": int(n_flows)},
-        queue={"buffer_packets": int(buffer_packets)},
-        extra={"web_fraction": float(web_fraction)},
+        flows={"protocol": "tcp", "n_flows": N_FLOWS},
+        queue={"buffer_packets": BUFFER_PACKETS},
+        extra={"web_fraction": WEB_FRACTION},
     )
     cells = SweepRunner(
         base,
@@ -188,6 +173,8 @@ def run(
     ).run().complete_cells()
     by_protocol = {}
     for cell in cells:
-        result = _result_from_cell(cell.result)
+        # JSON has no tuples: a cached cell's samples come back as lists.
+        samples = [tuple(sample) for sample in cell.result["queue_series"]]
+        result = QueueDynamicsResult(**{**cell.result, "queue_series": samples})
         by_protocol[result.protocol] = result
     return Fig14Result(tcp=by_protocol["tcp"], tfrc=by_protocol["tfrc"])

@@ -20,7 +20,7 @@ scenario cell, so multi-path trace gathering runs as a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from repro.scenarios.builders import run_tfrc_probe_path
 from repro.scenarios.spec import JsonDict
 
 PAPER_HISTORY_SIZES = (2, 4, 8, 16, 32)
+#: the paths whose loss traces are scored.
+TRACE_PATHS = ("ucl", "umass_linux", "nokia")
+DURATION = 150.0
 
 
 @dataclass
@@ -45,7 +48,7 @@ class Fig18Result:
 
 def collect_loss_intervals(
     profile: PathProfile,
-    duration: float = 150.0,
+    duration: float = DURATION,
     seed: int = 0,
 ) -> List[float]:
     """Run one TFRC flow over a synthetic path; return its loss intervals."""
@@ -72,47 +75,39 @@ def trace_scenario(spec: ScenarioSpec) -> JsonDict:
     return {"path": profile.name, "intervals": intervals}
 
 
-def run(
-    history_sizes: Sequence[int] = PAPER_HISTORY_SIZES,
-    paths: Sequence[str] = ("ucl", "umass_linux", "nokia"),
-    duration: float = 150.0,
-    seed: int = 0,
-    **sweep: object,
-) -> Fig18Result:
+def run(duration: float = DURATION, seed: int = 0, **sweep: object) -> Fig18Result:
     """Score both weighting schemes on traces from several paths.
 
     Trace collection (the expensive part) is one sweep cell per path; the
     cells keep the historical per-path seeds (``seed + path_index``) via an
     explicit ``seed`` override zipped with the path axis.
     """
-    if not paths:
-        raise ValueError("paths must not be empty")
     base = ScenarioSpec(
         scenario="fig18_trace",
         duration=float(duration),
         seed=seed,
-        topology=PATHS[paths[0]].to_dict(),
+        topology=PATHS[TRACE_PATHS[0]].to_dict(),
     )
     cells = SweepRunner(
         base,
         {
             ("topology", "seed"): [
                 (PATHS[name].to_dict(), seed + index)
-                for index, name in enumerate(paths)
+                for index, name in enumerate(TRACE_PATHS)
             ]
         },
         **sweep,
     ).run().complete_cells()
     traces = []
-    for name, cell in zip(paths, cells):
+    for cell in cells:
         trace = [float(v) for v in cell.result["intervals"]]
-        if len(trace) > max(history_sizes) + 5:
+        if len(trace) > max(PAPER_HISTORY_SIZES) + 5:
             traces.append(trace)
     if not traces:
         raise RuntimeError("no usable loss traces were collected")
-    result = Fig18Result(history_sizes=list(history_sizes))
+    result = Fig18Result(history_sizes=list(PAPER_HISTORY_SIZES))
     result.trace_lengths = [len(t) for t in traces]
-    for history in history_sizes:
+    for history in PAPER_HISTORY_SIZES:
         for decreasing, bucket in (
             (False, result.constant_weights),
             (True, result.decreasing_weights),

@@ -34,13 +34,18 @@ from repro.scenarios.builders import (
 )
 from repro.scenarios.spec import JsonDict
 
+#: one drop every this-many packets until the loss stops.
+LOSS_PERIOD = 100
+LOSS_STOP_TIME = 10.0
+RTT = 0.1
+
 
 @dataclass
 class Fig19Result:
     times: List[float] = field(default_factory=list)
     rate_pkts_per_rtt: List[float] = field(default_factory=list)
-    loss_stop_time: float = 10.0
-    rtt: float = 0.1
+    loss_stop_time: float = LOSS_STOP_TIME
+    rtt: float = RTT
 
     def increments(self, t0: float, t1: float) -> List[float]:
         """Per-sample rate increments (packets/RTT) within [t0, t1]."""
@@ -92,11 +97,11 @@ def increase_scenario(spec: ScenarioSpec) -> JsonDict:
 
     Spec layout::
 
-        topology: {rtt?}
+        topology: {rtt}
         loss:     {model: "scheduled", phases: [...]} (loss stops mid-run)
-        extra:    {probe_interval?, history_discounting?}
+        extra:    {probe_interval, history_discounting}
     """
-    rtt = float(spec.topology.get("rtt", 0.1))
+    rtt = float(spec.topology["rtt"])
     series: JsonDict = {"times": [], "rate_pkts_per_rtt": []}
 
     def probe(sim, flow) -> None:
@@ -110,17 +115,14 @@ def increase_scenario(spec: ScenarioSpec) -> JsonDict:
         duration=spec.duration,
         rtt=rtt,
         probe=probe,
-        probe_interval=float(spec.extra.get("probe_interval", rtt)),
-        history_discounting=bool(spec.extra.get("history_discounting", True)),
+        probe_interval=float(spec.extra["probe_interval"]),
+        history_discounting=bool(spec.extra["history_discounting"]),
     )
     return series
 
 
 def run(
-    loss_period: int = 100,
-    loss_stop_time: float = 10.0,
     duration: float = 13.0,
-    rtt: float = 0.1,
     history_discounting: bool = True,
     **sweep: object,
 ) -> Fig19Result:
@@ -128,30 +130,26 @@ def run(
     base = ScenarioSpec(
         scenario="fig19_increase",
         duration=float(duration),
-        topology={"rtt": float(rtt)},
+        topology={"rtt": RTT},
         loss={
             "model": "scheduled",
             "phases": [
-                periodic_phase(0.0, loss_period),
-                lossless_phase(loss_stop_time),
+                periodic_phase(0.0, LOSS_PERIOD),
+                lossless_phase(LOSS_STOP_TIME),
             ],
         },
         extra={
-            "probe_interval": float(rtt),
+            "probe_interval": RTT,
             "history_discounting": bool(history_discounting),
         },
     )
-    data = run_single_cell(base, **sweep)
-    return Fig19Result(
-        times=list(data["times"]),
-        rate_pkts_per_rtt=list(data["rate_pkts_per_rtt"]),
-        loss_stop_time=loss_stop_time,
-        rtt=rtt,
-    )
+    return Fig19Result(**run_single_cell(base, **sweep))
 
 
-def analytic_bounds(average_interval: float = 100.0) -> dict:
-    """The closed-form Appendix A.1 numbers for comparison."""
+def analytic_bounds() -> dict:
+    """The closed-form Appendix A.1 numbers for comparison: the average
+    loss interval is the loss period."""
+    average_interval = float(LOSS_PERIOD)
     return {
         "delta_normal_simple": analytic_rate_increase(average_interval, 1.0 / 6.0),
         "delta_discounted_simple": analytic_rate_increase(average_interval, 0.4),

@@ -32,6 +32,11 @@ from repro.scenarios.builders import (
 )
 from repro.scenarios.spec import JsonDict
 
+#: one drop every this-many packets from the onset on.
+CONGESTED_PERIOD = 2
+ONSET = 10.0
+RTT = 0.1
+
 
 @dataclass
 class HalvingResult:
@@ -39,8 +44,8 @@ class HalvingResult:
 
     times: List[float] = field(default_factory=list)
     rates: List[float] = field(default_factory=list)  # bytes/second
-    onset: float = 10.0
-    rtt: float = 0.1
+    onset: float = ONSET
+    rtt: float = RTT
 
     def rtts_to_halve(self) -> Optional[float]:
         """RTTs from onset until the allowed rate is half its pre-onset value.
@@ -63,11 +68,11 @@ def halving_scenario(spec: ScenarioSpec) -> JsonDict:
 
     Spec layout::
 
-        topology: {rtt?}
+        topology: {rtt}
         loss:     {model: "scheduled", phases: [...]} (congestion at onset)
-        extra:    {probe_interval?}
+        extra:    {probe_interval}
     """
-    rtt = float(spec.topology.get("rtt", 0.1))
+    rtt = float(spec.topology["rtt"])
     series: JsonDict = {"times": [], "rates": []}
 
     def probe(sim, flow) -> None:
@@ -79,53 +84,35 @@ def halving_scenario(spec: ScenarioSpec) -> JsonDict:
         duration=spec.duration,
         rtt=rtt,
         probe=probe,
-        probe_interval=float(spec.extra.get("probe_interval", rtt / 2.0)),
+        probe_interval=float(spec.extra["probe_interval"]),
     )
     return series
 
 
-def _halving_spec(
-    initial_period: int,
-    congested_period: int,
-    onset: float,
-    duration: float,
-    rtt: float,
-) -> ScenarioSpec:
+def _spec(initial_period: int, duration: float) -> ScenarioSpec:
+    """One drop every ``initial_period`` packets until the onset, then
+    persistent congestion; the rate is sampled twice per RTT."""
     return ScenarioSpec(
         scenario="fig20_halving",
         duration=float(duration),
-        topology={"rtt": float(rtt)},
+        topology={"rtt": RTT},
         loss={
             "model": "scheduled",
-            "phases": _phases(initial_period, congested_period, onset),
+            "phases": [
+                periodic_phase(0.0, initial_period),
+                periodic_phase(ONSET, CONGESTED_PERIOD),
+            ],
         },
-        extra={"probe_interval": float(rtt) / 2.0},
+        extra={"probe_interval": RTT / 2.0},
     )
 
 
-def _phases(initial_period: int, congested_period: int, onset: float) -> List[JsonDict]:
-    return [
-        periodic_phase(0.0, initial_period),
-        periodic_phase(onset, congested_period),
-    ]
-
-
 def run(
-    initial_period: int = 100,
-    congested_period: int = 2,
-    onset: float = 10.0,
-    duration: float = 14.0,
-    rtt: float = 0.1,
-    **sweep: object,
+    initial_period: int = 100, duration: float = 14.0, **sweep: object
 ) -> HalvingResult:
     """Run the Figure 20 scenario."""
-    base = _halving_spec(initial_period, congested_period, onset, duration, rtt)
-    data = run_single_cell(base, **sweep)
     return HalvingResult(
-        times=list(data["times"]),
-        rates=list(data["rates"]),
-        onset=onset,
-        rtt=rtt,
+        **run_single_cell(_spec(initial_period, duration), **sweep)
     )
 
 
@@ -144,10 +131,7 @@ class Fig21Result:
 
 def run_sweep(
     initial_periods: Sequence[int] = (200, 100, 50, 25, 10, 5, 4),
-    congested_period: int = 2,
-    onset: float = 10.0,
     duration: float = 16.0,
-    rtt: float = 0.1,
     **sweep: object,
 ) -> Fig21Result:
     """Figure 21: sweep the pre-congestion drop rate.
@@ -155,28 +139,14 @@ def run_sweep(
     One grid axis -- the scheduled loss phases, one value per initial drop
     period -- so every drop rate is an independent cell.
     """
-    base = _halving_spec(
-        initial_periods[0], congested_period, onset, duration, rtt
-    )
+    specs = [_spec(period, duration) for period in initial_periods]
     cells = SweepRunner(
-        base,
-        {
-            "loss.phases": [
-                _phases(period, congested_period, onset)
-                for period in initial_periods
-            ]
-        },
+        specs[0],
+        {"loss.phases": [spec.loss["phases"] for spec in specs]},
         **sweep,
     ).run().complete_cells()
     result = Fig21Result()
     for period, cell in zip(initial_periods, cells):
-        data = cell.result
-        halving = HalvingResult(
-            times=list(data["times"]),
-            rates=list(data["rates"]),
-            onset=onset,
-            rtt=rtt,
-        )
         result.drop_rates.append(1.0 / period)
-        result.rtts_to_halve.append(halving.rtts_to_halve())
+        result.rtts_to_halve.append(HalvingResult(**cell.result).rtts_to_halve())
     return result

@@ -32,7 +32,7 @@ simulates paths concurrently, ``--cache`` re-uses them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -40,12 +40,7 @@ import numpy as np
 from repro.analysis.cov import coefficient_of_variation
 from repro.analysis.equivalence import equivalence_ratio
 from repro.analysis.timeseries import arrivals_to_rate_series
-from repro.scenarios import (
-    ScenarioSpec,
-    SweepRunner,
-    register_scenario,
-    run_single_cell,
-)
+from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios.builders import PathProfile, run_internet_path
 from repro.scenarios.spec import JsonDict
 
@@ -54,7 +49,6 @@ __all__ = [
     "PAPER_PATHS",
     "PathProfile",
     "InternetRunResult",
-    "run_path",
     "run_all",
 ]
 
@@ -101,6 +95,16 @@ PATHS: Dict[str, PathProfile] = {
 
 #: The five paths of Figures 16/17.
 PAPER_PATHS = ("ucl", "mannheim", "umass_linux", "umass_solaris", "nokia")
+#: TCP flows beside the one TFRC flow on every path (Figure 15: 3 + 1).
+N_TCP = 3
+#: seconds left out of every measurement at the start of the run.
+WARMUP = 20.0
+TIMESCALES = (1.0, 2.0, 5.0, 10.0, 20.0)
+#: the sampling interval of the kept rate traces, seconds.
+TRACE_TAU = 1.0
+#: the result fields keyed by timescale; a cell's JSON keys them by
+#: ``repr(tau)``.
+TAU_MAPS = ("equivalence_by_tau", "cov_tcp_by_tau", "cov_tfrc_by_tau")
 
 
 @dataclass
@@ -125,151 +129,77 @@ def internet_path_scenario(spec: ScenarioSpec) -> JsonDict:
     Spec layout::
 
         topology: the full :class:`PathProfile` as plain data
-        flows:    {n_tcp?, interpacket_adjustment?}
-        extra:    {warmup?, timescales?, trace_tau?}
+        flows:    {n_tcp, interpacket_adjustment}
+        extra:    {warmup, timescales, trace_tau}
     """
     profile = PathProfile.from_dict(dict(spec.topology))
-    warmup = float(spec.extra.get("warmup", 20.0))
-    timescales = [
-        float(t) for t in spec.extra.get("timescales", (1.0, 2.0, 5.0, 10.0, 20.0))
-    ]
-    trace_tau = float(spec.extra.get("trace_tau", 1.0))
+    trace_tau = float(spec.extra["trace_tau"])
     run = run_internet_path(
         profile,
-        n_tcp=int(spec.flows.get("n_tcp", 3)),
+        n_tcp=int(spec.flows["n_tcp"]),
         duration=spec.duration,
-        interpacket_adjustment=bool(
-            spec.flows.get("interpacket_adjustment", True)
-        ),
+        interpacket_adjustment=bool(spec.flows["interpacket_adjustment"]),
         seed=spec.seed,
     )
     flow_monitor = run.flow_monitor
-    t0, t1 = warmup, spec.duration
-    timescales = [t for t in timescales if t <= (t1 - t0) / 2]
-    out: JsonDict = {
-        "path": profile.name,
-        "loss_rate": run.link_monitor.loss_rate(),
-        "tcp_throughputs_bps": [
+    t0, t1 = float(spec.extra["warmup"]), spec.duration
+
+    def rates(fid: str, tau: float):
+        arrivals = flow_monitor.arrivals.get(fid, [])
+        return arrivals_to_rate_series(arrivals, t0, t1, tau)
+
+    result = InternetRunResult(
+        path=profile.name,
+        loss_rate=run.link_monitor.loss_rate(),
+        tcp_throughputs_bps=[
             flow_monitor.throughput_bps(fid, t0, t1) for fid in run.tcp_ids
         ],
-        "tfrc_throughput_bps": flow_monitor.throughput_bps("tfrc", t0, t1),
-        "equivalence_by_tau": {},
-        "cov_tcp_by_tau": {},
-        "cov_tfrc_by_tau": {},
-        "tcp_traces": [],
-    }
-    tfrc_arrivals = flow_monitor.arrivals.get("tfrc", [])
-    out["tfrc_trace"] = [
-        float(v) for v in arrivals_to_rate_series(tfrc_arrivals, t0, t1, trace_tau)
-    ]
-    for fid in run.tcp_ids:
-        arrivals = flow_monitor.arrivals.get(fid, [])
-        out["tcp_traces"].append(
-            [float(v) for v in arrivals_to_rate_series(arrivals, t0, t1, trace_tau)]
-        )
-    for tau in timescales:
-        series_tfrc = arrivals_to_rate_series(tfrc_arrivals, t0, t1, tau)
+        tfrc_throughput_bps=flow_monitor.throughput_bps("tfrc", t0, t1),
+        tfrc_trace=[float(v) for v in rates("tfrc", trace_tau)],
+        tcp_traces=[
+            [float(v) for v in rates(fid, trace_tau)] for fid in run.tcp_ids
+        ],
+    )
+    timescales = [float(t) for t in spec.extra["timescales"]]
+    for tau in [t for t in timescales if t <= (t1 - t0) / 2]:
+        series_tfrc = rates("tfrc", tau)
         covs = []
         ratios = []
         for fid in run.tcp_ids:
-            series_tcp = arrivals_to_rate_series(
-                flow_monitor.arrivals.get(fid, []), t0, t1, tau
-            )
+            series_tcp = rates(fid, tau)
             ratios.append(equivalence_ratio(series_tfrc, series_tcp))
             covs.append(coefficient_of_variation(series_tcp))
-        key = repr(tau)
-        out["equivalence_by_tau"][key] = float(np.nanmean(ratios))
-        out["cov_tcp_by_tau"][key] = float(np.mean(covs))
-        out["cov_tfrc_by_tau"][key] = float(
+        result.equivalence_by_tau[tau] = float(np.nanmean(ratios))
+        result.cov_tcp_by_tau[tau] = float(np.mean(covs))
+        result.cov_tfrc_by_tau[tau] = float(
             coefficient_of_variation(series_tfrc)
         )
-    return out
-
-
-def _result_from_cell(data: JsonDict) -> InternetRunResult:
-    return InternetRunResult(
-        path=str(data["path"]),
-        loss_rate=float(data["loss_rate"]),
-        tcp_throughputs_bps=[float(v) for v in data["tcp_throughputs_bps"]],
-        tfrc_throughput_bps=float(data["tfrc_throughput_bps"]),
-        equivalence_by_tau={
-            float(t): float(v) for t, v in data["equivalence_by_tau"].items()
-        },
-        cov_tcp_by_tau={
-            float(t): float(v) for t, v in data["cov_tcp_by_tau"].items()
-        },
-        cov_tfrc_by_tau={
-            float(t): float(v) for t, v in data["cov_tfrc_by_tau"].items()
-        },
-        tfrc_trace=[float(v) for v in data["tfrc_trace"]],
-        tcp_traces=[[float(v) for v in trace] for trace in data["tcp_traces"]],
-    )
-
-
-def _base_spec(
-    profile: PathProfile,
-    n_tcp: int,
-    duration: float,
-    warmup: float,
-    timescales: Sequence[float],
-    trace_tau: float,
-    interpacket_adjustment: bool,
-    seed: int,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        scenario="internet_path",
-        duration=float(duration),
-        seed=seed,
-        topology=profile.to_dict(),
-        flows={
-            "n_tcp": int(n_tcp),
-            "interpacket_adjustment": bool(interpacket_adjustment),
-        },
-        extra={
-            "warmup": float(warmup),
-            "timescales": [float(t) for t in timescales],
-            "trace_tau": float(trace_tau),
-        },
-    )
-
-
-def run_path(
-    profile: PathProfile,
-    n_tcp: int = 3,
-    duration: float = 120.0,
-    warmup: float = 20.0,
-    timescales: Sequence[float] = (1.0, 2.0, 5.0, 10.0, 20.0),
-    trace_tau: float = 1.0,
-    interpacket_adjustment: bool = True,
-    seed: int = 0,
-    **sweep: object,
-) -> InternetRunResult:
-    """Run n_tcp TCP flows + 1 TFRC flow + cross traffic over one path."""
-    base = _base_spec(
-        profile, n_tcp, duration, warmup, timescales, trace_tau,
-        interpacket_adjustment, seed,
-    )
-    data = run_single_cell(base, **sweep)
-    return _result_from_cell(data)
+    data = asdict(result)
+    for name in TAU_MAPS:
+        data[name] = {repr(t): v for t, v in data[name].items()}
+    return data
 
 
 def run_all(
     paths: Sequence[str] = PAPER_PATHS,
     duration: float = 120.0,
     seed: int = 0,
-    n_tcp: int = 3,
-    warmup: float = 20.0,
-    timescales: Sequence[float] = (1.0, 2.0, 5.0, 10.0, 20.0),
-    trace_tau: float = 1.0,
-    interpacket_adjustment: bool = True,
     **sweep: object,
 ) -> Dict[str, InternetRunResult]:
-    """Figures 16/17: every named path, as one sweep over the profiles."""
-    if not paths:
-        return {}
-    base = _base_spec(
-        PATHS[paths[0]], n_tcp, duration, warmup, timescales, trace_tau,
-        interpacket_adjustment, seed,
+    """Run N_TCP TCP flows + 1 TFRC flow + cross traffic over each named
+    path, as one sweep over the profiles: Figure 15 is ``("ucl",)``,
+    Figures 16/17 the five :data:`PAPER_PATHS`."""
+    base = ScenarioSpec(
+        scenario="internet_path",
+        duration=float(duration),
+        seed=seed,
+        topology=PATHS[paths[0]].to_dict(),
+        flows={"n_tcp": N_TCP, "interpacket_adjustment": True},
+        extra={
+            "warmup": WARMUP,
+            "timescales": list(TIMESCALES),
+            "trace_tau": TRACE_TAU,
+        },
     )
     cells = SweepRunner(
         base,
@@ -278,5 +208,8 @@ def run_all(
     ).run().complete_cells()
     results: Dict[str, InternetRunResult] = {}
     for name, cell in zip(paths, cells):
-        results[name] = _result_from_cell(cell.result)
+        data = dict(cell.result)
+        for key in TAU_MAPS:
+            data[key] = {float(t): v for t, v in data[key].items()}
+        results[name] = InternetRunResult(**data)
     return results

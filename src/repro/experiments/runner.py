@@ -18,7 +18,7 @@ import sys
 from typing import Callable, Dict
 
 
-def _fig02(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig02(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import fig02_loss_interval as fig02
 
     result = fig02.run(duration=12.0 if quick else 16.0, **sweep)
@@ -42,7 +42,7 @@ def _fig02(quick: bool, plot: bool = False, **sweep: object) -> None:
         print("TX rate trace: " + sparkline(result.tx_rate_bytes, width=64))
 
 
-def _fig03(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig03(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import fig03_oscillation as fig03
 
     buffers = (8, 32) if quick else (2, 8, 32, 64)
@@ -63,7 +63,7 @@ def _fig03(quick: bool, plot: bool = False, **sweep: object) -> None:
         )
 
 
-def _fig05(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig05(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import fig05_loss_event_fraction as fig05
 
     result = fig05.run(monte_carlo=not quick, **sweep)
@@ -85,7 +85,7 @@ def _fig05(quick: bool, plot: bool = False, **sweep: object) -> None:
                          y_label="loss-event fraction"))
 
 
-def _fig06(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig06(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import fig06_fairness_grid as fig06
 
     rates = (8, 16) if quick else (1, 2, 4, 8, 16, 32, 64)
@@ -103,13 +103,10 @@ def _fig06(quick: bool, plot: bool = False, **sweep: object) -> None:
         )
 
 
-def _fig08(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig08(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import fig08_smoothness as fig08
 
-    results = fig08.run_queues(
-        queue_types=("red", "droptail"), duration=20.0 if quick else 30.0,
-        **sweep,
-    )
+    results = fig08.run(duration=20.0 if quick else 30.0, **sweep)
     for queue_type, result in results.items():
         print(
             f"Figure 8 ({queue_type}): mean CoV at 0.15s -- "
@@ -117,7 +114,7 @@ def _fig08(quick: bool, plot: bool = False, **sweep: object) -> None:
         )
 
 
-def _fig09(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig09(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import fig09_equivalence as fig09
 
     result = fig09.run(
@@ -160,7 +157,7 @@ def _fig09(quick: bool, plot: bool = False, **sweep: object) -> None:
         ))
 
 
-def _fig11(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig11(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import fig11_onoff as fig11
 
     counts = (60, 100) if quick else fig11.PAPER_SOURCE_COUNTS
@@ -178,7 +175,7 @@ def _fig11(quick: bool, plot: bool = False, **sweep: object) -> None:
         )
 
 
-def _fig14(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig14(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import fig14_queue_dynamics as fig14
 
     result = fig14.run(duration=20.0 if quick else 30.0, **sweep)
@@ -190,20 +187,19 @@ def _fig14(quick: bool, plot: bool = False, **sweep: object) -> None:
         )
 
 
-def _fig15(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig15(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import internet
 
-    result = internet.run_path(
-        internet.PATHS["ucl"], n_tcp=3, duration=60.0 if quick else 120.0,
-        **sweep,
-    )
+    result = internet.run_all(
+        ("ucl",), duration=60.0 if quick else 120.0, **sweep
+    )["ucl"]
     print("Figure 15 (3 TCP + 1 TFRC over the synthetic UCL path)")
     mean_tcp = sum(result.tcp_throughputs_bps) / len(result.tcp_throughputs_bps)
     print(f"  TFRC {result.tfrc_throughput_bps/1e3:.0f} kb/s, TCP mean {mean_tcp/1e3:.0f} kb/s")
     print(f"  loss rate {result.loss_rate:.3f}")
 
 
-def _fig16(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig16(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import internet
 
     results = internet.run_all(duration=60.0 if quick else 120.0, **sweep)
@@ -216,7 +212,7 @@ def _fig16(quick: bool, plot: bool = False, **sweep: object) -> None:
         )
 
 
-def _fig18(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig18(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import fig18_predictor as fig18
 
     result = fig18.run(duration=80.0 if quick else 150.0, **sweep)
@@ -237,7 +233,7 @@ def _fig18(quick: bool, plot: bool = False, **sweep: object) -> None:
         print(histogram(labels, values, title="Fig 18: mean predictor error"))
 
 
-def _fig19(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig19(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import fig19_increase as fig19
 
     result = fig19.run(duration=13.0, **sweep)
@@ -250,7 +246,7 @@ def _fig19(quick: bool, plot: bool = False, **sweep: object) -> None:
     print(f"  analytic bounds: {bounds}")
 
 
-def _fig20(quick: bool, plot: bool = False, **sweep: object) -> None:
+def _fig20(quick: bool, plot: bool, **sweep: object) -> None:
     from repro.experiments import fig20_halving as fig20
 
     result = fig20.run(**sweep)

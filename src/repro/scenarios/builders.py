@@ -57,17 +57,22 @@ START_RANGE = (0.0, 10.0)
 class Testbed:
     """One seeded simulation: the seed's named RNG streams (``stream(name)``,
     see :class:`RngRegistry`), the simulator, the flow monitor -- and the
-    only place a scene's simulator is made and run."""
+    only place a scene's simulator is made and run.  A scene appends each
+    queued :class:`Link` it builds to ``links``; the run checks them."""
 
     def __init__(self, seed: int = 0, tracer: Optional[Tracer] = None) -> None:
         self.stream = RngRegistry(seed).stream
         self.sim = Simulator()
         self.tracer = tracer
         self.flow_monitor = FlowMonitor(tracer=tracer)
+        self.links: List[Link] = []
 
     def run(self, duration: float) -> "Testbed":
-        """Run the scene to ``duration`` simulated seconds."""
+        """Run the scene to ``duration`` simulated seconds, then check packet
+        conservation on every link in ``links``."""
         self.sim.run(until=duration)
+        for link in self.links:
+            _check_conservation(link, self.sim.now)
         return self
 
 
@@ -93,6 +98,7 @@ class DumbbellTestbed(Testbed):
         super().__init__(seed, tracer)
         self.rng = self.stream("topology")
         self.dumbbell = Dumbbell(self.sim, config, queue_rng=self.stream("red"))
+        self.links += [self.dumbbell.forward_link, self.dumbbell.reverse_link]
         self.attach = self.dumbbell.attach_flow
         self.link_monitor = LinkMonitor(
             self.sim, self.dumbbell.forward_link,
@@ -116,13 +122,6 @@ class DumbbellTestbed(Testbed):
     def tcp(self, flow_id: str, base_rtt: float, **kwargs) -> TcpFlow:
         """Attach a monitored TCP flow (not started) and remember it."""
         return self._flow(TcpFlow, self.tcp_flows, flow_id, base_rtt, kwargs)
-
-    def run(self, duration: float) -> "DumbbellTestbed":
-        """Run the scene, then check packet conservation on both links."""
-        super().run(duration)
-        for link in (self.dumbbell.forward_link, self.dumbbell.reverse_link):
-            _check_conservation(link, self.sim.now)
-        return self
 
     @property
     def tfrc_ids(self) -> List[str]:

@@ -7,7 +7,8 @@ Under ``scenarios/`` and ``experiments/`` the only ``Simulator(...)``,
 (whose ``"loss"`` stream exists before the harness does).  A second site
 means a figure assembles its scene by hand again -- out of reach of the
 tracer ``Testbed.__init__`` takes and of the link-conservation check
-``DumbbellTestbed.run`` ends with.
+``Testbed.run`` ends with (over ``Testbed.links``: a dumbbell's two links,
+fig03's pipe).
 """
 
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import fig03_oscillation as fig03
 from repro.net import DumbbellConfig
 from repro.scenarios import DumbbellTestbed
 from repro.sim.engine import SimulationError
@@ -113,3 +115,20 @@ def test_corrupt_reverse_link_is_caught_too():
     bed.dumbbell.reverse_link.packets_forwarded += 1
     with pytest.raises(SimulationError, match="bottleneck-rev"):
         bed.run(3.0)
+
+
+def test_corrupt_pipe_counter_names_the_pipe(monkeypatch):
+    """Figures 3 and 4 run on a plain ``Testbed``: their pipe is checked
+    because the scene appends it to ``links``."""
+    built = fig03.dummynet_pipe
+
+    def skewed(*args):
+        forward, reverse = built(*args)
+        forward.queue.enqueued += 1
+        return forward, reverse
+
+    monkeypatch.setattr(fig03, "dummynet_pipe", skewed)
+    with pytest.raises(SimulationError, match="link pipe:") as raised:
+        fig03.run_one(8, False, duration=2.0)
+    message = str(raised.value)
+    assert "t=2.0" in message and "'enqueued'" in message

@@ -45,6 +45,15 @@ them anywhere.  One test per rule family:
     member shares its reach with every same-named member.  A member that
     only a test oracle reads -- a golden-digest input, a statistic a
     ``benchmarks/`` claim asserts, a fuzz reference -- is allowlisted.
+``reach.unused-option`` (module-level functions of ``src/repro/experiments``)
+    a defaulted parameter that no call passes -- by keyword, by position,
+    through a ``**`` mapping, a forwarding call such as ``once(benchmark,
+    f, ...)`` or a ``(f, {...})`` table row -- from ``src/repro``,
+    ``bench/``, ``examples/``, ``benchmarks/`` or ``tests/``, the call
+    resolved through the caller's imports.  Such an option is a second
+    place a figure parameter is written: its default restates the value
+    every run uses.  ``seed`` is exempt: every entry point keeps it for the
+    seed-aggregated claims.
 ``tests.missing-slow-marker`` (``tests/``)
     a test without ``@pytest.mark.slow`` (on it, its class or the module's
     ``pytestmark``) whose visible work -- sweep-grid cells times constant
@@ -105,10 +114,10 @@ class Finding(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _repo_sources():
     """``(rel_path, text)`` of every module under ``src/repro``, ``tests``,
-    ``bench`` and ``examples``."""
+    ``bench``, ``benchmarks`` and ``examples``."""
     return tuple(
         (path.relative_to(REPO_ROOT).as_posix(), path.read_text(encoding="utf-8"))
-        for top in ("src/repro", "tests", "bench", "examples")
+        for top in ("src/repro", "tests", "bench", "benchmarks", "examples")
         for path in sorted((REPO_ROOT / top).rglob("*.py"))
     )
 
@@ -692,6 +701,123 @@ def test_member_reach_guard():
     )
 
 
+EXPERIMENTS = SRC + "experiments/"
+#: where a call that passes a figure option counts.
+OPTION_CALLERS = (SRC, "bench/", "examples/", "benchmarks/", TESTS)
+#: every figure entry point keeps ``seed``: the seed-aggregated claims
+#: (ROADMAP item 4) sweep it over each figure, whether or not a run here
+#: passes it yet.
+OPTION_EXEMPT = frozenset({"seed"})
+#: ``(path, "func.param")`` -> why an option no call passes is kept.
+OPTION_ALLOWLIST = {}
+
+
+def _defaulted(func):
+    """Names of ``func``'s positional and keyword-only parameters that have
+    a default."""
+    positional = func.args.posonlyargs + func.args.args
+    return [
+        arg.arg for arg in positional[len(positional) - len(func.args.defaults):]
+    ] + [
+        arg.arg
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults)
+        if default is not None
+    ]
+
+
+def _dict_keys(node):
+    """The string keys of a ``{...}`` literal or a ``dict(k=...)`` call."""
+    if isinstance(node, ast.Dict):
+        return {
+            key.value for key in node.keys
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+        }
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+        return {keyword.arg for keyword in node.keywords if keyword.arg}
+    return set()
+
+
+def check_option_reach(sources):
+    """``reach.unused-option`` over the module-level functions of
+    ``src/repro/experiments``; the finding's detail is ``func.param``.
+
+    A parameter is passed by a call that resolves (through the caller's
+    imports, or by bare name in the defining module) to its function and
+    names it, reaches its position, or unpacks a mapping that holds it: a
+    ``**kwargs`` bound to a ``dict(...)`` or ``{...}`` literal in the same
+    module.  A call that takes the function itself as an argument forwards
+    the arguments after it (``once(benchmark, fig08.run, duration=30.0)``,
+    ``functools.partial``), and a table row ``(f, {"duration": 12.0}, ...)``
+    passes its mapping's keys to ``f``.
+    """
+    functions, passed = {}, {}
+    for rel, tree, _, _ in _modules(sources, EXPERIMENTS):
+        module = _module_name(rel)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                qual = f"{module}.{node.name}"
+                functions[qual] = (rel, node)
+                passed[qual] = set()
+
+    for rel, _, nodes, aliases in (
+        m for m in _modules(sources, "") if m[0].startswith(OPTION_CALLERS)
+    ):
+        module = _module_name(rel) if rel.startswith(SRC) else None
+        mappings = {}
+        for node in nodes:
+            if isinstance(node, ast.Assign) and _dict_keys(node.value):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        mappings.setdefault(target.id, set()).update(
+                            _dict_keys(node.value)
+                        )
+
+        def resolve(ref):
+            qual = _qualname(ref, aliases)
+            if qual is None and module and isinstance(ref, ast.Name):
+                qual = f"{module}.{ref.id}"
+            return qual if qual in functions else None
+
+        def pass_args(qual, args, keywords):
+            func = functions[qual][1]
+            positional = [a.arg for a in func.args.posonlyargs + func.args.args]
+            passed[qual].update(positional[:len(args)])
+            for keyword in keywords:
+                if keyword.arg:
+                    passed[qual].add(keyword.arg)
+                elif isinstance(keyword.value, ast.Name):
+                    passed[qual].update(mappings.get(keyword.value.id, ()))
+                else:
+                    passed[qual].update(_dict_keys(keyword.value))
+
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                qual = resolve(node.func)
+                if qual:
+                    pass_args(qual, node.args, node.keywords)
+                for index, arg in enumerate(node.args):
+                    qual = resolve(arg)
+                    if qual:
+                        pass_args(qual, node.args[index + 1:], node.keywords)
+            elif isinstance(node, (ast.Tuple, ast.List)):
+                for ref, mapping in zip(node.elts, node.elts[1:]):
+                    qual = resolve(ref)
+                    if qual:
+                        passed[qual].update(_dict_keys(mapping))
+    return sorted(
+        Finding(rel, func.lineno, "reach.unused-option", f"{func.name}.{param}")
+        for qual, (rel, func) in functions.items()
+        for param in _defaulted(func)
+        if param not in passed[qual] and param not in OPTION_EXEMPT
+    )
+
+
+def test_option_reach_guard():
+    _assert_clean(
+        check_option_reach(_repo_sources()), OPTION_ALLOWLIST, _by_name
+    )
+
+
 # -------------------------------------------------------------- test tiers
 
 TESTS_ALLOWLIST = {}
@@ -1194,6 +1320,83 @@ class TestMemberReachGuard:
         }
         _assert_clean(findings, live, _by_name)
         stale = {**live, ("src/repro/sim/clock.py", "Clock.tick"): "kept: unused"}
+        with pytest.raises(AssertionError, match="excuse nothing"):
+            _assert_clean(findings, stale, _by_name)
+
+
+class TestOptionReachGuard:
+    MODULE = ("src/repro/experiments/fig99_probe.py", dedent("""\
+        def run(duration=1.0, tau=0.5, seed=0, **sweep):
+            return helper(duration)
+
+        def helper(x, scale=2.0, *, offset=0.0):
+            return x * scale + offset
+        """))
+
+    def _options(self, *callers):
+        return [f.detail for f in check_option_reach([self.MODULE, *callers])]
+
+    def test_option_no_call_passes_fails_and_seed_is_exempt(self):
+        findings = check_option_reach([self.MODULE])
+        assert _rules(findings) == ["reach.unused-option"] * 4
+        assert [(f.line, f.detail) for f in findings] == [
+            (1, "run.duration"), (1, "run.tau"),
+            (4, "helper.offset"), (4, "helper.scale"),
+        ]
+
+    def test_keyword_position_alias_and_forwarding_pass(self):
+        assert self._options(
+            ("tests/test_probe.py", dedent("""\
+                from repro.experiments import fig99_probe as probe
+                from repro.experiments.fig99_probe import helper as h
+
+                def test_run(once, benchmark):
+                    once(benchmark, probe.run, tau=0.2)
+                    h(1.0, 3.0)
+                """)),
+            ("benchmarks/test_probe.py", dedent("""\
+                import functools
+
+                from repro.experiments import fig99_probe
+
+                short = functools.partial(fig99_probe.run, 2.0)
+                """)),
+        ) == ["helper.offset"]
+
+    def test_mapping_unpack_and_table_row_pass(self):
+        assert self._options(("tests/test_probe.py", dedent("""\
+            from repro.experiments import fig99_probe as probe
+
+            ROWS = [(probe.helper, {"offset": 1.0}, 1)]
+
+            def test_run():
+                kwargs = dict(duration=2.0, tau=0.1)
+                probe.run(**kwargs)
+                probe.helper(1.0, **{"scale": 1.0})
+            """))) == []
+
+    def test_same_name_in_another_module_does_not_pass(self):
+        assert self._options(("examples/demo.py", dedent("""\
+            from repro.experiments.fig02_loss_interval import run
+
+            def helper(x, scale=1.0):
+                return x
+
+            run(duration=3.0, tau=0.1)
+            helper(1.0, scale=2.0, offset=1.0)
+            """))) == [
+            "run.duration", "run.tau", "helper.offset", "helper.scale",
+        ]
+
+    def test_stale_entry_fails(self):
+        findings = check_option_reach([self.MODULE])
+        path = self.MODULE[0]
+        live = {
+            (path, name): "kept: a test-only option"
+            for name in ("run.duration", "run.tau", "helper.offset", "helper.scale")
+        }
+        _assert_clean(findings, live, _by_name)
+        stale = {**live, (path, "run.seed"): "kept: exempt anyway"}
         with pytest.raises(AssertionError, match="excuse nothing"):
             _assert_clean(findings, stale, _by_name)
 

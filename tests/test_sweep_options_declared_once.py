@@ -11,7 +11,6 @@ copied again.
 """
 
 import ast
-import functools
 import importlib.util
 from pathlib import Path
 
@@ -43,7 +42,6 @@ ENTRY_POINTS = {
     "fig05_loss_event_fraction:run": fig05.run,
     "fig06_fairness_grid:run": fig06.run,
     "fig08_smoothness:run": fig08.run,
-    "fig08_smoothness:run_queues": fig08.run_queues,
     "fig09_equivalence:run": fig09.run,
     "fig11_onoff:run": fig11.run,
     "fig14_queue_dynamics:run": fig14.run,
@@ -51,9 +49,6 @@ ENTRY_POINTS = {
     "fig19_increase:run": fig19.run,
     "fig20_halving:run": fig20.run,
     "fig20_halving:run_sweep": fig20.run_sweep,
-    "internet:run_path": functools.partial(
-        internet.run_path, internet.PATHS["ucl"]
-    ),
     "internet:run_all": internet.run_all,
 }
 
