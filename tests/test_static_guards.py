@@ -759,9 +759,10 @@ def check_option_reach(sources):
                 functions[qual] = (rel, node)
                 passed[qual] = set()
 
-    for rel, _, nodes, aliases in (
-        m for m in _modules(sources, "") if m[0].startswith(OPTION_CALLERS)
-    ):
+    for rel, text in sources:
+        if not rel.startswith(OPTION_CALLERS):
+            continue
+        _, nodes, aliases = _parse(rel, text)
         module = _module_name(rel) if rel.startswith(SRC) else None
         mappings = {}
         for node in nodes:
