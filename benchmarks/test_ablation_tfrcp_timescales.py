@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.analysis.cov import coefficient_of_variation
 from repro.analysis.equivalence import equivalence_ratio
-from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.baselines.tfrcp import TfrcpFlow
 from repro.core import TfrcFlow
 from repro.net import Dumbbell, DumbbellConfig
@@ -54,12 +53,8 @@ def run_mixed(rate_flow_cls, seed=3):
     for tau in TAUS:
         covs, ratios = [], []
         for i in range(N_EACH):
-            series_rb = arrivals_to_rate_series(
-                monitor.arrivals.get(f"rb-{i}", []), WARMUP, DURATION, tau
-            )
-            series_tcp = arrivals_to_rate_series(
-                monitor.arrivals.get(f"tcp-{i}", []), WARMUP, DURATION, tau
-            )
+            series_rb = monitor.rate_series(f"rb-{i}", WARMUP, DURATION, tau)
+            series_tcp = monitor.rate_series(f"tcp-{i}", WARMUP, DURATION, tau)
             covs.append(coefficient_of_variation(series_rb))
             ratios.append(equivalence_ratio(series_rb, series_tcp))
         out["cov"][tau] = float(np.nanmean(covs))

@@ -20,7 +20,6 @@ asserted for every seed.
 import numpy as np
 
 from repro.analysis.cov import coefficient_of_variation
-from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.apps import QualityAdapter, simulate_playout
 
 DURATION = 150.0
@@ -33,9 +32,9 @@ def analyze_monitor(monitor):
     out = {}
     for name in ("tfrc", "tcp"):
         arrivals = [
-            (t, b) for t, b in monitor.arrivals.get(name, []) if t >= WARMUP
+            (t, b) for t, b in monitor.arrival_series(name) if t >= WARMUP
         ]
-        rates = arrivals_to_rate_series(arrivals, WARMUP, DURATION, TAU)
+        rates = monitor.rate_series(name, WARMUP, DURATION, TAU)
         rates_bps = [8 * r for r in rates]
         mean_bps = float(np.mean(rates_bps))
         playout = simulate_playout(

@@ -18,7 +18,6 @@ Run:  python examples/streaming_media.py
 import numpy as np
 
 from repro.analysis.cov import coefficient_of_variation
-from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.net import DumbbellConfig
 from repro.scenarios import DumbbellTestbed
 from repro.traffic.onoff import OnOffSource
@@ -52,13 +51,12 @@ def main() -> None:
     frame_tau = 0.15  # the paper's 'noticeable to multimedia users' interval
     series = {}
     for flow_id in ("tfrc-stream", "tcp-stream"):
-        arrivals = monitor.arrivals.get(flow_id, [])
-        series[flow_id] = arrivals_to_rate_series(arrivals, t0, t1, frame_tau)
+        series[flow_id] = monitor.rate_series(flow_id, t0, t1, frame_tau)
         mean_rate = monitor.throughput_bps(flow_id, t0, t1)
         print(f"{flow_id}:")
         print(f"  mean delivered rate     : {mean_rate / 1e6:.2f} Mb/s")
         for tau in (0.15, 0.5, 2.0):
-            rates = arrivals_to_rate_series(arrivals, t0, t1, tau)
+            rates = monitor.rate_series(flow_id, t0, t1, tau)
             print(f"  CoV at tau = {tau:4.2f} s     : "
                   f"{coefficient_of_variation(rates):.3f}")
 

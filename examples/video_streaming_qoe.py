@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.analysis.charts import sparkline
 from repro.analysis.cov import coefficient_of_variation
-from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.apps import QualityAdapter, simulate_playout
 from repro.net import DumbbellConfig
 from repro.net.monitor import FlowMonitor
@@ -60,9 +59,9 @@ def run_scenario(seed: int = 7):
 
 def analyze(monitor: FlowMonitor, flow_id: str) -> dict:
     arrivals = [
-        (t, b) for t, b in monitor.arrivals.get(flow_id, []) if t >= WARMUP
+        (t, b) for t, b in monitor.arrival_series(flow_id) if t >= WARMUP
     ]
-    rates = arrivals_to_rate_series(arrivals, WARMUP, DURATION, TAU)
+    rates = monitor.rate_series(flow_id, WARMUP, DURATION, TAU)
     rates_bps = [8 * r for r in rates]  # series is bytes/s
     mean_bps = float(np.mean(rates_bps))
     # An aggressive player: media rate equal to the mean delivery rate, so

@@ -1,6 +1,9 @@
 """Analysis layer: the paper's measurement methodology.
 
-* :mod:`~repro.analysis.timeseries` -- send-rate time series R_tau (Eq. 2).
+The smoothness and fairness metrics start from the send-rate time series
+R_tau (Eq. 2), which :meth:`repro.net.monitor.FlowMonitor.rate_series`
+bins from the monitor's columns.
+
 * :mod:`~repro.analysis.cov` -- coefficient of variation of a rate series
   (the paper's smoothness metric, Figures 10/13/17).
 * :mod:`~repro.analysis.equivalence` -- the equivalence ratio between two
@@ -14,7 +17,6 @@
   used by the experiment CLI's ``--plot`` mode.
 """
 
-from repro.analysis.timeseries import arrivals_to_rate_series, rate_series
 from repro.analysis.cov import coefficient_of_variation
 from repro.analysis.equivalence import equivalence_ratio, equivalence_series
 from repro.analysis.bernoulli import (
@@ -37,8 +39,6 @@ from repro.analysis.stats import (
 from repro.analysis.charts import histogram, line_chart, sparkline
 
 __all__ = [
-    "rate_series",
-    "arrivals_to_rate_series",
     "coefficient_of_variation",
     "equivalence_series",
     "equivalence_ratio",

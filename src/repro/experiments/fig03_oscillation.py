@@ -24,7 +24,6 @@ from typing import Dict, List, Tuple
 from repro.analysis.cov import coefficient_of_variation
 from repro.scenarios import ScenarioSpec, SweepRunner, Testbed, register_scenario
 from repro.scenarios.spec import JsonDict
-from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.core import TfrcFlow
 from repro.net.link import Link
 from repro.net.path import LossyPath
@@ -85,15 +84,10 @@ def run_one(
     )
     flow.start()
     bed.run(duration)
-    arrivals = bed.flow_monitor.arrivals.get("tfrc", [])
     t0 = duration * 0.3  # skip slow start
-    series = arrivals_to_rate_series(arrivals, t0, duration, tau) / 1024.0
-    series_list = [float(v) for v in series]
-    return (
-        series_list,
-        coefficient_of_variation(series_list),
-        sum(series_list) / len(series_list) if series_list else 0.0,
-    )
+    series = bed.flow_monitor.rate_series("tfrc", t0, duration, tau) / 1024.0
+    kb = series.tolist()
+    return kb, coefficient_of_variation(kb), sum(kb) / len(kb) if kb else 0.0
 
 
 @register_scenario("fig03_pipe")

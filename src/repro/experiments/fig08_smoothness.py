@@ -20,7 +20,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.analysis.cov import coefficient_of_variation
-from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.scenarios import (
     ScenarioSpec,
     SweepRunner,
@@ -75,21 +74,15 @@ def smoothness_scenario(spec: ScenarioSpec) -> JsonDict:
     )
     t0, t1 = steady_state_window(spec.duration, 0.5)
     out: JsonDict = asdict(Fig08Result(queue_type, tau))
-    covs_tcp, covs_tfrc = [], []
-    for rank, fid in enumerate(sim_result.tcp_ids):
-        arrivals = sim_result.flow_monitor.arrivals.get(fid, [])
-        series = [float(v) for v in arrivals_to_rate_series(arrivals, t0, t1, tau)]
-        covs_tcp.append(coefficient_of_variation(series))
-        if rank < traced_flows:
-            out["traces_tcp"][fid] = series
-    for rank, fid in enumerate(sim_result.tfrc_ids):
-        arrivals = sim_result.flow_monitor.arrivals.get(fid, [])
-        series = [float(v) for v in arrivals_to_rate_series(arrivals, t0, t1, tau)]
-        covs_tfrc.append(coefficient_of_variation(series))
-        if rank < traced_flows:
-            out["traces_tfrc"][fid] = series
-    out["mean_cov_tcp"] = float(np.mean(covs_tcp))
-    out["mean_cov_tfrc"] = float(np.mean(covs_tfrc))
+    rate_series = sim_result.flow_monitor.rate_series
+    for proto, ids in (("tcp", sim_result.tcp_ids), ("tfrc", sim_result.tfrc_ids)):
+        covs = []
+        for rank, fid in enumerate(ids):
+            series = rate_series(fid, t0, t1, tau).tolist()
+            covs.append(coefficient_of_variation(series))
+            if rank < traced_flows:
+                out[f"traces_{proto}"][fid] = series
+        out[f"mean_cov_{proto}"] = float(np.mean(covs))
     return out
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from repro.analysis.cov import coefficient_of_variation
 from repro.analysis.equivalence import equivalence_ratio
 from repro.analysis.stats import mean_and_ci
-from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.scenarios import (
     ScenarioSpec,
     SweepRunner,
@@ -88,9 +87,7 @@ def replication_scenario(spec: ScenarioSpec) -> JsonDict:
     t0, t1 = spec.duration - measure_seconds, spec.duration
     for tau in timescales:
         series = {
-            fid: arrivals_to_rate_series(
-                sim_result.flow_monitor.arrivals.get(fid, []), t0, t1, tau
-            )
+            fid: sim_result.flow_monitor.rate_series(fid, t0, t1, tau)
             for fid in sim_result.tfrc_ids + sim_result.tcp_ids
         }
         key = repr(tau)

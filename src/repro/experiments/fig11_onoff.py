@@ -21,7 +21,6 @@ from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios.builders import DumbbellTestbed
 from repro.scenarios.spec import JsonDict
 from repro.analysis.equivalence import equivalence_ratio
-from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.net import DumbbellConfig
 from repro.traffic.onoff import OnOffSource
 
@@ -84,13 +83,11 @@ def run_one(
         sources=n_sources, loss_rate=bed.link_monitor.loss_rate()
     )
     t0, t1 = warmup, duration
-    tcp_arrivals = flow_monitor.arrivals.get("tcp-mon", [])
-    tfrc_arrivals = flow_monitor.arrivals.get("tfrc-mon", [])
     result.tcp_throughput_bps = flow_monitor.throughput_bps("tcp-mon", t0, t1)
     result.tfrc_throughput_bps = flow_monitor.throughput_bps("tfrc-mon", t0, t1)
     for tau in timescales:
-        series_tcp = arrivals_to_rate_series(tcp_arrivals, t0, t1, tau)
-        series_tfrc = arrivals_to_rate_series(tfrc_arrivals, t0, t1, tau)
+        series_tcp = flow_monitor.rate_series("tcp-mon", t0, t1, tau)
+        series_tfrc = flow_monitor.rate_series("tfrc-mon", t0, t1, tau)
         result.equivalence_by_tau[tau] = equivalence_ratio(series_tfrc, series_tcp)
         result.cov_tcp_by_tau[tau] = coefficient_of_variation(series_tcp)
         result.cov_tfrc_by_tau[tau] = coefficient_of_variation(series_tfrc)

@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.analysis.cov import coefficient_of_variation
 from repro.analysis.equivalence import equivalence_ratio
-from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios.builders import PathProfile, run_internet_path
 from repro.scenarios.spec import JsonDict
@@ -145,8 +144,7 @@ def internet_path_scenario(spec: ScenarioSpec) -> JsonDict:
     t0, t1 = float(spec.extra["warmup"]), spec.duration
 
     def rates(fid: str, tau: float):
-        arrivals = flow_monitor.arrivals.get(fid, [])
-        return arrivals_to_rate_series(arrivals, t0, t1, tau)
+        return flow_monitor.rate_series(fid, t0, t1, tau)
 
     result = InternetRunResult(
         path=profile.name,
@@ -155,10 +153,8 @@ def internet_path_scenario(spec: ScenarioSpec) -> JsonDict:
             flow_monitor.throughput_bps(fid, t0, t1) for fid in run.tcp_ids
         ],
         tfrc_throughput_bps=flow_monitor.throughput_bps("tfrc", t0, t1),
-        tfrc_trace=[float(v) for v in rates("tfrc", trace_tau)],
-        tcp_traces=[
-            [float(v) for v in rates(fid, trace_tau)] for fid in run.tcp_ids
-        ],
+        tfrc_trace=rates("tfrc", trace_tau).tolist(),
+        tcp_traces=[rates(fid, trace_tau).tolist() for fid in run.tcp_ids],
     )
     timescales = [float(t) for t in spec.extra["timescales"]]
     for tau in [t for t in timescales if t <= (t1 - t0) / 2]:

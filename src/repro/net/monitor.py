@@ -13,17 +13,21 @@ per-packet arrival and queue-sample callbacks make two list appends
 :data:`~repro.sim.trace.CHUNK` entries (as :class:`~repro.sim.trace.Tracer`
 does; arrival sizes are summed into the cumulative column then); the rare
 drops go straight into their arrays.  No per-packet Python object is kept.
-Window queries (`throughput_bps`, `queue_series`) are ``bisect`` slices on
-the sorted time columns instead of full scans; byte totals are exact
-integer sums.
+Window queries (`throughput_bps`, `rate_series`, `queue_series`) are
+``bisect`` slices on the sorted time columns instead of full scans; byte
+totals are exact integer sums, and a rate series is binned straight from
+the columns with numpy.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -59,12 +63,6 @@ class LinkMonitor:
     def _pack_queue(self) -> None:
         pack_into(self._queue_times, self._new_queue_times)
         pack_into(self._queue_depths, self._new_queue_depths)
-
-    @property
-    def queue_samples(self) -> List[Tuple[float, int]]:
-        """Queue-depth samples as ``(time, depth)`` pairs, in time order."""
-        self._pack_queue()
-        return list(zip(self._queue_times, self._queue_depths))
 
     @property
     def drops(self) -> List[Tuple[float, str]]:
@@ -150,26 +148,6 @@ class LinkMonitor:
         return list(zip(times[lo:hi], self._queue_depths[lo:hi]))
 
 
-class _ArrivalsView(Mapping):
-    """Read-only per-flow view over a :class:`FlowMonitor`'s arrays."""
-
-    __slots__ = ("_monitor",)
-
-    def __init__(self, monitor: "FlowMonitor") -> None:
-        self._monitor = monitor
-
-    def __getitem__(self, flow_id: str) -> List[Tuple[float, int]]:
-        if flow_id not in self._monitor._series:
-            raise KeyError(flow_id)
-        return self._monitor.arrival_series(flow_id)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._monitor._series)
-
-    def __len__(self) -> int:
-        return len(self._monitor._series)
-
-
 class _FlowSeries:
     """Per-flow arrival series: times plus cumulative bytes."""
 
@@ -197,10 +175,10 @@ class FlowMonitor:
     """Accumulates per-flow arrival events at a measurement point.
 
     Endpoints call :meth:`on_packet` for every data packet they deliver to
-    the application.  :attr:`arrivals` exposes the time-ordered
-    ``(time, bytes)`` pairs per flow -- the exact input needed to compute the
-    paper's R_tau send-rate time series -- while :meth:`throughput_bps`
-    answers window queries from the cumulative-byte arrays in O(log n).
+    the application.  :meth:`rate_series` bins a flow's columns into the
+    paper's R_tau send-rate time series, :meth:`throughput_bps` answers
+    window queries from the cumulative-byte arrays in O(log n), and
+    :meth:`arrival_series` rebuilds the time-ordered ``(time, bytes)`` pairs.
     """
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
@@ -225,15 +203,6 @@ class FlowMonitor:
 
     # ------------------------------------------------------- derived views
 
-    @property
-    def arrivals(self) -> Mapping[str, List[Tuple[float, int]]]:
-        """Per-flow time-ordered ``(time, bytes)`` pairs.
-
-        A lazy read-only mapping: each lookup reconstructs only the
-        requested flow's pair list from the arrays.
-        """
-        return _ArrivalsView(self)
-
     def arrival_series(self, flow_id: str) -> List[Tuple[float, int]]:
         """One flow's ``(time, bytes)`` pairs ([] for unknown flows)."""
         series = self._series.get(flow_id)
@@ -243,6 +212,41 @@ class FlowMonitor:
         sizes = [cum[0]] if cum else []
         sizes.extend(cum[i] - cum[i - 1] for i in range(1, len(cum)))
         return list(zip(series.times, sizes))
+
+    def rate_series(
+        self, flow_id: str, t0: float, t1: float, tau: float
+    ) -> np.ndarray:
+        """Paper Eq. (2): ``flow_id``'s delivered bytes/second in each of
+        the ``floor((t1 - t0) / tau)`` bins of [t0, t1) (zeros for an
+        unknown flow).
+
+        Arrivals with ``t0 <= t < t0 + n_bins * tau`` (a bisect slice) go to
+        bin ``int((t - t0) / tau)``, clamped to the last: an ulp below the
+        window end the quotient can round up to ``n_bins``.  The exact
+        integer sizes are summed per bin in arrival order, then divided by
+        ``tau``.
+        """
+        for name, value in (("t0", t0), ("t1", t1), ("tau", tau)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if tau <= 0:
+            raise ValueError("tau must be positive")
+        if t1 <= t0:
+            raise ValueError("need t1 > t0")
+        n_bins = int((t1 - t0) / tau)
+        if n_bins == 0:
+            raise ValueError("window shorter than one timescale bin")
+        series = self._series.get(flow_id)
+        if series is None:
+            return np.zeros(n_bins)
+        times = series.pack().times
+        lo, hi = bisect_left(times, t0), bisect_left(times, t0 + n_bins * tau)
+        # Slices copy, so no numpy view pins the monitor's growing columns.
+        cum = np.frombuffer(series.cum[max(lo - 1, 0):hi], dtype=np.int64)
+        sizes = np.diff(cum, prepend=0) if lo == 0 else np.diff(cum)
+        bins = ((np.frombuffer(times[lo:hi]) - t0) / tau).astype(np.intp)
+        np.minimum(bins, n_bins - 1, out=bins)
+        return np.bincount(bins, weights=sizes, minlength=n_bins) / tau
 
     @property
     def bytes_by_flow(self) -> Dict[str, int]:

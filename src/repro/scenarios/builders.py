@@ -6,7 +6,8 @@ scenarios from this one place:
 * :class:`Testbed` / :class:`DumbbellTestbed` -- the seeded simulator, RNG
   streams, dumbbell and monitors every packet figure is assembled on, and
   the one ``run`` they all go through (it ends with a link-conservation
-  check).  The dumbbell builders return the testbed itself.
+  check, a dumbbell's also with a delivered-packet check per flow).  The
+  dumbbell builders return the testbed itself.
 * :func:`build_mixed_dumbbell` / :func:`run_mixed_dumbbell` -- n TFRC +
   n TCP flows on a dumbbell (Figures 6-10): random base RTTs
   U(80,120) ms, staggered starts U(0,10) s, per the section 4.1.2 footnote.
@@ -123,6 +124,13 @@ class DumbbellTestbed(Testbed):
         """Attach a monitored TCP flow (not started) and remember it."""
         return self._flow(TcpFlow, self.tcp_flows, flow_id, base_rtt, kwargs)
 
+    def run(self, duration: float) -> "DumbbellTestbed":
+        """:meth:`Testbed.run`, then check that the flow monitor recorded
+        each data packet every monitored flow's receiver counted."""
+        super().run(duration)
+        _check_delivered(self)
+        return self
+
     @property
     def tfrc_ids(self) -> List[str]:
         return [flow.flow_id for flow in self.tfrc_flows]
@@ -131,16 +139,13 @@ class DumbbellTestbed(Testbed):
     def tcp_ids(self) -> List[str]:
         return [flow.flow_id for flow in self.tcp_flows]
 
-    def throughput(self, flow_id: str, t_min: float, t_max: float) -> float:
-        return self.flow_monitor.throughput_bps(flow_id, t_min, t_max)
-
     def normalized_throughput(
         self, flow_id: str, t_min: float, t_max: float
     ) -> float:
         """Throughput normalized so 1.0 = a fair share of the bottleneck."""
         n = len(self.tfrc_flows) + len(self.tcp_flows)
         fair = self.dumbbell.config.bandwidth_bps / max(1, n)
-        return self.throughput(flow_id, t_min, t_max) / fair
+        return self.flow_monitor.throughput_bps(flow_id, t_min, t_max) / fair
 
 
 def _check_conservation(link: Link, now: float) -> None:
@@ -165,6 +170,23 @@ def _check_conservation(link: Link, now: float) -> None:
     raise SimulationError(
         f"link {link.name}: packet conservation violated at t={now!r}: {counters}"
     )
+
+
+def _check_delivered(bed: DumbbellTestbed) -> None:
+    """The monitor's packet count per flow equals its receiver's count of
+    data arrivals -- the columns ``rate_series`` bins; O(flows)."""
+    seen = bed.flow_monitor.packets_by_flow
+    received = [
+        (flow.flow_id, flow.receiver.detector.packets_received)
+        for flow in bed.tfrc_flows
+    ] + [(flow.flow_id, flow.sink.packets_received) for flow in bed.tcp_flows]
+    for flow_id, count in received:
+        if seen.get(flow_id, 0) != count:
+            raise SimulationError(
+                f"flow {flow_id}: flow monitor recorded "
+                f"{seen.get(flow_id, 0)} packets, receiver counted {count} "
+                f"at t={bed.sim.now!r}"
+            )
 
 
 def build_mixed_dumbbell(

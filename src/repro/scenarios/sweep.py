@@ -83,12 +83,17 @@ class SweepCell:
     failure_kinds: List[str] = field(default_factory=list)
 
     def describe(self) -> str:
-        def short(value: Any) -> str:
-            text = str(value)
-            return text if len(text) <= 48 else text[:45] + "..."
-
-        inner = ", ".join(f"{k}={short(v)}" for k, v in self.overrides.items())
-        return f"{self.spec.scenario}[{inner}]" if inner else self.spec.scenario
+        """``scenario[path=value, ...]``, each value cut to 48 characters;
+        if one is cut, ``#<spec_hash>`` follows, so that cells whose values
+        differ only past the cut read apart."""
+        texts = {k: str(v) for k, v in self.overrides.items()}
+        cut = any(len(text) > 48 for text in texts.values())
+        inner = ", ".join(
+            f"{k}={text if len(text) <= 48 else text[:45] + '...'}"
+            for k, text in texts.items()
+        )
+        name = f"{self.spec.scenario}[{inner}]" if inner else self.spec.scenario
+        return f"{name}#{self.key.rsplit('-', 1)[1]}" if cut else name
 
 
 @dataclass

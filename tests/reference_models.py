@@ -1,12 +1,14 @@
 """Per-packet recomputations of what ``REDQueue.enqueue``, ``TCPSink``,
 ``SackSender`` and the TFRC receiver's loss event rate maintain
 incrementally, the first, copy-everything form of a spec's canonical JSON
-and the first form of a cache entry's checksum; the fuzzers compare the
-two."""
+and the first form of a cache entry's checksum, and the first, per-arrival
+loop that binned a rate series; the fuzzers compare the two."""
 
 import copy
 import hashlib
 import json
+
+import numpy as np
 
 from repro.core.equations import invert_response
 from repro.core.loss_intervals import ALI_DEFAULT_WEIGHTS as ALI_WEIGHTS
@@ -169,3 +171,24 @@ def loss_event_rate_reference(arrivals, size=1000):
     d = discount()
     avg = max(fold(hist, [x * d for x in disc]), fold([s0] + hist[:7], [1.0] + [x * d for x in disc][:7])) if hist else 0.0
     return min(1.0, 1 / avg) if avg > 0 else 0.0
+
+
+def rate_series_reference(arrivals, t0, t1, tau):
+    """Bin (time, bytes) arrival events into a bytes/second rate series:
+    ``floor((t1-t0)/tau)`` bins over [t0, t1), one Python step per arrival
+    (what ``FlowMonitor.rate_series`` computes from its columns)."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if t1 <= t0:
+        raise ValueError("need t1 > t0")
+    n_bins = int((t1 - t0) / tau)
+    if n_bins == 0:
+        raise ValueError("window shorter than one timescale bin")
+    binned = np.zeros(n_bins)
+    end, last = t0 + n_bins * tau, n_bins - 1
+    for time, size in arrivals:
+        if time < t0 or time >= end:
+            continue
+        # An ulp below ``end`` the quotient can round up to ``n_bins``.
+        binned[min(int((time - t0) / tau), last)] += size
+    return binned / tau

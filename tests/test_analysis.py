@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.bernoulli import (
     consistent_loss_event_fraction,
@@ -20,24 +20,88 @@ from repro.analysis.predictor import (
     weighted_interval_predictor,
 )
 from repro.analysis.stats import confidence_interval, mean_and_ci, t_critical_90
-from repro.analysis.timeseries import arrivals_to_rate_series
+from repro.net.monitor import FlowMonitor
+from repro.net.packet import Packet
+from repro.sim.trace import CHUNK
+
+from reference_models import rate_series_reference
+
+
+def monitor_of(arrivals, flow_id="f"):
+    """A ``FlowMonitor`` fed the time-ordered ``(time, bytes)`` arrivals."""
+    monitor = FlowMonitor()
+    for seq, (time, size) in enumerate(arrivals):
+        monitor.on_packet(time, Packet(flow_id=flow_id, seq=seq, size=size))
+    return monitor
+
+
+def rate_series(arrivals, t0, t1, tau):
+    return monitor_of(arrivals).rate_series("f", t0, t1, tau)
+
+
+@st.composite
+def arrival_streams(draw):
+    """A window, and arrivals on its bin edges, one ulp below them, before
+    ``t0``, at or after ``t1`` and inside it, plus one an ulp below the
+    window end (where the bin quotient can round up to ``n_bins``): some
+    drawn one by one, the rest (up to two ``CHUNK``s, so both packed and
+    buffered monitor entries count) from a seeded generator."""
+    t0 = draw(st.one_of(
+        st.just(0.0), st.integers(-50, 50).map(float), st.floats(-50.0, 50.0)
+    ))
+    tau = draw(st.one_of(
+        st.sampled_from((0.1, 0.15, 0.3, 0.5, 1.0)), st.floats(1e-3, 5.0)
+    ))
+    n_bins = draw(st.integers(0, 300))
+    t1 = t0 + n_bins * tau + draw(st.floats(0.0, 1.0)) * tau
+    edges = [t0 + k * tau for k in range(n_bins + 1)]
+    end = edges[-1]
+    below = [math.nextafter(e, -math.inf) for e in edges]
+    times = st.one_of(
+        st.sampled_from(edges),
+        st.sampled_from(below),
+        st.just(end),
+        st.just(t1),
+        st.floats(t0 - 10.0, t0, exclude_max=True),
+        st.floats(t1, t1 + 10.0),
+        st.floats(t0, t1),
+    )
+    picked = draw(st.lists(
+        st.tuples(times, st.integers(1, 2**31)), max_size=40
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bulk = draw(st.sampled_from((0, CHUNK - 1, CHUNK + 7, 2 * CHUNK + 3)))
+    pool = np.concatenate([edges, below, [t0 - 1.0, t1, t1 + 1.0]])
+    bulk_times = np.where(
+        rng.random(bulk) < 0.5,
+        rng.choice(pool, bulk),
+        rng.uniform(t0 - tau, t1 + tau, bulk),
+    )
+    sizes = rng.integers(1, 2**31, bulk, endpoint=True)
+    arrivals = picked + list(zip(bulk_times.tolist(), sizes.tolist()))
+    arrivals.append((math.nextafter(end, -math.inf), draw(st.integers(1, 2**31))))
+    return sorted(arrivals, key=lambda pair: pair[0]), t0, t1, tau
 
 
 class TestRateSeries:
     def test_binning(self):
         arrivals = [(0.1, 1000), (0.9, 1000), (1.5, 2000)]
-        series = arrivals_to_rate_series(arrivals, 0.0, 2.0, 1.0)
+        series = rate_series(arrivals, 0.0, 2.0, 1.0)
         assert series.tolist() == [2000.0, 2000.0]
 
     def test_events_outside_window_ignored(self):
         arrivals = [(-1.0, 500), (0.5, 1000), (9.0, 500)]
-        series = arrivals_to_rate_series(arrivals, 0.0, 2.0, 1.0)
+        series = rate_series(arrivals, 0.0, 2.0, 1.0)
         assert series.tolist() == [1000.0, 0.0]
 
     def test_rate_units_bytes_per_second(self):
         arrivals = [(0.25, 100)]
-        series = arrivals_to_rate_series(arrivals, 0.0, 0.5, 0.5)
+        series = rate_series(arrivals, 0.0, 0.5, 0.5)
         assert series.tolist() == [200.0]
+
+    def test_unknown_flow_is_all_zeros(self):
+        series = FlowMonitor().rate_series("missing", 0.0, 2.0, 0.5)
+        assert series.tobytes() == rate_series_reference([], 0.0, 2.0, 0.5).tobytes()
 
     @pytest.mark.parametrize(
         "time, t1, tau",
@@ -47,17 +111,28 @@ class TestRateSeries:
         self, time, t1, tau
     ):
         # (time - t0) / tau rounds up to n_bins although time < n_bins * tau.
-        series = arrivals_to_rate_series([(time, 1000)], 0.0, t1, tau)
+        series = rate_series([(time, 1000)], 0.0, t1, tau)
         assert len(series) == 66
         assert series[-1] == 1000 / tau and series[:-1].sum() == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            arrivals_to_rate_series([], 0, 1, 0)
-        with pytest.raises(ValueError):
-            arrivals_to_rate_series([], 1, 0, 0.1)
-        with pytest.raises(ValueError):
-            arrivals_to_rate_series([], 0, 0.1, 1.0)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            rate_series([], 0, 1, 0)
+        with pytest.raises(ValueError, match="need t1 > t0"):
+            rate_series([], 1, 0, 0.1)
+        with pytest.raises(ValueError, match="shorter than one timescale bin"):
+            rate_series([], 0, 0.1, 1.0)
+
+    @pytest.mark.parametrize("name, window", [
+        ("t0", (-math.inf, 1.0, 0.1)),
+        ("t1", (0.0, math.inf, 1.0)),
+        ("t1", (0.0, math.nan, 1.0)),
+        ("tau", (0.0, 1.0, math.nan)),
+        ("tau", (0.0, 1.0, math.inf)),
+    ], ids=["t0=-inf", "t1=inf", "t1=nan", "tau=nan", "tau=inf"])
+    def test_non_finite_window_names_the_argument(self, name, window):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            rate_series([(0.5, 1000)], *window)
 
     @given(
         st.lists(
@@ -70,8 +145,26 @@ class TestRateSeries:
     )
     @settings(max_examples=50)
     def test_total_bytes_conserved(self, arrivals):
-        series = arrivals_to_rate_series(arrivals, 0.0, 10.0, 1.0)
+        series = rate_series(sorted(arrivals), 0.0, 10.0, 1.0)
         assert series.sum() * 1.0 == pytest.approx(sum(b for _, b in arrivals))
+
+    @given(arrival_streams())
+    @example(([(19.799999999999997, 1000), (20.0, 7)], 0.0, 20.0, 0.3))
+    @example(([(9.899999999999999, 1000), (9.9, 5)], 0.0, 10.0, 0.15))
+    @settings(max_examples=60)
+    def test_bit_identical_to_the_per_arrival_loop(self, stream):
+        arrivals, t0, t1, tau = stream
+        try:
+            expected = rate_series_reference(arrivals, t0, t1, tau)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                rate_series(arrivals, t0, t1, tau)
+            return
+        monitor = monitor_of(arrivals)
+        assert monitor.rate_series("f", t0, t1, tau).tobytes() == expected.tobytes()
+        assert monitor.rate_series("other", t0, t1, tau).tobytes() == (
+            rate_series_reference([], t0, t1, tau).tobytes()
+        )
 
 
 class TestCov:
@@ -97,7 +190,7 @@ class TestCov:
         # one packet a second, each alone in a 0.5 s bin: on/off at tau=0.5
         arrivals = [(float(t), 1000) for t in range(100)]
         covs = [
-            coefficient_of_variation(arrivals_to_rate_series(arrivals, 0, 100, tau))
+            coefficient_of_variation(rate_series(arrivals, 0, 100, tau))
             for tau in (0.5, 2.0, 10.0)
         ]
         assert covs[0] == pytest.approx(1.0)

@@ -7,7 +7,6 @@ simulations (format compatibility plus sane end-to-end numbers).
 
 import numpy as np
 
-from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.apps import QualityAdapter, simulate_playout
 from repro.scenarios import run_single_tfrc_on_lossy_path
 from repro.net.path import periodic_loss
@@ -17,13 +16,13 @@ def run_flow(duration=40.0):
     result = run_single_tfrc_on_lossy_path(
         loss_model=periodic_loss(100), duration=duration, rtt=0.1,
     )
-    return result.flow_monitor.arrivals["tfrc"], duration
+    return result.flow_monitor, duration
 
 
 class TestPlayoutOverSimTrace:
     def test_playout_consumes_monitor_arrivals(self):
-        arrivals, duration = run_flow()
-        steady = [(t, b) for t, b in arrivals if t >= 10.0]
+        monitor, duration = run_flow()
+        steady = [(t, b) for t, b in monitor.arrival_series("tfrc") if t >= 10.0]
         bytes_delivered = sum(b for _, b in steady)
         mean_bps = bytes_delivered * 8 / (duration - 10.0)
         stats = simulate_playout(steady, media_rate_bps=0.5 * mean_bps,
@@ -34,8 +33,8 @@ class TestPlayoutOverSimTrace:
         assert stats.played_seconds > 20.0
 
     def test_overprovisioned_media_rate_stalls(self):
-        arrivals, duration = run_flow()
-        steady = [(t, b) for t, b in arrivals if t >= 10.0]
+        monitor, duration = run_flow()
+        steady = [(t, b) for t, b in monitor.arrival_series("tfrc") if t >= 10.0]
         mean_bps = sum(b for _, b in steady) * 8 / (duration - 10.0)
         stats = simulate_playout(steady, media_rate_bps=3.0 * mean_bps,
                                  prebuffer_seconds=1.0, end_time=duration)
@@ -45,8 +44,8 @@ class TestPlayoutOverSimTrace:
 
 class TestAdaptationOverSimTrace:
     def test_adapter_consumes_rate_series(self):
-        arrivals, duration = run_flow()
-        rates = arrivals_to_rate_series(arrivals, 10.0, duration, 0.5)
+        monitor, duration = run_flow()
+        rates = monitor.rate_series("tfrc", 10.0, duration, 0.5)
         rates_bps = [8 * r for r in rates]
         result = QualityAdapter(up_stability=3.0).replay(rates_bps, tau=0.5)
         assert len(result.choices) == len(rates_bps)

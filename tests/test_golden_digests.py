@@ -88,9 +88,9 @@ def mixed_dumbbell(ecn=False, reverse_monitor=False):
     queue = link.queue
     flows = result.flow_monitor
     outcome = {
-        "queue_samples": result.link_monitor.queue_samples,
+        "queue_samples": result.link_monitor.queue_series(),
         "drops": result.link_monitor.drops,
-        "arrivals": {fid: flows.arrivals[fid] for fid in flows.flows()},
+        "arrivals": {fid: flows.arrival_series(fid) for fid in flows.flows()},
         "bytes": dict(flows.bytes_by_flow),
         "packets": dict(flows.packets_by_flow),
         "rate_histories": [f.sender.rate_history for f in result.tfrc_flows],
@@ -109,7 +109,7 @@ def mixed_dumbbell(ecn=False, reverse_monitor=False):
         ],
     }
     if reverse_monitor:
-        outcome["rev_queue_samples"] = rev_monitor.queue_samples
+        outcome["rev_queue_samples"] = rev_monitor.queue_series()
     return trace_signature(tracer), outcome
 
 
@@ -171,7 +171,7 @@ def lossy_path_baseline(flow_cls, sender_counters, receiver_counters,
         "rate_history": _rate_history(flow.sender),
         "sender": _exact(flow.sender, ("packets_sent", "srtt") + sender_counters),
         "receiver": _exact(flow.receiver, receiver_counters),
-        "arrivals": monitor.arrivals["b"],
+        "arrivals": monitor.arrival_series("b"),
         "events": sim.events_processed,
     }
 
@@ -222,13 +222,13 @@ def tcp_lossy_path(variant):
             "packets_sent", "retransmissions", "timeouts", "fast_retransmits",
             "acks_received", "cwnd", "ssthresh", "snd_una", "snd_nxt",
         )),
-        "arrivals": monitor.arrivals["b"],
+        "arrivals": monitor.arrival_series("b"),
         "events": sim.events_processed,
     }
 
 
 def _arrivals(monitor, flow_id):
-    return [(t.hex(), size) for t, size in monitor.arrivals[flow_id]]
+    return [(t.hex(), size) for t, size in monitor.arrival_series(flow_id)]
 
 
 def internet_path_ucl():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.cov import coefficient_of_variation
-from repro.analysis.timeseries import arrivals_to_rate_series
 from repro.scenarios import (
     build_mixed_dumbbell,
     run_mixed_dumbbell,
@@ -47,7 +46,7 @@ class TestFairness:
     def test_high_utilization(self, mixed_run):
         t0, t1 = steady_state_window(40.0, 0.5)
         total = sum(
-            mixed_run.throughput(f, t0, t1)
+            mixed_run.flow_monitor.throughput_bps(f, t0, t1)
             for f in mixed_run.tcp_ids + mixed_run.tfrc_ids
         )
         assert total / 15e6 > 0.80
@@ -55,7 +54,7 @@ class TestFairness:
     def test_every_flow_makes_progress(self, mixed_run):
         t0, t1 = steady_state_window(40.0, 0.5)
         for fid in mixed_run.tcp_ids + mixed_run.tfrc_ids:
-            assert mixed_run.throughput(fid, t0, t1) > 0
+            assert mixed_run.flow_monitor.throughput_bps(fid, t0, t1) > 0
 
     def test_loss_rate_moderate(self, mixed_run):
         assert 0.001 < mixed_run.link_monitor.loss_rate() < 0.15
@@ -71,8 +70,7 @@ class TestSmoothness:
         def mean_cov(ids):
             covs = []
             for fid in ids:
-                arrivals = mixed_run.flow_monitor.arrivals.get(fid, [])
-                series = arrivals_to_rate_series(arrivals, t0, t1, tau)
+                series = mixed_run.flow_monitor.rate_series(fid, t0, t1, tau)
                 covs.append(coefficient_of_variation(series))
             return np.mean(covs)
 
@@ -102,13 +100,16 @@ class TestScenarioBuilder:
         a = run_mixed_dumbbell(duration=10.0, n_tfrc=2, n_tcp=2, seed=5)
         b = run_mixed_dumbbell(duration=10.0, n_tfrc=2, n_tcp=2, seed=5)
         for fid in a.tcp_ids + a.tfrc_ids:
-            assert a.throughput(fid, 5, 10) == b.throughput(fid, 5, 10)
+            assert a.flow_monitor.throughput_bps(fid, 5, 10) == (
+                b.flow_monitor.throughput_bps(fid, 5, 10)
+            )
 
     def test_different_seeds_differ(self):
         a = run_mixed_dumbbell(duration=10.0, n_tfrc=2, n_tcp=2, seed=5)
         b = run_mixed_dumbbell(duration=10.0, n_tfrc=2, n_tcp=2, seed=6)
         diffs = [
-            a.throughput(fid, 5, 10) != b.throughput(fid, 5, 10)
+            a.flow_monitor.throughput_bps(fid, 5, 10)
+            != b.flow_monitor.throughput_bps(fid, 5, 10)
             for fid in a.tcp_ids
         ]
         assert any(diffs)

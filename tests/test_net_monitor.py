@@ -40,13 +40,13 @@ class TestLinkMonitor:
         _, _, monitor = self.make()
         assert monitor.loss_rate() == 0.0
 
-    def test_queue_samples_collected(self):
+    def test_queue_series_collected(self):
         sim, link, monitor = self.make(capacity=10)
         for i in range(3):
             link.send(make_packet("f", i))
         sim.run()
-        assert monitor.queue_samples
-        depths = [d for _, d in monitor.queue_samples]
+        assert monitor.queue_series()
+        depths = [d for _, d in monitor.queue_series()]
         assert max(depths) >= 1
 
     def test_queue_series_window(self):
@@ -137,7 +137,6 @@ class TestMonitorLiteralValues:
         assert monitor.flows() == ["a", "b"]
         series = {"a": [(1.0, 500), (2.0, 700), (4.0, 900)], "b": [(2.5, 300)]}
         for fid, pairs in series.items():
-            assert monitor.arrivals[fid] == pairs
             assert monitor.arrival_series(fid) == pairs
         assert monitor.arrival_series("missing") == []
         # bits over the window length, per flow ("a", "b", "missing")
@@ -175,19 +174,8 @@ class TestMonitorLiteralValues:
         # drains one per millisecond.
         samples = [(0.0, 1), (0.0, 0), (0.0, 1), (0.0, 2), (0.0, 2),
                    (0.0, 2), (0.0, 2), (0.001, 1), (0.002, 0)]
-        assert monitor.queue_samples == samples
+        assert monitor.queue_series() == samples
         assert monitor.drops == [(0.0, "f")] * 3
         assert len(monitor.drops) == 3
         assert monitor.queue_series(t_min=0.0005) == samples[-2:]
         assert monitor.queue_series(t_min=0.0, t_max=0.001) == samples[:-1]
-
-    def test_arrivals_view_is_mapping_like(self):
-        monitor = FlowMonitor()
-        self._fill_flow(monitor)
-        view = monitor.arrivals
-        assert set(view) == {"a", "b"}
-        assert len(view) == 2
-        assert view.get("missing", []) == []
-        assert view["b"] == [(2.5, 300)]
-        with pytest.raises(KeyError):
-            view["missing"]

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from repro.experiments import fig20_halving as fig20
 from repro.scenarios import (
     FileQueueExecutor,
     LocalExecutor,
@@ -413,6 +414,26 @@ class TestSweepRunner:
             SweepRunner(
                 self.BASE, {("extra.x", "seed"): [(1, 10, 99)]}
             ).cells()
+
+    def test_describe_lists_uncut_overrides_verbatim(self):
+        cells = SweepRunner(self.BASE, {"extra.x": [1], "seed": [10]}).cells()
+        assert cells[0].describe() == "test_echo[extra.x=1, seed=10]"
+        assert SweepRunner(self.BASE, {}).cells()[0].describe() == "test_echo"
+
+    def test_describe_tells_apart_cells_cut_alike(self):
+        """Figure 21's drop periods 100 and 10 share the first 45 characters
+        of their loss phases: the spec hash follows the cut text."""
+        described = []
+        fig20.run_sweep(
+            initial_periods=(100, 10),
+            progress=lambda done, total, cell: described.append(
+                (cell.describe(), cell.key)
+            ),
+        )
+        assert described[0][0] != described[1][0]
+        for text, key in described:
+            assert text.startswith("fig20_halving[loss.phases=[{")
+            assert "...]#" in text and text.endswith(key.rsplit("-", 1)[1])
 
     def test_shared_seed_mode_keeps_base_seed(self):
         cells = SweepRunner(self.BASE, {"extra.x": [1, 2]}).cells()

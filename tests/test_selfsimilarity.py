@@ -14,17 +14,23 @@ from repro.analysis.selfsimilarity import (
     hurst_variance_time,
     variance_time_points,
 )
-from repro.analysis.timeseries import arrivals_to_rate_series
+from repro.net.monitor import FlowMonitor
+from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.traffic.onoff import OnOffSource
 
 
+def aggregate_rate(monitor, t0, t1, tau):
+    """The summed Eq. (2) rate series of every flow ``monitor`` saw."""
+    return sum(monitor.rate_series(fid, t0, t1, tau) for fid in monitor.flows())
+
+
 class CollectingSink:
     def __init__(self):
-        self.arrivals = []
+        self.monitor = FlowMonitor()
 
     def send(self, packet):
-        self.arrivals.append((packet.sent_at, packet.size))
+        self.monitor.on_packet(packet.sent_at, packet)
         return True
 
     def connect(self, receiver):
@@ -85,17 +91,17 @@ class TestOnOffAggregateIsSelfSimilar:
         for source in sources:
             source.start(at=float(rng.uniform(0, 5)))
         sim.run(until=600.0)
-        series = arrivals_to_rate_series(sink.arrivals, 50.0, 600.0, 0.1)
+        series = aggregate_rate(sink.monitor, 50.0, 600.0, 0.1)
         hurst = hurst_variance_time(series, levels=(1, 2, 4, 8, 16, 32, 64, 128))
         assert hurst > 0.6  # clearly long-range dependent
 
     def test_poisson_control_is_not(self):
         """Control experiment: Poisson arrivals at the same mean rate."""
         rng = np.random.default_rng(8)
-        t, arrivals = 0.0, []
+        t, monitor = 0.0, FlowMonitor()
         while t < 600.0:
             t += rng.exponential(1.0 / 400.0)
-            arrivals.append((t, 1000))
-        series = arrivals_to_rate_series(arrivals, 50.0, 600.0, 0.1)
+            monitor.on_packet(t, Packet("poisson", 0, 1000))
+        series = aggregate_rate(monitor, 50.0, 600.0, 0.1)
         hurst = hurst_variance_time(series, levels=(1, 2, 4, 8, 16, 32, 64, 128))
         assert hurst < 0.65

@@ -8,7 +8,8 @@ Under ``scenarios/`` and ``experiments/`` the only ``Simulator(...)``,
 means a figure assembles its scene by hand again -- out of reach of the
 tracer ``Testbed.__init__`` takes and of the link-conservation check
 ``Testbed.run`` ends with (over ``Testbed.links``: a dumbbell's two links,
-fig03's pipe).
+fig03's pipe), and of the delivered-packet check ``DumbbellTestbed.run``
+adds (the flow monitor against each monitored flow's receiver).
 """
 
 import ast
@@ -18,6 +19,7 @@ import pytest
 
 from repro.experiments import fig03_oscillation as fig03
 from repro.net import DumbbellConfig
+from repro.net.packet import Packet
 from repro.scenarios import DumbbellTestbed
 from repro.sim.engine import SimulationError
 
@@ -132,3 +134,18 @@ def test_corrupt_pipe_counter_names_the_pipe(monkeypatch):
         fig03.run_one(8, False, duration=2.0)
     message = str(raised.value)
     assert "t=2.0" in message and "'enqueued'" in message
+
+
+@pytest.mark.parametrize("flow_id", ["tfrc", "tcp"])
+def test_phantom_arrival_names_the_flow(flow_id):
+    """One arrival the monitor recorded but no receiver counted."""
+    bed = _built_testbed()
+    bed.sim.schedule(
+        1.0, bed.flow_monitor.on_packet, 1.0, Packet(flow_id, 10**6, 1000)
+    )
+    with pytest.raises(SimulationError, match=f"flow {flow_id}: ") as raised:
+        bed.run(3.0)
+    message = str(raised.value)
+    seen = bed.flow_monitor.packets_by_flow[flow_id]
+    assert f"recorded {seen} packets, receiver counted {seen - 1} " in message
+    assert message.endswith("at t=3.0")

@@ -638,12 +638,8 @@ MEMBER_ALLOWLIST = {
     ("src/repro/experiments/fig20_halving.py", "Fig21Result.defined"):
         "claim statistic: benchmarks/test_fig21_halving_sweep.py asserts "
         "over the drop rates whose rate halved",
-    ("src/repro/net/monitor.py", "LinkMonitor.queue_samples"):
-        "golden-digest input: the mixed-dumbbell runs hash the queue series",
     ("src/repro/net/monitor.py", "LinkMonitor.drops"):
         "golden-digest input: the mixed-dumbbell runs hash the drop list",
-    ("src/repro/net/monitor.py", "FlowMonitor.packets_by_flow"):
-        "golden-digest input: the mixed-dumbbell runs hash per-flow counts",
     ("src/repro/sim/process.py", "Timer.expiry"):
         "fuzz reference: test_fast_timer.py's randomized schedules compare "
         "FastTimer's expiry with this one after every operation",

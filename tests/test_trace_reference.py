@@ -17,6 +17,7 @@ python/numpy/machine triple, these run everywhere.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_models import rate_series_reference
 from repro.net.monitor import LinkMonitor
 from repro.scenarios.builders import build_mixed_dumbbell
 from repro.sim.trace import CHUNK, TraceRecord, Tracer
@@ -117,7 +118,7 @@ def test_traced_mixed_dumbbell_reads_match_the_reference():
     # The monitors' own series are the streams they fed the reference.
     link_monitor = built.link_monitor
     queue_ref = [(r.time, r.value) for r in reference.select("queue", link)]
-    assert link_monitor.queue_samples == queue_ref
+    assert link_monitor.queue_series() == queue_ref
     edges = [queue_ref[len(queue_ref) // 3][0], queue_ref[len(queue_ref) // 2][0]]
     for t_min, t_max in [(0.0, None), (10.5, 12.0), (13.9, 100.0), (15.0, None),
                          (edges[0], edges[1]), (edges[1], None)]:
@@ -132,8 +133,11 @@ def test_traced_mixed_dumbbell_reads_match_the_reference():
     assert flow_monitor.flows() == reference.sources("recv")
     for fid in reference.sources("recv"):
         pairs = [(r.time, r.value) for r in reference.select("recv", fid)]
-        assert flow_monitor.arrivals[fid] == pairs
         assert flow_monitor.arrival_series(fid) == pairs
+        for tau in (0.15, 0.5, 1.0):
+            assert flow_monitor.rate_series(fid, 6.0, 14.0, tau).tobytes() == (
+                rate_series_reference(pairs, 6.0, 14.0, tau).tobytes()
+            )
         assert flow_monitor.bytes_by_flow[fid] == sum(s for _, s in pairs)
         assert flow_monitor.packets_by_flow[fid] == len(pairs)
         edges = (pairs[len(pairs) // 4][0], pairs[len(pairs) // 2][0])
@@ -155,7 +159,7 @@ def test_untraced_linkmonitor_matches_a_plain_list():
     link.add_queue_sample_hook(lambda now, depth: samples.append((now, depth)))
     built.sim.run(until=16.0)
     assert len(samples) > CHUNK
-    assert monitor.queue_samples == samples
+    assert monitor.queue_series() == samples
     assert monitor.queue_series(12.0, 13.0) == [
         (t, d) for t, d in samples if 12.0 <= t <= 13.0
     ]
