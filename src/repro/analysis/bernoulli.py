@@ -15,7 +15,7 @@ simulation validates the closed form and exercises the estimator machinery.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -52,12 +52,15 @@ def loss_event_fraction_analytic(p_loss: float, packets_per_rtt: float) -> float
     return (1.0 - (1.0 - p_loss) ** n) / n
 
 
+#: cap on :func:`consistent_loss_event_fraction`'s fixed-point steps.
+FIXED_POINT_ITERATIONS = 100
+
+
 def consistent_loss_event_fraction(
     p_loss: float,
     packet_size: int = 1000,
     rtt: float = 0.1,
     rate_multiplier: float = 1.0,
-    iterations: int = 100,
 ) -> float:
     """Self-consistent p_event for a flow whose *rate* depends on p_event.
 
@@ -69,7 +72,7 @@ def consistent_loss_event_fraction(
     if p_loss == 0:
         return 0.0
     p_event = p_loss  # initial guess: no coalescing
-    for _ in range(iterations):
+    for _ in range(FIXED_POINT_ITERATIONS):
         n = packets_per_rtt_from_equation(
             p_event, packet_size=packet_size, rtt=rtt, rate_multiplier=rate_multiplier
         )

@@ -22,6 +22,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 Series = Sequence[Tuple[float, float]]
 
 _GLYPHS = "*o+x#@%&"
+#: :func:`line_chart`'s plot area, in character cells.
+CHART_WIDTH, CHART_HEIGHT = 64, 16
+#: :func:`histogram`'s longest bar, in characters.
+BAR_WIDTH = 48
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
 
@@ -44,8 +48,6 @@ def _axis_bounds(values: Sequence[float]) -> Tuple[float, float]:
 def line_chart(
     series: Dict[str, Series],
     title: str = "",
-    width: int = 64,
-    height: int = 16,
     x_label: str = "",
     y_label: str = "",
     log_x: bool = False,
@@ -55,7 +57,6 @@ def line_chart(
     Args:
         series: mapping from series name to its points; each series gets a
             distinct glyph, listed in the legend.
-        width, height: plot-area size in character cells.
         log_x: place points on a logarithmic x axis (timescale sweeps).
 
     Points sharing a cell are drawn with the glyph of the *first* series
@@ -63,8 +64,7 @@ def line_chart(
     frame with a "no data" note rather than raising, so a failed
     experiment still renders a report.
     """
-    if width < 16 or height < 4:
-        raise ValueError("chart must be at least 16x4 cells")
+    width, height = CHART_WIDTH, CHART_HEIGHT
     cleaned = {name: _finite_points(pts) for name, pts in series.items()}
     all_points = [p for pts in cleaned.values() for p in pts]
     lines: List[str] = []
@@ -128,8 +128,6 @@ def histogram(
     labels: Sequence[str],
     values: Sequence[float],
     title: str = "",
-    width: int = 48,
-    unit: str = "",
 ) -> str:
     """Horizontal bar chart: one labelled bar per value."""
     if len(labels) != len(values):
@@ -147,9 +145,9 @@ def histogram(
         if not math.isfinite(value):
             bar, shown = "?", "nan"
         else:
-            length = 0 if peak == 0 else round(abs(value) / peak * width)
+            length = 0 if peak == 0 else round(abs(value) / peak * BAR_WIDTH)
             bar = "#" * length
-            shown = f"{value:.4g}{unit}"
+            shown = f"{value:.4g}"
         lines.append(f"{str(label).rjust(label_width)} | {bar} {shown}")
     return "\n".join(lines)
 

@@ -46,15 +46,17 @@ def variance_time_points(
     return out
 
 
-def hurst_variance_time(
-    series: Sequence[float], levels: Sequence[int] = (1, 2, 4, 8, 16, 32, 64)
-) -> float:
+#: the aggregation levels :func:`hurst_variance_time` fits over.
+HURST_LEVELS = (1, 2, 4, 8, 16, 32, 64)
+
+
+def hurst_variance_time(series: Sequence[float]) -> float:
     """Hurst parameter estimate from the variance-time slope.
 
     Fits ``log Var(X^(m)) = beta * log m + c``; ``H = 1 + beta / 2``.
     Returns a value clipped into [0, 1] (estimator noise can stray outside).
     """
-    points = variance_time_points(series, levels)
+    points = variance_time_points(series, HURST_LEVELS)
     ms = np.log([m for m, _ in points])
     variances = np.log([max(v, 1e-30) for _, v in points])
     beta = float(np.polyfit(ms, variances, 1)[0])

@@ -30,14 +30,10 @@ def t_critical_90(dof: int) -> float:
     return 1.645
 
 
-def confidence_interval(samples: Sequence[float], level: float = 0.9) -> float:
-    """Half-width of the mean's confidence interval.
-
-    Only the 90% level used by the paper is supported (other levels raise),
-    keeping the implementation dependency-free and exact for its one job.
+def confidence_interval(samples: Sequence[float]) -> float:
+    """Half-width of the mean's 90% confidence interval, the paper's level
+    (a Student-t table keeps it dependency-free and exact for its one job).
     """
-    if level != 0.9:
-        raise ValueError("only the paper's 90% level is supported")
     values = np.asarray(samples, dtype=float)
     if values.size < 2:
         return 0.0

@@ -8,7 +8,7 @@ follows the allowed transmission rate.  The user-visible consequence of a
 :class:`QualityAdapter` replays a delivery-rate time series against an
 encoding ladder with the standard player policy:
 
-* pick the highest level whose bitrate fits within ``headroom`` of the
+* pick the highest level whose bitrate fits within ``HEADROOM`` of the
   measured rate;
 * switch **down** immediately (continuing to send above the available
   rate causes stalls);
@@ -21,8 +21,8 @@ the terms in which the paper's smoothness claim matters to users.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -89,34 +89,25 @@ class AdaptationResult:
 class QualityAdapter:
     """Replay delivery rates against an encoding ladder."""
 
-    def __init__(
-        self,
-        levels: Optional[Sequence[EncodingLevel]] = None,
-        headroom: float = 0.85,
-        up_stability: float = 5.0,
-    ) -> None:
+    #: fraction of the measured rate usable for media (the rest absorbs
+    #: jitter and protocol overhead).
+    HEADROOM = 0.85
+
+    def __init__(self, up_stability: float = 5.0) -> None:
         """
         Args:
-            levels: the encoding ladder; defaults to :func:`standard_ladder`.
-            headroom: fraction of the measured rate usable for media (the
-                rest absorbs jitter and protocol overhead).
             up_stability: seconds the rate must support a higher level
                 before switching up.
         """
-        ladder = sorted(levels if levels is not None else standard_ladder())
-        if not ladder:
-            raise ValueError("the encoding ladder must not be empty")
-        if not 0 < headroom <= 1:
-            raise ValueError("headroom must be in (0, 1]")
         if up_stability < 0:
             raise ValueError("up_stability cannot be negative")
-        self.levels: List[EncodingLevel] = ladder
-        self.headroom = headroom
+        #: the encoding ladder, lowest bitrate first.
+        self.levels: List[EncodingLevel] = sorted(standard_ladder())
         self.up_stability = up_stability
 
     def _fitting_level(self, rate_bps: float) -> int:
         """Highest ladder index affordable at ``rate_bps`` (or -1)."""
-        budget = rate_bps * self.headroom
+        budget = rate_bps * self.HEADROOM
         best = -1
         for index, level in enumerate(self.levels):
             if level.bitrate_bps <= budget:

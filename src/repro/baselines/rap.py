@@ -17,15 +17,14 @@ timeout-dominated regimes.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from repro.baselines.ack import AckReceiver, PacketAck
-from repro.core.paced import PacedSender, PacketSender
+from repro.core.paced import PACKET_SIZE, PacedSender, PacketSender
 from repro.net.flow import Flow, Port
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.process import FastTimer
-from repro.sim.trace import Tracer
 
 
 class RapSender(PacedSender):
@@ -40,13 +39,11 @@ class RapSender(PacedSender):
         sim: Simulator,
         flow_id: str,
         send_packet: PacketSender,
-        packet_size: int = 1000,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         super().__init__(
-            sim, flow_id, send_packet, packet_size,
+            sim, flow_id, send_packet, PACKET_SIZE,
             rate=16_000.0 / 8.0, initial_rtt=0.2,  # 16 kb/s
-            rtt_ewma_weight=0.125, tracer=tracer,
+            rtt_ewma_weight=0.125,
         )
         self._highest_acked = -1
         # Both sets only ever hold sequence numbers at or above

@@ -17,14 +17,14 @@ Receiver-side emulation:
   arrivals in slow start, +1/cwnd per arrival in congestion avoidance;
 * a detected loss (sequence gap) halves the emulated window once per
   emulated RTT-window of packets (mirroring one-reduction-per-window TCP);
-* the reported rate is ``EWMA(cwnd) * packet_size / rtt``.
+* the reported rate is ``EWMA(cwnd) * PACKET_SIZE / rtt``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.paced import PacedSender, PacketSender
+from repro.core.paced import PACKET_SIZE, PacedSender, PacketSender
 from repro.core.sender import TfrcDataInfo
 from repro.net.flow import Flow, Port
 from repro.net.packet import Packet, PacketType
@@ -54,14 +54,12 @@ class TearReceiver:
         sim: Simulator,
         flow_id: str,
         send_report: PacketSender,
-        packet_size: int = 1000,
-        on_data: Optional[Callable[[float, Packet], None]] = None,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
         self._send_report = send_report
-        self.on_data = on_data
-        self.packet_size = packet_size
+        #: ``on_data(now, packet)`` per data arrival, if set.
+        self.on_data: Optional[Callable[[float, Packet], None]] = None
         self._rtt = 0.3  # until a data packet carries an RTT estimate
         self.cwnd = 2.0
         self.ssthresh = 64.0
@@ -128,7 +126,7 @@ class TearReceiver:
 
     def rate(self) -> float:
         """The translated rate: smoothed window / RTT, in bytes/second."""
-        return self.smoothed_cwnd * self.packet_size / max(self._rtt, 1e-3)
+        return self.smoothed_cwnd * PACKET_SIZE / max(self._rtt, 1e-3)
 
     def _report_interval(self) -> float:
         return max(self._rtt, 0.05)
@@ -138,10 +136,9 @@ class TearReceiver:
 
     def _report_due(self) -> None:
         if self._last_packet is not None:
-            info = self._last_packet.payload
-            echo_ts = getattr(info, "ts", self._last_packet.sent_at)
             report = TearReport(
-                rate=self.rate(), echo_ts=echo_ts, echo_seq=self._last_packet.seq
+                rate=self.rate(), echo_ts=self._last_packet.sent_at,
+                echo_seq=self._last_packet.seq,
             )
             packet = Packet(
                 flow_id=self.flow_id,
@@ -167,10 +164,9 @@ class TearSender(PacedSender):
         sim: Simulator,
         flow_id: str,
         send_packet: PacketSender,
-        packet_size: int = 1000,
     ) -> None:
         super().__init__(
-            sim, flow_id, send_packet, packet_size,
+            sim, flow_id, send_packet, PACKET_SIZE,
             rate=32_000.0 / 8.0, initial_rtt=0.3,  # 32 kb/s
             rtt_ewma_weight=0.1,
         )
@@ -188,7 +184,7 @@ class TearSender(PacedSender):
 
     def _data_payload(self) -> TfrcDataInfo:
         # Same piggyback format as TFRC: the receiver needs the sender's RTT.
-        return TfrcDataInfo(ts=self.sim._now, rtt_estimate=self._rtt_or_default())
+        return TfrcDataInfo(self._rtt_or_default())
 
 
 class TearFlow(Flow):
@@ -200,11 +196,9 @@ class TearFlow(Flow):
         flow_id: str,
         forward_port: Port,
         reverse_port: Port,
-        on_data=None,
-        **sender_kwargs,
     ) -> None:
-        sender = TearSender(sim, flow_id, forward_port.send, **sender_kwargs)
-        receiver = TearReceiver(sim, flow_id, reverse_port.send, on_data=on_data)
+        sender = TearSender(sim, flow_id, forward_port.send)
+        receiver = TearReceiver(sim, flow_id, reverse_port.send)
         super().__init__(
             sim, flow_id, forward_port, reverse_port,
             sender, receiver, sender.on_report,

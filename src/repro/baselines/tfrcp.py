@@ -2,7 +2,7 @@
 
 A reproduction of the protocol the paper compares against in section 5
 (Padhye, Kurose, Towsley, Koodli, NOSSDAV'99): the receiver acknowledges
-every packet; at fixed time intervals ``update_interval`` the sender computes
+every packet; every ``UPDATE_INTERVAL`` seconds the sender computes
 the loss fraction observed during the previous interval and evaluates the
 same TCP response function to reset its rate.  Between updates the rate is
 constant, whatever the network does -- the source of the poor transient
@@ -11,38 +11,33 @@ behaviour the paper reports.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from repro.baselines.ack import AckReceiver, PacketAck
 from repro.core.equations import tcp_response_rate
-from repro.core.paced import PacedSender, PacketSender
+from repro.core.paced import PACKET_SIZE, PacedSender, PacketSender
 from repro.net.flow import Flow, Port
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.process import FastTimer
-from repro.sim.trace import Tracer
 
 
 class TfrcpSender(PacedSender):
     """Fixed-interval, equation-based rate controller."""
+
+    UPDATE_INTERVAL = 5.0  # seconds between rate updates
 
     def __init__(
         self,
         sim: Simulator,
         flow_id: str,
         send_packet: PacketSender,
-        packet_size: int = 1000,
-        update_interval: float = 5.0,
-        tracer: Optional[Tracer] = None,
     ) -> None:
-        if update_interval <= 0:
-            raise ValueError("update_interval must be positive")
         super().__init__(
-            sim, flow_id, send_packet, packet_size,
+            sim, flow_id, send_packet, PACKET_SIZE,
             rate=16_000.0 / 8.0, initial_rtt=0.2,  # 16 kb/s
-            rtt_ewma_weight=0.1, tracer=tracer,
+            rtt_ewma_weight=0.1,
         )
-        self.update_interval = update_interval
         # This interval's packets are ``range(_interval_first_seq, _seq)``.
         self._interval_first_seq = 0
         self._acked_this_interval: Set[int] = set()
@@ -50,7 +45,7 @@ class TfrcpSender(PacedSender):
         self.acks_received = 0
 
     def _after_start(self) -> None:
-        self._update_timer.start(self.update_interval)
+        self._update_timer.start(self.UPDATE_INTERVAL)
 
     def stop(self) -> None:
         super().stop()
@@ -96,7 +91,7 @@ class TfrcpSender(PacedSender):
         self._interval_first_seq = self._seq
         self._acked_this_interval.clear()
         if not self._stopped:
-            self._update_timer.start(self.update_interval)
+            self._update_timer.start(self.UPDATE_INTERVAL)
 
 
 class TfrcpFlow(Flow):

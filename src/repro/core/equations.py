@@ -75,12 +75,15 @@ def simple_response_rate(packet_size: int, rtt: float, p: float) -> float:
     return packet_size * math.sqrt(1.5) / (rtt * math.sqrt(p))
 
 
+#: relative width at which :func:`invert_response` stops bisecting.
+INVERT_TOLERANCE = 1e-12
+
+
 def invert_response(
     packet_size: int,
     rtt: float,
     target_rate: float,
     t_rto: float,
-    tolerance: float = 1e-12,
 ) -> float:
     """Find the loss event rate ``p`` at which Equation (1) yields
     ``target_rate`` bytes/second.
@@ -92,7 +95,7 @@ def invert_response(
     loss interval that would be required to produce this data rate"
     (section 3.4.1).
 
-    Returns ``p`` clamped into [P_MIN, 1].
+    Returns ``p`` clamped into [P_MIN, 1], to ``INVERT_TOLERANCE``.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
@@ -101,7 +104,7 @@ def invert_response(
     if tcp_response_rate(packet_size, rtt, 1.0, t_rto) >= target_rate:
         return 1.0
     lo, hi = P_MIN, 1.0
-    while hi - lo > tolerance * max(1.0, hi):
+    while hi - lo > INVERT_TOLERANCE * max(1.0, hi):
         mid = math.sqrt(lo * hi)  # geometric bisection: p spans many decades
         if tcp_response_rate(packet_size, rtt, mid, t_rto) > target_rate:
             lo = mid
@@ -136,7 +139,6 @@ def invert_response_vec(
     rtt: np.ndarray,
     target_rate: np.ndarray,
     t_rto: np.ndarray,
-    tolerance: float = 1e-12,
 ) -> np.ndarray:
     """Element-wise :func:`invert_response` over vectors of cells.
 
@@ -160,7 +162,7 @@ def invert_response_vec(
     lo = np.full(rtt.shape, P_MIN, dtype=np.float64)
     hi = np.ones(rtt.shape, dtype=np.float64)
     while True:
-        running = active & (hi - lo > tolerance * np.maximum(1.0, hi))
+        running = active & (hi - lo > INVERT_TOLERANCE * np.maximum(1.0, hi))
         if not running.any():
             break
         mid = np.sqrt(lo * hi)  # geometric bisection: p spans many decades

@@ -5,12 +5,12 @@ losses that begin within one round-trip time of each other into a single
 **loss event** (paper section 3.5.1: "we explicitly ignore losses within a
 round-trip time that follow an initial loss").
 
-Detection is declared after a small number of subsequent packets arrive
-(``reorder_tolerance``), mirroring TCP's three-dupACK heuristic, so mild
-reordering does not masquerade as loss.  The loss *time* of a hole is
-interpolated between the arrival times of the packets surrounding it, which
-is what decides whether the hole joins the previous loss event or starts a
-new one.
+Detection is declared after ``REORDER_TOLERANCE`` subsequent packets arrive
+(three: RFC 5348's NDUPACK, the paper's section 3.5.1), mirroring TCP's
+three-dupACK heuristic, so mild reordering does not masquerade as loss.
+The loss *time* of a hole is interpolated between the arrival times of the
+packets surrounding it, which is what decides whether the hole joins the
+previous loss event or starts a new one.
 
 Deep reordering can outlast the tolerance: a packet may be declared lost
 and still arrive later.  Such late arrivals **retract** the declaration --
@@ -51,16 +51,15 @@ class LossEventDetector:
     :class:`LossEvent` record -- TFRC uses this for expedited feedback.
     """
 
+    #: later arrivals that declare a hole lost (NDUPACK).
+    REORDER_TOLERANCE = 3
+
     def __init__(
         self,
         rtt_fn: Callable[[], float],
-        reorder_tolerance: int = 3,
         on_event: Optional[Callable[[LossEvent], None]] = None,
     ) -> None:
-        if reorder_tolerance < 0:
-            raise ValueError("reorder_tolerance cannot be negative")
         self.rtt_fn = rtt_fn
-        self.reorder_tolerance = reorder_tolerance
         self.on_event = on_event
         self._next_expected = 0
         self._pending_holes: Dict[int, float] = {}  # seq -> interpolated time
@@ -158,7 +157,7 @@ class LossEventDetector:
         matured = [
             seq
             for seq, followers in self._holes_followers.items()
-            if followers >= max(1, self.reorder_tolerance)
+            if followers >= self.REORDER_TOLERANCE
         ]
         new_events: List[LossEvent] = []
         for seq in sorted(matured):

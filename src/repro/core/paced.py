@@ -26,6 +26,10 @@ PacketSender = Callable[[Packet], None]
 
 #: Maximum back-off interval: never send slower than one packet per 64 s.
 T_MBI = 64.0
+#: bytes per data packet wherever no caller picks a size: the baseline,
+#: multicast and TCP senders and the background sources (the paper's
+#: 1000-byte packets, section 4.1.2).
+PACKET_SIZE = 1000
 
 
 class PacedSender:

@@ -266,7 +266,7 @@ class TfrcReceiver:
                 f"is outside [0, 1]"
             )
         feedback = TfrcFeedback(
-            echo_ts=getattr(last.payload, "ts", last.sent_at),
+            echo_ts=last.sent_at,
             echo_seq=last.seq,
             delay=now - self._last_packet_recv_time,
             p=p,

@@ -40,17 +40,19 @@ from repro.sim.trace import Tracer
 
 
 class TfrcDataInfo:
-    """Payload piggybacked on TFRC data packets."""
+    """Payload piggybacked on TFRC data packets: the sender's RTT estimate.
+    The receiver echoes the packet's ``sent_at`` as the timestamp."""
 
-    __slots__ = ("ts", "rtt_estimate")
+    __slots__ = ("rtt_estimate",)
 
-    def __init__(self, ts: float, rtt_estimate: float) -> None:
-        self.ts = ts
+    def __init__(self, rtt_estimate: float) -> None:
         self.rtt_estimate = rtt_estimate
 
 
 class TfrcSender(PacedSender):
     """Sender half of the TFRC protocol."""
+
+    INITIAL_RTT = 0.5  # seconds assumed before the first RTT sample
 
     def __init__(
         self,
@@ -60,7 +62,6 @@ class TfrcSender(PacedSender):
         packet_size: int = 1000,
         rtt_ewma_weight: float = 0.1,
         interpacket_adjustment: bool = True,
-        initial_rtt: float = 0.5,
         tracer: Optional[Tracer] = None,
         ecn: bool = False,
     ) -> None:
@@ -68,7 +69,7 @@ class TfrcSender(PacedSender):
             raise ValueError("rtt_ewma_weight must be in (0, 1]")
         super().__init__(
             sim, flow_id, send_packet, packet_size,
-            rate=packet_size / initial_rtt, initial_rtt=initial_rtt,
+            rate=packet_size / self.INITIAL_RTT, initial_rtt=self.INITIAL_RTT,
             rtt_ewma_weight=rtt_ewma_weight, tracer=tracer,
         )
         self.interpacket_adjustment = interpacket_adjustment
@@ -196,7 +197,7 @@ class TfrcSender(PacedSender):
         size = self.packet_size
         packet = Packet(
             self.flow_id, seq, size, PacketType.DATA, now,
-            TfrcDataInfo(now, rtt), self.ecn,
+            TfrcDataInfo(rtt), self.ecn,
         )
         self._seq = seq + 1
         self.packets_sent += 1

@@ -12,9 +12,7 @@ monitored long-duration flows, one TCP and one TFRC.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.analysis.cov import coefficient_of_variation
 from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario

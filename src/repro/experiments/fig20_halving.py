@@ -34,8 +34,13 @@ from repro.scenarios.spec import JsonDict
 
 #: one drop every this-many packets from the onset on.
 CONGESTED_PERIOD = 2
+#: Figure 20's drop period before the onset.
+INITIAL_PERIOD = 100
 ONSET = 10.0
 RTT = 0.1
+#: simulated seconds of Figure 20's run and of each Figure 21 cell.
+DURATION = 14.0
+SWEEP_DURATION = 16.0
 
 
 @dataclass
@@ -107,12 +112,11 @@ def _spec(initial_period: int, duration: float) -> ScenarioSpec:
     )
 
 
-def run(
-    initial_period: int = 100, duration: float = 14.0, **sweep: object
-) -> HalvingResult:
-    """Run the Figure 20 scenario."""
+def run(**sweep: object) -> HalvingResult:
+    """Run the Figure 20 scenario: one drop every ``INITIAL_PERIOD``
+    packets, ``DURATION`` simulated seconds."""
     return HalvingResult(
-        **run_single_cell(_spec(initial_period, duration), **sweep)
+        **run_single_cell(_spec(INITIAL_PERIOD, DURATION), **sweep)
     )
 
 
@@ -131,15 +135,15 @@ class Fig21Result:
 
 def run_sweep(
     initial_periods: Sequence[int] = (200, 100, 50, 25, 10, 5, 4),
-    duration: float = 16.0,
     **sweep: object,
 ) -> Fig21Result:
-    """Figure 21: sweep the pre-congestion drop rate.
+    """Figure 21: sweep the pre-congestion drop rate, ``SWEEP_DURATION``
+    simulated seconds per cell.
 
     One grid axis -- the scheduled loss phases, one value per initial drop
     period -- so every drop rate is an independent cell.
     """
-    specs = [_spec(period, duration) for period in initial_periods]
+    specs = [_spec(period, SWEEP_DURATION) for period in initial_periods]
     cells = SweepRunner(
         specs[0],
         {"loss.phases": [spec.loss["phases"] for spec in specs]},

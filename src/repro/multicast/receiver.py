@@ -10,7 +10,7 @@ reports it when its suppression timer wins the round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,13 +45,13 @@ class MulticastReceiver:
         rng: np.random.Generator,
         packet_size: int = 1000,
         round_duration: float = 1.0,
-        on_data: Optional[Callable[[float, Packet], None]] = None,
     ) -> None:
         self.sim = sim
         self.receiver_id = receiver_id
         self._send_report = send_report
         self.packet_size = packet_size
-        self.on_data = on_data
+        #: ``on_data(now, packet)`` per data arrival, if set.
+        self.on_data: Optional[Callable[[float, Packet], None]] = None
         self._rtt = 0.3  # until a data packet carries an RTT estimate
         self.intervals = AverageLossIntervals()
         self.detector = LossEventDetector(

@@ -101,4 +101,4 @@ class MulticastTfrcSender(PacedSender):
     # -------------------------------------------------------------- pacing
 
     def _data_payload(self) -> TfrcDataInfo:
-        return TfrcDataInfo(ts=self.sim.now, rtt_estimate=self._rtt_or_default())
+        return TfrcDataInfo(self._rtt_or_default())

@@ -9,10 +9,9 @@ the reports being multicast).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.core.paced import PACKET_SIZE
 from repro.multicast.receiver import MulticastReceiver, MulticastReport
 from repro.multicast.sender import MulticastTfrcSender
 from repro.net.packet import Packet
@@ -29,7 +28,6 @@ class MulticastTfrcSession:
         sim: Simulator,
         receiver_specs: Sequence[Tuple[float, Optional[LossModel]]],
         seed: int = 0,
-        packet_size: int = 1000,
         round_duration: float = 1.0,
     ) -> None:
         """``receiver_specs`` is a list of ``(one_way_delay, loss_model)``."""
@@ -46,7 +44,7 @@ class MulticastTfrcSession:
             "mcast",
             send_packet=self._replicate,
             echo_report=self._echo_to_group,
-            packet_size=packet_size,
+            packet_size=PACKET_SIZE,
             round_duration=round_duration,
         )
         self.sender.on_round_start = self._start_receiver_round
@@ -63,7 +61,7 @@ class MulticastTfrcSession:
                 receiver_id,
                 send_report=up.send,
                 rng=registry.stream(f"suppression-{index}"),
-                packet_size=packet_size,
+                packet_size=PACKET_SIZE,
                 round_duration=round_duration,
             )
             down.connect(receiver.receive)

@@ -20,7 +20,7 @@ property the bench asserts.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -40,15 +40,17 @@ class FeedbackSuppression:
         rng: random stream for the exponential timer draw.
         round_duration: length of one feedback round (the sender announces
             this; several RTTs for multicast).
-        bias_strength: how strongly the rate separates firing times; with
-            ``b`` the deterministic component is ``T * (1 - b + b * u)``
-            where ``u`` in [0,1] grows with the receiver's rate relative to
-            ``RATE_SCALE``.
-        suppress_factor: a heard report with rate ``r`` suppresses this
-            receiver unless ``own_rate < r / suppress_factor``.
     """
 
     RATE_SCALE = 1e6  # bytes/second whose timer sits at the end of the round
+    #: how strongly the rate separates firing times: with ``b`` the
+    #: deterministic component is ``T * b * u``, ``u`` in [0, 1] growing with
+    #: the receiver's rate relative to ``RATE_SCALE``; ``T * (1 - b)`` is
+    #: random.
+    BIAS_STRENGTH = 0.8
+    #: a heard report with rate ``r`` suppresses this receiver unless
+    #: ``own_rate < r / SUPPRESS_FACTOR``.
+    SUPPRESS_FACTOR = 1.2
 
     def __init__(
         self,
@@ -57,22 +59,14 @@ class FeedbackSuppression:
         rate_fn: Callable[[], float],
         rng: np.random.Generator,
         round_duration: float = 1.0,
-        bias_strength: float = 0.8,
-        suppress_factor: float = 1.2,
     ) -> None:
         if round_duration <= 0:
             raise ValueError("round_duration must be positive")
-        if not 0 <= bias_strength <= 1:
-            raise ValueError("bias_strength must be in [0, 1]")
-        if suppress_factor < 1:
-            raise ValueError("suppress_factor must be >= 1")
         self.sim = sim
         self._send_report = send_report
         self.rate_fn = rate_fn
         self._rng = rng
         self.round_duration = round_duration
-        self.bias_strength = bias_strength
-        self.suppress_factor = suppress_factor
         self._timer = Timer(sim, self._fire)
         self._suppressed = False
         self.reports_sent = 0
@@ -105,8 +99,8 @@ class FeedbackSuppression:
         rate = max(1.0, self.rate_fn())
         # Map rate onto [0, 1] logarithmically: 1 B/s .. RATE_SCALE.
         u = min(1.0, max(0.0, math.log1p(rate) / math.log1p(self.RATE_SCALE)))
-        deterministic = self.round_duration * self.bias_strength * u
-        random_part = self.round_duration * (1 - self.bias_strength)
+        deterministic = self.round_duration * self.BIAS_STRENGTH * u
+        random_part = self.round_duration * (1 - self.BIAS_STRENGTH)
         jitter = float(self._rng.uniform(0.0, random_part))
         return min(self.round_duration, deterministic + jitter)
 
@@ -122,12 +116,12 @@ class FeedbackSuppression:
         """Another receiver's report was echoed to the group.
 
         Cancel our pending report unless we are meaningfully worse off than
-        the reporter (our rate lower by more than ``suppress_factor``).
+        the reporter (our rate lower by more than ``SUPPRESS_FACTOR``).
         """
         if not self._timer.pending:
             return
         own = self.rate_fn()
-        if own < reported_rate / self.suppress_factor:
+        if own < reported_rate / self.SUPPRESS_FACTOR:
             return  # we are the (new) bottleneck: keep our timer
         self._suppressed = True
         self._timer.cancel()

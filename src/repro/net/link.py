@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from math import inf
+from math import inf, isfinite
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.net.packet import Packet
@@ -43,10 +43,17 @@ class Link:
         queue: Queue,
         name: str = "link",
     ) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if propagation_delay < 0:
-            raise ValueError("propagation delay cannot be negative")
+        # `not (x > 0)`, not `x <= 0`: every comparison is false for NaN.
+        if not (isfinite(bandwidth_bps) and bandwidth_bps > 0):
+            raise ValueError(
+                f"link {name}: bandwidth_bps must be finite and > 0, "
+                f"got {bandwidth_bps!r}"
+            )
+        if not (isfinite(propagation_delay) and propagation_delay >= 0):
+            raise ValueError(
+                f"link {name}: propagation_delay must be finite and >= 0, "
+                f"got {propagation_delay!r}"
+            )
         self.sim = sim
         self.bandwidth_bps = float(bandwidth_bps)
         self.propagation_delay = float(propagation_delay)
@@ -56,6 +63,9 @@ class Link:
         self._busy = False
         self.bytes_forwarded = 0
         self.packets_forwarded = 0
+        #: packets handed to the receiver: ``packets_forwarded`` less the
+        #: propagation train.
+        self.packets_delivered = 0
         self._busy_accum = 0.0  # total seconds charged for transmissions
         self._sample_hooks: List[Callable[[float, int], None]] = []
         # Per-size transmission delays: simulations use a handful of packet
@@ -202,8 +212,11 @@ class Link:
         if in_flight:
             receiver = self._receiver
             popleft = in_flight.popleft
+            delivered = 0
             while in_flight and in_flight[0][0] <= now:
                 receiver(popleft()[1])
+                delivered += 1
+            self.packets_delivered += delivered
         need = self._tx_finish
         if in_flight and in_flight[0][0] < need:
             need = in_flight[0][0]

@@ -89,36 +89,26 @@ def gilbert_elliott_from_rate(
     target_loss_rate: float,
     mean_burst_length: float,
     rng: np.random.Generator,
-    loss_bad: float = 1.0,
 ) -> GilbertElliottLoss:
     """Construct a Gilbert-Elliott model from observable quantities.
 
     ``target_loss_rate`` is the desired long-run loss fraction and
     ``mean_burst_length`` the average number of *consecutive* drops.  The
-    GOOD state is lossless; the BAD state drops with ``loss_bad``.
-
-    With ``loss_bad = 1`` every BAD packet is dropped, so the burst length
-    equals the BAD sojourn, giving ``p_bad_to_good = 1 / mean_burst_length``
-    and ``pi_bad = target_loss_rate``.
+    GOOD state is lossless; the BAD state drops every packet, so the burst
+    length equals the BAD sojourn, giving ``p_bad_to_good = 1 /
+    mean_burst_length`` and ``pi_bad = target_loss_rate``.
     """
     if not 0 < target_loss_rate < 1:
         raise ValueError("target_loss_rate must be in (0, 1)")
     if mean_burst_length < 1:
         raise ValueError("mean_burst_length must be >= 1")
-    if not 0 < loss_bad <= 1:
-        raise ValueError("loss_bad must be in (0, 1]")
-    pi_bad = target_loss_rate / loss_bad
-    if pi_bad >= 1:
-        raise ValueError(
-            f"target_loss_rate {target_loss_rate} unreachable with "
-            f"loss_bad {loss_bad}"
-        )
+    pi_bad = target_loss_rate
     p_bad_to_good = 1.0 / mean_burst_length
     p_good_to_bad = p_bad_to_good * pi_bad / (1.0 - pi_bad)
     return GilbertElliottLoss(
         p_good_to_bad=p_good_to_bad,
         p_bad_to_good=p_bad_to_good,
         loss_good=0.0,
-        loss_bad=loss_bad,
+        loss_bad=1.0,
         rng=rng,
     )

@@ -137,15 +137,11 @@ class LinkMonitor:
             return 0.0
         return min(1.0, self.link.utilization_seconds / duration)
 
-    def queue_series(
-        self, t_min: float = 0.0, t_max: Optional[float] = None
-    ) -> List[Tuple[float, int]]:
-        """Queue-depth samples within a window (bisect-sliced, no scan)."""
+    def queue_series(self, t_min: float = 0.0) -> List[Tuple[float, int]]:
+        """Queue-depth samples from ``t_min`` on (bisect-sliced, no scan)."""
         self._pack_queue()
-        times = self._queue_times
-        lo = bisect_left(times, t_min)
-        hi = len(times) if t_max is None else bisect_right(times, t_max)
-        return list(zip(times[lo:hi], self._queue_depths[lo:hi]))
+        lo = bisect_left(self._queue_times, t_min)
+        return list(zip(self._queue_times[lo:], self._queue_depths[lo:]))
 
 
 class _FlowSeries:

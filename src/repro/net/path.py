@@ -9,6 +9,7 @@ loss patterns, exactly as the paper's appendix simulations do.
 from __future__ import annotations
 
 from heapq import heappush
+from math import isfinite
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -111,10 +112,18 @@ class LossyPath:
         bandwidth_bps: Optional[float] = None,
         name: str = "lossy-path",
     ) -> None:
-        if delay < 0:
-            raise ValueError("delay cannot be negative")
-        if bandwidth_bps is not None and bandwidth_bps <= 0:
-            raise ValueError("bandwidth_bps must be positive")
+        # `not (x > 0)`, not `x <= 0`: every comparison is false for NaN.
+        if not (isfinite(delay) and delay >= 0):
+            raise ValueError(
+                f"path {name}: delay must be finite and >= 0, got {delay!r}"
+            )
+        if bandwidth_bps is not None and not (
+            isfinite(bandwidth_bps) and bandwidth_bps > 0
+        ):
+            raise ValueError(
+                f"path {name}: bandwidth_bps must be finite and > 0, "
+                f"got {bandwidth_bps!r}"
+            )
         self.sim = sim
         self.delay = float(delay)
         self.loss_model = loss_model

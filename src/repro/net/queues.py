@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import exp, log
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Optional
 
 import numpy as np
 
@@ -134,7 +134,6 @@ class REDQueue(Queue):
         weight: float = 0.002,
         gentle: bool = True,
         rng: Optional[np.random.Generator] = None,
-        ecn: bool = False,
         name: str = "red",
     ) -> None:
         super().__init__(capacity_packets, name=name)
@@ -158,8 +157,9 @@ class REDQueue(Queue):
         self._idle_since: Optional[float] = None
         self._service_rate_bps: Optional[float] = None  # set by the owning link
         #: with ECN enabled, early congestion marks capable packets instead
-        #: of dropping them (RFC 2481; forced drops still drop).
-        self.ecn = ecn
+        #: of dropping them (RFC 2481; forced drops still drop).  Off until
+        #: the builder of an ECN run switches it on.
+        self.ecn = False
         self.early_drops = 0
         self.forced_drops = 0
         self.ecn_marks = 0

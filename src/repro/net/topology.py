@@ -16,9 +16,9 @@ topology:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappush
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,12 @@ from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue, Queue, REDQueue
 from repro.sim.engine import Simulator
 from repro.sim.rng import BlockDraws
+
+
+#: per-packet access-segment processing jitter bound, seconds
+#: (anti-phase-effect): ~2 bottleneck packet times on the paper's 15 Mb/s
+#: link.
+ACCESS_JITTER = 0.001
 
 
 @dataclass
@@ -38,7 +44,9 @@ class DumbbellConfig:
     1000-byte packets, RED with gentle, buffer 100 packets, minthresh 10,
     maxthresh 50.  RED's ``max_p``, ``weight`` and ``gentle`` are
     :class:`~repro.net.queues.REDQueue`'s defaults; the reverse link runs at
-    the forward bandwidth with a 1000-packet DropTail buffer.
+    the forward bandwidth with a 1000-packet DropTail buffer.  The access
+    jitter is the constant :data:`ACCESS_JITTER`, not a field: every run
+    uses it.
     """
 
     bandwidth_bps: float = 15e6
@@ -47,9 +55,6 @@ class DumbbellConfig:
     buffer_packets: int = 100
     red_min_thresh: float = 10
     red_max_thresh: float = 50
-    #: per-packet access-segment processing jitter (anti-phase-effect);
-    #: ~2 bottleneck packet times by default for the paper's 15 Mb/s link.
-    access_jitter: float = 0.001
 
     def build_queue(self, rng: Optional[np.random.Generator] = None) -> Queue:
         """Instantiate the configured forward queue discipline; RED draws
@@ -70,9 +75,11 @@ class DumbbellConfig:
 class FlowPort:
     """One direction of a flow's attachment to the dumbbell.
 
-    ``send`` injects a packet (after the flow's ingress access delay);
-    packets addressed to this flow that exit the shared link are delivered to
-    the callback registered with ``connect`` after the egress access delay.
+    ``send`` injects a packet after the flow's ingress access delay plus a
+    draw from ``jitter_stream`` (uniform on ``[0, ACCESS_JITTER)``: every
+    port jitters); packets addressed to this flow that exit the shared link
+    are delivered to the callback registered with ``connect`` after the
+    egress access delay.
     """
 
     def __init__(
@@ -81,7 +88,7 @@ class FlowPort:
         shared_link: Link,
         ingress_delay: float,
         egress_delay: float,
-        jitter_stream: Optional[BlockDraws] = None,
+        jitter_stream: BlockDraws,
     ) -> None:
         self._sim = sim
         self._link = shared_link
@@ -99,22 +106,15 @@ class FlowPort:
         self._receiver = receiver
 
     def send(self, packet: Packet) -> bool:
-        delay = self.ingress_delay
-        stream = self._jitter_stream
-        if stream is not None:
-            # Small random processing jitter.  Deterministic simulators
-            # otherwise exhibit phase effects: window-based (ACK-clocked)
-            # arrivals synchronize with bottleneck departures while paced
-            # arrivals do not, skewing DropTail drop probabilities.  The
-            # jitter is clamped so packets of one flow never reorder.
-            delay += stream.next()
-        elif delay <= 0:
-            return self._link_send(packet)
-        # Always go through the scheduler when delayed/jittered: clamping to
-        # the previous arrival plus heap FIFO keeps per-flow order even when
-        # a later packet draws a smaller jitter.
+        # Small random processing jitter.  Deterministic simulators
+        # otherwise exhibit phase effects: window-based (ACK-clocked)
+        # arrivals synchronize with bottleneck departures while paced
+        # arrivals do not, skewing DropTail drop probabilities.  The jitter
+        # is clamped so packets of one flow never reorder: clamping to the
+        # previous arrival plus heap FIFO keeps per-flow order even when a
+        # later packet draws a smaller jitter.
         sim = self._sim
-        arrival = sim._now + delay
+        arrival = sim._now + (self.ingress_delay + self._jitter_stream.next())
         if arrival < self._last_ingress_arrival:
             arrival = self._last_ingress_arrival
         self._last_ingress_arrival = arrival
@@ -153,15 +153,10 @@ class Dumbbell:
         self.sim = sim
         self.config = config if config is not None else DumbbellConfig()
         # All ports draw jitter from one shared block-buffered stream, which
-        # hands out the values per-packet ``rng.uniform(0, access_jitter)``
+        # hands out the values per-packet ``rng.uniform(0, ACCESS_JITTER)``
         # calls would, in event order.
-        self._jitter_stream = (
-            BlockDraws(
-                np.random.default_rng(11), high=self.config.access_jitter,
-                block=256,
-            )
-            if self.config.access_jitter > 0
-            else None
+        self._jitter_stream = BlockDraws(
+            np.random.default_rng(11), high=ACCESS_JITTER, block=256
         )
         cfg = self.config
         self.forward_link = Link(

@@ -27,7 +27,7 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -149,13 +149,16 @@ class DumbbellTestbed(Testbed):
 
 
 def _check_conservation(link: Link, now: float) -> None:
-    """Every packet a link accepted is queued, in service or forwarded, and
-    every RED drop is an early or a forced one -- O(1), after the run."""
+    """Every packet a link accepted is queued, in service, on the wire or
+    delivered, and every RED drop is an early or a forced one -- O(1),
+    after the run."""
     queue = link.queue
     red = isinstance(queue, REDQueue)
     if (
         queue.enqueued == queue.dequeued + len(queue)
         and queue.dequeued == link.packets_forwarded + link.in_service
+        and link.packets_forwarded
+        == link.packets_delivered + len(link._in_flight)
         and (not red or queue.dropped == queue.early_drops + queue.forced_drops)
     ):
         return
@@ -165,7 +168,8 @@ def _check_conservation(link: Link, now: float) -> None:
     counters = {name: getattr(queue, name) for name in names}
     counters.update(
         queued=len(queue), forwarded=link.packets_forwarded,
-        in_service=int(link.in_service),
+        in_service=int(link.in_service), delivered=link.packets_delivered,
+        in_flight=len(link._in_flight),
     )
     raise SimulationError(
         f"link {link.name}: packet conservation violated at t={now!r}: {counters}"
@@ -201,7 +205,6 @@ def build_mixed_dumbbell(
     queue_scaling_bandwidth: Optional[float] = None,
     sample_queue: bool = False,
     tracer: Optional["Tracer"] = None,
-    ecn: bool = False,
 ) -> DumbbellTestbed:
     """Construct (without running) the standard mixed-traffic dumbbell.
 
@@ -209,8 +212,6 @@ def build_mixed_dumbbell(
     queue size with the bandwidth"): the buffer is the paper's 100 packets
     scaled by ``bandwidth / 15 Mb/s`` (at least 5 packets), unless
     ``buffer_packets`` is given.  RED thresholds scale with the buffer.
-
-    ``ecn`` enables marking at a RED bottleneck with ECN-capable TFRC flows.
     """
     if n_tfrc < 0 or n_tcp < 0 or n_tfrc + n_tcp == 0:
         raise ValueError("need at least one flow")
@@ -225,16 +226,12 @@ def build_mixed_dumbbell(
         red_max_thresh=max(4, buffer_packets // 2),
     )
     bed = DumbbellTestbed(config, seed, tracer, sample_queue)
-    if ecn:
-        if queue_type != "red":
-            raise ValueError("ecn requires a RED bottleneck queue")
-        bed.dumbbell.forward_link.queue.ecn = True
     rng = bed.rng
     staggered_starts: List[Tuple[float, Callable[[], None], tuple]] = []
     for i in range(n_tfrc):
         flow = bed.tfrc(
             f"tfrc-{i}", rng.uniform(*RTT_RANGE),
-            interpacket_adjustment=interpacket_adjustment, ecn=ecn,
+            interpacket_adjustment=interpacket_adjustment,
         )
         staggered_starts.append((rng.uniform(*START_RANGE), flow.start, ()))
     for i in range(n_tcp):
@@ -536,10 +533,10 @@ def _loss_model(
     return scheduled_loss(schedule)
 
 
-def periodic_phase(at: float, period: int, offset: int = 0) -> JsonDict:
+def periodic_phase(at: float, period: int) -> JsonDict:
     """One ``scheduled`` phase dropping every ``period``-th packet."""
     return {"at": float(at), "model": "periodic",
-            "period": int(period), "offset": int(offset)}
+            "period": int(period), "offset": 0}
 
 
 def lossless_phase(at: float) -> JsonDict:

@@ -32,7 +32,7 @@ import os
 import sys
 import uuid
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.scenarios._fsio import atomic_write_json_many
 from repro.scenarios.spec import CANONICAL, JsonDict, ScenarioSpec, canonical_hash

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Set
 
-from repro.scenarios.cache import ResultCache, verify_entry
+from repro.scenarios.cache import ResultCache
 from repro.scenarios._fsio import read_json
 from repro.scenarios.executors import directory, positive
 from repro.scenarios.filequeue import FileQueue
@@ -359,5 +359,4 @@ if __name__ == "__main__":
     sys.exit(main())
 
 
-# verify_entry is re-exported for callers that audit single entries.
-__all__ = ["Finding", "audit", "main", "verify_entry"]
+__all__ = ["Finding", "audit", "main"]

@@ -347,16 +347,18 @@ def run_single_cell(base: ScenarioSpec, **sweep: object) -> JsonDict:
     return SweepRunner(base, **sweep).run().complete_cells()[0].result
 
 
-def print_progress(stream=None) -> ProgressFn:
+def print_progress() -> ProgressFn:
     """A ready-made progress callback: one status line per finished cell,
-    and one closing line per sweep saying where its wall-clock went."""
+    and one closing line per sweep saying where its wall-clock went, on
+    ``sys.stderr`` as it is when each line is printed."""
     import sys
-
-    out = stream if stream is not None else sys.stderr
 
     def report(done: int, total: int, cell: SweepCell) -> None:
         source = "cache" if cell.from_cache else f"{cell.elapsed_seconds:.1f}s"
-        print(f"[sweep {done}/{total}] {cell.describe()} ({source})", file=out)
+        print(
+            f"[sweep {done}/{total}] {cell.describe()} ({source})",
+            file=sys.stderr,
+        )
 
     def finish(result: SweepResult) -> None:
         total, cached = len(result.cells), result.cache_hits
@@ -383,7 +385,7 @@ def print_progress(stream=None) -> ProgressFn:
             )
             why = ", ".join(f"{kind} {n}" for kind, n in sorted(kinds.items()))
             line += f", {retried} retried ({why})"
-        print(line, file=out)
+        print(line, file=sys.stderr)
 
     report.finish = finish
     return report

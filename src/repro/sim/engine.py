@@ -131,19 +131,21 @@ class Simulator:
     def schedule_fast(
         self,
         time: float,
-        callback: Callable[..., None],
-        args: tuple = _EMPTY_ARGS,
+        callback: Callable[[], None],
     ) -> None:
         """Hot-path scheduling: no ``Event`` handle, not cancellable.
 
-        ``callback(*args)`` runs at ``time``; with the default empty ``args``
-        use a bound method or closure.  The self-clocking loops (link wake
-        chains, :class:`~repro.sim.process.FastTimer`, access-segment packet
-        handoffs) push this same entry inline.
+        ``callback()`` runs at ``time``: use a bound method or closure.
+        The self-clocking loops (link wake chains,
+        :class:`~repro.sim.process.FastTimer`, access-segment packet
+        handoffs) push this same entry inline, with their argument in its
+        ``args`` slot.
         """
         if not (self._now <= time <= _FMAX):
             self._check_time(time)
-        heapq.heappush(self._heap, (time, self._seq, callback, args, None))
+        heapq.heappush(
+            self._heap, (time, self._seq, callback, _EMPTY_ARGS, None)
+        )
         self._seq += 1
 
     def schedule_batch(

@@ -61,7 +61,6 @@ class BlockDraws:
         buffered: np.ndarray,
         consumed: int,
         *,
-        high: Optional[float] = None,
         block: int = 64,
     ) -> "BlockDraws":
         """Rebuild a stream from an outstanding buffer and its cursor.
@@ -71,7 +70,7 @@ class BlockDraws:
         first, then refills continue from ``rng`` exactly where the donor
         stream left off.
         """
-        stream = cls(rng, high=high, block=block)
+        stream = cls(rng, block=block)
         stream._buf = np.asarray(buffered, dtype=np.float64)
         stream._i = int(consumed)
         return stream

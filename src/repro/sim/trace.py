@@ -33,7 +33,7 @@ import pickle
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from struct import error as StructError, pack
+from struct import pack
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 # Records (or monitor samples) buffered in lists between two packings.
@@ -170,8 +170,6 @@ class Tracer:
         self,
         category: Optional[str],
         source: Optional[str],
-        t_min: Optional[float],
-        t_max: Optional[float],
         with_meta: bool,
     ) -> Iterator[Tuple[float, Tuple[str, str], Any, Optional[Dict[str, Any]]]]:
         """``(time, (category, source), value, meta)`` of every matching
@@ -195,38 +193,25 @@ class Tracer:
                 meta = next(metas) if code % 2 else None
             if not wanted[code]:
                 continue
-            if t_min is not None and time < t_min:
-                continue
-            if t_max is not None and time > t_max:
-                continue
             yield time, pair_of[code], value, meta
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return (
             TraceRecord(time, *pair, value, meta)
-            for time, pair, value, meta in self._scan(None, None, None, None, True)
+            for time, pair, value, meta in self._scan(None, None, True)
         )
 
     def select(
-        self,
-        category: Optional[str] = None,
-        source: Optional[str] = None,
-        t_min: Optional[float] = None,
-        t_max: Optional[float] = None,
+        self, category: Optional[str] = None, source: Optional[str] = None
     ) -> List[TraceRecord]:
         """Records matching all provided filters, in time order."""
         return [
             TraceRecord(time, *pair, value, meta)
-            for time, pair, value, meta
-            in self._scan(category, source, t_min, t_max, True)
+            for time, pair, value, meta in self._scan(category, source, True)
         ]
 
     def series(
-        self,
-        category: Optional[str] = None,
-        source: Optional[str] = None,
-        t_min: Optional[float] = None,
-        t_max: Optional[float] = None,
+        self, category: Optional[str] = None
     ) -> "tuple[array, List[float]]":
         """Matching ``(times, values)`` columns without building records:
         the times as an ``array('d')``, the values as a list (ints stay
@@ -236,14 +221,11 @@ class Tracer:
         """
         times = array("d")
         values: List[float] = []
-        for time, _, value, _ in self._scan(category, source, t_min, t_max, False):
+        for time, _, value, _ in self._scan(category, None, False):
             times.append(time)
             values.append(value)
         return times, values
 
-    def sources(self, category: Optional[str] = None) -> List[str]:
-        """Sorted unique source names (optionally within one category)."""
-        return sorted({
-            pair_source for pair_category, pair_source in self._pairs
-            if category is None or pair_category == category
-        })
+    def sources(self) -> List[str]:
+        """Sorted unique source names."""
+        return sorted({pair_source for _, pair_source in self._pairs})

@@ -541,9 +541,10 @@ class _WaliLanes:
     batch kernel wraps its whole loop in one).
     """
 
-    def __init__(self, n_cells: int, *, discounting: bool, discount_floor: float = 0.3):
+    discount_floor = 0.3
+
+    def __init__(self, n_cells: int, *, discounting: bool):
         self.discounting = discounting
-        self.discount_floor = discount_floor
         self.weights = list(ALI_DEFAULT_WEIGHTS)
         self.intervals = np.zeros((n_cells, WALI_N), dtype=np.float64)
         self.discounts = np.zeros((n_cells, WALI_N), dtype=np.float64)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Set
 
+from repro.core.paced import PACKET_SIZE
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import FastTimer
@@ -36,15 +37,17 @@ class TCPSender:
     variant = "base"
     MAX_CWND = 10_000.0  # _open_window's ceiling; dupACK inflation may pass it
     DUPACK_THRESHOLD = 3  # duplicate ACKs that trigger fast retransmit
+    INITIAL_CWND = 2.0  # segments
+    # Bounding the initial slow-start like real stacks do (64 segments ~
+    # a 64 KB window) avoids a pathological first overshoot on long-fat
+    # paths.
+    INITIAL_SSTHRESH = 64.0
 
     def __init__(
         self,
         sim: Simulator,
         flow_id: str,
         send_packet: PacketSender,
-        packet_size: int = 1000,
-        initial_cwnd: float = 2.0,
-        initial_ssthresh: float = 64.0,
         rto_granularity: float = 0.1,
         min_rto: float = 0.2,
         rto_k: float = 4.0,
@@ -54,18 +57,15 @@ class TCPSender:
         self.sim = sim
         self.flow_id = flow_id
         self._send_packet = send_packet
-        self.packet_size = packet_size
+        self.packet_size = PACKET_SIZE
         self.tracer = tracer
         self.packets_to_send = packets_to_send
         #: called once when ``packets_to_send`` segments are all ACKed.
         self.on_complete: Optional[Callable[[], None]] = None
         self._completed = False
 
-        self.cwnd = float(initial_cwnd)
-        # Bounding the initial slow-start like real stacks do (64 segments ~
-        # a 64 KB window) avoids a pathological first overshoot on long-fat
-        # paths; a larger initial_ssthresh gives classic slow start.
-        self.ssthresh = float(initial_ssthresh)
+        self.cwnd = self.INITIAL_CWND
+        self.ssthresh = self.INITIAL_SSTHRESH
         self.snd_una = 0  # oldest unacknowledged sequence number
         self.snd_nxt = 0  # next new sequence number to send
         self.dupacks = 0

@@ -22,7 +22,6 @@ class TcpFlow(Flow):
         forward_port: Port,
         reverse_port: Port,
         variant: str = "sack",
-        packet_size: int = 1000,
         tracer: Optional[Tracer] = None,
         on_data: Optional[Callable[[float, Packet], None]] = None,
         **sender_kwargs,
@@ -32,7 +31,6 @@ class TcpFlow(Flow):
             sim,
             flow_id,
             send_packet=forward_port.send,
-            packet_size=packet_size,
             tracer=tracer,
             **sender_kwargs,
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.paced import PACKET_SIZE
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
 from repro.sim.process import FastTimer
@@ -25,7 +26,6 @@ class CbrSource:
         flow_id: str,
         port,
         rate_bps: float,
-        packet_size: int = 1000,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError("rate must be positive")
@@ -33,8 +33,7 @@ class CbrSource:
         self.flow_id = flow_id
         self._port = port
         self.rate_bps = rate_bps
-        self.packet_size = packet_size
-        self._interval = packet_size * 8 / rate_bps
+        self._interval = PACKET_SIZE * 8 / rate_bps
         self._seq = 0
         self.packets_sent = 0
         self._timer = FastTimer(sim, self._emit)
@@ -55,7 +54,7 @@ class CbrSource:
         packet = Packet(
             flow_id=self.flow_id,
             seq=self._seq,
-            size=self.packet_size,
+            size=PACKET_SIZE,
             ptype=PacketType.DATA,
             sent_at=self.sim._now,
         )

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.paced import PACKET_SIZE
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
 
@@ -50,15 +51,13 @@ class OnOffSource:
         port,
         rng: np.random.Generator,
         peak_rate_bps: float = 500e3,
-        packet_size: int = 1000,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
         self._port = port
         self._rng = rng
         self.peak_rate_bps = peak_rate_bps
-        self.packet_size = packet_size
-        self._interval = packet_size * 8 / peak_rate_bps
+        self._interval = PACKET_SIZE * 8 / peak_rate_bps
         self._seq = 0
         self._on = False
         self._running = False
@@ -112,7 +111,7 @@ class OnOffSource:
         packet = Packet(
             flow_id=self.flow_id,
             seq=self._seq,
-            size=self.packet_size,
+            size=PACKET_SIZE,
             ptype=PacketType.DATA,
             sent_at=self.sim._now,
         )

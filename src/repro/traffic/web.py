@@ -41,8 +41,6 @@ class WebTrafficSource:
         rng: np.random.Generator,
         arrival_rate: float = 10.0,
         mean_size_packets: float = 20.0,
-        variant: str = "sack",
-        packet_size: int = 1000,
     ) -> None:
         if arrival_rate <= 0:
             raise ValueError("arrival_rate must be positive")
@@ -51,8 +49,6 @@ class WebTrafficSource:
         self._rng = rng
         self.arrival_rate = arrival_rate
         self.mean_size_packets = mean_size_packets
-        self.variant = variant
-        self.packet_size = packet_size
         self._running = False
         self._next_id = 0
         self._active: List[TcpFlow] = []
@@ -94,8 +90,6 @@ class WebTrafficSource:
             flow_id,
             forward,
             reverse,
-            variant=self.variant,
-            packet_size=self.packet_size,
             packets_to_send=size,
         )
         flow.sender.on_complete = lambda f=flow: self._finished(f)

@@ -339,9 +339,9 @@ class TestStats:
         assert mean == pytest.approx(2.0)
         assert ci > 0
 
-    def test_unsupported_level_rejected(self):
-        with pytest.raises(ValueError):
-            confidence_interval([1, 2], level=0.95)
+    def test_half_width_is_the_90_percent_t_interval(self):
+        # n = 2: sem = 0.5, t(1 dof, 90 %) = 6.314
+        assert confidence_interval([1, 2]) == pytest.approx(6.314 * 0.5)
 
 
 class TestJainFairnessIndex:

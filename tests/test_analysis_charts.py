@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis import charts
 from repro.analysis.charts import histogram, line_chart, sparkline
 
 
@@ -40,10 +41,6 @@ class TestLineChart:
         out = line_chart({"a": [(0, 1), (-1, 2)]}, log_x=True)
         assert "no data" in out
 
-    def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            line_chart({"a": [(0, 0)]}, width=4)
-
     def test_axis_labels_show_bounds(self):
         out = line_chart({"a": [(2.0, 10.0), (4.0, 30.0)]})
         assert "10" in out and "30" in out
@@ -57,17 +54,21 @@ class TestLineChart:
         out = line_chart({"s": points})
         assert isinstance(out, str) and out
 
-    def test_grid_width_respected(self):
-        out = line_chart({"a": [(0, 0), (1, 1)]}, width=40, height=8)
+    @pytest.mark.parametrize("size", [(64, 16), (40, 8)])
+    def test_grid_size_respected(self, monkeypatch, size):
+        monkeypatch.setattr(charts, "CHART_WIDTH", size[0])
+        monkeypatch.setattr(charts, "CHART_HEIGHT", size[1])
+        out = line_chart({"a": [(0, 0), (1, 1)]})
         plot_rows = [ln for ln in out.splitlines() if "|" in ln]
-        assert len(plot_rows) == 8
+        assert len(plot_rows) == size[1]
         for row in plot_rows:
-            assert len(row.split("|", 1)[1]) == 40
+            assert len(row.split("|", 1)[1]) == size[0]
 
 
 class TestHistogram:
-    def test_bars_scale_to_peak(self):
-        out = histogram(["a", "b"], [1.0, 2.0], width=10)
+    def test_bars_scale_to_peak(self, monkeypatch):
+        monkeypatch.setattr(charts, "BAR_WIDTH", 10)
+        out = histogram(["a", "b"], [1.0, 2.0])
         lines = out.splitlines()
         assert lines[0].count("#") == 5
         assert lines[1].count("#") == 10
@@ -87,9 +88,8 @@ class TestHistogram:
         out = histogram(["n", "v"], [math.nan, 1.0])
         assert "nan" in out
 
-    def test_unit_suffix(self):
-        out = histogram(["x"], [3.0], unit="%")
-        assert "3%" in out
+    def test_value_printed_after_the_bar(self):
+        assert histogram(["x"], [3.0]) == "x | " + "#" * 48 + " 3"
 
 
 class TestSparkline:

@@ -13,10 +13,13 @@ LADDER = [
 ]
 
 
-def adapter(**kwargs):
-    defaults = dict(levels=LADDER, headroom=1.0, up_stability=2.0)
-    defaults.update(kwargs)
-    return QualityAdapter(**defaults)
+def adapter(up_stability=2.0, headroom=1.0):
+    """An adapter over ``LADDER``, its ladder and headroom set on the
+    instance after construction."""
+    made = QualityAdapter(up_stability=up_stability)
+    made.levels = list(LADDER)
+    made.HEADROOM = headroom
+    return made
 
 
 class TestLevelSelection:
@@ -29,6 +32,14 @@ class TestLevelSelection:
         result = adapter(headroom=0.5).replay([600e3] * 5, tau=1.0)
         # Budget is 300 kb/s: only "low" fits.
         assert result.choices == [0] * 5
+
+    def test_default_headroom_and_ladder(self):
+        made = QualityAdapter()
+        assert made.HEADROOM == 0.85
+        assert made.levels == standard_ladder()
+        # 0.85 * 800 kb/s = 680 kb/s affords the 300 kb/s rung, not 700.
+        names = [level.name for level in standard_ladder()]
+        assert made.replay([800e3], tau=1.0).choices == [names.index("low")]
 
     def test_rate_below_all_levels(self):
         result = adapter().replay([50e3] * 4, tau=1.0)
@@ -78,19 +89,9 @@ class TestResultMetrics:
 
 
 class TestValidation:
-    def test_ladder_must_not_be_empty(self):
-        with pytest.raises(ValueError):
-            QualityAdapter(levels=[])
-
-    def test_headroom_range(self):
-        with pytest.raises(ValueError):
-            QualityAdapter(levels=LADDER, headroom=0.0)
-        with pytest.raises(ValueError):
-            QualityAdapter(levels=LADDER, headroom=1.5)
-
     def test_negative_stability(self):
         with pytest.raises(ValueError):
-            QualityAdapter(levels=LADDER, up_stability=-1.0)
+            QualityAdapter(up_stability=-1.0)
 
     def test_nonpositive_tau(self):
         with pytest.raises(ValueError):
@@ -111,8 +112,7 @@ class TestInvariants:
     @given(rates=st.lists(st.floats(0, 5e6), max_size=100),
            stability=st.floats(0, 10))
     def test_choices_always_within_ladder(self, rates, stability):
-        result = QualityAdapter(levels=LADDER,
-                                up_stability=stability).replay(rates, tau=1.0)
+        result = adapter(up_stability=stability).replay(rates, tau=1.0)
         assert all(-1 <= c < len(LADDER) for c in result.choices)
         assert len(result.choices) == len(rates)
 

@@ -17,11 +17,8 @@ def run_baseline(flow_cls, loss_model=None, duration=60.0, rtt=0.1, **kwargs):
     forward = LossyPath(sim, delay=rtt / 2, loss_model=loss_model)
     reverse = LossyPath(sim, delay=rtt / 2)
     monitor = FlowMonitor()
-    flow = flow_cls(
-        sim, "b", forward, reverse,
-        on_data=lambda t, p: monitor.on_packet(t, p),
-        **kwargs,
-    )
+    flow = flow_cls(sim, "b", forward, reverse, **kwargs)
+    flow.receiver.on_data = monitor.on_packet
     flow.start()
     sim.run(until=duration)
     return flow, monitor
@@ -44,8 +41,8 @@ class TestTfrcp:
     def test_rate_updates_only_at_interval_boundaries(self):
         flow, _ = run_baseline(
             TfrcpFlow, loss_model=periodic_loss(50), duration=21.0,
-            update_interval=5.0,
         )
+        assert flow.sender.UPDATE_INTERVAL == 5.0
         times = [t for t, _ in flow.sender.rate_history[1:]]
         assert all(abs(t % 5.0) < 1e-6 or abs(t % 5.0 - 5.0) < 1e-6 for t in times)
 
@@ -62,7 +59,7 @@ class TestTfrcp:
             loss_model=lambda p, now: heavy["on"] and p.seq % 2 == 0,
         )
         reverse = LossyPath(sim, delay=0.05)
-        flow = TfrcpFlow(sim, "b", forward, reverse, update_interval=5.0)
+        flow = TfrcpFlow(sim, "b", forward, reverse)
         flow.start()
         sim.run(until=11.0)  # boundaries at 5, 10
         rate_before = flow.sender.rate
@@ -75,12 +72,6 @@ class TestTfrcp:
     def test_srtt_measured(self):
         flow, _ = run_baseline(TfrcpFlow, loss_model=periodic_loss(100), duration=20.0)
         assert flow.sender.srtt == pytest.approx(0.1, rel=0.1)
-
-    def test_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            TfrcpFlow(sim, "b", LossyPath(sim, 0.1), LossyPath(sim, 0.1),
-                      update_interval=0)
 
 
 class TestRap:

@@ -289,7 +289,7 @@ class TestPoisonQuarantine:
         # quarantine is informational: fsck still reports a clean state
         assert audit(queue_dir, cache_dir=tmp_path / "cache") == []
 
-    def test_figure_reducer_names_the_quarantined_cell(self, tmp_path):
+    def test_figure_reducer_names_the_quarantined_cell(self, tmp_path, monkeypatch):
         """A figure reduces its whole grid, so a dead-lettered cell must
         surface as SweepCellError -- it was a bare AssertionError, and a
         TypeError on ``None`` under ``python -O``."""
@@ -299,9 +299,10 @@ class TestPoisonQuarantine:
             tmp_path / "q", local_workers=1, max_attempts=1,
             poll_interval=0.02, lease_timeout=30.0, on_poison="quarantine",
         )
+        monkeypatch.setattr(fig20, "SWEEP_DURATION", 11.0)
         with pytest.raises(SweepCellError) as excinfo:
             fig20.run_sweep(
-                initial_periods=(100, 0), duration=11.0,
+                initial_periods=(100, 0),
                 cache_dir=str(tmp_path / "cache"), executor=executor,
             )
         err = excinfo.value

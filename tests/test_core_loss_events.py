@@ -6,11 +6,12 @@ from repro.core.loss_events import LossEventDetector
 
 
 def make_detector(rtt=0.1, tolerance=3, events=None):
-    return LossEventDetector(
+    detector = LossEventDetector(
         rtt_fn=lambda: rtt,
-        reorder_tolerance=tolerance,
         on_event=(events.append if events is not None else None),
     )
+    detector.REORDER_TOLERANCE = tolerance
+    return detector
 
 
 def feed(detector, seqs_and_times):
@@ -108,6 +109,11 @@ class TestDetection:
         assert times == sorted(times)
         assert 0.0 < times[0] < times[-1] < 1.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LossEventDetector(rtt_fn=lambda: 0.1, reorder_tolerance=-1)
+    def test_ndupack_is_three(self):
+        """A hole is declared on the third later arrival (NDUPACK = 3)."""
+        det = make_detector(tolerance=LossEventDetector.REORDER_TOLERANCE)
+        assert LossEventDetector.REORDER_TOLERANCE == 3
+        assert feed(det, [(0, 0.0), (2, 0.1), (3, 0.2)]) == []
+        assert det.packets_lost == 0
+        feed(det, [(4, 0.3)])
+        assert det.packets_lost == 1

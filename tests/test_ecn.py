@@ -20,10 +20,12 @@ from repro.sim.engine import Simulator
 
 
 def make_red(ecn, capacity=100, weight=1.0):
-    return REDQueue(
+    queue = REDQueue(
         capacity, min_thresh=5, max_thresh=20, max_p=0.5,
-        weight=weight, rng=np.random.default_rng(0), ecn=ecn,
+        weight=weight, rng=np.random.default_rng(0),
     )
+    queue.ecn = ecn  # as build_mixed_dumbbell switches it on
+    return queue
 
 
 class TestRedEcnMarking:
@@ -108,8 +110,9 @@ class TestEndToEndEcn:
         sim = Simulator()
         queue = REDQueue(
             100, min_thresh=10, max_thresh=50, max_p=0.1, weight=0.002,
-            rng=np.random.default_rng(2), ecn=ecn,
+            rng=np.random.default_rng(2),
         )
+        queue.ecn = ecn
         link = Link(sim, 2e6, 0.04, queue)
         monitor = FlowMonitor()
 

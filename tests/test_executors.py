@@ -159,7 +159,7 @@ class TestSweepCellError:
         assert not list((queue_dir / "tasks").glob("*.json"))
 
 
-    def test_retried_cell_reports_its_attempts(self, tmp_path):
+    def test_retried_cell_reports_its_attempts(self, tmp_path, monkeypatch):
         """The attempt count the done marker stores reaches the user."""
         import io
 
@@ -168,13 +168,14 @@ class TestSweepCellError:
         boom_once = tmp_path / "boom-once"
         boom_once.write_text("fail the first attempt")
         stream = io.StringIO()
+        monkeypatch.setattr("sys.stderr", stream)
         sweep = SweepRunner(
             BASE,
             {"extra.x": [1, 2], "extra.boom_once": [str(boom_once)]},
             executor=FileQueueExecutor(
                 tmp_path / "q", local_workers=1, **QUEUE_KW
             ),
-            progress=print_progress(stream),
+            progress=print_progress(),
         ).run()
         assert sweep.executor == "queue x1"
         assert [c.result["x"] for c in sweep.cells] == [1, 2]

@@ -139,9 +139,10 @@ class TestFig20:
         assert n is not None
         assert 3.0 <= n <= 8.5  # paper: 3..8, typically 5
 
-    def test_appendix_lower_bound_five_at_low_drop_rates(self):
+    def test_appendix_lower_bound_five_at_low_drop_rates(self, monkeypatch):
         """A.2: at low drop rates, at least ~5 RTTs are required."""
-        halving = fig20_halving.run(initial_period=200)
+        monkeypatch.setattr(fig20_halving, "INITIAL_PERIOD", 200)
+        halving = fig20_halving.run()
         n = halving.rtts_to_halve()
         assert n is not None and n >= 4.5
 

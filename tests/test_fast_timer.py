@@ -1,6 +1,7 @@
 """FastTimer semantics: re-arm, cancel races, stale-generation discard,
 and randomized equivalence with the handle-based Timer."""
 
+import functools
 import random
 
 import pytest
@@ -117,7 +118,8 @@ class TestFastTimerSemantics:
 
     def test_start_pushes_the_entry_schedule_fast_would(self):
         """``start`` writes the heap itself: the same tuple, one sequence
-        number, as ``schedule_fast(deadline, on_pop, args=(gen,))``."""
+        number, as ``schedule_fast(deadline, partial(on_pop, gen))`` but for
+        the generation riding in the entry's ``args`` slot."""
         direct, reference = Simulator(), Simulator()
         for sim in (direct, reference):
             sim.schedule_fast(0.25, lambda: None)
@@ -126,9 +128,12 @@ class TestFastTimerSemantics:
         for interval in (0.5, 0.0, 0.125):
             timer.start(interval)
             reference.schedule_fast(
-                reference.now + interval, timer._on_pop, args=(timer._gen,)
+                reference.now + interval,
+                functools.partial(timer._on_pop, timer._gen),
             )
-        assert direct._heap == reference._heap
+        assert [(t, seq, cb, args) for t, seq, cb, args, _ in direct._heap] == [
+            (t, seq, cb.func, cb.args) for t, seq, cb, _, _ in reference._heap
+        ]
         assert direct._seq == reference._seq == 4
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])

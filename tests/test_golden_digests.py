@@ -77,8 +77,12 @@ def mixed_dumbbell(ecn=False, reverse_monitor=False):
     tracer = Tracer()
     result = build_mixed_dumbbell(
         n_tfrc=4, n_tcp=4, bandwidth_bps=15e6, queue_type="red", seed=3,
-        tracer=tracer, sample_queue=True, ecn=ecn,
+        tracer=tracer, sample_queue=True,
     )
+    if ecn:  # before any flow starts: marking queue, ECN-capable TFRC
+        result.dumbbell.forward_link.queue.ecn = True
+        for flow in result.tfrc_flows:
+            flow.sender.ecn = True
     if reverse_monitor:
         rev_monitor = LinkMonitor(
             result.sim, result.dumbbell.reverse_link, sample_queue=True
@@ -144,8 +148,10 @@ def _rate_history(sender):
     return [(t.hex(), rate.hex()) for t, rate in sender.rate_history]
 
 
-def _run_lossy_path(flow_cls, p, traced, **kwargs):
-    """One flow, 60 simulated s over a Bernoulli-``p`` ``LossyPath``."""
+def _run_lossy_path(flow_cls, p, traced, sender_attrs=(), **kwargs):
+    """One flow, 60 simulated s over a Bernoulli-``p`` ``LossyPath``;
+    ``sender_attrs`` are ``(name, value)`` pairs set on the sender before
+    it starts."""
     sim = Simulator()
     forward = LossyPath(
         sim, delay=0.05,
@@ -156,17 +162,21 @@ def _run_lossy_path(flow_cls, p, traced, **kwargs):
     tracer = Tracer()
     if traced:
         kwargs["tracer"] = tracer
-    flow = flow_cls(sim, "b", forward, reverse, on_data=monitor.on_packet,
-                    **kwargs)
+    flow = flow_cls(sim, "b", forward, reverse, **kwargs)
+    flow.receiver.on_data = monitor.on_packet
+    for name, value in sender_attrs:
+        setattr(flow.sender, name, value)
     flow.start()
     sim.run(until=60.0)
     return sim, flow, monitor, tracer
 
 
 def lossy_path_baseline(flow_cls, sender_counters, receiver_counters,
-                        p=0.02, traced=False, **kwargs):
+                        p=0.02, traced=False, sender_attrs=()):
     """A rate-based flow on the lossy path: its rate decisions and counters."""
-    sim, flow, monitor, tracer = _run_lossy_path(flow_cls, p, traced, **kwargs)
+    sim, flow, monitor, tracer = _run_lossy_path(
+        flow_cls, p, traced, sender_attrs
+    )
     return trace_signature(tracer), {
         "rate_history": _rate_history(flow.sender),
         "sender": _exact(flow.sender, ("packets_sent", "srtt") + sender_counters),
@@ -272,7 +282,7 @@ RUNS = {
     ),
     "tfrcp_lossy_path": lambda: lossy_path_baseline(
         TfrcpFlow, ("acks_received",), ("packets_received",),
-        update_interval=2.0,
+        sender_attrs=[("UPDATE_INTERVAL", 2.0)],
     ),
     "tear_lossy_path": lambda: lossy_path_baseline(
         TearFlow, ("reports_received",),

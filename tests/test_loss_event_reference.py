@@ -27,7 +27,7 @@ def receiver_p(arrivals):
     for seq, now, rtt in arrivals:
         sim.run(until=now)
         receiver.receive(Packet("f", seq, 1000, sent_at=now,
-                                payload=TfrcDataInfo(now, rtt)))
+                                payload=TfrcDataInfo(rtt)))
     return receiver.loss_event_rate(), len(receiver.detector.events)
 
 

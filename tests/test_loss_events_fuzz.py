@@ -33,7 +33,7 @@ class TestAgainstReferenceCounts:
     def test_every_loss_counted_once(self, keep_mask, rtt):
         """Without reordering, the detector's loss count equals the number
         of dropped packets whose holes matured (3 later arrivals)."""
-        detector = LossEventDetector(rtt_fn=lambda: rtt, reorder_tolerance=3)
+        detector = LossEventDetector(rtt_fn=lambda: rtt)
         delivered = [i for i, keep in enumerate(keep_mask) if keep]
         if len(delivered) < 5:
             return
@@ -49,7 +49,7 @@ class TestAgainstReferenceCounts:
     @given(st.lists(st.booleans(), min_size=20, max_size=300))
     @settings(max_examples=50, deadline=None)
     def test_events_never_exceed_losses(self, keep_mask):
-        detector = LossEventDetector(rtt_fn=lambda: 0.05, reorder_tolerance=3)
+        detector = LossEventDetector(rtt_fn=lambda: 0.05)
         delivered = [i for i, keep in enumerate(keep_mask) if keep]
         if len(delivered) < 5:
             return
@@ -64,7 +64,7 @@ class TestAgainstReferenceCounts:
     def test_burst_within_rtt_is_single_event(self, burst, rtt):
         """Any contiguous burst of losses (followed by arrivals within one
         RTT) collapses into one loss event."""
-        detector = LossEventDetector(rtt_fn=lambda: rtt, reorder_tolerance=3)
+        detector = LossEventDetector(rtt_fn=lambda: rtt)
         delivered = list(range(10)) + list(range(10 + burst, 20 + burst))
         # Tight spacing: whole trace well inside one RTT per gap.
         deliver_pattern(detector, delivered, spacing=rtt / 100)
@@ -83,14 +83,14 @@ class TestAgainstReferenceCounts:
         )
         for index in swaps:
             order[index], order[index + 1] = order[index + 1], order[index]
-        detector = LossEventDetector(rtt_fn=lambda: 0.05, reorder_tolerance=3)
+        detector = LossEventDetector(rtt_fn=lambda: 0.05)
         deliver_pattern(detector, order)
         assert detector.packets_lost == 0
         assert detector.events == []
 
     def test_three_position_reorder_tolerated(self):
         """A packet late by three positions still fills its hole in time."""
-        detector = LossEventDetector(rtt_fn=lambda: 0.05, reorder_tolerance=3)
+        detector = LossEventDetector(rtt_fn=lambda: 0.05)
         deliver_pattern(detector, [0, 2, 3, 1, 4, 5, 6, 7])
         assert detector.packets_lost == 0
 
@@ -98,7 +98,7 @@ class TestAgainstReferenceCounts:
         """Beyond the tolerance a late packet is transiently counted as lost
         (TCP's 3-dupACK behaviour), but its eventual arrival retracts the
         declaration -- reordered-but-delivered packets leave no loss."""
-        detector = LossEventDetector(rtt_fn=lambda: 0.05, reorder_tolerance=3)
+        detector = LossEventDetector(rtt_fn=lambda: 0.05)
         t = deliver_pattern(detector, [0, 2, 3, 4, 5])
         assert detector.packets_lost == 1
         assert len(detector.events) == 1
@@ -109,7 +109,7 @@ class TestAgainstReferenceCounts:
     def test_retraction_keeps_event_with_surviving_losses(self):
         """Retracting one constituent of a multi-loss event keeps the event
         alive while any genuinely lost packet remains in it."""
-        detector = LossEventDetector(rtt_fn=lambda: 10.0, reorder_tolerance=3)
+        detector = LossEventDetector(rtt_fn=lambda: 10.0)
         # Holes 1 and 2 mature together into one event; packet 1 arrives
         # late (retracted), packet 2 never does (a real loss).
         t = deliver_pattern(detector, [0, 3, 4, 5])
@@ -129,7 +129,8 @@ class TestIntervalAccounting:
         """Drop exactly one packet every `length` packets (far apart in
         time): each closed interval equals the sequence distance between
         consecutive dropped packets."""
-        detector = LossEventDetector(rtt_fn=lambda: 0.0001, reorder_tolerance=1)
+        detector = LossEventDetector(rtt_fn=lambda: 0.0001)
+        detector.REORDER_TOLERANCE = 1
         seq = 0
         t = 0.0
         drop_seqs = []
@@ -207,10 +208,8 @@ class TestInOrderPathAgainstGeneralBody:
     def test_state_equal_after_every_arrival(
         self, stream, rtt, spacing, tolerance, window
     ):
-        fast, general = (
-            LossEventDetector(rtt_fn=lambda: rtt, reorder_tolerance=tolerance)
-            for _ in range(2)
-        )
+        fast, general = (LossEventDetector(rtt_fn=lambda: rtt) for _ in range(2))
+        fast.REORDER_TOLERANCE = general.REORDER_TOLERANCE = tolerance
         # A short horizon makes ``_expire_retractables`` bite on both paths.
         fast.RETRACTION_WINDOW = general.RETRACTION_WINDOW = window
         for i, (seq, marked) in enumerate(stream):
@@ -267,7 +266,7 @@ class TestReceiverAgainstGeneralBody:
                 sim.run(until=i * spacing)
                 packet = Packet(
                     "f", seq, 1000, sent_at=sim.now,
-                    payload=TfrcDataInfo(sim.now, rtts[i * len(rtts) // len(stream)]),
+                    payload=TfrcDataInfo(rtts[i * len(rtts) // len(stream)]),
                 )
                 packet.ecn_marked = marked
                 receiver.receive(packet)
@@ -293,10 +292,8 @@ class TestFusedInOrderArrival:
     def test_fused_call_then_fallback_equals_general_body(
         self, stream, rtt, tolerance, window
     ):
-        fused, general = (
-            LossEventDetector(rtt_fn=lambda: rtt, reorder_tolerance=tolerance)
-            for _ in range(2)
-        )
+        fused, general = (LossEventDetector(rtt_fn=lambda: rtt) for _ in range(2))
+        fused.REORDER_TOLERANCE = general.REORDER_TOLERANCE = tolerance
         fused.RETRACTION_WINDOW = general.RETRACTION_WINDOW = window
         for i, (seq, _) in enumerate(stream):
             now = i * 0.003
@@ -335,8 +332,9 @@ class TestLazyRetractionExpiry:
            st.sampled_from([2, 30, 150, 200]))
     @settings(max_examples=150, deadline=None)
     def test_lazy_equals_eager_after_every_arrival(self, stream, rtt, window):
-        lazy = LossEventDetector(rtt_fn=lambda: rtt, reorder_tolerance=1)
-        eager = EagerExpiry(rtt_fn=lambda: rtt, reorder_tolerance=1)
+        lazy = LossEventDetector(rtt_fn=lambda: rtt)
+        eager = EagerExpiry(rtt_fn=lambda: rtt)
+        lazy.REORDER_TOLERANCE = eager.REORDER_TOLERANCE = 1
         lazy.RETRACTION_WINDOW = eager.RETRACTION_WINDOW = window
         # Every other packet lost first: with the wider windows > 64
         # declarations stay held, so in-order arrivals in the tail expire

@@ -11,15 +11,19 @@ from repro.sim.engine import Simulator
 
 
 class TestSuppressionTimer:
-    def make(self, sim, rate, rng_seed=0, **kwargs):
+    def make(self, sim, rate, rng_seed=0, round_duration=1.0, **constants):
+        """A suppression timer; ``constants`` (``BIAS_STRENGTH``,
+        ``SUPPRESS_FACTOR``) are set on the instance after construction."""
         fired = []
         suppression = FeedbackSuppression(
             sim,
             send_report=lambda: fired.append(sim.now),
             rate_fn=lambda: rate,
             rng=np.random.default_rng(rng_seed),
-            **kwargs,
+            round_duration=round_duration,
         )
+        for name, value in constants.items():
+            setattr(suppression, name, value)
         return suppression, fired
 
     def test_fires_within_round(self):
@@ -65,11 +69,6 @@ class TestSuppressionTimer:
                 sim, lambda: None, lambda: 1.0,
                 rng=np.random.default_rng(0), round_duration=0,
             )
-        with pytest.raises(ValueError):
-            FeedbackSuppression(
-                sim, lambda: None, lambda: 1.0,
-                rng=np.random.default_rng(0), suppress_factor=0.5,
-            )
 
     @pytest.mark.parametrize("own, heard, factor, keeps_timer", [
         (80.0, 100.0, 1.2, True),  # 80 < 100 / 1.2: the new bottleneck
@@ -81,9 +80,9 @@ class TestSuppressionTimer:
     ])
     def test_heard_report_decision(self, own, heard, factor, keeps_timer):
         """Section 6: a heard report cancels ours unless our own rate is
-        lower than the reported one by more than ``suppress_factor``."""
+        lower than the reported one by more than ``SUPPRESS_FACTOR``."""
         sim = Simulator()
-        suppression, fired = self.make(sim, rate=own, suppress_factor=factor)
+        suppression, fired = self.make(sim, rate=own, SUPPRESS_FACTOR=factor)
         suppression.start_round()
         suppression.on_heard_report(reported_rate=heard)
         assert suppression.pending is keeps_timer
@@ -106,11 +105,11 @@ class TestSuppressionTimer:
         (1e9, 1.0),  # above RATE_SCALE: clamped to the end of the round
     ])
     def test_full_bias_delay_is_log_rate_over_log_scale(self, rate, fraction):
-        """With ``bias_strength=1`` there is no jitter: the delay is the
+        """With ``BIAS_STRENGTH = 1`` there is no jitter: the delay is the
         round length times log(1 + rate) / log(1 + RATE_SCALE)."""
         sim = Simulator()
         suppression, fired = self.make(
-            sim, rate=rate, round_duration=2.0, bias_strength=1.0
+            sim, rate=rate, round_duration=2.0, BIAS_STRENGTH=1.0
         )
         suppression.start_round()
         sim.run(until=2.1)
@@ -132,10 +131,10 @@ class TestSuppressionTimer:
         for seed in range(20):
             sim = Simulator()
             slow, slow_fired = self.make(
-                sim, rate=low, rng_seed=seed, bias_strength=bias
+                sim, rate=low, rng_seed=seed, BIAS_STRENGTH=bias
             )
             fast, fast_fired = self.make(
-                sim, rate=high, rng_seed=seed + 1000, bias_strength=bias
+                sim, rate=high, rng_seed=seed + 1000, BIAS_STRENGTH=bias
             )
             slow.start_round()
             fast.start_round()

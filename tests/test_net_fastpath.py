@@ -157,10 +157,12 @@ STANDALONE_PACKET_TIME = 1000 * 8 / 15e6
 
 
 def _red(seed=0, ecn=False):
-    return REDQueue(
+    queue = REDQueue(
         30, min_thresh=3, max_thresh=9, max_p=0.1, weight=0.2, gentle=True,
-        ecn=ecn, rng=np.random.default_rng(seed),
+        rng=np.random.default_rng(seed),
     )
+    queue.ecn = ecn
+    return queue
 
 
 def _packet(i, ecn_capable=False):
@@ -236,9 +238,10 @@ class TestRedFastpathEquivalence:
     def test_conservation_counters(self, ecn):
         rng = np.random.default_rng(5)
         queue = REDQueue(
-            12, min_thresh=2, max_thresh=6, weight=0.5, ecn=ecn,
+            12, min_thresh=2, max_thresh=6, weight=0.5,
             rng=np.random.default_rng(2),
         )
+        queue.ecn = ecn
         accepted = dropped = marked = 0
         now = 0.0
         for i in range(500):
@@ -287,8 +290,9 @@ class TestRedFastpathEquivalence:
         """
         queue = REDQueue(
             10_000, min_thresh=1, max_thresh=1001, max_p=1.0, weight=1.0,
-            rng=np.random.default_rng(7), ecn=ecn,
+            rng=np.random.default_rng(7),
         )
+        queue.ecn = ecn
         # weight=1 pins avg == instantaneous occupancy; hold the queue at
         # depth 101 (dequeue after every accept) so p_b == 0.1 for every
         # measured arrival.

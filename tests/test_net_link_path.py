@@ -1,5 +1,6 @@
 """Unit tests for links, the lossy path and loss models."""
 
+import functools
 import re
 
 import numpy as np
@@ -108,6 +109,51 @@ class TestLink:
 
         with pytest.raises(TypeError, match="no inline dequeue"):
             Link(Simulator(), 1e6, 0.01, Lifo(4))
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "+inf", "-inf"]
+)
+
+
+class TestNonFiniteParameters:
+    """NaN passes every ``<=`` / ``<`` guard, and an infinite delay or
+    bandwidth strands packets: each is refused at construction, naming the
+    argument and its value."""
+
+    @NON_FINITE
+    def test_link_bandwidth(self, bad):
+        with pytest.raises(ValueError, match=r"link l: bandwidth_bps .* got "
+                           + re.escape(repr(bad))):
+            Link(Simulator(), bad, 0.01, DropTailQueue(10), name="l")
+
+    @NON_FINITE
+    def test_link_propagation_delay(self, bad):
+        with pytest.raises(ValueError, match=r"link l: propagation_delay .* got "
+                           + re.escape(repr(bad))):
+            Link(Simulator(), 1e6, bad, DropTailQueue(10), name="l")
+
+    @NON_FINITE
+    def test_path_delay(self, bad):
+        with pytest.raises(ValueError, match=r"path p: delay .* got "
+                           + re.escape(repr(bad))):
+            LossyPath(Simulator(), delay=bad, name="p")
+
+    @NON_FINITE
+    def test_path_bandwidth(self, bad):
+        with pytest.raises(ValueError, match=r"path p: bandwidth_bps .* got "
+                           + re.escape(repr(bad))):
+            LossyPath(Simulator(), delay=0.01, bandwidth_bps=bad, name="p")
+
+    def test_dumbbell_config_reaches_the_link_check(self):
+        from repro.net.topology import Dumbbell, DumbbellConfig
+
+        with pytest.raises(ValueError, match="link bottleneck-fwd: propagation_delay"):
+            Dumbbell(Simulator(), DumbbellConfig(delay=float("nan")))
+
+    def test_finite_edges_still_accepted(self):
+        Link(Simulator(), 1e6, 0.0, DropTailQueue(10))
+        LossyPath(Simulator(), delay=0.0, bandwidth_bps=1.0)
 
 
 class TestLossModels:
@@ -273,13 +319,20 @@ class TestLossyPath:
         for i, packet in enumerate(packets):
             path.send(packet)
             # 1 ms of serialization each, back to back.
-            reference.schedule_fast(0.001 * (i + 1) + 0.05, receiver, args=(packet,))
-        assert direct._heap == reference._heap
+            reference.schedule_fast(
+                0.001 * (i + 1) + 0.05, functools.partial(receiver, packet)
+            )
+        # The same entries but for the bound argument, which the path
+        # hands over in the entry's ``args`` slot.
+        assert [(t, seq, cb, args) for t, seq, cb, args, _ in direct._heap] == [
+            (t, seq, cb.func, cb.args) for t, seq, cb, _, _ in reference._heap
+        ]
         assert direct._seq == reference._seq == 3
 
     def test_non_finite_delivery_time_rejected_like_schedule_fast(self):
         sim = Simulator()
-        path = LossyPath(sim, delay=float("inf"))
+        path = LossyPath(sim, delay=0.05)
+        path.delay = float("inf")  # past the constructor's check
         path.connect(lambda p: None)
         with pytest.raises(SimulationError, match="non-finite"):
             path.send(make_packet())

@@ -83,8 +83,6 @@ class TestGilbertElliott:
         with pytest.raises(ValueError):
             gilbert_elliott_from_rate(0.0, 3, rng)
         with pytest.raises(ValueError):
-            gilbert_elliott_from_rate(0.5, 3, rng, loss_bad=0.4)
-        with pytest.raises(ValueError):
             gilbert_elliott_from_rate(0.1, 0.5, rng)
 
     @settings(max_examples=20, deadline=None)

@@ -178,4 +178,5 @@ class TestMonitorLiteralValues:
         assert monitor.drops == [(0.0, "f")] * 3
         assert len(monitor.drops) == 3
         assert monitor.queue_series(t_min=0.0005) == samples[-2:]
-        assert monitor.queue_series(t_min=0.0, t_max=0.001) == samples[:-1]
+        assert monitor.queue_series(t_min=0.001) == samples[-2:]
+        assert monitor.queue_series(t_min=0.0011) == samples[-1:]

@@ -1,16 +1,25 @@
 """Unit tests for the dumbbell topology and fig03's Dummynet-style pipe."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.fig03_oscillation import dummynet_pipe
 from repro.net.packet import Packet
-from repro.net.topology import Dumbbell, DumbbellConfig
+from repro.net.topology import ACCESS_JITTER, Dumbbell, DumbbellConfig
 from repro.scenarios.builders import RTT_RANGE, build_mixed_dumbbell
 from repro.sim.engine import Simulator
+from repro.sim.rng import BlockDraws
 
 
 def make_packet(flow, seq=0, size=1000):
     return Packet(flow_id=flow, seq=seq, size=size)
+
+
+def access_jitter(n):
+    """The first ``n`` ingress jitters of a dumbbell: every port draws from
+    one stream seeded 11, in send order."""
+    stream = BlockDraws(np.random.default_rng(11), high=ACCESS_JITTER, block=256)
+    return [stream.next() for _ in range(n)]
 
 
 class TestDumbbellConfig:
@@ -37,7 +46,7 @@ class TestDumbbellConfig:
 class TestDumbbell:
     def test_round_trip_through_both_directions(self):
         sim = Simulator()
-        config = DumbbellConfig(queue_type="droptail", access_jitter=0.0)
+        config = DumbbellConfig(queue_type="droptail")
         dumbbell = Dumbbell(sim, config)
         fwd, rev = dumbbell.attach_flow("f", base_rtt=0.1)
         got_fwd, got_rev = [], []
@@ -45,13 +54,15 @@ class TestDumbbell:
         rev.connect(lambda p: got_rev.append(sim.now))
         fwd.send(make_packet("f"))
         sim.run()
-        # one-way: tx (0.533ms) + 50ms bottleneck + 2 access segments of
-        # (0.1 - 0.1)/4 = 0 ... base_rtt == 2*delay here, so just tx+delay.
-        assert got_fwd and got_fwd[0] == pytest.approx(0.050 + 1000 * 8 / 15e6)
+        # one-way: ingress jitter + tx (0.533ms) + 50ms bottleneck + 2 access
+        # segments of (0.1 - 0.1)/4 = 0 ... base_rtt == 2*delay here.
+        (jitter,) = access_jitter(1)
+        assert 0 < jitter < ACCESS_JITTER
+        assert got_fwd == [pytest.approx(jitter + 0.050 + 1000 * 8 / 15e6)]
 
     def test_base_rtt_honored(self):
         sim = Simulator()
-        config = DumbbellConfig(queue_type="droptail", access_jitter=0.0)
+        config = DumbbellConfig(queue_type="droptail")
         dumbbell = Dumbbell(sim, config)
         fwd, rev = dumbbell.attach_flow("f", base_rtt=0.2)
         fwd_time, rtt_time = [], []
@@ -60,14 +71,16 @@ class TestDumbbell:
         fwd.send(make_packet("f"))
         sim.run()
         tx = 1000 * 8 / 15e6
-        # Forward one-way: segment + tx + 50ms + segment = 0.025*2 + tx + 0.05
-        assert fwd_time[0] == pytest.approx(0.1 + tx)
-        # Full RTT: 0.2 + 2 serializations (data fwd + data-size packet back).
-        assert rtt_time[0] == pytest.approx(0.2 + 2 * tx)
+        there, back = access_jitter(2)
+        # Forward one-way: segment + jitter + tx + 50ms + segment
+        assert fwd_time == [pytest.approx(0.1 + tx + there)]
+        # Full RTT: 0.2 + 2 serializations (data fwd + data-size packet back)
+        # + one ingress jitter each way.
+        assert rtt_time == [pytest.approx(0.2 + 2 * tx + there + back)]
 
     def test_flow_isolation(self):
         sim = Simulator()
-        dumbbell = Dumbbell(sim, DumbbellConfig(queue_type="droptail", access_jitter=0.0))
+        dumbbell = Dumbbell(sim, DumbbellConfig(queue_type="droptail"))
         fa, _ = dumbbell.attach_flow("a", 0.1)
         fb, _ = dumbbell.attach_flow("b", 0.1)
         got_a, got_b = [], []
@@ -88,7 +101,7 @@ class TestDumbbell:
 
     def test_jitter_preserves_per_flow_order(self):
         sim = Simulator()
-        config = DumbbellConfig(queue_type="droptail", access_jitter=0.005)
+        config = DumbbellConfig(queue_type="droptail")
         dumbbell = Dumbbell(sim, config)
         fwd, _ = dumbbell.attach_flow("f", 0.1)
         seqs = []
@@ -103,7 +116,6 @@ class TestDumbbell:
         sim = Simulator()
         config = DumbbellConfig(
             bandwidth_bps=1e6, queue_type="droptail", buffer_packets=5,
-            access_jitter=0.0,
         )
         dumbbell = Dumbbell(sim, config)
         fwd, _ = dumbbell.attach_flow("f", 0.1)

@@ -20,15 +20,19 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.trace import Tracer
 
 
-def unicast(flow_cls, **kwargs):
-    def build(sim, loss_model=None, **sender_kwargs):
+def unicast(flow_cls, **sender_attrs):
+    def build(sim, loss_model=None, tracer=None):
         # 1 Mb/s forward: lossless slow start would otherwise double without
         # bound (TFRC's is capped at twice the receive rate).
         forward = LossyPath(
             sim, delay=0.05, loss_model=loss_model, bandwidth_bps=1e6
         )
         reverse = LossyPath(sim, delay=0.05)
-        return flow_cls(sim, "f", forward, reverse, **kwargs, **sender_kwargs)
+        flow = flow_cls(sim, "f", forward, reverse)
+        # Set before start, as a constructor argument would be.
+        for name, value in dict(sender_attrs, tracer=tracer).items():
+            setattr(flow.sender, name, value)
+        return flow
 
     return build
 
@@ -42,7 +46,7 @@ def multicast(sim, loss_model=None):
 SENDERS = {
     "tfrc": (unicast(TfrcFlow), True),
     "rap": (unicast(RapFlow), True),
-    "tfrcp": (unicast(TfrcpFlow, update_interval=1.0), True),
+    "tfrcp": (unicast(TfrcpFlow, UPDATE_INTERVAL=1.0), True),
     "tear": (unicast(TearFlow), False),
     "multicast": (multicast, False),
 }

@@ -14,6 +14,8 @@ blocks order-insensitively, so only the wire ordering changed).
 
 import json
 
+import pytest
+
 from repro.experiments import fig02_loss_interval as fig02
 from repro.experiments import fig19_increase as fig19
 from repro.experiments import fig20_halving as fig20
@@ -81,11 +83,18 @@ def _preport_fig20(initial_period=100, congested_period=2, onset=10.0,
 #: (figure entry point, its scale keywords, cells in its sweep): what the
 #: parallel and cache cases below push ``SweepRunner`` options through.
 SWEEP_ENTRIES = [
-    (fig20.run, {"duration": 12.0}, 1),
-    (fig20.run_sweep, {"initial_periods": (100, 10), "duration": 12.0}, 2),
+    (fig20.run, {}, 1),
+    (fig20.run_sweep, {"initial_periods": (100, 10)}, 2),
     (fig02.run, {"duration": 12.0}, 1),
     (fig19.run, {}, 1),
 ]
+
+
+@pytest.fixture
+def short_fig20(monkeypatch):
+    """Figures 20 and 21 at 12 simulated seconds, two past the onset."""
+    monkeypatch.setattr(fig20, "DURATION", 12.0)
+    monkeypatch.setattr(fig20, "SWEEP_DURATION", 12.0)
 
 
 class TestFig02PortEquivalence:
@@ -125,10 +134,10 @@ class TestFig20PortEquivalence:
         assert ported.times == glue["times"]
         assert ported.rates == glue["rates"]
 
-    def test_sweep_matches_preport_serial_loop(self):
+    def test_sweep_matches_preport_serial_loop(self, short_fig20):
         """Figure 21's grid: every cell equals a direct pre-port run."""
         periods = (100, 10)
-        sweep = fig20.run_sweep(initial_periods=periods, duration=12.0)
+        sweep = fig20.run_sweep(initial_periods=periods)
         for period, drop_rate, rtts in zip(
             periods, sweep.drop_rates, sweep.rtts_to_halve
         ):
@@ -140,7 +149,7 @@ class TestFig20PortEquivalence:
             assert drop_rate == 1.0 / period
             assert rtts == glue_result.rtts_to_halve()
 
-    def test_parallel_cells_identical_to_serial(self):
+    def test_parallel_cells_identical_to_serial(self, short_fig20):
         for entry, scale, cells in SWEEP_ENTRIES:
             progressed = []
             parallel = entry(
@@ -151,7 +160,7 @@ class TestFig20PortEquivalence:
             # one progress call per cell, through the figure entry point
             assert progressed == [(n + 1, cells) for n in range(cells)]
 
-    def test_cache_round_trip_is_exact(self, tmp_path):
+    def test_cache_round_trip_is_exact(self, tmp_path, short_fig20):
         for entry, scale, cells in SWEEP_ENTRIES:
             hits = []
             options = {

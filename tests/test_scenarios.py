@@ -512,11 +512,14 @@ class TestSweepRunner:
         queue = FileQueueExecutor(tmp_path / "queue", local_workers=2)
         assert queue.describe(3) == "queue x2"
 
-    def test_print_progress_closes_each_sweep_with_one_line(self, tmp_path):
+    def test_print_progress_closes_each_sweep_with_one_line(
+        self, tmp_path, monkeypatch
+    ):
         stream = io.StringIO()
+        monkeypatch.setattr("sys.stderr", stream)
         options = {
             "cache_dir": str(tmp_path / "sweep"),
-            "progress": print_progress(stream),
+            "progress": print_progress(),
         }
         SweepRunner(self.BASE, {"extra.x": [1, 2]}, **options).run()
         SweepRunner(self.BASE, {"extra.x": [1, 2, 3]}, **options).run()
@@ -534,7 +537,9 @@ class TestSweepRunner:
             "[sweep] 1 cell: 1 cached, 0 run in Ns",
         ]
 
-    def test_corrupt_entry_found_on_read_is_counted_and_re_run(self, tmp_path):
+    def test_corrupt_entry_found_on_read_is_counted_and_re_run(
+        self, tmp_path, monkeypatch
+    ):
         grid, cache_dir = {"extra.x": [1, 2], "seed": [10, 20]}, tmp_path / "c"
         clean = SweepRunner(self.BASE, grid, cache_dir=str(cache_dir)).run()
         assert clean.corrupt_entries == 0
@@ -542,9 +547,10 @@ class TestSweepRunner:
         victim.write_bytes(victim.read_bytes()[:40])
 
         stream = io.StringIO()
+        monkeypatch.setattr("sys.stderr", stream)
         rerun = SweepRunner(
             self.BASE, grid, cache_dir=str(cache_dir),
-            progress=print_progress(stream),
+            progress=print_progress(),
         ).run()
         assert (rerun.corrupt_entries, rerun.cache_hits) == (1, 3)
         assert not rerun.cells[2].from_cache

@@ -97,8 +97,33 @@ def _built_testbed():
 
 def test_run_checks_link_conservation():
     bed = _built_testbed().run(3.0)
-    assert bed.dumbbell.forward_link.packets_forwarded > 100
-    assert bed.dumbbell.forward_link.queue.dropped > 0
+    link = bed.dumbbell.forward_link
+    assert link.packets_forwarded > 100
+    assert link.queue.dropped > 0
+    assert link.packets_delivered > 100
+    assert link.packets_forwarded == link.packets_delivered + len(link._in_flight)
+
+
+def test_packet_lost_on_the_wire_names_the_link():
+    """A packet that leaves the wire and is never handed on: the
+    propagation train is part of the conservation check."""
+    bed = _built_testbed()
+    link = bed.dumbbell.forward_link
+    lost = []
+
+    def lose_one():
+        if link._in_flight:
+            lost.append(link._in_flight.popleft())
+        else:
+            bed.sim.schedule(bed.sim.now + 0.001, lose_one)
+
+    bed.sim.schedule(1.0, lose_one)
+    with pytest.raises(SimulationError, match="link bottleneck-fwd:") as raised:
+        bed.run(3.0)
+    message = str(raised.value)
+    assert len(lost) == 1
+    assert "t=3.0" in message
+    assert "'delivered'" in message and "'in_flight'" in message
 
 
 @pytest.mark.parametrize("counter", ["enqueued", "dequeued", "early_drops"])

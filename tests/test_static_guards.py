@@ -45,15 +45,21 @@ them anywhere.  One test per rule family:
     member shares its reach with every same-named member.  A member that
     only a test oracle reads -- a golden-digest input, a statistic a
     ``benchmarks/`` claim asserts, a fuzz reference -- is allowlisted.
-``reach.unused-option`` (module-level functions of ``src/repro/experiments``)
-    a defaulted parameter that no call passes -- by keyword, by position,
-    through a ``**`` mapping, a forwarding call such as ``once(benchmark,
-    f, ...)`` or a ``(f, {...})`` table row -- from ``src/repro``,
-    ``bench/``, ``examples/``, ``benchmarks/`` or ``tests/``, the call
-    resolved through the caller's imports.  Such an option is a second
-    place a figure parameter is written: its default restates the value
-    every run uses.  ``seed`` is exempt: every entry point keeps it for the
-    seed-aggregated claims.
+``reach.unused-option`` (every defaulted parameter in ``src/repro``)
+    a defaulted parameter of a module-level function, a method or a class
+    constructor -- or a defaulted field of a config dataclass
+    (``CONFIG_DATACLASSES``) -- that no call from ``src/repro``, ``bench/``
+    (its own tests aside), ``examples/`` or ``benchmarks/`` passes: by
+    keyword, by position, through a ``**`` mapping, a ``**kwargs`` wrapper
+    that forwards it (``TfrcFlow`` -> ``TfrcSender``), a call handing the
+    callable on (``once(benchmark, f, ...)``) or a ``(f, {...})`` table row.
+    Tests are not callers: an option only a test sets is a constant the
+    test assigns on the instance.  ``seed`` is exempt: every entry point
+    keeps it for the seed-aggregated claims.
+``imports.unused`` (``src/repro``)
+    an import binding its module never reads; a package ``__init__``'s
+    imports are its re-exports, and a name another module imports from the
+    module counts as read.
 ``tests.missing-slow-marker`` (``tests/``)
     a test without ``@pytest.mark.slow`` (on it, its class or the module's
     ``pytestmark``) whose visible work -- sweep-grid cells times constant
@@ -71,6 +77,7 @@ stale and fails the guard too.
 
 import argparse
 import ast
+import builtins
 import functools
 import importlib
 import pkgutil
@@ -541,6 +548,7 @@ def test_runner_executor_choices_are_the_executor_table():
 CALLERS = (SRC, "bench/", "examples/")
 NOT_CALLERS = ("bench/tests/",)
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+BUILTINS = frozenset(dir(builtins))
 
 #: ``(path, name)`` -> why a name only tests reach is kept.
 REACH_ALLOWLIST = {
@@ -697,15 +705,54 @@ def test_member_reach_guard():
     )
 
 
-EXPERIMENTS = SRC + "experiments/"
-#: where a call that passes a figure option counts.
-OPTION_CALLERS = (SRC, "bench/", "examples/", "benchmarks/", TESTS)
+#: where a call that passes an option counts: the member guard's callers
+#: plus the paper-ablation benchmarks.  A test never does.
+OPTION_CALLERS = CALLERS + ("benchmarks/",)
 #: every figure entry point keeps ``seed``: the seed-aggregated claims
 #: (ROADMAP item 4) sweep it over each figure, whether or not a run here
 #: passes it yet.
 OPTION_EXEMPT = frozenset({"seed"})
-#: ``(path, "func.param")`` -> why an option no call passes is kept.
-OPTION_ALLOWLIST = {}
+#: the dataclasses a run is configured with; their defaulted fields are
+#: options.  A result dataclass's defaults are what a run fills in.
+CONFIG_DATACLASSES = frozenset({
+    "DumbbellConfig", "FaultPlan", "GridCellParams", "PathProfile", "RedParams",
+    "ScenarioSpec",
+})
+#: ``(path, "owner.param")`` -> why an option no caller passes is kept.
+OPTION_ALLOWLIST = {
+    ("src/repro/experiments/fig11_onoff.py", "run_one.tracer"):
+        "golden-digest input: the traced fig11 run hashes the records of the "
+        "tracer it hands in; a figure run traces nothing",
+    ("src/repro/net/queues.py", "REDQueue.weight"):
+        "fuzz reference: the RED twin-congruence and fast-path fuzzers draw "
+        "w_q to hold REDQueue to red_update_vec (both go with ROADMAP 9a)",
+    ("src/repro/net/queues.py", "REDQueue.gentle"):
+        "fuzz reference: the RED twin-congruence and fast-path fuzzers run "
+        "both RED variants against red_update_vec (ROADMAP 9a)",
+    ("src/repro/scenarios/builders.py", "PathProfile.queue_type"):
+        "spec-hash input: to_dict writes it into every internet-path cell's "
+        "topology group, so dropping the field moves every cell key",
+    ("src/repro/scenarios/executors.py", "FileQueueExecutor.poll_interval"):
+        "queue transport, deleted whole by ROADMAP 10: its tests shorten the "
+        "poll to stay in the fast tier; the worker CLI has the same knob",
+    ("src/repro/scenarios/executors.py", "FileQueueExecutor.cell_timeout"):
+        "queue transport, deleted whole by ROADMAP 10: the coordinator-side "
+        "twin of the worker CLI's --cell-timeout, handed to local workers",
+    ("src/repro/scenarios/fsck.py", "main.argv"):
+        "console-script entry point: main(argv) is the CLI driven in process, "
+        "as bench drives runner.main",
+}
+
+
+class _Callable(NamedTuple):
+    """What a call may pass to: a function, a method or a constructor."""
+
+    rel: str
+    label: str          # ``func``, ``Class.method`` or ``Class``
+    params: tuple       # positional parameters, ``self`` / ``cls`` dropped
+    named: frozenset    # every parameter name
+    options: tuple      # ``(name, line)`` of each defaulted parameter
+    node: object        # the ``def`` (None for a dataclass's fields)
 
 
 def _defaulted(func):
@@ -733,52 +780,248 @@ def _dict_keys(node):
     return set()
 
 
-def check_option_reach(sources):
-    """``reach.unused-option`` over the module-level functions of
-    ``src/repro/experiments``; the finding's detail is ``func.param``.
+def _decorators(node):
+    return {
+        getattr(dec, "id", None) or getattr(dec, "attr", None)
+        for dec in (
+            d.func if isinstance(d, ast.Call) else d for d in node.decorator_list
+        )
+    }
 
-    A parameter is passed by a call that resolves (through the caller's
-    imports, or by bare name in the defining module) to its function and
-    names it, reaches its position, or unpacks a mapping that holds it: a
-    ``**kwargs`` bound to a ``dict(...)`` or ``{...}`` literal in the same
-    module.  A call that takes the function itself as an argument forwards
-    the arguments after it (``once(benchmark, fig08.run, duration=30.0)``,
-    ``functools.partial``), and a table row ``(f, {"duration": 12.0}, ...)``
-    passes its mapping's keys to ``f``.
-    """
-    functions, passed = {}, {}
-    for rel, tree, _, _ in _modules(sources, EXPERIMENTS):
-        module = _module_name(rel)
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                qual = f"{module}.{node.name}"
-                functions[qual] = (rel, node)
-                passed[qual] = set()
 
-    for rel, text in sources:
-        if not rel.startswith(OPTION_CALLERS):
+def _function_callable(rel, label, func, bound):
+    positional = [a.arg for a in func.args.posonlyargs + func.args.args]
+    positional = positional[1:] if bound else positional
+    named = positional + [a.arg for a in func.args.kwonlyargs]
+    options = tuple((name, func.lineno) for name in _defaulted(func))
+    return _Callable(rel, label, tuple(positional), frozenset(named), options, func)
+
+
+def _dataclass_callable(rel, cls):
+    """A config dataclass's generated constructor: its ``init`` fields in
+    order, those with a default (or ``field(default...)``) as options."""
+    params, options = [], []
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
             continue
-        _, nodes, aliases = _parse(rel, text)
-        module = _module_name(rel) if rel.startswith(SRC) else None
-        mappings = {}
-        for node in nodes:
-            if isinstance(node, ast.Assign) and _dict_keys(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        mappings.setdefault(target.id, set()).update(
-                            _dict_keys(node.value)
+        value = stmt.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            defaulted = "default" in keywords or "default_factory" in keywords
+        else:
+            defaulted = value is not None
+        params.append(stmt.target.id)
+        if defaulted:
+            options.append((stmt.target.id, stmt.lineno))
+    return _Callable(
+        rel, cls.name, tuple(params), frozenset(params), tuple(options), None
+    )
+
+
+def _option_module(rel):
+    """``src/repro/net/path.py`` -> ``repro.net.path``; ``bench/run.py`` ->
+    ``bench.run``."""
+    return _module_name(rel) if rel.startswith(SRC) else rel[:-3].replace("/", ".")
+
+
+def _scoped(node, cls=None, func=None):
+    """Every node under ``node`` with its innermost enclosing class and
+    function."""
+    yield node, cls, func
+    if isinstance(node, ast.ClassDef):
+        cls = node
+    elif isinstance(node, METHODS):
+        func = node
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped(child, cls, func)
+
+
+def _option_callables(modules):
+    """Every function, method and constructor the callers define, as
+    ``qual -> _Callable``; ``method name -> [qual]``; the bases of each class
+    that inherits its constructor; module-level ``{...: callable}`` tables;
+    and ``name -> qual`` for each ``from m import name`` (re-exports)."""
+    callables, methods, inherits, tables, imported = {}, {}, {}, {}, {}
+    for rel, module, tree, aliases in modules:
+        for node in tree.body:
+            qual = f"{module}.{getattr(node, 'name', '')}"
+            if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                for alias in node.names:
+                    imported[f"{module}.{alias.asname or alias.name}"] = (
+                        f"{node.module}.{alias.name}"
+                    )
+            elif isinstance(node, METHODS):
+                callables[qual] = _function_callable(rel, node.name, node, False)
+            elif isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if not isinstance(member, METHODS):
+                        continue
+                    bound = "staticmethod" not in _decorators(member)
+                    if member.name == "__init__":
+                        callables[qual] = _function_callable(
+                            rel, node.name, member, bound
                         )
+                    elif not _is_dunder(member.name):
+                        label = f"{node.name}.{member.name}"
+                        callables[f"{qual}.{member.name}"] = _function_callable(
+                            rel, label, member, bound
+                        )
+                        methods.setdefault(member.name, []).append(
+                            f"{qual}.{member.name}"
+                        )
+                if node.name in CONFIG_DATACLASSES and qual not in callables:
+                    callables[qual] = _dataclass_callable(rel, node)
+                if qual not in callables:
+                    inherits[qual] = [
+                        _qualname(base, aliases) or f"{module}.{ast.unparse(base)}"
+                        for base in node.bases
+                    ]
+            elif (
+                isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and [type(t) for t in node.targets] == [ast.Name]
+            ):
+                tables[f"{module}.{node.targets[0].id}"] = (
+                    module, aliases, node.value.values
+                )
+    return callables, methods, inherits, tables, imported
+
+
+def check_option_reach(sources):
+    """``reach.unused-option`` over every defaulted parameter in
+    ``src/repro``: of a module-level function (detail ``func.param``), a
+    method (``Class.method.param``), a constructor or a config dataclass
+    (``Class.param``).
+
+    A call passes a parameter by keyword, by position or through a ``**``
+    mapping bound to a ``{...}`` / ``dict(...)`` literal in its module.  The
+    callee is resolved through the caller's imports (and the re-exports of
+    the modules it imports from), by bare name in its own module, to the
+    class whose constructor a class without one inherits, to the bases for
+    ``super().__init__``, to the class for ``cls(...)`` in a classmethod, to
+    a table's values for ``TABLE[key](...)``, and by name for ``x.method``.
+    A call through a name the checker cannot bind (a parameter or local such
+    as ``flow_cls``) passes to the constructor of every class its module
+    refers to as a value.  A call that takes a callable as an argument forwards the
+    arguments after it to it (``once(benchmark, f, ...)``,
+    ``functools.partial``); a table row ``(f, {"duration": 12.0}, ...)``
+    passes its mapping's keys.  A callable with a ``**kwargs`` parameter
+    forwards every keyword it does not name to each call in its body that
+    unpacks a ``**`` mapping or hands the ``**kwargs`` dict on, and the
+    callables handed on with it (``TfrcFlow`` -> ``TfrcSender``,
+    ``DumbbellTestbed.tfrc`` -> ``_flow`` -> ``TfrcFlow``).
+    """
+    modules = [
+        (rel, _option_module(rel), *_parse(rel, text)[::2])
+        for rel, text in sources
+        if rel.startswith(OPTION_CALLERS) and not rel.startswith(NOT_CALLERS)
+    ]
+    callables, methods, inherits, tables, imported = _option_callables(modules)
+    passed = {qual: set() for qual in callables}
+    forwards = {}
+
+    def defined(qual):
+        """Follow ``qual`` through the imports that re-export it."""
+        seen = set()
+        while qual in imported and qual not in seen:
+            seen.add(qual)
+            qual = imported[qual]
+        return qual
+
+    def constructor(qual, seen=()):
+        """What a call to ``qual`` runs: a class without its own
+        constructor runs its bases'."""
+        qual = defined(qual)
+        if qual in callables or qual in seen:
+            return [qual] if qual in callables else []
+        return [
+            target for base in inherits.get(qual, ())
+            for target in constructor(base, (*seen, qual))
+        ]
+
+    def is_class(qual):
+        target = callables.get(qual)
+        return qual in inherits or target is not None and (
+            target.node is None or target.node.name == "__init__"
+        )
+
+    def table_targets(qual):
+        module, aliases, values = tables[qual]
+        return [
+            target for value in values
+            for target in constructor(
+                _qualname(value, aliases) or f"{module}.{ast.unparse(value)}"
+            )
+        ]
+
+    for rel, module, tree, aliases in modules:
+        scope = list(_scoped(tree))
+        local = {
+            node.name for node in tree.body if isinstance(node, DEFINITIONS)
+        } | {
+            target.id for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+
+        def qualify(ref):
+            qual = _qualname(ref, aliases)
+            if qual is None and isinstance(ref, ast.Name):
+                qual = f"{module}.{ref.id}"
+            return qual
+
+        mappings, picked = {}, {}
+        for node, _, _ in scope:
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+                continue
+            name = getattr(node.targets[0], "id", None)
+            value = node.value
+            if name and _dict_keys(value):
+                mappings.setdefault(name, set()).update(_dict_keys(value))
+            if isinstance(value, ast.Call) and getattr(value.func, "attr", "") == "get":
+                value = value.func  # TABLE.get(key) picks from TABLE too
+            if name and isinstance(value, (ast.Subscript, ast.Attribute)):
+                table = defined(qualify(value.value) or "")
+                if table in tables:
+                    picked[name] = table_targets(table)
 
         def resolve(ref):
-            qual = _qualname(ref, aliases)
-            if qual is None and module and isinstance(ref, ast.Name):
-                qual = f"{module}.{ref.id}"
-            return qual if qual in functions else None
+            if isinstance(ref, ast.Name) and ref.id in picked:
+                return picked[ref.id]
+            qual = qualify(ref)
+            targets = constructor(qual) if qual else []
+            if targets or not isinstance(ref, ast.Attribute):
+                return targets
+            return methods.get(ref.attr, []) if ref.attr != "__init__" else []
+
+        def callees(call, cls, func):
+            ref = call.func
+            if cls is not None and getattr(ref, "attr", None) == "__init__":
+                return [
+                    target for base in cls.bases
+                    for target in constructor(qualify(base) or "")
+                ]
+            if (
+                cls is not None and func is not None and isinstance(ref, ast.Name)
+                and "classmethod" in _decorators(func)
+                and func.args.args and ref.id == func.args.args[0].arg
+            ):
+                return constructor(f"{module}.{cls.name}")
+            return resolve(ref)
+
+        called = {id(node.func) for node, _, _ in scope if isinstance(node, ast.Call)}
+        # the classes the module refers to as values, not in call position
+        values = {
+            target for node, _, _ in scope
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load) and id(node) not in called
+            and is_class(defined(qualify(node) or ""))
+            for target in constructor(qualify(node))
+        }
 
         def pass_args(qual, args, keywords):
-            func = functions[qual][1]
-            positional = [a.arg for a in func.args.posonlyargs + func.args.args]
-            passed[qual].update(positional[:len(args)])
+            target = callables[qual]
+            passed[qual].update(target.params[:len(args)])
             for keyword in keywords:
                 if keyword.arg:
                     passed[qual].add(keyword.arg)
@@ -787,31 +1030,132 @@ def check_option_reach(sources):
                 else:
                     passed[qual].update(_dict_keys(keyword.value))
 
-        for node in nodes:
-            if isinstance(node, ast.Call):
-                qual = resolve(node.func)
-                if qual:
-                    pass_args(qual, node.args, node.keywords)
-                for index, arg in enumerate(node.args):
-                    qual = resolve(arg)
-                    if qual:
-                        pass_args(qual, node.args[index + 1:], node.keywords)
-            elif isinstance(node, (ast.Tuple, ast.List)):
+        def unbound(ref):
+            """A bare name no import, module-level binding or builtin gives:
+            a parameter or local such as ``flow_cls``."""
+            return isinstance(ref, ast.Name) and not (
+                ref.id in aliases or ref.id in local or ref.id in BUILTINS
+            )
+
+        calls = [entry for entry in scope if isinstance(entry[0], ast.Call)]
+        for call, cls, func in calls:
+            targets = callees(call, cls, func)
+            if not targets and unbound(call.func):
+                targets = values
+            for qual in targets:
+                pass_args(qual, call.args, call.keywords)
+            handed = []
+            for index, arg in enumerate(call.args):
+                for qual in resolve(arg):
+                    handed.append(qual)
+                    pass_args(qual, call.args[index + 1:], call.keywords)
+            if func is None or func.args.kwarg is None:
+                continue
+            owner = f"{module}.{cls.name}" if cls is not None else module
+            owner = owner if func.name == "__init__" else f"{owner}.{func.name}"
+            unpacks = any(
+                k.arg is None and isinstance(k.value, ast.Name) for k in call.keywords
+            )
+            hands_on = any(
+                getattr(arg, "id", None) == func.args.kwarg.arg for arg in call.args
+            )
+            if owner in callables and (unpacks or hands_on):
+                forwards.setdefault(owner, set()).update([*targets, *handed])
+        for node, _, _ in scope:
+            if isinstance(node, (ast.Tuple, ast.List)):
                 for ref, mapping in zip(node.elts, node.elts[1:]):
-                    qual = resolve(ref)
-                    if qual:
+                    for qual in resolve(ref):
                         passed[qual].update(_dict_keys(mapping))
+
+    changed = True
+    while changed:
+        changed = False
+        for qual, targets in forwards.items():
+            extra = passed[qual] - callables[qual].named
+            for target in targets:
+                if not extra <= passed[target]:
+                    passed[target] |= extra
+                    changed = True
     return sorted(
-        Finding(rel, func.lineno, "reach.unused-option", f"{func.name}.{param}")
-        for qual, (rel, func) in functions.items()
-        for param in _defaulted(func)
-        if param not in passed[qual] and param not in OPTION_EXEMPT
+        Finding(target.rel, line, "reach.unused-option", f"{target.label}.{name}")
+        for qual, target in callables.items() if target.rel.startswith(SRC)
+        for name, line in target.options
+        if name not in passed[qual] and name not in OPTION_EXEMPT
     )
 
 
 def test_option_reach_guard():
     _assert_clean(
         check_option_reach(_repo_sources()), OPTION_ALLOWLIST, _by_name
+    )
+
+
+# ------------------------------------------------------------------ imports
+
+#: ``(path, name)`` -> why an import nothing in its module reads is kept.
+IMPORTS_ALLOWLIST = {}
+
+
+def _imported_names(nodes):
+    """``(local name, line, dotted source)`` of each import binding."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".", 1)[0], node.lineno, None
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno, node.module
+
+
+def _read_names(nodes):
+    """Every name the module reads: loads and the names inside string
+    annotations.  ``__all__`` is not a read: listing a name does not make
+    its import used."""
+    read = {node.id for node in nodes if isinstance(node, ast.Name)}
+    annotations = [
+        node.annotation for node in nodes
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation
+    ] + [node.returns for node in nodes if isinstance(node, METHODS) and node.returns]
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return read
+
+
+def check_unused_imports(sources):
+    """``imports.unused`` over ``src/repro``: an import binding its module
+    never reads.  A package ``__init__``'s imports are its re-exports, and a
+    name another module imports from this one is re-exported too."""
+    modules = list(_modules(sources, SRC))
+    imported_from = {
+        (node.module, alias.name)
+        for _, _, nodes, _ in modules for node in nodes
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+    findings = []
+    for rel, _, nodes, _ in modules:
+        if rel.endswith("/__init__.py"):
+            continue
+        module = _module_name(rel)
+        read = _read_names(nodes)
+        findings += [
+            Finding(rel, line, "imports.unused", name)
+            for name, line, _ in _imported_names(nodes)
+            if name not in read and (module, name) not in imported_from
+        ]
+    return sorted(findings)
+
+
+def test_unused_import_guard():
+    _assert_clean(
+        check_unused_imports(_repo_sources()), IMPORTS_ALLOWLIST, _by_name
     )
 
 
@@ -1329,9 +1673,38 @@ class TestOptionReachGuard:
         def helper(x, scale=2.0, *, offset=0.0):
             return x * scale + offset
         """))
+    FLOWS = ("src/repro/net/probe.py", dedent("""\
+        from dataclasses import dataclass
 
-    def _options(self, *callers):
-        return [f.detail for f in check_option_reach([self.MODULE, *callers])]
+        @dataclass
+        class DumbbellConfig:
+            delay: float = 0.05
+            jitter: float = 0.001
+
+        class Sender:
+            def __init__(self, sim, size=1000, cwnd=2.0):
+                self.size = size
+
+            def series(self, category=None, t_max=None):
+                return []
+
+        class Sack(Sender):
+            pass
+
+        class Flow:
+            def __init__(self, sim, on_data=None, **sender_kwargs):
+                self.sender = Sack(sim, **sender_kwargs)
+
+        class Bed:
+            def _flow(self, cls, flow_id, kwargs):
+                return cls(self, on_data=print, **kwargs)
+
+            def flow(self, flow_id, **kwargs):
+                return self._flow(Flow, flow_id, kwargs)
+        """))
+
+    def _options(self, *callers, module=MODULE):
+        return [f.detail for f in check_option_reach([module, *callers])]
 
     def test_option_no_call_passes_fails_and_seed_is_exempt(self):
         findings = check_option_reach([self.MODULE])
@@ -1341,9 +1714,16 @@ class TestOptionReachGuard:
             (4, "helper.offset"), (4, "helper.scale"),
         ]
 
+    def test_methods_constructors_and_config_fields_are_covered(self):
+        # ``Bed._flow`` passes ``on_data`` through its ``cls`` parameter.
+        assert self._options(module=self.FLOWS) == [
+            "DumbbellConfig.delay", "DumbbellConfig.jitter", "Sender.cwnd",
+            "Sender.size", "Sender.series.category", "Sender.series.t_max",
+        ]
+
     def test_keyword_position_alias_and_forwarding_pass(self):
         assert self._options(
-            ("tests/test_probe.py", dedent("""\
+            ("benchmarks/test_probe.py", dedent("""\
                 from repro.experiments import fig99_probe as probe
                 from repro.experiments.fig99_probe import helper as h
 
@@ -1351,7 +1731,7 @@ class TestOptionReachGuard:
                     once(benchmark, probe.run, tau=0.2)
                     h(1.0, 3.0)
                 """)),
-            ("benchmarks/test_probe.py", dedent("""\
+            ("examples/probe.py", dedent("""\
                 import functools
 
                 from repro.experiments import fig99_probe
@@ -1361,29 +1741,66 @@ class TestOptionReachGuard:
         ) == ["helper.offset"]
 
     def test_mapping_unpack_and_table_row_pass(self):
-        assert self._options(("tests/test_probe.py", dedent("""\
+        assert self._options(("bench/probe.py", dedent("""\
             from repro.experiments import fig99_probe as probe
 
             ROWS = [(probe.helper, {"offset": 1.0}, 1)]
 
-            def test_run():
+            def go():
                 kwargs = dict(duration=2.0, tau=0.1)
                 probe.run(**kwargs)
                 probe.helper(1.0, **{"scale": 1.0})
             """))) == []
 
-    def test_same_name_in_another_module_does_not_pass(self):
-        assert self._options(("examples/demo.py", dedent("""\
-            from repro.experiments.fig02_loss_interval import run
+    def test_kwargs_wrappers_forward_to_what_they_wrap(self):
+        assert self._options(("examples/flows.py", dedent("""\
+            from repro.net.probe import Bed, DumbbellConfig
 
-            def helper(x, scale=1.0):
-                return x
-
-            run(duration=3.0, tau=0.1)
-            helper(1.0, scale=2.0, offset=1.0)
-            """))) == [
-            "run.duration", "run.tau", "helper.offset", "helper.scale",
+            config = DumbbellConfig(0.01, jitter=0.0)
+            Bed().flow("f", cwnd=4.0, size=500)
+            """)), module=self.FLOWS) == [
+            "Sender.series.category", "Sender.series.t_max",
         ]
+
+    def test_method_calls_match_by_name(self):
+        assert self._options(("bench/layers.py", dedent("""\
+            def probe(tracer):
+                return tracer.series(category="queue")
+            """)), module=self.FLOWS) == [
+            "DumbbellConfig.delay", "DumbbellConfig.jitter", "Sender.cwnd",
+            "Sender.size", "Sender.series.t_max",
+        ]
+
+    def test_unbound_callee_reaches_the_classes_its_module_holds(self):
+        found = self._options(("examples/compare.py", dedent("""\
+            from repro.net.probe import Sack
+
+            def run(sender_cls):
+                return sender_cls(None, cwnd=1.0)
+
+            for cls in (Sack,):
+                run(cls)
+            """)), module=self.FLOWS)
+        assert "Sender.cwnd" not in found and "Sender.size" in found
+
+    def test_tests_and_same_name_in_another_module_do_not_pass(self):
+        assert self._options(
+            ("tests/test_probe.py", dedent("""\
+                from repro.experiments import fig99_probe as probe
+
+                def test_run():
+                    probe.run(duration=2.0, tau=0.1)
+                """)),
+            ("examples/demo.py", dedent("""\
+                from repro.experiments.fig02_loss_interval import run
+
+                def helper(x, scale=1.0):
+                    return x
+
+                run(duration=3.0, tau=0.1)
+                helper(1.0, scale=2.0, offset=1.0)
+                """)),
+        ) == ["run.duration", "run.tau", "helper.offset", "helper.scale"]
 
     def test_stale_entry_fails(self):
         findings = check_option_reach([self.MODULE])
@@ -1396,6 +1813,37 @@ class TestOptionReachGuard:
         stale = {**live, (path, "run.seed"): "kept: exempt anyway"}
         with pytest.raises(AssertionError, match="excuse nothing"):
             _assert_clean(findings, stale, _by_name)
+
+
+class TestUnusedImportGuard:
+    MODULE = ("src/repro/net/probe.py", dedent("""\
+        from __future__ import annotations
+
+        import math
+        import numpy as np
+        from typing import Dict, List, Optional
+        from repro.net.packet import Packet
+
+        def first(xs: List[int]) -> "Optional[Packet]":
+            return None if not xs else math.floor(xs[0])
+
+        __all__ = ["first", "np"]
+        """))
+
+    def test_unread_imports_fail_and_all_is_not_a_read(self):
+        findings = check_unused_imports([self.MODULE])
+        assert _rules(findings) == ["imports.unused"] * 2
+        assert [(f.line, f.detail) for f in findings] == [(4, "np"), (5, "Dict")]
+
+    def test_package_init_and_imported_from_names_are_re_exports(self):
+        init = ("src/repro/net/__init__.py", "from repro.net.probe import first\n")
+        user = ("src/repro/net/user.py", "from repro.net.probe import Dict\n")
+        findings = check_unused_imports([self.MODULE, init, user])
+        assert [f.detail for f in findings] == ["np", "Dict"]
+        assert findings[1].path == "src/repro/net/user.py"
+
+    def test_outside_src_is_not_checked(self):
+        assert check_unused_imports([("bench/x.py", "import os\n")]) == []
 
 
 class TestSlowMarkerGuard:

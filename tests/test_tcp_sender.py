@@ -73,8 +73,8 @@ class TestBasics:
         sim = Simulator()
         forward = LossyPath(sim, delay=0.05)
         reverse = LossyPath(sim, delay=0.05)
-        flow = TcpFlow(sim, "t", forward, reverse, variant=variant,
-                       initial_ssthresh=1000)
+        flow = TcpFlow(sim, "t", forward, reverse, variant=variant)
+        flow.sender.ssthresh = 1000.0
         flow.start()
         sim.run(until=0.45)  # ~4 RTTs
         # cwnd ~ 2 * 2^4 = 32 after four doublings
@@ -237,7 +237,8 @@ def test_new_ack_past_snd_nxt_sends_no_acked_segment():
     for sender_cls in (RenoSender, SackSender):
         sim = Simulator()
         sent = []
-        sender = sender_cls(sim, "f", sent.append, initial_cwnd=8.0)
+        sender = sender_cls(sim, "f", sent.append)
+        sender.cwnd = 8.0
         sender.start()
         sim.run(until=5.0)  # no ACK arrives: 0..7, then an RTO resends 0
         assert sender.timeouts >= 1 and sender.snd_nxt == sender.snd_una + 1
@@ -288,9 +289,8 @@ class TestSndUnaBoundCheck:
     @staticmethod
     def _eight_in_flight(variant):
         sim = Simulator()
-        sender = make_tcp_sender(
-            variant, sim, "f", lambda p: None, initial_cwnd=8.0
-        )
+        sender = make_tcp_sender(variant, sim, "f", lambda p: None)
+        sender.cwnd = 8.0
         sender.start()
         assert (sender.snd_una, sender.snd_nxt) == (0, 8)
         return sim, sender

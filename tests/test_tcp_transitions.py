@@ -1,6 +1,6 @@
 """One ACK at a time through each TCP variant's window state machine.
 
-Every case starts from the same state -- ``initial_cwnd=8``, segments
+Every case starts from the same state -- ``cwnd = 8``, segments
 0..7 in flight -- feeds hand-built ACKs straight into ``on_ack`` (no
 path, no sink) and checks the window state and the segments sent against
 values derived by hand from ``tcp/base.py`` and the variant's hooks.
@@ -30,12 +30,13 @@ DUPACKS_LOSING_0_AND_3 = [
 ]
 
 
-def eight_in_flight(variant, **kwargs):
+def eight_in_flight(variant, ssthresh=None):
     sim = Simulator()
     sent = []
-    sender = make_tcp_sender(
-        variant, sim, "f", sent.append, initial_cwnd=8.0, **kwargs
-    )
+    sender = make_tcp_sender(variant, sim, "f", sent.append)
+    sender.cwnd = 8.0
+    if ssthresh is not None:
+        sender.ssthresh = ssthresh
     sender.start()
     assert [p.seq for p in sent] == list(range(8))
     del sent[:]
@@ -78,7 +79,7 @@ def test_slow_start_ack_adds_one_segment(variant):
 
 @every_variant
 def test_congestion_avoidance_ack_adds_one_over_cwnd(variant):
-    _, sender, sent = eight_in_flight(variant, initial_ssthresh=4.0)
+    _, sender, sent = eight_in_flight(variant, ssthresh=4.0)
     ack(sender, 1)
     assert state(sender, sent) == {
         "cwnd": 8.125, "ssthresh": 4.0, "in_recovery": False,

@@ -26,7 +26,7 @@ class TestCbr:
     def test_rate_matches_configuration(self):
         sim = Simulator()
         sink = Sink()
-        source = CbrSource(sim, "cbr", sink, rate_bps=800e3, packet_size=1000)
+        source = CbrSource(sim, "cbr", sink, rate_bps=800e3)
         source.start()
         sim.run(until=10.0)
         expected = 800e3 * 10 / 8 / 1000

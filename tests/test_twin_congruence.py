@@ -439,8 +439,8 @@ PLANTED = [
     (
         "invert_response-stopping-rule-unscaled",
         "repro.core.equations.invert_response_vec",
-        "tolerance * np.maximum(1.0, hi)",
-        "tolerance * hi",
+        "INVERT_TOLERANCE * np.maximum(1.0, hi)",
+        "INVERT_TOLERANCE * hi",
     ),
     (
         "wali_fold-np-sum",
