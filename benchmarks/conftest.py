@@ -41,6 +41,6 @@ def cache_dir(tmp_path_factory):
     same ``internet.run_all`` call (whose UCL cell is fig15's
     ``run_all(("ucl",))``), so a later
     bench replays an earlier one's cells instead of simulating them again.
-    fig06 / fig07 do not share: a 60 s grid vs ``run_cell`` at 80 s, seeds
-    0 and 1."""
+    fig06 / fig07 do not share: a 60 s grid vs two one-cell ``fig06.run``
+    grids at 80 s, seeds 0 and 1."""
     return str(tmp_path_factory.mktemp("sweep-cache"))

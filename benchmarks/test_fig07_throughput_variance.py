@@ -15,10 +15,10 @@ def run_cells():
     """Two replicated 15 Mb/s cells ("typically" in the paper is a tendency
     across runs, so a single seed is too noisy to assert on)."""
     return [
-        fig06.run_cell(
-            link_bps=15e6, total_flows=32, queue_type="red",
+        fig06.run(
+            link_rates_mbps=(15,), flow_counts=(32,), queue_types=("red",),
             duration=80.0, seed=seed,
-        )
+        ).cells[0]
         for seed in (0, 1)
     ]
 

@@ -11,8 +11,8 @@ from repro.experiments import fig11_onoff as fig11
 
 
 def test_fig12_onoff_equivalence(once, benchmark):
-    light = once(benchmark, fig11.run_one, 60, duration=150.0)
-    heavy = fig11.run_one(140, duration=150.0)
+    light = once(benchmark, fig11.run, source_counts=(60,), duration=150.0).runs[0]
+    heavy = fig11.run(source_counts=(140,), duration=150.0).runs[0]
     print("\nFigure 12 reproduction (TFRC/TCP equivalence by timescale):")
     for result in (light, heavy):
         pairs = ", ".join(

@@ -9,7 +9,7 @@ from repro.experiments import fig11_onoff as fig11
 
 
 def test_fig13_onoff_cov(once, benchmark):
-    result = once(benchmark, fig11.run_one, 100, duration=150.0)
+    result = once(benchmark, fig11.run, source_counts=(100,), duration=150.0).runs[0]
     print("\nFigure 13 reproduction (CoV by timescale, 100 ON/OFF sources):")
     print("  tau     CoV(TFRC)  CoV(TCP)")
     for tau in sorted(result.cov_tfrc_by_tau):

@@ -11,7 +11,7 @@ Run:  python examples/fairness_study.py [--full]
 
 import argparse
 
-from repro.experiments.fig06_fairness_grid import run_cell
+from repro.experiments import fig06_fairness_grid as fig06
 
 
 def main() -> None:
@@ -23,11 +23,11 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.full:
-        link_rates = (4e6, 15e6, 32e6)
+        link_rates_mbps = (4, 15, 32)
         flow_counts = (2, 8, 32, 128)
         duration = 90.0
     else:
-        link_rates = (15e6,)
+        link_rates_mbps = (15,)
         flow_counts = (8, 32)
         duration = 45.0
 
@@ -37,21 +37,21 @@ def main() -> None:
     )
     print(header)
     print("-" * len(header))
-    for queue_type in ("red", "droptail"):
-        for link_bps in link_rates:
-            for flows in flow_counts:
-                cell = run_cell(
-                    link_bps=link_bps,
-                    total_flows=flows,
-                    queue_type=queue_type,
-                    duration=duration,
-                )
-                print(
-                    f"{queue_type:9s} {link_bps / 1e6:5.0f}Mb {flows:5d} "
-                    f"{cell.mean_tcp_normalized:6.2f} "
-                    f"{cell.mean_tfrc_normalized:6.2f} "
-                    f"{cell.utilization:6.2f} {cell.loss_rate:7.4f}"
-                )
+    # the grid runs queue type, then link rate, then flow count
+    result = fig06.run(
+        link_rates_mbps=link_rates_mbps,
+        flow_counts=flow_counts,
+        queue_types=("red", "droptail"),
+        duration=duration,
+    )
+    for cell in result.cells:
+        print(
+            f"{cell.queue_type:9s} {cell.link_bps / 1e6:5.0f}Mb "
+            f"{cell.total_flows:5d} "
+            f"{cell.mean_tcp_normalized:6.2f} "
+            f"{cell.mean_tfrc_normalized:6.2f} "
+            f"{cell.utilization:6.2f} {cell.loss_rate:7.4f}"
+        )
     print(
         "\nA value of 1.00 is a perfectly fair share; the paper's headline is"
         "\nthat both protocols sit near 1.0 across this whole grid."

@@ -60,39 +60,10 @@ def dummynet_pipe(
     return forward, LossyPath(sim, delay)
 
 
-def run_one(
-    buffer_packets: int,
-    interpacket_adjustment: bool,
-    duration: float = DURATION,
-    bandwidth_bps: float = BANDWIDTH_BPS,
-    delay: float = DELAY,
-    rtt_ewma_weight: float = RTT_EWMA_WEIGHT,
-    tau: float = TAU,
-) -> Tuple[List[float], float, float]:
-    """One pipe run; returns (rate series KB/s, steady-state CoV, mean)."""
-    bed = Testbed()
-    forward, reverse = dummynet_pipe(bed.sim, bandwidth_bps, delay, buffer_packets)
-    bed.links.append(forward)
-    flow = TfrcFlow(
-        bed.sim,
-        "tfrc",
-        forward,
-        reverse,
-        on_data=bed.flow_monitor.on_packet,
-        rtt_ewma_weight=rtt_ewma_weight,
-        interpacket_adjustment=interpacket_adjustment,
-    )
-    flow.start()
-    bed.run(duration)
-    t0 = duration * 0.3  # skip slow start
-    series = bed.flow_monitor.rate_series("tfrc", t0, duration, tau) / 1024.0
-    kb = series.tolist()
-    return kb, coefficient_of_variation(kb), sum(kb) / len(kb) if kb else 0.0
-
-
 @register_scenario("fig03_pipe")
 def pipe_scenario(spec: ScenarioSpec) -> JsonDict:
-    """Declarative Figure 3/4 pipe run, executable by the sweep runner.
+    """One pipe run, as a sweep cell: the send-rate series (KB/s) after
+    slow start, its CoV and its mean.
 
     Spec layout::
 
@@ -101,16 +72,32 @@ def pipe_scenario(spec: ScenarioSpec) -> JsonDict:
         queue:    {buffer_packets}
         extra:    {rtt_ewma_weight, tau}
     """
-    series, cov, mean = run_one(
-        buffer_packets=int(spec.queue["buffer_packets"]),
-        interpacket_adjustment=bool(spec.flows["interpacket_adjustment"]),
-        duration=spec.duration,
-        bandwidth_bps=float(spec.topology["bandwidth_bps"]),
-        delay=float(spec.topology["delay"]),
-        rtt_ewma_weight=float(spec.extra["rtt_ewma_weight"]),
-        tau=float(spec.extra["tau"]),
+    duration = spec.duration
+    tau = float(spec.extra["tau"])
+    bed = Testbed()
+    forward, reverse = dummynet_pipe(
+        bed.sim,
+        float(spec.topology["bandwidth_bps"]),
+        float(spec.topology["delay"]),
+        int(spec.queue["buffer_packets"]),
     )
-    return {"series": series, "cov": cov, "mean": mean}
+    bed.links.append(forward)
+    flow = TfrcFlow(
+        bed.sim,
+        "tfrc",
+        forward,
+        reverse,
+        on_data=bed.flow_monitor.on_packet,
+        rtt_ewma_weight=float(spec.extra["rtt_ewma_weight"]),
+        interpacket_adjustment=bool(spec.flows["interpacket_adjustment"]),
+    )
+    flow.start()
+    bed.run(duration)
+    t0 = duration * 0.3  # skip slow start
+    series = bed.flow_monitor.rate_series("tfrc", t0, duration, tau) / 1024.0
+    kb = series.tolist()
+    mean = sum(kb) / len(kb) if kb else 0.0
+    return {"series": kb, "cov": coefficient_of_variation(kb), "mean": mean}
 
 
 def run(

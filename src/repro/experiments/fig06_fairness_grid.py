@@ -7,10 +7,10 @@ simulation, normalized so 1.0 is a fair share of the link; the queue size
 scales with the bandwidth.
 
 Figure 7 is the per-flow scatter of the 15 Mb/s column: every
-:class:`CellResult` (from :func:`run_cell` or a ``fig06_cell`` sweep
-cell) carries one normalized throughput per flow in ``per_flow_tcp`` /
-``per_flow_tfrc`` (``benchmarks/test_fig07_throughput_variance.py``
-summarizes and asserts it).
+:class:`CellResult` (one ``fig06_cell`` sweep cell) carries one normalized
+throughput per flow in ``per_flow_tcp`` / ``per_flow_tfrc``
+(``benchmarks/test_fig07_throughput_variance.py`` summarizes and asserts
+it).
 """
 
 from __future__ import annotations
@@ -65,32 +65,41 @@ class Fig06Result:
         raise KeyError((link_bps, total_flows, queue_type))
 
 
-def run_cell(
-    link_bps: float,
-    total_flows: int,
-    queue_type: str,
-    duration: float = DURATION,
-    seed: int = 0,
-    measure_fraction: float = MEASURE_FRACTION,
-) -> CellResult:
-    """One simulation cell; ``total_flows`` is split evenly TCP/TFRC."""
+@register_scenario("fig06_cell")
+def cell_scenario(spec: ScenarioSpec) -> JsonDict:
+    """One grid cell, as a sweep cell: ``flows.total`` is split evenly
+    TCP/TFRC.
+
+    Spec layout::
+
+        topology: {bandwidth_bps}
+        flows:    {total}
+        queue:    {type}
+        extra:    {measure_fraction}
+    """
+    link_bps = float(spec.topology["bandwidth_bps"])
+    total_flows = int(spec.flows["total"])
+    queue_type = str(spec.queue["type"])
+    measure_fraction = float(spec.extra["measure_fraction"])
     if total_flows < 2 or total_flows % 2 != 0:
-        raise ValueError("total_flows must be an even number >= 2")
+        raise ValueError(
+            f"flows.total must be an even number >= 2, got {total_flows!r}"
+        )
     n = total_flows // 2
     result = run_mixed_dumbbell(
-        duration=duration,
+        duration=spec.duration,
         n_tfrc=n,
         n_tcp=n,
         bandwidth_bps=link_bps,
         queue_type=queue_type,
-        seed=seed,
+        seed=spec.seed,
     )
-    t0, t1 = steady_state_window(duration, measure_fraction)
+    t0, t1 = steady_state_window(spec.duration, measure_fraction)
     tcp = [result.normalized_throughput(fid, t0, t1) for fid in result.tcp_ids]
     tfrc = [result.normalized_throughput(fid, t0, t1) for fid in result.tfrc_ids]
     fair = link_bps / total_flows
     utilization = sum(v * fair for v in tcp + tfrc) / link_bps
-    return CellResult(
+    return asdict(CellResult(
         link_bps=link_bps,
         total_flows=total_flows,
         queue_type=queue_type,
@@ -100,27 +109,6 @@ def run_cell(
         per_flow_tfrc=tfrc,
         utilization=utilization,
         loss_rate=result.link_monitor.loss_rate(),
-    )
-
-
-@register_scenario("fig06_cell")
-def cell_scenario(spec: ScenarioSpec) -> JsonDict:
-    """Declarative Figure 6 cell, executable by the sweep runner.
-
-    Spec layout::
-
-        topology: {bandwidth_bps}
-        flows:    {total}
-        queue:    {type}
-        extra:    {measure_fraction}
-    """
-    return asdict(run_cell(
-        link_bps=float(spec.topology["bandwidth_bps"]),
-        total_flows=int(spec.flows["total"]),
-        queue_type=str(spec.queue["type"]),
-        duration=spec.duration,
-        seed=spec.seed,
-        measure_fraction=float(spec.extra["measure_fraction"]),
     ))
 
 

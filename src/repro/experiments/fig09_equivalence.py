@@ -20,6 +20,7 @@ import numpy as np
 from repro.analysis.cov import coefficient_of_variation
 from repro.analysis.equivalence import equivalence_ratio
 from repro.analysis.stats import mean_and_ci
+from repro.experiments.timescales import tau_maps_from_json, tau_maps_to_json
 from repro.scenarios import (
     ScenarioSpec,
     SweepRunner,
@@ -30,6 +31,9 @@ from repro.scenarios.spec import JsonDict
 
 PAPER_TIMESCALES = (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
 LINK_BPS = 15e6
+#: a cell's per-timescale sample lists: the three equivalence pairings
+#: (TFRC/TFRC, TCP/TCP, TFRC/TCP) and the two CoV populations.
+SAMPLES = ("ee", "cc", "ec", "cov_tcp", "cov_tfrc")
 
 
 @dataclass
@@ -59,8 +63,8 @@ def _cross_pairs(a: Sequence[str], b: Sequence[str]) -> List[Tuple[str, str]]:
 def replication_scenario(spec: ScenarioSpec) -> JsonDict:
     """One replicated steady-state run, reduced to per-pair samples.
 
-    Returns tau-keyed (stringified, for JSON round-tripping) sample lists
-    for the three equivalence pairings and the two CoV populations.
+    Returns the :data:`SAMPLES` lists, each map keyed by ``repr(tau)``
+    (:mod:`repro.experiments.timescales`).
 
     Spec layout::
 
@@ -82,7 +86,7 @@ def replication_scenario(spec: ScenarioSpec) -> JsonDict:
     )
     out: JsonDict = {
         "loss_rate": sim_result.link_monitor.loss_rate(),
-        "ee": {}, "cc": {}, "ec": {}, "cov_tcp": {}, "cov_tfrc": {},
+        **{name: {} for name in SAMPLES},
     }
     t0, t1 = spec.duration - measure_seconds, spec.duration
     for tau in timescales:
@@ -90,28 +94,27 @@ def replication_scenario(spec: ScenarioSpec) -> JsonDict:
             fid: sim_result.flow_monitor.rate_series(fid, t0, t1, tau)
             for fid in sim_result.tfrc_ids + sim_result.tcp_ids
         }
-        key = repr(tau)
-        out["ee"][key] = [
+        out["ee"][tau] = [
             float(equivalence_ratio(series[a], series[b]))
             for a, b in _pair_up(sim_result.tfrc_ids)
         ]
-        out["cc"][key] = [
+        out["cc"][tau] = [
             float(equivalence_ratio(series[a], series[b]))
             for a, b in _pair_up(sim_result.tcp_ids)
         ]
-        out["ec"][key] = [
+        out["ec"][tau] = [
             float(equivalence_ratio(series[a], series[b]))
             for a, b in _cross_pairs(sim_result.tfrc_ids, sim_result.tcp_ids)
         ]
-        out["cov_tcp"][key] = [
+        out["cov_tcp"][tau] = [
             float(coefficient_of_variation(series[fid]))
             for fid in sim_result.tcp_ids
         ]
-        out["cov_tfrc"][key] = [
+        out["cov_tfrc"][tau] = [
             float(coefficient_of_variation(series[fid]))
             for fid in sim_result.tfrc_ids
         ]
-    return out
+    return tau_maps_to_json(out, SAMPLES)
 
 
 def run(
@@ -145,15 +148,15 @@ def run(
         **sweep,
     ).run().complete_cells()
     samples: Dict[str, Dict[float, List[float]]] = {
-        key: {tau: [] for tau in timescales}
-        for key in ("ee", "cc", "ec", "cov_tcp", "cov_tfrc")
+        key: {tau: [] for tau in timescales} for key in SAMPLES
     }
     result = Fig09Result(timescales=list(timescales))
     for cell in cells:
-        result.loss_rates.append(float(cell.result["loss_rate"]))
-        for key in samples:
+        data = tau_maps_from_json(cell.result, SAMPLES)
+        result.loss_rates.append(float(data["loss_rate"]))
+        for key in SAMPLES:
             for tau in timescales:
-                samples[key][tau].extend(cell.result[key][repr(tau)])
+                samples[key][tau].extend(data[key][tau])
     for tau in timescales:
         result.equivalence_tfrc_tfrc[tau] = mean_and_ci(
             [v for v in samples["ee"][tau] if not np.isnan(v)]

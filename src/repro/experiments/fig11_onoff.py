@@ -19,6 +19,7 @@ from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios.builders import DumbbellTestbed
 from repro.scenarios.spec import JsonDict
 from repro.analysis.equivalence import equivalence_ratio
+from repro.experiments.timescales import TAU_MAPS, tau_maps_from_json, tau_maps_to_json
 from repro.net import DumbbellConfig
 from repro.traffic.onoff import OnOffSource
 
@@ -28,9 +29,6 @@ DURATION = 200.0
 #: seconds left out of every measurement at the start of the run.
 WARMUP = 20.0
 LINK_BPS = 15e6
-#: the result fields keyed by timescale; a cell's JSON keys them by
-#: ``repr(tau)``.
-TAU_MAPS = ("equivalence_by_tau", "cov_tcp_by_tau", "cov_tfrc_by_tau")
 
 
 @dataclass
@@ -51,18 +49,28 @@ class Fig11Result:
     runs: List[OnOffRunResult] = field(default_factory=list)
 
 
-def run_one(
-    n_sources: int,
-    duration: float = DURATION,
-    warmup: float = WARMUP,
-    timescales: Sequence[float] = PAPER_TIMESCALES,
-    link_bps: float = LINK_BPS,
-    seed: int = 0,
-    tracer=None,
-) -> OnOffRunResult:
-    """One configuration: n ON/OFF sources + 1 TCP + 1 TFRC monitored."""
-    config = DumbbellConfig(bandwidth_bps=link_bps, queue_type="red")
-    bed = DumbbellTestbed(config, seed, tracer)
+@register_scenario("fig11_onoff")
+def onoff_scenario(spec: ScenarioSpec, tracer=None) -> JsonDict:
+    """One configuration, as a sweep cell: ``flows.sources`` ON/OFF
+    sources + 1 TCP + 1 TFRC monitored.
+
+    Spec layout::
+
+        topology: {bandwidth_bps}
+        flows:    {sources}
+        extra:    {warmup, timescales}
+
+    ``tracer`` records the run (a golden digest hashes its records); a
+    sweep cell traces nothing.
+    """
+    n_sources = int(spec.flows["sources"])
+    duration = spec.duration
+    warmup = float(spec.extra["warmup"])
+    timescales = [float(t) for t in spec.extra["timescales"]]
+    config = DumbbellConfig(
+        bandwidth_bps=float(spec.topology["bandwidth_bps"]), queue_type="red"
+    )
+    bed = DumbbellTestbed(config, spec.seed, tracer)
     topo_rng = bed.rng
     bed.tcp("tcp-mon", topo_rng.uniform(0.08, 0.12)).start(at=0.1)
     bed.tfrc("tfrc-mon", topo_rng.uniform(0.08, 0.12)).start(at=0.2)
@@ -76,43 +84,19 @@ def run_one(
     bed.run(duration)
     flow_monitor = bed.flow_monitor
 
-    timescales = [t for t in timescales if t <= (duration - warmup) / 2]
     result = OnOffRunResult(
         sources=n_sources, loss_rate=bed.link_monitor.loss_rate()
     )
     t0, t1 = warmup, duration
     result.tcp_throughput_bps = flow_monitor.throughput_bps("tcp-mon", t0, t1)
     result.tfrc_throughput_bps = flow_monitor.throughput_bps("tfrc-mon", t0, t1)
-    for tau in timescales:
+    for tau in [t for t in timescales if t <= (t1 - t0) / 2]:
         series_tcp = flow_monitor.rate_series("tcp-mon", t0, t1, tau)
         series_tfrc = flow_monitor.rate_series("tfrc-mon", t0, t1, tau)
         result.equivalence_by_tau[tau] = equivalence_ratio(series_tfrc, series_tcp)
         result.cov_tcp_by_tau[tau] = coefficient_of_variation(series_tcp)
         result.cov_tfrc_by_tau[tau] = coefficient_of_variation(series_tfrc)
-    return result
-
-
-@register_scenario("fig11_onoff")
-def onoff_scenario(spec: ScenarioSpec) -> JsonDict:
-    """One ON/OFF background-traffic configuration as a sweep cell.
-
-    Spec layout::
-
-        topology: {bandwidth_bps}
-        flows:    {sources}
-        extra:    {warmup, timescales}
-    """
-    data = asdict(run_one(
-        n_sources=int(spec.flows["sources"]),
-        duration=spec.duration,
-        warmup=float(spec.extra["warmup"]),
-        timescales=[float(t) for t in spec.extra["timescales"]],
-        link_bps=float(spec.topology["bandwidth_bps"]),
-        seed=spec.seed,
-    ))
-    for name in TAU_MAPS:
-        data[name] = {repr(t): v for t, v in data[name].items()}
-    return data
+    return tau_maps_to_json(asdict(result), TAU_MAPS)
 
 
 def run(
@@ -140,8 +124,7 @@ def run(
     ).run().complete_cells()
     result = Fig11Result()
     for cell in cells:
-        data = dict(cell.result)
-        for name in TAU_MAPS:
-            data[name] = {float(t): v for t, v in data[name].items()}
-        result.runs.append(OnOffRunResult(**data))
+        result.runs.append(
+            OnOffRunResult(**tau_maps_from_json(cell.result, TAU_MAPS))
+        )
     return result

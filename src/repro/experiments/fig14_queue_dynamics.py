@@ -58,32 +58,40 @@ class Fig14Result:
     tfrc: QueueDynamicsResult
 
 
-def run_one(
-    protocol: str,
-    n_flows: int = N_FLOWS,
-    link_bps: float = LINK_BPS,
-    duration: float = DURATION,
-    base_rtt: float = BASE_RTT,
-    start_spread: float = START_SPREAD,
-    buffer_packets: int = BUFFER_PACKETS,
-    web_fraction: float = WEB_FRACTION,
-    seed: int = 0,
-    queue_type: str = QUEUE_TYPE,
-) -> QueueDynamicsResult:
-    """Run the Figure 14 scenario with all long-lived flows of one protocol.
+@register_scenario("fig14_queue_dynamics")
+def queue_dynamics_scenario(spec: ScenarioSpec) -> JsonDict:
+    """One protocol variant, as a sweep cell: every long-lived flow runs
+    ``flows.protocol``.
 
-    The paper's setup uses a DropTail bottleneck; ``queue_type="red"`` swaps
-    in a RED queue (one of the runs ``tests/golden_digests.json`` pins).
+    Spec layout::
+
+        topology: {bandwidth_bps, base_rtt, start_spread}
+        flows:    {protocol, n_flows}
+        queue:    {buffer_packets, type?}
+        extra:    {web_fraction}
+
+    ``queue.type`` is the one optional key: :func:`run` leaves it out (the
+    paper's DropTail), a hand-built spec may set ``"red"`` (one of the runs
+    ``tests/golden_digests.json`` pins).
     """
+    protocol = str(spec.flows["protocol"])
     if protocol not in ("tcp", "tfrc"):
-        raise ValueError("protocol must be 'tcp' or 'tfrc'")
+        raise ValueError(
+            f"flows.protocol must be 'tcp' or 'tfrc', got {protocol!r}"
+        )
+    n_flows = int(spec.flows["n_flows"])
+    link_bps = float(spec.topology["bandwidth_bps"])
+    base_rtt = float(spec.topology["base_rtt"])
+    start_spread = float(spec.topology["start_spread"])
+    web_fraction = float(spec.extra["web_fraction"])
+    duration = spec.duration
     config = DumbbellConfig(
         bandwidth_bps=link_bps,
         delay=0.010,
-        queue_type=queue_type,
-        buffer_packets=buffer_packets,
+        queue_type=str(spec.queue.get("type", QUEUE_TYPE)),
+        buffer_packets=int(spec.queue["buffer_packets"]),
     )
-    bed = DumbbellTestbed(config, seed, sample_queue=True)
+    bed = DumbbellTestbed(config, spec.seed, sample_queue=True)
     sim, rng, link_monitor = bed.sim, bed.rng, bed.link_monitor
 
     long_lived = bed.tcp if protocol == "tcp" else bed.tfrc
@@ -113,41 +121,13 @@ def run_one(
 
     samples = link_monitor.queue_series(t_min=duration * 0.2)
     depths = np.array([depth for _, depth in samples], dtype=float)
-    return QueueDynamicsResult(
+    return asdict(QueueDynamicsResult(
         protocol=protocol,
         queue_series=samples,
         drop_rate=link_monitor.loss_rate(),
         utilization=link_monitor.utilization(duration),
         mean_queue=float(depths.mean()) if depths.size else 0.0,
         queue_std=float(depths.std()) if depths.size else 0.0,
-    )
-
-
-@register_scenario("fig14_queue_dynamics")
-def queue_dynamics_scenario(spec: ScenarioSpec) -> JsonDict:
-    """One Figure 14 protocol variant as a sweep cell.
-
-    Spec layout::
-
-        topology: {bandwidth_bps, base_rtt, start_spread}
-        flows:    {protocol, n_flows}
-        queue:    {buffer_packets, type?}
-        extra:    {web_fraction}
-
-    ``queue.type`` is the one optional key: :func:`run` leaves it out (the
-    paper's DropTail), a hand-built spec may set ``"red"``.
-    """
-    return asdict(run_one(
-        protocol=str(spec.flows["protocol"]),
-        n_flows=int(spec.flows["n_flows"]),
-        link_bps=float(spec.topology["bandwidth_bps"]),
-        duration=spec.duration,
-        base_rtt=float(spec.topology["base_rtt"]),
-        start_spread=float(spec.topology["start_spread"]),
-        buffer_packets=int(spec.queue["buffer_packets"]),
-        web_fraction=float(spec.extra["web_fraction"]),
-        seed=spec.seed,
-        queue_type=str(spec.queue.get("type", QUEUE_TYPE)),
     ))
 
 

@@ -46,20 +46,10 @@ class Fig18Result:
     trace_lengths: List[int] = field(default_factory=list)
 
 
-def collect_loss_intervals(
-    profile: PathProfile,
-    duration: float = DURATION,
-    seed: int = 0,
-) -> List[float]:
-    """Run one TFRC flow over a synthetic path; return its loss intervals."""
-    run = run_tfrc_probe_path(profile, duration=duration, seed=seed)
-    events = run.tfrc_flows[0].receiver.detector.events
-    return [float(e.closed_interval) for e in events[1:]]  # skip the seed event
-
-
 @register_scenario("fig18_trace")
 def trace_scenario(spec: ScenarioSpec) -> JsonDict:
-    """One loss-interval trace collection as a sweep cell.
+    """One loss-interval trace collection, as a sweep cell: one TFRC flow
+    over a synthetic path, and its loss intervals.
 
     Spec layout::
 
@@ -69,9 +59,9 @@ def trace_scenario(spec: ScenarioSpec) -> JsonDict:
     ``seed`` axis zipped with the path axis via per-cell overrides).
     """
     profile = PathProfile.from_dict(dict(spec.topology))
-    intervals = collect_loss_intervals(
-        profile, duration=spec.duration, seed=spec.seed
-    )
+    bed = run_tfrc_probe_path(profile, duration=spec.duration, seed=spec.seed)
+    events = bed.tfrc_flows[0].receiver.detector.events
+    intervals = [float(e.closed_interval) for e in events[1:]]  # skip the seed event
     return {"path": profile.name, "intervals": intervals}
 
 

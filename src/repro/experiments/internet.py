@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.analysis.cov import coefficient_of_variation
 from repro.analysis.equivalence import equivalence_ratio
+from repro.experiments.timescales import TAU_MAPS, tau_maps_from_json, tau_maps_to_json
 from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios.builders import PathProfile, run_internet_path
 from repro.scenarios.spec import JsonDict
@@ -101,9 +102,6 @@ WARMUP = 20.0
 TIMESCALES = (1.0, 2.0, 5.0, 10.0, 20.0)
 #: the sampling interval of the kept rate traces, seconds.
 TRACE_TAU = 1.0
-#: the result fields keyed by timescale; a cell's JSON keys them by
-#: ``repr(tau)``.
-TAU_MAPS = ("equivalence_by_tau", "cov_tcp_by_tau", "cov_tfrc_by_tau")
 
 
 @dataclass
@@ -170,10 +168,7 @@ def internet_path_scenario(spec: ScenarioSpec) -> JsonDict:
         result.cov_tfrc_by_tau[tau] = float(
             coefficient_of_variation(series_tfrc)
         )
-    data = asdict(result)
-    for name in TAU_MAPS:
-        data[name] = {repr(t): v for t, v in data[name].items()}
-    return data
+    return tau_maps_to_json(asdict(result), TAU_MAPS)
 
 
 def run_all(
@@ -204,8 +199,7 @@ def run_all(
     ).run().complete_cells()
     results: Dict[str, InternetRunResult] = {}
     for name, cell in zip(paths, cells):
-        data = dict(cell.result)
-        for key in TAU_MAPS:
-            data[key] = {float(t): v for t, v in data[key].items()}
-        results[name] = InternetRunResult(**data)
+        results[name] = InternetRunResult(
+            **tau_maps_from_json(cell.result, TAU_MAPS)
+        )
     return results

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -335,6 +335,11 @@ class PathProfile:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "PathProfile":
+        """The profile a spec's ``topology`` group holds; a missing field
+        raises ``KeyError`` naming it, as every other spec read does."""
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in data:
+                raise KeyError(f.name)
         return cls(**dict(data))
 
 

@@ -675,6 +675,11 @@ class FileQueueExecutor(SweepExecutor):
             # the cell; withdraw it so workers stop re-claiming finished
             # work.
             fq.task_path(key).unlink(missing_ok=True)
+            # The worker releases its lease after the marker; one stopped
+            # in between (the sweep's last cell, then _stop_workers) would
+            # leave it behind.  Release it for that worker, not for another
+            # one that holds a duplicate run of the cell.
+            fq.release_claim(fq.claim_path(key), worker)
             run.last_progress = time.monotonic()
             run.stall_warned = False
             attempts = int(marker.get("attempts", 0))

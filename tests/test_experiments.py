@@ -52,19 +52,24 @@ class TestFig02:
 
 
 class TestFig03:
-    def test_adjustment_damps_oscillation(self):
-        plain = fig03_oscillation.run_one(
-            buffer_packets=8, interpacket_adjustment=False, duration=40.0
-        )
-        damped = fig03_oscillation.run_one(
-            buffer_packets=8, interpacket_adjustment=True, duration=40.0
-        )
-        assert damped[1] < plain[1]  # CoV falls
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """The 8-packet pipe without and with the adjustment."""
+        return [
+            fig03_oscillation.run(
+                buffer_sizes=(8,), interpacket_adjustment=adjusted,
+                duration=40.0,
+            )
+            for adjusted in (False, True)
+        ]
 
-    def test_throughput_not_sacrificed(self):
-        plain = fig03_oscillation.run_one(8, False, duration=40.0)
-        damped = fig03_oscillation.run_one(8, True, duration=40.0)
-        assert damped[2] > 0.5 * plain[2]
+    def test_adjustment_damps_oscillation(self, runs):
+        plain, damped = runs
+        assert damped.cov_by_buffer[8] < plain.cov_by_buffer[8]  # CoV falls
+
+    def test_throughput_not_sacrificed(self, runs):
+        plain, damped = runs
+        assert damped.mean_rate_by_buffer[8] > 0.5 * plain.mean_rate_by_buffer[8]
 
     def test_sweep_collects_all_buffers(self):
         result = fig03_oscillation.run(buffer_sizes=(4, 16), duration=20.0)

@@ -13,8 +13,11 @@ from repro.scenarios import (
     FileQueueExecutor,
     ResultCache,
     ScenarioSpec,
+    SweepCell,
+    SweepPlan,
     SweepRunner,
 )
+from repro.scenarios._fsio import atomic_write_json
 from repro.scenarios.fsck import audit, main as fsck_main
 
 SPEC = ScenarioSpec("executor_probe", seed=7, extra={"x": 5})
@@ -61,6 +64,30 @@ class TestAuditFindings:
             ),
         ).run()
         assert audit(queue_dir) == []
+
+    @pytest.mark.parametrize("holder", ["test", "duplicate"])
+    def test_collected_cell_releases_its_workers_lease(self, tmp_path, holder):
+        """A local worker stopped after it published a cell's done marker but
+        before it released its lease: collecting the cell releases that
+        lease.  A lease another worker holds (a duplicate run of the cell)
+        stays, and the audit names it."""
+        fq, cache = _queue(tmp_path)
+        _complete(fq, cache)  # the done marker names worker "test"
+        atomic_write_json(
+            fq.claim_path(KEY), {**_payload(fq, cache), "worker": holder}
+        )
+        executor = FileQueueExecutor(fq.root, poll_interval=0.02)
+        plan = SweepPlan(
+            cells=[SweepCell(index=0, overrides={}, spec=SPEC, key=KEY)],
+            module_name="_executor_probe",
+            cache=cache,
+        )
+        [completion] = executor.run_cells(plan)
+        assert completion.worker == "test"
+        if holder == "test":
+            assert audit(fq.root) == []
+        else:
+            assert _kinds(audit(fq.root)) == ["stale_claim"]
 
     def test_corrupt_cache_entry(self, tmp_path):
         fq, cache = _queue(tmp_path)

@@ -25,7 +25,6 @@ name the triple.  Running this module as a script rewrites the file.
 import hashlib
 import json
 import platform
-from dataclasses import asdict
 from functools import partial, reduce
 from pathlib import Path
 
@@ -34,14 +33,16 @@ import pytest
 
 from repro.baselines import RapFlow, TearFlow, TfrcpFlow
 from repro.core.agent import TfrcFlow
-from repro.experiments.fig03_oscillation import run_one as fig03_run_one
-from repro.experiments.fig11_onoff import run_one as fig11_run_one
-from repro.experiments.fig14_queue_dynamics import run_one as fig14_run_one
-from repro.experiments.fig18_predictor import collect_loss_intervals
+from repro.experiments import fig03_oscillation as fig03
+from repro.experiments import fig11_onoff as fig11
+from repro.experiments import fig14_queue_dynamics as fig14
+from repro.experiments.fig18_predictor import trace_scenario
 from repro.experiments.internet import PATHS
+from repro.experiments.timescales import TAU_MAPS, tau_maps_from_json
 from repro.multicast import MulticastTfrcSession
 from repro.net.monitor import FlowMonitor, LinkMonitor
 from repro.net.path import LossyPath, bernoulli_loss
+from repro.scenarios import ScenarioSpec
 from repro.scenarios.builders import build_mixed_dumbbell, run_internet_path
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
@@ -87,7 +88,7 @@ def mixed_dumbbell(ecn=False, reverse_monitor=False):
         rev_monitor = LinkMonitor(
             result.sim, result.dumbbell.reverse_link, sample_queue=True
         )
-    result.sim.run(until=8.0)
+    result.run(8.0)
     link = result.dumbbell.forward_link
     queue = link.queue
     flows = result.flow_monitor
@@ -119,19 +120,33 @@ def mixed_dumbbell(ecn=False, reverse_monitor=False):
 
 def fig11_onoff():
     tracer = Tracer()
-    run = fig11_run_one(
-        n_sources=10, duration=8.0, warmup=2.0, timescales=(0.5, 1.0),
-        seed=1, tracer=tracer,
+    spec = ScenarioSpec(
+        scenario="fig11_onoff",
+        duration=8.0,
+        seed=1,
+        topology={"bandwidth_bps": fig11.LINK_BPS},
+        flows={"sources": 10},
+        extra={"warmup": 2.0, "timescales": [0.5, 1.0]},
     )
-    return trace_signature(tracer), asdict(run)
+    run = fig11.onoff_scenario(spec, tracer=tracer)
+    return trace_signature(tracer), tau_maps_from_json(run, TAU_MAPS)
 
 
 def fig14_red():
-    run = fig14_run_one(
-        "tcp", n_flows=12, duration=12.0, queue_type="red",
-        buffer_packets=60, seed=2,
+    spec = ScenarioSpec(
+        scenario="fig14_queue_dynamics",
+        duration=12.0,
+        seed=2,
+        topology={
+            "bandwidth_bps": fig14.LINK_BPS,
+            "base_rtt": fig14.BASE_RTT,
+            "start_spread": fig14.START_SPREAD,
+        },
+        flows={"protocol": "tcp", "n_flows": 12},
+        queue={"buffer_packets": 60, "type": "red"},
+        extra={"web_fraction": fig14.WEB_FRACTION},
     )
-    return [], asdict(run)
+    return [], fig14.queue_dynamics_scenario(spec)
 
 
 def _exact(obj, names):
@@ -259,15 +274,29 @@ def internet_path_ucl():
 
 def tfrc_probe_nokia():
     """The Figure 18 probe flow on the ``nokia`` path, 30 simulated s."""
-    intervals = collect_loss_intervals(PATHS["nokia"], duration=30.0, seed=4)
+    spec = ScenarioSpec(
+        scenario="fig18_trace",
+        duration=30.0,
+        seed=4,
+        topology=PATHS["nokia"].to_dict(),
+    )
+    intervals = trace_scenario(spec)["intervals"]
     return [], {"intervals": [v.hex() for v in intervals]}
 
 
 def fig03_pipe():
     """One TFRC flow over an 8-packet Dummynet pipe, 15 simulated s."""
-    series, cov, mean = fig03_run_one(8, False, duration=15.0)
-    return [], {"series": [v.hex() for v in series], "cov": cov.hex(),
-                "mean": mean.hex()}
+    spec = ScenarioSpec(
+        scenario="fig03_pipe",
+        duration=15.0,
+        topology={"bandwidth_bps": fig03.BANDWIDTH_BPS, "delay": fig03.DELAY},
+        flows={"interpacket_adjustment": False},
+        queue={"buffer_packets": 8},
+        extra={"rtt_ewma_weight": fig03.RTT_EWMA_WEIGHT, "tau": fig03.TAU},
+    )
+    run = fig03.pipe_scenario(spec)
+    return [], {"series": [v.hex() for v in run["series"]],
+                "cov": run["cov"].hex(), "mean": run["mean"].hex()}
 
 
 #: name -> zero-argument run returning ``(trace signature, result)``.

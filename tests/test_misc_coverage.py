@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import fig06_fairness_grid as fig06
-from repro.experiments import fig14_queue_dynamics as fig14
 from repro.net.path import LossyPath, periodic_loss
 from repro.sim.engine import Simulator
 from repro.tcp.flow import TcpFlow
@@ -55,14 +54,6 @@ class TestVariantRelativeBehaviour:
 
 
 class TestExperimentValidation:
-    def test_fig06_odd_flow_count_rejected(self):
-        with pytest.raises(ValueError):
-            fig06.run_cell(15e6, 3, "red", duration=1.0)
-
-    def test_fig14_unknown_protocol_rejected(self):
-        with pytest.raises(ValueError):
-            fig14.run_one("udp")
-
     def test_fig06_cell_lookup(self):
         result = fig06.Fig06Result(cells=[])
         with pytest.raises(KeyError):

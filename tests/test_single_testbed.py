@@ -20,7 +20,7 @@ import pytest
 from repro.experiments import fig03_oscillation as fig03
 from repro.net import DumbbellConfig
 from repro.net.packet import Packet
-from repro.scenarios import DumbbellTestbed
+from repro.scenarios import DumbbellTestbed, ScenarioSpec
 from repro.sim.engine import SimulationError
 
 REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -155,8 +155,16 @@ def test_corrupt_pipe_counter_names_the_pipe(monkeypatch):
         return forward, reverse
 
     monkeypatch.setattr(fig03, "dummynet_pipe", skewed)
+    spec = ScenarioSpec(
+        scenario="fig03_pipe",
+        duration=2.0,
+        topology={"bandwidth_bps": fig03.BANDWIDTH_BPS, "delay": fig03.DELAY},
+        flows={"interpacket_adjustment": False},
+        queue={"buffer_packets": 8},
+        extra={"rtt_ewma_weight": fig03.RTT_EWMA_WEIGHT, "tau": fig03.TAU},
+    )
     with pytest.raises(SimulationError, match="link pipe:") as raised:
-        fig03.run_one(8, False, duration=2.0)
+        fig03.pipe_scenario(spec)
     message = str(raised.value)
     assert "t=2.0" in message and "'enqueued'" in message
 

@@ -720,7 +720,7 @@ CONFIG_DATACLASSES = frozenset({
 })
 #: ``(path, "owner.param")`` -> why an option no caller passes is kept.
 OPTION_ALLOWLIST = {
-    ("src/repro/experiments/fig11_onoff.py", "run_one.tracer"):
+    ("src/repro/experiments/fig11_onoff.py", "onoff_scenario.tracer"):
         "golden-digest input: the traced fig11 run hashes the records of the "
         "tracer it hands in; a figure run traces nothing",
     ("src/repro/net/queues.py", "REDQueue.weight"):
