@@ -12,21 +12,17 @@ The loss *time* of a hole is interpolated between the arrival times of the
 packets surrounding it, which is what decides whether the hole joins the
 previous loss event or starts a new one.
 
-Deep reordering can outlast the tolerance: a packet may be declared lost
-and still arrive later.  Such late arrivals **retract** the declaration --
-the loss count is decremented and, once a loss event has no surviving
-constituent losses, the event itself is withdrawn -- so reordered-but-
-delivered packets never leave a phantom loss event behind.
+A packet that arrives after its hole was declared lost counts as received
+and withdraws nothing: the loss and its event stand.  No simulated path
+makes such an arrival -- links, lossy paths and access ports are FIFO and
+TFRC never resends a sequence number -- so the detector keeps no record of
+declared losses to take back.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
-
-#: "No expiry scan is due": above every sequence number a run reaches.
-_NEVER = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -68,14 +64,6 @@ class LossEventDetector:
         self._last_arrival_seq: Optional[int] = None
         self._event_start_time: Optional[float] = None
         self._event_start_seq: Optional[int] = None
-        self._active_event: Optional[LossEvent] = None
-        self._declared: Dict[int, LossEvent] = {}  # matured seq -> its event
-        # A lower bound on the keys of ``_declared``, and the first in-order
-        # seq whose arrival lets an expiry scan drop one of them (see
-        # :meth:`_expire_retractables`).
-        self._declared_floor = _NEVER
-        self._expiry_seq = _NEVER
-        self._event_members: Dict[int, int] = {}  # id(event) -> live losses
         self.events: List[LossEvent] = []
         self.packets_received = 0
         self.packets_lost = 0
@@ -96,8 +84,8 @@ class LossEventDetector:
         say whether it did; otherwise change nothing and return False.
 
         An in-order arrival moves the highest sequence number up by one and
-        can neither start nor withdraw a loss event, so the general body
-        reduces to the updates below.  A False return leaves the arrival to
+        cannot start a loss event, so the general body reduces to the
+        updates below.  A False return leaves the arrival to
         :meth:`on_arrival`.
         """
         if seq != self._next_expected or self._holes_followers:
@@ -106,8 +94,6 @@ class LossEventDetector:
         self._next_expected = seq + 1
         self._last_arrival_time = now
         self._last_arrival_seq = seq
-        if seq >= self._expiry_seq:
-            self._expire_retractables()
         return True
 
     def on_arrival(self, seq: int, now: float) -> List[LossEvent]:
@@ -124,11 +110,10 @@ class LossEventDetector:
             self._register_holes(seq, now)
             self._next_expected = seq + 1
         else:
-            # Late (reordered or duplicate) packet fills its hole if pending,
-            # or retracts its loss declaration if the hole already matured.
+            # A late (reordered or duplicate) packet fills its hole if it is
+            # still pending; a hole already declared lost stays lost.
             self._pending_holes.pop(seq, None)
             self._holes_followers.pop(seq, None)
-            self._retract(seq)
         self._last_arrival_time = now
         self._last_arrival_seq = max(self._last_arrival_seq or 0, seq)
         return self._mature_holes()
@@ -167,91 +152,7 @@ class LossEventDetector:
             event = self._classify_loss(seq, loss_time)
             if event is not None:
                 new_events.append(event)
-            # Whether it started the event or merged into the active one,
-            # the declared loss is a retractable constituent of that event.
-            assert self._active_event is not None
-            self._declared[seq] = self._active_event
-            if seq < self._declared_floor:
-                self._declared_floor = seq
-            self._add_member(self._active_event)
-        self._expire_retractables()
         return new_events
-
-    def _add_member(self, event: LossEvent) -> None:
-        """Count one more constituent of ``event``, resurrecting the event
-        into :attr:`events` if every earlier constituent had been retracted
-        (the withdrawn event stays the geometry anchor, see :meth:`_retract`,
-        so a genuine loss can still merge into it).  Resurrection does not
-        re-fire ``on_event``: consumers were already notified when the event
-        was first declared."""
-        key = id(event)
-        count = self._event_members.get(key, 0)
-        self._event_members[key] = count + 1
-        if count == 0:
-            # Freshly created events are always the list tail (appended by
-            # _classify_loss one frame earlier), so only a genuine
-            # resurrection pays for the identity scan.
-            if not self.events or self.events[-1] is not event:
-                if not any(e is event for e in self.events):
-                    self.events.append(event)
-
-    #: Retraction horizon, in packets: a declared loss this far behind the
-    #: highest delivered sequence number is considered permanent, so its
-    #: bookkeeping can be dropped (bounds ``_declared`` on long runs).
-    RETRACTION_WINDOW = 4096
-
-    def _expire_retractables(self) -> None:
-        """Forget declared losses behind the horizon, once more than 64 are
-        held.
-
-        The scan is skipped while ``_declared_floor`` (a lower bound on the
-        declared seqs) is at or above the horizon, since it would drop
-        nothing.  Only the general body changes ``_declared``, and it ends
-        here, so ``_expiry_seq`` -- the in-order arrival at which a scan
-        next has anything to drop -- is set here too.
-        """
-        declared = self._declared
-        window = self.RETRACTION_WINDOW
-        if len(declared) <= 64:
-            self._expiry_seq = _NEVER
-            return
-        horizon = self._next_expected - window
-        if self._declared_floor < horizon:
-            for s in [s for s in declared if s < horizon]:
-                del declared[s]
-            self._declared_floor = min(declared, default=_NEVER)
-        if len(declared) > 64:
-            # Due once ``_next_expected - window`` passes the floor.
-            self._expiry_seq = self._declared_floor + window
-        else:
-            self._expiry_seq = _NEVER
-
-    def _retract(self, seq: int) -> None:
-        """A declared-lost packet arrived after all: withdraw the loss.
-
-        Decrements the loss count; when the owning event has no other
-        surviving constituent losses the event itself is removed from
-        :attr:`events`.  The event-start geometry (``_event_start_time`` /
-        ``_event_start_seq``) is deliberately **not** rolled back: the
-        consumer's loss-interval history already closed an interval at this
-        event (via ``on_event``), so the open interval must keep counting
-        from the withdrawn event's start -- rolling back would double-count
-        those packets into both the closed and the reopened interval.
-        """
-        event = self._declared.pop(seq, None)
-        if event is None:
-            return
-        self.packets_lost -= 1
-        key = id(event)
-        remaining = self._event_members.get(key, 1) - 1
-        if remaining > 0:
-            self._event_members[key] = remaining
-            return
-        self._event_members.pop(key, None)
-        for index, candidate in enumerate(self.events):
-            if candidate is event:
-                del self.events[index]
-                break
 
     def on_congestion_mark(self, seq: int, now: float) -> Optional[LossEvent]:
         """Treat an ECN-marked arrival as a congestion signal.
@@ -260,13 +161,9 @@ class LossEventDetector:
         within one RTT of the active event start merges into it; otherwise
         it starts a new loss event (with the usual sequence-distance
         interval), exactly as TFRC-over-ECN requires congestion marks to be
-        treated like drops.  Marks are permanent constituents: the marked
-        packet *did* arrive, so there is nothing to retract later.
+        treated like drops.
         """
-        event = self._classify_loss(seq, now)
-        if self._active_event is not None:
-            self._add_member(self._active_event)
-        return event
+        return self._classify_loss(seq, now)
 
     def _classify_loss(self, seq: int, loss_time: float) -> Optional[LossEvent]:
         """Merge into the active loss event or start a new one."""
@@ -284,8 +181,6 @@ class LossEventDetector:
         self._event_start_time = loss_time
         self._event_start_seq = seq
         event = LossEvent(time=loss_time, first_lost_seq=seq, closed_interval=closed)
-        self._active_event = event
-        self._event_members[id(event)] = 0
         self.events.append(event)
         if self.on_event is not None:
             self.on_event(event)

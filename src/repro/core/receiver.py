@@ -170,9 +170,9 @@ class TfrcReceiver:
 
         detector = self.detector
         if not packet.ecn_marked and detector.arrive_in_order(seq, now):
-            # No event starts or is withdrawn and the highest sequence
-            # number moved up by one: the open interval grows by exactly
-            # one packet, whether or not a loss event has been seen.
+            # No event starts and the highest sequence number moved up by
+            # one: the open interval grows by exactly one packet, whether or
+            # not a loss event has been seen.
             self.intervals.on_packet(1.0)
         else:
             previous_open = detector.open_interval_packets()

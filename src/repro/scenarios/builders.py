@@ -126,7 +126,8 @@ class DumbbellTestbed(Testbed):
 
     def run(self, duration: float) -> "DumbbellTestbed":
         """:meth:`Testbed.run`, then check that the flow monitor recorded
-        each data packet every monitored flow's receiver counted."""
+        each data packet every monitored flow's receiver counted, and each
+        TFRC receiver's sequence accounting."""
         super().run(duration)
         _check_delivered(self)
         return self
@@ -178,7 +179,19 @@ def _check_conservation(link: Link, now: float) -> None:
 
 def _check_delivered(bed: DumbbellTestbed) -> None:
     """The monitor's packet count per flow equals its receiver's count of
-    data arrivals -- the columns ``rate_series`` bins; O(flows)."""
+    data arrivals -- the columns ``rate_series`` bins -- and every TFRC
+    sequence number below the detector's next expected one was received,
+    is pending or was declared lost, exactly once; O(flows)."""
+    for flow in bed.tfrc_flows:
+        detector = flow.receiver.detector
+        received, lost = detector.packets_received, detector.packets_lost
+        pending, expected = len(detector._pending_holes), detector._next_expected
+        if received + lost + pending != expected:
+            raise SimulationError(
+                f"flow {flow.flow_id}: {received} received + {lost} lost + "
+                f"{pending} pending != {expected} sequence numbers at "
+                f"t={bed.sim.now!r}"
+            )
     seen = bed.flow_monitor.packets_by_flow
     received = [
         (flow.flow_id, flow.receiver.detector.packets_received)

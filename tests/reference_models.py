@@ -132,10 +132,11 @@ def newest_effective_weight(ali):
 
 
 def loss_event_rate_reference(arrivals, size=1000):
-    """The TFRC receiver's ``p`` after ``(seq, time, rtt)`` arrivals with no
-    duplicate and no seq arriving after three newer ones (nothing retracted):
-    NDUPACK = 3, section 5.2 loss times, one event per RTT (0 before a
-    sample), the synthetic first interval, WALI with discounting."""
+    """The TFRC receiver's ``p`` after ``(seq, time, rtt)`` arrivals in any
+    order, duplicates included (a seq later than three newer ones stays
+    lost; every arrival counts in the receive rate): NDUPACK = 3, section
+    5.2 loss times, one event per RTT (0 before a sample), the synthetic
+    first interval, WALI with discounting."""
     w, holes, hist, disc, got, start = ALI_WEIGHTS, {}, [], [], [], None
     s0, nxt, last_t, last_s = 0.0, 0, None, None  # open interval, arrivals
     def fold(h, d):

@@ -4,8 +4,9 @@ The reference recomputes ``p`` from the arrival stream alone and so covers
 ``core/loss_events.py``, ``core/loss_intervals.py`` and ``core/receiver.py``
 together, with history discounting on.  The named cases pin the behaviours
 a simpler receiver gets wrong: ``rtt == 0`` before the first sample, the
-section 5.2 loss-time interpolation, reordering inside NDUPACK = 3, one
-loss event per RTT, and the synthetic first interval.
+section 5.2 loss-time interpolation, reordering inside NDUPACK = 3, a
+packet later than that (and its duplicate) staying lost, one loss event
+per RTT, and the synthetic first interval.
 """
 
 import pytest
@@ -46,21 +47,25 @@ def assert_matches(arrivals):
 
 @st.composite
 def arrival_streams(draw):
-    """Bernoulli and burst loss, isolated adjacent swaps, uneven spacing,
-    a run with no RTT sample (``rtt == 0``), then RTTs that fall mid-run."""
+    """Bernoulli and burst loss, adjacent swaps, packets later than three
+    newer ones, duplicates, uneven spacing, a run with no RTT sample
+    (``rtt == 0``), then RTTs that fall mid-run."""
     n = draw(st.integers(min_value=10, max_value=400))
     keep = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
     loss = draw(st.floats(0.0, 0.3))
     burst_at = draw(st.integers(0, n - 1))
     burst = range(burst_at, burst_at + draw(st.integers(0, 10)))
     order = [s for s in range(n) if keep[s] >= loss and s not in burst]
-    swapped = -2
-    for i in sorted(draw(st.sets(st.integers(0, max(0, len(order) - 2)), max_size=20))):
-        # Only isolated swaps of neighbouring seqs: the late one arrives
-        # right after its successor, before any hole it sits in matures.
-        if i > swapped + 1 and i + 1 < len(order) and order[i + 1] == order[i] + 1:
+    index = st.integers(0, max(0, len(order) - 2))
+    for i in draw(st.lists(index, max_size=20)):  # neighbour swaps
+        if i + 1 < len(order):
             order[i], order[i + 1] = order[i + 1], order[i]
-            swapped = i
+    for i in draw(st.lists(index, max_size=4)):  # later than 3 newer ones
+        if order:
+            order.insert(i + draw(st.integers(4, 12)), order.pop(i))
+    for i in draw(st.lists(index, max_size=4)):  # duplicates
+        if order:
+            order.insert(i + draw(st.integers(1, 9)), order[i])
     gaps = draw(st.lists(st.floats(1e-4, 0.05), min_size=len(order), max_size=len(order)))
     # The receive-rate window (max(rtt, 50 ms)) never grows: the receiver
     # prunes arrivals at every read with the window then in force, so a
@@ -111,6 +116,17 @@ def test_reordering_inside_ndupack_is_no_loss():
         order[i], order[i + 1] = order[i + 1], order[i]
     p, events = assert_matches(stream(order))
     assert (p, events) == (0.0, 0)
+
+
+def test_packet_later_than_ndupack_and_its_duplicate_stay_lost():
+    """Seq 150 arrives ten places late, then again: both count in the
+    receive rate and neither withdraws the loss, so ``p`` is what the
+    stream without them gives."""
+    order = [s for s in range(300) if s != 150]
+    lost = assert_matches(stream(order))
+    order[159:159] = [150, 150]
+    assert assert_matches(stream(order)) == lost
+    assert lost[1] == 1 and lost[0] > 0
 
 
 def test_losses_within_one_rtt_are_one_event():

@@ -6,6 +6,7 @@ import pytest
 from repro.experiments.fig03_oscillation import dummynet_pipe
 from repro.net.packet import Packet
 from repro.net.topology import ACCESS_JITTER, Dumbbell, DumbbellConfig
+from repro.scenarios import DumbbellTestbed
 from repro.scenarios.builders import RTT_RANGE, build_mixed_dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.rng import BlockDraws
@@ -212,3 +213,26 @@ class TestBaseRttClipping:
         low, high = RTT_RANGE
         assert all(low <= rtt <= high for rtt in rtts)
         assert min(rtts) < low + 0.01 and max(rtts) > high - 0.01
+
+
+class TestSeedIndependentJitter:
+    """``Dumbbell.__init__`` seeds the shared access-jitter stream with 11,
+    whatever the ``Testbed`` seed, so every seed of a dumbbell figure
+    replays one jitter sequence (each in its own event order)."""
+
+    @staticmethod
+    def _jitter(seed, n=16):
+        bed = DumbbellTestbed(DumbbellConfig(), seed=seed)
+        return [bed.dumbbell._jitter_stream.next() for _ in range(n)]
+
+    def test_every_seed_draws_the_fixed_stream(self):
+        assert self._jitter(0) == self._jitter(1) == access_jitter(16)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known departure: the jitter stream is seeded 11 for every "
+        "Testbed seed, so seeds are not independent replications of it.  "
+        "The fix moves every dumbbell digest.",
+    )
+    def test_two_seeds_draw_different_jitter(self):
+        assert self._jitter(0) != self._jitter(1)

@@ -9,7 +9,8 @@ means a figure assembles its scene by hand again -- out of reach of the
 tracer ``Testbed.__init__`` takes and of the link-conservation check
 ``Testbed.run`` ends with (over ``Testbed.links``: a dumbbell's two links,
 fig03's pipe), and of the delivered-packet check ``DumbbellTestbed.run``
-adds (the flow monitor against each monitored flow's receiver).
+adds (the flow monitor against each monitored flow's receiver, and each
+TFRC receiver's sequence accounting).
 """
 
 import ast
@@ -182,3 +183,22 @@ def test_phantom_arrival_names_the_flow(flow_id):
     seen = bed.flow_monitor.packets_by_flow[flow_id]
     assert f"recorded {seen} packets, receiver counted {seen - 1} " in message
     assert message.endswith("at t=3.0")
+
+
+def test_duplicate_arrival_breaks_the_sequence_accounting():
+    """A TFRC receiver handed one packet twice counts it received twice:
+    received + lost + pending then exceeds the sequence numbers seen."""
+    bed = _built_testbed()
+    receiver = bed.tfrc_flows[0].receiver
+    bed.sim.schedule(1.0, lambda: receiver.receive(receiver._last_packet))
+    with pytest.raises(SimulationError, match="flow tfrc: ") as raised:
+        bed.run(3.0)
+    detector = receiver.detector
+    assert str(raised.value) == (
+        f"flow tfrc: {detector.packets_received} received + "
+        f"{detector.packets_lost} lost + {len(detector._pending_holes)} "
+        f"pending != {detector._next_expected} sequence numbers at t=3.0"
+    )
+    assert detector.packets_received + detector.packets_lost + len(
+        detector._pending_holes
+    ) == detector._next_expected + 1
