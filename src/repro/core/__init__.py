@@ -12,8 +12,8 @@
 * :mod:`~repro.core.receiver` -- feedback generation: loss event rate p,
   receive rate, RTT echo (section 3.3).
 * :mod:`~repro.core.paced` -- :class:`PacedSender`, the pacing / RTT /
-  lifecycle mechanism and the single ``_set_rate`` choke point that TFRC,
-  the section-5 baselines and the multicast sender all share.
+  lifecycle mechanism and the single ``_set_rate`` choke point that TFRC
+  and the section-5 baselines (RAP, TFRCP, TEAR) share.
 * :mod:`~repro.core.sender` -- rate adaptation driven by the control
   equation: RTT smoothing, slow start with the receive-rate cap, the
   no-feedback timer, and the sqrt-RTT interpacket-spacing adjustment

@@ -1,13 +1,13 @@
 """PacedSender: the mechanism every rate-based sender here shares.
 
-The paper's section 5 compares TFRC with TFRCP, RAP and TEAR, and section 6
-sketches a multicast variant: five senders that differ only in the *policy*
-that sets the allowed rate.  The mechanism under the policy lives here once:
-sequence numbering, the pacing loop at ``packet_size / rate``, an
-idempotent ``start()`` / ``stop()``, the smoothed-RTT EWMA, and
-:meth:`PacedSender._set_rate` -- the one place the allowed rate changes, is
-floored, is appended to ``rate_history`` and is traced.  A subclass keeps
-its feedback handler and its rate policy and nothing else.
+The paper's section 5 compares TFRC with TFRCP, RAP and TEAR: four senders
+that differ only in the *policy* that sets the allowed rate.  The mechanism
+under the policy lives here once: sequence numbering, the pacing loop at
+``packet_size / rate``, an idempotent ``start()`` / ``stop()``, the
+smoothed-RTT EWMA, and :meth:`PacedSender._set_rate` -- the one place the
+allowed rate changes, is floored, is appended to ``rate_history`` and is
+traced.  A subclass keeps its feedback handler and its rate policy and
+nothing else.
 
 TCP senders are deliberately not under this base: a congestion window is
 not a rate, and nothing here (pacing, the ``t_mbi`` floor) applies to one.
@@ -15,20 +15,20 @@ not a rate, and nothing here (pacing, the ``t_mbi`` floor) applies to one.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.net.packet import Packet, PacketType
-from repro.sim.engine import SimulationError, Simulator
-from repro.sim.process import FastTimer
+from repro.sim.engine import _FMAX, SimulationError, Simulator
 from repro.sim.trace import Tracer
 
 PacketSender = Callable[[Packet], None]
 
 #: Maximum back-off interval: never send slower than one packet per 64 s.
 T_MBI = 64.0
-#: bytes per data packet wherever no caller picks a size: the baseline,
-#: multicast and TCP senders and the background sources (the paper's
-#: 1000-byte packets, section 4.1.2).
+#: bytes per data packet wherever no caller picks a size: the baseline
+#: and TCP senders and the background sources (the paper's 1000-byte
+#: packets, section 4.1.2).
 PACKET_SIZE = 1000
 
 
@@ -57,9 +57,8 @@ class PacedSender:
         self.srtt: Optional[float] = None
         self.tracer = tracer
         self._seq = 0
-        # Re-armed per packet: a generation-counter timer, no Event handle
-        # per arming.
-        self._send_timer = FastTimer(sim, self._send_next)
+        # The pacing step, bound once: :meth:`_pace` pushes it per packet.
+        self._on_send = self._send_next
         self._started = False
         self._stopped = False
         self.packets_sent = 0
@@ -82,7 +81,6 @@ class PacedSender:
 
     def stop(self) -> None:
         self._stopped = True
-        self._send_timer.cancel()
 
     # ----------------------------------------------------------------- rate
 
@@ -149,4 +147,18 @@ class PacedSender:
         self._seq += 1
         self.packets_sent += 1
         self._send_packet(packet)
-        self._send_timer.start(self._interpacket_interval())
+        self._pace(self._interpacket_interval())
+
+    def _pace(self, interval: float) -> None:
+        """Push the next pacing step ``interval`` seconds from now: the
+        entry, range check and one sequence number ``schedule_fast`` would
+        push.  The loop is re-armed only from its own step and nothing
+        supersedes a step, so no timer object is needed; after ``stop()``
+        the one pending step pops and sends nothing."""
+        sim = self.sim
+        now = sim._now
+        deadline = now + interval
+        if not (now <= deadline <= _FMAX):
+            sim._check_time(deadline)
+        heappush(sim._heap, (deadline, sim._seq, self._on_send, (), None))
+        sim._seq += 1

@@ -204,7 +204,7 @@ class TfrcSender(PacedSender):
         if self.tracer is not None:
             self.tracer.record(now, "send", self.flow_id, size, meta={"seq": seq})
         self._send_packet(packet)
-        self._send_timer.start(self._interpacket_interval())
+        self._pace(self._interpacket_interval())
 
     # ---------------------------------------------------- no-feedback timer
 

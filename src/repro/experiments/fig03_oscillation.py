@@ -82,6 +82,7 @@ def pipe_scenario(spec: ScenarioSpec) -> JsonDict:
         int(spec.queue["buffer_packets"]),
     )
     bed.links.append(forward)
+    bed.paths.append(reverse)
     flow = TfrcFlow(
         bed.sim,
         "tfrc",

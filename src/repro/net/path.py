@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.net.link import Receiver
 from repro.net.packet import Packet
-from repro.sim.engine import _FMAX, Simulator
+from repro.sim.engine import _FMAX, SimulationError, Simulator
 from repro.sim.rng import BlockDraws
 
 
@@ -102,6 +102,9 @@ class LossyPath:
     another (an unbounded FIFO): delivery cannot exceed the configured
     rate, and overdriving the pipe shows up as growing delay -- which is
     what makes the slow-start receive-rate cap observable on this path.
+
+    Every packet sent is dropped, delivered or still in flight:
+    :meth:`check_conservation` holds the path to that after a run.
     """
 
     def __init__(
@@ -133,6 +136,10 @@ class LossyPath:
         self._busy_until = 0.0
         self.packets_sent = 0
         self.packets_dropped = 0
+        self.packets_delivered = 0
+        # One bound method for every delivery entry, so the check can find
+        # this path's entries in the heap by identity.
+        self._on_arrival = self._deliver
 
     def connect(self, receiver: Receiver) -> None:
         self._receiver = receiver
@@ -158,6 +165,33 @@ class LossyPath:
         arrival = departure + self.delay
         if not (now <= arrival <= _FMAX):
             sim._check_time(arrival)
-        heappush(sim._heap, (arrival, sim._seq, receiver, (packet,), None))
+        heappush(
+            sim._heap,
+            (arrival, sim._seq, self._on_arrival, (receiver, packet), None),
+        )
         sim._seq += 1
         return True
+
+    def _deliver(self, receiver: Receiver, packet: Packet) -> None:
+        self.packets_delivered += 1
+        receiver(packet)
+
+    def check_conservation(self, now: float) -> None:
+        """Every packet sent was dropped, delivered or is still in flight (a
+        delivery entry of this path's left in the heap) -- one pass over the
+        heap's pending entries, after the run; raises
+        :class:`SimulationError` naming the path and ``now``."""
+        on_arrival = self._on_arrival
+        in_flight = sum(1 for entry in self.sim._heap if entry[2] is on_arrival)
+        if self.packets_sent == (
+            self.packets_dropped + self.packets_delivered + in_flight
+        ):
+            return
+        counters = {
+            "sent": self.packets_sent, "dropped": self.packets_dropped,
+            "delivered": self.packets_delivered, "in_flight": in_flight,
+        }
+        raise SimulationError(
+            f"path {self.name}: packet conservation violated at t={now!r}: "
+            f"{counters}"
+        )

@@ -59,7 +59,8 @@ class Testbed:
     """One seeded simulation: the seed's named RNG streams (``stream(name)``,
     see :class:`RngRegistry`), the simulator, the flow monitor -- and the
     only place a scene's simulator is made and run.  A scene appends each
-    queued :class:`Link` it builds to ``links``; the run checks them."""
+    queued :class:`Link` it builds to ``links`` and each :class:`LossyPath`
+    to ``paths``; the run checks them."""
 
     def __init__(self, seed: int = 0, tracer: Optional[Tracer] = None) -> None:
         self.stream = RngRegistry(seed).stream
@@ -67,13 +68,16 @@ class Testbed:
         self.tracer = tracer
         self.flow_monitor = FlowMonitor(tracer=tracer)
         self.links: List[Link] = []
+        self.paths: List[LossyPath] = []
 
     def run(self, duration: float) -> "Testbed":
         """Run the scene to ``duration`` simulated seconds, then check packet
-        conservation on every link in ``links``."""
+        conservation on every link in ``links`` and path in ``paths``."""
         self.sim.run(until=duration)
         for link in self.links:
             _check_conservation(link, self.sim.now)
+        for path in self.paths:
+            path.check_conservation(self.sim.now)
         return self
 
 
@@ -299,6 +303,7 @@ def run_single_tfrc_on_lossy_path(
         bandwidth_bps=bandwidth_bps, name="fwd",
     )
     reverse = LossyPath(sim, delay=rtt / 2.0, name="rev")
+    bed.paths += [forward, reverse]
     flow = TfrcFlow(
         sim, "tfrc", forward, reverse, packet_size=packet_size,
         on_data=bed.flow_monitor.on_packet, **flow_kwargs,

@@ -1,28 +1,19 @@
-"""Restartable timers on top of the event loop.
+"""The restartable timer the protocol machinery waits on.
 
-Every piece of protocol machinery that waits runs on one of these: TCP's
-retransmission timer, the TFRC send, no-feedback and feedback timers, and
-the periodic loops -- RAP's per-RTT increase, TFRCP's interval update, the
-multicast round, TEAR's report timer and every CBR source -- which re-arm
-their timer at the end of their own callback.
+TCP's retransmission timer, the TFRC no-feedback and feedback timers, and
+the periodic loops -- RAP's per-RTT increase, TFRCP's interval update,
+TEAR's report timer and every CBR source, which re-arm their timer at the
+end of their own callback -- all run on :class:`FastTimer`.  Its armings
+ride :meth:`Simulator.schedule_fast` entries tagged with a generation
+counter.  Re-arming bumps the generation instead of cancelling; a
+superseded entry stays in the heap and self-discards when popped because
+its generation no longer matches.  No ``Event`` handle is ever allocated.
 
-Two timer classes share one interface:
-
-* :class:`FastTimer` -- what all of the above run on: armings ride
-  :meth:`Simulator.schedule_fast` entries tagged with a generation counter.
-  Re-arming bumps the generation instead of cancelling; a superseded entry
-  stays in the heap and self-discards when popped because its generation no
-  longer matches.  No ``Event`` handle is ever allocated.
-* :class:`Timer` -- each ``start`` cancels the previous
-  :class:`~repro.sim.engine.Event` handle and allocates a new one, so a
-  cancelled arming never reaches the handler, is never counted as an
-  event, and an unbounded ``run()`` stops at the last live event.  The
-  multicast feedback-suppression timers, which a heard report cancels,
-  run on it, and it is the reference ``FastTimer`` is fuzzed against.
-
-Both consume exactly one scheduler sequence number per ``start``, so they
-order events identically (``tests/test_fast_timer.py`` fuzzes one against
-the other).
+``tests/reference_models.py`` keeps the handle-based ``Timer`` it replaced
+(each ``start`` cancels the previous :class:`~repro.sim.engine.Event` and
+allocates a new one) as the reference ``tests/test_fast_timer.py`` fuzzes
+it against: both consume exactly one scheduler sequence number per
+``start``, so they order events identically.
 """
 
 from __future__ import annotations
@@ -30,81 +21,35 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Callable, Optional
 
-from repro.sim.engine import _FMAX, Event, SimulationError, Simulator
-
-
-class Timer:
-    """A single-shot, restartable timer.
-
-    The callback fires once, ``interval`` seconds after the most recent
-    ``start``/``restart``.  Starting a pending timer reschedules it; this
-    mirrors how TCP's RTO timer is pushed back on every new ACK.
-    """
-
-    def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
-        self._sim = sim
-        self._callback = callback
-        self._event: Optional[Event] = None
-
-    @property
-    def pending(self) -> bool:
-        """True while a fire is scheduled and not yet delivered."""
-        return self._event is not None and not self._event.cancelled
-
-    @property
-    def expiry(self) -> Optional[float]:
-        """Absolute time the timer will fire, or None if not pending."""
-        if self.pending:
-            assert self._event is not None
-            return self._event.time
-        return None
-
-    def start(self, interval: float) -> None:
-        """(Re)arm the timer to fire ``interval`` seconds from now."""
-        self.cancel()
-        self._event = self._sim.schedule_in(interval, self._fire)
-
-    def restart(self, interval: float) -> None:
-        """Alias of :meth:`start`; reads better at call sites that re-arm."""
-        self.start(interval)
-
-    def cancel(self) -> None:
-        """Disarm the timer if pending."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _fire(self) -> None:
-        self._event = None
-        self._callback()
+from repro.sim.engine import _FMAX, SimulationError, Simulator
 
 
 class FastTimer:
     """A single-shot, restartable timer with no per-arming ``Event`` handle.
 
-    Drop-in replacement for :class:`Timer` on hot paths that re-arm per
-    packet (the TFRC send timer, TCP's RTO push-back on every ACK).  Each
-    arming pushes one bare :meth:`Simulator.schedule_fast` entry carrying the
-    current generation number; ``start``/``cancel`` bump the generation, so
-    entries from superseded armings self-discard on pop instead of being
-    cancelled up front.
+    Built for hot paths that re-arm per packet (TCP's RTO push-back on
+    every ACK).  Each arming pushes one bare
+    :meth:`Simulator.schedule_fast` entry carrying the current generation
+    number; ``start``/``cancel`` bump the generation, so entries from
+    superseded armings self-discard on pop instead of being cancelled up
+    front.
 
     ``start`` pushes its heap entry itself, as :mod:`repro.net.link` does:
     the entry, its range check and its one sequence number are exactly
     what ``schedule_fast`` would push.
 
-    The trade against :class:`Timer` is pure bookkeeping: superseded entries
-    are popped as (counted) no-op events rather than skipped as cancelled
-    ones, and in the heap they are indistinguishable from live work.
-    Consequently a ``run()`` with no ``until`` drains stale entries too --
-    the clock (and ``run``'s return value) advances to the last stale
-    deadline, where a cancelled ``Timer`` event would be skipped --
-    and ``max_events`` budgets count the no-op pops.  A run with ``until``
-    (as every scenario here is) still pops, and counts in
-    ``events_processed``, each superseded or cancelled arming whose deadline
-    falls by ``until`` -- a periodic loop's ``stop()`` mid-run included.  Firing
-    order is identical either way -- both implementations consume one
-    sequence number per ``start``, at the same deadline.
+    The trade against a handle-based timer is pure bookkeeping: superseded
+    entries are popped as (counted) no-op events rather than skipped as
+    cancelled ones, and in the heap they are indistinguishable from live
+    work.  Consequently a ``run()`` with no ``until`` drains stale entries
+    too -- the clock (and ``run``'s return value) advances to the last
+    stale deadline, where a cancelled ``Event`` would be skipped -- and
+    ``max_events`` budgets count the no-op pops.  A run with ``until`` (as
+    every scenario here is) still pops, and counts in ``events_processed``,
+    each superseded or cancelled arming whose deadline falls by ``until``
+    -- a periodic loop's ``stop()`` mid-run included.  Firing order is the
+    handle-based timer's -- both consume one sequence number per
+    ``start``, at the same deadline.
     """
 
     __slots__ = ("_sim", "_callback", "_gen", "_deadline", "_on_pop")
@@ -133,8 +78,8 @@ class FastTimer:
         if interval < 0:
             raise SimulationError(f"negative delay {interval!r}")
         # Supersede any prior arming before attempting the push, exactly
-        # like Timer.start's leading cancel(): if scheduling raises (e.g.
-        # a non-finite deadline), both implementations end up disarmed.
+        # like a handle-based timer's leading cancel(): if scheduling raises
+        # (e.g. a non-finite deadline), the timer ends up disarmed.
         gen = self._gen + 1
         self._gen = gen
         self._deadline = None

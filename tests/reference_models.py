@@ -2,17 +2,24 @@
 ``SackSender`` and the TFRC receiver's loss event rate maintain
 incrementally, the first, copy-everything form of a spec's canonical JSON
 and the first form of a cache entry's checksum, and the first, per-arrival
-loop that binned a rate series; the fuzzers compare the two."""
+loop that binned a rate series, and the handle-based ``Timer`` that
+``FastTimer`` replaced; the fuzzers compare the two.  Also Appendix A.1's
+increase bound, derived in exact fractions from the WALI weights and
+Eq. 1 rather than quoted."""
 
 import copy
 import hashlib
 import json
+import math
+from fractions import Fraction
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core.equations import invert_response
 from repro.core.loss_intervals import ALI_DEFAULT_WEIGHTS as ALI_WEIGHTS
 from repro.net.redmath import red_drop_probability, red_ewma, red_uniformized
+from repro.sim.engine import Event, Simulator
 
 
 def spec_canonical_reference(spec):
@@ -174,6 +181,52 @@ def loss_event_rate_reference(arrivals, size=1000):
     return min(1.0, 1 / avg) if avg > 0 else 0.0
 
 
+def wali_weights_exact(n=8):
+    """Section 3.3's weights as fractions: 1 for the newest n/2 intervals,
+    then ``1 - (i - n/2) / (n/2 + 1)``."""
+    half = n // 2
+    return [Fraction(1) if i <= half else 1 - Fraction(i - half, half + 1)
+            for i in range(1, n + 1)]
+
+
+def newest_weight_exact(weights, discount=Fraction(1)):
+    """The newest interval's share of the weight when every older interval
+    is discounted by ``discount`` (Appendix A.1)."""
+    return weights[0] / (weights[0] + discount * (sum(weights) - weights[0]))
+
+
+def sqrt_fraction(x, digits=30):
+    """``sqrt(x)`` for a non-negative fraction, rounded down to ``digits``
+    decimal places (an integer square root, no float)."""
+    scale = 10 ** digits
+    return Fraction(math.isqrt(x.numerator * scale * scale // x.denominator), scale)
+
+
+def eq1_packets_per_rtt(p):
+    """Eq. 1 in packets per RTT (s = 1, R = 1, t_RTO = 4R) at loss event
+    rate ``p``, a fraction."""
+    return 1 / (sqrt_fraction(Fraction(2, 3) * p)
+                + 12 * sqrt_fraction(Fraction(3, 8) * p) * p * (1 + 32 * p * p))
+
+
+def increase_per_rtt_exact(average_interval, newest_weight, rate=eq1_packets_per_rtt):
+    """Appendix A.1: one loss-free RTT adds ``T(A)`` packets to the open
+    interval, which moves the average by ``w * T(A)``, so the rate grows by
+    ``T(A + w T(A)) - T(A)`` packets per RTT.  ``rate`` maps a loss event
+    rate to packets per RTT (Eq. 1 by default)."""
+    a = Fraction(average_interval)
+    now = rate(1 / a)
+    return rate(1 / (a + newest_weight * now)) - now
+
+
+def increase_limit_exact(newest_weight, c_squared=Fraction(3, 2)):
+    """The supremum over ``A`` of the increase for the simple response
+    ``T = c sqrt(A)``: ``c (sqrt(A + w c sqrt(A)) - sqrt(A))`` rises to
+    ``w c^2 / 2``.  Eq. 1 tends to the simple response with ``c^2 = 3/2``
+    as ``p`` falls, so its increase has the same supremum."""
+    return newest_weight * c_squared / 2
+
+
 def rate_series_reference(arrivals, t0, t1, tau):
     """Bin (time, bytes) arrival events into a bytes/second rate series:
     ``floor((t1-t0)/tau)`` bins over [t0, t1), one Python step per arrival
@@ -193,3 +246,49 @@ def rate_series_reference(arrivals, t0, t1, tau):
         # An ulp below ``end`` the quotient can round up to ``n_bins``.
         binned[min(int((time - t0) / tau), last)] += size
     return binned / tau
+
+
+class Timer:
+    """A single-shot, restartable timer.
+
+    The callback fires once, ``interval`` seconds after the most recent
+    ``start``/``restart``.  Starting a pending timer reschedules it; this
+    mirrors how TCP's RTO timer is pushed back on every new ACK.
+    """
+
+    def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
+        self._sim = sim
+        self._callback = callback
+        self._event: Optional[Event] = None
+
+    @property
+    def pending(self) -> bool:
+        """True while a fire is scheduled and not yet delivered."""
+        return self._event is not None and not self._event.cancelled
+
+    @property
+    def expiry(self) -> Optional[float]:
+        """Absolute time the timer will fire, or None if not pending."""
+        if self.pending:
+            assert self._event is not None
+            return self._event.time
+        return None
+
+    def start(self, interval: float) -> None:
+        """(Re)arm the timer to fire ``interval`` seconds from now."""
+        self.cancel()
+        self._event = self._sim.schedule_in(interval, self._fire)
+
+    def restart(self, interval: float) -> None:
+        """Alias of :meth:`start`; reads better at call sites that re-arm."""
+        self.start(interval)
+
+    def cancel(self) -> None:
+        """Disarm the timer if pending."""
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+
+    def _fire(self) -> None:
+        self._event = None
+        self._callback()

@@ -386,6 +386,53 @@ class TestLossHistoryDepartures:
         assert history == seeds
 
 
+class TestReceiveRateWindowDeparture:
+    """8e, pinned until the digest-regeneration protocol lets it move every
+    TFRC digest: ``receive_rate`` prunes arrivals older than ``now -
+    max(R, 50 ms)`` with the ``R`` in force at each read, so after ``R``
+    grows the wider window cannot see what a narrower one pruned.  The
+    stream: seqs 0, 2, 3 at 40 ms spacing with no RTT sample (the 50 ms
+    floor), then seqs 4 and 5 with R = 100 ms.  Seq 1's loss is declared at
+    seq 4 (t = 0.16 s), whose 100 ms window holds the arrivals at 0.08,
+    0.12 and 0.16 s (30 kB/s, a synthetic interval of 8.86 packets); the
+    feedback read at 0.14 s pruned the one at 0.08 s."""
+
+    ARRIVALS = [(0, 0.04, 0.0), (2, 0.08, 0.0), (3, 0.12, 0.0),
+                (4, 0.16, 0.1), (5, 0.20, 0.1)]
+
+    def _run(self):
+        """The receive rate read when the first loss seeds the history, and
+        the synthetic interval it gave."""
+        sim = Simulator()
+        receiver = TfrcReceiver(sim, "f", send_feedback=lambda packet: None)
+        rates, seeds, seed = [], [], receiver.intervals.seed
+
+        def seeded(value):
+            rates.append(receiver.receive_rate())
+            seeds.append(value)
+            seed(value)
+
+        receiver.intervals.seed = seeded
+        for seq, now, rtt in self.ARRIVALS:
+            sim.run(until=now)
+            receiver.receive(Packet("f", seq, 1000, sent_at=now,
+                                    payload=TfrcDataInfo(rtt)))
+        return rates, [round(value, 2) for value in seeds]
+
+    def test_a_grown_window_misses_what_a_narrower_one_pruned(self):
+        assert self._run() == ([20000.0], [6.86])
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known departure (ROADMAP 8e): after R grows, receive_rate "
+        "cannot see the arrivals a narrower window pruned, so the first "
+        "interval is synthesized from 2 packets in the last RTT, not 3 "
+        "(6.86 packets, not 8.86).  The fix moves every TFRC digest.",
+    )
+    def test_a_grown_window_sees_every_arrival_inside_it(self):
+        assert self._run() == ([30000.0], [8.86])
+
+
 class TestRateHistoryBounding:
     def _sender(self, **kwargs):
         from repro.core.sender import TfrcSender

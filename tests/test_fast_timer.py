@@ -1,13 +1,15 @@
 """FastTimer semantics: re-arm, cancel races, stale-generation discard,
-and randomized equivalence with the handle-based Timer."""
+and randomized equivalence with the handle-based Timer that
+``reference_models`` keeps as its oracle."""
 
 import functools
 import random
 
 import pytest
 
+from reference_models import Timer
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.process import FastTimer, Timer
+from repro.sim.process import FastTimer
 
 
 class TestFastTimerSemantics:

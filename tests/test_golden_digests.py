@@ -1,20 +1,22 @@
 """Golden digests: the byte-identity contract of the packet simulator.
 
-Eighteen seeded runs are reduced to sha256 digests of their exact trace
+Seventeen seeded runs are reduced to sha256 digests of their exact trace
 signature and result JSON and compared with ``tests/golden_digests.json``.
 The first five committed digests were produced by the per-event
 implementations the simulator used to carry beside its hot path, and
-verified equal to that hot path, before those were deleted; the four
-``baselines/`` and ``multicast/`` runs were captured at f2093f7, before
-the five rate-based senders were put on one ``PacedSender`` base, and the
+verified equal to that hot path, before those were deleted; the three
+``baselines/`` runs were captured at f2093f7, before the rate-based
+senders were put on one ``PacedSender`` base, and the
 two TFRC ``LossyPath`` runs at b7316be, before the endpoints' per-packet
 paths were shortened, and the internet-path, probe-path and Dummynet-pipe
 runs at c5f52e4, before the scene builders were put on one testbed, and
 the four single-TCP-flow runs (one per variant; every other TCP run uses
 SACK) at cb8717a, before the window state machine was put on one set of
 transition methods.  Any change to event order, RNG draw order or float
-arithmetic in ``sim/``, ``net/``, ``core/``, ``tcp/``, ``baselines/`` or
-``multicast/`` moves one.
+arithmetic in ``sim/``, ``net/``, ``core/``, ``tcp/`` or ``baselines/``
+moves one.  Every run goes through a ``Testbed``, so each ends with the
+conservation checks ``Testbed.run`` makes (the lossy-path runs register
+both their paths).
 
 Float formatting and numpy's generators are only stable for one
 ``{python, numpy, machine}`` triple (the one ``bench/golden.json`` is keyed
@@ -39,12 +41,9 @@ from repro.experiments import fig14_queue_dynamics as fig14
 from repro.experiments.fig18_predictor import trace_scenario
 from repro.experiments.internet import PATHS
 from repro.experiments.timescales import TAU_MAPS, tau_maps_from_json
-from repro.multicast import MulticastTfrcSession
-from repro.net.monitor import FlowMonitor, LinkMonitor
+from repro.net.monitor import LinkMonitor
 from repro.net.path import LossyPath, bernoulli_loss
-from repro.scenarios import ScenarioSpec
-from repro.scenarios.builders import build_mixed_dumbbell, run_internet_path
-from repro.sim.engine import Simulator
+from repro.scenarios import ScenarioSpec, builders
 from repro.sim.trace import Tracer
 from repro.tcp.flow import TcpFlow
 
@@ -76,7 +75,7 @@ def trace_signature(tracer):
 def mixed_dumbbell(ecn=False, reverse_monitor=False):
     """4 TFRC + 4 TCP on a 15 Mb/s RED dumbbell, traced, 8 simulated s."""
     tracer = Tracer()
-    result = build_mixed_dumbbell(
+    result = builders.build_mixed_dumbbell(
         n_tfrc=4, n_tcp=4, bandwidth_bps=15e6, queue_type="red", seed=3,
         tracer=tracer, sample_queue=True,
     )
@@ -164,16 +163,18 @@ def _rate_history(sender):
 
 
 def _run_lossy_path(flow_cls, p, traced, sender_attrs=(), **kwargs):
-    """One flow, 60 simulated s over a Bernoulli-``p`` ``LossyPath``;
-    ``sender_attrs`` are ``(name, value)`` pairs set on the sender before
-    it starts."""
-    sim = Simulator()
+    """One flow, 60 simulated s over a Bernoulli-``p`` ``LossyPath`` on a
+    plain ``Testbed`` that checks both paths; ``sender_attrs`` are ``(name,
+    value)`` pairs set on the sender before it starts."""
+    bed = builders.Testbed()
+    sim = bed.sim
     forward = LossyPath(
         sim, delay=0.05,
         loss_model=bernoulli_loss(p, numpy.random.default_rng(5)),
     )
     reverse = LossyPath(sim, delay=0.05)
-    monitor = FlowMonitor()
+    bed.paths += [forward, reverse]
+    monitor = bed.flow_monitor
     tracer = Tracer()
     if traced:
         kwargs["tracer"] = tracer
@@ -182,7 +183,7 @@ def _run_lossy_path(flow_cls, p, traced, sender_attrs=(), **kwargs):
     for name, value in sender_attrs:
         setattr(flow.sender, name, value)
     flow.start()
-    sim.run(until=60.0)
+    bed.run(60.0)
     return sim, flow, monitor, tracer
 
 
@@ -197,30 +198,6 @@ def lossy_path_baseline(flow_cls, sender_counters, receiver_counters,
         "sender": _exact(flow.sender, ("packets_sent", "srtt") + sender_counters),
         "receiver": _exact(flow.receiver, receiver_counters),
         "arrivals": monitor.arrival_series("b"),
-        "events": sim.events_processed,
-    }
-
-
-def multicast_session():
-    """Three receivers (lossless, 1 %, 4 % Bernoulli), 60 simulated s."""
-    sim = Simulator()
-    rng = numpy.random.default_rng(9)
-    specs = [(0.03, None), (0.05, bernoulli_loss(0.01, rng)),
-             (0.08, bernoulli_loss(0.04, rng))]
-    session = MulticastTfrcSession(sim, specs, seed=4)
-    session.start()
-    sim.run(until=60.0)
-    return [], {
-        "rate_history": _rate_history(session.sender),
-        "sender": _exact(
-            session.sender,
-            ("packets_sent", "reports_received", "in_slow_start"),
-        ),
-        "receivers": [
-            dict(_exact(r, ("packets_received", "reports_sent")),
-                 p=r.loss_event_rate().hex())
-            for r in session.receivers
-        ],
         "events": sim.events_processed,
     }
 
@@ -258,7 +235,9 @@ def _arrivals(monitor, flow_id):
 
 def internet_path_ucl():
     """3 TCP + 1 TFRC + ON/OFF cross traffic on the ``ucl`` path, 20 s."""
-    run = run_internet_path(PATHS["ucl"], n_tcp=3, duration=20.0, seed=7)
+    run = builders.run_internet_path(
+        PATHS["ucl"], n_tcp=3, duration=20.0, seed=7
+    )
     link = run.dumbbell.forward_link
     flows = run.flow_monitor
     return [], {
@@ -318,7 +297,6 @@ RUNS = {
         ("packets_received", "losses_detected", "reports_sent", "cwnd",
          "smoothed_cwnd"),
     ),
-    "multicast_session": multicast_session,
     "tfrc_lossy_path_p01": lambda: tfrc_lossy_path(0.01),
     "tfrc_lossy_path_p05": lambda: tfrc_lossy_path(0.05),
     "internet_path_ucl": internet_path_ucl,

@@ -257,13 +257,77 @@ class TestLossModelFromSpec:
     def test_lossless_forms_build_no_model(self, loss):
         assert loss_model_from_spec(loss) is None
 
+    #: well-formed spec -> the hand-built model it stands for, on a fresh
+    #: generator of the same seed.
+    WELL_FORMED = {
+        "bernoulli-default-probability": (
+            {"model": "bernoulli"}, lambda rng: bernoulli_loss(0.01, rng),
+        ),
+        "bernoulli": (
+            {"model": "bernoulli", "probability": 0.3},
+            lambda rng: bernoulli_loss(0.3, rng),
+        ),
+        "periodic-default-period": (
+            {"model": "periodic"}, lambda rng: periodic_loss(100),
+        ),
+        "periodic-default-offset": (
+            {"model": "periodic", "period": 5}, lambda rng: periodic_loss(5),
+        ),
+        "periodic": (
+            {"model": "periodic", "period": 7, "offset": 3},
+            lambda rng: periodic_loss(7, offset=3),
+        ),
+        "scheduled-none-then-periodic": (
+            {"model": "scheduled", "phases": [
+                {"at": 0.0, "model": "none"},
+                {"at": 1.0, "model": "periodic", "period": 3},
+            ]},
+            lambda rng: scheduled_loss([
+                (0.0, lambda packet, now: False), (1.0, periodic_loss(3)),
+            ]),
+        ),
+        "scheduled-late-first-phase": (
+            {"model": "scheduled", "phases": [
+                {"at": 1.5, "model": "bernoulli", "probability": 0.5},
+            ]},
+            lambda rng: scheduled_loss([(1.5, bernoulli_loss(0.5, rng))]),
+        ),
+        "scheduled-default-at": (
+            {"model": "scheduled", "phases": [{"model": "periodic", "period": 2}]},
+            lambda rng: scheduled_loss([(0.0, periodic_loss(2))]),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", WELL_FORMED)
+    def test_well_formed_loss_builds_the_model_it_names(self, name):
+        loss, build = self.WELL_FORMED[name]
+        from_spec = loss_model_from_spec(loss, np.random.default_rng(3))
+        by_hand = build(np.random.default_rng(3))
+        verdicts = [
+            [model(make_packet(i), i * 0.005) for i in range(600)]
+            for model in (from_spec, by_hand)
+        ]
+        assert verdicts[0] == verdicts[1]
+        assert any(verdicts[0])
+
+    def test_bernoulli_without_an_rng_is_refused(self):
+        with pytest.raises(ValueError, match="bernoulli loss model needs an rng"):
+            loss_model_from_spec({"model": "bernoulli", "probability": 0.1})
+
+    def test_a_block_buffer_is_drawn_from_as_given(self):
+        """A ``BlockDraws`` is not wrapped again: the model consumes the
+        caller's buffer, one value per packet."""
+        draws = BlockDraws(np.random.default_rng(3))
+        model = loss_model_from_spec({"model": "bernoulli"}, draws)
+        for i in range(10):
+            model(make_packet(i), 0.0)
+        assert draws.next() == np.random.default_rng(3).random(11)[-1]
+
 
 class TestBernoulliDrawOrder:
     """Block-buffered draws are exact only while one buffer serves every
     consumer of a generator.  Two buffers over one generator each prefetch
-    a block, so consumers see each other's values in a different order (a
-    buffer per model moves the multicast session's golden digest, whose two
-    receivers share one generator)."""
+    a block, so consumers see each other's values in a different order."""
 
     PHASES = {"model": "scheduled", "phases": [
         {"at": 0.0, "model": "bernoulli", "probability": 0.3},
@@ -296,8 +360,8 @@ class TestBernoulliDrawOrder:
         assert self.verdicts(per_phase) != self.verdicts(spec_model)
 
     def test_models_on_one_raw_generator_keep_their_interleaving(self):
-        """Two receivers' models on one generator (the multicast session's
-        layout) each take the next scalar draw when called."""
+        """Two models on one raw generator each take the next scalar draw
+        when called."""
         rng = np.random.default_rng(5)
         a, b = bernoulli_loss(0.2, rng), bernoulli_loss(0.7, rng)
         order = [a, b, b, a, a, a, b, a, b, b] * 30
@@ -320,10 +384,12 @@ class TestLossyPath:
             path.send(packet)
             # 1 ms of serialization each, back to back.
             reference.schedule_fast(
-                0.001 * (i + 1) + 0.05, functools.partial(receiver, packet)
+                0.001 * (i + 1) + 0.05,
+                functools.partial(path._on_arrival, receiver, packet),
             )
-        # The same entries but for the bound argument, which the path
-        # hands over in the entry's ``args`` slot.
+        # The same entries but for the bound arguments, which the path
+        # hands over in the entry's ``args`` slot: its delivery counter,
+        # then the receiver.
         assert [(t, seq, cb, args) for t, seq, cb, args, _ in direct._heap] == [
             (t, seq, cb.func, cb.args) for t, seq, cb, _, _ in reference._heap
         ]

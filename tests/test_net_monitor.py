@@ -120,6 +120,67 @@ class TestFlowMonitor:
         assert records[0].value == 1000
 
 
+#: flow "a": 2,500 arrivals 10 ms apart (past two 1,024-arrival chunks),
+#: 500-1,100 bytes; flow "b": every seventh time, 40 bytes.
+ARRIVALS = [
+    (i * 0.01, flow, size)
+    for i in range(2500)
+    for flow, size in (("a", 500 + (i % 7) * 100), ("b", 40))
+    if flow == "a" or i % 7 == 0
+]
+T = [t for t, flow, _ in ARRIVALS if flow == "a"]
+
+
+class TestFlowMonitorWindows:
+    """``throughput_bps`` over windows that start and end on arrivals,
+    between them, at chunk boundaries and outside the data, against a sum
+    over the arrival list; the monitor is queried once mid-stream, so its
+    columns are packed more than once."""
+
+    WINDOWS = {
+        "whole-run": (0.0, 25.0),
+        "from-before-the-first": (-1.0, T[3]),
+        "ends-on-an-arrival": (T[10], T[1023]),
+        "straddles-the-first-chunk": (T[1000], T[1100]),
+        "starts-on-the-chunk-boundary": (T[1024], T[2048]),
+        "between-arrivals": (T[5] + 0.004, T[9] + 0.004),
+        "one-arrival": (T[2048] - 0.001, T[2048] + 0.001),
+        "inside-one-gap": (T[77] + 0.001, T[77] + 0.009),
+        "after-the-last": (30.0, 31.0),
+        "last-arrival-only": (T[-1], 26.0),
+    }
+
+    @staticmethod
+    def _monitor():
+        monitor = FlowMonitor()
+        for k, (t, flow, size) in enumerate(ARRIVALS):
+            monitor.on_packet(t, make_packet(flow, k, size))
+            if k == 1500:
+                monitor.throughput_bps("a", 0.0, 1.0)  # packs mid-chunk
+        return monitor
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_throughput_matches_a_sum_over_the_arrivals(self, window):
+        t_min, t_max = self.WINDOWS[window]
+        monitor = self._monitor()
+        for flow in ("a", "b"):
+            total = sum(
+                size for t, fid, size in ARRIVALS
+                if fid == flow and t_min <= t <= t_max
+            )
+            assert monitor.throughput_bps(flow, t_min, t_max) == (
+                pytest.approx(total * 8 / (t_max - t_min), rel=1e-12)
+            )
+
+    def test_totals_and_series_survive_repeated_packing(self):
+        monitor = self._monitor()
+        for flow in ("a", "b"):
+            pairs = [(t, size) for t, fid, size in ARRIVALS if fid == flow]
+            assert monitor.arrival_series(flow) == pairs
+            assert monitor.bytes_by_flow[flow] == sum(s for _, s in pairs)
+            assert monitor.packets_by_flow[flow] == len(pairs)
+
+
 class TestMonitorLiteralValues:
     """The array-backed accumulators, pinned to literal values on tiny inputs."""
 

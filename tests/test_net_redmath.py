@@ -1,18 +1,22 @@
 """RED's decision math (``net/redmath.py``) against Floyd & Jacobson (1993).
 
 The queue tests drive ``REDQueue`` and the twin tests hold the vector
-forms to the scalar ones; these pin the scalar expressions themselves to
-values worked out by hand from the paper's definitions, with thresholds 5
-and 15 packets and ``max_p = 0.1``.
+forms to the scalar ones; these pin the scalar expressions themselves, and
+the vector forms row by row, to values worked out by hand from the paper's
+definitions, with thresholds 5 and 15 packets and ``max_p = 0.1``.
 """
 
+import numpy as np
 import pytest
 
 from repro.net.redmath import (
     RedParams,
     red_drop_probability,
+    red_drop_probability_vec,
     red_ewma,
+    red_ewma_vec,
     red_uniformized,
+    red_uniformized_vec,
 )
 
 GENTLE = RedParams(min_thresh=5, max_thresh=15, max_p=0.1, gentle=True)
@@ -20,7 +24,7 @@ CLIFF = RedParams(min_thresh=5, max_thresh=15, max_p=0.1, gentle=False)
 RAMPS = {"gentle": GENTLE, "cliff": CLIFF}
 
 
-@pytest.mark.parametrize("ramp, avg, p_b", [
+DROP_PROBABILITY_TABLE = [
     ("gentle", 0.0, 0.0),
     ("gentle", 4.999, 0.0),
     ("gentle", 5.0, 0.0),  # min_thresh itself: the linear ramp starts at 0
@@ -36,13 +40,27 @@ RAMPS = {"gentle": GENTLE, "cliff": CLIFF}
     ("cliff", 14.999, 0.09999),
     ("cliff", 15.0, 1.0),  # without gentle the ramp ends in a cliff
     ("cliff", 22.5, 1.0),
-])
+]
+
+
+@pytest.mark.parametrize("ramp, avg, p_b", DROP_PROBABILITY_TABLE)
 def test_drop_probability(ramp, avg, p_b):
     got = red_drop_probability(RAMPS[ramp], avg)
     assert got == pytest.approx(p_b, rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("p_b, count, p_a", [
+@pytest.mark.parametrize("ramp, avg, p_b", DROP_PROBABILITY_TABLE)
+def test_drop_probability_vec(ramp, avg, p_b):
+    """Each row alone (below ``max_thresh`` that takes the vector form's
+    short cut) and beside an average past ``2 * max_thresh`` (the full
+    selection)."""
+    alone = red_drop_probability_vec(RAMPS[ramp], np.array([avg]))
+    mixed = red_drop_probability_vec(RAMPS[ramp], np.array([avg, 100.0]))
+    assert alone.tolist() == pytest.approx([p_b], rel=1e-12, abs=1e-15)
+    assert mixed.tolist() == pytest.approx([p_b, 1.0], rel=1e-12, abs=1e-15)
+
+
+UNIFORMIZED_TABLE = [
     (0.05, 0, 0.05),
     (0.05, 10, 0.1),  # 0.05 / (1 - 0.5)
     (0.1, 5, 0.2),  # 0.1 / (1 - 0.5)
@@ -50,9 +68,18 @@ def test_drop_probability(ramp, avg, p_b):
     (0.05, 20, 1.0),  # denominator 0
     (0.05, 30, 1.0),  # denominator negative
     (0.0, 1000, 0.0),  # nothing to uniformize below min_thresh
-])
+]
+
+
+@pytest.mark.parametrize("p_b, count, p_a", UNIFORMIZED_TABLE)
 def test_uniformized_probability(p_b, count, p_a):
     assert red_uniformized(p_b, count) == pytest.approx(p_a, rel=1e-12)
+
+
+@pytest.mark.parametrize("p_b, count, p_a", UNIFORMIZED_TABLE)
+def test_uniformized_probability_vec(p_b, count, p_a):
+    got = red_uniformized_vec(np.array([p_b]), np.array([count]))
+    assert got.tolist() == pytest.approx([p_a], rel=1e-12)
 
 
 @pytest.mark.parametrize("p_b", [0.5, 0.25, 0.2, 0.125, 0.1, 0.0625, 0.05])
@@ -85,6 +112,12 @@ def test_ewma_approaches_a_constant_queue_geometrically(weight, steps):
 
 def test_ewma_fixed_point_is_the_queue_length():
     assert red_ewma(0.002, 12.0, 12.0) == 12.0
+
+
+def test_ewma_vec_steps_each_average_toward_its_queue():
+    """``avg + w (q - avg)`` per element: up, down and at the fixed point."""
+    got = red_ewma_vec(0.25, np.array([0.0, 8.0, 12.0]), np.array([4.0, 0.0, 12.0]))
+    assert got.tolist() == [1.0, 6.0, 12.0]
 
 
 def test_params_hoist_the_constants_the_ramps_use():

@@ -1,9 +1,9 @@
 """The contract every rate-based sender inherits from ``PacedSender``.
 
-TFRC, RAP, TFRCP, TEAR and the multicast sender differ only in the policy
-that decides the allowed rate; lifecycle, pacing, the ``t_mbi`` floor and
-the record of every rate decision are the base's, so one parametrised suite
-pins them for all five.
+TFRC, RAP, TFRCP and TEAR differ only in the policy that decides the
+allowed rate; lifecycle, pacing, the ``t_mbi`` floor and the record of
+every rate decision are the base's, so one parametrised suite pins them for
+all four.
 """
 
 import math
@@ -14,7 +14,6 @@ import pytest
 from repro.baselines import RapFlow, TearFlow, TfrcpFlow
 from repro.core import TfrcFlow
 from repro.core.paced import T_MBI
-from repro.multicast import MulticastTfrcSession
 from repro.net.path import LossyPath, bernoulli_loss
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.trace import Tracer
@@ -37,28 +36,21 @@ def unicast(flow_cls, **sender_attrs):
     return build
 
 
-def multicast(sim, loss_model=None):
-    specs = [(0.03, None), (0.05, loss_model)]
-    return MulticastTfrcSession(sim, specs, seed=1)
-
-
 #: name -> (builder of something with .sender/.start()/.stop(), takes a tracer?)
 SENDERS = {
     "tfrc": (unicast(TfrcFlow), True),
     "rap": (unicast(RapFlow), True),
     "tfrcp": (unicast(TfrcpFlow, UPDATE_INTERVAL=1.0), True),
     "tear": (unicast(TearFlow), False),
-    "multicast": (multicast, False),
 }
 
 every_sender = pytest.mark.parametrize("name", SENDERS)
 
 #: name -> the sender's periodic control loop, a FastTimer its own callback
-#: re-arms: RAP's per-RTT increase, TFRCP's interval update, the round.
+#: re-arms: RAP's per-RTT increase, TFRCP's interval update.
 CONTROL_TIMERS = {
     "rap": "_rtt_timer",
     "tfrcp": "_update_timer",
-    "multicast": "_round_timer",
 }
 
 every_control_loop = pytest.mark.parametrize("name", CONTROL_TIMERS)

@@ -1,12 +1,13 @@
-"""Unit tests for the handle-based ``Timer``.
+"""Unit tests for the handle-based ``Timer`` in ``reference_models``, the
+oracle ``tests/test_fast_timer.py`` fuzzes ``FastTimer`` against.
 
 The periodic loops that run on ``FastTimer`` are tested with their
-owners: ``tests/test_paced_sender_contract.py`` (RAP, TFRCP, the multicast
-round) and ``tests/test_traffic.py`` (``CbrSource``).
+owners: ``tests/test_paced_sender_contract.py`` (RAP, TFRCP, TEAR) and
+``tests/test_traffic.py`` (``CbrSource``).
 """
 
+from reference_models import Timer
 from repro.sim.engine import Simulator
-from repro.sim.process import Timer
 
 
 class TestTimer:

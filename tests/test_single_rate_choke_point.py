@@ -1,9 +1,8 @@
 """The allowed rate changes in exactly one place, a TCP window in one set of
 transitions, and flows are wired in one.
 
-``PacedSender._set_rate`` is the only function under ``core/``,
-``baselines/`` and ``multicast/`` that assigns ``self.rate`` after
-construction, touches ``rate_history``, emits the tracer ``"rate"`` record
+``PacedSender._set_rate`` is the only function under ``core/`` and
+``baselines/`` that assigns ``self.rate`` after construction, touches ``rate_history``, emits the tracer ``"rate"`` record
 or applies the ``packet_size / T_MBI`` floor (which only the
 ``PacedSender.min_rate`` property computes); ``net.flow.Flow`` is the only
 class that connects ports and defines ``start(at)``.  A second site for any
@@ -21,7 +20,7 @@ import ast
 from pathlib import Path
 
 REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
-SENDER_PACKAGES = ("core", "baselines", "multicast")
+SENDER_PACKAGES = ("core", "baselines")
 FLOW_PACKAGES = SENDER_PACKAGES + ("tcp", "net")
 
 

@@ -6,22 +6,30 @@ Under ``scenarios/`` and ``experiments/`` the only ``Simulator(...)``,
 ``RngRegistry(...)`` is built there and in ``tfrc_lossy_path_scenario``
 (whose ``"loss"`` stream exists before the harness does).  A second site
 means a figure assembles its scene by hand again -- out of reach of the
-tracer ``Testbed.__init__`` takes and of the link-conservation check
+tracer ``Testbed.__init__`` takes and of the conservation check
 ``Testbed.run`` ends with (over ``Testbed.links``: a dumbbell's two links,
-fig03's pipe), and of the delivered-packet check ``DumbbellTestbed.run``
+fig03's pipe and return path, the lossy-path harness's two paths), and of
+the delivered-packet check ``DumbbellTestbed.run``
 adds (the flow monitor against each monitored flow's receiver, and each
 TFRC receiver's sequence accounting).
 """
 
 import ast
+import heapq
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments import fig03_oscillation as fig03
 from repro.net import DumbbellConfig
 from repro.net.packet import Packet
-from repro.scenarios import DumbbellTestbed, ScenarioSpec
+from repro.net.path import bernoulli_loss
+from repro.scenarios import (
+    DumbbellTestbed,
+    ScenarioSpec,
+    run_single_tfrc_on_lossy_path,
+)
 from repro.sim.engine import SimulationError
 
 REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -145,6 +153,17 @@ def test_corrupt_reverse_link_is_caught_too():
         bed.run(3.0)
 
 
+def _fig03_spec():
+    return ScenarioSpec(
+        scenario="fig03_pipe",
+        duration=2.0,
+        topology={"bandwidth_bps": fig03.BANDWIDTH_BPS, "delay": fig03.DELAY},
+        flows={"interpacket_adjustment": False},
+        queue={"buffer_packets": 8},
+        extra={"rtt_ewma_weight": fig03.RTT_EWMA_WEIGHT, "tau": fig03.TAU},
+    )
+
+
 def test_corrupt_pipe_counter_names_the_pipe(monkeypatch):
     """Figures 3 and 4 run on a plain ``Testbed``: their pipe is checked
     because the scene appends it to ``links``."""
@@ -156,16 +175,8 @@ def test_corrupt_pipe_counter_names_the_pipe(monkeypatch):
         return forward, reverse
 
     monkeypatch.setattr(fig03, "dummynet_pipe", skewed)
-    spec = ScenarioSpec(
-        scenario="fig03_pipe",
-        duration=2.0,
-        topology={"bandwidth_bps": fig03.BANDWIDTH_BPS, "delay": fig03.DELAY},
-        flows={"interpacket_adjustment": False},
-        queue={"buffer_packets": 8},
-        extra={"rtt_ewma_weight": fig03.RTT_EWMA_WEIGHT, "tau": fig03.TAU},
-    )
     with pytest.raises(SimulationError, match="link pipe:") as raised:
-        fig03.pipe_scenario(spec)
+        fig03.pipe_scenario(_fig03_spec())
     message = str(raised.value)
     assert "t=2.0" in message and "'enqueued'" in message
 
@@ -202,3 +213,59 @@ def test_duplicate_arrival_breaks_the_sequence_accounting():
     assert detector.packets_received + detector.packets_lost + len(
         detector._pending_holes
     ) == detector._next_expected + 1
+
+
+def _lossy_run(duration, probe=None):
+    return run_single_tfrc_on_lossy_path(
+        bernoulli_loss(0.05, np.random.default_rng(5)), duration=duration,
+        probe=probe, probe_interval=1.0,
+    )
+
+
+def test_run_checks_lossy_path_conservation():
+    run = _lossy_run(10.0)
+    forward = run.path
+    in_flight = sum(1 for entry in run.sim._heap if entry[2] is forward._on_arrival)
+    assert forward.packets_dropped > 10
+    assert forward.packets_delivered > 200
+    assert forward.packets_sent == (
+        forward.packets_dropped + forward.packets_delivered + in_flight
+    )
+
+
+def test_delivery_removed_mid_run_names_the_path():
+    """A data packet the path accepted whose delivery never happens: sent,
+    neither dropped nor delivered, and no longer in flight."""
+    removed = []
+
+    def remove_one(sim, flow):
+        heap = sim._heap
+        for i, entry in enumerate(heap):
+            if not removed and any(
+                isinstance(arg, Packet) and arg.is_data for arg in entry[3]
+            ):
+                removed.append(heap.pop(i))
+                heapq.heapify(heap)
+                return
+
+    with pytest.raises(SimulationError, match="path fwd: ") as raised:
+        _lossy_run(3.0, probe=remove_one)
+    message = str(raised.value)
+    assert len(removed) == 1
+    assert "t=3.0" in message
+    assert "'delivered'" in message and "'in_flight'" in message
+
+
+def test_fig03_return_path_is_checked(monkeypatch):
+    """Figures 3 and 4 register their return path too."""
+    built = fig03.dummynet_pipe
+
+    def skewed(*args):
+        forward, reverse = built(*args)
+        reverse.packets_dropped += 1
+        return forward, reverse
+
+    monkeypatch.setattr(fig03, "dummynet_pipe", skewed)
+    with pytest.raises(SimulationError, match="path lossy-path: ") as raised:
+        fig03.pipe_scenario(_fig03_spec())
+    assert "t=2.0" in str(raised.value)

@@ -646,14 +646,14 @@ MEMBER_ALLOWLIST = {
     ("src/repro/experiments/fig20_halving.py", "Fig21Result.defined"):
         "claim statistic: benchmarks/test_fig21_halving_sweep.py asserts "
         "over the drop rates whose rate halved",
+    ("src/repro/net/monitor.py", "FlowMonitor.arrival_series"):
+        "golden-digest input: the dumbbell and lossy-path runs hash each "
+        "flow's (time, bytes) arrivals",
     ("src/repro/net/monitor.py", "LinkMonitor.drops"):
         "golden-digest input: the mixed-dumbbell runs hash the drop list",
-    ("src/repro/sim/process.py", "Timer.expiry"):
-        "fuzz reference: test_fast_timer.py's randomized schedules compare "
-        "FastTimer's expiry with this one after every operation",
     ("src/repro/sim/process.py", "FastTimer.expiry"):
-        "fuzz reference: compared with Timer.expiry after every operation "
-        "of test_fast_timer.py's randomized schedules",
+        "fuzz reference: compared with reference_models.Timer.expiry after "
+        "every operation of test_fast_timer.py's randomized schedules",
 }
 METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
