@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare TFRC against the related-work baselines: TFRCP and RAP.
+"""Compare TFRC against the related-work baseline the paper simulates: TFRCP.
 
 Each protocol runs alone against the same controlled path with a step
 change in congestion (loss 0.5% -> 5% at t=60 -> 0.5% at t=120), the
@@ -11,14 +11,13 @@ protocol:
 * rate smoothness (CoV) within the steady phases.
 
 TFRC should react within a few RTTs and stay smooth; TFRCP reacts only at
-its next update boundary; RAP reacts per loss with AIMD sawtooth.
+its next update boundary.
 
 Run:  python examples/protocol_comparison.py
 """
 
 import numpy as np
 
-from repro.baselines.rap import RapFlow
 from repro.baselines.tfrcp import TfrcpFlow
 from repro.core import TfrcFlow
 from repro.net.monitor import FlowMonitor
@@ -72,7 +71,6 @@ def main() -> None:
     protocols = [
         ("tfrc", TfrcFlow),
         ("tfrcp", TfrcpFlow),
-        ("rap", RapFlow),
     ]
     print("Step-congestion comparison (loss 0.5% -> 5% at t=60 -> 0.5% at t=120)\n")
     header = (
@@ -92,9 +90,9 @@ def main() -> None:
             f"{calm2:10.3f} {delay:10.2f}"
         )
     print(
-        "\nExpected shape: all three throttle under congestion, but TFRC"
+        "\nExpected shape: both throttle under congestion, but TFRC"
         "\nreacts within ~5 RTTs (sub-second here) while TFRCP waits for its"
-        "\nnext update boundary (seconds), and RAP halves on each loss event."
+        "\nnext update boundary (seconds)."
     )
 
 

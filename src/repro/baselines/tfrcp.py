@@ -7,19 +7,68 @@ the loss fraction observed during the previous interval and evaluates the
 same TCP response function to reset its rate.  Between updates the rate is
 constant, whatever the network does -- the source of the poor transient
 behaviour the paper reports.
+
+All the congestion control is at the sender: the receiver acknowledges
+every data packet, and the sender counts the un-ACKed sequence numbers.
 """
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Callable, Optional, Set
 
-from repro.baselines.ack import AckReceiver, PacketAck
 from repro.core.equations import tcp_response_rate
 from repro.core.paced import PACKET_SIZE, PacedSender, PacketSender
 from repro.net.flow import Flow, Port
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
 from repro.sim.process import FastTimer
+
+
+class PacketAck:
+    """Per-packet acknowledgment payload."""
+
+    __slots__ = ("echo_ts", "echo_seq")
+
+    def __init__(self, echo_ts: float, echo_seq: int) -> None:
+        self.echo_ts = echo_ts
+        self.echo_seq = echo_seq
+
+
+class AckReceiver:
+    """Acknowledges every data packet."""
+
+    ACK_SIZE = 40
+
+    def __init__(
+        self,
+        sim: Simulator,
+        flow_id: str,
+        send_ack: PacketSender,
+        on_data: Optional[Callable[[float, Packet], None]] = None,
+    ) -> None:
+        self.sim = sim
+        self.flow_id = flow_id
+        self._send_ack = send_ack
+        self.on_data = on_data
+        self.packets_received = 0
+
+    def receive(self, packet: Packet) -> None:
+        if not packet.is_data:
+            return
+        self.packets_received += 1
+        now = self.sim._now
+        if self.on_data is not None:
+            self.on_data(now, packet)
+        self._send_ack(
+            Packet(
+                flow_id=self.flow_id,
+                seq=packet.seq,
+                size=self.ACK_SIZE,
+                ptype=PacketType.ACK,
+                sent_at=now,
+                payload=PacketAck(echo_ts=packet.sent_at, echo_seq=packet.seq),
+            )
+        )
 
 
 class TfrcpSender(PacedSender):
@@ -104,9 +153,8 @@ class TfrcpFlow(Flow):
         forward_port: Port,
         reverse_port: Port,
         on_data=None,
-        **sender_kwargs,
     ) -> None:
-        sender = TfrcpSender(sim, flow_id, forward_port.send, **sender_kwargs)
+        sender = TfrcpSender(sim, flow_id, forward_port.send)
         receiver = AckReceiver(sim, flow_id, reverse_port.send, on_data=on_data)
         super().__init__(
             sim, flow_id, forward_port, reverse_port,

@@ -13,7 +13,7 @@
   receive rate, RTT echo (section 3.3).
 * :mod:`~repro.core.paced` -- :class:`PacedSender`, the pacing / RTT /
   lifecycle mechanism and the single ``_set_rate`` choke point that TFRC
-  and the section-5 baselines (RAP, TFRCP, TEAR) share.
+  and the section-5 baseline TFRCP share.
 * :mod:`~repro.core.sender` -- rate adaptation driven by the control
   equation: RTT smoothing, slow start with the receive-rate cap, the
   no-feedback timer, and the sqrt-RTT interpacket-spacing adjustment

@@ -1,6 +1,6 @@
 """PacedSender: the mechanism every rate-based sender here shares.
 
-The paper's section 5 compares TFRC with TFRCP, RAP and TEAR: four senders
+The paper's section 5 compares TFRC with TFRCP in simulation: two senders
 that differ only in the *policy* that sets the allowed rate.  The mechanism
 under the policy lives here once: sequence numbering, the pacing loop at
 ``packet_size / rate``, an idempotent ``start()`` / ``stop()``, the
@@ -16,7 +16,7 @@ not a rate, and nothing here (pacing, the ``t_mbi`` floor) applies to one.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import _FMAX, SimulationError, Simulator
@@ -129,10 +129,6 @@ class PacedSender:
     def _interpacket_interval(self) -> float:
         return self.packet_size / self.rate
 
-    def _data_payload(self) -> Any:
-        """What rides on each data packet (nothing, unless overridden)."""
-        return None
-
     def _send_next(self) -> None:
         if self._stopped:
             return
@@ -142,7 +138,6 @@ class PacedSender:
             size=self.packet_size,
             ptype=PacketType.DATA,
             sent_at=self.sim._now,
-            payload=self._data_payload(),
         )
         self._seq += 1
         self.packets_sent += 1

@@ -5,7 +5,7 @@ A *port* is anything with ``send(packet) -> bool`` and
 :class:`repro.net.link.Link` or :class:`repro.net.path.LossyPath` (fig03's
 Dummynet-style pipe is one of each).
 
-Every protocol's ``*Flow`` (TFRC, TCP, RAP, TFRCP, TEAR) builds its two
+Every protocol's ``*Flow`` (TFRC, TCP, TFRCP) builds its two
 endpoints on ``forward_port.send`` / ``reverse_port.send`` and hands them
 here.  The ports' bool return (accepted?) is ignored by every endpoint, so
 the bound methods are handed over directly: no per-packet wrapper frame.
@@ -29,7 +29,7 @@ class Port(Protocol):
 
 class Flow:
     """Data forward to ``receiver.receive``, feedback back to ``on_reverse``
-    (the sender's ``on_feedback`` / ``on_ack`` / ``on_report``)."""
+    (the sender's ``on_feedback`` / ``on_ack``)."""
 
     def __init__(
         self,

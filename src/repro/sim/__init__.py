@@ -7,8 +7,8 @@ paper.  It provides:
   monotonically non-decreasing clock.
 * :class:`~repro.sim.process.FastTimer` -- the one restartable timer
   (generation counters, no ``Event`` allocation).  It runs every
-  retransmission and feedback timer and every periodic loop (RAP, TFRCP,
-  TEAR's reports, CBR sources), each of which re-arms it from its own
+  retransmission and feedback timer and every periodic loop (TFRCP's
+  interval update, CBR sources), each of which re-arms it from its own
   callback.
 * :mod:`~repro.sim.rng` -- named, independently seeded random streams so that
   experiments are reproducible and sub-systems do not perturb each other's

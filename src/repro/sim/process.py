@@ -1,9 +1,8 @@
 """The restartable timer the protocol machinery waits on.
 
 TCP's retransmission timer, the TFRC no-feedback and feedback timers, and
-the periodic loops -- RAP's per-RTT increase, TFRCP's interval update,
-TEAR's report timer and every CBR source, which re-arm their timer at the
-end of their own callback -- all run on :class:`FastTimer`.  Its armings
+the periodic loops -- TFRCP's interval update and every CBR source, which
+re-arm their timer at the end of their own callback -- all run on :class:`FastTimer`.  Its armings
 ride :meth:`Simulator.schedule_fast` entries tagged with a generation
 counter.  Re-arming bumps the generation instead of cancelling; a
 superseded entry stays in the heap and self-discards when popped because

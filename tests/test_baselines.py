@@ -1,23 +1,22 @@
-"""Tests for the related-work baseline protocols (TFRCP, RAP)."""
+"""Tests for the related-work baseline protocol TFRCP and its ACK receiver."""
 
-import json
-
-import numpy as np
 import pytest
 
-from repro.baselines.rap import RapFlow
-from repro.baselines.tfrcp import TfrcpFlow
+from repro.baselines.tfrcp import AckReceiver, PacketAck, TfrcpFlow, TfrcpSender
+from repro.core.equations import tcp_response_rate
 from repro.net.monitor import FlowMonitor
-from repro.net.path import LossyPath, bernoulli_loss, periodic_loss
+from repro.net.packet import Packet, PacketType
+from repro.net.path import LossyPath, periodic_loss
 from repro.sim.engine import Simulator
 
 
-def run_baseline(flow_cls, loss_model=None, duration=60.0, rtt=0.1, **kwargs):
+def run_baseline(flow_cls, loss_model=None, duration=60.0):
+    """``flow_cls`` alone on a 0.1 s RTT path."""
     sim = Simulator()
-    forward = LossyPath(sim, delay=rtt / 2, loss_model=loss_model)
-    reverse = LossyPath(sim, delay=rtt / 2)
+    forward = LossyPath(sim, delay=0.05, loss_model=loss_model)
+    reverse = LossyPath(sim, delay=0.05)
     monitor = FlowMonitor()
-    flow = flow_cls(sim, "b", forward, reverse, **kwargs)
+    flow = flow_cls(sim, "b", forward, reverse)
     flow.receiver.on_data = monitor.on_packet
     flow.start()
     sim.run(until=duration)
@@ -31,8 +30,6 @@ class TestTfrcp:
 
     def test_loss_caps_rate_near_equation(self):
         flow, _ = run_baseline(TfrcpFlow, loss_model=periodic_loss(100), duration=90.0)
-        from repro.core.equations import tcp_response_rate
-
         sender = flow.sender
         expected = tcp_response_rate(1000, sender.srtt, 0.01, 4 * sender.srtt)
         # TFRCP measures raw loss fraction at coarse intervals; match loosely.
@@ -73,134 +70,118 @@ class TestTfrcp:
         flow, _ = run_baseline(TfrcpFlow, loss_model=periodic_loss(100), duration=20.0)
         assert flow.sender.srtt == pytest.approx(0.1, rel=0.1)
 
-
-class TestRap:
-    def test_aimd_sawtooth_under_periodic_loss(self):
-        flow, _ = run_baseline(RapFlow, loss_model=periodic_loss(200), duration=60.0)
-        sender = flow.sender
-        assert sender.loss_events > 3
-        rates = [r for _, r in sender.rate_history]
-        # Multiplicative decreases present: some rate halvings recorded.
-        drops = [b / a for a, b in zip(rates, rates[1:]) if b < a]
-        assert drops and min(drops) == pytest.approx(0.5, abs=0.05)
-
-    def test_additive_increase_one_packet_per_rtt(self):
-        flow, _ = run_baseline(RapFlow, duration=5.0, rtt=0.1)
-        sender = flow.sender
-        increases = [
-            (t2, r2 - r1)
-            for (t1, r1), (t2, r2) in zip(sender.rate_history, sender.rate_history[1:])
-            if r2 > r1
-        ]
-        assert increases
-        per_rtt = [delta for _, delta in increases]
-        # Each increase step is ~ packet_size / srtt bytes/s.
-        assert np.median(per_rtt) == pytest.approx(1000 / 0.1, rel=0.2)
-
-    def test_rate_stabilizes_under_loss(self):
-        flow, monitor = run_baseline(
-            RapFlow, loss_model=bernoulli_loss(0.02, np.random.default_rng(0)),
-            duration=60.0,
-        )
-        # AIMD equilibrium: rate neither collapses nor explodes.
-        rate = flow.sender.rate * 8
-        assert 5e4 < rate < 5e7
-
-    def test_no_timeout_modelling_means_higher_rate_at_heavy_loss(self):
-        """RAP lacks the t_RTO term, so at heavy loss it outpaces the
-        equation -- the coexistence concern the paper raises."""
-        from repro.core.equations import tcp_response_rate
-
-        flow, _ = run_baseline(RapFlow, loss_model=periodic_loss(8), duration=80.0)
-        sender = flow.sender
-        eq_rate = tcp_response_rate(1000, sender.srtt or 0.1, 1 / 8, 4 * (sender.srtt or 0.1))
-        assert sender.rate > eq_rate
-
-
-    def test_loss_bookkeeping_stays_inside_the_scan_window(self):
-        """``_detect_losses`` only reads the 50 sequence numbers below
-        ``highest_acked - LOSS_GAP``; entries under that window are dropped
-        as it advances instead of growing for the life of the flow, and the
-        rate trajectory is the one the unpruned sets gave at f2093f7."""
-        import hashlib
-
-        from test_golden_digests import GOLDEN, environment
-
-        flow, _ = run_baseline(
-            RapFlow, loss_model=bernoulli_loss(0.02, np.random.default_rng(8)),
-            duration=250.0,
-        )
-        sender = flow.sender
-        assert sender.packets_sent >= 20_000
-        assert sender.loss_events > 100
-        window = 50 + sender.LOSS_GAP + 1
-        assert len(sender._acked) <= window
-        assert len(sender._declared_lost) <= window
-        history = repr([(t.hex(), r.hex()) for t, r in sender.rate_history])
-        if json.loads(GOLDEN.read_text())["env"] == environment():
-            assert hashlib.sha256(history.encode()).hexdigest() == (
-                "5c14402400df99092ecaecc63d33bfe5d0758bfa0cdbf96be6614af4c853b01c"
-            )
-
-
-class TestTear:
-    def test_rate_grows_without_loss(self):
-        from repro.baselines.tear import TearFlow
-
-        flow, _ = run_baseline(TearFlow, duration=20.0)
-        # Emulated slow start then congestion avoidance: rate well above the
-        # initial 4 kB/s.
-        assert flow.sender.rate > 50_000
-
-    def test_emulated_window_halves_on_loss(self):
-        from repro.baselines.tear import TearFlow
-
-        flow, _ = run_baseline(TearFlow, loss_model=periodic_loss(50), duration=40.0)
-        receiver = flow.receiver
-        assert receiver.losses_detected > 0
-        # The emulated window stays in the AIMD equilibrium band, far below
-        # the lossless trajectory.
-        assert receiver.cwnd < 200
-
-    def test_rate_tracks_window_over_rtt(self):
-        from repro.baselines.tear import TearFlow
-
-        flow, _ = run_baseline(TearFlow, loss_model=periodic_loss(100), duration=40.0)
-        receiver = flow.receiver
-        expected = receiver.smoothed_cwnd * 1000 / flow.sender.srtt
-        assert flow.sender.rate == pytest.approx(expected, rel=0.3)
-
-    def test_smoother_than_emulated_window(self):
-        """The EWMA translation is the point of TEAR: the reported rate
-        varies less than the raw emulated window."""
-        from repro.baselines.tear import TearFlow
-
+    def test_on_data_sees_every_delivered_packet(self):
         sim = Simulator()
-        forward = LossyPath(sim, delay=0.05, loss_model=periodic_loss(80))
-        reverse = LossyPath(sim, delay=0.05)
-        flow = TearFlow(sim, "b", forward, reverse)
-        raw, smooth = [], []
-
-        def probe():
-            raw.append(flow.receiver.cwnd)
-            smooth.append(flow.receiver.smoothed_cwnd)
-            if sim.now < 40.0:
-                sim.schedule_in(0.1, probe)
-
+        forward = LossyPath(sim, delay=0.05, loss_model=periodic_loss(4))
+        arrivals = []
+        flow = TfrcpFlow(
+            sim, "b", forward, LossyPath(sim, delay=0.05),
+            on_data=lambda now, packet: arrivals.append(packet.seq),
+        )
         flow.start()
-        sim.schedule_in(5.0, probe)
-        sim.run(until=40.0)
-        raw_cov = np.std(raw) / np.mean(raw)
-        smooth_cov = np.std(smooth) / np.mean(smooth)
-        assert smooth_cov < raw_cov
+        sim.run(until=12.0)
+        assert len(arrivals) == flow.receiver.packets_received > 10
+        assert len(arrivals) < flow.sender.packets_sent
 
-    def test_comparable_rate_to_tfrc_under_same_loss(self):
-        """TEAR and TFRC both target the TCP-fair rate; under identical
-        periodic loss their steady rates should be the same order."""
-        from repro.baselines.tear import TearFlow
-        from repro.core import TfrcFlow
+    def test_data_packets_are_numbered_and_carry_no_payload(self):
+        sim = Simulator()
+        sent = []
+        sender = TfrcpSender(sim, "b", sent.append)
+        sender.start()
+        sim.run(until=2.0)
+        assert [p.seq for p in sent] == list(range(sender.packets_sent))
+        assert {(p.ptype, p.size, p.payload) for p in sent} == {
+            (PacketType.DATA, 1000, None)
+        }
 
-        tear, _ = run_baseline(TearFlow, loss_model=periodic_loss(100), duration=60.0)
-        tfrc, _ = run_baseline(TfrcFlow, loss_model=periodic_loss(100), duration=60.0)
-        ratio = tear.sender.rate / tfrc.sender.rate
-        assert 0.2 < ratio < 5.0
+
+#: ``(id, srtt, packets sent, first seq of the interval, ACKed seqs, rate
+#: after the boundary)``, all at a 10 kB/s rate.  At srtt 0.1 s one RTT holds
+#: one packet, so the last ``1 + 1`` sent are too recent to count (at 2.0 s,
+#: ``20 + 1``); before the first RTT sample the 0.2 s initial RTT excludes
+#: ``2 + 1``.
+UPDATE_RULE = [
+    ("loss-free-doubles", 0.1, 102, 0, set(range(100)), 20_000.0),
+    ("the-last-counted-packet-is-lost", 0.1, 102, 0, set(range(99)),
+     tcp_response_rate(1000, 0.1, 1 / 100, 0.4)),
+    ("lossy-sets-the-equation", 0.1, 102, 0, set(range(100)) - {5, 50},
+     tcp_response_rate(1000, 0.1, 2 / 100, 0.4)),
+    ("only-this-interval-counts", 0.1, 102, 50, set(range(50, 100)), 20_000.0),
+    ("empty-interval-doubles", 0.1, 40, 40, set(), 20_000.0),
+    ("initial-rtt-before-a-sample", None, 103, 0, set(range(99)) | {100},
+     tcp_response_rate(1000, 0.2, 1 / 100, 0.8)),
+    ("all-lost-floors-at-t-mbi", 2.0, 102, 0, set(), 1000 / 64),
+]
+
+
+class TestTfrcpUpdateRule:
+    @pytest.mark.parametrize(
+        "srtt, sent, first, acked, expected",
+        [row[1:] for row in UPDATE_RULE], ids=[row[0] for row in UPDATE_RULE],
+    )
+    def test_interval_boundary(self, srtt, sent, first, acked, expected):
+        sim = Simulator()
+        sender = TfrcpSender(sim, "b", lambda packet: None)
+        sender.rate, sender.srtt = 10_000.0, srtt
+        sender._seq, sender._interval_first_seq = sent, first
+        sender._acked_this_interval = set(acked)
+        sender._update_rate()
+        assert sender.rate_history == [(0.0, expected)]
+        # The next interval starts empty at the next packet to be sent.
+        assert sender._interval_first_seq == sent
+        assert sender._acked_this_interval == set()
+        assert sender._update_timer.expiry == sender.UPDATE_INTERVAL
+
+    def test_acks_land_in_this_intervals_set_and_sample_the_rtt(self):
+        sim = Simulator()
+        sender = TfrcpSender(sim, "b", lambda packet: None)
+        sender.start()
+        sim.run(until=0.25)
+        sender.on_ack(Packet("b", 0, 40, PacketType.ACK, 0.25, PacketAck(0.05, 0)))
+        assert sender._acked_this_interval == {0}
+        assert sender.acks_received == 1 and sender.srtt == 0.2
+
+    @pytest.mark.parametrize("ptype, payload, stopped", [
+        (PacketType.FEEDBACK, PacketAck(0.05, 0), False),
+        (PacketType.ACK, None, False),
+        (PacketType.ACK, PacketAck(0.05, 0), True),
+    ], ids=["not-an-ack", "no-ack-payload", "after-stop"])
+    def test_other_reverse_packets_are_ignored(self, ptype, payload, stopped):
+        sim = Simulator()
+        sender = TfrcpSender(sim, "b", lambda packet: None)
+        sender.start()
+        sim.run(until=0.25)
+        if stopped:
+            sender.stop()
+        sender.on_ack(Packet("b", 0, 40, ptype, 0.25, payload))
+        assert sender._acked_this_interval == set()
+        assert sender.acks_received == 0 and sender.srtt is None
+
+
+class TestAckReceiver:
+    def _receiver(self):
+        sim = Simulator()
+        acks, arrivals = [], []
+        receiver = AckReceiver(
+            sim, "b", acks.append, on_data=lambda now, p: arrivals.append(p)
+        )
+        return sim, receiver, acks, arrivals
+
+    def test_each_data_packet_is_acked_echoing_its_sent_at_and_seq(self):
+        sim, receiver, acks, arrivals = self._receiver()
+        data = Packet("b", 7, 1000, PacketType.DATA, 1.25)
+        sim.schedule(2.0, lambda: receiver.receive(data))
+        sim.run()
+        assert receiver.packets_received == 1 and arrivals == [data]
+        [ack] = acks
+        assert (ack.flow_id, ack.seq, ack.size, ack.ptype, ack.sent_at) == (
+            "b", 7, AckReceiver.ACK_SIZE, PacketType.ACK, 2.0,
+        )
+        assert (ack.payload.echo_ts, ack.payload.echo_seq) == (1.25, 7)
+
+    @pytest.mark.parametrize("ptype", [PacketType.ACK, PacketType.FEEDBACK])
+    def test_non_data_packets_are_ignored(self, ptype):
+        sim, receiver, acks, arrivals = self._receiver()
+        receiver.receive(Packet("b", 7, 40, ptype, 0.0, PacketAck(0.0, 7)))
+        assert receiver.packets_received == 0
+        assert acks == [] and arrivals == []

@@ -126,6 +126,39 @@ class TestNoFeedbackTimer:
         sim.run(until=250.0)
         assert flow.sender.rate == pytest.approx(flow.sender.packet_size / T_MBI)
 
+    @pytest.mark.parametrize("srtt, rate, interval", [
+        (None, 2000.0, 2.0),       # the 0.5 s initial RTT: 4 R
+        (0.1, 100_000.0, 0.4),     # 4 R
+        (0.1, 1000.0, 2.0),        # two packets at the allowed rate
+        (0.1, 1000 / T_MBI, 128.0),  # two packets at the floor
+    ], ids=["initial-rtt", "four-rtts", "two-packets", "at-the-floor"])
+    def test_interval_is_four_rtts_or_two_packets(self, srtt, rate, interval):
+        sender = TfrcSender(Simulator(), "t", send_packet=lambda p: None)
+        sender.srtt, sender.rate = srtt, rate
+        assert sender._no_feedback_interval() == interval
+
+    def test_expiry_halves_ends_slow_start_and_rearms(self):
+        sim = Simulator()
+        sender = TfrcSender(sim, "t", send_packet=lambda p: None)
+        sender.start()
+        assert sender.in_slow_start and sender._no_feedback_timer.expiry == 2.0
+        sim.run(until=2.0)
+        assert sender.rate_history == [(0.0, 2000.0), (2.0, 1000.0)]
+        assert not sender.in_slow_start
+        assert sender._no_feedback_timer.expiry == 2.0 + 2.0
+
+    def test_feedback_pushes_the_timer_back(self):
+        sim = Simulator()
+        sender = TfrcSender(sim, "t", send_packet=lambda p: None)
+        sender.start()
+        sim.run(until=1.0)
+        sender.on_feedback(forged_feedback(p=0.0, recv_rate=0.0, echo_ts=0.9))
+        # srtt 0.1 s, rate doubled to 4 kB/s: the timer restarts at
+        # 1.0 + max(0.4, 2 s / X) = 1.5, and the arming for 2.0 is gone.
+        assert sender._no_feedback_timer.expiry == 1.5
+        sim.run(until=2.4)
+        assert [t for t, _ in sender.rate_history] == [0.0, 1.0, 1.5]
+
 
 class TestInterpacketSpacing:
     """Driven through ``_sample_rtt``, the only place sqrt(R0)/M changes."""

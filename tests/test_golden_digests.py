@@ -1,12 +1,12 @@
 """Golden digests: the byte-identity contract of the packet simulator.
 
-Seventeen seeded runs are reduced to sha256 digests of their exact trace
+Fifteen seeded runs are reduced to sha256 digests of their exact trace
 signature and result JSON and compared with ``tests/golden_digests.json``.
 The first five committed digests were produced by the per-event
 implementations the simulator used to carry beside its hot path, and
-verified equal to that hot path, before those were deleted; the three
-``baselines/`` runs were captured at f2093f7, before the rate-based
-senders were put on one ``PacedSender`` base, and the
+verified equal to that hot path, before those were deleted; the TFRCP
+run was captured at f2093f7, before the rate-based senders were put on
+one ``PacedSender`` base, and the
 two TFRC ``LossyPath`` runs at b7316be, before the endpoints' per-packet
 paths were shortened, and the internet-path, probe-path and Dummynet-pipe
 runs at c5f52e4, before the scene builders were put on one testbed, and
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy
 import pytest
 
-from repro.baselines import RapFlow, TearFlow, TfrcpFlow
+from repro.baselines import TfrcpFlow
 from repro.core.agent import TfrcFlow
 from repro.experiments import fig03_oscillation as fig03
 from repro.experiments import fig11_onoff as fig11
@@ -285,17 +285,9 @@ RUNS = {
     "dumbbell_red": mixed_dumbbell,
     "dumbbell_red_ecn": lambda: mixed_dumbbell(ecn=True),
     "fig14_red": fig14_red,
-    "rap_lossy_path": lambda: lossy_path_baseline(
-        RapFlow, ("acks_received", "loss_events"), ("packets_received",),
-    ),
     "tfrcp_lossy_path": lambda: lossy_path_baseline(
         TfrcpFlow, ("acks_received",), ("packets_received",),
         sender_attrs=[("UPDATE_INTERVAL", 2.0)],
-    ),
-    "tear_lossy_path": lambda: lossy_path_baseline(
-        TearFlow, ("reports_received",),
-        ("packets_received", "losses_detected", "reports_sent", "cwnd",
-         "smoothed_cwnd"),
     ),
     "tfrc_lossy_path_p01": lambda: tfrc_lossy_path(0.01),
     "tfrc_lossy_path_p05": lambda: tfrc_lossy_path(0.05),

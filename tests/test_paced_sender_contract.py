@@ -1,9 +1,8 @@
 """The contract every rate-based sender inherits from ``PacedSender``.
 
-TFRC, RAP, TFRCP and TEAR differ only in the policy that decides the
-allowed rate; lifecycle, pacing, the ``t_mbi`` floor and the record of
-every rate decision are the base's, so one parametrised suite pins them for
-all four.
+TFRC and TFRCP differ only in the policy that decides the allowed rate;
+lifecycle, pacing, the ``t_mbi`` floor and the record of every rate
+decision are the base's, so one parametrised suite pins them for both.
 """
 
 import math
@@ -11,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.baselines import RapFlow, TearFlow, TfrcpFlow
+from repro.baselines import TfrcpFlow
 from repro.core import TfrcFlow
 from repro.core.paced import T_MBI
 from repro.net.path import LossyPath, bernoulli_loss
@@ -19,14 +18,14 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.trace import Tracer
 
 
-def unicast(flow_cls, **sender_attrs):
+def unicast(flow_cls, feedback_loss=None, **sender_attrs):
     def build(sim, loss_model=None, tracer=None):
         # 1 Mb/s forward: lossless slow start would otherwise double without
         # bound (TFRC's is capped at twice the receive rate).
         forward = LossyPath(
             sim, delay=0.05, loss_model=loss_model, bandwidth_bps=1e6
         )
-        reverse = LossyPath(sim, delay=0.05)
+        reverse = LossyPath(sim, delay=0.05, loss_model=feedback_loss)
         flow = flow_cls(sim, "f", forward, reverse)
         # Set before start, as a constructor argument would be.
         for name, value in dict(sender_attrs, tracer=tracer).items():
@@ -39,18 +38,24 @@ def unicast(flow_cls, **sender_attrs):
 #: name -> (builder of something with .sender/.start()/.stop(), takes a tracer?)
 SENDERS = {
     "tfrc": (unicast(TfrcFlow), True),
-    "rap": (unicast(RapFlow), True),
     "tfrcp": (unicast(TfrcpFlow, UPDATE_INTERVAL=1.0), True),
-    "tear": (unicast(TearFlow), False),
 }
 
 every_sender = pytest.mark.parametrize("name", SENDERS)
 
-#: name -> the sender's periodic control loop, a FastTimer its own callback
-#: re-arms: RAP's per-RTT increase, TFRCP's interval update.
+#: name -> (builder, the sender's periodic control loop: a FastTimer its own
+#: callback re-arms).  TFRC's no-feedback timer runs as a loop only while no
+#: feedback arrives, so its builder drops every feedback packet; a 16 kB/s
+#: start and a 0.1 s RTT guess put six halvings inside 10 s.
 CONTROL_TIMERS = {
-    "rap": "_rtt_timer",
-    "tfrcp": "_update_timer",
+    "tfrc-no-feedback": (
+        unicast(
+            TfrcFlow, feedback_loss=lambda packet, now: True,
+            rate=16_000.0, initial_rtt=0.1,
+        ),
+        "_no_feedback_timer",
+    ),
+    "tfrcp": (SENDERS["tfrcp"][0], "_update_timer"),
 }
 
 every_control_loop = pytest.mark.parametrize("name", CONTROL_TIMERS)
@@ -186,12 +191,28 @@ def test_a_non_finite_rate_raises_naming_flow_time_and_value(name, value):
     assert sender.rate == rate and sender.rate_history == decisions
 
 
+@every_sender
+@pytest.mark.parametrize("samples, srtt", [
+    ([0.2], 0.2),
+    ([0.2, 0.3], 0.2 + 0.1 * (0.3 - 0.2)),
+    ([0.0], None),
+    ([-1.0, 0.2, 0.0], 0.2),
+], ids=["first-sample", "ewma", "zero-ignored", "non-positive-ignored"])
+def test_srtt_is_an_ewma_of_the_positive_samples(name, samples, srtt):
+    sender = SENDERS[name][0](Simulator()).sender
+    assert sender.rtt_ewma_weight == 0.1
+    for sample in samples:
+        sender._sample_rtt(sample)
+    assert sender.srtt == srtt
+
+
 @every_control_loop
 def test_stop_inside_a_control_tick_ends_its_loop(name):
-    """The tick re-arms its timer last, and not once ``stop()`` has run --
-    even when ``stop()`` runs inside the tick itself."""
+    """No rate decision follows ``stop()`` and no arming outlives it --
+    even when ``stop()`` runs inside a tick itself."""
+    build, timer = CONTROL_TIMERS[name]
     sim = Simulator()
-    flow = SENDERS[name][0](sim)
+    flow = build(sim)
     sender = flow.sender
     set_rate = sender._set_rate
 
@@ -205,14 +226,14 @@ def test_stop_inside_a_control_tick_ends_its_loop(name):
     sim.run(until=30.0)
     assert len(sender.rate_history) == 3
     assert sender.rate_history[-1][0] > 0.0
-    assert not getattr(sender, CONTROL_TIMERS[name]).pending
+    assert not getattr(sender, timer).pending
 
 
 @every_control_loop
 def test_a_second_start_arms_no_second_control_loop(name):
     def run(starts):
         sim = Simulator()
-        flow = SENDERS[name][0](sim)
+        flow = CONTROL_TIMERS[name][0](sim)
         for _ in range(starts):
             flow.start()
         sim.run(until=10.0)

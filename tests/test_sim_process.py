@@ -2,8 +2,9 @@
 oracle ``tests/test_fast_timer.py`` fuzzes ``FastTimer`` against.
 
 The periodic loops that run on ``FastTimer`` are tested with their
-owners: ``tests/test_paced_sender_contract.py`` (RAP, TFRCP, TEAR) and
-``tests/test_traffic.py`` (``CbrSource``).
+owners: ``tests/test_paced_sender_contract.py`` (TFRCP's interval update
+and TFRC's no-feedback timer) and ``tests/test_traffic.py``
+(``CbrSource``).
 """
 
 from reference_models import Timer

@@ -176,13 +176,6 @@ def test_one_tcp_window_state_machine():
     assert excess not in [function.name for _, function, _ in _functions(tcp)]
 
 
-def test_tear_writes_its_emulated_window_once_per_event():
-    assert _sites(_assigns("cwnd"), ("baselines",)) == [
-        "baselines/tear.py:_on_emulated_arrival",
-        "baselines/tear.py:_on_emulated_loss",
-    ]
-
-
 def test_one_class_wires_ports_and_starts_flows():
     connects, starts, flows = set(), [], []
     for label, function, cls in _functions(FLOW_PACKAGES):
@@ -194,7 +187,7 @@ def test_one_class_wires_ports_and_starts_flows():
                         connects.add(cls)
         if function.name == "start" and "at" in [a.arg for a in function.args.args]:
             starts.append(label)
-    assert {"TfrcFlow", "TcpFlow", "RapFlow", "TfrcpFlow", "TearFlow"} < set(flows)
+    assert {"TfrcFlow", "TcpFlow", "TfrcpFlow"} < set(flows)
     assert connects == {"Flow"}
     assert starts == ["net/flow.py:start"]
 

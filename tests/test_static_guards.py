@@ -561,8 +561,6 @@ REACH_ALLOWLIST = {
     ("src/repro/analysis/stats.py", "jain_fairness_index"):
         "test oracle: benchmarks/test_fig07_throughput_variance.py "
         "asserts fig07's fairness claim with it",
-    ("src/repro/baselines/tear.py", "TearFlow"):
-        "census row baselines: TEAR's flow wiring, pinned by a golden digest",
     ("src/repro/core/equations.py", "simple_response_rate"):
         "test oracle: the paper's simple sqrt(1.5/p) equation that "
         "test_core_equations.py checks the full equation against",
@@ -723,6 +721,10 @@ OPTION_ALLOWLIST = {
     ("src/repro/experiments/fig11_onoff.py", "onoff_scenario.tracer"):
         "golden-digest input: the traced fig11 run hashes the records of the "
         "tracer it hands in; a figure run traces nothing",
+    ("src/repro/net/queues.py", "REDQueue.max_p"):
+        "fuzz reference: the RED fast-path tests set max_p=1.0 to pin the "
+        "count-based uniformization at p_b = 0.1 (goes with weight / gentle, "
+        "ROADMAP 9a)",
     ("src/repro/net/queues.py", "REDQueue.weight"):
         "fuzz reference: the RED twin-congruence and fast-path fuzzers draw "
         "w_q to hold REDQueue to red_update_vec (both go with ROADMAP 9a)",
@@ -903,7 +905,8 @@ def check_option_reach(sources):
     a table's values for ``TABLE[key](...)``, and by name for ``x.method``.
     A call through a name the checker cannot bind (a parameter or local such
     as ``flow_cls``) passes to the constructor of every class its module
-    refers to as a value.  A call that takes a callable as an argument forwards the
+    refers to as a value, the class argument of ``isinstance`` /
+    ``issubclass`` aside.  A call that takes a callable as an argument forwards the
     arguments after it to it (``once(benchmark, f, ...)``,
     ``functools.partial``); a table row ``(f, {"duration": 12.0}, ...)``
     passes its mapping's keys.  A callable with a ``**kwargs`` parameter
@@ -1010,11 +1013,20 @@ def check_option_reach(sources):
             return resolve(ref)
 
         called = {id(node.func) for node, _, _ in scope if isinstance(node, ast.Call)}
+        # ``isinstance(x, Q)`` / ``issubclass(c, (P, Q))`` names no class to
+        # construct
+        tested = {
+            id(ref) for node, _, _ in scope
+            if isinstance(node, ast.Call) and len(node.args) == 2
+            and getattr(node.func, "id", None) in ("isinstance", "issubclass")
+            for ref in getattr(node.args[1], "elts", [node.args[1]])
+        }
         # the classes the module refers to as values, not in call position
         values = {
             target for node, _, _ in scope
             if isinstance(node, (ast.Name, ast.Attribute))
-            and isinstance(node.ctx, ast.Load) and id(node) not in called
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in called and id(node) not in tested
             and is_class(defined(qualify(node) or ""))
             for target in constructor(qualify(node))
         }
@@ -1782,6 +1794,30 @@ class TestOptionReachGuard:
                 run(cls)
             """)), module=self.FLOWS)
         assert "Sender.cwnd" not in found and "Sender.size" in found
+
+    def test_a_type_test_is_not_a_constructor_reference(self):
+        found = self._options(("examples/check.py", dedent("""\
+            from repro.net.probe import Sack, Sender
+
+            def build(cls):
+                return cls(None, 500)
+
+            def is_sender(x):
+                return isinstance(x, Sack) or issubclass(type(x), (Sender,))
+            """)), module=self.FLOWS)
+        assert "Sender.size" in found and "Sender.cwnd" in found
+
+    def test_a_value_reference_beside_a_type_test_still_passes(self):
+        found = self._options(("examples/check.py", dedent("""\
+            from repro.net.probe import Sack
+
+            def build(cls):
+                return cls(None, 500)
+
+            def make(x):
+                return x if isinstance(x, Sack) else build(Sack)
+            """)), module=self.FLOWS)
+        assert "Sender.size" not in found and "Sender.cwnd" in found
 
     def test_tests_and_same_name_in_another_module_do_not_pass(self):
         assert self._options(
