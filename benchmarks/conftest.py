@@ -7,11 +7,15 @@ the paper's qualitative shape before reporting timing.
 """
 
 import os
+import sys
 
 import pytest
 
 
 BENCHMARK_DIR = os.path.dirname(os.path.abspath(__file__))
+# Benches assert against the derivations in ``tests/reference_models.py``;
+# make it importable when this directory runs on its own.
+sys.path.insert(0, os.path.join(os.path.dirname(BENCHMARK_DIR), "tests"))
 
 
 def pytest_collection_modifyitems(items):

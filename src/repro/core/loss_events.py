@@ -1,9 +1,10 @@
 """Receiver-side loss-event detection.
 
-The receiver detects losses from gaps in the data sequence space and groups
-losses that begin within one round-trip time of each other into a single
-**loss event** (paper section 3.5.1: "we explicitly ignore losses within a
-round-trip time that follow an initial loss").
+The receiver detects losses from gaps in the data sequence space -- the
+only congestion signal it has, as the paper's queues mark no packet -- and
+groups losses that begin within one round-trip time of each other into a
+single **loss event** (paper section 3.5.1: "we explicitly ignore losses
+within a round-trip time that follow an initial loss").
 
 Detection is declared after ``REORDER_TOLERANCE`` subsequent packets arrive
 (three: RFC 5348's NDUPACK, the paper's section 3.5.1), mirroring TCP's
@@ -153,17 +154,6 @@ class LossEventDetector:
             if event is not None:
                 new_events.append(event)
         return new_events
-
-    def on_congestion_mark(self, seq: int, now: float) -> Optional[LossEvent]:
-        """Treat an ECN-marked arrival as a congestion signal.
-
-        Marks participate in the same event grouping as losses: a mark
-        within one RTT of the active event start merges into it; otherwise
-        it starts a new loss event (with the usual sequence-distance
-        interval), exactly as TFRC-over-ECN requires congestion marks to be
-        treated like drops.
-        """
-        return self._classify_loss(seq, now)
 
     def _classify_loss(self, seq: int, loss_time: float) -> Optional[LossEvent]:
         """Merge into the active loss event or start a new one."""

@@ -169,16 +169,13 @@ class TfrcReceiver:
         self._last_packet_recv_time = now
 
         detector = self.detector
-        if not packet.ecn_marked and detector.arrive_in_order(seq, now):
+        if detector.arrive_in_order(seq, now):
             # No event starts and the highest sequence number moved up by
             # one: the open interval grows by exactly one packet, whether or
             # not a loss event has been seen.
             self.intervals.on_packet(1.0)
         else:
             previous_open = detector.open_interval_packets()
-            if packet.ecn_marked:
-                # ECN: a mark is a congestion signal without a sequence gap.
-                detector.on_congestion_mark(seq, now)
             detector.on_arrival(seq, now)
             # Keep the ALI open-interval synchronized with the detector's
             # view (sequence-space accounting survives reordering and burst

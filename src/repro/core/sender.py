@@ -63,7 +63,6 @@ class TfrcSender(PacedSender):
         rtt_ewma_weight: float = 0.1,
         interpacket_adjustment: bool = True,
         tracer: Optional[Tracer] = None,
-        ecn: bool = False,
     ) -> None:
         if not 0 < rtt_ewma_weight <= 1:
             raise ValueError("rtt_ewma_weight must be in (0, 1]")
@@ -73,8 +72,6 @@ class TfrcSender(PacedSender):
             rtt_ewma_weight=rtt_ewma_weight, tracer=tracer,
         )
         self.interpacket_adjustment = interpacket_adjustment
-        #: mark data packets ECN-capable (needs an ECN-enabled RED queue).
-        self.ecn = ecn
 
         self._sqrt_rtt_ewma: Optional[float] = None  # M in section 3.4
         #: sqrt(R0)/M of section 3.4; it changes only with an RTT sample.
@@ -187,8 +184,8 @@ class TfrcSender(PacedSender):
         return base
 
     def _send_next(self) -> None:
-        """The base's pacing step plus what only TFRC has: ECN marking and
-        the per-packet ``"send"`` record."""
+        """The base's pacing step plus what only TFRC has: the RTT payload
+        and the per-packet ``"send"`` record."""
         if self._stopped:
             return
         now = self.sim._now
@@ -197,7 +194,7 @@ class TfrcSender(PacedSender):
         size = self.packet_size
         packet = Packet(
             self.flow_id, seq, size, PacketType.DATA, now,
-            TfrcDataInfo(rtt), self.ecn,
+            TfrcDataInfo(rtt),
         )
         self._seq = seq + 1
         self.packets_sent += 1
@@ -222,4 +219,6 @@ class TfrcSender(PacedSender):
         # one-packet-per-64s floor, i.e. the sender ultimately goes quiet.
         self.in_slow_start = False
         self._set_rate(self.rate / 2.0)
+        if self._stopped:  # stop() ran inside the rate decision
+            return
         self._arm_no_feedback_timer()

@@ -17,8 +17,6 @@ This package replaces the ns-2 link/queue substrate the paper evaluates on:
   that wires any protocol's sender/receiver pair over two ports.
 * :mod:`~repro.net.topology` -- the dumbbell builder used by the fairness
   experiments.
-* :mod:`~repro.net.lossmodels` -- the correlated (Gilbert-Elliott) loss
-  model for emulating bursty real-path loss.
 """
 
 from repro.net.packet import Packet, PacketType
@@ -27,10 +25,6 @@ from repro.net.link import Link
 from repro.net.path import LossyPath
 from repro.net.monitor import FlowMonitor, LinkMonitor
 from repro.net.topology import Dumbbell, DumbbellConfig
-from repro.net.lossmodels import (
-    GilbertElliottLoss,
-    gilbert_elliott_from_rate,
-)
 
 __all__ = [
     "Packet",
@@ -44,6 +38,4 @@ __all__ = [
     "FlowMonitor",
     "Dumbbell",
     "DumbbellConfig",
-    "GilbertElliottLoss",
-    "gilbert_elliott_from_rate",
 ]

@@ -31,15 +31,9 @@ class Packet:
         ptype: coarse type (data / ack / feedback).
         sent_at: timestamp the packet entered the network (set by the sender).
         payload: protocol-specific object (e.g. a TFRC feedback report).
-        ecn_capable: the flow understands ECN; RED (with ECN enabled) marks
-            this packet under early congestion instead of dropping it.
-        ecn_marked: set by a queue that signalled congestion on this packet.
     """
 
-    __slots__ = (
-        "flow_id", "seq", "size", "ptype", "sent_at", "payload",
-        "ecn_capable", "ecn_marked",
-    )
+    __slots__ = ("flow_id", "seq", "size", "ptype", "sent_at", "payload")
 
     def __init__(
         self,
@@ -49,7 +43,6 @@ class Packet:
         ptype: PacketType = PacketType.DATA,
         sent_at: float = 0.0,
         payload: Optional[Any] = None,
-        ecn_capable: bool = False,
     ) -> None:
         if size <= 0:
             raise ValueError(f"packet size must be positive, got {size}")
@@ -59,10 +52,6 @@ class Packet:
         self.ptype = ptype
         self.sent_at = sent_at
         self.payload = payload
-        #: ECN (RFC 2481, cited by the paper as a future direction): a
-        #: capable packet is marked instead of early-dropped by RED.
-        self.ecn_capable = ecn_capable
-        self.ecn_marked = False
 
     @property
     def is_data(self) -> bool:

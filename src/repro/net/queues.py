@@ -6,7 +6,8 @@ enables for its simulations (footnote to Figure 8 and section 4.1.2): between
 ``max_p`` to 1 instead of jumping to 1.
 
 Both disciplines count bytes and packets and expose conservation counters so
-tests can assert ``enqueued == dequeued + dropped + len(queue)``.
+tests can assert ``enqueued == dequeued + dropped + len(queue)``.  RED
+signals congestion only by dropping: the paper's queues mark no packet.
 """
 
 from __future__ import annotations
@@ -156,13 +157,8 @@ class REDQueue(Queue):
         self._count_since_drop = -1  # -1: average below min_thresh
         self._idle_since: Optional[float] = None
         self._service_rate_bps: Optional[float] = None  # set by the owning link
-        #: with ECN enabled, early congestion marks capable packets instead
-        #: of dropping them (RFC 2481; forced drops still drop).  Off until
-        #: the builder of an ECN run switches it on.
-        self.ecn = False
         self.early_drops = 0
         self.forced_drops = 0
-        self.ecn_marks = 0
         # Hoisted per-packet constants.  Each is produced (in RedParams) by
         # the *same* float expression the scalar redmath functions evaluate
         # per call, so using the cached value is bit-identical; only the
@@ -260,13 +256,6 @@ class REDQueue(Queue):
                 p_a = 1.0 if denom <= 0 else min(1.0, p_b / denom)
                 if self._next_draw() < p_a:
                     self._count_since_drop = 0
-                    if self.ecn and packet.ecn_capable:
-                        packet.ecn_marked = True
-                        self.ecn_marks += 1
-                        queue.append(packet)
-                        self.bytes_queued += packet.size
-                        self.enqueued += 1
-                        return True
                     self.early_drops += 1
                     return self._drop(packet)
             else:

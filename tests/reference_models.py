@@ -44,12 +44,12 @@ def entry_checksum_reference(spec_dict, result):
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def red_reference(ops, capacity, params, rng, packet_time, ecn=False):
+def red_reference(ops, capacity, params, rng, packet_time):
     """``(verdict, average)`` per enqueue for a RED queue driven by ``ops``:
-    ``(now, ecn_capable)`` enqueues and ``(now, None)`` dequeues."""
+    ``(now, True)`` enqueues and ``(now, False)`` dequeues."""
     qlen, avg, count, idle_since, out = 0, 0.0, -1, None, []
-    for now, ect in ops:
-        if ect is None:
+    for now, enqueue in ops:
+        if not enqueue:
             if qlen == 1:
                 idle_since = now
             qlen -= qlen > 0
@@ -62,13 +62,12 @@ def red_reference(ops, capacity, params, rng, packet_time, ecn=False):
             idle_since = now
         p_b = red_drop_probability(params, avg)
         forced = qlen >= capacity or p_b >= 1.0
-        trial = not forced and p_b > 0.0  # in the marking region: draw
+        trial = not forced and p_b > 0.0  # in the early-drop region: draw
         count = 0 if forced else count + 1 if trial else -1
         hit = trial and rng.random() < red_uniformized(p_b, count)
         count = 0 if hit else count
-        verdict = ("mark" if ecn and ect else "early") if hit else "accept"
-        out.append(("forced" if forced else verdict, avg))
-        qlen += out[-1][0] in ("accept", "mark")
+        out.append(("forced" if forced else "early" if hit else "accept", avg))
+        qlen += out[-1][0] == "accept"
     return out
 
 

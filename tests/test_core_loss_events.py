@@ -117,3 +117,70 @@ class TestDetection:
         assert det.packets_lost == 0
         feed(det, [(4, 0.3)])
         assert det.packets_lost == 1
+
+
+def detector_state(det):
+    """Everything an arrival can change but the received count and the
+    last arrival time."""
+    return (list(det.events), det.packets_lost, det._next_expected,
+            dict(det._pending_holes), dict(det._holes_followers),
+            det._last_arrival_seq, det._event_start_seq,
+            det._event_start_time)
+
+
+class TestGeneralArrivalPath:
+    """The body every arrival takes but an in-order one with no hole
+    pending: reordering inside NDUPACK, duplicates, holes that mature."""
+
+    @pytest.mark.parametrize("late_by", [1, 2])
+    def test_reorder_inside_ndupack_leaves_nothing_pending(self, late_by):
+        """Seq 2 arrives ``late_by`` places late, before its third
+        follower: no loss, no record of the hole kept, and the next
+        in-order arrival takes the short path again."""
+        det = make_detector()
+        order = [0, 1, *range(3, 3 + late_by), 2, *range(3 + late_by, 10)]
+        feed(det, [(seq, i * 0.01) for i, seq in enumerate(order)])
+        assert (det.packets_lost, det.events) == (0, [])
+        assert det._pending_holes == {} and det._holes_followers == {}
+        assert det.arrive_in_order(10, 0.1)
+
+    @pytest.mark.parametrize("duplicate", [0, 3, 6, 7])
+    def test_duplicate_counts_as_received_and_changes_nothing_else(
+        self, duplicate
+    ):
+        """Hole 5 has two followers (6, 7).  A second copy of a packet
+        below the hole or above it, oldest or newest, is one more packet
+        received: it neither lowers the highest seq seen nor counts as a
+        follower, so seq 8 -- not the copy -- declares the hole."""
+        det = make_detector()
+        feed(det, [(seq, seq * 0.01) for seq in (0, 1, 2, 3, 4, 6, 7)])
+        before = detector_state(det)
+        assert feed(det, [(duplicate, 0.08)]) == []
+        assert det.packets_received == 8
+        assert detector_state(det) == before
+        declared = feed(det, [(8, 0.09)])
+        assert [e.first_lost_seq for e in declared] == [5]
+
+    def test_holes_of_one_gap_mature_together_lowest_first(self):
+        """One arrival opens holes 5, 6 and 7; the third follower declares
+        all three at once, and the event they share starts at the lowest."""
+        det = make_detector(rtt=0.1)
+        feed(det, [(seq, seq * 0.01) for seq in (0, 1, 2, 3, 4, 8, 9)])
+        assert det.packets_lost == 0
+        declared = feed(det, [(10, 0.10)])
+        assert det.packets_lost == 3
+        assert [(e.first_lost_seq, e.closed_interval) for e in declared] == [(5, 5)]
+
+    def test_holes_of_two_gaps_mature_on_their_own_followers(self):
+        """Holes 2 and 4 open at different arrivals; each is declared on
+        its own third follower, the arrival that opens hole 4 counting as
+        hole 2's second."""
+        det = make_detector(rtt=0.001)
+        lost = []
+        for seq in (0, 1, 3, 5, 6, 7):
+            feed(det, [(seq, seq * 0.01)])
+            lost.append(det.packets_lost)
+        assert lost == [0, 0, 0, 0, 1, 2]
+        assert [(e.first_lost_seq, e.closed_interval) for e in det.events] == [
+            (2, 2), (4, 2),
+        ]

@@ -163,9 +163,9 @@ def assert_indistinguishable(fast, general):
 
 @st.composite
 def arrival_streams(draw):
-    """``(seq, marked)`` in arrival order: Bernoulli loss, one burst,
+    """Sequence numbers in arrival order: Bernoulli loss, one burst,
     adjacent swaps, displacements deeper than any tolerance drawn below
-    (declared lost, then late), duplicates, and ECN marks."""
+    (declared lost, then late), and duplicates."""
     n = draw(st.integers(min_value=20, max_value=160))
     keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     burst_at = draw(st.integers(min_value=0, max_value=n - 1))
@@ -181,8 +181,7 @@ def arrival_streams(draw):
     for i in draw(st.lists(index, max_size=6)):
         if order:
             order.insert(i + draw(st.integers(0, 9)), order[i])
-    marks = draw(st.sets(st.integers(0, max(0, len(order) - 1)), max_size=5))
-    return [(seq, i in marks) for i, seq in enumerate(order)]
+    return order
 
 
 class TestInOrderPathAgainstGeneralBody:
@@ -202,12 +201,8 @@ class TestInOrderPathAgainstGeneralBody:
     def test_state_equal_after_every_arrival(self, stream, rtt, spacing, tolerance):
         fast, general = (LossEventDetector(rtt_fn=lambda: rtt) for _ in range(2))
         fast.REORDER_TOLERANCE = general.REORDER_TOLERANCE = tolerance
-        for i, (seq, marked) in enumerate(stream):
+        for i, seq in enumerate(stream):
             now = i * spacing
-            if marked:
-                assert fast.on_congestion_mark(seq, now) == (
-                    general.on_congestion_mark(seq, now)
-                )
             assert fast.on_arrival(seq, now) == (
                 general._on_arrival_general(seq, now)
             )
@@ -238,7 +233,7 @@ class TestReceiverAgainstGeneralBody:
     @settings(max_examples=120, deadline=None)
     def test_open_interval_rate_and_feedback_equal(self, stream, spacing, rtts):
         shipped, pinned = self._receiver(False), self._receiver(True)
-        for i, (seq, marked) in enumerate(stream):
+        for i, seq in enumerate(stream):
             outcome = []
             for sim, receiver, reports in (shipped, pinned):
                 sim.run(until=i * spacing)
@@ -246,7 +241,6 @@ class TestReceiverAgainstGeneralBody:
                     "f", seq, 1000, sent_at=sim.now,
                     payload=TfrcDataInfo(rtts[i * len(rtts) // len(stream)]),
                 )
-                packet.ecn_marked = marked
                 receiver.receive(packet)
                 outcome.append((
                     receiver.intervals.open_interval,
@@ -270,7 +264,7 @@ class TestFusedInOrderArrival:
     def test_fused_call_then_fallback_equals_general_body(self, stream, rtt, tolerance):
         fused, general = (LossEventDetector(rtt_fn=lambda: rtt) for _ in range(2))
         fused.REORDER_TOLERANCE = general.REORDER_TOLERANCE = tolerance
-        for i, (seq, _) in enumerate(stream):
+        for i, seq in enumerate(stream):
             now = i * 0.003
             expected = seq == fused._next_expected and not fused._holes_followers
             before = {name: repr(getattr(fused, name)) for name in DETECTOR_STATE}

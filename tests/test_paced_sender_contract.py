@@ -209,23 +209,30 @@ def test_srtt_is_an_ewma_of_the_positive_samples(name, samples, srtt):
 @every_control_loop
 def test_stop_inside_a_control_tick_ends_its_loop(name):
     """No rate decision follows ``stop()`` and no arming outlives it --
-    even when ``stop()`` runs inside a tick itself."""
+    even when ``stop()`` runs inside a tick itself.  The timer is read
+    by an event queued at the stopping instant, so it sees what the rest
+    of the tick left armed before any stale arming could fire and clear
+    itself."""
     build, timer = CONTROL_TIMERS[name]
     sim = Simulator()
     flow = build(sim)
     sender = flow.sender
     set_rate = sender._set_rate
+    pending_after_tick = []
 
     def set_rate_then_stop(rate):
         set_rate(rate)
         if len(sender.rate_history) == 3:  # start, then two control ticks
             sender.stop()
+            sim.schedule_in(0.0, lambda: pending_after_tick.append(
+                getattr(sender, timer).pending))
 
     sender._set_rate = set_rate_then_stop
     flow.start()
     sim.run(until=30.0)
     assert len(sender.rate_history) == 3
     assert sender.rate_history[-1][0] > 0.0
+    assert pending_after_tick == [False]
     assert not getattr(sender, timer).pending
 
 

@@ -140,7 +140,7 @@ def test_one_function_sets_floors_records_and_traces_the_rate():
 
 def test_one_srtt_ewma_and_two_pacing_bodies():
     assert _sites(_assigns("srtt")) == ["core/paced.py:_sample_rtt"] * 2
-    # The base's pacing step, and TFRC's burst / ECN / quiescence-aware one.
+    # The base's pacing step, and TFRC's, which carries the RTT estimate.
     assert _sites(_builds_data_packet) == [
         "core/paced.py:_send_next", "core/sender.py:_send_next",
     ]
@@ -151,7 +151,7 @@ def test_the_data_packet_guard_reads_keyword_positional_and_default_ptype():
         return _builds_data_packet(ast.parse(source, mode="eval").body)
 
     assert builds("Packet(f, 0, 1000, ptype=PacketType.DATA)")
-    assert builds("Packet(f, 0, 1000, PacketType.DATA, now, info, ecn)")
+    assert builds("Packet(f, 0, 1000, PacketType.DATA, now, info)")
     assert builds("Packet(f, 0, 1000)")  # the constructor's default
     assert not builds("Packet(f, 0, 40, PacketType.FEEDBACK, now, report)")
     assert not builds("Packet(f, 0, 40, ptype=PacketType.ACK)")
