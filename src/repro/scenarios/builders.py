@@ -217,7 +217,6 @@ def build_mixed_dumbbell(
     queue_type: str = "red",
     buffer_packets: Optional[int] = None,
     seed: int = 0,
-    tcp_variant: str = "sack",
     interpacket_adjustment: bool = True,
     queue_scaling_bandwidth: Optional[float] = None,
     sample_queue: bool = False,
@@ -252,7 +251,7 @@ def build_mixed_dumbbell(
         )
         staggered_starts.append((rng.uniform(*START_RANGE), flow.start, ()))
     for i in range(n_tcp):
-        flow = bed.tcp(f"tcp-{i}", rng.uniform(*RTT_RANGE), variant=tcp_variant)
+        flow = bed.tcp(f"tcp-{i}", rng.uniform(*RTT_RANGE))
         staggered_starts.append((rng.uniform(*START_RANGE), flow.start, ()))
     # Bulk-seed the staggered flow starts in one O(n) heapify.
     bed.sim.schedule_batch(staggered_starts)
@@ -567,17 +566,37 @@ def lossless_phase(at: float) -> JsonDict:
     return {"at": float(at), "model": "none"}
 
 
+def _reject_unread(spec: ScenarioSpec, **groups: Tuple[str, ...]) -> None:
+    """Raise :class:`ValueError` naming ``group.key`` for the first key of
+    each named spec group that is not among the keys the scenario reads."""
+    for group, accepted in groups.items():
+        unread = sorted(str(k) for k in getattr(spec, group) if k not in accepted)
+        if unread:
+            raise ValueError(
+                f"{group}.{unread[0]}: not a key of the {spec.scenario!r} "
+                f"scenario (accepted: {', '.join(accepted) or 'none'})"
+            )
+
+
 @register_scenario("mixed_dumbbell")
 def mixed_dumbbell_scenario(spec: ScenarioSpec) -> JsonDict:
     """Declarative mixed dumbbell: summary fairness metrics for one cell.
 
-    Spec layout::
+    Spec layout (any other key raises, naming it; ``loss`` takes none)::
 
         topology: {bandwidth_bps, queue_scaling_bandwidth?}
-        flows:    {n_tfrc, n_tcp, tcp_variant?, interpacket_adjustment?}
+        flows:    {n_tfrc, n_tcp, interpacket_adjustment?}
         queue:    {type, buffer_packets?}
         extra:    {measure_fraction?}
     """
+    _reject_unread(
+        spec,
+        topology=("bandwidth_bps", "queue_scaling_bandwidth"),
+        flows=("n_tfrc", "n_tcp", "interpacket_adjustment"),
+        queue=("type", "buffer_packets"),
+        loss=(),
+        extra=("measure_fraction",),
+    )
     t0, t1 = steady_state_window(
         spec.duration, float(spec.extra.get("measure_fraction", 0.5))
     )
@@ -589,7 +608,6 @@ def mixed_dumbbell_scenario(spec: ScenarioSpec) -> JsonDict:
         queue_type=str(spec.queue.get("type", "red")),
         buffer_packets=spec.queue.get("buffer_packets"),
         seed=spec.seed,
-        tcp_variant=str(spec.flows.get("tcp_variant", "sack")),
         interpacket_adjustment=bool(
             spec.flows.get("interpacket_adjustment", True)
         ),
@@ -611,11 +629,17 @@ def mixed_dumbbell_scenario(spec: ScenarioSpec) -> JsonDict:
 def tfrc_lossy_path_scenario(spec: ScenarioSpec) -> JsonDict:
     """Declarative single-TFRC-on-lossy-path: throughput and loss summary.
 
-    Spec layout::
+    Spec layout (any other key raises, naming it; ``flows``, ``queue`` and
+    ``extra`` take none)::
 
         topology: {rtt?, bandwidth_bps?, packet_size?}
         loss:     {model, ...} (see :func:`loss_model_from_spec`)
     """
+    _reject_unread(
+        spec,
+        topology=("rtt", "bandwidth_bps", "packet_size"),
+        flows=(), queue=(), extra=(),
+    )
     rng = RngRegistry(spec.seed).stream("loss")
     result = run_single_tfrc_on_lossy_path(
         loss_model=loss_model_from_spec(dict(spec.loss), rng),

@@ -698,9 +698,8 @@ class FileQueueExecutor(SweepExecutor):
         """Lease reclaim, budget enforcement, the stranded-cell backstop
         and worker-death detection, in that order."""
         self._reclaim_expired(run)
-        failure_counts = run.fq.failure_counts()
-        yield from self._enforce_budget(run, failure_counts)
-        claims_live = self._republish_stranded(run, failure_counts)
+        yield from self._enforce_budget(run)
+        claims_live = self._republish_stranded(run)
         self._watch_workers(run, claims_live)
 
     def _reclaim_expired(self, run: _QueueRun) -> None:
@@ -719,12 +718,11 @@ class FileQueueExecutor(SweepExecutor):
                 f"(timeout {self.lease_timeout:.1f}s); reclaiming",
             )
 
-    def _enforce_budget(
-        self, run: _QueueRun, failure_counts: Dict[str, int]
-    ) -> Iterator[CellCompletion]:
+    def _enforce_budget(self, run: _QueueRun) -> Iterator[CellCompletion]:
         """Dead-letter each cell whose failures reached ``max_attempts``:
         abort the sweep on it, or deliver it quarantined (``on_poison``)."""
         fq = run.fq
+        failure_counts = fq.failure_counts()
         for key in list(run.remaining):
             failures = failure_counts.get(key, 0)
             if failures < self.max_attempts:
@@ -757,9 +755,7 @@ class FileQueueExecutor(SweepExecutor):
                     failure_kinds=_failure_kinds(records),
                 )
 
-    def _republish_stranded(
-        self, run: _QueueRun, failure_counts: Dict[str, int]
-    ) -> bool:
+    def _republish_stranded(self, run: _QueueRun) -> bool:
         """Liveness backstop; returns whether any lease is live.
 
         A cell no queue state tracks at all (no task, no claim, no done
@@ -768,17 +764,21 @@ class FileQueueExecutor(SweepExecutor):
         its claim and republishing.  Republish it; a harmless duplicate in
         the rare race with a just-claiming worker beats a sweep that never
         returns.
+
+        The failure count is read after the claim is seen gone, not taken
+        from the round's snapshot: a worker's ``fail_attempt`` records the
+        failure before it drops the claim, so a failure that lands between
+        the two is counted, and a spent budget is not run again.
         """
         fq = run.fq
         claims_live = False
         for key, cells in run.remaining.items():
-            failures = failure_counts.get(key, 0)
             if fq.claim_path(key).exists():
                 claims_live = True
             elif (
-                failures < self.max_attempts
-                and not fq.task_path(key).exists()
+                not fq.task_path(key).exists()
                 and not fq.done_path(key).exists()
+                and fq.failure_count(key) < self.max_attempts
             ):
                 fq.enqueue(self._payload(run, cells[0]))
         return claims_live

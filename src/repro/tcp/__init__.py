@@ -1,13 +1,13 @@
-"""Packet-level TCP implementations (Tahoe, Reno, NewReno, SACK).
+"""Packet-level SACK TCP, the paper's Sack1.
 
-These are the competing-traffic baselines the paper evaluates TFRC against.
-They are window-based, ACK-clocked senders with:
+This is the competing-traffic baseline the paper evaluates TFRC against.
+It is a window-based, ACK-clocked sender with:
 
 * slow start / congestion avoidance,
-* fast retransmit and variant-specific loss recovery,
+* fast retransmit and SACK loss recovery (scoreboard plus pipe),
 * RTO estimation with configurable clock granularity (the paper discusses
   500 ms FreeBSD clocks vs aggressive Solaris timers, section 4.3),
-* an optional delayed-ACK receiver.
+* a receiver that ACKs every segment with RFC 2018 SACK blocks.
 
 The sequence space is packet-granular (one sequence number per packet), the
 same modelling choice ns-2 makes.
@@ -15,39 +15,10 @@ same modelling choice ns-2 makes.
 
 from repro.tcp.rto import RTOEstimator
 from repro.tcp.sink import TCPSink
-from repro.tcp.base import TCPSender
-from repro.tcp.tahoe import TahoeSender
-from repro.tcp.reno import RenoSender
-from repro.tcp.newreno import NewRenoSender
-from repro.tcp.sack import SackSender
-
-TCP_VARIANTS = {
-    "tahoe": TahoeSender,
-    "reno": RenoSender,
-    "newreno": NewRenoSender,
-    "sack": SackSender,
-}
-
-
-def make_tcp_sender(variant: str, *args, **kwargs) -> TCPSender:
-    """Construct a TCP sender by variant name ("tahoe"/"reno"/"newreno"/"sack")."""
-    try:
-        cls = TCP_VARIANTS[variant.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown TCP variant {variant!r}; choose from {sorted(TCP_VARIANTS)}"
-        ) from None
-    return cls(*args, **kwargs)
-
+from repro.tcp.sender import TCPSender
 
 __all__ = [
     "RTOEstimator",
     "TCPSink",
     "TCPSender",
-    "TahoeSender",
-    "RenoSender",
-    "NewRenoSender",
-    "SackSender",
-    "TCP_VARIANTS",
-    "make_tcp_sender",
 ]

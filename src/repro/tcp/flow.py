@@ -8,12 +8,18 @@ from repro.net.flow import Flow, Port
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
-from repro.tcp import make_tcp_sender
+from repro.tcp.sender import TCPSender
 from repro.tcp.sink import TCPSink
 
 
 class TcpFlow(Flow):
-    """One TCP flow: sender on the forward port, sink ACKs on the reverse."""
+    """One TCP flow: sender on the forward port, sink ACKs on the reverse.
+
+    ``variant`` accepts only ``"sack"``, the one TCP (the paper's Sack1);
+    any other value raises naming it.  It stays a parameter because callers
+    that name the variant, such as the ``tcp.sack.pkt_ns`` bench probe,
+    pass it.
+    """
 
     def __init__(
         self,
@@ -26,8 +32,11 @@ class TcpFlow(Flow):
         on_data: Optional[Callable[[float, Packet], None]] = None,
         **sender_kwargs,
     ) -> None:
-        sender = make_tcp_sender(
-            variant,
+        if variant != "sack":
+            raise ValueError(
+                f"unknown TCP variant {variant!r}: the one TCP is 'sack'"
+            )
+        sender = TCPSender(
             sim,
             flow_id,
             send_packet=forward_port.send,

@@ -1,13 +1,16 @@
-"""Common TCP sender machinery.
+"""The TCP sender: ns-2 "Sack1"-style SACK TCP.
 
-:class:`TCPSender` implements everything the four variants share: the send
-window, slow start and congestion avoidance, RTT sampling with Karn's rule,
-the retransmission timer with exponential backoff, and bookkeeping.  Variant
-behaviour on duplicate ACKs and on (partial) new ACKs is delegated to hook
-methods that :mod:`tahoe`, :mod:`reno`, :mod:`newreno` and :mod:`sack`
-override.
+This is the TCP the paper's simulations compare TFRC with ("TFRC vs TCP
+Sack1").  :class:`TCPSender` holds the send window, slow start and
+congestion avoidance, RTT sampling with Karn's rule, the retransmission
+timer with exponential backoff, and SACK loss recovery: a scoreboard of
+SACKed sequence numbers plus a conservative estimate of the packets in the
+pipe.  During recovery each arriving dupACK/SACK decrements the pipe, each
+(re)transmission increments it, and packets are clocked out while
+``pipe < cwnd``.  Holes (sequence numbers below the highest SACKed block
+that the receiver has not reported) are retransmitted before any new data.
 
-The hooks move the window state only through the transitions ``_set_cwnd``,
+The window state moves only through the transitions ``_set_cwnd``,
 ``_enter_recovery``, ``_exit_recovery``, ``_go_back_n`` and ``_send_new``.
 
 The sender models a bulk (FTP-like) application by default: data is always
@@ -17,7 +20,7 @@ connections set ``packets_to_send`` and assign an ``on_complete`` callback.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Set
+from typing import Callable, List, Optional, Set
 
 from repro.core.paced import PACKET_SIZE
 from repro.net.packet import Packet, PacketType
@@ -31,11 +34,9 @@ PacketSender = Callable[[Packet], None]
 
 
 class TCPSender:
-    """Window-based, ACK-clocked TCP sender (base class)."""
+    """Window-based, ACK-clocked SACK TCP sender."""
 
-    #: human-readable variant name, overridden by subclasses
-    variant = "base"
-    MAX_CWND = 10_000.0  # _open_window's ceiling; dupACK inflation may pass it
+    MAX_CWND = 10_000.0  # _open_window's ceiling
     DUPACK_THRESHOLD = 3  # duplicate ACKs that trigger fast retransmit
     INITIAL_CWND = 2.0  # segments
     # Bounding the initial slow-start like real stacks do (64 segments ~
@@ -77,6 +78,10 @@ class TCPSender:
         )
         self._retx_timer = FastTimer(sim, self._on_timeout)
         self._retransmitted: Set[int] = set()
+        # The SACK scoreboard and the recovery pipe estimate.
+        self._sacked: Set[int] = set()
+        self._retx_in_recovery: Set[int] = set()
+        self._pipe = 0
         self._started = False
         self._stopped = False
 
@@ -141,15 +146,26 @@ class TCPSender:
             elif ack_seq > self.recover:
                 self._exit_recovery()
             else:
-                self.on_partial_ack(ack_seq, newly_acked)
+                # A partial ACK: the cumulatively ACKed packets have left
+                # the network.
+                self._pipe = max(0, self._pipe - newly_acked)
+                self._sacked = {s for s in self._sacked if s >= ack_seq}
+                self._recovery_send()
             self._restart_timer()
         elif ack_seq == snd_una and self.snd_nxt > snd_una:
             self.dupacks += 1
             if self.in_recovery:
-                self.on_recovery_dupack()
+                # _register_sack already took any *new* SACK information off
+                # the pipe.  A dupACK with no new SACK blocks (e.g. one
+                # triggered by a spurious retransmission of ours) is no
+                # evidence that a packet left the network, so it must not
+                # shrink the pipe -- otherwise the sender clocks out an
+                # unbounded stream of useless retransmissions.
+                self._recovery_send()
             elif self.dupacks == self.DUPACK_THRESHOLD:
                 self.fast_retransmits += 1
-                self.on_dupack_threshold()
+                self._enter_recovery()
+                self._recovery_send()
         self._check_complete()
         self._try_send()
 
@@ -178,23 +194,50 @@ class TCPSender:
             self.rto_estimator.sample(rtt)
 
     def _register_sack(self, info: TCPAckInfo) -> None:
-        """Record SACK information; only the SACK variant uses it."""
+        """Add the ACK's SACK blocks to the scoreboard; in recovery, take
+        the newly SACKed packets off the pipe."""
+        if not info.sack_blocks:
+            return  # the common ACK: nothing held out of order
+        sacked = self._sacked
+        before = len(sacked)
+        snd_una = self.snd_una
+        for start, end in info.sack_blocks:
+            sacked.update(range(max(start, snd_una), end))
+        if self.in_recovery:
+            newly_sacked = len(sacked) - before
+            self._pipe = max(0, self._pipe - newly_sacked)
 
-    # ----------------------------------------------------- variant hooks
+    # ------------------------------------------------------------ recovery
 
-    def on_dupack_threshold(self) -> None:
-        """Third dupACK outside recovery: enter recovery or go back N."""
-        raise NotImplementedError
+    def _holes(self) -> List[int]:
+        """Unacked, unsacked, not-yet-retransmitted seqs below the SACK top."""
+        if not self._sacked:
+            return []
+        top = max(self._sacked)
+        return [
+            seq
+            for seq in range(self.snd_una, top)
+            if seq not in self._sacked and seq not in self._retx_in_recovery
+        ]
 
-    def on_recovery_dupack(self) -> None:
-        """Duplicate ACK while already in recovery."""
-
-    def on_partial_ack(self, ack_seq: int, newly_acked: int) -> None:
-        """New ACK below ``recover`` while in recovery (default: exit)."""
-        self._exit_recovery()
-
-    def on_timeout_reset(self) -> None:
-        """Variant hook to clear recovery state on a timeout."""
+    def _recovery_send(self) -> None:
+        """Clock out holes, then new data, while ``pipe < cwnd``."""
+        window = int(self.cwnd)
+        if self._pipe >= window:
+            return
+        # Only ``_retx_in_recovery`` changes inside the loop, and only by
+        # the hole just sent: one scoreboard walk, consumed in order.
+        holes = iter(self._holes())
+        while self._pipe < window:
+            seq = next(holes, None)
+            if seq is not None:
+                self._retx_in_recovery.add(seq)
+                self._transmit(seq, is_retransmission=True)
+            elif self._more_data_available():
+                self._send_new()
+            else:
+                break
+            self._pipe += 1
 
     # ---------------------------------------------------------- transitions
 
@@ -213,22 +256,29 @@ class TCPSender:
         self.cwnd = max(1.0, value)
 
     def _enter_recovery(self) -> None:
-        """Halve, and recover until everything sent so far is ACKed."""
+        """Halve, deflate to ``ssthresh``, and recover until everything
+        sent so far is ACKed."""
         self.halve_window()
         self.in_recovery = True
         self.recover = self.snd_nxt - 1
+        self._set_cwnd(self.ssthresh)
+        # Conservative pipe estimate: flight minus the dupACK departures.
+        self._pipe = max(0, self.outstanding - self.DUPACK_THRESHOLD)
 
     def _exit_recovery(self) -> None:
         self.in_recovery = False
         self.dupacks = 0
         self._set_cwnd(self.ssthresh)
+        self._sacked = {s for s in self._sacked if s >= self.snd_una}
+        self._retx_in_recovery.clear()
+        self._pipe = 0
 
     def _go_back_n(self) -> None:
         """Resend the head from cwnd 1; the rest goes again as new data."""
         self.halve_window()
         self._set_cwnd(1.0)
         self.dupacks = 0
-        self.retransmit_head()
+        self._transmit(self.snd_una, is_retransmission=True)
         self.snd_nxt = self.snd_una + 1
         self._went_back_n = True
 
@@ -257,9 +307,6 @@ class TCPSender:
         """ssthresh <- max(flight/2, 2); used on loss detection."""
         self.ssthresh = max(self.outstanding / 2.0, 2.0)
 
-    def _window_allows(self) -> bool:
-        return self.snd_nxt - self.snd_una < int(self.cwnd)
-
     # ------------------------------------------------------------- sending
 
     def _more_data_available(self) -> bool:
@@ -268,9 +315,13 @@ class TCPSender:
         return self.snd_nxt < self.packets_to_send
 
     def _try_send(self) -> None:
-        if self._stopped or not self._started:
+        # Recovery transmissions are pipe-clocked by _recovery_send instead.
+        if self._stopped or not self._started or self.in_recovery:
             return
-        while self._window_allows() and self._more_data_available():
+        while (
+            self.snd_nxt - self.snd_una < int(self.cwnd)
+            and self._more_data_available()
+        ):
             self._send_new()
 
     def _transmit(self, seq: int, is_retransmission: bool = False) -> None:
@@ -291,10 +342,6 @@ class TCPSender:
             self._retx_timer.start(self.rto_estimator.rto)
         self._send_packet(packet)
 
-    def retransmit_head(self) -> None:
-        """Retransmit the oldest unacknowledged packet."""
-        self._transmit(self.snd_una, is_retransmission=True)
-
     def _restart_timer(self) -> None:
         if self.snd_nxt > self.snd_una:
             self._retx_timer.start(self.rto_estimator.rto)
@@ -310,7 +357,9 @@ class TCPSender:
         self.rto_estimator.backoff()
         self.in_recovery = False
         self.recover = -1
-        self.on_timeout_reset()
+        self._sacked.clear()
+        self._retx_in_recovery.clear()
+        self._pipe = 0
         # Everything outstanding is presumed lost.
         self._go_back_n()
         self._retx_timer.start(self.rto_estimator.rto)

@@ -1,7 +1,7 @@
 """Per-packet recomputations of what ``REDQueue.enqueue``, ``TCPSink``,
-``SackSender`` and the TFRC receiver's loss event rate maintain
-incrementally, the first, copy-everything form of a spec's canonical JSON
-and the first form of a cache entry's checksum, and the first, per-arrival
+``TCPSender``'s SACK scoreboard and the TFRC receiver's loss event rate
+maintain incrementally, the first, copy-everything form of a spec's
+canonical JSON and the first form of a cache entry's checksum, and the first, per-arrival
 loop that binned a rate series, and the handle-based ``Timer`` that
 ``FastTimer`` replaced; the fuzzers compare the two.  Also Appendix A.1's
 increase bound, derived in exact fractions from the WALI weights and

@@ -184,3 +184,30 @@ class TestGeneralArrivalPath:
         assert [(e.first_lost_seq, e.closed_interval) for e in det.events] == [
             (2, 2), (4, 2),
         ]
+
+    #: seq 2 arrives late, after 3: by arrival 4, three packets above hole
+    #: 1 (3, 2 and 4) have arrived.
+    LATE_ABOVE_A_HOLE = [(0, 0.0), (3, 0.03), (2, 0.04), (4, 0.05)]
+
+    def test_a_late_packet_is_not_a_follower_of_an_older_hole(self):
+        """Today's reading: the late seq 2 fills its own hole but does not
+        count for hole 1, which stays pending with two followers until
+        arrival 5 declares it."""
+        det = make_detector()
+        assert feed(det, self.LATE_ABOVE_A_HOLE) == []
+        assert det._holes_followers == {1: 2} and list(det._pending_holes) == [1]
+        declared = feed(det, [(5, 0.06)])
+        assert [e.first_lost_seq for e in declared] == [1]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known departure (ROADMAP 15): a late packet that fills one "
+        "hole is not counted as a follower of an older pending hole, so "
+        "hole 1 is declared at arrival 5, not at arrival 4 after three "
+        "higher packets (3, 2, 4) as RFC 5348 section 5.1 has it.  No "
+        "simulated path reorders, so no figure or digest shows it.",
+    )
+    def test_a_late_packet_counts_as_a_follower_of_an_older_hole(self):
+        det = make_detector()
+        declared = feed(det, self.LATE_ABOVE_A_HOLE)
+        assert [e.first_lost_seq for e in declared] == [1]

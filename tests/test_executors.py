@@ -350,6 +350,51 @@ class TestOneAttemptCount:
         assert not fq.claim_path(key).exists()
 
 
+class TestStrandedRepublish:
+    """The coordinator's liveness backstop republishes a cell no queue
+    state tracks, within its retry budget."""
+
+    def test_a_failure_landing_after_the_snapshot_is_not_run_again(
+        self, tmp_path
+    ):
+        """A worker fails the cell's one attempt between the round's
+        failure-count snapshot and the stranded check: its record lands,
+        its claim goes, and the spent budget republishes nothing.  The next
+        round dead-letters the cell on that one failure."""
+        queue_dir = tmp_path / "q"
+        fq = FileQueue(queue_dir).ensure()
+        cell = SweepRunner(BASE).cells()[0]
+        executor = FileQueueExecutor(queue_dir, max_attempts=1, **QUEUE_KW)
+        run = executors_mod._QueueRun(
+            fq=fq,
+            cache=ResultCache(tmp_path / "cache"),
+            module_name="_executor_probe",
+            cache_dir=str(tmp_path / "cache"),
+            remaining={cell.key: [cell]},
+        )
+        payload = executor._payload(run, cell)
+        fq.enqueue(payload)
+        claim, _ = fq.claim_next("W1")
+        snapshot = fq.failure_counts
+
+        def snapshot_then_fail():
+            counts = snapshot()
+            assert not fq.fail_attempt(
+                payload, claim, worker="W1", kind="timeout", error="hung",
+                own_lease=True,
+            )
+            return counts
+
+        fq.failure_counts = snapshot_then_fail
+        assert list(executor._housekeep(run)) == []
+        assert not fq.task_path(cell.key).exists()
+        assert not fq.claim_path(cell.key).exists()
+        del fq.failure_counts
+        with pytest.raises(SweepCellError) as excinfo:
+            list(executor._housekeep(run))
+        assert [r["kind"] for r in excinfo.value.failures] == ["timeout"]
+
+
 class TestWorkerCli:
     def test_once_on_empty_queue_exits(self, tmp_path, capsys):
         assert sweep_worker.main([str(tmp_path / "q"), "--once"]) == 0

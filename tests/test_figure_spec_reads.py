@@ -3,8 +3,10 @@
 A hand-built spec that leaves out such a key fails, naming it, instead of
 running on a value the scenario made up.  The one key no entry point writes,
 fig14's ``queue.type``, keeps its single default: DropTail.  A value no
-scenario can run fails naming its spec field; through ``SweepRunner`` each
-failure arrives as a ``SweepCellError`` naming the cell.
+scenario can run fails naming its spec field, and so does a key the two
+registered declarative scenarios (``mixed_dumbbell``, ``tfrc_lossy_path``)
+do not read; through ``SweepRunner`` each failure arrives as a
+``SweepCellError`` naming the cell.
 """
 
 import pytest
@@ -136,3 +138,74 @@ def test_fig14_queue_type_defaults_to_droptail():
     result = run_scenario(spec)
     assert result == run_scenario(spec.override({"queue.type": "droptail"}))
     assert result != run_scenario(spec.override({"queue.type": "red"}))
+
+
+#: the two registered declarative scenarios: a full, small spec of each.
+DECLARATIVE = {
+    "mixed_dumbbell": ScenarioSpec(
+        scenario="mixed_dumbbell",
+        duration=12.0,  # both flows start by 10 s
+        topology={"bandwidth_bps": 1.5e6},
+        flows={"n_tfrc": 1, "n_tcp": 1},
+        queue={"type": "red"},
+    ),
+    "tfrc_lossy_path": ScenarioSpec(
+        scenario="tfrc_lossy_path",
+        duration=1.0,
+        topology={"rtt": 0.1},
+        loss={"model": "bernoulli", "probability": 0.01},
+    ),
+}
+
+#: keys each scenario does not read: a leftover of the deleted TCP
+#: variants, typos, and whole groups the scenario takes nothing from.
+UNREAD_KEYS = [
+    ("mixed_dumbbell", "flows.tcp_variant", "sack"),
+    ("mixed_dumbbell", "flows.n_tpc", 2),
+    ("mixed_dumbbell", "topology.bandwith_bps", 2e6),
+    ("mixed_dumbbell", "queue.buffer", 50),
+    ("mixed_dumbbell", "loss.model", "bernoulli"),
+    ("mixed_dumbbell", "extra.measure_fracton", 0.5),
+    ("tfrc_lossy_path", "topology.delay", 0.05),
+    ("tfrc_lossy_path", "flows.n_tfrc", 2),
+    ("tfrc_lossy_path", "queue.type", "red"),
+    ("tfrc_lossy_path", "extra.measure_fraction", 0.5),
+]
+
+
+@pytest.mark.parametrize("scenario, path, value", UNREAD_KEYS)
+def test_unread_key_raises_naming_it(scenario, path, value):
+    spec = DECLARATIVE[scenario].override({path: value})
+    with pytest.raises(
+        ValueError, match=rf"^{path}: not a key of the '{scenario}' scenario"
+    ):
+        run_scenario(spec)
+
+
+@pytest.mark.parametrize("scenario, path, value", [
+    ("mixed_dumbbell", "flows.tcp_variant", "sack"),
+    ("tfrc_lossy_path", "extra.measure_fraction", 0.5),
+])
+def test_unread_key_fails_its_sweep_cell_naming_both(scenario, path, value):
+    with pytest.raises(SweepCellError) as raised:
+        SweepRunner(DECLARATIVE[scenario], {path: [value]}).run()
+    message = str(raised.value)
+    assert f"{scenario}[{path}={value}]" in message
+    assert f"ValueError: {path}: not a key of the '{scenario}' scenario" in message
+
+
+@pytest.mark.parametrize("scenario, keys", [
+    ("mixed_dumbbell", {
+        "topology.queue_scaling_bandwidth": 15e6,
+        "flows.interpacket_adjustment": False,
+        "queue.buffer_packets": 20,
+        "extra.measure_fraction": 0.25,
+    }),
+    ("tfrc_lossy_path", {
+        "topology.bandwidth_bps": 4e6, "topology.packet_size": 500,
+    }),
+])
+def test_every_key_a_scenario_reads_is_accepted(scenario, keys):
+    """The layout each docstring gives runs, optional keys and all."""
+    result = run_scenario(DECLARATIVE[scenario].override(keys))
+    assert result != run_scenario(DECLARATIVE[scenario])

@@ -1,6 +1,6 @@
 """Golden digests: the byte-identity contract of the packet simulator.
 
-Fourteen seeded runs are reduced to sha256 digests of their exact trace
+Eleven seeded runs are reduced to sha256 digests of their exact trace
 signature and result JSON and compared with ``tests/golden_digests.json``.
 The first four committed digests were produced by the per-event
 implementations the simulator used to carry beside its hot path, and
@@ -10,9 +10,8 @@ one ``PacedSender`` base, and the
 two TFRC ``LossyPath`` runs at b7316be, before the endpoints' per-packet
 paths were shortened, and the internet-path, probe-path and Dummynet-pipe
 runs at c5f52e4, before the scene builders were put on one testbed, and
-the four single-TCP-flow runs (one per variant; every other TCP run uses
-SACK) at cb8717a, before the window state machine was put on one set of
-transition methods.  Any change to event order, RNG draw order or float
+the single-TCP-flow run at cb8717a, before the window state machine was
+put on one set of transition methods.  Any change to event order, RNG draw order or float
 arithmetic in ``sim/``, ``net/``, ``core/``, ``tcp/`` or ``baselines/``
 moves one.  Every run goes through a ``Testbed``, so each ends with the
 conservation checks ``Testbed.run`` makes (the lossy-path runs register
@@ -27,7 +26,7 @@ name the triple.  Running this module as a script rewrites the file.
 import hashlib
 import json
 import platform
-from functools import partial, reduce
+from functools import reduce
 from pathlib import Path
 
 import numpy
@@ -211,12 +210,10 @@ def tfrc_lossy_path(p):
     )
 
 
-def tcp_lossy_path(variant):
-    """One TCP flow of ``variant`` on that path at 5 % loss, traced: every
-    variant times out and fast-retransmits there."""
-    sim, flow, monitor, tracer = _run_lossy_path(
-        TcpFlow, 0.05, traced=True, variant=variant
-    )
+def tcp_lossy_path():
+    """One SACK TCP flow on that path at 5 % loss, traced: it times out and
+    fast-retransmits there."""
+    sim, flow, monitor, tracer = _run_lossy_path(TcpFlow, 0.05, traced=True)
     return trace_signature(tracer), {
         "sender": _exact(flow.sender, (
             "packets_sent", "retransmissions", "timeouts", "fast_retransmits",
@@ -291,8 +288,7 @@ RUNS = {
     "internet_path_ucl": internet_path_ucl,
     "tfrc_probe_nokia": tfrc_probe_nokia,
     "fig03_pipe": fig03_pipe,
-    **{f"tcp_lossy_path_{variant}": partial(tcp_lossy_path, variant)
-       for variant in ("tahoe", "reno", "newreno", "sack")},
+    "tcp_lossy_path_sack": tcp_lossy_path,
 }
 
 

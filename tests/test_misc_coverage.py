@@ -17,7 +17,7 @@ class TestAckPerSegmentFlow:
         reverse = LossyPath(sim, delay=0.05)
         received = []
         flow = TcpFlow(
-            sim, "t", forward, reverse, variant="sack",
+            sim, "t", forward, reverse,
             on_data=lambda t, p: received.append(p.seq),
         )
         flow.start()
@@ -26,31 +26,28 @@ class TestAckPerSegmentFlow:
         assert flow.sink.acks_sent == flow.sink.packets_received == len(received)
 
 
-class TestVariantRelativeBehaviour:
-    def test_sack_beats_tahoe_under_burst_loss(self):
-        """SACK repairs multi-loss windows without collapsing to cwnd=1;
-        Tahoe restarts from scratch every time."""
+class TestSackBurstRecovery:
+    def test_a_burst_of_eight_losses_costs_one_reduction(self):
+        """Every other segment of 60..74 is lost once: one fast retransmit
+        and one pass over the holes repair all eight, with no timeout and
+        no spurious retransmission."""
+        sim = Simulator()
+        pending = set(range(60, 75, 2))
 
-        def run(variant):
-            sim = Simulator()
-            drop = {"pending": set(range(60, 75, 2))}
+        def burst(packet, now):
+            if packet.is_data and packet.seq in pending:
+                pending.discard(packet.seq)
+                return True
+            return False
 
-            def burst(packet, now):
-                if packet.is_data and packet.seq in drop["pending"]:
-                    drop["pending"].discard(packet.seq)
-                    return True
-                return False
-
-            forward = LossyPath(sim, delay=0.05, loss_model=burst)
-            reverse = LossyPath(sim, delay=0.05)
-            received = []
-            flow = TcpFlow(sim, "t", forward, reverse, variant=variant,
-                           on_data=lambda t, p: received.append(p.seq))
-            flow.start()
-            sim.run(until=10.0)
-            return len(received)
-
-        assert run("sack") >= run("tahoe")
+        forward = LossyPath(sim, delay=0.05, loss_model=burst)
+        reverse = LossyPath(sim, delay=0.05)
+        flow = TcpFlow(sim, "t", forward, reverse)
+        flow.start()
+        sim.run(until=10.0)
+        sender = flow.sender
+        assert (sender.fast_retransmits, sender.timeouts) == (1, 0)
+        assert sender.retransmissions == 8
 
 
 class TestExperimentValidation:

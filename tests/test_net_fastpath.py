@@ -18,7 +18,7 @@ from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue, REDQueue
 from repro.sim.engine import Simulator
-from repro.tcp.sack import SackSender
+from repro.tcp.sender import TCPSender
 from repro.tcp.sink import TCPAckInfo, TCPSink
 from test_golden_digests import RUNS
 
@@ -123,7 +123,7 @@ def sack_steps(draw):
 
 
 class TestSackScoreboardEquivalence:
-    """``SackSender._register_sack`` (whole ranges at once, nothing at all on
+    """``TCPSender._register_sack`` (whole ranges at once, nothing at all on
     a block-free ACK) and ``_recovery_send`` (one hole walk per call) against
     the per-seq, re-derive-every-time model."""
 
@@ -131,7 +131,7 @@ class TestSackScoreboardEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_scoreboard_pipe_and_hole_order(self, steps, cwnd):
         sent = []
-        sender = SackSender(Simulator(), "f", send_packet=sent.append)
+        sender = TCPSender(Simulator(), "f", send_packet=sent.append)
         sender.snd_nxt, sender.cwnd = 1000, float(cwnd)
         observed = []
         for snd_una, in_recovery, blocks in steps:

@@ -161,16 +161,16 @@ def test_the_data_packet_guard_reads_keyword_positional_and_default_ptype():
 
 def test_one_tcp_window_state_machine():
     tcp = ("tcp",)
-    assert _sites(_assigns("cwnd"), tcp) == ["tcp/base.py:_set_cwnd"]
+    assert _sites(_assigns("cwnd"), tcp) == ["tcp/sender.py:_set_cwnd"]
     assert _sites(_assigns("snd_nxt"), tcp) == [
-        "tcp/base.py:_go_back_n", "tcp/base.py:_send_new",
+        "tcp/sender.py:_go_back_n", "tcp/sender.py:_send_new",
     ]
-    assert _sites(_enters_recovery, tcp) == ["tcp/base.py:_enter_recovery"]
+    assert _sites(_enters_recovery, tcp) == ["tcp/sender.py:_enter_recovery"]
     assert _sites(_calls("halve_window"), tcp) == [
-        "tcp/base.py:_enter_recovery", "tcp/base.py:_go_back_n",
+        "tcp/sender.py:_enter_recovery", "tcp/sender.py:_go_back_n",
     ]
-    # Unreachable, since every variant enters recovery or zeroes ``dupacks``
-    # at the threshold; it must not come back as a second inflation path.
+    # Unreachable, since the sender enters recovery at the threshold; it
+    # must not come back as a second inflation path.
     excess = "on_excess_dupack"
     assert _sites(lambda node: getattr(node, "attr", "") == excess, tcp) == []
     assert excess not in [function.name for _, function, _ in _functions(tcp)]

@@ -40,11 +40,12 @@ class TestTcpFlow:
         flow = TcpFlow(sim, "t", fwd, rev)
         assert flow.cwnd == flow.sender.cwnd
 
-    def test_variant_forwarded(self):
+    def test_sender_options_forwarded(self):
         sim = Simulator()
         fwd, rev = make_paths(sim)
-        flow = TcpFlow(sim, "t", fwd, rev, variant="tahoe")
-        assert flow.sender.variant == "tahoe"
+        flow = TcpFlow(sim, "t", fwd, rev, min_rto=0.5, packets_to_send=7)
+        assert flow.sender.rto_estimator.min_rto == 0.5
+        assert flow.sender.packets_to_send == 7
 
     def test_on_data_callback_sees_arrivals(self):
         sim = Simulator()

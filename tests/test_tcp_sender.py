@@ -1,4 +1,4 @@
-"""TCP sender tests: window dynamics, recovery per variant, timeouts.
+"""TCP sender tests: window dynamics, SACK recovery, timeouts.
 
 These run the real sender against the real sink over a LossyPath so the
 whole feedback loop is exercised with exactly controlled losses.
@@ -10,18 +10,18 @@ import pytest
 from repro.net.packet import Packet, PacketType
 from repro.net.path import LossyPath, bernoulli_loss, periodic_loss
 from repro.sim.engine import SimulationError, Simulator
-from repro.tcp import TCP_VARIANTS, RenoSender, SackSender, make_tcp_sender
+from repro.tcp import TCPSender
 from repro.tcp.flow import TcpFlow
 from repro.tcp.sink import TCPAckInfo
 
 
-def run_flow(variant, loss_model=None, duration=20.0, rtt=0.1, bw=None, **kwargs):
+def run_flow(loss_model=None, duration=20.0, rtt=0.1, bw=None, **kwargs):
     sim = Simulator()
     forward = LossyPath(sim, delay=rtt / 2, loss_model=loss_model, bandwidth_bps=bw)
     reverse = LossyPath(sim, delay=rtt / 2)
     received = []
     flow = TcpFlow(
-        sim, "t", forward, reverse, variant=variant,
+        sim, "t", forward, reverse,
         on_data=lambda t, p: received.append(p.seq), **kwargs,
     )
     flow.start()
@@ -48,32 +48,25 @@ def three_in_one_window(seed):
     return rng.choice(np.arange(30, 62), size=3, replace=False).tolist()
 
 
-TAHOE_REPEATS_FAST_RETRANSMIT = pytest.mark.xfail(
-    strict=True,
-    reason="known defect (ROADMAP item 5): Tahoe makes 27-49 reductions, "
-    "not 1.  Its go-back-N re-sends ACKed segments and, lacking ns-2's "
-    "guard, it fast-retransmits again on dupACKs of the flight sent before "
-    "its first fast retransmit.",
-)
-
-
 class TestBasics:
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            make_tcp_sender("vegas", Simulator(), "f", send_packet=lambda p: None)
+    @pytest.mark.parametrize("variant", ["vegas", "tahoe", "reno", "newreno"])
+    def test_unknown_variant_rejected(self, variant):
+        """SACK is the one TCP; any other name raises, naming it."""
+        sim = Simulator()
+        with pytest.raises(ValueError, match=f"unknown TCP variant {variant!r}"):
+            TcpFlow(sim, "t", LossyPath(sim, 0.05), LossyPath(sim, 0.05),
+                    variant=variant)
 
-    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
-    def test_lossless_delivery_in_order(self, variant):
-        flow, received, _ = run_flow(variant, duration=5.0)
+    def test_lossless_delivery_in_order(self):
+        flow, received, _ = run_flow(duration=5.0)
         assert len(received) > 100
         assert received == sorted(received)
 
-    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
-    def test_slow_start_doubles_window(self, variant):
+    def test_slow_start_doubles_window(self):
         sim = Simulator()
         forward = LossyPath(sim, delay=0.05)
         reverse = LossyPath(sim, delay=0.05)
-        flow = TcpFlow(sim, "t", forward, reverse, variant=variant)
+        flow = TcpFlow(sim, "t", forward, reverse)
         flow.sender.ssthresh = 1000.0
         flow.start()
         sim.run(until=0.45)  # ~4 RTTs
@@ -81,7 +74,7 @@ class TestBasics:
         assert 16 <= flow.sender.cwnd <= 64
 
     def test_window_limits_outstanding(self):
-        flow, _, _ = run_flow("sack", duration=2.0)
+        flow, _, _ = run_flow(duration=2.0)
         sender = flow.sender
         assert sender.outstanding <= int(sender.cwnd) + 1
 
@@ -90,7 +83,7 @@ class TestBasics:
         sim = Simulator()
         forward = LossyPath(sim, delay=0.05)
         reverse = LossyPath(sim, delay=0.05)
-        flow = TcpFlow(sim, "t", forward, reverse, variant="sack",
+        flow = TcpFlow(sim, "t", forward, reverse,
                        packets_to_send=50)
         flow.sender.on_complete = lambda: done.append(1)
         flow.start()
@@ -103,7 +96,7 @@ class TestBasics:
         forward = LossyPath(sim, delay=0.05, loss_model=periodic_loss(17))
         reverse = LossyPath(sim, delay=0.05)
         done = []
-        flow = TcpFlow(sim, "t", forward, reverse, variant="sack",
+        flow = TcpFlow(sim, "t", forward, reverse,
                        packets_to_send=100)
         flow.sender.on_complete = lambda: done.append(1)
         flow.start()
@@ -112,51 +105,20 @@ class TestBasics:
 
 
 class TestCongestionResponse:
-    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
-    def test_periodic_loss_caps_rate(self, variant):
+    def test_periodic_loss_caps_rate(self):
         """With p=1% the equation-fair rate is ~12 pkt/RTT; the flow must
         throttle far below the lossless case."""
         lossy_flow, lossy_received, _ = run_flow(
-            variant, loss_model=periodic_loss(100), duration=30.0
+            loss_model=periodic_loss(100), duration=30.0
         )
-        clean_flow, clean_received, _ = run_flow(variant, duration=30.0)
+        clean_flow, clean_received, _ = run_flow(duration=30.0)
         assert len(lossy_received) < len(clean_received) / 2
 
-    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
-    def test_loss_triggers_window_reduction(self, variant):
-        flow, _, _ = run_flow(variant, loss_model=periodic_loss(50), duration=10.0)
+    def test_loss_triggers_window_reduction(self):
+        flow, _, _ = run_flow(loss_model=periodic_loss(50), duration=10.0)
         sender = flow.sender
         assert sender.fast_retransmits + sender.timeouts > 0
         assert sender.cwnd < 64  # well below initial ssthresh growth
-
-    def test_tahoe_resets_to_one(self):
-        sim = Simulator()
-        forward = LossyPath(sim, delay=0.05, loss_model=periodic_loss(30))
-        reverse = LossyPath(sim, delay=0.05)
-        flow = TcpFlow(sim, "t", forward, reverse, variant="tahoe")
-        cwnd_after_loss = []
-        original = flow.sender.on_dupack_threshold
-
-        def spy():
-            original()
-            cwnd_after_loss.append(flow.sender.cwnd)
-
-        flow.sender.on_dupack_threshold = spy
-        flow.start()
-        sim.run(until=10.0)
-        assert cwnd_after_loss
-        assert all(c == 1.0 for c in cwnd_after_loss)
-
-    def test_reno_enters_fast_recovery(self):
-        sim = Simulator()
-        forward = LossyPath(sim, delay=0.05, loss_model=periodic_loss(40))
-        reverse = LossyPath(sim, delay=0.05)
-        flow = TcpFlow(sim, "t", forward, reverse, variant="reno")
-        flow.start()
-        sim.run(until=5.0)
-        assert flow.sender.fast_retransmits > 0
-        # Reno never goes back to cwnd=1 on a fast retransmit alone.
-        assert flow.sender.cwnd >= 1.0
 
     def test_sack_repairs_multiple_losses_without_timeout(self):
         """A burst of 3 losses in one window should be repaired by SACK
@@ -166,38 +128,45 @@ class TestCongestionResponse:
             sim, delay=0.05, loss_model=one_shot_loss({50, 52, 54})
         )
         reverse = LossyPath(sim, delay=0.05)
-        flow = TcpFlow(sim, "t", forward, reverse, variant="sack")
+        flow = TcpFlow(sim, "t", forward, reverse)
         flow.start()
         sim.run(until=10.0)
         assert flow.sender.timeouts == 0
         assert flow.sender.retransmissions >= 3
         assert flow.sender.snd_una > 60
 
-    @pytest.mark.parametrize("variant", [
-        pytest.param(v, marks=TAHOE_REPEATS_FAST_RETRANSMIT)
-        if v == "tahoe" else v
-        for v in sorted(TCP_VARIANTS)
-    ])
-    def test_three_losses_in_one_window(self, variant):
+    @pytest.mark.parametrize("seed", range(10))
+    def test_three_losses_in_one_window(self, seed):
         """Section 3.5.1: "Reno TCP typically reduces the congestion window
-        twice in response to multiple losses in a window of data"; NewReno
-        and SACK reduce it once, and so should Tahoe.  A reduction is a fast
-        retransmit or a timeout; ten drop placements."""
-        reductions = []
-        for seed in range(10):
-            flow, _, _ = run_flow(
-                variant, loss_model=one_shot_loss(three_in_one_window(seed)),
-                duration=10.0,
-            )
-            sender = flow.sender
-            reductions.append(
-                (sender.fast_retransmits + sender.timeouts, sender.timeouts)
-            )
-        if variant == "reno":
-            # Measured: three fast retransmits and one RTO per placement.
-            assert min(n for n, _ in reductions) >= 2, reductions
-        else:
-            assert reductions == [(1, 0)] * 10
+        twice in response to multiple losses in a window of data"; SACK
+        reduces it once.  A reduction is a fast retransmit or a timeout;
+        ten drop placements."""
+        flow, _, _ = run_flow(
+            loss_model=one_shot_loss(three_in_one_window(seed)), duration=10.0,
+        )
+        sender = flow.sender
+        assert (sender.fast_retransmits, sender.timeouts) == (1, 0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_three_losses_are_each_retransmitted_once(self, seed):
+        """The same placements: SACK recovery resends exactly the three
+        lost segments, oldest first, each once and each in recovery."""
+        lost = three_in_one_window(seed)
+        sim = Simulator()
+        forward = LossyPath(sim, delay=0.05, loss_model=one_shot_loss(lost))
+        flow = TcpFlow(sim, "t", forward, LossyPath(sim, delay=0.05))
+        sender, resent = flow.sender, []
+        transmit = sender._transmit
+
+        def spy(seq, is_retransmission=False):
+            if is_retransmission:
+                resent.append((seq, sender.in_recovery))
+            transmit(seq, is_retransmission)
+
+        sender._transmit = spy
+        flow.start()
+        sim.run(until=10.0)
+        assert resent == [(seq, True) for seq in sorted(lost)]
 
     def test_timeout_on_total_blackout(self):
         """If everything is lost the RTO must fire and back off."""
@@ -208,7 +177,7 @@ class TestCongestionResponse:
         sim = Simulator()
         forward = LossyPath(sim, delay=0.05, loss_model=blackout)
         reverse = LossyPath(sim, delay=0.05)
-        flow = TcpFlow(sim, "t", forward, reverse, variant="sack")
+        flow = TcpFlow(sim, "t", forward, reverse)
         flow.start()
         sim.run(until=30.0)
         assert flow.sender.timeouts >= 2
@@ -218,7 +187,7 @@ class TestCongestionResponse:
         sim = Simulator()
         forward = LossyPath(sim, delay=0.05, loss_model=periodic_loss(20))
         reverse = LossyPath(sim, delay=0.05)
-        flow = TcpFlow(sim, "t", forward, reverse, variant="sack")
+        flow = TcpFlow(sim, "t", forward, reverse)
         flow.start()
         sim.run(until=5.0)
         # SRTT must reflect the true ~0.1s RTT, unpolluted by retransmission
@@ -234,48 +203,29 @@ class TestCongestionResponse:
     "fix changes every TCP golden digest.",
 )
 def test_new_ack_past_snd_nxt_sends_no_acked_segment():
-    for sender_cls in (RenoSender, SackSender):
-        sim = Simulator()
-        sent = []
-        sender = sender_cls(sim, "f", sent.append)
-        sender.cwnd = 8.0
-        sender.start()
-        sim.run(until=5.0)  # no ACK arrives: 0..7, then an RTO resends 0
-        assert sender.timeouts >= 1 and sender.snd_nxt == sender.snd_una + 1
-        del sent[:]
-        ack = Packet("f", 8, 40, PacketType.ACK, sim.now, TCPAckInfo(0.0, 0))
-        sender.on_ack(ack)  # the receiver held 0..7 all along
-        assert sender.snd_una == 8
-        already_acked = [p.seq for p in sent if p.seq < sender.snd_una]
-        assert already_acked == [], sender_cls.__name__
-        assert sender.snd_una <= sender.snd_nxt
+    sim = Simulator()
+    sent = []
+    sender = TCPSender(sim, "f", sent.append)
+    sender.cwnd = 8.0
+    sender.start()
+    sim.run(until=5.0)  # no ACK arrives: 0..7, then an RTO resends 0
+    assert sender.timeouts >= 1 and sender.snd_nxt == sender.snd_una + 1
+    del sent[:]
+    ack = Packet("f", 8, 40, PacketType.ACK, sim.now, TCPAckInfo(0.0, 0))
+    sender.on_ack(ack)  # the receiver held 0..7 all along
+    assert sender.snd_una == 8
+    already_acked = [p.seq for p in sent if p.seq < sender.snd_una]
+    assert already_acked == []
+    assert sender.snd_una <= sender.snd_nxt
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect (ROADMAP item 5), second trigger: Tahoe's fast "
-    "retransmit goes back N as an RTO does, so the cumulative ACK for the "
-    "repaired hole passes snd_nxt and _send_new re-sends segments below "
-    "snd_una -- with no timeout at all.",
-)
-def test_tahoe_fast_retransmit_sends_no_acked_segment():
-    flow, _, _ = run_flow("tahoe", loss_model=one_shot_loss({40}), duration=5.0)
-    sender = flow.sender
-    assert sender.timeouts == 0 and sender.fast_retransmits >= 1
-    assert sender.acked_resends == 0
-
-
-@pytest.mark.parametrize("variant, p, resends", [
-    ("tahoe", 0.01, 456), ("reno", 0.05, 162), ("newreno", 0.05, 100),
-    ("sack", 0.05, 114), ("sack", 0.01, 0),
-])
-def test_acked_resends_counts_the_go_back_n_defect(variant, p, resends):
+@pytest.mark.parametrize("p, resends", [(0.05, 114), (0.01, 0)])
+def test_acked_resends_counts_the_go_back_n_defect(p, resends):
     """``TCPSender.acked_resends`` on the golden lossy path (Bernoulli ``p``,
     seed 5, 60 simulated s), pinned at the values measured before the
-    counter existed; ROADMAP item 5's fix takes them all to zero."""
+    counter existed; ROADMAP item 5's fix takes them to zero."""
     flow, _, _ = run_flow(
-        variant, loss_model=bernoulli_loss(p, np.random.default_rng(5)),
-        duration=60.0,
+        loss_model=bernoulli_loss(p, np.random.default_rng(5)), duration=60.0,
     )
     assert flow.sender.acked_resends == resends
 
@@ -287,9 +237,9 @@ class TestSndUnaBoundCheck:
     ``acks_past_snd_nxt``; any other raises ``SimulationError``."""
 
     @staticmethod
-    def _eight_in_flight(variant):
+    def _eight_in_flight():
         sim = Simulator()
-        sender = make_tcp_sender(variant, sim, "f", lambda p: None)
+        sender = TCPSender(sim, "f", lambda p: None)
         sender.cwnd = 8.0
         sender.start()
         assert (sender.snd_una, sender.snd_nxt) == (0, 8)
@@ -299,9 +249,8 @@ class TestSndUnaBoundCheck:
     def _ack(sim, seq):
         return Packet("f", seq, 40, PacketType.ACK, sim.now, TCPAckInfo(0.0, 0))
 
-    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
-    def test_planted_violation_without_go_back_n_raises(self, variant):
-        sim, sender = self._eight_in_flight(variant)
+    def test_planted_violation_without_go_back_n_raises(self):
+        sim, sender = self._eight_in_flight()
         sim.run(until=0.05)  # before the RTO: nothing went back
         with pytest.raises(SimulationError) as excinfo:
             sender.on_ack(self._ack(sim, 12))  # 12 > snd_nxt = 8: corrupt
@@ -310,27 +259,24 @@ class TestSndUnaBoundCheck:
         assert "snd_una 12 > snd_nxt 8" in message
         assert sender.acks_past_snd_nxt == 0
 
-    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
-    def test_ack_past_a_go_back_n_snd_nxt_is_counted(self, variant):
-        sim, sender = self._eight_in_flight(variant)
+    def test_ack_past_a_go_back_n_snd_nxt_is_counted(self):
+        sim, sender = self._eight_in_flight()
         sim.run(until=5.0)  # no ACK arrives: the RTO goes back N
         assert sender.timeouts >= 1 and sender.snd_nxt == sender.snd_una + 1
         sender.on_ack(self._ack(sim, 8))  # the receiver held 0..7 all along
         assert sender.snd_una == 8 and sender.acks_past_snd_nxt == 1
 
-    @pytest.mark.parametrize("variant, p, past, resends", [
-        ("tahoe", 0.05, 74, 265), ("reno", 0.05, 32, 162),
-        ("newreno", 0.05, 22, 100), ("sack", 0.05, 26, 114),
-        ("sack", 0.01, 0, 0),
+    @pytest.mark.parametrize("p, past, resends", [
+        (0.05, 26, 114), (0.01, 0, 0),
     ])
     def test_count_is_zero_exactly_where_acked_resends_is(
-        self, variant, p, past, resends
+        self, p, past, resends
     ):
-        """The four per-variant golden TCP runs (Bernoulli 5 %, seed 5, 60
-        simulated s) and SACK at 1 %, where neither count moves; the counts
-        are the ones measured when the check landed."""
+        """The golden TCP run (Bernoulli 5 %, seed 5, 60 simulated s) and
+        the same at 1 %, where neither count moves; the counts are the ones
+        measured when the check landed."""
         flow, _, _ = run_flow(
-            variant, loss_model=bernoulli_loss(p, np.random.default_rng(5)),
+            loss_model=bernoulli_loss(p, np.random.default_rng(5)),
             duration=60.0,
         )
         sender = flow.sender
@@ -338,14 +284,10 @@ class TestSndUnaBoundCheck:
 
 
 class TestWindowCeiling:
-    """``MAX_CWND`` bounds normal growth (``_open_window``) only; Reno and
-    NewReno dupACK inflation passes it.  These pin today's answer; whether
-    inflation should stop at the ceiling too is decided with ROADMAP
-    item 5."""
+    """``MAX_CWND`` bounds normal growth (``_open_window``)."""
 
-    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
-    def test_open_window_stops_at_max_cwnd(self, variant):
-        sender = make_tcp_sender(variant, Simulator(), "f", lambda p: None)
+    def test_open_window_stops_at_max_cwnd(self):
+        sender = TCPSender(Simulator(), "f", lambda p: None)
         sender.ssthresh = 2 * sender.MAX_CWND  # slow start: +1 per ACK
         sender.cwnd = sender.MAX_CWND - 0.5
         sender._open_window(1)
@@ -353,22 +295,14 @@ class TestWindowCeiling:
         sender._open_window(1)
         assert sender.cwnd == sender.MAX_CWND
 
-    @pytest.mark.parametrize("variant", ["reno", "newreno"])
-    def test_dupack_inflation_passes_max_cwnd(self, variant):
-        sender = make_tcp_sender(variant, Simulator(), "f", lambda p: None)
-        sender.cwnd, sender.in_recovery = sender.MAX_CWND, True
-        sender.on_recovery_dupack()
-        assert sender.cwnd == sender.MAX_CWND + 1.0
-
 
 class TestNonFiniteWindow:
     """``_set_cwnd`` raises on a NaN or infinite window instead of flooring
     it to one packet, naming the flow and the sim-time."""
 
-    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
-    def test_forged_value_raises(self, variant):
+    def test_forged_value_raises(self):
         sim = Simulator()
-        sender = make_tcp_sender(variant, sim, "f7", lambda p: None)
+        sender = TCPSender(sim, "f7", lambda p: None)
         sim.run(until=1.25)
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(
@@ -378,12 +312,11 @@ class TestNonFiniteWindow:
         sender._set_cwnd(0.25)  # finite values keep the one-packet floor
         assert sender.cwnd == 1.0
 
-    @pytest.mark.parametrize("variant", sorted(TCP_VARIANTS))
-    def test_forged_nan_stops_the_run_at_the_next_ack(self, variant):
+    def test_forged_nan_stops_the_run_at_the_next_ack(self):
         sim = Simulator()
         forward = LossyPath(sim, delay=0.05)
         reverse = LossyPath(sim, delay=0.05)
-        flow = TcpFlow(sim, "t", forward, reverse, variant=variant)
+        flow = TcpFlow(sim, "t", forward, reverse)
         flow.start()
         sim.run(until=1.0)
         flow.sender.cwnd = float("nan")  # grows to NaN on the next ACK
@@ -403,7 +336,7 @@ class TestRecoveryBookkeeping:
 
         forward = LossyPath(sim, delay=0.05, loss_model=heavy)
         reverse = LossyPath(sim, delay=0.05)
-        flow = TcpFlow(sim, "t", forward, reverse, variant="sack")
+        flow = TcpFlow(sim, "t", forward, reverse)
         flow.start()
         worst = [0.0]
 

@@ -170,7 +170,7 @@ floats = st.one_of(
 metas = st.one_of(
     st.none(),
     st.fixed_dictionaries({"seq": ints}),  # core/sender.py send
-    st.fixed_dictionaries({"seq": ints, "retx": st.booleans()}),  # tcp/base.py
+    st.fixed_dictionaries({"seq": ints, "retx": st.booleans()}),  # tcp/sender.py
     st.fixed_dictionaries({"flow": sources, "seq": ints}),  # net/monitor.py drop
     st.dictionaries(  # any other shape: flags, names, floats, empty
         st.sampled_from(["a", "b", "seq"]),

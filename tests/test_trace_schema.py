@@ -2,8 +2,8 @@
 
 Statically, every ``record()`` call under ``src/repro`` whose category is a
 string literal is a (category, emitter) row of the table.  At run time the
-traced golden runs -- the traced mixed dumbbell and the four traced TCP
-lossy paths -- emit exactly the table's categories, and each category's
+traced golden runs -- the traced mixed dumbbell and the traced TCP lossy
+path -- emit exactly the table's categories, and each category's
 records carry exactly the ``meta`` key sets its rows declare.
 """
 
@@ -16,9 +16,7 @@ from test_golden_digests import RUNS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
-TRACED_RUNS = ("traced_mixed_dumbbell",) + tuple(
-    f"tcp_lossy_path_{variant}" for variant in ("tahoe", "reno", "newreno", "sack")
-)
+TRACED_RUNS = ("traced_mixed_dumbbell", "tcp_lossy_path_sack")
 
 
 def _table_rows():
