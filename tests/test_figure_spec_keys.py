@@ -1,14 +1,16 @@
-"""Every figure's specs, pinned by their cell keys.
+"""Every figure's specs, pinned by their cell keys, at both CLI scales.
 
-``tfrc-experiment all --quick`` runs fifteen sweeps: one per figure, plus
-fig03's damped sweep (Figure 4) and fig20's drop-rate sweep (Figure 21).
-Each cell is keyed ``<scenario>-<spec_hash>`` and the key files its cache
-entry, so an edit to the figure layer that changes one parameter, default
-or type of any spec moves a key here.  The sweeps are expanded, not
-simulated: ``SweepRunner.run`` records the keys and stops.
+``tfrc-experiment all`` runs fifteen sweeps at either scale: one per
+figure, plus fig03's damped sweep (Figure 4) and fig20's drop-rate sweep
+(Figure 21).  Each cell is keyed ``<scenario>-<spec_hash>`` and the key
+files its cache entry, so an edit to the figure layer that changes one
+parameter, default or type of any spec moves a key here.  The sweeps are
+expanded, not simulated: ``SweepRunner.run`` records the keys and stops.
 
-``tests/figure_spec_keys.json`` was recorded before the figure options were
-culled; running this module as a script rewrites it.
+``tests/figure_spec_keys.json`` holds one entry per sweep under ``quick``
+(``--quick``) and ``full`` (no flag).  The quick entries were recorded
+before the figure options were culled; running this module as a script
+rewrites the file.
 """
 
 import json
@@ -28,23 +30,27 @@ class _Expanded(Exception):
     """Raised in place of simulating a sweep once its keys are recorded."""
 
 
-def _quick_sweeps():
-    """``name`` -> zero-argument call that starts one ``--quick`` sweep."""
+def _sweeps(quick):
+    """``name`` -> zero-argument call that starts one sweep at the scale."""
     sweeps = {
-        name: lambda name=name: runner.EXPERIMENTS[name](True, False)
+        name: lambda name=name: runner.EXPERIMENTS[name](quick, False)
         for name in runner.EXPERIMENTS
     }
     # The second sweep of each two-sweep figure, which the first one's
-    # stop never reaches: the quick CLI's own arguments.
+    # stop never reaches: the CLI's own arguments at each scale.
     sweeps["fig03_damped"] = lambda: fig03.run(
-        buffer_sizes=(8, 32), interpacket_adjustment=True, duration=30.0
+        buffer_sizes=(8, 32) if quick else (2, 8, 32, 64),
+        interpacket_adjustment=True,
+        duration=30.0 if quick else 60.0,
     )
-    sweeps["fig21"] = lambda: fig20.run_sweep(initial_periods=(100, 10))
+    sweeps["fig21"] = lambda: fig20.run_sweep(
+        initial_periods=(100, 10) if quick else (200, 100, 50, 25, 10, 5, 4)
+    )
     return sweeps
 
 
-def expanded_keys():
-    """The cell keys of every quick sweep, in expansion order."""
+def expanded_keys(quick):
+    """The cell keys of every sweep at the scale, in expansion order."""
     recorded = {}
     patch = pytest.MonkeyPatch()
 
@@ -55,7 +61,7 @@ def expanded_keys():
     patch.setattr(SweepRunner, "run", expand)
     try:
         keys = {}
-        for name, start in sorted(_quick_sweeps().items()):
+        for name, start in sorted(_sweeps(quick).items()):
             recorded.clear()
             with pytest.raises(_Expanded):
                 start()
@@ -66,14 +72,26 @@ def expanded_keys():
 
 
 def test_every_quick_sweep_builds_its_pinned_specs():
-    keys = expanded_keys()
+    keys = expanded_keys(quick=True)
     assert len(keys) == 15
     # 37 cells, 36 specs: fig15's UCL cell is one of fig16's five.
     assert sum(map(len, keys.values())) == 37
     assert len({key for cells in keys.values() for key in cells}) == 36
-    assert keys == json.loads(PINNED.read_text())
+    assert keys == json.loads(PINNED.read_text())["quick"]
+
+
+def test_every_full_sweep_builds_its_pinned_specs():
+    keys = expanded_keys(quick=False)
+    assert len(keys) == 15
+    # 109 cells, 108 specs: fig15's UCL cell is one of fig16's five.
+    assert sum(map(len, keys.values())) == 109
+    assert len({key for cells in keys.values() for key in cells}) == 108
+    assert keys == json.loads(PINNED.read_text())["full"]
 
 
 if __name__ == "__main__":
-    PINNED.write_text(json.dumps(expanded_keys(), indent=2, sort_keys=True) + "\n")
+    pinned = {
+        scale: expanded_keys(quick=scale == "quick") for scale in ("quick", "full")
+    }
+    PINNED.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
     print(f"wrote {PINNED}")
