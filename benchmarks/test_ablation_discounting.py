@@ -10,11 +10,14 @@ Figure 19 scenario both ways and checks:
 """
 
 from repro.experiments import fig19_increase as fig19
+from repro.experiments.runner import FIGURES
+
+SCALE = FIGURES["fig19"].full
 
 
 def run_both():
-    with_discounting = fig19.run(duration=13.0, history_discounting=True)
-    without = fig19.run(duration=13.0, history_discounting=False)
+    with_discounting = fig19.run(**SCALE, history_discounting=True)
+    without = fig19.run(**SCALE, history_discounting=False)
     return with_discounting, without
 
 

@@ -8,10 +8,13 @@ under constant loss, fast reduction at the 10% step, smooth recovery.
 import numpy as np
 
 from repro.experiments import fig02_loss_interval as fig02
+from repro.experiments.runner import FIGURES
+
+FIGURE = FIGURES["fig02"]
 
 
 def test_fig02_loss_interval(once, benchmark):
-    result = once(benchmark, fig02.run, duration=16.0)
+    result = once(benchmark, FIGURE.entry(), **FIGURE.full)
 
     summary = fig02.summarize(result)
     # Paper: constant 1% loss -> completely stable interval estimate (~100).

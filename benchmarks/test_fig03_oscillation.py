@@ -2,18 +2,20 @@
 
 Sweeps the DropTail buffer and reports the steady-state send-rate CoV; the
 companion Figure 4 bench shows the same sweep with the interpacket-spacing
-adjustment enabled.
+adjustment enabled.  Both run the full-scale ``tfrc-experiment fig03``
+row, which runs both sweeps, so they share their cells through the
+session's result cache.
 """
 
-from repro.experiments import fig03_oscillation as fig03
+from repro.experiments.runner import FIGURES
 
-BUFFERS = (2, 8, 32, 64)
+FIGURE = FIGURES["fig03"]
+BUFFERS = FIGURE.full["buffer_sizes"]
 
 
-def test_fig03_oscillation_without_adjustment(once, benchmark):
-    result = once(
-        benchmark, fig03.run,
-        buffer_sizes=BUFFERS, interpacket_adjustment=False, duration=40.0,
+def test_fig03_oscillation_without_adjustment(once, benchmark, cache_dir):
+    result, _ = once(
+        benchmark, FIGURE.entry(), **FIGURE.full, cache_dir=cache_dir
     )
     # The flow must achieve sane throughput at every buffer size...
     for buffer_packets in BUFFERS:

@@ -5,18 +5,15 @@ The headline assertion: at small-to-moderate buffers the adjusted flow's
 send-rate CoV is lower than the unadjusted flow's from the Figure 3 bench.
 """
 
-from repro.experiments import fig03_oscillation as fig03
+from repro.experiments.runner import FIGURES
 
-BUFFERS = (2, 8, 32, 64)
+FIGURE = FIGURES["fig03"]
+BUFFERS = FIGURE.full["buffer_sizes"]
 
 
-def test_fig04_oscillation_damped(once, benchmark):
-    damped = once(
-        benchmark, fig03.run,
-        buffer_sizes=BUFFERS, interpacket_adjustment=True, duration=40.0,
-    )
-    plain = fig03.run(
-        buffer_sizes=BUFFERS, interpacket_adjustment=False, duration=40.0
+def test_fig04_oscillation_damped(once, benchmark, cache_dir):
+    plain, damped = once(
+        benchmark, FIGURE.entry(), **FIGURE.full, cache_dir=cache_dir
     )
     improved = sum(
         damped.cov_by_buffer[b] <= plain.cov_by_buffer[b] + 0.01 for b in BUFFERS

@@ -8,15 +8,13 @@ the 1x flow.
 
 import numpy as np
 
-from repro.experiments import fig05_loss_event_fraction as fig05
+from repro.experiments.runner import FIGURES
+
+FIGURE = FIGURES["fig05"]
 
 
 def test_fig05_loss_event_fraction(once, benchmark):
-    result = once(
-        benchmark, fig05.run,
-        p_loss_values=np.linspace(0.005, 0.25, 20),
-        monte_carlo=True, mc_packets=60_000,
-    )
+    result = once(benchmark, FIGURE.entry(), **FIGURE.full)
     for multiplier, curve in result.p_event_by_multiplier.items():
         for p_loss, p_event in zip(result.p_loss_values, curve):
             assert 0.0 <= p_event <= p_loss + 1e-12

@@ -1,22 +1,17 @@
 """Figure 6 bench: normalized TCP throughput when competing with TFRC.
 
-A reduced version of the paper's (link rate x flow count x queue type)
+The ``--quick`` row of the paper's (link rate x flow count x queue type)
 grid.  Asserts the headline claims: both protocols within a fair band,
 network utilization above 90% for the RED/DropTail aggregate cases.
 """
 
-from repro.experiments import fig06_fairness_grid as fig06
+from repro.experiments.runner import FIGURES
 
-LINK_RATES = (8, 16)
-FLOW_COUNTS = (8, 32)
+FIGURE = FIGURES["fig06"]
 
 
 def test_fig06_fairness_grid(once, benchmark):
-    result = once(
-        benchmark, fig06.run,
-        link_rates_mbps=LINK_RATES, flow_counts=FLOW_COUNTS,
-        queue_types=("droptail", "red"), duration=60.0,
-    )
+    result = once(benchmark, FIGURE.entry(), **FIGURE.quick)
     print("\nFigure 6 reproduction (mean normalized throughput):")
     for cell in result.cells:
         print(

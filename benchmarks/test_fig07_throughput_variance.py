@@ -11,6 +11,8 @@ from repro.analysis.stats import jain_fairness_index
 from repro.experiments import fig06_fairness_grid as fig06
 
 
+# Figure 7's claim is about the 15 Mb/s RED column over two seeds, a cell
+# no ``tfrc-experiment fig06`` row runs.
 def run_cells():
     """Two replicated 15 Mb/s cells ("typically" in the paper is a tendency
     across runs, so a single seed is too noisy to assert on)."""

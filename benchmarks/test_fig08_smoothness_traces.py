@@ -5,11 +5,13 @@ variation starts to be noticeable to multimedia users) TFRC's traces are
 much smoother than TCP's, on both RED and DropTail bottlenecks.
 """
 
-from repro.experiments import fig08_smoothness as fig08
+from repro.experiments.runner import FIGURES
+
+FIGURE = FIGURES["fig08"]
 
 
 def test_fig08_smoothness(once, benchmark):
-    results = once(benchmark, fig08.run, duration=30.0)
+    results = once(benchmark, FIGURE.entry(), **FIGURE.full)
     red, droptail = results["red"], results["droptail"]
     print("\nFigure 8 reproduction (mean CoV of 0.15 s throughput):")
     for result in (red, droptail):

@@ -1,19 +1,19 @@
 """Figure 9 bench: equivalence ratio vs measurement timescale.
 
-Reduced version of the paper's 14-run steady-state scenario.  Asserts the
+The ``--quick`` row of the paper's 14-run steady-state scenario.  Asserts the
 paper's band: TFRC/TCP equivalence between ~0.5 and 1.0 over the swept
 timescales, with TFRC/TFRC pairs at least as equivalent as TCP/TCP pairs on
 short timescales.
 """
 
-from repro.experiments import fig09_equivalence as fig09
+from repro.experiments.runner import FIGURES
+
+FIGURE = FIGURES["fig09"]
 
 
 def test_fig09_equivalence(once, benchmark, cache_dir):
     result = once(
-        benchmark, fig09.run,
-        runs=2, duration=60.0, measure_seconds=40.0, n_each=16,
-        cache_dir=cache_dir,
+        benchmark, FIGURE.entry(), **FIGURE.quick, cache_dir=cache_dir
     )
     print("\nFigure 9 reproduction (equivalence ratio by timescale):")
     print("  tau    TFRC/TFRC  TCP/TCP  TFRC/TCP")

@@ -7,14 +7,14 @@ the Figure 9 bench, so after that bench its ``benchmark`` timing reads a
 warm (all cache hits) run, not a simulation.
 """
 
-from repro.experiments import fig09_equivalence as fig09
+from repro.experiments.runner import FIGURES
+
+FIGURE = FIGURES["fig09"]
 
 
 def test_fig10_cov(once, benchmark, cache_dir):
     result = once(
-        benchmark, fig09.run,
-        runs=2, duration=60.0, measure_seconds=40.0, n_each=16,
-        cache_dir=cache_dir,
+        benchmark, FIGURE.entry(), **FIGURE.quick, cache_dir=cache_dir
     )
     print("\nFigure 10 reproduction (CoV by timescale):")
     print("  tau    CoV(TCP)  CoV(TFRC)")

@@ -5,12 +5,16 @@ high loss; CoV values are much higher than in the steady-state scenario
 (Figure 10) because of the variable background.
 """
 
-from repro.experiments import fig11_onoff as fig11
+from repro.experiments.runner import FIGURES
+
+FIGURE = FIGURES["fig11"]
 
 
-def test_fig13_onoff_cov(once, benchmark):
-    result = once(benchmark, fig11.run, source_counts=(100,), duration=150.0).runs[0]
-    print("\nFigure 13 reproduction (CoV by timescale, 100 ON/OFF sources):")
+def test_fig13_onoff_cov(once, benchmark, cache_dir):
+    result = once(
+        benchmark, FIGURE.entry(), **FIGURE.quick, cache_dir=cache_dir
+    ).runs[-1]
+    print(f"\nFigure 13 reproduction (CoV by timescale, {result.sources} ON/OFF sources):")
     print("  tau     CoV(TFRC)  CoV(TCP)")
     for tau in sorted(result.cov_tfrc_by_tau):
         print(

@@ -8,13 +8,14 @@ one-second intervals).
 import numpy as np
 
 from repro.analysis.cov import coefficient_of_variation
-from repro.experiments import internet
+from repro.experiments.runner import FIGURES
+
+FIGURE = FIGURES["fig15"]
 
 
 def test_fig15_internet_trace(once, benchmark, cache_dir):
     result = once(
-        benchmark, internet.run_all, ("ucl",), duration=90.0,
-        cache_dir=cache_dir,
+        benchmark, FIGURE.entry(), **FIGURE.quick, cache_dir=cache_dir
     )["ucl"]
     mean_tcp = float(np.mean(result.tcp_throughputs_bps))
     print("\nFigure 15 reproduction (synthetic UCL path):")

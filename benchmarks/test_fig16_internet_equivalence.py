@@ -7,12 +7,14 @@ UCL cell is the Figure 15 bench's, replayed from the session's result
 cache when that bench ran first.
 """
 
-from repro.experiments import internet
+from repro.experiments.runner import FIGURES
+
+FIGURE = FIGURES["fig16"]
 
 
 def test_fig16_internet_equivalence(once, benchmark, cache_dir):
     results = once(
-        benchmark, internet.run_all, duration=90.0, cache_dir=cache_dir
+        benchmark, FIGURE.entry(), **FIGURE.quick, cache_dir=cache_dir
     )
     print("\nFigure 16 reproduction (equivalence by path):")
     for name, result in results.items():

@@ -9,12 +9,14 @@ timing reads a warm (all cache hits) run, not a simulation.
 
 import numpy as np
 
-from repro.experiments import internet
+from repro.experiments.runner import FIGURES
+
+FIGURE = FIGURES["fig16"]
 
 
 def test_fig17_internet_cov(once, benchmark, cache_dir):
     results = once(
-        benchmark, internet.run_all, duration=90.0, cache_dir=cache_dir
+        benchmark, FIGURE.entry(), **FIGURE.quick, cache_dir=cache_dir
     )
     print("\nFigure 17 reproduction (CoV at the shortest timescale):")
     smoother = 0

@@ -6,11 +6,13 @@ paper's shape: errors are broadly flat in history size (n=8 is a reasonable
 choice); decreasing weights cost essentially nothing in accuracy.
 """
 
-from repro.experiments import fig18_predictor as fig18
+from repro.experiments.runner import FIGURES
+
+FIGURE = FIGURES["fig18"]
 
 
 def test_fig18_predictor(once, benchmark):
-    result = once(benchmark, fig18.run, duration=100.0)
+    result = once(benchmark, FIGURE.entry(), **FIGURE.quick)
     print("\nFigure 18 reproduction (mean prediction error):")
     print("  history  constant   decreasing")
     for history in result.history_sizes:

@@ -18,6 +18,9 @@ from reference_models import (
     wali_weights_exact,
 )
 from repro.experiments import fig19_increase as fig19
+from repro.experiments.runner import FIGURES
+
+FIGURE = FIGURES["fig19"]
 
 #: the lower edges' allowance for sampling the slope on the feedback clock
 #: (``mean_slope`` reads two samples whose phase drifts); the suprema get
@@ -26,7 +29,7 @@ SAMPLING_TOL = 0.02
 
 
 def test_fig19_increase_rate(once, benchmark):
-    result = once(benchmark, fig19.run, duration=13.0)
+    result = once(benchmark, FIGURE.entry(), **FIGURE.full)
     start = result.increase_start_time()
     normal_slope = result.mean_slope(start, start + 0.7)
     late_slope = result.mean_slope(result.loss_stop_time + 2.0, result.times[-1])

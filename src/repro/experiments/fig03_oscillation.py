@@ -11,9 +11,10 @@ weight at a small value and **without** the interpacket-spacing adjustment,
 the flow overshoots the link and oscillates (Figure 3); enabling the
 ``sqrt(R0)/M`` adjustment of section 3.4 damps the oscillations (Figure 4).
 
-The measured quantity is the send rate in KB/s sampled over small intervals;
-the bench compares the oscillation amplitude (CoV of the rate in steady
-state) with and without the adjustment.
+The measured quantity is the flow's arrival rate after the bottleneck: the
+``FlowMonitor`` bins delivered bytes into ``TAU`` s intervals (KB/s), not
+the sender's allowed rate.  The bench compares the oscillation amplitude
+(CoV of that rate in steady state) with and without the adjustment.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ def dummynet_pipe(
 
 @register_scenario("fig03_pipe")
 def pipe_scenario(spec: ScenarioSpec) -> JsonDict:
-    """One pipe run, as a sweep cell: the send-rate series (KB/s) after
-    slow start, its CoV and its mean.
+    """One pipe run, as a sweep cell: the delivered-rate series (KB/s)
+    after slow start, its CoV and its mean.
 
     Spec layout::
 
@@ -131,3 +132,12 @@ def run(
         result.cov_by_buffer[buffer_packets] = float(cell.result["cov"])
         result.mean_rate_by_buffer[buffer_packets] = float(cell.result["mean"])
     return result
+
+
+def run_both(
+    buffer_sizes: Tuple[int, ...], duration: float, **sweep: object
+) -> Tuple[Fig03Result, Fig03Result]:
+    """Figure 3's sweep, then Figure 4's: the same buffers and duration
+    without and with the interpacket adjustment."""
+    plain = run(buffer_sizes, False, duration, **sweep)
+    return plain, run(buffer_sizes, True, duration, **sweep)

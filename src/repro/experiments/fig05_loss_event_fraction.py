@@ -15,7 +15,7 @@ for free and Monte-Carlo streams are seeded deterministically per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from repro.analysis.bernoulli import (
 from repro.scenarios import ScenarioSpec, SweepRunner, register_scenario
 from repro.scenarios.spec import JsonDict
 
-DEFAULT_P_LOSS = tuple(np.linspace(0.005, 0.25, 25))
+P_LOSS_VALUES = tuple(float(p) for p in np.linspace(0.005, 0.25, 25))
+#: packets in each Monte-Carlo stream.
+MC_PACKETS = 100_000
 #: rates at 0.5x, 1x and 2x the equation's.
 MULTIPLIERS = (0.5, 1.0, 2.0)
 RTT = 0.1
@@ -97,13 +99,7 @@ def curve_scenario(spec: ScenarioSpec) -> JsonDict:
     return result
 
 
-def run(
-    p_loss_values: Sequence[float] = DEFAULT_P_LOSS,
-    monte_carlo: bool = True,
-    mc_packets: int = 100_000,
-    seed: int = 0,
-    **sweep: object,
-) -> Fig05Result:
+def run(monte_carlo: bool = True, seed: int = 0, **sweep: object) -> Fig05Result:
     """Compute the Figure 5 curves as a sweep over rate multipliers.
 
     Each multiplier is one cell; ``parallel=N`` fans cells out over worker
@@ -118,9 +114,9 @@ def run(
         duration=0.0,  # analytic + Monte-Carlo: no simulated clock
         topology={"rtt": RTT, "packet_size": PACKET_SIZE},
         extra={
-            "p_loss_values": [float(p) for p in p_loss_values],
+            "p_loss_values": list(P_LOSS_VALUES),
             "monte_carlo": bool(monte_carlo),
-            "mc_packets": int(mc_packets),
+            "mc_packets": MC_PACKETS,
         },
     )
     cells = SweepRunner(
@@ -129,7 +125,7 @@ def run(
         seed_mode="derived",
         **sweep,
     ).run().complete_cells()
-    result = Fig05Result(p_loss_values=[float(p) for p in p_loss_values])
+    result = Fig05Result(p_loss_values=list(P_LOSS_VALUES))
     for cell in cells:
         data = cell.result
         multiplier = float(data["rate_multiplier"])

@@ -31,6 +31,8 @@ from repro.scenarios.spec import JsonDict
 
 PAPER_TIMESCALES = (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
 LINK_BPS = 15e6
+#: TFRC flows, and as many TCP flows, on the link.
+N_EACH = 16
 #: a cell's per-timescale sample lists: the three equivalence pairings
 #: (TFRC/TFRC, TCP/TCP, TFRC/TCP) and the two CoV populations.
 SAMPLES = ("ee", "cc", "ec", "cov_tcp", "cov_tfrc")
@@ -121,23 +123,20 @@ def run(
     runs: int = 4,
     duration: float = 90.0,
     measure_seconds: float = 60.0,
-    n_each: int = 16,
     seed: int = 0,
     **sweep: object,
 ) -> Fig09Result:
     """Run the replicated steady-state scenario as a sweep over seeds.
 
-    Defaults are scaled down from the paper's 14 x 150 s to keep runtimes
-    sane; pass ``runs=14, duration=150, measure_seconds=100`` for the full
-    configuration.  The replications are independent cells, so
-    ``parallel=N`` runs them N at a time.
+    The paper runs 14 replications of 150 s.  The replications are
+    independent cells, so ``parallel=N`` runs them N at a time.
     """
     timescales = [t for t in PAPER_TIMESCALES if t < measure_seconds / 2]
     base = ScenarioSpec(
         scenario="fig09_replication",
         duration=duration,
         seed=seed,
-        flows={"n_each": int(n_each)},
+        flows={"n_each": N_EACH},
         topology={"bandwidth_bps": LINK_BPS},
         queue={"type": "red"},
         extra={"timescales": timescales, "measure_seconds": float(measure_seconds)},

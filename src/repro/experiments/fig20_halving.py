@@ -154,3 +154,11 @@ def run_sweep(
         result.drop_rates.append(1.0 / period)
         result.rtts_to_halve.append(HalvingResult(**cell.result).rtts_to_halve())
     return result
+
+
+def run_both(
+    initial_periods: Sequence[int], **sweep: object
+) -> Tuple[HalvingResult, Fig21Result]:
+    """Figure 20's run, then Figure 21's sweep over ``initial_periods``."""
+    halving = run(**sweep)
+    return halving, run_sweep(initial_periods, **sweep)

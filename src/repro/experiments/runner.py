@@ -9,91 +9,87 @@ Usage::
                                      # (fig02, fig05, fig09, fig18, fig20)
     tfrc-experiment fig06 --parallel 1   # in this process (the default is
                                          # one worker process per CPU)
+
+Each figure id is one row of :data:`FIGURES`.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import Callable, Dict
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 
-def _fig02(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import fig02_loss_interval as fig02
+class Figure(NamedTuple):
+    """One figure id: the entry point that runs it (a dotted path, imported
+    only when the figure runs), its keyword sets at the ``--quick`` and
+    full scales, and what prints its result and its ``--plot`` chart."""
 
-    result = fig02.run(duration=12.0 if quick else 16.0, **sweep)
-    summary = fig02.summarize(result)
+    run: str
+    quick: Dict[str, Any]
+    full: Dict[str, Any]
+    report: Callable[[Any], None]
+    chart: Optional[Callable[[Any], None]] = None
+
+    def entry(self) -> Callable[..., Any]:
+        """The entry point ``run`` names, its module imported now."""
+        module, _, name = self.run.rpartition(".")
+        return getattr(importlib.import_module(module), name)
+
+
+def _fig02(result) -> None:
+    from repro.experiments.fig02_loss_interval import summarize
+
     print("Figure 2 (Average Loss Interval under periodic loss)")
-    for key, value in summary.items():
+    for key, value in summarize(result).items():
         print(f"  {key:28s} {value:.4f}")
-    if plot:
-        from repro.analysis.charts import line_chart, sparkline
-
-        print()
-        print(line_chart(
-            {
-                "current interval s0": list(zip(result.times, result.current_interval)),
-                "estimated interval": list(zip(result.times, result.estimated_interval)),
-            },
-            title="Fig 2 (top): loss intervals",
-            x_label="time (s)", y_label="packets",
-        ))
-        print()
-        print("TX rate trace: " + sparkline(result.tx_rate_bytes, width=64))
 
 
-def _fig03(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import fig03_oscillation as fig03
+def _fig02_chart(result) -> None:
+    from repro.analysis.charts import line_chart, sparkline
 
-    buffers = (8, 32) if quick else (2, 8, 32, 64)
-    duration = 30.0 if quick else 60.0
-    plain = fig03.run(
-        buffer_sizes=buffers, interpacket_adjustment=False, duration=duration,
-        **sweep,
-    )
-    damped = fig03.run(
-        buffer_sizes=buffers, interpacket_adjustment=True, duration=duration,
-        **sweep,
-    )
+    print(line_chart(
+        {
+            "current interval s0": list(zip(result.times, result.current_interval)),
+            "estimated interval": list(zip(result.times, result.estimated_interval)),
+        },
+        title="Fig 2 (top): loss intervals",
+        x_label="time (s)", y_label="packets",
+    ))
+    print()
+    print("TX rate trace: " + sparkline(result.tx_rate_bytes, width=64))
+
+
+def _fig03(results) -> None:
+    plain, damped = results
     print("Figures 3/4 (oscillation CoV without -> with interpacket adjustment)")
-    for b in buffers:
+    for b in plain.buffer_sizes:
         print(
             f"  buffer {b:3d}: {plain.cov_by_buffer[b]:.3f} -> "
             f"{damped.cov_by_buffer[b]:.3f}"
         )
 
 
-def _fig05(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import fig05_loss_event_fraction as fig05
-
-    result = fig05.run(monte_carlo=not quick, **sweep)
+def _fig05(result) -> None:
     print("Figure 5 (loss-event fraction vs loss probability)")
-    for multiplier, curve in sorted(result.p_event_by_multiplier.items()):
+    for multiplier in sorted(result.p_event_by_multiplier):
         gap = result.max_relative_gap(multiplier)
         print(f"  rate x{multiplier:3.1f}: max (p_loss-p_event)/p_loss = {gap:.3f}")
-    if plot:
-        from repro.analysis.charts import line_chart
-
-        series = {"y=x": [(p, p) for p in result.p_loss_values]}
-        for multiplier, curve in sorted(result.p_event_by_multiplier.items()):
-            series[f"rate x{multiplier:g}"] = list(
-                zip(result.p_loss_values, curve)
-            )
-        print()
-        print(line_chart(series, title="Fig 5: loss-event fraction",
-                         x_label="loss probability",
-                         y_label="loss-event fraction"))
 
 
-def _fig06(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import fig06_fairness_grid as fig06
+def _fig05_chart(result) -> None:
+    from repro.analysis.charts import line_chart
 
-    rates = (8, 16) if quick else (1, 2, 4, 8, 16, 32, 64)
-    flows = (8, 32) if quick else (2, 8, 32, 128)
-    duration = 60.0 if quick else 90.0
-    result = fig06.run(
-        link_rates_mbps=rates, flow_counts=flows, duration=duration, **sweep
-    )
+    series = {"y=x": [(p, p) for p in result.p_loss_values]}
+    for multiplier, curve in sorted(result.p_event_by_multiplier.items()):
+        series[f"rate x{multiplier:g}"] = list(zip(result.p_loss_values, curve))
+    print(line_chart(series, title="Fig 5: loss-event fraction",
+                     x_label="loss probability",
+                     y_label="loss-event fraction"))
+
+
+def _fig06(result) -> None:
     print("Figure 6 (normalized TCP throughput vs TFRC)")
     for cell in result.cells:
         print(
@@ -103,10 +99,7 @@ def _fig06(quick: bool, plot: bool, **sweep: object) -> None:
         )
 
 
-def _fig08(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import fig08_smoothness as fig08
-
-    results = fig08.run(duration=20.0 if quick else 30.0, **sweep)
+def _fig08(results) -> None:
     for queue_type, result in results.items():
         print(
             f"Figure 8 ({queue_type}): mean CoV at 0.15s -- "
@@ -114,15 +107,7 @@ def _fig08(quick: bool, plot: bool, **sweep: object) -> None:
         )
 
 
-def _fig09(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import fig09_equivalence as fig09
-
-    result = fig09.run(
-        runs=2 if quick else 14,
-        duration=60.0 if quick else 150.0,
-        measure_seconds=40.0 if quick else 100.0,
-        **sweep,
-    )
+def _fig09(result) -> None:
     print("Figure 9 (equivalence ratio) / Figure 10 (CoV)")
     print("  tau    TFRC/TFRC  TCP/TCP  TFRC/TCP  CoV(TCP)  CoV(TFRC)")
     for tau in result.timescales:
@@ -132,38 +117,33 @@ def _fig09(quick: bool, plot: bool, **sweep: object) -> None:
         ct, _ = result.cov_tcp[tau]
         cf, _ = result.cov_tfrc[tau]
         print(f"  {tau:5.1f}  {ee:9.2f}  {cc:7.2f}  {ec:8.2f}  {ct:8.2f}  {cf:9.2f}")
-    if plot:
-        from repro.analysis.charts import line_chart
-
-        taus = list(result.timescales)
-        print()
-        print(line_chart(
-            {
-                "TFRC vs TFRC": [(t, result.equivalence_tfrc_tfrc[t][0]) for t in taus],
-                "TCP vs TCP": [(t, result.equivalence_tcp_tcp[t][0]) for t in taus],
-                "TFRC vs TCP": [(t, result.equivalence_tfrc_tcp[t][0]) for t in taus],
-            },
-            title="Fig 9: equivalence ratio", log_x=True,
-            x_label="timescale (s)", y_label="equivalence",
-        ))
-        print()
-        print(line_chart(
-            {
-                "TFRC": [(t, result.cov_tfrc[t][0]) for t in taus],
-                "TCP": [(t, result.cov_tcp[t][0]) for t in taus],
-            },
-            title="Fig 10: coefficient of variation", log_x=True,
-            x_label="timescale (s)", y_label="CoV",
-        ))
 
 
-def _fig11(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import fig11_onoff as fig11
+def _fig09_chart(result) -> None:
+    from repro.analysis.charts import line_chart
 
-    counts = (60, 100) if quick else fig11.PAPER_SOURCE_COUNTS
-    result = fig11.run(
-        source_counts=counts, duration=100.0 if quick else 200.0, **sweep
-    )
+    taus = list(result.timescales)
+    print(line_chart(
+        {
+            "TFRC vs TFRC": [(t, result.equivalence_tfrc_tfrc[t][0]) for t in taus],
+            "TCP vs TCP": [(t, result.equivalence_tcp_tcp[t][0]) for t in taus],
+            "TFRC vs TCP": [(t, result.equivalence_tfrc_tcp[t][0]) for t in taus],
+        },
+        title="Fig 9: equivalence ratio", log_x=True,
+        x_label="timescale (s)", y_label="equivalence",
+    ))
+    print()
+    print(line_chart(
+        {
+            "TFRC": [(t, result.cov_tfrc[t][0]) for t in taus],
+            "TCP": [(t, result.cov_tcp[t][0]) for t in taus],
+        },
+        title="Fig 10: coefficient of variation", log_x=True,
+        x_label="timescale (s)", y_label="CoV",
+    ))
+
+
+def _fig11(result) -> None:
     print("Figures 11-13 (ON/OFF background traffic)")
     for run_result in result.runs:
         eq = run_result.equivalence_by_tau
@@ -175,10 +155,7 @@ def _fig11(quick: bool, plot: bool, **sweep: object) -> None:
         )
 
 
-def _fig14(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import fig14_queue_dynamics as fig14
-
-    result = fig14.run(duration=20.0 if quick else 30.0, **sweep)
+def _fig14(result) -> None:
     print("Figure 14 (queue dynamics, 40 long-lived flows)")
     for res in (result.tcp, result.tfrc):
         print(
@@ -187,22 +164,15 @@ def _fig14(quick: bool, plot: bool, **sweep: object) -> None:
         )
 
 
-def _fig15(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import internet
-
-    result = internet.run_all(
-        ("ucl",), duration=60.0 if quick else 120.0, **sweep
-    )["ucl"]
+def _fig15(results) -> None:
+    result = results["ucl"]
     print("Figure 15 (3 TCP + 1 TFRC over the synthetic UCL path)")
     mean_tcp = sum(result.tcp_throughputs_bps) / len(result.tcp_throughputs_bps)
     print(f"  TFRC {result.tfrc_throughput_bps/1e3:.0f} kb/s, TCP mean {mean_tcp/1e3:.0f} kb/s")
     print(f"  loss rate {result.loss_rate:.3f}")
 
 
-def _fig16(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import internet
-
-    results = internet.run_all(duration=60.0 if quick else 120.0, **sweep)
+def _fig16(results) -> None:
     print("Figures 16/17 (Internet paths): equivalence / CoV at tau=10s")
     for name, res in results.items():
         tau = max(res.equivalence_by_tau)
@@ -212,80 +182,120 @@ def _fig16(quick: bool, plot: bool, **sweep: object) -> None:
         )
 
 
-def _fig18(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import fig18_predictor as fig18
-
-    result = fig18.run(duration=80.0 if quick else 150.0, **sweep)
+def _fig18(result) -> None:
     print("Figure 18 (loss predictor error)")
     print("  history  constant        decreasing")
     for h in result.history_sizes:
         c_mean, c_std = result.constant_weights[h]
         d_mean, d_std = result.decreasing_weights[h]
         print(f"  {h:7d}  {c_mean:.4f}+-{c_std:.4f}  {d_mean:.4f}+-{d_std:.4f}")
-    if plot:
-        from repro.analysis.charts import histogram
-
-        labels = [f"const n={h}" for h in result.history_sizes]
-        labels += [f"decr  n={h}" for h in result.history_sizes]
-        values = [result.constant_weights[h][0] for h in result.history_sizes]
-        values += [result.decreasing_weights[h][0] for h in result.history_sizes]
-        print()
-        print(histogram(labels, values, title="Fig 18: mean predictor error"))
 
 
-def _fig19(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import fig19_increase as fig19
+def _fig18_chart(result) -> None:
+    from repro.analysis.charts import histogram
 
-    result = fig19.run(duration=13.0, **sweep)
-    bounds = fig19.analytic_bounds()
+    labels = [f"const n={h}" for h in result.history_sizes]
+    labels += [f"decr  n={h}" for h in result.history_sizes]
+    values = [result.constant_weights[h][0] for h in result.history_sizes]
+    values += [result.decreasing_weights[h][0] for h in result.history_sizes]
+    print(histogram(labels, values, title="Fig 18: mean predictor error"))
+
+
+def _fig19(result) -> None:
+    from repro.experiments.fig19_increase import analytic_bounds
+
     normal = result.max_increment(result.loss_stop_time + 0.5, result.loss_stop_time + 1.4)
     discounted = result.max_increment(result.loss_stop_time + 1.5, result.times[-1])
     print("Figure 19 (bounded increase rate)")
     print(f"  observed increase (normal):     {normal:.3f} pkts/RTT (paper ~0.12)")
     print(f"  observed increase (discounted): {discounted:.3f} pkts/RTT (paper <=0.29)")
-    print(f"  analytic bounds: {bounds}")
+    print(f"  analytic bounds: {analytic_bounds()}")
 
 
-def _fig20(quick: bool, plot: bool, **sweep: object) -> None:
-    from repro.experiments import fig20_halving as fig20
-
-    result = fig20.run(**sweep)
-    print(f"Figure 20: RTTs to halve under persistent congestion = {result.rtts_to_halve()}")
-    fig21 = fig20.run_sweep(
-        initial_periods=(100, 10) if quick else (200, 100, 50, 25, 10, 5, 4),
-        **sweep,
-    )
+def _fig20(results) -> None:
+    halving, fig21 = results
+    print(f"Figure 20: RTTs to halve under persistent congestion = {halving.rtts_to_halve()}")
     print("Figure 21: drop rate -> RTTs to halve")
     for p, n in zip(fig21.drop_rates, fig21.rtts_to_halve):
         print(f"  p={p:.3f}: {n if n is not None else 'not halved'}")
-    if plot:
-        from repro.analysis.charts import line_chart
-
-        points = [
-            (p, n)
-            for p, n in zip(fig21.drop_rates, fig21.rtts_to_halve)
-            if n is not None
-        ]
-        print()
-        print(line_chart({"RTTs to halve": points},
-                         title="Fig 21: response to persistent congestion",
-                         x_label="packet drop rate", y_label="RTTs"))
 
 
-EXPERIMENTS: Dict[str, Callable[..., None]] = {
-    "fig02": _fig02,
-    "fig03": _fig03,
-    "fig05": _fig05,
-    "fig06": _fig06,
-    "fig08": _fig08,
-    "fig09": _fig09,
-    "fig11": _fig11,
-    "fig14": _fig14,
-    "fig15": _fig15,
-    "fig16": _fig16,
-    "fig18": _fig18,
-    "fig19": _fig19,
-    "fig20": _fig20,
+def _fig20_chart(results) -> None:
+    from repro.analysis.charts import line_chart
+
+    points = results[1].defined()
+    print(line_chart({"RTTs to halve": points},
+                     title="Fig 21: response to persistent congestion",
+                     x_label="packet drop rate", y_label="RTTs"))
+
+
+FIGURES: Dict[str, Figure] = {
+    "fig02": Figure(
+        "repro.experiments.fig02_loss_interval.run", quick=dict(duration=12.0),
+        full=dict(duration=16.0), report=_fig02, chart=_fig02_chart,
+    ),
+    "fig03": Figure(
+        "repro.experiments.fig03_oscillation.run_both",
+        quick=dict(buffer_sizes=(8, 32), duration=30.0),
+        full=dict(buffer_sizes=(2, 8, 32, 64), duration=60.0), report=_fig03,
+    ),
+    "fig05": Figure(
+        "repro.experiments.fig05_loss_event_fraction.run",
+        quick=dict(monte_carlo=False), full=dict(monte_carlo=True),
+        report=_fig05, chart=_fig05_chart,
+    ),
+    "fig06": Figure(
+        "repro.experiments.fig06_fairness_grid.run",
+        quick=dict(link_rates_mbps=(8, 16), flow_counts=(8, 32), duration=60.0),
+        full=dict(
+            link_rates_mbps=(1, 2, 4, 8, 16, 32, 64),
+            flow_counts=(2, 8, 32, 128), duration=90.0,
+        ),
+        report=_fig06,
+    ),
+    "fig08": Figure(
+        "repro.experiments.fig08_smoothness.run", quick=dict(duration=20.0),
+        full=dict(duration=30.0), report=_fig08,
+    ),
+    "fig09": Figure(
+        "repro.experiments.fig09_equivalence.run",
+        quick=dict(runs=2, duration=60.0, measure_seconds=40.0),
+        full=dict(runs=14, duration=150.0, measure_seconds=100.0),
+        report=_fig09, chart=_fig09_chart,
+    ),
+    "fig11": Figure(
+        "repro.experiments.fig11_onoff.run",
+        quick=dict(source_counts=(60, 100), duration=100.0),
+        full=dict(source_counts=(50, 60, 100, 130, 150), duration=200.0),
+        report=_fig11,
+    ),
+    "fig14": Figure(
+        "repro.experiments.fig14_queue_dynamics.run", quick=dict(duration=20.0),
+        full=dict(duration=30.0), report=_fig14,
+    ),
+    "fig15": Figure(
+        "repro.experiments.internet.run_all",
+        quick=dict(paths=("ucl",), duration=60.0),
+        full=dict(paths=("ucl",), duration=120.0), report=_fig15,
+    ),
+    "fig16": Figure(
+        "repro.experiments.internet.run_all", quick=dict(duration=60.0),
+        full=dict(duration=120.0), report=_fig16,
+    ),
+    "fig18": Figure(
+        "repro.experiments.fig18_predictor.run", quick=dict(duration=80.0),
+        full=dict(duration=150.0), report=_fig18, chart=_fig18_chart,
+    ),
+    "fig19": Figure(
+        "repro.experiments.fig19_increase.run", quick=dict(duration=13.0),
+        full=dict(duration=13.0), report=_fig19,
+    ),
+    "fig20": Figure(
+        "repro.experiments.fig20_halving.run_both",
+        quick=dict(initial_periods=(100, 10)),
+        full=dict(initial_periods=(200, 100, 50, 25, 10, 5, 4)),
+        report=_fig20, chart=_fig20_chart,
+    ),
 }
 
 
@@ -298,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all"],
+        choices=sorted(FIGURES) + ["all"],
         help="figure id (fig02..fig20) or 'all'",
     )
     parser.add_argument(
@@ -306,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--plot", action="store_true",
-        help="append a plain-text chart of the figure (fig02, fig05, fig09, "
-        "fig18, fig20; the other figures accept the flag and ignore it)",
+        help="append a plain-text chart of the figure (%s; the other "
+        "figures accept the flag and ignore it)"
+        % ", ".join(name for name, row in sorted(FIGURES.items()) if row.chart),
     )
     parser.add_argument(
         "--parallel", type=int, default=None, metavar="N",
@@ -394,9 +405,16 @@ def main(argv=None) -> int:
         )
     elif args.executor:
         sweep_kwargs["executor"] = args.executor
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    names = sorted(FIGURES) if args.experiment == "all" else [args.experiment]
     for name in names:
-        EXPERIMENTS[name](args.quick, args.plot, **sweep_kwargs)
+        figure = FIGURES[name]
+        result = figure.entry()(
+            **(figure.quick if args.quick else figure.full), **sweep_kwargs
+        )
+        figure.report(result)
+        if args.plot and figure.chart:
+            print()
+            figure.chart(result)
         print()
     return 0
 

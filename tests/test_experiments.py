@@ -79,9 +79,7 @@ class TestFig03:
 class TestFig05:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig05_loss_event_fraction.run(
-            p_loss_values=np.linspace(0.01, 0.25, 13), monte_carlo=False
-        )
+        return fig05_loss_event_fraction.run(monte_carlo=False)
 
     def test_event_fraction_never_exceeds_loss_fraction(self, result):
         for multiplier, curve in result.p_event_by_multiplier.items():

@@ -11,7 +11,7 @@ class TestRunnerCli:
             "fig02", "fig03", "fig05", "fig06", "fig08", "fig09", "fig11",
             "fig14", "fig15", "fig16", "fig18", "fig19", "fig20",
         }
-        assert set(runner.EXPERIMENTS) == expected
+        assert set(runner.FIGURES) == expected
 
     def test_invalid_experiment_rejected(self):
         with pytest.raises(SystemExit):

@@ -611,6 +611,9 @@ def check_reach(sources):
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 qual = aliases.get(node.id)
                 names.add(qual.rpartition(".")[::2] if qual else (module, node.id))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                # a dotted path an ``importlib`` lookup resolves
+                names.add(node.value.rpartition(".")[::2])
         if module:
             registered = set(_registered_scenarios(tree.body, aliases))
             defs += [
@@ -641,9 +644,6 @@ MEMBER_ALLOWLIST = {
      "Fig19Result.increase_start_time"):
         "claim statistic: benchmarks/test_fig19_increase_rate.py asserts "
         "the increase starts 0.2-1.5 s after loss stops",
-    ("src/repro/experiments/fig20_halving.py", "Fig21Result.defined"):
-        "claim statistic: benchmarks/test_fig21_halving_sweep.py asserts "
-        "over the drop rates whose rate halved",
     ("src/repro/net/monitor.py", "FlowMonitor.arrival_series"):
         "golden-digest input: the dumbbell and lossy-path runs hash each "
         "flow's (time, bytes) arrivals",
@@ -909,7 +909,10 @@ def check_option_reach(sources):
     ``issubclass`` aside.  A call that takes a callable as an argument forwards the
     arguments after it to it (``once(benchmark, f, ...)``,
     ``functools.partial``); a table row ``(f, {"duration": 12.0}, ...)``
-    passes its mapping's keys.  A callable with a ``**kwargs`` parameter
+    passes its mapping's keys, and so does a call that names its callable
+    by dotted path, for every mapping among its arguments
+    (``Figure("repro.experiments.fig02_loss_interval.run",
+    quick=dict(duration=12.0), ...)``).  A callable with a ``**kwargs`` parameter
     forwards every keyword it does not name to each call in its body that
     unpacks a ``**`` mapping or hands the ``**kwargs`` dict on, and the
     callables handed on with it (``TfrcFlow`` -> ``TfrcSender``,
@@ -1078,6 +1081,12 @@ def check_option_reach(sources):
                 for ref, mapping in zip(node.elts, node.elts[1:]):
                     for qual in resolve(ref):
                         passed[qual].update(_dict_keys(mapping))
+            elif isinstance(node, ast.Call):
+                parts = [*node.args, *(keyword.value for keyword in node.keywords)]
+                for part in parts:
+                    if isinstance(part, ast.Constant) and part.value in callables:
+                        for mapping in parts:
+                            passed[part.value].update(_dict_keys(mapping))
 
     changed = True
     while changed:
@@ -1570,6 +1579,11 @@ class TestReachGuard:
             ("bench/run.py", "from repro.net.probe import helper, orphan\n"),
         ) == ["helper", "orphan"]
 
+    def test_dotted_path_string_reaches_only_its_own_module(self):
+        assert self._names(("src/repro/experiments/runner.py", dedent("""\
+            ROWS = ["repro.net.probe.helper", "repro.sim.probe.orphan"]
+            """))) == ["orphan"]
+
     def test_same_name_from_another_module_does_not_count(self):
         assert self._names(("src/repro/scenarios/disk.py", dedent("""\
             from pathlib import Path as helper
@@ -1763,6 +1777,17 @@ class TestOptionReachGuard:
                 probe.run(**kwargs)
                 probe.helper(1.0, **{"scale": 1.0})
             """))) == []
+
+    def test_dotted_path_row_passes_every_mapping_beside_it(self):
+        assert self._options(("src/repro/experiments/table.py", dedent("""\
+            ROWS = {
+                "probe": Row(
+                    "repro.experiments.fig99_probe.run",
+                    quick=dict(duration=2.0), full={"tau": 0.1},
+                ),
+                "other": Row("repro.experiments.fig99_probe", dict(scale=1.0)),
+            }
+            """))) == ["helper.offset", "helper.scale"]
 
     def test_kwargs_wrappers_forward_to_what_they_wrap(self):
         assert self._options(("examples/flows.py", dedent("""\

@@ -11,6 +11,7 @@ copied again.
 """
 
 import ast
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -30,15 +31,20 @@ from repro.experiments import (
     fig20_halving as fig20,
     internet,
 )
+from repro.experiments.runner import FIGURES
 
 REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 SWEEP_OPTIONS = {"parallel", "cache_dir", "progress", "executor", "queue_dir"}
 OPTION_TYPES = {"ExecutorArg", "ProgressFn"}
 
-#: every figure entry point that builds a sweep, as ``<module stem>:<name>``.
+#: every figure entry point that builds a sweep, as ``<module stem>:<name>``;
+#: a two-sweep row's with its ``--quick`` scale bound.
 ENTRY_POINTS = {
     "fig02_loss_interval:run": fig02.run,
     "fig03_oscillation:run": fig03.run,
+    "fig03_oscillation:run_both": functools.partial(
+        fig03.run_both, **FIGURES["fig03"].quick
+    ),
     "fig05_loss_event_fraction:run": fig05.run,
     "fig06_fairness_grid:run": fig06.run,
     "fig08_smoothness:run": fig08.run,
@@ -49,6 +55,9 @@ ENTRY_POINTS = {
     "fig19_increase:run": fig19.run,
     "fig20_halving:run": fig20.run,
     "fig20_halving:run_sweep": fig20.run_sweep,
+    "fig20_halving:run_both": functools.partial(
+        fig20.run_both, **FIGURES["fig20"].quick
+    ),
     "internet:run_all": internet.run_all,
 }
 
