@@ -42,9 +42,9 @@ def once():
 def cache_dir(tmp_path_factory):
     """One result cache for the session, for benches that run the same
     ``tfrc-experiment`` row: fig03 / fig04 its fig03 row, fig09 / fig10
-    its fig09 row, fig11 / fig12 / fig13 its fig11 row, fig16 / fig17 its
-    fig16 row (whose UCL cell is fig15's), so a later bench replays an
-    earlier one's cells instead of simulating them again.  fig06 / fig07
-    do not share: the 60 s quick grid vs two one-cell ``fig06.run`` grids
-    at 80 s, seeds 0 and 1."""
+    its fig09 row, fig16 / fig17 its fig16 row (whose UCL cell is fig15's),
+    so a later bench replays an earlier one's cells instead of simulating
+    them again.  fig06 / fig07 do not share (the 60 s quick grid vs two
+    one-cell ``fig06.run`` grids at 80 s, seeds 0 and 1), nor do fig11 /
+    fig12 / fig13 (120 s, 150 s and the 100 s quick row)."""
     return str(tmp_path_factory.mktemp("sweep-cache"))

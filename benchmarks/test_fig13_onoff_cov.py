@@ -10,10 +10,8 @@ from repro.experiments.runner import FIGURES
 FIGURE = FIGURES["fig11"]
 
 
-def test_fig13_onoff_cov(once, benchmark, cache_dir):
-    result = once(
-        benchmark, FIGURE.entry(), **FIGURE.quick, cache_dir=cache_dir
-    ).runs[-1]
+def test_fig13_onoff_cov(once, benchmark):
+    result = once(benchmark, FIGURE.entry(), **FIGURE.quick).runs[-1]
     print(f"\nFigure 13 reproduction (CoV by timescale, {result.sources} ON/OFF sources):")
     print("  tau     CoV(TFRC)  CoV(TCP)")
     for tau in sorted(result.cov_tfrc_by_tau):

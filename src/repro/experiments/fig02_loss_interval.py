@@ -85,7 +85,7 @@ def loss_interval_scenario(spec: ScenarioSpec) -> JsonDict:
     return series
 
 
-def run(duration: float = 16.0, **sweep: object) -> Fig02Result:
+def run(duration: float, **sweep: object) -> Fig02Result:
     """Run the Figure 2 scenario and sample the estimator state."""
     base = ScenarioSpec(
         scenario="fig02_loss_interval",

@@ -31,7 +31,6 @@ from repro.net.path import LossyPath
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
 
-DURATION = 60.0
 BANDWIDTH_BPS = 2e6
 DELAY = 0.05
 RTT_EWMA_WEIGHT = 0.05
@@ -103,9 +102,9 @@ def pipe_scenario(spec: ScenarioSpec) -> JsonDict:
 
 
 def run(
-    buffer_sizes: Tuple[int, ...] = (2, 8, 32, 64),
+    buffer_sizes: Tuple[int, ...],
+    duration: float,
     interpacket_adjustment: bool = False,
-    duration: float = DURATION,
     rtt_ewma_weight: float = RTT_EWMA_WEIGHT,
     **sweep: object,
 ) -> Fig03Result:
@@ -139,5 +138,5 @@ def run_both(
 ) -> Tuple[Fig03Result, Fig03Result]:
     """Figure 3's sweep, then Figure 4's: the same buffers and duration
     without and with the interpacket adjustment."""
-    plain = run(buffer_sizes, False, duration, **sweep)
-    return plain, run(buffer_sizes, True, duration, **sweep)
+    plain = run(buffer_sizes, duration, False, **sweep)
+    return plain, run(buffer_sizes, duration, True, **sweep)

@@ -99,7 +99,7 @@ def curve_scenario(spec: ScenarioSpec) -> JsonDict:
     return result
 
 
-def run(monte_carlo: bool = True, seed: int = 0, **sweep: object) -> Fig05Result:
+def run(monte_carlo: bool, seed: int = 0, **sweep: object) -> Fig05Result:
     """Compute the Figure 5 curves as a sweep over rate multipliers.
 
     Each multiplier is one cell; ``parallel=N`` fans cells out over worker

@@ -29,7 +29,6 @@ from repro.scenarios import (
 )
 from repro.scenarios.spec import JsonDict
 
-DURATION = 90.0
 #: throughput is measured over the last third of the run (the paper's last
 #: 60 s of 90).
 MEASURE_FRACTION = 2.0 / 3.0
@@ -113,16 +112,15 @@ def cell_scenario(spec: ScenarioSpec) -> JsonDict:
 
 
 def run(
-    link_rates_mbps: Sequence[float] = (1, 2, 4, 8, 16, 32, 64),
-    flow_counts: Sequence[int] = (2, 8, 32, 128),
+    link_rates_mbps: Sequence[float],
+    flow_counts: Sequence[int],
+    duration: float,
     queue_types: Sequence[str] = ("droptail", "red"),
-    duration: float = DURATION,
     seed: int = 0,
     **sweep: object,
 ) -> Fig06Result:
-    """The full fairness grid as a sweep.  Reduce the sweeps for quicker
-    runs; ``parallel=N`` fans the cells out over N worker processes and
-    ``cache_dir`` re-uses previously simulated cells."""
+    """The fairness grid as a sweep; ``parallel=N`` fans the cells out over
+    N worker processes and ``cache_dir`` re-uses previously simulated cells."""
     base = ScenarioSpec(
         scenario="fig06_cell",
         duration=duration,

@@ -86,9 +86,7 @@ def smoothness_scenario(spec: ScenarioSpec) -> JsonDict:
     return out
 
 
-def run(
-    duration: float = 30.0, seed: int = 0, **sweep: object
-) -> Dict[str, Fig08Result]:
+def run(duration: float, seed: int = 0, **sweep: object) -> Dict[str, Fig08Result]:
     """The paper's two-queue comparison as one sweep (grid over
     ``queue.type``); ``parallel``, ``cache_dir`` and ``progress`` fan out /
     re-use the per-queue cells."""

@@ -120,9 +120,9 @@ def replication_scenario(spec: ScenarioSpec) -> JsonDict:
 
 
 def run(
-    runs: int = 4,
-    duration: float = 90.0,
-    measure_seconds: float = 60.0,
+    runs: int,
+    duration: float,
+    measure_seconds: float,
     seed: int = 0,
     **sweep: object,
 ) -> Fig09Result:

@@ -23,9 +23,7 @@ from repro.experiments.timescales import TAU_MAPS, tau_maps_from_json, tau_maps_
 from repro.net import DumbbellConfig
 from repro.traffic.onoff import OnOffSource
 
-PAPER_SOURCE_COUNTS = (50, 60, 100, 130, 150)
 PAPER_TIMESCALES = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-DURATION = 200.0
 #: seconds left out of every measurement at the start of the run.
 WARMUP = 20.0
 LINK_BPS = 15e6
@@ -100,12 +98,12 @@ def onoff_scenario(spec: ScenarioSpec, tracer=None) -> JsonDict:
 
 
 def run(
-    source_counts: Sequence[int] = PAPER_SOURCE_COUNTS,
-    duration: float = DURATION,
+    source_counts: Sequence[int],
+    duration: float,
     seed: int = 0,
     **sweep: object,
 ) -> Fig11Result:
-    """Sweep the number of ON/OFF sources (paper: 5000 s; default reduced).
+    """Sweep the number of ON/OFF sources (the paper runs 5000 s).
 
     Each source count is one sweep cell; ``parallel``/``cache_dir`` fan out
     and re-use them.

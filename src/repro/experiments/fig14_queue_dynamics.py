@@ -28,7 +28,6 @@ from repro.scenarios.spec import JsonDict
 from repro.traffic.cbr import CbrSource
 from repro.traffic.web import WebTrafficSource
 
-DURATION = 30.0
 N_FLOWS = 40
 LINK_BPS = 15e6
 BASE_RTT = 0.045
@@ -131,7 +130,7 @@ def queue_dynamics_scenario(spec: ScenarioSpec) -> JsonDict:
     ))
 
 
-def run(duration: float = DURATION, seed: int = 0, **sweep: object) -> Fig14Result:
+def run(duration: float, seed: int = 0, **sweep: object) -> Fig14Result:
     """Both variants of the Figure 14 scenario as a two-cell sweep."""
     base = ScenarioSpec(
         scenario="fig14_queue_dynamics",

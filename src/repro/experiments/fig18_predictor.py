@@ -33,7 +33,6 @@ from repro.scenarios.spec import JsonDict
 PAPER_HISTORY_SIZES = (2, 4, 8, 16, 32)
 #: the paths whose loss traces are scored.
 TRACE_PATHS = ("ucl", "umass_linux", "nokia")
-DURATION = 150.0
 
 
 @dataclass
@@ -65,7 +64,7 @@ def trace_scenario(spec: ScenarioSpec) -> JsonDict:
     return {"path": profile.name, "intervals": intervals}
 
 
-def run(duration: float = DURATION, seed: int = 0, **sweep: object) -> Fig18Result:
+def run(duration: float, seed: int = 0, **sweep: object) -> Fig18Result:
     """Score both weighting schemes on traces from several paths.
 
     Trace collection (the expensive part) is one sweep cell per path; the

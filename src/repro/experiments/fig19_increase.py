@@ -122,9 +122,7 @@ def increase_scenario(spec: ScenarioSpec) -> JsonDict:
 
 
 def run(
-    duration: float = 13.0,
-    history_discounting: bool = True,
-    **sweep: object,
+    duration: float, history_discounting: bool = True, **sweep: object
 ) -> Fig19Result:
     """Run the Appendix A.1 scenario, sampling once per RTT."""
     base = ScenarioSpec(

@@ -133,10 +133,7 @@ class Fig21Result:
         ]
 
 
-def run_sweep(
-    initial_periods: Sequence[int] = (200, 100, 50, 25, 10, 5, 4),
-    **sweep: object,
-) -> Fig21Result:
+def run_sweep(initial_periods: Sequence[int], **sweep: object) -> Fig21Result:
     """Figure 21: sweep the pre-congestion drop rate, ``SWEEP_DURATION``
     simulated seconds per cell.
 

@@ -172,8 +172,8 @@ def internet_path_scenario(spec: ScenarioSpec) -> JsonDict:
 
 
 def run_all(
+    duration: float,
     paths: Sequence[str] = PAPER_PATHS,
-    duration: float = 120.0,
     seed: int = 0,
     **sweep: object,
 ) -> Dict[str, InternetRunResult]:

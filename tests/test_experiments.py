@@ -169,13 +169,13 @@ class TestInternetPaths:
         assert "nokia_overloaded" in internet.PATHS
 
     def test_ucl_path_reasonable_fairness(self):
-        result = internet.run_all(("ucl",), duration=40.0)["ucl"]
+        result = internet.run_all(40.0, ("ucl",))["ucl"]
         mean_tcp = np.mean(result.tcp_throughputs_bps)
         assert result.tfrc_throughput_bps > 0.2 * mean_tcp
         assert result.tfrc_throughput_bps < 5.0 * mean_tcp
 
     def test_tfrc_smoother_on_well_behaved_path(self):
-        result = internet.run_all(("umass_linux",), duration=40.0)["umass_linux"]
+        result = internet.run_all(40.0, ("umass_linux",))["umass_linux"]
         tau = max(result.cov_tfrc_by_tau)
         assert result.cov_tfrc_by_tau[tau] <= result.cov_tcp_by_tau[tau] + 0.25
 

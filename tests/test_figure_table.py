@@ -61,7 +61,9 @@ def test_row_binds_to_its_entry_point(name, scale):
 
 
 def test_a_misspelled_or_missing_key_fails():
-    assert _unbound_keys(FIGURES["fig08"], {"durtion": 20.0}) == ["durtion"]
+    assert _unbound_keys(FIGURES["fig08"], {"duration": 20.0, "sed": 1}) == ["sed"]
+    with pytest.raises(TypeError, match="duration"):
+        _unbound_keys(FIGURES["fig08"], {"durtion": 20.0})
     with pytest.raises(TypeError, match="initial_periods"):
         _unbound_keys(FIGURES["fig20"], {"initial_period": (100, 10)})
 

@@ -86,7 +86,7 @@ SWEEP_ENTRIES = [
     (fig20.run, {}, 1),
     (fig20.run_sweep, {"initial_periods": (100, 10)}, 2),
     (fig02.run, {"duration": 12.0}, 1),
-    (fig19.run, {}, 1),
+    (fig19.run, {"duration": 13.0}, 1),
 ]
 
 

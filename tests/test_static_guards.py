@@ -596,6 +596,25 @@ def _packages(module):
     return [".".join(parts[:i]) for i in range(len(parts), 0, -1)]
 
 
+#: calls whose first argument names a ``src`` callable by dotted path, for
+#: ``importlib`` to resolve when it runs (``runner.FIGURES``' rows).
+DOTTED_PATH_CALLS = {"Figure"}
+
+
+def _dotted_path(node):
+    """The dotted path that ``node``, a call to one of ``DOTTED_PATH_CALLS``,
+    names by its first argument; None for any other node."""
+    if (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in DOTTED_PATH_CALLS
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    ):
+        return node.args[0].value
+    return None
+
+
 def check_reach(sources):
     """``reach.unused-name`` over the top-level names of ``src/repro``; the
     finding's detail is the name."""
@@ -611,9 +630,8 @@ def check_reach(sources):
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 qual = aliases.get(node.id)
                 names.add(qual.rpartition(".")[::2] if qual else (module, node.id))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                # a dotted path an ``importlib`` lookup resolves
-                names.add(node.value.rpartition(".")[::2])
+            elif _dotted_path(node):
+                names.add(_dotted_path(node).rpartition(".")[::2])
         if module:
             registered = set(_registered_scenarios(tree.body, aliases))
             defs += [
@@ -909,8 +927,9 @@ def check_option_reach(sources):
     ``issubclass`` aside.  A call that takes a callable as an argument forwards the
     arguments after it to it (``once(benchmark, f, ...)``,
     ``functools.partial``); a table row ``(f, {"duration": 12.0}, ...)``
-    passes its mapping's keys, and so does a call that names its callable
-    by dotted path, for every mapping among its arguments
+    passes its mapping's keys, and so does a call to one of
+    ``DOTTED_PATH_CALLS`` for the callable its first argument names, every
+    mapping among its arguments
     (``Figure("repro.experiments.fig02_loss_interval.run",
     quick=dict(duration=12.0), ...)``).  A callable with a ``**kwargs`` parameter
     forwards every keyword it does not name to each call in its body that
@@ -1081,12 +1100,9 @@ def check_option_reach(sources):
                 for ref, mapping in zip(node.elts, node.elts[1:]):
                     for qual in resolve(ref):
                         passed[qual].update(_dict_keys(mapping))
-            elif isinstance(node, ast.Call):
-                parts = [*node.args, *(keyword.value for keyword in node.keywords)]
-                for part in parts:
-                    if isinstance(part, ast.Constant) and part.value in callables:
-                        for mapping in parts:
-                            passed[part.value].update(_dict_keys(mapping))
+            elif _dotted_path(node) in callables:
+                for mapping in [*node.args, *(k.value for k in node.keywords)]:
+                    passed[_dotted_path(node)].update(_dict_keys(mapping))
 
     changed = True
     while changed:
@@ -1579,10 +1595,17 @@ class TestReachGuard:
             ("bench/run.py", "from repro.net.probe import helper, orphan\n"),
         ) == ["helper", "orphan"]
 
-    def test_dotted_path_string_reaches_only_its_own_module(self):
+    def test_figure_row_dotted_path_reaches_only_its_own_module(self):
         assert self._names(("src/repro/experiments/runner.py", dedent("""\
-            ROWS = ["repro.net.probe.helper", "repro.sim.probe.orphan"]
+            ROWS = [Figure("repro.net.probe.helper"), Figure("repro.sim.probe.orphan")]
             """))) == ["orphan"]
+
+    def test_dotted_path_string_outside_a_figure_row_does_not_count(self):
+        assert self._names(("src/repro/experiments/runner.py", dedent("""\
+            \"\"\"See repro.net.probe.helper.\"\"\"
+            ROWS = {"repro.net.probe.orphan": Figure("x", "repro.net.probe.helper")}
+            print("repro.net.probe.orphan")
+            """))) == ["helper", "orphan"]
 
     def test_same_name_from_another_module_does_not_count(self):
         assert self._names(("src/repro/scenarios/disk.py", dedent("""\
@@ -1778,16 +1801,27 @@ class TestOptionReachGuard:
                 probe.helper(1.0, **{"scale": 1.0})
             """))) == []
 
-    def test_dotted_path_row_passes_every_mapping_beside_it(self):
+    def test_figure_row_passes_every_mapping_beside_it(self):
+        assert self._options(("src/repro/experiments/table.py", dedent("""\
+            ROWS = {
+                "probe": Figure(
+                    "repro.experiments.fig99_probe.run",
+                    quick=dict(duration=2.0), full={"tau": 0.1},
+                ),
+                "other": Figure("repro.experiments.fig99_probe", dict(scale=1.0)),
+            }
+            """))) == ["helper.offset", "helper.scale"]
+
+    def test_dotted_path_outside_a_figure_row_passes_nothing(self):
         assert self._options(("src/repro/experiments/table.py", dedent("""\
             ROWS = {
                 "probe": Row(
                     "repro.experiments.fig99_probe.run",
                     quick=dict(duration=2.0), full={"tau": 0.1},
                 ),
-                "other": Row("repro.experiments.fig99_probe", dict(scale=1.0)),
+                "other": Figure(dict(seed=0), "repro.experiments.fig99_probe.run"),
             }
-            """))) == ["helper.offset", "helper.scale"]
+            """))) == ["run.duration", "run.tau", "helper.offset", "helper.scale"]
 
     def test_kwargs_wrappers_forward_to_what_they_wrap(self):
         assert self._options(("examples/flows.py", dedent("""\

@@ -37,28 +37,30 @@ REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 SWEEP_OPTIONS = {"parallel", "cache_dir", "progress", "executor", "queue_dir"}
 OPTION_TYPES = {"ExecutorArg", "ProgressFn"}
 
-#: every figure entry point that builds a sweep, as ``<module stem>:<name>``;
-#: a two-sweep row's with its ``--quick`` scale bound.
+
+def _quick(run, figure):
+    """``run`` with the ``--quick`` keywords of ``FIGURES[figure]`` bound."""
+    return functools.partial(run, **FIGURES[figure].quick)
+
+
+#: every figure entry point that builds a sweep, as ``<module stem>:<name>``,
+#: with its table row's ``--quick`` scale bound.
 ENTRY_POINTS = {
-    "fig02_loss_interval:run": fig02.run,
-    "fig03_oscillation:run": fig03.run,
-    "fig03_oscillation:run_both": functools.partial(
-        fig03.run_both, **FIGURES["fig03"].quick
-    ),
-    "fig05_loss_event_fraction:run": fig05.run,
-    "fig06_fairness_grid:run": fig06.run,
-    "fig08_smoothness:run": fig08.run,
-    "fig09_equivalence:run": fig09.run,
-    "fig11_onoff:run": fig11.run,
-    "fig14_queue_dynamics:run": fig14.run,
-    "fig18_predictor:run": fig18.run,
-    "fig19_increase:run": fig19.run,
+    "fig02_loss_interval:run": _quick(fig02.run, "fig02"),
+    "fig03_oscillation:run": _quick(fig03.run, "fig03"),
+    "fig03_oscillation:run_both": _quick(fig03.run_both, "fig03"),
+    "fig05_loss_event_fraction:run": _quick(fig05.run, "fig05"),
+    "fig06_fairness_grid:run": _quick(fig06.run, "fig06"),
+    "fig08_smoothness:run": _quick(fig08.run, "fig08"),
+    "fig09_equivalence:run": _quick(fig09.run, "fig09"),
+    "fig11_onoff:run": _quick(fig11.run, "fig11"),
+    "fig14_queue_dynamics:run": _quick(fig14.run, "fig14"),
+    "fig18_predictor:run": _quick(fig18.run, "fig18"),
+    "fig19_increase:run": _quick(fig19.run, "fig19"),
     "fig20_halving:run": fig20.run,
-    "fig20_halving:run_sweep": fig20.run_sweep,
-    "fig20_halving:run_both": functools.partial(
-        fig20.run_both, **FIGURES["fig20"].quick
-    ),
-    "internet:run_all": internet.run_all,
+    "fig20_halving:run_sweep": _quick(fig20.run_sweep, "fig20"),
+    "fig20_halving:run_both": _quick(fig20.run_both, "fig20"),
+    "internet:run_all": _quick(internet.run_all, "fig16"),
 }
 
 
