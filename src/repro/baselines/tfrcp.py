@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Set
 
-from repro.core.equations import tcp_response_rate
 from repro.core.paced import PACKET_SIZE, PacedSender, PacketSender
+from repro.core.sender import rate_step
 from repro.net.flow import Flow, Port
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
@@ -125,18 +125,10 @@ class TfrcpSender(PacedSender):
             loss_fraction = lost / len(considered)
         else:
             loss_fraction = 0.0
-        if loss_fraction > 0:
-            self._set_rate(
-                tcp_response_rate(
-                    packet_size=self.packet_size,
-                    rtt=rtt,
-                    p=loss_fraction,
-                    t_rto=4.0 * rtt,
-                )
-            )
-        else:
-            # No loss observed: probe upward, doubling like slow start.
-            self._set_rate(self.rate * 2.0)
+        # TFRC's rule without the receive-rate cap: Eq. 1 at the loss
+        # fraction, or, with no loss observed, probe upward by doubling.
+        rate, _ = rate_step(self.rate, rtt, self.packet_size, loss_fraction, 0.0)
+        self._set_rate(rate)
         self._interval_first_seq = self._seq
         self._acked_this_interval.clear()
         if not self._stopped:

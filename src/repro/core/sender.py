@@ -4,10 +4,9 @@ Responsibilities (paper sections 3.2 and 3.4):
 
 * measure the round-trip time from feedback echoes and smooth it with an
   EWMA (weight ``rtt_ewma_weight``); derive ``t_RTO = 4 * R``;
-* on every feedback packet, evaluate the control equation and set the
-  allowed rate ("decrease to T" -- the option the paper adopts);
-* rate-based slow start while no loss has been reported: double the rate
-  each feedback interval, capped at twice the receive rate (section 3.4.1);
+* on every feedback packet, set the allowed rate from the control equation
+  ("decrease to T" -- the option the paper adopts), or double it while no
+  loss has been reported (slow start), capped at twice the receive rate;
 * pace packets with the interpacket-spacing adjustment
   ``t = (s / T) * sqrt(R0) / M`` where ``R0`` is the newest RTT sample and
   ``M`` an EWMA of ``sqrt(RTT)`` (section 3.4) -- this is the mechanism that
@@ -15,6 +14,9 @@ Responsibilities (paper sections 3.2 and 3.4):
   both figures can be reproduced;
 * halve the rate when no feedback arrives for a conservative number of RTTs
   (no-feedback timer), with a floor of one packet per 64 seconds.
+
+Every rule that sets the rate is the pure :func:`rate_step`, which TFRCP's
+interval update calls too.
 
 The sender is always backlogged and sends one packet per interpacket
 interval: quiescent senders are the paper's section 7 future work and
@@ -37,6 +39,30 @@ from repro.net.packet import Packet, PacketType
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import FastTimer
 from repro.sim.trace import Tracer
+
+#: Why :func:`rate_step` chose its rate.
+SLOW_START, EQUATION = "slow_start", "equation"
+RECV_CAP, NO_FEEDBACK_HALVE = "recv_cap", "no_feedback_halve"
+
+
+def rate_step(rate, rtt, packet_size, p, recv_rate):
+    """``(rate, reason)`` after one report (``p is None``: a no-feedback
+    expiry, halve).  ``p <= 0`` is slow start: double, capped at ``2 *
+    recv_rate`` so overshoot is no worse than TCP's (section 3.4.1); else
+    Eq. 1 with ``t_RTO = 4R`` under the same cap (``RECV_CAP`` when it
+    binds; ``recv_rate`` 0 caps nothing).  Like ``min``, the cap is taken
+    only when lower, so a NaN reaches ``_set_rate``'s finiteness check.
+    """
+    if p is None:
+        return rate / 2.0, NO_FEEDBACK_HALVE
+    cap = 2.0 * recv_rate if recv_rate > 0 else math.inf
+    if p <= 0:
+        doubled = 2.0 * rate
+        return (cap if cap < doubled else doubled), SLOW_START
+    allowed = tcp_response_rate(packet_size, rtt, p, 4.0 * rtt)
+    if cap < allowed:
+        return cap, RECV_CAP
+    return allowed, EQUATION
 
 
 class TfrcDataInfo:
@@ -76,7 +102,8 @@ class TfrcSender(PacedSender):
         self._sqrt_rtt_ewma: Optional[float] = None  # M in section 3.4
         #: sqrt(R0)/M of section 3.4; it changes only with an RTT sample.
         self._pacing_factor = 1.0
-        self.in_slow_start = True
+        #: the reason :func:`rate_step` gave for the latest decision.
+        self.reason = SLOW_START
         # Re-armed per feedback: generation-counter timer, like the send
         # timer.
         self._no_feedback_timer = FastTimer(sim, self._no_feedback_expired)
@@ -122,7 +149,9 @@ class TfrcSender(PacedSender):
             )
         self.feedback_received += 1
         self._sample_rtt(now - feedback.echo_ts - feedback.delay)
-        self._update_rate(feedback)
+        rtt = self._rtt_or_default()
+        rate, self.reason = rate_step(self.rate, rtt, self.packet_size, p, recv_rate)
+        self._set_rate(rate)
         if recv_rate > 0.0:
             bound = max(2.0 * recv_rate, self.min_rate)
             if self.rate > bound:
@@ -148,30 +177,6 @@ class TfrcSender(PacedSender):
         self._pacing_factor = (
             root / self._sqrt_rtt_ewma if self._sqrt_rtt_ewma > 0 else 1.0
         )
-
-    def _update_rate(self, feedback: TfrcFeedback) -> None:
-        rtt = self._rtt_or_default()
-        if feedback.p <= 0:
-            # No loss yet: rate-based slow start, bounded by the receive rate
-            # so overshoot is no worse than TCP's (section 3.4.1).
-            doubled = 2.0 * self.rate
-            cap = 2.0 * feedback.recv_rate if feedback.recv_rate > 0 else doubled
-            self.in_slow_start = True
-            self._set_rate(min(doubled, cap))
-        else:
-            self.in_slow_start = False
-            t_eq = tcp_response_rate(
-                packet_size=self.packet_size,
-                rtt=rtt,
-                p=feedback.p,
-                t_rto=4.0 * rtt,
-            )
-            allowed = t_eq
-            if feedback.recv_rate > 0:
-                allowed = min(allowed, 2.0 * feedback.recv_rate)
-            # "Decrease to T" / increase to T: the sender tracks the control
-            # equation directly; damping lives in the loss measurement.
-            self._set_rate(allowed)
 
     # -------------------------------------------------------------- pacing
 
@@ -215,10 +220,11 @@ class TfrcSender(PacedSender):
     def _no_feedback_expired(self) -> None:
         if self._stopped:
             return
-        # Halve the sending rate; repeated expiries walk it down to the
-        # one-packet-per-64s floor, i.e. the sender ultimately goes quiet.
-        self.in_slow_start = False
-        self._set_rate(self.rate / 2.0)
+        # Repeated expiries walk the rate down to the one-packet-per-64s
+        # floor, i.e. the sender ultimately goes quiet.
+        rtt = self._rtt_or_default()
+        rate, self.reason = rate_step(self.rate, rtt, self.packet_size, None, 0.0)
+        self._set_rate(rate)
         if self._stopped:  # stop() ran inside the rate decision
             return
         self._arm_no_feedback_timer()

@@ -5,7 +5,8 @@ canonical JSON and the first form of a cache entry's checksum, and the first, pe
 loop that binned a rate series, and the handle-based ``Timer`` that
 ``FastTimer`` replaced; the fuzzers compare the two.  Also Appendix A.1's
 increase bound, derived in exact fractions from the WALI weights and
-Eq. 1 rather than quoted."""
+Eq. 1 rather than quoted, and the TFRC sender's rate decisions written
+from the paper's sections 3.2-3.4 alone."""
 
 import copy
 import hashlib
@@ -245,6 +246,67 @@ def rate_series_reference(arrivals, t0, t1, tau):
         # An ulp below ``end`` the quotient can round up to ``n_bins``.
         binned[min(int((time - t0) / tau), last)] += size
     return binned / tau
+
+
+def tfrc_sender_reference(reports, until, packet_size=1000, weight=0.1,
+                          initial_rtt=0.5, t_mbi=64.0):
+    """The TFRC sender of the paper's sections 3.2-3.4: reports in, rate out.
+
+    ``reports`` are feedback reports ``(time, echo_ts, delay, p, recv_rate)``
+    in time order, the sender starting at time 0; returns every rate
+    decision up to ``until`` as ``(time, rate, reason, interval)``, where
+    ``interval`` is the interpacket spacing then in force.  The rules:
+
+    * start at one packet per ``initial_rtt``, the RTT assumed before any
+      sample; each report's sample ``R0 = now - echo_ts - delay`` (a
+      non-positive one is no sample) moves the EWMA ``R`` and the EWMA
+      ``M`` of ``sqrt(R0)``, both with ``weight``;
+    * while ``p = 0``, slow start: ``min(2X, 2X_recv)``;
+    * otherwise ``min(X_calc(R, p, t_RTO = 4R), 2X_recv)``, Eq. 1;
+    * ``X_recv = 0`` (nothing received yet) caps nothing;
+    * the no-feedback timer, re-armed at every decision, runs
+      ``max(4R, 2s/X)``; at expiry the rate halves;
+    * no rate falls below one packet per ``t_mbi``;
+    * packets are spaced ``s/X * sqrt(R0)/M`` apart (1 before a sample).
+    """
+    s = packet_size
+    rtt = root_avg = None  # R and M
+    pacing = 1.0
+    rate = s / initial_rtt
+    decisions = []
+
+    def decide(now, new_rate, reason):
+        nonlocal rate
+        rate = max(new_rate, s / t_mbi)
+        decisions.append((now, rate, reason, s / rate * pacing))
+        r = initial_rtt if rtt is None else rtt
+        return now + max(4 * r, 2 * s / rate)
+
+    expiry = decide(0.0, rate, "slow_start")
+    for now, echo_ts, delay, p, recv_rate in reports:
+        while expiry <= now:
+            expiry = decide(expiry, rate / 2, "no_feedback_halve")
+        sample = now - echo_ts - delay
+        if sample > 0:
+            rtt = sample if rtt is None else rtt + weight * (sample - rtt)
+            root = math.sqrt(sample)
+            root_avg = root if root_avg is None else root_avg + weight * (root - root_avg)
+            pacing = root / root_avg
+        r = initial_rtt if rtt is None else rtt
+        cap = 2 * recv_rate if recv_rate > 0 else math.inf
+        if p == 0:
+            expiry = decide(now, min(2 * rate, cap), "slow_start")
+            continue
+        t_rto = 4 * r
+        x_calc = s / (r * math.sqrt(2 * p / 3)
+                      + t_rto * (3 * math.sqrt(3 * p / 8)) * p * (1 + 32 * p * p))
+        if cap < x_calc:
+            expiry = decide(now, cap, "recv_cap")
+        else:
+            expiry = decide(now, x_calc, "equation")
+    while expiry <= until:
+        expiry = decide(expiry, rate / 2, "no_feedback_halve")
+    return decisions
 
 
 class Timer:

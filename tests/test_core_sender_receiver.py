@@ -9,7 +9,10 @@ from repro.core.equations import tcp_response_rate
 from repro.core.loss_events import LossEventDetector
 from repro.core.paced import T_MBI
 from repro.core.receiver import TfrcFeedback, TfrcReceiver
-from repro.core.sender import TfrcDataInfo, TfrcSender
+from repro.core import sender as sender_module
+from repro.core.sender import (
+    EQUATION, NO_FEEDBACK_HALVE, RECV_CAP, SLOW_START, TfrcDataInfo, TfrcSender,
+)
 from repro.net.packet import Packet, PacketType
 from repro.net.path import LossyPath, bernoulli_loss, periodic_loss
 from repro.net.monitor import FlowMonitor
@@ -34,11 +37,11 @@ class TestSlowStart:
         flow, _, _ = run_tfrc(duration=2.0)
         # From 1 pkt / 0.5 s, several doublings must have occurred.
         assert flow.sender.rate > 8 * flow.sender.packet_size
-        assert flow.sender.in_slow_start
+        assert flow.sender.reason == SLOW_START
 
     def test_loss_terminates_slow_start(self):
         flow, _, _ = run_tfrc(loss_model=periodic_loss(100), duration=10.0)
-        assert not flow.sender.in_slow_start
+        assert flow.sender.reason in (EQUATION, RECV_CAP)
 
     def test_slow_start_capped_by_bottleneck(self):
         """The receive-rate cap limits overshoot to ~2x the link rate."""
@@ -141,10 +144,11 @@ class TestNoFeedbackTimer:
         sim = Simulator()
         sender = TfrcSender(sim, "t", send_packet=lambda p: None)
         sender.start()
-        assert sender.in_slow_start and sender._no_feedback_timer.expiry == 2.0
+        assert sender.reason == SLOW_START
+        assert sender._no_feedback_timer.expiry == 2.0
         sim.run(until=2.0)
         assert sender.rate_history == [(0.0, 2000.0), (2.0, 1000.0)]
-        assert not sender.in_slow_start
+        assert sender.reason == NO_FEEDBACK_HALVE
         assert sender._no_feedback_timer.expiry == 2.0 + 2.0
 
     def test_feedback_pushes_the_timer_back(self):
@@ -239,9 +243,9 @@ class TestBalanceRule:
     s / T_MBI)`` after it when ``recv_rate > 0``."""
 
     @staticmethod
-    def _sender(cls=TfrcSender):
+    def _sender():
         sim = Simulator()
-        sender = cls(sim, "flow-7", send_packet=lambda p: None)
+        sender = TfrcSender(sim, "flow-7", send_packet=lambda p: None)
         sender.start()
         sim.run(until=0.25)
         return sender
@@ -271,12 +275,12 @@ class TestBalanceRule:
         sender.on_feedback(forged_feedback(0.5, tiny))
         assert sender.rate == sender.min_rate > 2 * tiny
 
-    def test_update_past_twice_the_receive_rate_raises(self):
-        class Overshooting(TfrcSender):
-            def _update_rate(self, feedback):
-                self._set_rate(3.0 * feedback.recv_rate)
+    def test_update_past_twice_the_receive_rate_raises(self, monkeypatch):
+        def overshooting(rate, rtt, packet_size, p, recv_rate):
+            return 3.0 * recv_rate, EQUATION
 
-        sender = self._sender(Overshooting)
+        sender = self._sender()
+        monkeypatch.setattr(sender_module, "rate_step", overshooting)
         with pytest.raises(SimulationError, match=r"flow flow-7: rate 150000\.0"):
             sender.on_feedback(forged_feedback(0.01, 50_000.0))
 

@@ -34,6 +34,7 @@ import pytest
 
 from repro.baselines import TfrcpFlow
 from repro.core.agent import TfrcFlow
+from repro.core.sender import SLOW_START
 from repro.experiments import fig03_oscillation as fig03
 from repro.experiments import fig11_onoff as fig11
 from repro.experiments import fig14_queue_dynamics as fig14
@@ -185,14 +186,17 @@ def _run_lossy_path(flow_cls, p, traced, sender_attrs=(), **kwargs):
 
 
 def lossy_path_baseline(flow_cls, sender_counters, receiver_counters,
-                        p=0.02, traced=False, sender_attrs=()):
-    """A rate-based flow on the lossy path: its rate decisions and counters."""
+                        p=0.02, traced=False, sender_attrs=(), sender_flags=()):
+    """A rate-based flow on the lossy path: its rate decisions and counters;
+    ``sender_flags`` are ``(name, read)`` pairs hashed beside the counters."""
     sim, flow, monitor, tracer = _run_lossy_path(
         flow_cls, p, traced, sender_attrs
     )
+    sender = _exact(flow.sender, ("packets_sent", "srtt") + sender_counters)
+    sender.update((name, read(flow.sender)) for name, read in sender_flags)
     return trace_signature(tracer), {
         "rate_history": _rate_history(flow.sender),
-        "sender": _exact(flow.sender, ("packets_sent", "srtt") + sender_counters),
+        "sender": sender,
         "receiver": _exact(flow.receiver, receiver_counters),
         "arrivals": monitor.arrival_series("b"),
         "events": sim.events_processed,
@@ -200,13 +204,16 @@ def lossy_path_baseline(flow_cls, sender_counters, receiver_counters,
 
 
 def tfrc_lossy_path(p):
-    """TFRC itself on that path, traced (every send and rate decision)."""
+    """TFRC itself on that path, traced (every send and rate decision).
+    The ``in_slow_start`` flag the digests hash is the latest decision's
+    reason."""
     return lossy_path_baseline(
-        TfrcFlow, ("feedback_received", "in_slow_start"),
+        TfrcFlow, ("feedback_received",),
         ("feedback_sent", "detector.packets_received",
          "detector.packets_lost", "intervals.loss_events",
          "intervals.open_interval", "intervals.history"),
         p=p, traced=True,
+        sender_flags=[("in_slow_start", lambda sender: sender.reason == SLOW_START)],
     )
 
 

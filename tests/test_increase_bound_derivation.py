@@ -31,6 +31,7 @@ from repro.core.equations import (
     tcp_response_rate,
 )
 from repro.core.loss_intervals import ALI_DEFAULT_WEIGHTS, AverageLossIntervals
+from repro.experiments import fig19_increase as fig19
 
 WEIGHTS = wali_weights_exact(8)
 FLOOR = Fraction(3, 10)
@@ -147,6 +148,25 @@ def test_quoted_discounted_bound_is_below_the_derivation():
     assert quoted == Fraction(28, 100) < increase_limit_exact(share)
     assert increase_per_rtt_exact(50, share) < quoted
     assert increase_per_rtt_exact(100, share) > Fraction(29, 100)
+
+
+@pytest.mark.parametrize("key, name, low, high", [
+    ("delta_normal_simple", "undiscounted", 26, 27),
+    ("delta_discounted_simple", "floor", 62, 63),
+])
+def test_fig19_simple_bounds_under_read_eq1_at_its_loss_period(
+    key, name, low, high
+):
+    """``fig19.analytic_bounds()`` steps the simple response with
+    ``sqrt(1.5)`` rounded to 1.2; at fig19's loss period (A = 100) Eq. 1
+    grows 2.2 % faster: 0.1221 against 0.1194 packet/RTT undiscounted,
+    0.2909 against 0.2846 at the floor, a gap of ``low``-``high`` in 10^4."""
+    share = NEWEST[name]
+    simple = increase_per_rtt_exact(fig19.LOSS_PERIOD, share, rate=_simple_1_2)
+    eq1 = increase_per_rtt_exact(fig19.LOSS_PERIOD, share)
+    assert fig19.analytic_bounds()[key] == pytest.approx(float(simple), rel=1e-9)
+    assert Fraction(low, 10**4) < eq1 - simple < Fraction(high, 10**4)
+    assert Fraction(1021, 1000) < eq1 / simple < Fraction(1023, 1000)
 
 
 def test_eq1_reduces_to_the_simple_response_at_low_loss():

@@ -8,7 +8,9 @@ or applies the ``packet_size / T_MBI`` floor (which only the
 class that connects ports and defines ``start(at)``.  A second site for any
 of these means a sender or a ``*Flow`` has grown its own copy of the
 mechanism again -- and that a rate decision can escape the choke point the
-protocol event stream (ROADMAP 2b) hangs on.
+protocol event stream (ROADMAP 2b) hangs on.  Likewise the rate *rule*:
+no method calls ``tcp_response_rate``; TFRC and TFRCP take every rate from
+``core/sender.py``'s pure ``rate_step``.
 
 Under ``tcp/`` the same holds for windows: ``TCPSender._set_cwnd`` is the
 only ``self.cwnd`` write after construction, ``snd_nxt`` moves only in
@@ -24,11 +26,11 @@ SENDER_PACKAGES = ("core", "baselines")
 FLOW_PACKAGES = SENDER_PACKAGES + ("tcp", "net")
 
 
-def _functions(packages):
+def _functions(packages, root=REPRO):
     """``(label, FunctionDef, enclosing class name)`` for every method."""
     for package in packages:
-        modules = sorted((REPRO / package).glob("*.py"))
-        assert modules, f"nothing to scan under {REPRO / package}"
+        modules = sorted((root / package).glob("*.py"))
+        assert modules, f"nothing to scan under {root / package}"
         for path in modules:
             tree = ast.parse(path.read_text(), str(path))
             for cls in ast.walk(tree):
@@ -39,12 +41,12 @@ def _functions(packages):
                         yield f"{package}/{path.name}:{node.name}", node, cls.name
 
 
-def _sites(predicate, packages=SENDER_PACKAGES):
+def _sites(predicate, packages=SENDER_PACKAGES, root=REPRO):
     """The methods under ``packages``, constructors aside, with a matching
     node (once per match)."""
     return [
         label
-        for label, function, _ in _functions(packages)
+        for label, function, _ in _functions(packages, root)
         if function.name != "__init__"
         for node in ast.walk(function)
         if predicate(node)
@@ -77,6 +79,13 @@ def _assigns(attr):
 def _calls(method):
     return lambda node: (
         isinstance(node, ast.Call) and getattr(node.func, "attr", "") == method
+    )
+
+
+def _calls_function(name):
+    """A call of ``name`` bare or through a module (``equations.name``)."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", ""), getattr(node.func, "attr", ""),
     )
 
 
@@ -136,6 +145,31 @@ def test_one_function_sets_floors_records_and_traces_the_rate():
         "core/paced.py:_set_rate", "core/sender.py:on_feedback",
     ]
     assert _sites(_divides_by_64) == []
+
+
+def test_one_rate_rule():
+    """The equation is evaluated in ``rate_step`` alone, and both rate
+    policies take every rate they set from it."""
+    assert _sites(_calls_function("tcp_response_rate")) == []
+    assert _sites(_calls_function("rate_step")) == [
+        "core/sender.py:on_feedback", "core/sender.py:_no_feedback_expired",
+        "baselines/tfrcp.py:_update_rate",
+    ]
+
+
+def test_the_rate_rule_guard_finds_a_planted_equation_call(tmp_path):
+    planted = {
+        "core": "class S:\n    def _update_rate(self):\n"
+                "        self._set_rate(tcp_response_rate(1000, 0.1, 0.01, 0.4))\n",
+        "baselines": "class B:\n    def _interval(self):\n"
+                     "        return equations.tcp_response_rate(s, r, p, 4 * r)\n",
+    }
+    for package, source in planted.items():
+        (tmp_path / package).mkdir()
+        (tmp_path / package / "planted.py").write_text(source)
+    assert _sites(_calls_function("tcp_response_rate"), root=tmp_path) == [
+        "core/planted.py:_update_rate", "baselines/planted.py:_interval",
+    ]
 
 
 def test_one_srtt_ewma_and_two_pacing_bodies():
